@@ -10,6 +10,10 @@ of the closed-form geodesics. Q < 0 makes the deviation grow like sinh, and
 the growth-rate indicator (the Riemannian analogue of a Lyapunov exponent)
 is lambda = 2 sqrt(-Q) = 2 A0 -- notably independent of the correlation r.
 
+`jacobi_intensity` broadcasts over a numpy array of tau. It and
+`lyapunov_estimate` reject |A0 tau| beyond the geodesics' hyperbolic clamp
+(700), where sinh and cosh overflow, with a DomainError.
+
 `lyapunov_estimate` evaluates the defining log-ratio at a finite horizon.
 The raw value converges only like 1/tau (the limit sheds a constant inside
 the log), so the reported estimate Richardson-extrapolates the last two
@@ -23,8 +27,17 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._elementwise import any_true, scalar_or_array
 from .errors import DomainError, RegimeWarning
-from .geodesics import InitialConditions, amplitude_A0, geodesic_corr, geodesic_velocity
+from .geodesics import (
+    ARG_CLAMP,
+    InitialConditions,
+    amplitude_A0,
+    geodesic_corr,
+    geodesic_velocity,
+)
 from .models import ModelParams, metric_corr3
 
 #: Minimum A0 * tau_max for the asymptotic Lyapunov regime.
@@ -88,11 +101,20 @@ def velocity_norm_squared_contracted(
     return float(v @ g @ v)
 
 
-def jacobi_intensity(tau: float, omega0: float, A0: float) -> float:
-    """Jacobi-field intensity J(tau) = (omega0/A0) sinh(A0 tau)."""
+def _check_overflow(arg) -> None:
+    if any_true(abs(arg) > ARG_CLAMP):
+        raise DomainError(
+            f"|A0*tau| = {np.max(abs(arg)):.3g} exceeds the overflow guard {ARG_CLAMP}"
+        )
+
+
+def jacobi_intensity(tau, omega0: float, A0: float):
+    """Jacobi-field intensity J(tau) = (omega0/A0) sinh(A0 tau), scalar or array."""
     if not A0 > 0:
         raise DomainError(f"A0 must be positive, got {A0}")
-    return omega0 / A0 * math.sinh(A0 * tau)
+    arg = A0 * tau
+    _check_overflow(arg)
+    return scalar_or_array(omega0 / A0 * np.sinh(arg))
 
 
 def jacobi_intensity_rate(tau: float, omega0: float, A0: float) -> float:
@@ -108,9 +130,12 @@ def lyapunov_exponent(A0: float) -> float:
 
 
 def _log_ratio(tau: float, A0: float) -> float:
-    # log[(J^2 + J'^2)/omega0^2] / tau; omega0 cancels exactly
-    s, c = math.sinh(A0 * tau), math.cosh(A0 * tau)
-    return math.log((s / A0) ** 2 + c**2) / tau
+    # log[(J^2 + J'^2)/omega0^2] / tau; omega0 cancels exactly. Written as
+    # log[cosh^2 (1 + tanh^2/A0^2)] with cosh = 1 + 2 sinh^2(x/2): every term
+    # is positive (no cancellation at small x) and none overflows below the guard
+    x = A0 * tau
+    log_cosh = math.log1p(2.0 * math.sinh(0.5 * x) ** 2)
+    return (2.0 * log_cosh + math.log1p((math.tanh(x) / A0) ** 2)) / tau
 
 
 def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstimate:
@@ -121,6 +146,7 @@ def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstim
     """
     if not (A0 > 0 and tau_max > 0):
         raise DomainError("A0 and tau_max must be positive")
+    _check_overflow(A0 * tau_max)
     if A0 * tau_max < ASYMPTOTIC_MIN:
         warnings.warn(
             f"A0*tau_max = {A0 * tau_max:.3g} < {ASYMPTOTIC_MIN}: estimate returned "

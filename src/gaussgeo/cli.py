@@ -7,6 +7,11 @@ significant digits, '.' decimal separator, LF endings; JSON uses a stable
 key order. Validity warnings go to stderr (and the JSON ``warnings``
 field) without changing the exit code. Exit codes: 0 success, 1
 verification failure, 2 usage or domain error.
+
+The table commands (geodesic, jacobi, complexity, prolongation) evaluate
+their closed forms once per column over the whole grid and write the
+table column by column. The oracle, which imports scipy.integrate, is
+loaded only by ``verify``.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ import warnings
 
 import numpy as np
 
-from . import chaos, complexity, curvature, geodesics, models, oracle, scattering
+from . import chaos, complexity, curvature, geodesics, models, scattering
 from .errors import DomainError, GaussGeoError, ProlongationBoundError
 from .geodesics import InitialConditions
+from .groups import GROUPS
 from .models import ModelParams
 from .scattering import ScatteringConfig
 
@@ -52,19 +58,45 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_rows(rows, columns, fmt, out, extra=None, warn_list=None):
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(col: np.ndarray) -> list[str]:
+    """json.dumps's text for each element: float repr, NaN, +-Infinity, ints."""
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    text = list(map(float.__repr__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        text[i] = _JSON_NONFINITE[text[i]]
+    return text
+
+
+def _emit_table(columns: dict, fmt, out, extra=None, warn_list=None) -> None:
+    """Write a table given as {name: 1-D array}, column by column.
+
+    Bytes equal those of formatting each row's values with `_fmt` (CSV) or
+    ``json.dumps(_no_negzero(payload), indent=2)`` (JSON). Float columns
+    are normalized from -0.0 to 0.0 by adding 0.0.
+    """
+    names = list(columns)
+    cols = [c + 0.0 if c.dtype.kind == "f" else c for c in columns.values()]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols)
+        rows = map(template.__mod__, zip(*(c.tolist() for c in cols)))
+        lines = [",".join(names), *rows]
         _write("\n".join(lines) + "\n", out)
-    else:
-        payload = {"columns": list(columns), "rows": [
-            {c: row[c] for c in columns} for row in rows
-        ]}
-        if extra:
-            payload.update(extra)
-        payload["warnings"] = warn_list or []
-        _write(json.dumps(_no_negzero(payload), indent=2) + "\n", out)
+        return
+    payload = {"columns": names, "rows": []}
+    payload.update(_no_negzero(extra or {}))
+    payload["warnings"] = warn_list or []
+    text = json.dumps(payload, indent=2)
+    if len(cols[0]):
+        fields = ",\n".join(f"      {json.dumps(name)}: %s" for name in names)
+        rows = ",\n".join(
+            map(f"    {{\n{fields}\n    }}".__mod__, zip(*map(_json_numbers, cols)))
+        )
+        text = text.replace('\n  "rows": []', f'\n  "rows": [\n{rows}\n  ]', 1)
+    _write(text + "\n", out)
 
 
 def _emit_record(record: dict, fmt, out, warn_list=None):
@@ -133,10 +165,16 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
+def _grid(lo, hi, n) -> np.ndarray:
+    if n < 1:
+        raise DomainError(f"--n must be at least 1, got {n}")
+    return np.linspace(lo, hi, n)
+
+
 def _tau_grid(tau_min, tau_max, n) -> np.ndarray:
     if not tau_max > tau_min:
         raise DomainError("tau grid must be increasing (tau-max > tau-min)")
-    grid = np.linspace(tau_min, tau_max, n)
+    grid = _grid(tau_min, tau_max, n)
     if tau_min < 0.0 < tau_max and not np.any(grid == 0.0):
         grid = np.sort(np.append(grid, 0.0))
     return grid
@@ -145,29 +183,23 @@ def _tau_grid(tau_min, tau_max, n) -> np.ndarray:
 def _cmd_geodesic(args) -> int:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
     params = ModelParams(args.r)
+    tau = _tau_grid(args.tau_min, args.tau_max, args.n)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = []
-        for tau in _tau_grid(args.tau_min, args.tau_max, args.n):
-            state = geodesics.joined_path(float(tau), params, ic)
-            rows.append({"tau": float(tau), "mu1": state.mu1,
-                         "mu2": state.mu2, "sigma": state.sigma})
-    _emit_rows(rows, ("tau", "mu1", "mu2", "sigma"), args.format, args.out,
-               warn_list=_report_warnings(caught))
+        state = geodesics.joined_path(tau, params, ic)
+    _emit_table({"tau": tau, "mu1": state.mu1, "mu2": state.mu2,
+                 "sigma": state.sigma}, args.format, args.out,
+                warn_list=_report_warnings(caught))
     return 0
 
 
 def _cmd_jacobi(args) -> int:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
     A0 = geodesics.amplitude_A0(ic)
+    tau = _grid(0.0, args.tau_max, args.n)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = []
-        for tau in np.linspace(0.0, args.tau_max, args.n):
-            rows.append({
-                "tau": float(tau),
-                "intensity": chaos.jacobi_intensity(float(tau), args.omega0, A0),
-            })
+        intensity = chaos.jacobi_intensity(tau, args.omega0, A0)
         estimate = chaos.lyapunov_estimate(args.omega0, A0, args.tau_max)
     extra = {
         "lambda": chaos.lyapunov_exponent(A0),
@@ -176,11 +208,11 @@ def _cmd_jacobi(args) -> int:
         "jlc_coefficient": chaos.jlc_coefficient(A0),
     }
     warn_list = _report_warnings(caught)
+    columns = {"tau": tau, "intensity": intensity}
     if args.format == "csv":
-        _emit_rows(rows, ("tau", "intensity"), args.format, args.out)
+        _emit_table(columns, args.format, args.out)
     else:
-        _emit_rows(rows, ("tau", "intensity"), args.format, args.out,
-                   extra=extra, warn_list=warn_list)
+        _emit_table(columns, args.format, args.out, extra=extra, warn_list=warn_list)
     return 0
 
 
@@ -188,29 +220,33 @@ def _cmd_complexity(args) -> int:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
     lam = 2.0 * geodesics.amplitude_A0(ic)
     r_values = args.r if args.r else [0.0]
-    rows = []
+    tau = _tau_grid(args.tau_min, args.tau_max, args.n)
+    # the grid increases, so rows past the overflow guard form its tail
+    keep = int(np.count_nonzero(lam * tau <= complexity.LAMBDA_TAU_MAX))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for tau in _tau_grid(args.tau_min, args.tau_max, args.n):
-            tau = float(tau)
-            if lam * tau > complexity.LAMBDA_TAU_MAX:
-                warnings.warn(
-                    f"lambda*tau = {lam * tau:.3g} beyond overflow guard; "
-                    "remaining rows truncated"
-                )
-                break
-            base_igc = complexity.igc_closed(tau, ModelParams(0.0), ic)
-            base_ige = complexity.ige_closed(tau, ModelParams(0.0), ic)
-            for r in r_values:
-                params = ModelParams(r)
-                igc = complexity.igc_closed(tau, params, ic)
-                ige = complexity.ige_closed(tau, params, ic)
-                rows.append({
-                    "tau": tau, "r": r, "igc": igc, "ige": ige,
-                    "ratio": igc / base_igc, "ige_gap": ige - base_ige,
-                })
-    _emit_rows(rows, ("tau", "r", "igc", "ige", "ratio", "ige_gap"),
-               args.format, args.out, warn_list=_report_warnings(caught))
+        kept = tau[:keep]
+        base = ModelParams(0.0)
+        base_igc = complexity.igc_closed(kept, base, ic)
+        base_ige = complexity.ige_closed(kept, base, ic)
+        igc = np.array([complexity.igc_closed(kept, ModelParams(r), ic)
+                        for r in r_values]).T
+        ige = np.array([complexity.ige_closed(kept, ModelParams(r), ic)
+                        for r in r_values]).T
+        if keep < len(tau):
+            warnings.warn(
+                f"lambda*tau = {lam * tau[keep]:.3g} beyond overflow guard; "
+                "remaining rows truncated"
+            )
+    columns = {
+        "tau": np.repeat(kept, len(r_values)),
+        "r": np.tile(np.asarray(r_values, dtype=float), keep),
+        "igc": igc.ravel(),
+        "ige": ige.ravel(),
+        "ratio": (igc / base_igc[:, None]).ravel(),
+        "ige_gap": (ige - base_ige[:, None]).ravel(),
+    }
+    _emit_table(columns, args.format, args.out, warn_list=_report_warnings(caught))
     return 0
 
 
@@ -263,26 +299,20 @@ def _cmd_scatter(args) -> int:
 
 def _cmd_prolongation(args) -> int:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
-    rows = []
+    r = _grid(args.r_min, args.r_max, args.n)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for r in np.linspace(args.r_min, args.r_max, args.n):
-            r = float(r)
-            try:
-                rep = scattering.prolongation(ic, r)
-                rows.append({"r": r, "delta_approx": rep.delta_approx,
-                             "delta_exact": rep.delta, "flagged": 0})
-            except ProlongationBoundError:
-                rows.append({"r": r, "delta_approx": math.nan,
-                             "delta_exact": math.nan, "flagged": 1})
-    extra = {"r_bound": scattering.prolongation(ic, 0.0).r_bound}
-    _emit_rows(rows, ("r", "delta_approx", "delta_exact", "flagged"),
-               args.format, args.out, extra=extra,
-               warn_list=_report_warnings(caught))
+        rep = scattering.prolongation(ic, r)
+    columns = {"r": r, "delta_approx": rep.delta_approx,
+               "delta_exact": rep.delta, "flagged": rep.flagged.astype(np.int64)}
+    _emit_table(columns, args.format, args.out, extra={"r_bound": rep.r_bound},
+                warn_list=_report_warnings(caught))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle  # loads scipy.integrate, which only verify needs
+
     results = oracle.run_verification(
         only=args.only, tol_scale=args.tol_scale, fault=args.inject_fault
     )
@@ -390,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_prolongation)
 
     p = subs.add_parser("verify", help="oracle-vs-closed-form verification suite")
-    p.add_argument("--only", choices=oracle.GROUPS, default=None)
+    p.add_argument("--only", choices=GROUPS, default=None)
     p.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0)
     p.add_argument("--inject-fault", dest="inject_fault", default=None,
                    help=argparse.SUPPRESS)  # negative-control test hook

@@ -26,6 +26,9 @@ volume average with the conventional normalization that drops the additive
 so the entropy gap between correlated and non-correlated flows is the
 tau-independent constant (1/2) ln((1-r)/(1+r)).
 
+`igc_closed` and `ige_closed` broadcast over a numpy array of horizons tau;
+a scalar tau is the 0-d case.
+
 Both quantities shrink under correlation; inverting the volume ratio
 recovers r, which `purity_from_complexity` then maps onto the scattering
 purity through the dimensionless coefficient eta_C.
@@ -37,6 +40,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._elementwise import all_true, any_true, scalar_or_array
 from .errors import DomainError, RegimeWarning
 from .geodesics import InitialConditions, amplitude_A0
 from .models import ModelParams
@@ -66,41 +72,54 @@ def fisher_density(sigma: float, params: ModelParams) -> float:
     return 2.0 / (math.sqrt(1.0 - r * r) * sigma**3)
 
 
-def _check_horizon(lam: float, tau: float) -> None:
-    if not tau > 0:
-        raise DomainError(f"horizon must be positive, got {tau}")
-    if lam * tau > LAMBDA_TAU_MAX:
+def _check_horizon(tau, lam_tau) -> None:
+    if not all_true(tau > 0):
+        raise DomainError(f"horizon must be positive, got {np.min(tau)}")
+    if any_true(lam_tau > LAMBDA_TAU_MAX):
         raise DomainError(
-            f"lambda*tau = {lam * tau:.3g} exceeds the overflow guard {LAMBDA_TAU_MAX}"
+            f"lambda*tau = {np.max(lam_tau):.3g} exceeds the overflow guard "
+            f"{LAMBDA_TAU_MAX}"
         )
 
 
-def igc_closed(tau: float, params: ModelParams, ic: InitialConditions) -> float:
+def igc_closed(tau, params: ModelParams, ic: InitialConditions):
     """Closed-form IGC at horizon tau (exact finite-time average)."""
     lam = 2.0 * amplitude_A0(ic)
-    _check_horizon(lam, tau)
+    lam_tau = lam * tau
+    _check_horizon(tau, lam_tau)
     r = params.r
     bracket = (
         -0.75 * lam
-        + 0.25 * math.sinh(lam * tau) / tau
-        + math.tanh(0.5 * lam * tau) / tau
+        + 0.25 * np.sinh(lam_tau) / tau
+        + np.tanh(0.5 * lam * tau) / tau
     )
-    return 4.0 * math.sqrt((1.0 - r) / (1.0 + r)) / lam * bracket
+    return scalar_or_array(4.0 * math.sqrt((1.0 - r) / (1.0 + r)) / lam * bracket)
 
 
-def ige_closed(tau: float, params: ModelParams, ic: InitialConditions) -> float:
-    """Asymptotic IGE at horizon tau; warns when lambda*tau < 5."""
+def ige_closed(tau, params: ModelParams, ic: InitialConditions):
+    """Asymptotic IGE at horizon tau.
+
+    One RegimeWarning per call counts the elements with lambda*tau < 5.
+    """
     lam = 2.0 * amplitude_A0(ic)
-    _check_horizon(lam, tau)
-    if lam * tau < IGE_ASYMPTOTIC_MIN:
+    lam_tau = lam * tau
+    _check_horizon(tau, lam_tau)
+    early = lam_tau < IGE_ASYMPTOTIC_MIN
+    if any_true(early):
+        count = int(np.count_nonzero(early))
         warnings.warn(
-            f"lambda*tau = {lam * tau:.3g} < {IGE_ASYMPTOTIC_MIN}: asymptotic "
-            "entropy form used outside its regime",
-            RegimeWarning,
+            RegimeWarning(
+                f"lambda*tau < {IGE_ASYMPTOTIC_MIN} at {count} of {np.size(lam_tau)} "
+                f"elements (smallest {np.min(lam_tau):.3g}): asymptotic entropy "
+                "form used outside its regime",
+                count,
+            ),
             stacklevel=2,
         )
     r = params.r
-    return lam * tau - math.log(lam * tau) + 0.5 * math.log((1.0 - r) / (1.0 + r))
+    return scalar_or_array(
+        lam_tau - np.log(lam_tau) + 0.5 * math.log((1.0 - r) / (1.0 + r))
+    )
 
 
 def igc_ratio(params: ModelParams) -> float:

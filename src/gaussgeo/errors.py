@@ -41,9 +41,21 @@ class ProlongationBoundError(DomainError):
         )
 
 
-class RegimeWarning(UserWarning):
+class CountedWarning(UserWarning):
+    """Warning about ``count`` elements of one (possibly array) call.
+
+    An array call that strains a condition at many elements issues one
+    warning carrying the number of affected elements, not one per element.
+    """
+
+    def __init__(self, message: str, count: int = 1):
+        super().__init__(message)
+        self.count = count
+
+
+class RegimeWarning(CountedWarning):
     """Result returned, but inputs strain the stated validity regime."""
 
 
-class SaturationWarning(UserWarning):
+class SaturationWarning(CountedWarning):
     """Hyperbolic argument clamped to avoid overflow; output is saturated."""

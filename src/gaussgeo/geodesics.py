@@ -21,9 +21,13 @@ three coordinates are continuous there.
 A0 is always computed from the exact asinh form. The log-series expansion
 in sigma0/p0 is provided only as a cross-check (`amplitude_A0_series`).
 
+Every trajectory function broadcasts over a numpy array of tau; a scalar
+tau is the 0-d case and returns Python floats.
+
 Hyperbolic arguments are clamped to |A0 tau| <= 700: beyond that cosh
 overflows while the state is already saturated (tanh = +-1, sigma at the
-underflow floor), so the clamped state is returned with a warning.
+underflow floor), so the clamped state is returned with one
+SaturationWarning per call that counts the clamped elements.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import any_true, scalar_or_array
 from .errors import DomainError, SaturationWarning
 from .models import Macrostate3, ModelParams
 
@@ -101,15 +106,20 @@ def amplitude_A0_series(ic: InitialConditions) -> float:
     ) / ic.tau0
 
 
-def _clamped(arg: float) -> float:
-    if abs(arg) > ARG_CLAMP:
-        warnings.warn(
-            f"|A0*tau| = {abs(arg):.3g} clamped to {ARG_CLAMP}; state is saturated",
-            SaturationWarning,
-            stacklevel=3,
-        )
-        return math.copysign(ARG_CLAMP, arg)
-    return arg
+def _clamped(arg):
+    over = abs(arg) > ARG_CLAMP
+    if not any_true(over):
+        return arg
+    count = int(np.count_nonzero(over))
+    warnings.warn(
+        SaturationWarning(
+            f"|A0*tau| clamped to {ARG_CLAMP} at {count} of {np.size(arg)} elements "
+            f"(largest {np.max(abs(arg)):.3g}); state is saturated",
+            count,
+        ),
+        stacklevel=3,
+    )
+    return np.where(over, np.copysign(ARG_CLAMP, arg), arg)
 
 
 def _momentum_scale(ic: InitialConditions, r: float) -> float:
@@ -120,12 +130,19 @@ def _spread_scale(ic: InitialConditions) -> float:
     return math.sqrt(0.5 * ic.p0**2 + ic.sigma0**2)
 
 
-def geodesic_corr(tau: float, params: ModelParams, ic: InitialConditions) -> Macrostate3:
-    """Correlated-branch macrostate at affine time tau."""
+def _state(arg, m, spread) -> Macrostate3:
+    t = np.tanh(arg)
+    return Macrostate3(
+        scalar_or_array(-m * t),
+        scalar_or_array(m * t),
+        scalar_or_array(spread / np.cosh(arg)),
+    )
+
+
+def geodesic_corr(tau, params: ModelParams, ic: InitialConditions) -> Macrostate3:
+    """Correlated-branch macrostate at affine time tau (scalar or array)."""
     arg = _clamped(amplitude_A0(ic) * tau)
-    m = _momentum_scale(ic, params.r)
-    t = math.tanh(arg)
-    return Macrostate3(-m * t, m * t, _spread_scale(ic) / math.cosh(arg))
+    return _state(arg, _momentum_scale(ic, params.r), _spread_scale(ic))
 
 
 def geodesic_noncorr(tau: float, ic: InitialConditions) -> Macrostate3:
@@ -133,28 +150,31 @@ def geodesic_noncorr(tau: float, ic: InitialConditions) -> Macrostate3:
     return geodesic_corr(tau, ModelParams(0.0), ic)
 
 
-def geodesic_velocity(
-    tau: float, params: ModelParams, ic: InitialConditions
-) -> np.ndarray:
-    """Analytic (dmu1, dmu2, dsigma)/dtau along the correlated branch."""
+def geodesic_velocity(tau, params: ModelParams, ic: InitialConditions) -> np.ndarray:
+    """Analytic (dmu1, dmu2, dsigma)/dtau along the correlated branch.
+
+    Shape (3,) + shape(tau): the three components lead.
+    """
     A0 = amplitude_A0(ic)
     arg = _clamped(A0 * tau)
     m = _momentum_scale(ic, params.r)
-    sech2 = 1.0 / math.cosh(arg) ** 2
-    dsig = -_spread_scale(ic) * A0 * math.sinh(arg) / math.cosh(arg) ** 2
+    # in sech and tanh, not cosh^2, which overflows beyond |A0 tau| ~ 355
+    sech = 1.0 / np.cosh(arg)
+    sech2 = sech * sech
+    dsig = -_spread_scale(ic) * A0 * np.tanh(arg) * sech
     return np.array([-m * A0 * sech2, m * A0 * sech2, dsig])
 
 
 def geodesic_acceleration(
-    tau: float, params: ModelParams, ic: InitialConditions
+    tau, params: ModelParams, ic: InitialConditions
 ) -> np.ndarray:
-    """Analytic second derivatives of the correlated branch."""
+    """Analytic second derivatives of the correlated branch, components leading."""
     A0 = amplitude_A0(ic)
     arg = _clamped(A0 * tau)
     m = _momentum_scale(ic, params.r)
-    th, ch = math.tanh(arg), math.cosh(arg)
-    ddmu = 2.0 * m * A0**2 * th / ch**2
-    ddsig = _spread_scale(ic) * A0**2 * (2.0 * th**2 - 1.0) / ch
+    th, sech = np.tanh(arg), 1.0 / np.cosh(arg)
+    ddmu = 2.0 * m * A0**2 * th * sech * sech
+    ddsig = _spread_scale(ic) * A0**2 * (2.0 * th**2 - 1.0) * sech
     return np.array([ddmu, -ddmu, ddsig])
 
 
@@ -176,21 +196,24 @@ class GeodesicPath:
     def branch(self, tau: float) -> str:
         return "before" if tau < 0 else "after"
 
-    def state(self, tau: float) -> Macrostate3:
-        if tau < 0:
-            return geodesic_noncorr(tau, self.ic)
-        return geodesic_corr(tau, self.params, self.ic)
+    def state(self, tau) -> Macrostate3:
+        return joined_path(tau, self.params, self.ic)
 
 
-def joined_path(tau: float, params: ModelParams, ic: InitialConditions) -> Macrostate3:
-    """Macrostate on the joined (before/after) path at affine time tau."""
-    return GeodesicPath(params, ic).state(tau)
+def joined_path(tau, params: ModelParams, ic: InitialConditions) -> Macrostate3:
+    """Macrostate on the joined (before/after) path at affine time tau.
+
+    Element-wise: the r = 0 branch where tau < 0, the correlated one elsewhere.
+    """
+    arg = _clamped(amplitude_A0(ic) * tau)
+    m = np.where(tau < 0.0, _momentum_scale(ic, 0.0), _momentum_scale(ic, params.r))
+    return _state(arg, m, _spread_scale(ic))
 
 
-def momentum_difference(tau: float, params: ModelParams, ic: InitialConditions) -> float:
+def momentum_difference(tau, params: ModelParams, ic: InitialConditions):
     """Relative momentum <p(tau; r)> = (mu2 - mu1)/2 on the correlated branch."""
     arg = _clamped(amplitude_A0(ic) * tau)
-    return _momentum_scale(ic, params.r) * math.tanh(arg)
+    return scalar_or_array(_momentum_scale(ic, params.r) * np.tanh(arg))
 
 
 def riccati_constants(params: ModelParams, ic: InitialConditions) -> RiccatiConstants:
@@ -216,29 +239,27 @@ def geodesic_from_constants(
     gamma = math.sqrt(const.C_r * const.E_r / (2.0 * (r - 1.0)))
     m = math.sqrt(2.0 * const.E_r * (r - 1.0) / const.C_r)
     s = math.sqrt(-const.E_r / const.C_r)
-    arg = _clamped(gamma * tau)
-    return Macrostate3(
-        -m * math.tanh(arg), m * math.tanh(arg), s / math.cosh(arg)
-    )
+    return _state(_clamped(gamma * tau), m, s)
 
 
 def geodesic_equations_lhs(
     state: np.ndarray, velocity: np.ndarray, accel: np.ndarray, r: float
 ) -> np.ndarray:
-    """Left sides of the three geodesic equations for given derivatives."""
+    """Left sides of the three geodesic equations for given derivatives.
+
+    The three coordinates lead each argument; trailing axes broadcast.
+    """
     mu1d, mu2d, sigd = velocity
     sig = state[2]
     d = r * r - 1.0
-    lhs = np.empty(3)
-    lhs[0] = accel[0] - 2.0 / sig * mu1d * sigd
-    lhs[1] = accel[1] - 2.0 / sig * mu2d * sigd
-    lhs[2] = (
+    return np.array([
+        accel[0] - 2.0 / sig * mu1d * sigd,
+        accel[1] - 2.0 / sig * mu2d * sigd,
         accel[2]
         - sigd**2 / sig
         - (mu1d**2 + mu2d**2) / (4.0 * sig * d)
-        + r * mu1d * mu2d / (2.0 * sig * d)
-    )
-    return lhs
+        + r * mu1d * mu2d / (2.0 * sig * d),
+    ])
 
 
 def geodesic_residual(
@@ -256,17 +277,13 @@ def geodesic_residual(
     A0 = amplitude_A0(ic)
     h = 1e-4 / A0
 
-    def coords(t):
-        s = geodesic_corr(t, params, ic)
-        return s.as_array()
-
-    worst = 0.0
-    for t in tau_grid:
-        stencil = np.array([coords(t + k * h) for k in (-2, -1, 0, 1, 2)])
-        vel = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
-        acc = (
-            -stencil[0] + 16 * stencil[1] - 30 * stencil[2] + 16 * stencil[3] - stencil[4]
-        ) / (12 * h * h)
-        lhs = geodesic_equations_lhs(stencil[2], vel, acc, params.r)
-        worst = max(worst, float(np.abs(lhs).max()))
-    return worst
+    # stencil[k] holds the coordinates at tau_grid + (k - 2) h, shape (3, n)
+    stencil = geodesic_corr(
+        tau_grid + np.arange(-2, 3)[:, None] * h, params, ic
+    ).as_array().swapaxes(0, 1)
+    vel = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
+    acc = (
+        -stencil[0] + 16 * stencil[1] - 30 * stencil[2] + 16 * stencil[3] - stencil[4]
+    ) / (12 * h * h)
+    lhs = geodesic_equations_lhs(stencil[2], vel, acc, params.r)
+    return float(np.abs(lhs).max())

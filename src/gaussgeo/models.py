@@ -41,17 +41,22 @@ SPLIT_R_MAX = 0.1
 
 @dataclass(frozen=True)
 class Macrostate3:
-    """Point (mu1, mu2, sigma) on the equal-spread 3D manifold."""
+    """Point (mu1, mu2, sigma) on the equal-spread 3D manifold.
+
+    The fields may also be numpy arrays of one shape: a set of points.
+    """
 
     mu1: float
     mu2: float
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
+        positive = self.sigma > 0
+        if not (positive.all() if isinstance(positive, np.ndarray) else positive):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
 
     def as_array(self) -> np.ndarray:
+        """(mu1, mu2, sigma) stacked on the leading axis."""
         return np.array([self.mu1, self.mu2, self.sigma])
 
 

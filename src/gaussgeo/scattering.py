@@ -23,7 +23,8 @@ The chain of observables implemented:
   Delta = -ln(1 - ((1-r)^{-1/2} - 1) eta) / (2 A0), eta = e^{2 A0 tau0}/2.
   A solution exists only below r_bound = 2/eta; the exact solve also
   requires (1-r)^{-1/2} tanh(A0 tau0) < 1. Both limits raise
-  ProlongationBoundError carrying r_bound.
+  ProlongationBoundError carrying r_bound; over a numpy array of r they
+  flag the element instead (`ProlongationReport.flagged`).
 
 Only the repulsive branch (V >= 0, r >= 0, a_s >= 0) is supported;
 attractive potentials are rejected. Internally hbar = 1 so momenta and
@@ -36,6 +37,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._elementwise import all_true, scalar_or_array
 from .errors import (
     DomainError,
     ProlongationBoundError,
@@ -119,6 +123,8 @@ class ProlongationReport:
 
     delta is the exact artanh solve, delta_approx the log form; tau_star is
     the correlated-branch time at which the reference momentum is reached.
+    For an array of r these three are arrays, NaN where ``flagged`` marks r
+    at or past the bound; a scalar r past the bound raises instead.
     """
 
     delta: float
@@ -126,6 +132,7 @@ class ProlongationReport:
     tau_star: float
     eta_delta: float
     r_bound: float
+    flagged: bool = False
 
 
 def density_pre(cfg: ScatteringConfig, k1: float, k2: float) -> float:
@@ -400,35 +407,44 @@ def potential_density(cfg: ScatteringConfig) -> float:
     )
 
 
-def prolongation(ic: InitialConditions, r: float) -> ProlongationReport:
-    """Entanglement duration for correlation r, exact and approximate.
+def prolongation(ic: InitialConditions, r) -> ProlongationReport:
+    """Entanglement duration for correlation r (scalar or array), exact and approximate.
 
-    Raises ProlongationBoundError when r reaches either the approximate
-    bound 2/eta or the exact no-solution threshold, whichever is lower
-    (they agree to O(e^{-2 A0 tau0})).
+    A scalar r raises ProlongationBoundError when it reaches either the
+    approximate bound 2/eta or the exact no-solution threshold, whichever is
+    lower (they agree to O(e^{-2 A0 tau0})); an array of r flags those
+    elements instead.
     """
-    if not 0.0 <= r < 1.0:
+    if not all_true((0.0 <= r) & (r < 1.0)):
         raise DomainError(f"correlation out of range: {r}")
     A0 = amplitude_A0(ic)
     X = A0 * ic.tau0
     eta = 0.5 * math.exp(2.0 * X)
     r_bound = 2.0 / eta
 
-    if r == 0.0:
-        return ProlongationReport(0.0, 0.0, ic.tau0, eta, r_bound)
-    if r >= r_bound:
-        raise ProlongationBoundError(r, r_bound)
-
-    scale = 1.0 / math.sqrt(1.0 - r)
+    scale = 1.0 / np.sqrt(1.0 - r)
     arg = scale * math.tanh(X)
     inner = 1.0 - (scale - 1.0) * eta
     # three thresholds cluster just below 2/eta, ordered
     # 1 - (eta/(1+eta))^2  <  sech^2(A0 tau0)  <  2/eta  (gaps of O(1/eta^2));
     # the log argument goes nonpositive first, then the exact solve loses
     # its solution — all are reported as the same bound violation
-    if arg >= 1.0 or inner <= 0.0:
-        raise ProlongationBoundError(r, r_bound)
-    tau_star = math.atanh(arg) / A0
-    delta_exact = tau_star - ic.tau0
-    delta_approx = -math.log(inner) / (2.0 * A0)
-    return ProlongationReport(delta_exact, delta_approx, tau_star, eta, r_bound)
+    flagged = ((r >= r_bound) | (arg >= 1.0) | (inner <= 0.0)) & (r != 0.0)
+    if not (isinstance(r, np.ndarray) and r.ndim):
+        if flagged:
+            raise ProlongationBoundError(r, r_bound)
+        flagged = False
+    else:
+        # NaN passes quietly through artanh and log
+        arg = np.where(flagged, np.nan, arg)
+        inner = np.where(flagged, np.nan, inner)
+    # r = 0 takes no time to catch up: tau_star = tau0 exactly
+    tau_star = np.where(r == 0.0, ic.tau0, np.arctanh(arg) / A0)
+    return ProlongationReport(
+        delta=scalar_or_array(tau_star - ic.tau0),
+        delta_approx=scalar_or_array(0.0 - np.log(inner) / (2.0 * A0)),
+        tau_star=scalar_or_array(tau_star),
+        eta_delta=eta,
+        r_bound=r_bound,
+        flagged=flagged,
+    )

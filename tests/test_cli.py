@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussgeo import cli
+from gaussgeo import cli, oracle
+from gaussgeo.groups import GROUPS
 
 
 def run_cli(capsys, *argv):
@@ -97,7 +102,36 @@ class TestGeodesicCommand:
         assert code == 2
 
 
+class TestTableGrids:
+    @pytest.mark.parametrize("cmd", ["geodesic", "jacobi", "complexity", "prolongation"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejects_fewer_than_one_row(self, capsys, cmd, n):
+        code, out, err = run_cli(capsys, cmd, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "--n must be at least 1" in err
+
+    def test_single_row(self, capsys):
+        code, out, _ = run_cli(capsys, "jacobi", "--n", "1", "--format", "csv")
+        assert code == 0
+        assert out == "tau,intensity\n0,0\n"
+
+
 class TestJacobiCommand:
+    def test_rejects_horizon_past_overflow_guard(self, capsys):
+        code, out, err = run_cli(capsys, "jacobi", "--tau-max", "1000")
+        assert code == 2
+        assert out == ""
+        assert "overflow guard" in err
+
+    def test_long_horizon_below_guard(self, capsys):
+        # A0 tau_max = 531: the Lyapunov log-ratio squares no sinh/cosh
+        code, out, _ = run_cli(capsys, "jacobi", "--tau-max", "200", "--n", "3")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["lyapunov_estimate"] == pytest.approx(payload["lambda"], rel=1e-12)
+        assert all(math.isfinite(row["intensity"]) for row in payload["rows"])
+
     def test_report_fields(self, capsys):
         code, out, _ = run_cli(capsys, "jacobi", "--tau-max", "4", "--n", "9")
         payload = json.loads(out)
@@ -225,6 +259,22 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["passed"] is False
         assert "FAIL" in err
+
+
+class TestImports:
+    def test_cli_does_not_load_the_oracle(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, gaussgeo.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'gaussgeo.oracle') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_groups_match_the_checks(self):
+        assert GROUPS == tuple(sorted({group for _, group, _, _ in oracle._CHECKS}))
+        assert oracle.GROUPS is GROUPS
 
 
 class TestPlumbing:
