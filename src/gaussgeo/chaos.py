@@ -79,10 +79,8 @@ def jlc_coefficient(A0: float) -> float:
     return -A0 * A0
 
 
-def velocity_norm_squared(
-    params: ModelParams, ic: InitialConditions, tau: float
-) -> float:
-    """Conserved squared velocity g_ab v^a v^b = 4 A0^2 along the geodesics."""
+def velocity_norm_squared(ic: InitialConditions) -> float:
+    """Conserved squared velocity g_ab v^a v^b = 4 A0^2, at every tau and r."""
     A0 = amplitude_A0(ic)
     return 4.0 * A0 * A0
 

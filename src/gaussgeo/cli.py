@@ -207,12 +207,8 @@ def _cmd_jacobi(args) -> int:
         "lyapunov_raw": estimate.raw,
         "jlc_coefficient": chaos.jlc_coefficient(A0),
     }
-    warn_list = _report_warnings(caught)
-    columns = {"tau": tau, "intensity": intensity}
-    if args.format == "csv":
-        _emit_table(columns, args.format, args.out)
-    else:
-        _emit_table(columns, args.format, args.out, extra=extra, warn_list=warn_list)
+    _emit_table({"tau": tau, "intensity": intensity}, args.format, args.out,
+                extra=extra, warn_list=_report_warnings(caught))
     return 0
 
 
@@ -430,19 +426,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill args from a JSON config file; explicit flags keep priority."""
-    if not getattr(args, "config", None):
+def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> None:
+    """Fill args from a JSON config file; explicit flags keep priority.
+
+    Each key naming an option of the command is parsed as that flag with the
+    value as its text (a list repeats a repeatable flag); other keys are
+    ignored. A malformed file or value is a usage error (exit 2).
+    """
+    if not args.config:
         return
+    # argparse has no public accessor for a subcommand's parser or actions
+    sub = parser._subparsers._group_actions[0].choices[args.command]
     with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            sub.error(f"--config {args.config}: {exc}")
+    if not isinstance(config, dict):
+        sub.error(f"--config {args.config}: expected a JSON object")
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
                 for a in argv if a.startswith("--")}
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.nargs != 0}
+    flags = []
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
+        action = options.get(key.replace("-", "_"))
+        if action is None or action.dest in explicit:
             continue
-        setattr(args, attr, value)
+        repeat = isinstance(value, list) and isinstance(action, argparse._AppendAction)
+        for v in value if repeat else [value]:
+            text = v if isinstance(v, str) else json.dumps(v)
+            flags.append(f"{action.option_strings[0]}={text}")
+    # args already holds every option, so only the config's flags are set
+    sub.parse_args(flags, namespace=args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -450,12 +465,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         return args.fn(args)
-    except GaussGeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GaussGeoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

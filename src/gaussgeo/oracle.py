@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -37,13 +37,10 @@ from .scattering import ScatteringConfig
 class QuadratureSpec:
     """Quadrature controls for the integral oracles."""
 
-    scheme: str = "gauss-hermite"  # gauss-hermite | gauss-legendre | adaptive
     order: int = 40
     cutoff_sigmas: float = 8.0
 
     def __post_init__(self):
-        if self.scheme not in ("gauss-hermite", "gauss-legendre", "adaptive"):
-            raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
         if self.order < 8:
             raise DomainError(f"order must be >= 8, got {self.order}")
         if self.cutoff_sigmas < 8.0:
@@ -52,26 +49,15 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """Integrator controls for the ODE oracles."""
+    """Tolerances of the adaptive RK45 integration behind the ODE oracles."""
 
-    method: str = "rk45-adaptive"  # rk45-adaptive | rk4
     rtol: float = 1e-10
     atol: float = 1e-12
-    step: float = 1e-3  # fixed-step size, rk4 only
-
-    def __post_init__(self):
-        if self.method not in ("rk45-adaptive", "rk4"):
-            raise DomainError(f"unknown ODE method {self.method!r}")
 
 
 # ---------------------------------------------------------------------------
 # Fisher metric by quadrature of the defining expectation
 # ---------------------------------------------------------------------------
-
-def _hermite_mesh(order):
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return nodes, weights
-
 
 def _scores_corr3(xy, mu1, mu2, sg, r):
     dx, dy = xy[0] - mu1, xy[1] - mu2
@@ -99,17 +85,15 @@ def _scores_corr4(xy, mux, muy, sx, sy, r):
     )
 
 
-def _fisher_quadrature(mean, cov, score_fn, dim, order):
-    # E[s s^T] under N(mean, cov) via a Cholesky-mapped Gauss-Hermite mesh
-    nodes, weights = _hermite_mesh(order)
-    L = np.linalg.cholesky(cov)
-    g = np.zeros((dim, dim))
-    for i, zi in enumerate(nodes):
-        for j, zj in enumerate(nodes):
-            xy = mean + math.sqrt(2.0) * L @ np.array([zi, zj])
-            s = score_fn(xy)
-            g += (weights[i] * weights[j]) * np.outer(s, s)
-    return g / math.pi
+def _fisher_quadrature(mean, cov, score_fn, order):
+    # E[s s^T] under N(mean, cov): the Gauss-Hermite product mesh, mapped
+    # through the Cholesky factor, summed as one weighted product
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    z = np.stack(np.meshgrid(nodes, nodes, indexing="ij")).reshape(2, -1)
+    xy = mean[:, None] + math.sqrt(2.0) * np.linalg.cholesky(cov) @ z
+    s = score_fn(xy)
+    w = np.outer(weights, weights).ravel()
+    return (s * w) @ s.T / math.pi
 
 
 def fisher_metric_numeric(
@@ -131,20 +115,18 @@ def fisher_metric_numeric(
         mean = np.array([state.mu1, state.mu2])
         cov = sg * sg * np.array([[1.0, r], [r, 1.0]])
         score = lambda xy: _scores_corr3(xy, state.mu1, state.mu2, sg, r)
-        dim = 3
     elif model == "corr4":
         r = params.r
         sx, sy = state.sigma_x, state.sigma_y
         mean = np.array([state.mu_x, state.mu_y])
         cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
         score = lambda xy: _scores_corr4(xy, state.mu_x, state.mu_y, sx, sy, r)
-        dim = 4
     else:
         raise DomainError(f"unknown model {model!r}")
 
-    g = _fisher_quadrature(mean, cov, score, dim, spec.order)
+    g = _fisher_quadrature(mean, cov, score, spec.order)
     if check_convergence:
-        g2 = _fisher_quadrature(mean, cov, score, dim, 2 * spec.order)
+        g2 = _fisher_quadrature(mean, cov, score, 2 * spec.order)
         if np.abs(g - g2).max() > 1e-7:
             raise ConvergenceError(
                 f"Fisher quadrature drift {np.abs(g - g2).max():.3g} at order doubling"
@@ -186,34 +168,18 @@ def _geodesic_rhs(r):
     return rhs
 
 
+def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
+    # closed-form (mu1, mu2, sigma) and their velocities at t0
+    return np.concatenate([
+        geodesics.geodesic_corr(t0, params, ic).as_array(),
+        geodesics.geodesic_velocity(t0, params, ic),
+    ])
+
+
 def _integrate(rhs, y0, t0, t1, spec: OdeSpec, t_eval=None):
-    if spec.method == "rk4":
-        n = max(2, int(math.ceil(abs(t1 - t0) / spec.step)))
-        ts = np.linspace(t0, t1, n + 1)
-        y = np.array(y0, dtype=float)
-        out = [y.copy()]
-        for i in range(n):
-            h = ts[i + 1] - ts[i]
-            k1 = np.array(rhs(ts[i], y))
-            k2 = np.array(rhs(ts[i] + h / 2, y + h / 2 * k1))
-            k3 = np.array(rhs(ts[i] + h / 2, y + h / 2 * k2))
-            k4 = np.array(rhs(ts[i] + h, y + h * k3))
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out.append(y.copy())
-        ys = np.array(out)
-        if t_eval is not None:
-            cols = [np.interp(t_eval, ts, ys[:, j]) for j in range(ys.shape[1])]
-            return t_eval, np.array(cols).T
-        return ts, ys
+    # samples at t_eval, or at every accepted step when t_eval is None
     sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        y0,
-        method="RK45",
-        rtol=spec.rtol,
-        atol=spec.atol,
-        t_eval=t_eval,
-        dense_output=t_eval is None,
+        rhs, (t0, t1), y0, method="RK45", rtol=spec.rtol, atol=spec.atol, t_eval=t_eval
     )
     if not sol.success:
         raise ConvergenceError(f"ODE integration failed: {sol.message}")
@@ -234,9 +200,7 @@ def geodesic_integrate(
     per coordinate against that coordinate's largest magnitude on the span.
     """
     t0, t1 = tau_span
-    s0 = geodesics.geodesic_corr(t0, params, ic)
-    v0 = geodesics.geodesic_velocity(t0, params, ic)
-    y0 = [s0.mu1, s0.mu2, s0.sigma, v0[0], v0[1], v0[2]]
+    y0 = _geodesic_start(params, ic, t0)
     t_eval = np.linspace(t0, t1, n_samples)
     ts, ys = _integrate(_geodesic_rhs(params.r), y0, t0, t1, spec, t_eval=t_eval)
     closed = geodesics.geodesic_corr(ts, params, ic).as_array().T
@@ -253,12 +217,10 @@ def geodesic_roundtrip_error(
 ) -> float:
     """Forward-then-backward integration error at the start state (reversibility)."""
     t0, t1 = tau_span
-    s0 = geodesics.geodesic_corr(t0, params, ic)
-    v0 = geodesics.geodesic_velocity(t0, params, ic)
-    y0 = np.array([s0.mu1, s0.mu2, s0.sigma, v0[0], v0[1], v0[2]])
+    y0 = _geodesic_start(params, ic, t0)
     rhs = _geodesic_rhs(params.r)
-    _, fwd = _integrate(rhs, list(y0), t0, t1, spec)
-    _, back = _integrate(rhs, list(fwd[-1]), t1, t0, spec)
+    _, fwd = _integrate(rhs, y0, t0, t1, spec)
+    _, back = _integrate(rhs, fwd[-1], t1, t0, spec)
     scale = np.maximum(np.abs(y0), 1.0)
     return float(np.abs((back[-1] - y0) / scale).max())
 
@@ -334,7 +296,7 @@ def jacobi_integrate(
 
     y0 = np.concatenate([np.zeros(3), omega0 * w])
     t_eval = np.linspace(0.0, tau_max, n_samples)
-    ts, ys = _integrate(rhs, list(y0), 0.0, tau_max, spec, t_eval=t_eval)
+    ts, ys = _integrate(rhs, y0, 0.0, tau_max, spec, t_eval=t_eval)
 
     intensity = np.empty(len(ts))
     ortho = 0.0
@@ -418,15 +380,10 @@ def curvature_fd(
     weyl_fd = riem - (
         np.einsum("bd,ac->abcd", ric, g) - np.einsum("bc,ad->abcd", ric, g)
     ) / 2.0
-    K = np.full((3, 3), np.nan)
-    basis = np.eye(3)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                u, v = basis[i], basis[j]
-                num = np.einsum("abcd,a,b,c,d->", riem, u, v, u, v)
-                den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
-                K[i, j] = num / den
+    # coordinate-plane sectional curvatures R_ijij / (g_ii g_jj - g_ij^2)
+    den = np.outer(np.diag(g), np.diag(g)) - g * g
+    K = np.divide(np.einsum("ijij->ij", riem), den,
+                  out=np.full((3, 3), np.nan), where=~np.eye(3, dtype=bool))
     return curvature.CurvatureBundle(
         christoffel=G_fd, riemann=riem, ricci=ric, scalar=scal, sectional=K, weyl=weyl_fd
     )
@@ -441,9 +398,28 @@ def _legendre_grid(center: float, half_width: float, order: int):
     return center + half_width * nodes, half_width * weights
 
 
+def _momentum_mesh(cfg: ScatteringConfig, order: int, cutoff_sigmas: float):
+    # Gauss-Legendre product mesh (K1, K2) about the packet centres +k0 and
+    # -k0, cutoff_sigmas spreads wide, with the per-axis weights
+    half = cutoff_sigmas * cfg.sigma_k0
+    k1g, w1 = _legendre_grid(cfg.k0, half, order)
+    k2g, w2 = _legendre_grid(-cfg.k0, half, order)
+    K1, K2 = np.meshgrid(k1g, k2g, indexing="ij")
+    return K1, K2, w1, w2
+
+
+def _reduced_purity(psi: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
+    # Tr(M^2) of the numerically normalized discretized reduced density
+    # M[i,k] = sum_j w_i^(1/2) w_k^(1/2) w_j psi(k_i, k_j) conj(psi(k_k, k_j))
+    B = np.sqrt(w1)[:, None] * psi * np.sqrt(w2)[None, :]
+    M = B @ B.conj().T
+    M /= np.real(np.trace(M))
+    return float(np.real(np.einsum("ik,ki->", M, M)))
+
+
 def purity_bruteforce(
     cfg: ScatteringConfig,
-    spec: QuadratureSpec = QuadratureSpec(scheme="gauss-legendre", order=64),
+    spec: QuadratureSpec = QuadratureSpec(order=64),
     check_convergence: bool = False,
 ) -> float:
     """Purity Tr(rho_1^2) by quadrature of the four-fold trace integral.
@@ -462,10 +438,7 @@ def purity_bruteforce(
     """
 
     def compute(order):
-        half = spec.cutoff_sigmas * cfg.sigma_k0
-        k1g, w1 = _legendre_grid(cfg.k0, half, order)
-        k2g, w2 = _legendre_grid(-cfg.k0, half, order)
-        K1, K2 = np.meshgrid(k1g, k2g, indexing="ij")
+        K1, K2, w1, w2 = _momentum_mesh(cfg, order, spec.cutoff_sigmas)
         Krel = 0.5 * (K1 - K2)
         Ktot = K1 + K2
         s2 = cfg.sigma_k0**2
@@ -474,12 +447,7 @@ def purity_bruteforce(
             4.0j * (cfg.k0 - 1.0j * s2 * cfg.R0) * Krel**2 * (-cfg.a_s) / s2
         )
         phase = np.exp(-1.0j * (Krel - cfg.k0) * cfg.R0)
-        psi = envelope * (1.0 + rho_k) * phase
-        B = np.sqrt(w1)[:, None] * psi * np.sqrt(w2)[None, :]
-        M = B @ B.conj().T
-        norm = np.real(np.trace(M))
-        M /= norm
-        return float(np.real(np.einsum("ik,ki->", M, M)))
+        return _reduced_purity(envelope * (1.0 + rho_k) * phase, w1, w2)
 
     p = compute(spec.order)
     if check_convergence:
@@ -494,7 +462,7 @@ def purity_bruteforce(
 def purity_gaussian_state(
     cfg: ScatteringConfig,
     r: float,
-    spec: QuadratureSpec = QuadratureSpec(scheme="gauss-legendre", order=64),
+    spec: QuadratureSpec = QuadratureSpec(order=64),
 ) -> float:
     """Purity of the correlated-Gaussian pure state (square root of the
     identified post-collision density), by the same trace quadrature.
@@ -504,18 +472,11 @@ def purity_gaussian_state(
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"correlation out of range: {r}")
-    half = spec.cutoff_sigmas * cfg.sigma_k0
-    k1g, w1 = _legendre_grid(cfg.k0, half, spec.order)
-    k2g, w2 = _legendre_grid(-cfg.k0, half, spec.order)
-    K1, K2 = np.meshgrid(k1g, k2g, indexing="ij")
+    K1, K2, w1, w2 = _momentum_mesh(cfg, spec.order, spec.cutoff_sigmas)
     d1, d2 = K1 - cfg.k0, K2 + cfg.k0
     s2 = cfg.sigma_k0**2
     q = (d1 * d1 - 2.0 * r * d1 * d2 + d2 * d2) / s2
-    psi = np.exp(-q / (4.0 * (1.0 - r * r)))
-    B = np.sqrt(w1)[:, None] * psi * np.sqrt(w2)[None, :]
-    M = B @ B.T
-    M /= np.trace(M)
-    return float(np.einsum("ik,ki->", M, M))
+    return _reduced_purity(np.exp(-q / (4.0 * (1.0 - r * r))), w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +487,7 @@ def igc_numeric(
     tau: float,
     params: ModelParams,
     ic: InitialConditions,
-    spec: QuadratureSpec = QuadratureSpec(scheme="adaptive"),
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Time-averaged Fisher volume by the literal nested integral.
 
@@ -561,7 +522,7 @@ def igc_numeric(
 
 def dimensional_reduction_check(
     cfg: ScatteringConfig,
-    spec: QuadratureSpec = QuadratureSpec(scheme="gauss-legendre", order=64),
+    spec: QuadratureSpec = QuadratureSpec(order=64),
     spreads: tuple[float, float, float] | None = None,
     k0: float | None = None,
 ) -> float:
@@ -573,6 +534,11 @@ def dimensional_reduction_check(
     the reduction is meaningful only for isotropic spreads: anisotropic
     inputs are rejected. ``k0`` overrides the configuration's wave number
     (k0 = 0 probes the fully centered case).
+
+    The two sides share the collision-axis factors, so the residual reduces
+    algebraically to |I(0)^4 - 1|, with I(0) the Legendre integral of a
+    centred 1-D Gaussian: a sanity check of the quadrature, not a test of a
+    6D-to-2D marginalisation.
     """
     if spreads is None:
         spreads = (cfg.sigma_k0, cfg.sigma_k0, cfg.sigma_k0)
@@ -611,14 +577,7 @@ class CheckResult:
     seconds: float
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "group": self.group,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seconds": round(self.seconds, 4),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 4)}
 
 
 SIGMA_GRID = (0.1, 1.0, 10.0)
@@ -628,6 +587,7 @@ _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
 
 
 def _check_metric3_quadrature(fault: bool = False) -> float:
+    # fault: perturb the closed form's off-diagonal entries by 1e-3
     worst = 0.0
     for sg in SIGMA_GRID:
         for r in R_GRID:
@@ -695,18 +655,13 @@ def _check_curvature_constants() -> float:
 
 def _check_geodesic_residual() -> float:
     grid = np.linspace(-1.0, 1.0, 9)
-    worst = 0.0
-    for r in (0.0, 0.3, 0.5):
-        worst = max(worst, geodesics.geodesic_residual(ModelParams(r), _DESK_IC, grid))
-    return worst
+    return max(geodesics.geodesic_residual(ModelParams(r), _DESK_IC, grid)
+               for r in (0.0, 0.3, 0.5))
 
 
 def _check_geodesic_ode() -> float:
-    worst = 0.0
-    for r in (0.0, 0.5):
-        cmp = geodesic_integrate(ModelParams(r), _DESK_IC, (-1.0, 1.0))
-        worst = max(worst, cmp.max_rel_error)
-    return worst
+    return max(geodesic_integrate(ModelParams(r), _DESK_IC, (-1.0, 1.0)).max_rel_error
+               for r in (0.0, 0.5))
 
 
 def _check_geodesic_reversibility() -> float:
@@ -726,11 +681,8 @@ def _check_velocity_norm() -> float:
 
 def _check_jacobi_intensity() -> float:
     A0 = geodesics.amplitude_A0(_DESK_IC)
-    worst = 0.0
-    for r in (0.0, 0.5):
-        cmp = jacobi_integrate(ModelParams(r), _DESK_IC, 5.0 / A0)
-        worst = max(worst, cmp.max_rel_error)
-    return worst
+    return max(jacobi_integrate(ModelParams(r), _DESK_IC, 5.0 / A0).max_rel_error
+               for r in (0.0, 0.5))
 
 
 def _check_lyapunov_fit() -> float:
@@ -773,24 +725,23 @@ def _check_complexity_relations() -> float:
     return worst
 
 
+def _purity_deficit(a_s: float) -> float:
+    return 1.0 - purity_bruteforce(ScatteringConfig(a_s=a_s, **_DESK_CFG_KW))
+
+
 def _check_purity_scaling() -> float:
     # the brute-force purity deficit is quadratic in a_s, so halving a_s
     # must shrink it by 3.5x-4.5x; the ratio itself is the reported value
-    deficits = []
-    for a_s in (1e-5, 5e-6):
-        cfg = ScatteringConfig(a_s=a_s, **_DESK_CFG_KW)
-        deficits.append(1.0 - purity_bruteforce(cfg))
-    return deficits[0] / deficits[1]
+    return _purity_deficit(1e-5) / _purity_deficit(5e-6)
 
 
 def _check_purity_quadratic() -> float:
     # deficit agrees with the analytic quadratic coefficient
+    cfg = ScatteringConfig(**_DESK_CFG_KW)
     worst = 0.0
     for a_s in (1e-5, 2e-5):
-        cfg = ScatteringConfig(a_s=a_s, **_DESK_CFG_KW)
-        deficit = 1.0 - purity_bruteforce(cfg)
         predicted = 8.0 * (cfg.k0**2 + cfg.sigma_k0**4 * cfg.R0**2) * a_s**2
-        worst = max(worst, abs(deficit - predicted) / predicted)
+        worst = max(worst, abs(_purity_deficit(a_s) - predicted) / predicted)
     return worst
 
 
@@ -843,10 +794,7 @@ def _check_prolongation() -> float:
 def _check_normalization_quadrature() -> float:
     # bracket integral of the raw (unnormalized) post-collision density
     cfg = ScatteringConfig(a_s=1e-5, **_DESK_CFG_KW)
-    order, half = 96, 8.0 * cfg.sigma_k0
-    k1g, w1 = _legendre_grid(cfg.k0, half, order)
-    k2g, w2 = _legendre_grid(-cfg.k0, half, order)
-    K1, K2 = np.meshgrid(k1g, k2g, indexing="ij")
+    K1, K2, w1, w2 = _momentum_mesh(cfg, 96, 8.0)
     Krel = 0.5 * (K1 - K2)
     Ktot = K1 + K2
     s2 = cfg.sigma_k0**2
@@ -863,30 +811,36 @@ def _check_dimensional_reduction() -> float:
     return dimensional_reduction_check(cfg)
 
 
+# (name, group, (lo, hi), check): a check passes when its residual lies in
+# [lo / tol_scale, hi * tol_scale]; hi * tol_scale is its reported tolerance.
 _CHECKS = [
-    ("metric3_quadrature", "models", 1e-6, _check_metric3_quadrature),
-    ("metric4_quadrature", "models", 1e-6, _check_metric4_quadrature),
-    ("christoffel_fd", "curvature", 1e-6, lambda: _check_curvature_fd("christoffel")),
-    ("riemann_fd", "curvature", 1e-5, lambda: _check_curvature_fd("riemann")),
-    ("weyl_fd", "curvature", 1e-5, lambda: _check_curvature_fd("weyl")),
-    ("curvature_constants", "curvature", 1e-12, _check_curvature_constants),
-    ("geodesic_residual", "geodesics", 1e-6, _check_geodesic_residual),
-    ("geodesic_ode", "geodesics", 1e-6, _check_geodesic_ode),
-    ("geodesic_reversibility", "geodesics", 1e-8, _check_geodesic_reversibility),
-    ("velocity_norm", "geodesics", 1e-9, _check_velocity_norm),
-    ("jacobi_intensity", "chaos", 1e-5, _check_jacobi_intensity),
-    ("lyapunov_fit", "chaos", 0.01, _check_lyapunov_fit),
-    ("igc_numeric", "complexity", 1e-5, _check_igc_numeric),
-    ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
-    ("purity_scaling", "scattering", 4.5, _check_purity_scaling),
-    ("purity_quadratic", "scattering", 0.02, _check_purity_quadratic),
-    ("purity_gaussian_identity", "scattering", 1e-9, _check_purity_gaussian_identity),
-    ("phase_chain", "scattering", 0.02, _check_phase_chain),
-    ("inversions_roundtrip", "scattering", 1e-10, _check_inversions),
-    ("prolongation_agreement", "scattering", 0.01, _check_prolongation),
-    ("normalization_quadrature", "scattering", 1e-8, _check_normalization_quadrature),
-    ("dimensional_reduction", "oracle", 1e-9, _check_dimensional_reduction),
+    ("metric3_quadrature", "models", (0.0, 1e-6), _check_metric3_quadrature),
+    ("metric4_quadrature", "models", (0.0, 1e-6), _check_metric4_quadrature),
+    ("christoffel_fd", "curvature", (0.0, 1e-6), lambda: _check_curvature_fd("christoffel")),
+    ("riemann_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd("riemann")),
+    ("weyl_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd("weyl")),
+    ("curvature_constants", "curvature", (0.0, 1e-12), _check_curvature_constants),
+    ("geodesic_residual", "geodesics", (0.0, 1e-6), _check_geodesic_residual),
+    ("geodesic_ode", "geodesics", (0.0, 1e-6), _check_geodesic_ode),
+    ("geodesic_reversibility", "geodesics", (0.0, 1e-8), _check_geodesic_reversibility),
+    ("velocity_norm", "geodesics", (0.0, 1e-9), _check_velocity_norm),
+    ("jacobi_intensity", "chaos", (0.0, 1e-5), _check_jacobi_intensity),
+    ("lyapunov_fit", "chaos", (0.0, 0.01), _check_lyapunov_fit),
+    ("igc_numeric", "complexity", (0.0, 1e-5), _check_igc_numeric),
+    ("complexity_relations", "complexity", (0.0, 1e-12), _check_complexity_relations),
+    ("purity_scaling", "scattering", (3.5, 4.5), _check_purity_scaling),
+    ("purity_quadratic", "scattering", (0.0, 0.02), _check_purity_quadratic),
+    ("purity_gaussian_identity", "scattering", (0.0, 1e-9), _check_purity_gaussian_identity),
+    ("phase_chain", "scattering", (0.0, 0.02), _check_phase_chain),
+    ("inversions_roundtrip", "scattering", (0.0, 1e-10), _check_inversions),
+    ("prolongation_agreement", "scattering", (0.0, 0.01), _check_prolongation),
+    ("normalization_quadrature", "scattering", (0.0, 1e-8), _check_normalization_quadrature),
+    ("dimensional_reduction", "oracle", (0.0, 1e-9), _check_dimensional_reduction),
 ]
+
+# Negative controls: a check named by ``fault`` runs its hook here instead,
+# and one without a hook reports an infinite residual, outside every band.
+_FAULTS = {"metric3_quadrature": lambda: _check_metric3_quadrature(fault=True)}
 
 
 def run_verification(
@@ -896,26 +850,24 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run the oracle-vs-closed-form battery.
 
-    ``only`` filters by group name; ``tol_scale`` loosens or tightens every
-    tolerance; ``fault`` names a check to fault-inject (negative-control
+    ``only`` filters by group name; ``tol_scale`` widens (> 1) or narrows
+    every pass band; ``fault`` names a check to fault-inject (negative-control
     hook used by the test suite).
     """
     if only is not None and only not in GROUPS:
         raise DomainError(f"unknown check group {only!r}; available: {GROUPS}")
+    if fault is not None and fault not in {row[0] for row in _CHECKS}:
+        raise DomainError(f"unknown check {fault!r} to fault-inject")
     results = []
-    for name, group, tol, fn in _CHECKS:
+    for name, group, (lo, hi), fn in _CHECKS:
         if only is not None and group != only:
             continue
-        start = time.perf_counter()
         if fault == name:
-            residual = fn(True) if name == "metric3_quadrature" else float("inf")
-        else:
-            residual = fn()
+            fn = _FAULTS.get(name, lambda: math.inf)
+        start = time.perf_counter()
+        residual = float(fn())
         elapsed = time.perf_counter() - start
-        tolerance = tol * tol_scale
-        if name == "purity_scaling":
-            passed = 3.5 / tol_scale <= residual <= tolerance
-        else:
-            passed = residual <= tolerance
-        results.append(CheckResult(name, group, float(residual), tolerance, passed, elapsed))
+        tolerance = hi * tol_scale
+        passed = lo / tol_scale <= residual <= tolerance
+        results.append(CheckResult(name, group, residual, tolerance, passed, elapsed))
     return results

@@ -27,7 +27,7 @@ class TestJlcCoefficient:
         # Q = R ||v||^2 / (n(n-1)) built from independently computed pieces
         params = ModelParams(0.4)
         R = curvature.scalar_curvature(params)
-        v2 = chaos.velocity_norm_squared(params, desk_ic, 0.7)
+        v2 = chaos.velocity_norm_squared(desk_ic)
         A0 = geodesics.amplitude_A0(desk_ic)
         assert R * v2 / 6.0 == pytest.approx(chaos.jlc_coefficient(A0), abs=1e-12)
 
@@ -39,16 +39,12 @@ class TestJlcCoefficient:
 class TestVelocityNorm:
     def test_constant_value(self, desk_ic):
         expected = 4.0 * A0_DESK**2
-        for r in (0.0, 0.5, 0.9):
-            for tau in (-1.0, 0.0, 0.3, 2.0):
-                assert chaos.velocity_norm_squared(
-                    ModelParams(r), desk_ic, tau
-                ) == pytest.approx(expected, rel=1e-14)
+        assert chaos.velocity_norm_squared(desk_ic) == pytest.approx(expected, rel=1e-14)
 
     def test_desk_value(self, desk_ic):
-        assert chaos.velocity_norm_squared(
-            ModelParams(0.0), desk_ic, 0.0
-        ) == pytest.approx(28.17744575461594, rel=1e-12)
+        assert chaos.velocity_norm_squared(desk_ic) == pytest.approx(
+            28.17744575461594, rel=1e-12
+        )
 
     def test_contraction_agrees(self, desk_ic):
         expected = 4.0 * A0_DESK**2
@@ -141,7 +137,7 @@ class TestLyapunov:
         A0 = geodesics.amplitude_A0(desk_ic)
         lam = chaos.lyapunov_exponent(A0)
         for r in (0.0, 0.3, 0.7):
-            v2 = chaos.velocity_norm_squared(ModelParams(r), desk_ic, 1.0)
+            v2 = chaos.velocity_norm_squared(desk_ic)
             assert 2.0 * math.sqrt(
                 -curvature.scalar_curvature(ModelParams(r)) * v2 / 6.0
             ) == pytest.approx(lam, rel=1e-14)

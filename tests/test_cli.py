@@ -10,12 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussgeo import cli, oracle
+from gaussgeo import cli, oracle, scattering
+from gaussgeo.errors import ProlongationBoundError
+from gaussgeo.geodesics import InitialConditions
 from gaussgeo.groups import GROUPS
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    """Exit code, stdout and stderr of a CLI run; argparse's usage errors
+    exit through SystemExit."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -260,6 +267,14 @@ class TestVerifyCommand:
         assert payload["passed"] is False
         assert "FAIL" in err
 
+    def test_unknown_fault_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--only", "models", "--inject-fault", "bogus",
+        )
+        assert code == 2
+        assert out == ""
+        assert "bogus" in err
+
 
 class TestImports:
     def test_cli_does_not_load_the_oracle(self):
@@ -309,6 +324,47 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "metric", "--config", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        json.dumps({"n": 5.0}),         # like --n 5.0: not an int
+        json.dumps({"format": "xml"}),  # not one of the --format choices
+        json.dumps({"r": [0.3, 0.7]}),  # --r is not repeatable on geodesic
+        "not json",
+        json.dumps([1, 2]),             # not an object
+    ])
+    def test_bad_config_is_a_usage_error(self, capsys, tmp_path, text):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "geodesic", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd, config, flags", [
+        ("geodesic", {"r": "0.5"}, ["--r", "0.5"]),
+        ("geodesic", {"fn": 1, "command": "metric"}, []),
+        ("geodesic", {"tau-min": -1, "n": 5}, ["--tau-min", "-1", "--n", "5"]),
+        ("complexity", {"r": 0.5}, ["--r", "0.5"]),
+        ("complexity", {"r": [0.3, 0.7]}, ["--r", "0.3", "--r", "0.7"]),
+        ("metric", {"dim": 4, "sigma-x": 2}, ["--dim", "4", "--sigma-x", "2"]),
+    ])
+    def test_config_values_parse_like_flags(self, capsys, tmp_path, cmd, config, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        from_config = run_cli(capsys, cmd, "--config", str(path))
+        from_flags = run_cli(capsys, cmd, *flags)
+        assert from_config[0] == from_flags[0] == 0
+        assert from_config[1] == from_flags[1]
+
+    def test_flags_override_invalid_config_value(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n": 5.0, "format": "xml"}))
+        code, out, _ = run_cli(
+            capsys, "geodesic", "--config", str(config), "--n", "3",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
@@ -323,3 +379,67 @@ class TestPlumbing:
         for line in out.strip().split("\n")[1:]:
             for field in line.split(","):
                 assert float(field) == float(format(float(field), ".17g"))
+
+
+class TestReadmeSweeps:
+    """The README's replacements for the former experiment scripts."""
+
+    @pytest.mark.parametrize("r", ["0", "0.2", "0.5"])
+    def test_collision_profiles(self, capsys, tmp_path, r):
+        path = tmp_path / f"profile_r{r}.csv"
+        code, _, _ = run_cli(
+            capsys, "geodesic", "--r", r, "--tau-min", "-2", "--tau-max", "2",
+            "--n", "321", "--format", "csv", "--out", str(path),
+        )
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "tau,mu1,mu2,sigma"
+        assert len(lines) == 1 + 321  # the grid already holds tau = 0
+        assert all(len(line.split(",")) == 4 for line in lines[1:])
+
+    @pytest.mark.parametrize("sigma0", ["0.1", "0.03", "0.01"])
+    def test_entanglement_duration(self, capsys, tmp_path, sigma0):
+        code, out, _ = run_cli(
+            capsys, "prolongation", "--sigma0", sigma0, "--r-max", "0", "--n", "1",
+        )
+        assert code == 0
+        r_bound = json.loads(out)["r_bound"]
+        path = tmp_path / "duration.csv"
+        code, _, _ = run_cli(
+            capsys, "prolongation", "--sigma0", sigma0,
+            "--r-max", repr(0.995 * r_bound), "--n", "200",
+            "--format", "csv", "--out", str(path),
+        )
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "r,delta_approx,delta_exact,flagged"
+        assert len(lines) == 1 + 200
+        ic = InitialConditions(p0=1.0, sigma0=float(sigma0))
+        for line in lines[1:]:
+            r, approx, exact, flagged = line.split(",")
+            try:
+                scattering.prolongation(ic, float(r))
+                raises = False
+            except ProlongationBoundError:
+                raises = True
+            assert flagged == str(int(raises))
+            assert math.isnan(float(exact)) == raises
+            assert math.isnan(float(approx)) == raises
+
+    def test_loosest_packets_end_in_flagged_rows(self, capsys):
+        # at sigma0/p0 = 0.1 the exact thresholds sit below 0.995 r_bound, so
+        # the README sweep ends in flagged rows
+        bound = scattering.prolongation(InitialConditions(1.0, 0.1), 0.0).r_bound
+        code, out, _ = run_cli(
+            capsys, "prolongation", "--sigma0", "0.1", "--r-max", repr(0.995 * bound),
+            "--n", "200", "--format", "csv",
+        )
+        assert code == 0
+        assert [line[-1] for line in out.splitlines()[-3:]] == ["0", "1", "1"]
+
+    def test_verify_table(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--only", "scattering")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        table = err.splitlines()
+        assert table and all(line.startswith("[PASS] scattering/") for line in table)

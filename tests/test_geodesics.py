@@ -53,7 +53,7 @@ class TestInitialConditions:
 
 class TestNonCorrelated:
     def test_junction_state(self, desk_ic):
-        s = geodesics.geodesic_noncorr(0.0, desk_ic)
+        s = geodesics.geodesic_corr(0.0, ModelParams(0.0), desk_ic)
         assert s.mu1 == 0.0 and s.mu2 == 0.0
         assert s.sigma == pytest.approx(math.sqrt(0.51), rel=1e-14)
 
@@ -71,23 +71,26 @@ class TestNonCorrelated:
 
         B_num, A_num = fsolve(system, [1.0, 2.0], xtol=1e-13)
         assert A_num == pytest.approx(geodesics.amplitude_A0(desk_ic), abs=1e-9)
-        state = geodesics.geodesic_noncorr(-t0, desk_ic)
+        state = geodesics.geodesic_corr(-t0, ModelParams(0.0), desk_ic)
         assert state.mu1 == pytest.approx(p0, abs=1e-9)
         assert state.mu2 == pytest.approx(-p0, abs=1e-9)
         assert state.sigma == pytest.approx(s0, abs=1e-9)
         assert B_num == pytest.approx(math.sqrt(p0**2 + 2 * s0**2), abs=1e-9)
 
     def test_asymptotic_momentum(self, desk_ic):
-        s = geodesics.geodesic_noncorr(50.0, desk_ic)
+        s = geodesics.geodesic_corr(50.0, ModelParams(0.0), desk_ic)
         assert s.mu1 == pytest.approx(-math.sqrt(1.02), rel=1e-12)
 
 
 class TestCorrelated:
     def test_r0_reduction(self, desk_ic):
+        # the r = 0 branch is the non-correlated one: the joined path runs
+        # on it before the collision whatever r is, and on both sides at r = 0
         for tau in (-1.5, -0.2, 0.0, 0.4, 2.0):
             a = geodesics.geodesic_corr(tau, ModelParams(0.0), desk_ic)
-            b = geodesics.geodesic_noncorr(tau, desk_ic)
-            assert a == b
+            assert a == geodesics.joined_path(tau, ModelParams(0.0), desk_ic)
+            if tau < 0:
+                assert a == geodesics.joined_path(tau, ModelParams(0.5), desk_ic)
 
     def test_momentum_at_reversal_time(self, desk_ic):
         # mu2(tau0; r) = sqrt(1-r) * p0 exactly, by the boundary identities
@@ -134,10 +137,17 @@ class TestJoinedPath:
         assert np.all(sigma > 0)
 
     def test_branch_labels(self, desk_ic):
-        path = geodesics.GeodesicPath(ModelParams(0.3), desk_ic)
-        assert path.branch(-0.1) == "before"
-        assert path.branch(0.0) == "after"
-        assert path.A0 == pytest.approx(A0_DESK, rel=1e-14)
+        # before the collision (tau < 0) the r = 0 branch, from tau = 0 on the
+        # correlated one
+        params = ModelParams(0.3)
+        taus = np.array([-0.1, 0.0, 0.1])
+        path = geodesics.joined_path(taus, params, desk_ic)
+        before = geodesics.geodesic_corr(taus, ModelParams(0.0), desk_ic)
+        after = geodesics.geodesic_corr(taus, params, desk_ic)
+        assert path.mu1[0] == before.mu1[0] != after.mu1[0]
+        assert path.mu1[1] == after.mu1[1]
+        assert path.mu1[2] == after.mu1[2] != before.mu1[2]
+        assert geodesics.amplitude_A0(desk_ic) == pytest.approx(A0_DESK, rel=1e-14)
 
 
 class TestRiccatiConstants:
@@ -151,7 +161,6 @@ class TestRiccatiConstants:
         assert const.C < 0 and const.E > 0
         assert const.C * const.E < 0
         assert const.E / const.C == pytest.approx(const.E_r / const.C_r, rel=1e-12)
-        assert const.delta == 1.0
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
     def test_roundtrip_through_constants(self, desk_ic, r):

@@ -18,12 +18,6 @@ class TestSpecs:
             QuadratureSpec(order=4)
         with pytest.raises(DomainError):
             QuadratureSpec(cutoff_sigmas=4.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(scheme="simpson")
-
-    def test_ode_spec_validation(self):
-        with pytest.raises(DomainError):
-            OdeSpec(method="euler")
 
 
 class TestFisherMetricNumeric:
@@ -54,6 +48,30 @@ class TestFisherMetricNumeric:
         with pytest.raises(DomainError):
             oracle.fisher_metric_numeric("corr5", None, None)
 
+    @pytest.mark.parametrize("model", ["corr3", "corr4"])
+    def test_mesh_product_matches_node_loop(self, model):
+        # reference: the node-by-node double loop the weighted product replaced;
+        # only the summation order differs, so agreement is to rounding
+        r = 0.6
+        if model == "corr3":
+            mean, sg = np.array([0.4, -0.3]), 0.7
+            cov = sg * sg * np.array([[1.0, r], [r, 1.0]])
+            score = lambda xy: oracle._scores_corr3(xy, 0.4, -0.3, sg, r)
+        else:
+            mean, sx, sy = np.array([0.2, -0.5]), 0.5, 1.5
+            cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
+            score = lambda xy: oracle._scores_corr4(xy, 0.2, -0.5, sx, sy, r)
+        nodes, weights = np.polynomial.hermite.hermgauss(40)
+        L = np.linalg.cholesky(cov)
+        ref = 0.0
+        for i, zi in enumerate(nodes):
+            for j, zj in enumerate(nodes):
+                s = score(mean + math.sqrt(2.0) * L @ np.array([zi, zj]))
+                ref = ref + (weights[i] * weights[j]) * np.outer(s, s)
+        ref = ref / math.pi
+        got = oracle._fisher_quadrature(mean, cov, score, 40)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 class TestGeodesicIntegrate:
     @pytest.mark.parametrize("r", [0.0, 0.5])
@@ -64,11 +82,6 @@ class TestGeodesicIntegrate:
     def test_reversibility(self, desk_ic):
         err = oracle.geodesic_roundtrip_error(ModelParams(0.5), desk_ic, (-1.0, 1.0))
         assert err < 1e-8
-
-    def test_fixed_step_rk4(self, desk_ic):
-        spec = OdeSpec(method="rk4", step=5e-4)
-        cmp = oracle.geodesic_integrate(ModelParams(0.3), desk_ic, (-1.0, 1.0), spec)
-        assert cmp.max_rel_error < 1e-6
 
     def test_tolerance_refinement_self_test(self, desk_ic):
         # tightening the tolerance by 10x moves the solution by far less
@@ -206,6 +219,63 @@ class TestVerificationBattery:
         results = oracle.run_verification(only="models", fault="metric3_quadrature")
         failed = {res.name: res.passed for res in results}
         assert failed["metric3_quadrature"] is False
+
+    def test_fault_without_hook_fails_check(self):
+        results = oracle.run_verification(only="scattering", fault="purity_scaling")
+        passed = {res.name: res.passed for res in results}
+        assert passed["purity_scaling"] is False
+        assert all(ok for name, ok in passed.items() if name != "purity_scaling")
+
+    def test_unknown_fault_rejected(self):
+        with pytest.raises(DomainError):
+            oracle.run_verification(only="models", fault="bogus")
+
+    def test_two_sided_band(self):
+        # the purity_scaling ratio (~4.005) must lie in [3.5, 4.5] scaled by
+        # tol_scale: narrowing by 0.8 lifts the lower edge to 4.375
+        def scaling(tol_scale):
+            results = oracle.run_verification(only="scattering", tol_scale=tol_scale)
+            return next(res for res in results if res.name == "purity_scaling")
+
+        wide, narrow = scaling(1.0), scaling(0.8)
+        assert 3.5 < wide.residual < 4.5
+        assert wide.passed and wide.tolerance == 4.5
+        assert narrow.residual == wide.residual
+        assert not narrow.passed and narrow.tolerance == 4.5 * 0.8
+
+    def test_full_battery_contract(self):
+        # every row keeps its name, group and tolerance, and passes
+        expected = [
+            ("metric3_quadrature", "models", 1e-6),
+            ("metric4_quadrature", "models", 1e-6),
+            ("christoffel_fd", "curvature", 1e-6),
+            ("riemann_fd", "curvature", 1e-5),
+            ("weyl_fd", "curvature", 1e-5),
+            ("curvature_constants", "curvature", 1e-12),
+            ("geodesic_residual", "geodesics", 1e-6),
+            ("geodesic_ode", "geodesics", 1e-6),
+            ("geodesic_reversibility", "geodesics", 1e-8),
+            ("velocity_norm", "geodesics", 1e-9),
+            ("jacobi_intensity", "chaos", 1e-5),
+            ("lyapunov_fit", "chaos", 0.01),
+            ("igc_numeric", "complexity", 1e-5),
+            ("complexity_relations", "complexity", 1e-12),
+            ("purity_scaling", "scattering", 4.5),
+            ("purity_quadratic", "scattering", 0.02),
+            ("purity_gaussian_identity", "scattering", 1e-9),
+            ("phase_chain", "scattering", 0.02),
+            ("inversions_roundtrip", "scattering", 1e-10),
+            ("prolongation_agreement", "scattering", 0.01),
+            ("normalization_quadrature", "scattering", 1e-8),
+            ("dimensional_reduction", "oracle", 1e-9),
+        ]
+        payloads = [res.as_dict() for res in oracle.run_verification()]
+        assert [(p["name"], p["group"], p["tolerance"]) for p in payloads] == expected
+        for p in payloads:
+            assert set(p) == {
+                "name", "group", "residual", "tolerance", "passed", "seconds",
+            }
+            assert p["passed"] is True, p
 
     def test_check_result_serializes(self):
         res = oracle.run_verification(only="models")[0]
