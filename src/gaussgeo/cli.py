@@ -444,8 +444,11 @@ def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> None:
             sub.error(f"--config {args.config}: {exc}")
     if not isinstance(config, dict):
         sub.error(f"--config {args.config}: expected a JSON object")
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
-                for a in argv if a.startswith("--")}
+    # argv parsed again with no defaults holds exactly the options it sets,
+    # abbreviated or not
+    for action in sub._actions:
+        action.default = argparse.SUPPRESS
+    explicit = vars(parser.parse_args(argv))
     options = {a.dest: a for a in sub._actions if a.option_strings and a.nargs != 0}
     flags = []
     for key, value in config.items():

@@ -45,7 +45,7 @@ import numpy as np
 from ._elementwise import all_true, any_true, scalar_or_array
 from .errors import DomainError, RegimeWarning
 from .geodesics import InitialConditions, amplitude_A0
-from .models import ModelParams
+from .models import ModelParams, _check_sigma
 
 #: Hyperbolic overflow guard on lambda * tau.
 LAMBDA_TAU_MAX = 700.0
@@ -66,8 +66,7 @@ class ComplexityReport:
 
 def fisher_density(sigma: float, params: ModelParams) -> float:
     """sqrt(det g) = 2 / (sqrt(1 - r^2) sigma^3)."""
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     r = params.r
     return 2.0 / (math.sqrt(1.0 - r * r) * sigma**3)
 

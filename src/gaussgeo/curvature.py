@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import ModelParams, metric_corr3, metric_corr3_inverse
+from .models import ModelParams, _check_sigma, metric_corr3, metric_corr3_inverse
 
 DIM = 3
 
@@ -72,8 +72,7 @@ class SymmetryReport:
 
 def christoffel(sigma: float, params: ModelParams) -> np.ndarray:
     """Connection coefficients Gamma^a_bc; six nonzero families, rest zero."""
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     r = params.r
     d = r * r - 1.0
     G = np.zeros((DIM, DIM, DIM))
@@ -110,8 +109,7 @@ def riemann(sigma: float, params: ModelParams) -> np.ndarray:
     R_1212, R_1313, R_1323, R_2323; everything else follows from the
     antisymmetries and the pair symmetry.
     """
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     r = params.r
     d = r * r - 1.0
     s4 = sigma ** 4
@@ -125,8 +123,7 @@ def riemann(sigma: float, params: ModelParams) -> np.ndarray:
 
 def ricci(sigma: float, params: ModelParams) -> np.ndarray:
     """Ricci tensor R_ab = g^{cd} R_cadb (equivalently g^{bd} R_abcd by pair symmetry)."""
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     r = params.r
     d = r * r - 1.0
     s2 = sigma * sigma
@@ -141,8 +138,6 @@ def ricci(sigma: float, params: ModelParams) -> np.ndarray:
 
 def scalar_curvature(params: ModelParams) -> float:
     """Ricci scalar R = g^{ab} R_ab = -3/2 for every sigma and r."""
-    if not 0.0 <= params.r < 1.0:
-        raise DomainError(f"correlation out of range: {params.r}")
     return SCALAR_CURVATURE
 
 

@@ -105,11 +105,6 @@ def pdf_corr3(state: Macrostate3, params: ModelParams, point) -> float:
     return math.exp(-q / (2.0 * (1.0 - r * r))) / norm
 
 
-def pdf_noncorr3(state: Macrostate3, point) -> float:
-    """Product-form density; identical to :func:`pdf_corr3` with r = 0."""
-    return pdf_corr3(state, ModelParams(0.0), point)
-
-
 def pdf_corr4(state: Macrostate4, params: ModelParams, point) -> float:
     """Correlated bivariate normal with distinct spreads at ``point=(x, y)``."""
     x, y = point
@@ -134,12 +129,6 @@ def metric_corr3(sigma: float, params: ModelParams) -> np.ndarray:
         ]
     )
     return g / (sigma * sigma)
-
-
-def metric_noncorr3(sigma: float) -> np.ndarray:
-    """Diagonal metric diag(1, 1, 4)/sigma^2 of the product family."""
-    _check_sigma(sigma)
-    return np.diag([1.0, 1.0, 4.0]) / (sigma * sigma)
 
 
 def metric_corr3_inverse(sigma: float, params: ModelParams) -> np.ndarray:
@@ -199,7 +188,7 @@ def metric_split(
         raise DomainError(
             f"metric_split is a small-r expansion; r={r} exceeds max_r={max_r}"
         )
-    g0 = metric_noncorr3(sigma)
+    g0 = metric_corr3(sigma, ModelParams(0.0))
     h = np.array(
         [
             [r * r, -r, 0.0],

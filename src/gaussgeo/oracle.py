@@ -13,7 +13,10 @@ the quadrature order or halving the step must move the result by less than
 a tenth of the comparison tolerance, otherwise ``ConvergenceError``.
 
 `run_verification` drives the whole battery and returns structured results;
-the command-line ``verify`` command is a thin formatter over it.
+the command-line ``verify`` command is a thin formatter over it. Each check
+yields its per-point residuals and `run_verification` scores it by their
+maximum, which propagates NaN: a non-finite residual at any point fails the
+check's band.
 """
 
 from __future__ import annotations
@@ -33,18 +36,9 @@ from .models import ModelParams
 from .scattering import ScatteringConfig
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature controls for the integral oracles."""
-
-    order: int = 40
-    cutoff_sigmas: float = 8.0
-
-    def __post_init__(self):
-        if self.order < 8:
-            raise DomainError(f"order must be >= 8, got {self.order}")
-        if self.cutoff_sigmas < 8.0:
-            raise DomainError("cutoffs below 8 spreads truncate the Gaussians")
+# Half-width of the momentum quadrature boxes in packet spreads; narrower
+# boxes truncate the Gaussians.
+CUTOFF_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -99,19 +93,17 @@ def _fisher_quadrature(mean, cov, score_fn, order):
 def fisher_metric_numeric(
     model: str,
     state,
-    params: ModelParams | None,
-    spec: QuadratureSpec = QuadratureSpec(),
+    params: ModelParams,
     check_convergence: bool = False,
 ) -> np.ndarray:
     """Fisher metric g_ab = E[d_a ln P d_b ln P] by Gaussian quadrature.
 
-    ``model`` selects the family: "corr3"/"noncorr3" (state: Macrostate3)
-    or "corr4" (state: Macrostate4). Scores are analytic; only the
-    expectation is numeric.
+    ``model`` selects the family: "corr3" (state: Macrostate3) or "corr4"
+    (state: Macrostate4). Scores are analytic; only the expectation is
+    numeric, on a 40 x 40 Gauss-Hermite product mesh.
     """
-    if model in ("corr3", "noncorr3"):
-        r = 0.0 if model == "noncorr3" else params.r
-        sg = state.sigma
+    if model == "corr3":
+        r, sg = params.r, state.sigma
         mean = np.array([state.mu1, state.mu2])
         cov = sg * sg * np.array([[1.0, r], [r, 1.0]])
         score = lambda xy: _scores_corr3(xy, state.mu1, state.mu2, sg, r)
@@ -124,9 +116,9 @@ def fisher_metric_numeric(
     else:
         raise DomainError(f"unknown model {model!r}")
 
-    g = _fisher_quadrature(mean, cov, score, spec.order)
+    g = _fisher_quadrature(mean, cov, score, 40)
     if check_convergence:
-        g2 = _fisher_quadrature(mean, cov, score, 2 * spec.order)
+        g2 = _fisher_quadrature(mean, cov, score, 80)
         if np.abs(g - g2).max() > 1e-7:
             raise ConvergenceError(
                 f"Fisher quadrature drift {np.abs(g - g2).max():.3g} at order doubling"
@@ -298,16 +290,14 @@ def jacobi_integrate(
     t_eval = np.linspace(0.0, tau_max, n_samples)
     ts, ys = _integrate(rhs, y0, 0.0, tau_max, spec, t_eval=t_eval)
 
-    intensity = np.empty(len(ts))
-    ortho = 0.0
-    sigmas = geodesics.geodesic_corr(ts, params, ic).sigma
-    velocities = geodesics.geodesic_velocity(ts, params, ic).T
-    for i, (sigma, v) in enumerate(zip(sigmas, velocities)):
-        g = models.metric_corr3(sigma, params)
-        J = ys[i, :3]
-        intensity[i] = math.sqrt(max(J @ g @ J, 0.0))
-        u = v / math.sqrt(v @ g @ v)
-        ortho = max(ortho, abs(J @ g @ u) / max(intensity[i], 1e-30))
+    # g = g1 / sigma^2 along the path, contracted per sample
+    g1 = models.metric_corr3(1.0, params)
+    s2 = geodesics.geodesic_corr(ts, params, ic).sigma ** 2
+    J, v = ys[:, :3], geodesics.geodesic_velocity(ts, params, ic).T
+    intensity = np.sqrt(np.maximum(np.einsum("ia,ab,ib->i", J, g1, J) / s2, 0.0))
+    Jgu = np.einsum("ia,ab,ib->i", J, g1, v) / np.sqrt(
+        np.einsum("ia,ab,ib->i", v, g1, v) * s2)
+    ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30))
 
     closed = chaos.jacobi_intensity(ts, omega0, A0)
     window = (ts >= 0.5 / A0)
@@ -398,14 +388,26 @@ def _legendre_grid(center: float, half_width: float, order: int):
     return center + half_width * nodes, half_width * weights
 
 
-def _momentum_mesh(cfg: ScatteringConfig, order: int, cutoff_sigmas: float):
+def _momentum_mesh(cfg: ScatteringConfig, order: int):
     # Gauss-Legendre product mesh (K1, K2) about the packet centres +k0 and
-    # -k0, cutoff_sigmas spreads wide, with the per-axis weights
-    half = cutoff_sigmas * cfg.sigma_k0
+    # -k0, CUTOFF_SIGMAS spreads wide, with the per-axis weights
+    half = CUTOFF_SIGMAS * cfg.sigma_k0
     k1g, w1 = _legendre_grid(cfg.k0, half, order)
     k2g, w2 = _legendre_grid(-cfg.k0, half, order)
     K1, K2 = np.meshgrid(k1g, k2g, indexing="ij")
     return K1, K2, w1, w2
+
+
+def _post_collision_psi(cfg: ScatteringConfig, K1, K2) -> np.ndarray:
+    # unnormalized two-particle wave function at t = 0 after the collision,
+    # with the constant amplitude f = -a_s
+    Krel = 0.5 * (K1 - K2)
+    Ktot = K1 + K2
+    s2 = cfg.sigma_k0**2
+    envelope = np.exp(-(Ktot**2 + 4.0 * (Krel - cfg.k0) ** 2) / (8.0 * s2))
+    rho_k = 4.0j * (cfg.k0 - 1.0j * s2 * cfg.R0) * Krel**2 * (-cfg.a_s) / s2
+    phase = np.exp(-1.0j * (Krel - cfg.k0) * cfg.R0)
+    return envelope * (1.0 + rho_k) * phase
 
 
 def _reduced_purity(psi: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
@@ -417,16 +419,13 @@ def _reduced_purity(psi: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     return float(np.real(np.einsum("ik,ki->", M, M)))
 
 
-def purity_bruteforce(
-    cfg: ScatteringConfig,
-    spec: QuadratureSpec = QuadratureSpec(order=64),
-    check_convergence: bool = False,
-) -> float:
+def purity_bruteforce(cfg: ScatteringConfig, check_convergence: bool = False) -> float:
     """Purity Tr(rho_1^2) by quadrature of the four-fold trace integral.
 
     Builds the post-collision two-particle wave function at t = 0 with the
-    constant amplitude f = -a_s, normalizes numerically, and contracts the
-    discretized reduced density matrix: P = Tr(M^2) with
+    constant amplitude f = -a_s on a 64 x 64 Gauss-Legendre mesh, normalizes
+    numerically, and contracts the discretized reduced density matrix:
+    P = Tr(M^2) with
     M[i,k] = sum_j w_i^(1/2) w_k^(1/2) w_j psi(k_i, k_j) conj(psi(k_k, k_j)).
 
     Note: for this state the purity deficit is second order in the
@@ -438,20 +437,12 @@ def purity_bruteforce(
     """
 
     def compute(order):
-        K1, K2, w1, w2 = _momentum_mesh(cfg, order, spec.cutoff_sigmas)
-        Krel = 0.5 * (K1 - K2)
-        Ktot = K1 + K2
-        s2 = cfg.sigma_k0**2
-        envelope = np.exp(-(Ktot**2 + 4.0 * (Krel - cfg.k0) ** 2) / (8.0 * s2))
-        rho_k = (
-            4.0j * (cfg.k0 - 1.0j * s2 * cfg.R0) * Krel**2 * (-cfg.a_s) / s2
-        )
-        phase = np.exp(-1.0j * (Krel - cfg.k0) * cfg.R0)
-        return _reduced_purity(envelope * (1.0 + rho_k) * phase, w1, w2)
+        K1, K2, w1, w2 = _momentum_mesh(cfg, order)
+        return _reduced_purity(_post_collision_psi(cfg, K1, K2), w1, w2)
 
-    p = compute(spec.order)
+    p = compute(64)
     if check_convergence:
-        p2 = compute(2 * spec.order)
+        p2 = compute(128)
         if abs(p - p2) > 2e-7:
             raise ConvergenceError(
                 f"purity quadrature drift {abs(p - p2):.3g} at order doubling"
@@ -459,11 +450,7 @@ def purity_bruteforce(
     return p
 
 
-def purity_gaussian_state(
-    cfg: ScatteringConfig,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(order=64),
-) -> float:
+def purity_gaussian_state(cfg: ScatteringConfig, r: float) -> float:
     """Purity of the correlated-Gaussian pure state (square root of the
     identified post-collision density), by the same trace quadrature.
 
@@ -472,7 +459,7 @@ def purity_gaussian_state(
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"correlation out of range: {r}")
-    K1, K2, w1, w2 = _momentum_mesh(cfg, spec.order, spec.cutoff_sigmas)
+    K1, K2, w1, w2 = _momentum_mesh(cfg, 64)
     d1, d2 = K1 - cfg.k0, K2 + cfg.k0
     s2 = cfg.sigma_k0**2
     q = (d1 * d1 - 2.0 * r * d1 * d2 + d2 * d2) / s2
@@ -483,12 +470,7 @@ def purity_gaussian_state(
 # Complexity by the literal nested integral
 # ---------------------------------------------------------------------------
 
-def igc_numeric(
-    tau: float,
-    params: ModelParams,
-    ic: InitialConditions,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def igc_numeric(tau: float, params: ModelParams, ic: InitialConditions) -> float:
     """Time-averaged Fisher volume by the literal nested integral.
 
     The mu integrals are exact (the density does not depend on mu); the
@@ -520,38 +502,25 @@ def igc_numeric(
 # Dimensional reduction of the isotropic 3D product state
 # ---------------------------------------------------------------------------
 
-def dimensional_reduction_check(
-    cfg: ScatteringConfig,
-    spec: QuadratureSpec = QuadratureSpec(order=64),
-    spreads: tuple[float, float, float] | None = None,
-    k0: float | None = None,
-) -> float:
+def dimensional_reduction_check(cfg: ScatteringConfig, k0: float | None = None) -> float:
     """Relative residual between the 6D and reduced 2D normalization integrals.
 
     The 6D side is the product of six per-axis Gaussian integrals of the
-    isotropic two-particle density (means (+k0,0,0) and (-k0,0,0)); the 2D
-    side is the reduced density over the collision axis. Both equal 1, and
-    the reduction is meaningful only for isotropic spreads: anisotropic
-    inputs are rejected. ``k0`` overrides the configuration's wave number
-    (k0 = 0 probes the fully centered case).
+    isotropic two-particle density (means (+k0,0,0) and (-k0,0,0), spread
+    sigma_k0 on every axis); the 2D side is the reduced density over the
+    collision axis. Both equal 1. ``k0`` overrides the configuration's wave
+    number (k0 = 0 probes the fully centered case).
 
     The two sides share the collision-axis factors, so the residual reduces
     algebraically to |I(0)^4 - 1|, with I(0) the Legendre integral of a
     centred 1-D Gaussian: a sanity check of the quadrature, not a test of a
     6D-to-2D marginalisation.
     """
-    if spreads is None:
-        spreads = (cfg.sigma_k0, cfg.sigma_k0, cfg.sigma_k0)
-    sx, sy, sz = spreads
-    if not (sx == sy == sz):
-        raise DomainError(
-            f"dimensional reduction requires isotropic spreads, got {spreads}"
-        )
-    sg = sx
+    sg = cfg.sigma_k0
     center_k = cfg.k0 if k0 is None else k0
 
     def axis_integral(center):
-        nodes, weights = _legendre_grid(center, spec.cutoff_sigmas * sg, spec.order)
+        nodes, weights = _legendre_grid(center, CUTOFF_SIGMAS * sg, 64)
         vals = np.exp(-((nodes - center) ** 2) / (2.0 * sg * sg))
         return float(weights @ vals) / math.sqrt(2.0 * math.pi * sg * sg)
 
@@ -580,182 +549,136 @@ class CheckResult:
         return {**asdict(self), "seconds": round(self.seconds, 4)}
 
 
-SIGMA_GRID = (0.1, 1.0, 10.0)
-R_GRID = (0.0, 0.3, 0.7, 0.9)
+# (sigma, params) points of the metric and curvature checks
+_GRID = [(sg, ModelParams(r)) for sg in (0.1, 1.0, 10.0) for r in (0.0, 0.3, 0.7, 0.9)]
 _DESK_IC = InitialConditions(p0=1.0, sigma0=0.1, tau0=1.0, R0=10.0)
 _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
 
+# Each _check_* yields its residuals, one or more per point it samples.
 
-def _check_metric3_quadrature(fault: bool = False) -> float:
+
+def _check_metric3_quadrature(fault: bool = False):
     # fault: perturb the closed form's off-diagonal entries by 1e-3
-    worst = 0.0
-    for sg in SIGMA_GRID:
-        for r in R_GRID:
-            params = ModelParams(r)
-            state = models.Macrostate3(0.4, -0.3, sg)
-            closed = models.metric_corr3(sg, params)
-            if fault:
-                closed = closed.copy()
-                closed[0, 1] += 1e-3
-                closed[1, 0] += 1e-3
-            numeric = fisher_metric_numeric("corr3", state, params)
-            worst = max(worst, float(np.abs(closed - numeric).max()))
-    return worst
+    for sg, params in _GRID:
+        closed = models.metric_corr3(sg, params)
+        if fault:
+            closed = closed.copy()
+            closed[0, 1] += 1e-3
+            closed[1, 0] += 1e-3
+        numeric = fisher_metric_numeric("corr3", models.Macrostate3(0.4, -0.3, sg), params)
+        yield np.abs(closed - numeric).max()
 
 
-def _check_metric4_quadrature() -> float:
-    worst = 0.0
+def _check_metric4_quadrature():
     for sx, sy in ((1.0, 2.0), (0.5, 1.0)):
         for r in (0.0, 0.3, 0.7):
             params = ModelParams(r)
             state = models.Macrostate4(0.2, -0.5, sx, sy)
             closed = models.metric_corr4(sx, sy, params)
-            numeric = fisher_metric_numeric("corr4", state, params)
-            worst = max(worst, float(np.abs(closed - numeric).max()))
-    return worst
+            yield np.abs(closed - fisher_metric_numeric("corr4", state, params)).max()
 
 
-def _check_curvature_fd(kind: str) -> float:
-    worst = 0.0
-    for sg in SIGMA_GRID:
-        for r in R_GRID:
-            params = ModelParams(r)
-            fd = curvature_fd(sg, params)
-            if kind == "christoffel":
-                ref = curvature.christoffel(sg, params)
-                # Christoffels scale as 1/sigma: compare absolutely in units of 1/sigma
-                worst = max(worst, float(np.abs(fd.christoffel - ref).max() * sg))
-            elif kind == "riemann":
-                ref = curvature.riemann(sg, params)
-                worst = max(worst, float(np.abs(fd.riemann - ref).max() * sg**4))
-            else:
-                worst = max(worst, float(np.abs(fd.weyl).max() * sg**4))
-    return worst
+def _check_curvature_fd(residual):
+    # residual(fd, sigma, params): the gap between curvature_fd and the closed form
+    for sg, params in _GRID:
+        yield residual(curvature_fd(sg, params), sg, params)
 
 
-def _check_curvature_constants() -> float:
-    worst = 0.0
-    for sg in SIGMA_GRID:
-        for r in R_GRID:
-            params = ModelParams(r)
-            worst = max(worst, abs(curvature.scalar_curvature(params) + 1.5))
-            K = curvature.sectional_coordinate_planes(sg, params)
-            off = K[~np.isnan(K)]
-            worst = max(worst, float(np.abs(off + 0.25).max()))
-            worst = max(
-                worst, curvature.maximal_symmetry_check(sg, params).max_residual()
-            )
-            # Weyl in units of the Riemann scale (components grow ~ 1/sigma^4)
-            weyl_scaled = np.abs(curvature.weyl(sg, params)).max() / np.abs(
-                curvature.riemann(sg, params)
-            ).max()
-            worst = max(worst, float(weyl_scaled))
-    return worst
+def _check_curvature_constants():
+    for sg, params in _GRID:
+        yield abs(curvature.scalar_curvature(params) + 1.5)
+        K = curvature.sectional_coordinate_planes(sg, params)
+        yield np.abs(K[~np.isnan(K)] + 0.25).max()
+        yield curvature.maximal_symmetry_check(sg, params).max_residual()
+        # Weyl in units of the Riemann scale (components grow ~ 1/sigma^4)
+        yield (np.abs(curvature.weyl(sg, params)).max()
+               / np.abs(curvature.riemann(sg, params)).max())
 
 
-def _check_geodesic_residual() -> float:
+def _check_geodesic_residual():
     grid = np.linspace(-1.0, 1.0, 9)
-    return max(geodesics.geodesic_residual(ModelParams(r), _DESK_IC, grid)
-               for r in (0.0, 0.3, 0.5))
+    for r in (0.0, 0.3, 0.5):
+        yield geodesics.geodesic_residual(ModelParams(r), _DESK_IC, grid)
 
 
-def _check_geodesic_ode() -> float:
-    return max(geodesic_integrate(ModelParams(r), _DESK_IC, (-1.0, 1.0)).max_rel_error
-               for r in (0.0, 0.5))
-
-
-def _check_geodesic_reversibility() -> float:
-    return geodesic_roundtrip_error(ModelParams(0.5), _DESK_IC, (-1.0, 1.0))
-
-
-def _check_velocity_norm() -> float:
-    expected = 4.0 * geodesics.amplitude_A0(_DESK_IC) ** 2
-    worst = 0.0
-    for r in (0.0, 0.5, 0.9):
-        params = ModelParams(r)
-        for t in np.linspace(-2.0, 2.0, 11):
-            got = chaos.velocity_norm_squared_contracted(params, _DESK_IC, t)
-            worst = max(worst, abs(got - expected) / expected)
-    return worst
-
-
-def _check_jacobi_intensity() -> float:
-    A0 = geodesics.amplitude_A0(_DESK_IC)
-    return max(jacobi_integrate(ModelParams(r), _DESK_IC, 5.0 / A0).max_rel_error
-               for r in (0.0, 0.5))
-
-
-def _check_lyapunov_fit() -> float:
-    A0 = geodesics.amplitude_A0(_DESK_IC)
-    rates = []
+def _check_geodesic_ode():
     for r in (0.0, 0.5):
-        cmp = jacobi_integrate(ModelParams(r), _DESK_IC, 20.0 / A0)
-        rates.append(2.0 * cmp.fitted_rate)
-    worst = max(abs(rate - 2.0 * A0) / (2.0 * A0) for rate in rates)
-    return max(worst, abs(rates[0] - rates[1]) / (2.0 * A0))
+        yield geodesic_integrate(ModelParams(r), _DESK_IC, (-1.0, 1.0)).max_rel_error
 
 
-def _check_igc_numeric() -> float:
+def _check_geodesic_reversibility():
+    yield geodesic_roundtrip_error(ModelParams(0.5), _DESK_IC, (-1.0, 1.0))
+
+
+def _check_velocity_norm():
+    expected = 4.0 * geodesics.amplitude_A0(_DESK_IC) ** 2
+    for r in (0.0, 0.5, 0.9):
+        for t in np.linspace(-2.0, 2.0, 11):
+            got = chaos.velocity_norm_squared_contracted(ModelParams(r), _DESK_IC, t)
+            yield abs(got - expected) / expected
+
+
+def _check_jacobi_intensity():
+    A0 = geodesics.amplitude_A0(_DESK_IC)
+    for r in (0.0, 0.5):
+        yield jacobi_integrate(ModelParams(r), _DESK_IC, 5.0 / A0).max_rel_error
+
+
+def _check_lyapunov_fit():
+    A0 = geodesics.amplitude_A0(_DESK_IC)
+    rates = [2.0 * jacobi_integrate(ModelParams(r), _DESK_IC, 20.0 / A0).fitted_rate
+             for r in (0.0, 0.5)]
+    for rate in rates:
+        yield abs(rate - 2.0 * A0) / (2.0 * A0)
+    yield abs(rates[0] - rates[1]) / (2.0 * A0)
+
+
+def _check_igc_numeric():
     lam = 2.0 * geodesics.amplitude_A0(_DESK_IC)
-    worst = 0.0
     for lt in (1.0, 5.0, 10.0):
         for r in (0.0, 0.3, 0.7):
             params = ModelParams(r)
-            tau = lt / lam
-            closed = complexity.igc_closed(tau, params, _DESK_IC)
-            numeric = igc_numeric(tau, params, _DESK_IC)
-            worst = max(worst, abs(closed - numeric) / abs(numeric))
-    return worst
+            closed = complexity.igc_closed(lt / lam, params, _DESK_IC)
+            numeric = igc_numeric(lt / lam, params, _DESK_IC)
+            yield abs(closed - numeric) / abs(numeric)
 
 
-def _check_complexity_relations() -> float:
+def _check_complexity_relations():
     lam = 2.0 * geodesics.amplitude_A0(_DESK_IC)
-    worst = 0.0
     for lt in (2.0, 7.0):
-        tau = lt / lam
-        base = complexity.igc_closed(tau, ModelParams(0.0), _DESK_IC)
+        base = complexity.igc_closed(lt / lam, ModelParams(0.0), _DESK_IC)
         for r in (0.3, 0.7):
             params = ModelParams(r)
-            ratio = complexity.igc_closed(tau, params, _DESK_IC) / base
-            worst = max(worst, abs(ratio - complexity.igc_ratio(params)))
-            rec = complexity.r_from_complexities(
-                base, complexity.igc_closed(tau, params, _DESK_IC)
-            )
-            worst = max(worst, abs(rec - r))
-    return worst
+            igc = complexity.igc_closed(lt / lam, params, _DESK_IC)
+            yield abs(igc / base - complexity.igc_ratio(params))
+            yield abs(complexity.r_from_complexities(base, igc) - r)
 
 
 def _purity_deficit(a_s: float) -> float:
     return 1.0 - purity_bruteforce(ScatteringConfig(a_s=a_s, **_DESK_CFG_KW))
 
 
-def _check_purity_scaling() -> float:
+def _check_purity_scaling():
     # the brute-force purity deficit is quadratic in a_s, so halving a_s
     # must shrink it by 3.5x-4.5x; the ratio itself is the reported value
-    return _purity_deficit(1e-5) / _purity_deficit(5e-6)
+    yield _purity_deficit(1e-5) / _purity_deficit(5e-6)
 
 
-def _check_purity_quadratic() -> float:
+def _check_purity_quadratic():
     # deficit agrees with the analytic quadratic coefficient
     cfg = ScatteringConfig(**_DESK_CFG_KW)
-    worst = 0.0
     for a_s in (1e-5, 2e-5):
         predicted = 8.0 * (cfg.k0**2 + cfg.sigma_k0**4 * cfg.R0**2) * a_s**2
-        worst = max(worst, abs(_purity_deficit(a_s) - predicted) / predicted)
-    return worst
+        yield abs(_purity_deficit(a_s) - predicted) / predicted
 
 
-def _check_purity_gaussian_identity() -> float:
+def _check_purity_gaussian_identity():
     cfg = ScatteringConfig(a_s=0.0, **_DESK_CFG_KW)
-    worst = 0.0
     for r in (0.04, 0.2):
-        got = purity_gaussian_state(cfg, r)
-        worst = max(worst, abs(got - math.sqrt(1.0 - r * r)))
-    return worst
+        yield abs(purity_gaussian_state(cfg, r) - math.sqrt(1.0 - r * r))
 
 
-def _check_phase_chain() -> float:
-    worst = 0.0
+def _check_phase_chain():
     for k0L, r in ((0.1, 0.01), (0.05, 0.1), (0.2, 0.05)):
         cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=k0L)
         exact = scattering.phase_shift_exact(cfg, r)
@@ -763,52 +686,37 @@ def _check_phase_chain() -> float:
         from_v = scattering.phase_shift_from_potential(
             scattering.potential_from_r(r, cfg), cfg
         )
-        worst = max(worst, abs(exact - series) / abs(exact))
-        worst = max(worst, abs(exact - from_v) / abs(exact))
-    return worst
+        yield abs(exact - series) / abs(exact)
+        yield abs(exact - from_v) / abs(exact)
 
 
-def _check_inversions() -> float:
+def _check_inversions():
     cfg = ScatteringConfig(a_s=0.0, **_DESK_CFG_KW)
-    worst = 0.0
     for r in (1e-6, 1e-3, 0.01, 0.1):
-        worst = max(
-            worst,
-            abs(scattering.r_from_potential(cfg, scattering.potential_from_r(r, cfg)) - r),
-            abs(scattering.r_from_cross_section(cfg, scattering.cross_section(cfg, r)) - r),
-            abs(scattering.r_from_purity(cfg, scattering.purity_from_r(cfg, r)) - r),
-        )
-    return worst
+        yield abs(scattering.r_from_potential(cfg, scattering.potential_from_r(r, cfg)) - r)
+        yield abs(scattering.r_from_cross_section(cfg, scattering.cross_section(cfg, r)) - r)
+        yield abs(scattering.r_from_purity(cfg, scattering.purity_from_r(cfg, r)) - r)
 
 
-def _check_prolongation() -> float:
-    worst = 0.0
+def _check_prolongation():
     for ic in (_DESK_IC, InitialConditions(1.0, 1e-3, 1.0, 10.0)):
         bound = scattering.prolongation(ic, 0.0).r_bound
         for frac in (0.1, 0.25, 0.5):
             rep = scattering.prolongation(ic, frac * bound)
-            worst = max(worst, abs(rep.delta_approx - rep.delta) / rep.delta)
-    return worst
+            yield abs(rep.delta_approx - rep.delta) / rep.delta
 
 
-def _check_normalization_quadrature() -> float:
+def _check_normalization_quadrature():
     # bracket integral of the raw (unnormalized) post-collision density
     cfg = ScatteringConfig(a_s=1e-5, **_DESK_CFG_KW)
-    K1, K2, w1, w2 = _momentum_mesh(cfg, 96, 8.0)
-    Krel = 0.5 * (K1 - K2)
-    Ktot = K1 + K2
-    s2 = cfg.sigma_k0**2
-    density = np.exp(-(Ktot**2 + 4.0 * (Krel - cfg.k0) ** 2) / (4.0 * s2)) * np.abs(
-        1.0 + 4.0j * (cfg.k0 - 1.0j * s2 * cfg.R0) * Krel**2 * (-cfg.a_s) / s2
-    ) ** 2
-    numeric = float(w1 @ density @ w2)
+    K1, K2, w1, w2 = _momentum_mesh(cfg, 96)
+    numeric = float(w1 @ np.abs(_post_collision_psi(cfg, K1, K2)) ** 2 @ w2)
     closed = scattering.normalization_integral(cfg)
-    return abs(numeric - closed) / closed
+    yield abs(numeric - closed) / closed
 
 
-def _check_dimensional_reduction() -> float:
-    cfg = ScatteringConfig(a_s=0.0, **_DESK_CFG_KW)
-    return dimensional_reduction_check(cfg)
+def _check_dimensional_reduction():
+    yield dimensional_reduction_check(ScatteringConfig(a_s=0.0, **_DESK_CFG_KW))
 
 
 # (name, group, (lo, hi), check): a check passes when its residual lies in
@@ -816,9 +724,13 @@ def _check_dimensional_reduction() -> float:
 _CHECKS = [
     ("metric3_quadrature", "models", (0.0, 1e-6), _check_metric3_quadrature),
     ("metric4_quadrature", "models", (0.0, 1e-6), _check_metric4_quadrature),
-    ("christoffel_fd", "curvature", (0.0, 1e-6), lambda: _check_curvature_fd("christoffel")),
-    ("riemann_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd("riemann")),
-    ("weyl_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd("weyl")),
+    # Christoffels scale as 1/sigma and Riemann components as 1/sigma^4
+    ("christoffel_fd", "curvature", (0.0, 1e-6), lambda: _check_curvature_fd(
+        lambda fd, sg, p: np.abs(fd.christoffel - curvature.christoffel(sg, p)).max() * sg)),
+    ("riemann_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd(
+        lambda fd, sg, p: np.abs(fd.riemann - curvature.riemann(sg, p)).max() * sg**4)),
+    ("weyl_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd(
+        lambda fd, sg, p: np.abs(fd.weyl).max() * sg**4)),
     ("curvature_constants", "curvature", (0.0, 1e-12), _check_curvature_constants),
     ("geodesic_residual", "geodesics", (0.0, 1e-6), _check_geodesic_residual),
     ("geodesic_ode", "geodesics", (0.0, 1e-6), _check_geodesic_ode),
@@ -838,9 +750,14 @@ _CHECKS = [
     ("dimensional_reduction", "oracle", (0.0, 1e-9), _check_dimensional_reduction),
 ]
 
+
 # Negative controls: a check named by ``fault`` runs its hook here instead,
-# and one without a hook reports an infinite residual, outside every band.
+# and one without a hook yields an infinite residual, outside every band.
 _FAULTS = {"metric3_quadrature": lambda: _check_metric3_quadrature(fault=True)}
+
+
+def _no_fault_hook():
+    yield math.inf
 
 
 def run_verification(
@@ -852,7 +769,8 @@ def run_verification(
 
     ``only`` filters by group name; ``tol_scale`` widens (> 1) or narrows
     every pass band; ``fault`` names a check to fault-inject (negative-control
-    hook used by the test suite).
+    hook used by the test suite). A check's residual is the maximum of the
+    residuals it yields; NaN propagates, so a non-finite value fails the band.
     """
     if only is not None and only not in GROUPS:
         raise DomainError(f"unknown check group {only!r}; available: {GROUPS}")
@@ -863,9 +781,9 @@ def run_verification(
         if only is not None and group != only:
             continue
         if fault == name:
-            fn = _FAULTS.get(name, lambda: math.inf)
+            fn = _FAULTS.get(name, _no_fault_hook)
         start = time.perf_counter()
-        residual = float(fn())
+        residual = float(np.max(np.fromiter(fn(), float)))
         elapsed = time.perf_counter() - start
         tolerance = hi * tol_scale
         passed = lo / tol_scale <= residual <= tolerance

@@ -355,6 +355,20 @@ class TestPlumbing:
         assert from_config[0] == from_flags[0] == 0
         assert from_config[1] == from_flags[1]
 
+    @pytest.mark.parametrize("cmd, config, flags", [
+        # an abbreviated flag is as explicit as the full one
+        ("geodesic", {"tau-max": 1.0}, ["--tau-ma", "2", "--n", "3"]),
+        # an explicit repeatable flag replaces the config's list
+        ("complexity", {"r": [0.3, 0.7]}, ["--r", "0.5"]),
+    ])
+    def test_explicit_flags_beat_config(self, capsys, tmp_path, cmd, config, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        with_config = run_cli(capsys, cmd, "--config", str(path), *flags)
+        from_flags = run_cli(capsys, cmd, *flags)
+        assert with_config[0] == from_flags[0] == 0
+        assert with_config[1] == from_flags[1]
+
     def test_flags_override_invalid_config_value(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"n": 5.0, "format": "xml"}))

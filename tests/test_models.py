@@ -79,21 +79,24 @@ class TestPdfCorr3:
 
 class TestPdfNoncorr3:
     def test_bitwise_equal_to_r0(self):
+        # at r = 0 the density is the product of two 1-D normals
         state = Macrostate3(1.2, -0.7, 0.5)
-        for point in [(0.0, 0.0), (1.5, -2.0), (0.3, 0.4)]:
-            assert models.pdf_noncorr3(state, point) == models.pdf_corr3(
-                state, ModelParams(0.0), point
+        for x, y in [(0.0, 0.0), (1.5, -2.0), (0.3, 0.4)]:
+            dx, dy, s = x - 1.2, y + 0.7, 0.5
+            product = math.exp(-((dx * dx + dy * dy) / (s * s)) / 2.0) / (
+                2.0 * math.pi * s * s
             )
+            assert models.pdf_corr3(state, ModelParams(0.0), (x, y)) == product
 
     def test_peak_value(self):
         state = Macrostate3(1.0, -1.0, 1.0)
-        assert models.pdf_noncorr3(state, (1.0, -1.0)) == pytest.approx(
+        assert models.pdf_corr3(state, ModelParams(0.0), (1.0, -1.0)) == pytest.approx(
             0.15915494309189535, rel=1e-12
         )
 
     def test_off_peak_value(self):
         state = Macrostate3(0.0, 0.0, 2.0)
-        assert models.pdf_noncorr3(state, (2.0, 0.0)) == pytest.approx(
+        assert models.pdf_corr3(state, ModelParams(0.0), (2.0, 0.0)) == pytest.approx(
             0.02413308815751348, rel=1e-12
         )
 
@@ -139,13 +142,15 @@ class TestMetric3:
 
     def test_noncorr_scaling(self):
         np.testing.assert_allclose(
-            models.metric_noncorr3(2.0), np.diag([0.25, 0.25, 1.0]), rtol=1e-15
+            models.metric_corr3(2.0, ModelParams(0.0)), np.diag([0.25, 0.25, 1.0]),
+            rtol=1e-15,
         )
 
     def test_noncorr_equals_corr_at_r0(self):
         for sg in (0.1, 1.0, 3.7):
             np.testing.assert_array_equal(
-                models.metric_noncorr3(sg), models.metric_corr3(sg, ModelParams(0.0))
+                np.diag([1.0, 1.0, 4.0]) / (sg * sg),
+                models.metric_corr3(sg, ModelParams(0.0)),
             )
 
     @pytest.mark.parametrize("sg,r", grid_cases())
@@ -168,8 +173,8 @@ class TestMetric3:
 
     def test_noncorr_matches_quadrature_oracle(self):
         state = Macrostate3(0.0, 0.0, 1.0)
-        numeric = oracle.fisher_metric_numeric("noncorr3", state, None)
-        assert np.abs(numeric - models.metric_noncorr3(1.0)).max() < 1e-7
+        numeric = oracle.fisher_metric_numeric("corr3", state, ModelParams(0.0))
+        assert np.abs(numeric - models.metric_corr3(1.0, ModelParams(0.0))).max() < 1e-7
 
     def test_inverse_is_exact(self):
         for sg, r in grid_cases():
@@ -181,7 +186,7 @@ class TestMetric3:
         with pytest.raises(DomainError):
             models.metric_corr3(-1.0, ModelParams(0.0))
         with pytest.raises(DomainError):
-            models.metric_noncorr3(0.0)
+            models.metric_corr3(0.0, ModelParams(0.0))
 
 
 class TestMetric4:
@@ -214,7 +219,7 @@ class TestMetricSplit:
     def test_zero_perturbation_at_r0(self):
         g0, h = models.metric_split(1.3, ModelParams(0.0))
         np.testing.assert_array_equal(h, np.zeros((3, 3)))
-        np.testing.assert_array_equal(g0, models.metric_noncorr3(1.3))
+        np.testing.assert_array_equal(g0, np.diag([1.0, 1.0, 4.0]) / (1.3 * 1.3))
 
     def test_printed_small_r_entries(self):
         _, h = models.metric_split(1.0, ModelParams(0.01))
