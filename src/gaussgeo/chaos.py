@@ -11,8 +11,9 @@ the growth-rate indicator (the Riemannian analogue of a Lyapunov exponent)
 is lambda = 2 sqrt(-Q) = 2 A0 -- notably independent of the correlation r.
 
 `jacobi_intensity` broadcasts over a numpy array of tau. It and
-`lyapunov_estimate` reject |A0 tau| beyond the geodesics' hyperbolic clamp
-(700), where sinh and cosh overflow, with a DomainError.
+`lyapunov_estimate` reject a NaN A0 tau, or one beyond the geodesics'
+hyperbolic clamp (700) where sinh and cosh overflow, with a DomainError;
+A0, an intensity's initial rate omega0 and tau_max must be positive and finite.
 
 `lyapunov_estimate` evaluates the defining log-ratio at a finite horizon.
 The raw value converges only like 1/tau (the limit sheds a constant inside
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import any_true, scalar_or_array
-from .errors import DomainError, RegimeWarning
+from ._elementwise import scalar_or_array
+from .errors import RegimeWarning, require, require_positive
 from .geodesics import (
     ARG_CLAMP,
     InitialConditions,
@@ -53,10 +54,7 @@ class JacobiState:
     A0: float
 
     def __post_init__(self):
-        if not self.A0 > 0:
-            raise DomainError(f"A0 must be positive, got {self.A0}")
-        if not self.Q < 0:
-            raise DomainError(f"Q must be negative, got {self.Q}")
+        require_positive(A0=self.A0, minus_Q=-self.Q)
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,7 @@ class LyapunovEstimate:
 
 def jlc_coefficient(A0: float) -> float:
     """Constant Q of the reduced Jacobi equation: -A0^2."""
-    if not A0 > 0:
-        raise DomainError(f"A0 must be positive, got {A0}")
+    require_positive(A0=A0)
     return -A0 * A0
 
 
@@ -100,16 +97,13 @@ def velocity_norm_squared_contracted(
 
 
 def _check_overflow(arg) -> None:
-    if any_true(abs(arg) > ARG_CLAMP):
-        raise DomainError(
-            f"|A0*tau| = {np.max(abs(arg)):.3g} exceeds the overflow guard {ARG_CLAMP}"
-        )
+    require(abs(arg) <= ARG_CLAMP, lambda: f"|A0*tau| = {np.max(abs(arg)):.3g} "
+            f"exceeds the overflow guard {ARG_CLAMP}")
 
 
 def jacobi_intensity(tau, omega0: float, A0: float):
     """Jacobi-field intensity J(tau) = (omega0/A0) sinh(A0 tau), scalar or array."""
-    if not A0 > 0:
-        raise DomainError(f"A0 must be positive, got {A0}")
+    require_positive(omega0=omega0, A0=A0)
     arg = A0 * tau
     _check_overflow(arg)
     return scalar_or_array(omega0 / A0 * np.sinh(arg))
@@ -122,8 +116,7 @@ def jacobi_intensity_rate(tau: float, omega0: float, A0: float) -> float:
 
 def lyapunov_exponent(A0: float) -> float:
     """Asymptotic growth-rate indicator lambda = 2 A0; the same for every r."""
-    if not A0 > 0:
-        raise DomainError(f"A0 must be positive, got {A0}")
+    require_positive(A0=A0)
     return 2.0 * A0
 
 
@@ -142,8 +135,7 @@ def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstim
     The initial rate omega0 cancels in the log-ratio and is accepted only
     for signature symmetry with `jacobi_intensity`.
     """
-    if not (A0 > 0 and tau_max > 0):
-        raise DomainError("A0 and tau_max must be positive")
+    require_positive(A0=A0, tau_max=tau_max)
     _check_overflow(A0 * tau_max)
     if A0 * tau_max < ASYMPTOTIC_MIN:
         warnings.warn(

@@ -6,7 +6,8 @@ operation; the CLI only formats. Output is deterministic: CSV uses 17
 significant digits, '.' decimal separator, LF endings; JSON uses a stable
 key order. Validity warnings go to stderr (and the JSON ``warnings``
 field) without changing the exit code. Exit codes: 0 success, 1
-verification failure, 2 usage or domain error.
+verification failure, 2 usage or domain error, including an arithmetic
+overflow or a singular matrix from extreme finite input.
 
 The table commands (geodesic, jacobi, complexity, prolongation) evaluate
 their closed forms once per column over the whole grid and write the
@@ -25,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import chaos, complexity, curvature, geodesics, models, scattering
-from .errors import DomainError, GaussGeoError, ProlongationBoundError
+from .errors import GaussGeoError, ProlongationBoundError, require
 from .geodesics import InitialConditions
 from .groups import GROUPS
 from .models import ModelParams
@@ -166,14 +167,13 @@ def _cmd_curvature(args) -> int:
 
 
 def _grid(lo, hi, n) -> np.ndarray:
-    if n < 1:
-        raise DomainError(f"--n must be at least 1, got {n}")
+    require(n >= 1, lambda: f"--n must be at least 1, got {n}")
+    require(abs(hi - lo) < math.inf, lambda: f"grid ends must be finite, got {lo}, {hi}")
     return np.linspace(lo, hi, n)
 
 
 def _tau_grid(tau_min, tau_max, n) -> np.ndarray:
-    if not tau_max > tau_min:
-        raise DomainError("tau grid must be increasing (tau-max > tau-min)")
+    require(tau_max > tau_min, "tau grid must be increasing (tau-max > tau-min)")
     grid = _grid(tau_min, tau_max, n)
     if tau_min < 0.0 < tau_max and not np.any(grid == 0.0):
         grid = np.sort(np.append(grid, 0.0))
@@ -470,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(parser, args, argv)
         return args.fn(args)
-    except (GaussGeoError, OSError) as exc:
+    except (GaussGeoError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

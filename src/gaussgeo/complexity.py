@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import all_true, any_true, scalar_or_array
-from .errors import DomainError, RegimeWarning
+from ._elementwise import any_true, scalar_or_array
+from .errors import RegimeWarning, require, require_correlation, require_positive
 from .geodesics import InitialConditions, amplitude_A0
-from .models import ModelParams, _check_sigma
+from .models import ModelParams
 
 #: Hyperbolic overflow guard on lambda * tau.
 LAMBDA_TAU_MAX = 700.0
@@ -66,19 +66,15 @@ class ComplexityReport:
 
 def fisher_density(sigma: float, params: ModelParams) -> float:
     """sqrt(det g) = 2 / (sqrt(1 - r^2) sigma^3)."""
-    _check_sigma(sigma)
+    require_positive(sigma=sigma)
     r = params.r
     return 2.0 / (math.sqrt(1.0 - r * r) * sigma**3)
 
 
 def _check_horizon(tau, lam_tau) -> None:
-    if not all_true(tau > 0):
-        raise DomainError(f"horizon must be positive, got {np.min(tau)}")
-    if any_true(lam_tau > LAMBDA_TAU_MAX):
-        raise DomainError(
-            f"lambda*tau = {np.max(lam_tau):.3g} exceeds the overflow guard "
-            f"{LAMBDA_TAU_MAX}"
-        )
+    require_positive(tau=tau)
+    require(lam_tau <= LAMBDA_TAU_MAX, lambda: f"lambda*tau = {np.max(lam_tau):.3g} "
+            f"exceeds the overflow guard {LAMBDA_TAU_MAX}")
 
 
 def igc_closed(tau, params: ModelParams, ic: InitialConditions):
@@ -147,16 +143,12 @@ def r_from_complexities(v_noncorr: float, v_corr: float) -> float:
     """Recover r from the two volume averages at equal horizon.
 
     r = (V0^2 - Vr^2) / (V0^2 + Vr^2), the algebraic inverse of the volume
-    ratio sqrt((1-r)/(1+r)).
+    ratio sqrt((1-r)/(1+r)). A correlated volume above the non-correlated
+    one would imply r < 0 and is rejected.
     """
-    if not (v_noncorr > 0 and v_corr > 0):
-        raise DomainError("volume averages must be positive")
-    if v_corr > v_noncorr:
-        raise DomainError(
-            f"correlated volume {v_corr} exceeds non-correlated {v_noncorr}; "
-            "this would imply r < 0"
-        )
-    return (v_noncorr**2 - v_corr**2) / (v_noncorr**2 + v_corr**2)
+    require_positive(v_noncorr=v_noncorr, v_corr=v_corr)
+    return require_correlation(
+        (v_noncorr**2 - v_corr**2) / (v_noncorr**2 + v_corr**2))
 
 
 def purity_from_complexity(r: float, eta_c: float) -> float:
@@ -166,13 +158,9 @@ def purity_from_complexity(r: float, eta_c: float) -> float:
     R0 L^3 of the scattering configuration; the linear form is perturbative
     and rejected once it would drop below zero.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"correlation out of range: {r}")
-    if not eta_c > 0:
-        raise DomainError(f"eta_c must be positive, got {eta_c}")
+    require_correlation(r)
+    require_positive(eta_c=eta_c)
     p = 1.0 - eta_c * r
-    if p < 0.0:
-        raise DomainError(
-            f"eta_c*r = {eta_c * r:.3g} > 1: outside the perturbative regime"
-        )
+    require(p >= 0.0,
+            lambda: f"eta_c*r = {eta_c * r:.3g} > 1: outside the perturbative regime")
     return p

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .models import ModelParams, _check_sigma, metric_corr3, metric_corr3_inverse
+from .errors import require, require_positive
+from .models import ModelParams, metric_corr3, metric_corr3_inverse
 
 DIM = 3
 
@@ -72,7 +72,7 @@ class SymmetryReport:
 
 def christoffel(sigma: float, params: ModelParams) -> np.ndarray:
     """Connection coefficients Gamma^a_bc; six nonzero families, rest zero."""
-    _check_sigma(sigma)
+    require_positive(sigma=sigma)
     r = params.r
     d = r * r - 1.0
     G = np.zeros((DIM, DIM, DIM))
@@ -109,7 +109,7 @@ def riemann(sigma: float, params: ModelParams) -> np.ndarray:
     R_1212, R_1313, R_1323, R_2323; everything else follows from the
     antisymmetries and the pair symmetry.
     """
-    _check_sigma(sigma)
+    require_positive(sigma=sigma)
     r = params.r
     d = r * r - 1.0
     s4 = sigma ** 4
@@ -123,7 +123,7 @@ def riemann(sigma: float, params: ModelParams) -> np.ndarray:
 
 def ricci(sigma: float, params: ModelParams) -> np.ndarray:
     """Ricci tensor R_ab = g^{cd} R_cadb (equivalently g^{bd} R_abcd by pair symmetry)."""
-    _check_sigma(sigma)
+    require_positive(sigma=sigma)
     r = params.r
     d = r * r - 1.0
     s2 = sigma * sigma
@@ -142,15 +142,19 @@ def scalar_curvature(params: ModelParams) -> float:
 
 
 def sectional(sigma: float, params: ModelParams, u, v) -> float:
-    """Sectional curvature of the plane spanned by tangent vectors u, v."""
+    """Sectional curvature of the plane spanned by tangent vectors u, v.
+
+    u and v count as linearly dependent when the Gram determinant is below
+    1e-12 of <u,u><v,v>, a test that does not depend on the scale of g.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     g = metric_corr3(sigma, params)
     R = riemann(sigma, params)
     num = np.einsum("abcd,a,b,c,d->", R, u, v, u, v)
-    den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
-    if abs(den) < 1e-12:
-        raise DomainError("u and v are (numerically) linearly dependent")
+    uu, vv = u @ g @ u, v @ g @ v
+    den = uu * vv - (u @ g @ v) ** 2
+    require(abs(den) > 1e-12 * uu * vv, "u and v are (numerically) linearly dependent")
     return num / den
 
 

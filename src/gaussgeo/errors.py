@@ -1,10 +1,21 @@
-"""Semantic exceptions and warnings shared across the package.
+"""Semantic exceptions, warnings and the admissibility policy of the package.
 
 Hard violations of an operation's domain raise; soft violations of an
 approximation's validity regime warn (or raise where a result would be
 meaningless). Callers that sweep parameter grids can trap ``RegimeError``
 separately from programming errors.
+
+Every domain guard goes through the helpers at the end, which write each
+rule once for a scalar or an array (at every element); NaN fails them all.
 """
+
+import math
+
+import numpy as np
+
+#: Correlations lie in [0, R_MAX): r = 1 is a genuine singularity of the
+#: Gaussian family, where metric entries diverge.
+R_MAX = 1.0 - 1e-9
 
 
 class GaussGeoError(Exception):
@@ -12,7 +23,7 @@ class GaussGeoError(Exception):
 
 
 class DomainError(GaussGeoError, ValueError):
-    """Input violates a hard precondition (e.g. sigma <= 0, r outside [0,1))."""
+    """Input violates a hard precondition (e.g. sigma <= 0, r outside [0, R_MAX))."""
 
 
 class RegimeError(GaussGeoError):
@@ -59,3 +70,36 @@ class RegimeWarning(CountedWarning):
 
 class SaturationWarning(CountedWarning):
     """Hyperbolic argument clamped to avoid overflow; output is saturated."""
+
+
+def require(ok, message) -> None:
+    """Raise DomainError unless ``ok`` holds (at every element of an array).
+
+    ``message`` is a string or a callable, called only when the check fails.
+    """
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise DomainError(message() if callable(message) else message)
+
+
+def require_positive(**named) -> None:
+    """Require each named value to be finite and > 0."""
+    # tested in place, not through require: dataclasses on hot paths call this
+    for name, value in named.items():
+        ok = (0.0 < value) & (value < math.inf)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def require_nonnegative(**named) -> None:
+    """Require each named value to be finite and >= 0."""
+    for name, value in named.items():
+        require((0.0 <= value) & (value < math.inf),
+                lambda: f"{name} must be non-negative and finite, got {value}")
+
+
+def require_correlation(r):
+    """Require r in [0, R_MAX) and return it."""
+    ok = (0.0 <= r) & (r < R_MAX)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise DomainError(f"correlation must lie in [0, {R_MAX}), got {r}")
+    return r

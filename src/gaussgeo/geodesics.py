@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import any_true, scalar_or_array
-from .errors import DomainError, SaturationWarning
+from .errors import SaturationWarning, require, require_positive
 from .models import Macrostate3, ModelParams
 
 #: Largest usable hyperbolic argument; cosh overflows near 710.
@@ -64,13 +64,10 @@ class InitialConditions:
     R0: float = 10.0
 
     def __post_init__(self):
-        if not (self.p0 > 0 and self.sigma0 > 0 and self.tau0 > 0 and self.R0 > 0):
-            raise DomainError(f"initial conditions must be positive: {self}")
-        if self.sigma0 / self.p0 > LOCALIZATION_MAX:
-            raise DomainError(
-                f"sigma0/p0 = {self.sigma0 / self.p0:.4g} exceeds the "
-                f"well-localized bound {LOCALIZATION_MAX}"
-            )
+        require_positive(p0=self.p0, sigma0=self.sigma0, tau0=self.tau0, R0=self.R0)
+        require(self.sigma0 / self.p0 <= LOCALIZATION_MAX, lambda: (
+            f"sigma0/p0 = {self.sigma0 / self.p0:.4g} exceeds the "
+            f"well-localized bound {LOCALIZATION_MAX}"))
 
 
 @dataclass(frozen=True)
@@ -248,8 +245,7 @@ def geodesic_residual(
     1e-4/A0 would leave ~4e-7 of rounding noise).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.size < 5:
-        raise DomainError("tau grid needs at least 5 points")
+    require(tau_grid.size >= 5, "tau grid needs at least 5 points")
     A0 = amplitude_A0(ic)
     h = 3e-3 / A0
 

@@ -18,9 +18,11 @@ For the 3-parameter family, with coordinate order (mu1, mu2, sigma),
 with det g = 4 / ((1-r^2) sigma^6). The 4-parameter metric uses coordinate
 order (mu_x, sigma_x, mu_y, sigma_y).
 
-Only non-negative correlations r in [0, 1) are admitted. Metric entries
-diverge as r -> 1, so values within 1e-9 of 1 are rejected rather than
-returned as huge floats.
+Only non-negative correlations r in [0, R_MAX) = [0, 1 - 1e-9) are
+admitted: metric entries diverge as r -> 1, so values within 1e-9 of 1 are
+rejected rather than returned as huge floats. Every spread must be positive
+and finite, and `micro_correlation` returns only an admissible r (the
+policy lives in `errors`).
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
-# r == 1 is a genuine singularity of the family; stop just short of it.
-R_MAX = 1.0 - 1e-9
+from .errors import require, require_correlation, require_positive
 
 #: Default small-r threshold for the perturbative metric split.
 SPLIT_R_MAX = 0.1
@@ -51,9 +50,7 @@ class Macrostate3:
     sigma: float
 
     def __post_init__(self):
-        positive = self.sigma > 0
-        if not (positive.all() if isinstance(positive, np.ndarray) else positive):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        require_positive(sigma=self.sigma)
 
     def as_array(self) -> np.ndarray:
         """(mu1, mu2, sigma) stacked on the leading axis."""
@@ -70,29 +67,20 @@ class Macrostate4:
     sigma_y: float
 
     def __post_init__(self):
-        if not (self.sigma_x > 0 and self.sigma_y > 0):
-            raise DomainError(
-                f"spreads must be positive, got ({self.sigma_x}, {self.sigma_y})"
-            )
+        require_positive(sigma_x=self.sigma_x, sigma_y=self.sigma_y)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Micro-correlation coefficient of the Gaussian family.
 
-    Restricted to the non-negative branch r in [0, 1).
+    Restricted to the non-negative branch r in [0, R_MAX).
     """
 
     r: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.r < R_MAX:
-            raise DomainError(f"correlation must lie in [0, {R_MAX}), got {self.r}")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+        require_correlation(self.r)
 
 
 def pdf_corr3(state: Macrostate3, params: ModelParams, point) -> float:
@@ -118,7 +106,7 @@ def pdf_corr4(state: Macrostate4, params: ModelParams, point) -> float:
 
 def metric_corr3(sigma: float, params: ModelParams) -> np.ndarray:
     """Fisher-Rao metric of the equal-spread family, coordinates (mu1, mu2, sigma)."""
-    _check_sigma(sigma)
+    require_positive(sigma=sigma)
     r = params.r
     d = 1.0 - r * r
     g = np.array(
@@ -137,7 +125,7 @@ def metric_corr3_inverse(sigma: float, params: ModelParams) -> np.ndarray:
     The momentum block inverts to sigma^2 [[1, r], [r, 1]]; kept in closed
     form so index raising never goes through a numeric inverse.
     """
-    _check_sigma(sigma)
+    require_positive(sigma=sigma)
     r = params.r
     s2 = sigma * sigma
     return np.array(
@@ -154,8 +142,7 @@ def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndar
 
     Coordinate order is fixed to (mu_x, sigma_x, mu_y, sigma_y).
     """
-    _check_sigma(sigma_x)
-    _check_sigma(sigma_y)
+    require_positive(sigma_x=sigma_x, sigma_y=sigma_y)
     r = params.r
     d = r * r - 1.0
     sx, sy = sigma_x, sigma_y
@@ -182,12 +169,10 @@ def metric_split(
     so that g0 + h = metric_corr3 + O(r^3). Rejected above ``max_r``, where
     the truncation error is no longer negligible.
     """
-    _check_sigma(sigma)
+    require_positive(sigma=sigma)
     r = params.r
-    if r > max_r:
-        raise DomainError(
-            f"metric_split is a small-r expansion; r={r} exceeds max_r={max_r}"
-        )
+    require(r <= max_r,
+            lambda: f"metric_split is a small-r expansion; r={r} exceeds max_r={max_r}")
     g0 = metric_corr3(sigma, ModelParams(0.0))
     h = np.array(
         [
@@ -201,8 +186,5 @@ def metric_split(
 
 def micro_correlation(cov: float, sigma: float) -> float:
     """Correlation coefficient r = Cov(x, y) / sigma^2 for equal spreads."""
-    _check_sigma(sigma)
-    r = cov / (sigma * sigma)
-    if abs(r) >= 1.0:
-        raise DomainError(f"|cov|/sigma^2 = {abs(r)} >= 1 is not a valid correlation")
-    return r
+    require_positive(sigma=sigma)
+    return require_correlation(cov / (sigma * sigma))

@@ -29,7 +29,9 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from . import chaos, complexity, curvature, geodesics, models, scattering
-from .errors import ConvergenceError, DomainError
+from .errors import (
+    ConvergenceError, DomainError, require, require_correlation, require_positive
+)
 from .geodesics import InitialConditions
 from .groups import GROUPS
 from .models import ModelParams
@@ -457,8 +459,7 @@ def purity_gaussian_state(cfg: ScatteringConfig, r: float) -> float:
     Closed form sqrt(1 - r^2); serves as an exactly-solvable anchor for the
     trace machinery and as the quantum-side purity of the identified state.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"correlation out of range: {r}")
+    require_correlation(r)
     K1, K2, w1, w2 = _momentum_mesh(cfg, 64)
     d1, d2 = K1 - cfg.k0, K2 + cfg.k0
     s2 = cfg.sigma_k0**2
@@ -477,8 +478,8 @@ def igc_numeric(tau: float, params: ModelParams, ic: InitialConditions) -> float
     sigma integral and the time average are adaptive quadratures.
     """
     lam = 2.0 * geodesics.amplitude_A0(ic)
-    if lam * tau > 20.0:
-        raise DomainError(f"lambda*tau = {lam * tau:.3g} > 20: cosh overflow guard")
+    require(lam * tau <= 20.0,
+            lambda: f"lambda*tau = {lam * tau:.3g} > 20: cosh overflow guard")
     r = params.r
     fac = 1.0 / math.sqrt(1.0 - r * r)
     s0_state = geodesics.geodesic_corr(0.0, params, ic)
@@ -772,10 +773,11 @@ def run_verification(
     hook used by the test suite). A check's residual is the maximum of the
     residuals it yields; NaN propagates, so a non-finite value fails the band.
     """
-    if only is not None and only not in GROUPS:
-        raise DomainError(f"unknown check group {only!r}; available: {GROUPS}")
-    if fault is not None and fault not in {row[0] for row in _CHECKS}:
-        raise DomainError(f"unknown check {fault!r} to fault-inject")
+    require_positive(tol_scale=tol_scale)
+    require(only is None or only in GROUPS,
+            lambda: f"unknown check group {only!r}; available: {GROUPS}")
+    require(fault is None or fault in {row[0] for row in _CHECKS},
+            lambda: f"unknown check {fault!r} to fault-inject")
     results = []
     for name, group, (lo, hi), fn in _CHECKS:
         if only is not None and group != only:

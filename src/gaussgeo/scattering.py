@@ -27,8 +27,12 @@ The chain of observables implemented:
   flag the element instead (`ProlongationReport.flagged`).
 
 Only the repulsive branch (V >= 0, r >= 0, a_s >= 0) is supported;
-attractive potentials are rejected. Internally hbar = 1 so momenta and
-wave numbers coincide; a different hbar only rescales at the interface.
+attractive potentials are rejected. Every scale of the configuration must be
+positive and finite, a_s, V and the cross section finite and >= 0, and a
+correlation must lie in [0, R_MAX) = [0, 1 - 1e-9); the inversions return
+only such an r (the policy lives in `errors`). Internally hbar = 1 so
+momenta and wave numbers coincide; a different hbar only rescales at the
+interface.
 """
 
 from __future__ import annotations
@@ -39,13 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import all_true, scalar_or_array
+from ._elementwise import scalar_or_array
 from .errors import (
-    DomainError,
     ProlongationBoundError,
     RegimeError,
     RegimeWarning,
     ResonanceError,
+    require,
+    require_correlation,
+    require_nonnegative,
+    require_positive,
 )
 from .geodesics import InitialConditions, amplitude_A0
 from .models import Macrostate3, ModelParams, pdf_corr3
@@ -74,19 +81,9 @@ class ScatteringConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (
-            self.k0 > 0
-            and self.sigma_k0 > 0
-            and self.R0 > 0
-            and self.L > 0
-            and self.reduced_mass > 0
-            and self.hbar > 0
-        ):
-            raise DomainError(f"scattering scales must be positive: {self}")
-        if self.a_s < 0:
-            raise DomainError(
-                f"a_s = {self.a_s} < 0: only the repulsive branch is supported"
-            )
+        require_positive(k0=self.k0, sigma_k0=self.sigma_k0, R0=self.R0, L=self.L,
+                         reduced_mass=self.reduced_mass, hbar=self.hbar)
+        require_nonnegative(a_s=self.a_s)
         if self.k0 * self.L >= K0L_REGIME:
             warnings.warn(
                 f"k0*L = {self.k0 * self.L:.3g} is outside the low-energy "
@@ -192,8 +189,8 @@ def gaussian_moment(n: int, sigma: float) -> float:
 
     Zero for odd n; for n = 2m it is (2m-1)!! sqrt(pi) sigma (sigma^2/2)^m.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"moment order must be a non-negative integer, got {n}")
+    require(n >= 0 and n == int(n),
+            lambda: f"moment order must be a non-negative integer, got {n}")
     if n % 2 == 1:
         return 0.0
     m = n // 2
@@ -246,8 +243,7 @@ def purity_series(cfg: ScatteringConfig) -> float:
 
 def purity_cross_section(cfg: ScatteringConfig, sigma_cs: float) -> float:
     """Purity via the cross section: P = 1 - 4 (2 k0^2 + sigma^2) R0 sqrt(Sigma/pi)."""
-    if sigma_cs < 0:
-        raise DomainError(f"cross section must be non-negative, got {sigma_cs}")
+    require_nonnegative(sigma_cs=sigma_cs)
     correction = (
         4.0
         * (2.0 * cfg.k0**2 + cfg.sigma_k0**2)
@@ -266,13 +262,10 @@ def square_well_matching(cfg: ScatteringConfig, V: float) -> float:
     k_in = sqrt(2 mu (E - V))/hbar inside and k_out = sqrt(2 mu E)/hbar
     outside. Only the E > V branch (oscillatory interior) is supported.
     """
-    if V < 0:
-        raise DomainError(f"V = {V} < 0: only the repulsive branch is supported")
+    require_nonnegative(V=V)
     E = cfg.kinetic_energy
-    if E <= V:
-        raise DomainError(
-            f"E = {E:.6g} <= V = {V:.6g}: evanescent interior branch unsupported"
-        )
+    require(E > V,
+            lambda: f"E = {E:.6g} <= V = {V:.6g}: evanescent interior branch unsupported")
     k_in = math.sqrt(2.0 * cfg.reduced_mass * (E - V)) / cfg.hbar
     k_out = math.sqrt(2.0 * cfg.reduced_mass * E) / cfg.hbar
     return _theta_from_wavenumbers(k_in, k_out, cfg.L)
@@ -295,9 +288,7 @@ def phase_shift_exact(cfg: ScatteringConfig, r: float) -> float:
     plays the role of the interior wave number of a square well of height
     V = r E.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"correlation out of range: {r}")
-    k_r = math.sqrt(1.0 - r) * cfg.k0
+    k_r = math.sqrt(1.0 - require_correlation(r)) * cfg.k0
     return _theta_from_wavenumbers(k_r, cfg.k0, cfg.L)
 
 
@@ -307,8 +298,7 @@ def phase_shift_series(cfg: ScatteringConfig, r: float, reduced: bool = False) -
     tan(theta0) ~ [-(k0 L)^3/3 + (k0 L)^5/15] r + [2 (k0 L)^5/15] r^2;
     with ``reduced=True`` only the leading cubic term -r (k0 L)^3 / 3 is kept.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"correlation out of range: {r}")
+    require_correlation(r)
     x = cfg.k0 * cfg.L
     if x >= K0L_REGIME or r >= R_QM_REGIME:
         warnings.warn(
@@ -324,34 +314,29 @@ def phase_shift_series(cfg: ScatteringConfig, r: float, reduced: bool = False) -
 
 def phase_shift_from_potential(V: float, cfg: ScatteringConfig) -> float:
     """theta0 = -2 mu V k0 L^3 / (3 hbar^2) for a weak repulsive well."""
-    if V < 0:
-        raise DomainError(f"V = {V} < 0: only the repulsive branch is supported")
+    require_nonnegative(V=V)
     return -2.0 * cfg.reduced_mass * V * cfg.k0 * cfg.L**3 / (3.0 * cfg.hbar**2)
 
 
 def potential_from_r(r: float, cfg: ScatteringConfig) -> float:
     """Scattering potential V = r E: the correlation is the potential-to-energy ratio."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"correlation out of range: {r}")
-    return r * cfg.kinetic_energy
+    return require_correlation(r) * cfg.kinetic_energy
 
 
 def cross_section(cfg: ScatteringConfig, r: float) -> float:
     """Total cross section Sigma = 4 pi r^2 k0^4 L^6 / 9 (= 4 pi a_s^2)."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"correlation out of range: {r}")
+    require_correlation(r)
     return 4.0 * math.pi * r**2 * cfg.k0**4 * cfg.L**6 / 9.0
 
 
 def scattering_length_from_r(cfg: ScatteringConfig, r: float) -> float:
     """Effective a_s = r k0^2 L^3 / 3 implied by the correlation."""
-    return r * cfg.k0**2 * cfg.L**3 / 3.0
+    return require_correlation(r) * cfg.k0**2 * cfg.L**3 / 3.0
 
 
 def purity_from_r(cfg: ScatteringConfig, r: float) -> float:
     """Purity P = 1 - 8 r k0^2 (2 k0^2 + sigma^2) R0 L^3 / 3."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"correlation out of range: {r}")
+    require_correlation(r)
     correction = (
         8.0 * r * cfg.k0**2 * (2.0 * cfg.k0**2 + cfg.sigma_k0**2) * cfg.R0 * cfg.L**3 / 3.0
     )
@@ -361,23 +346,19 @@ def purity_from_r(cfg: ScatteringConfig, r: float) -> float:
 
 def r_from_potential(cfg: ScatteringConfig, V: float) -> float:
     """Invert V = r E:  r = 2 mu V / (hbar^2 k0^2)."""
-    if V < 0:
-        raise DomainError(f"V = {V} < 0: only the repulsive branch is supported")
-    return 2.0 * cfg.reduced_mass * V / (cfg.hbar**2 * cfg.k0**2)
+    return require_correlation(2.0 * cfg.reduced_mass * V / (cfg.hbar**2 * cfg.k0**2))
 
 
 def r_from_cross_section(cfg: ScatteringConfig, sigma_cs: float) -> float:
     """Invert the cross section:  r = 3 sqrt(Sigma) / (2 sqrt(pi) k0^2 L^3)."""
-    if sigma_cs < 0:
-        raise DomainError(f"cross section must be non-negative, got {sigma_cs}")
-    return 3.0 * math.sqrt(sigma_cs) / (2.0 * math.sqrt(math.pi) * cfg.k0**2 * cfg.L**3)
+    require_nonnegative(sigma_cs=sigma_cs)
+    return require_correlation(
+        3.0 * math.sqrt(sigma_cs) / (2.0 * math.sqrt(math.pi) * cfg.k0**2 * cfg.L**3))
 
 
 def r_from_purity(cfg: ScatteringConfig, purity: float) -> float:
     """Invert the purity:  r = 3 (1-P) / (8 k0^2 (2 k0^2 + sigma^2) R0 L^3)."""
-    if purity > 1.0:
-        raise DomainError(f"purity {purity} > 1 is unphysical")
-    return (
+    return require_correlation(
         3.0
         * (1.0 - purity)
         / (8.0 * cfg.k0**2 * (2.0 * cfg.k0**2 + cfg.sigma_k0**2) * cfg.R0 * cfg.L**3)
@@ -415,8 +396,7 @@ def prolongation(ic: InitialConditions, r) -> ProlongationReport:
     lower (they agree to O(e^{-2 A0 tau0})); an array of r flags those
     elements instead.
     """
-    if not all_true((0.0 <= r) & (r < 1.0)):
-        raise DomainError(f"correlation out of range: {r}")
+    require_correlation(r)
     A0 = amplitude_A0(ic)
     X = A0 * ic.tau0
     eta = 0.5 * math.exp(2.0 * X)

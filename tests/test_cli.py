@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,52 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "bogus" in err
+
+
+class TestExtremeInput:
+    """Non-finite and extreme finite input exits 2 with a message, no traceback."""
+
+    @pytest.mark.parametrize("tol_scale", ["0", "-1", "nan", "inf"])
+    def test_verify_rejects_bad_tol_scale(self, capsys, tol_scale):
+        code, out, err = run_cli(
+            capsys, "verify", "--only", "oracle", "--tol-scale", tol_scale
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol_scale must be positive and finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--sigma", "inf"],   # an all-zero metric, exit 0
+        ["jacobi", "--omega0", "nan"],  # a table of NaN, exit 0
+    ])
+    def test_non_finite_input_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--dim", "4", "--sigma-x", "1e-200"],  # ZeroDivisionError
+        ["curvature", "--sigma", "1e-100"],               # ZeroDivisionError
+        ["metric", "--sigma", "1e-200"],                  # LinAlgError
+        ["geodesic", "--p0", "1e300", "--sigma0", "1e299"],  # OverflowError
+        ["scatter", "--k0", "1e200"],                     # OverflowError
+    ])
+    def test_arithmetic_failure_exits_two(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("sigma", ["2000", "5000", "1e4"])
+    def test_curvature_at_large_sigma(self, capsys, sigma):
+        code, out, _ = run_cli(capsys, "curvature", "--sigma", sigma)
+        assert code == 0
+        payload = json.loads(out)
+        for key in ("sectional_12", "sectional_13", "sectional_23"):
+            assert payload[key] == pytest.approx(-0.25, rel=1e-12)
 
 
 class TestImports:

@@ -137,6 +137,17 @@ class TestScalarAndSectional:
         with pytest.raises(DomainError):
             curvature.sectional(1.0, ModelParams(0.0), [1, 0, 0], [2, 0, 0])
 
+    @pytest.mark.parametrize("sg", [2e3, 1e4])
+    def test_coordinate_planes_at_large_sigma(self, sg):
+        # the Gram determinant scales as 1/sigma^4; the dependence test must not
+        K = curvature.sectional_coordinate_planes(sg, ModelParams(0.5))
+        np.testing.assert_allclose(K[~np.eye(3, dtype=bool)], -0.25, rtol=1e-12)
+
+    @pytest.mark.parametrize("sg", [1.0, 1e4])
+    def test_collinear_vectors_rejected_at_any_sigma(self, sg):
+        with pytest.raises(DomainError):
+            curvature.sectional(sg, ModelParams(0.3), [1.0, 2.0, 0.5], [2.0, 4.0, 1.0])
+
 
 class TestWeylAndSymmetry:
     @pytest.mark.parametrize("sg,r", [(1.0, 0.0), (3.0, 0.7), (10.0, 0.9)])
