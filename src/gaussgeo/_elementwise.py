@@ -20,7 +20,3 @@ def any_true(mask) -> bool:
     """Whether any element of a boolean scalar or array is true."""
     return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
 
-
-def all_true(mask) -> bool:
-    """Whether every element of a boolean scalar or array is true."""
-    return bool(mask.all() if isinstance(mask, np.ndarray) else mask)

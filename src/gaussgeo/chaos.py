@@ -46,18 +46,6 @@ ASYMPTOTIC_MIN = 5.0
 
 
 @dataclass(frozen=True)
-class JacobiState:
-    """Constants of the scalar Jacobi problem: Q = -A0^2 and the initial rate."""
-
-    Q: float
-    omega0: float
-    A0: float
-
-    def __post_init__(self):
-        require_positive(A0=self.A0, minus_Q=-self.Q)
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
     """Finite-horizon Lyapunov evaluation.
 
@@ -107,11 +95,6 @@ def jacobi_intensity(tau, omega0: float, A0: float):
     arg = A0 * tau
     _check_overflow(arg)
     return scalar_or_array(omega0 / A0 * np.sinh(arg))
-
-
-def jacobi_intensity_rate(tau: float, omega0: float, A0: float) -> float:
-    """dJ/dtau = omega0 cosh(A0 tau) for the closed-form intensity."""
-    return omega0 * math.cosh(A0 * tau)
 
 
 def lyapunov_exponent(A0: float) -> float:

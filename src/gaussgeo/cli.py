@@ -7,7 +7,8 @@ significant digits, '.' decimal separator, LF endings; JSON uses a stable
 key order. Validity warnings go to stderr (and the JSON ``warnings``
 field) without changing the exit code. Exit codes: 0 success, 1
 verification failure, 2 usage or domain error, including an arithmetic
-overflow or a singular matrix from extreme finite input.
+overflow or a singular matrix from extreme finite input. numpy's divide,
+overflow and invalid floating-point errors raise rather than warn.
 
 The table commands (geodesic, jacobi, complexity, prolongation) evaluate
 their closed forms once per column over the whole grid and write the
@@ -222,9 +223,7 @@ def _cmd_complexity(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         kept = tau[:keep]
-        base = ModelParams(0.0)
-        base_igc = complexity.igc_closed(kept, base, ic)
-        base_ige = complexity.ige_closed(kept, base, ic)
+        base_ige = complexity.ige_closed(kept, ModelParams(0.0), ic)
         igc = np.array([complexity.igc_closed(kept, ModelParams(r), ic)
                         for r in r_values]).T
         ige = np.array([complexity.ige_closed(kept, ModelParams(r), ic)
@@ -239,7 +238,7 @@ def _cmd_complexity(args) -> int:
         "r": np.tile(np.asarray(r_values, dtype=float), keep),
         "igc": igc.ravel(),
         "ige": ige.ravel(),
-        "ratio": (igc / base_igc[:, None]).ravel(),
+        "ratio": np.tile([complexity.igc_ratio(ModelParams(r)) for r in r_values], keep),
         "ige_gap": (ige - base_ige[:, None]).ravel(),
     }
     _emit_table(columns, args.format, args.out, warn_list=_report_warnings(caught))
@@ -469,7 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(parser, args, argv)
-        return args.fn(args)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.fn(args)
     except (GaussGeoError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

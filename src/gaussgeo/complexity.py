@@ -26,19 +26,25 @@ volume average with the conventional normalization that drops the additive
 so the entropy gap between correlated and non-correlated flows is the
 tau-independent constant (1/2) ln((1-r)/(1+r)).
 
+The bracket cancels to O((lambda tau)^5) at small lambda tau, where the
+direct form loses about log10(120/(lambda tau)^4) digits. Below
+lambda tau = 0.7 `igc_closed` sums its Taylor series instead,
+
+    tau * bracket = x^5/160 - x^7/2688 + x^9/23040 - ...,   x = lambda tau,
+
+which converges for |x| < pi; twelve terms reach double precision there.
+
 `igc_closed` and `ige_closed` broadcast over a numpy array of horizons tau;
 a scalar tau is the 0-d case.
 
-Both quantities shrink under correlation; inverting the volume ratio
-recovers r, which `purity_from_complexity` then maps onto the scattering
-purity through the dimensionless coefficient eta_C.
+Both quantities shrink under correlation; `r_from_complexities` inverts the
+volume ratio to recover r.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,22 +59,17 @@ LAMBDA_TAU_MAX = 700.0
 #: Below this lambda * tau the asymptotic entropy form is unreliable.
 IGE_ASYMPTOTIC_MIN = 5.0
 
+#: Below this lambda * tau `igc_closed` sums the bracket's Taylor series.
+IGC_SERIES_MAX = 0.7
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    """IGC and IGE of one flow at a finite horizon."""
-
-    igc: float
-    ige: float
-    tau: float
-    params: ModelParams
-
-
-def fisher_density(sigma: float, params: ModelParams) -> float:
-    """sqrt(det g) = 2 / (sqrt(1 - r^2) sigma^3)."""
-    require_positive(sigma=sigma)
-    r = params.r
-    return 2.0 / (math.sqrt(1.0 - r * r) * sigma**3)
+#: Taylor coefficients of tau * bracket at x^5, x^7, ..., x^27 (x = lambda tau).
+_IGC_SERIES = (
+    1 / 160, -1 / 2688, 1 / 23040, -23 / 5322240, 331 / 754790400,
+    -227 / 5109350400, 2134861 / 474249904128000, -217579 / 477039609446400,
+    2629973 / 56909988495360000, -1173798401 / 250686222922520985600,
+    426599046787 / 899200582222086144000000,
+    -255636248993 / 5318129157713480908800000,
+)
 
 
 def _check_horizon(tau, lam_tau) -> None:
@@ -83,12 +84,22 @@ def igc_closed(tau, params: ModelParams, ic: InitialConditions):
     lam_tau = lam * tau
     _check_horizon(tau, lam_tau)
     r = params.r
+    prefactor = 4.0 * math.sqrt((1.0 - r) / (1.0 + r))
     bracket = (
         -0.75 * lam
         + 0.25 * np.sinh(lam_tau) / tau
         + np.tanh(0.5 * lam * tau) / tau
     )
-    return scalar_or_array(4.0 * math.sqrt((1.0 - r) / (1.0 + r)) / lam * bracket)
+    value = prefactor / lam * bracket
+    small = lam_tau < IGC_SERIES_MAX
+    if any_true(small):
+        # bracket / lam = x^4 (1/160 - x^2/2688 + ...), summed by Horner's rule
+        x2 = lam_tau * lam_tau
+        poly = 0.0
+        for c in reversed(_IGC_SERIES):
+            poly = poly * x2 + c
+        value = np.where(small, prefactor * (x2 * x2 * poly), value)
+    return scalar_or_array(value)
 
 
 def ige_closed(tau, params: ModelParams, ic: InitialConditions):
@@ -129,16 +140,6 @@ def ige_gap(params: ModelParams) -> float:
     return 0.5 * math.log((1.0 - r) / (1.0 + r))
 
 
-def report(tau: float, params: ModelParams, ic: InitialConditions) -> ComplexityReport:
-    """IGC and IGE of the flow at horizon tau."""
-    return ComplexityReport(
-        igc=igc_closed(tau, params, ic),
-        ige=ige_closed(tau, params, ic),
-        tau=tau,
-        params=params,
-    )
-
-
 def r_from_complexities(v_noncorr: float, v_corr: float) -> float:
     """Recover r from the two volume averages at equal horizon.
 
@@ -150,17 +151,3 @@ def r_from_complexities(v_noncorr: float, v_corr: float) -> float:
     return require_correlation(
         (v_noncorr**2 - v_corr**2) / (v_noncorr**2 + v_corr**2))
 
-
-def purity_from_complexity(r: float, eta_c: float) -> float:
-    """Purity P = 1 - eta_C * r predicted from the complexity deficit.
-
-    eta_c is the dimensionless coefficient (8/3) k0^2 (2 k0^2 + sigma^2)
-    R0 L^3 of the scattering configuration; the linear form is perturbative
-    and rejected once it would drop below zero.
-    """
-    require_correlation(r)
-    require_positive(eta_c=eta_c)
-    p = 1.0 - eta_c * r
-    require(p >= 0.0,
-            lambda: f"eta_c*r = {eta_c * r:.3g} > 1: outside the perturbative regime")
-    return p

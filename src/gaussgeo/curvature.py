@@ -85,11 +85,6 @@ def christoffel(sigma: float, params: ModelParams) -> np.ndarray:
     return G
 
 
-def christoffel_sigma_derivative(sigma: float, params: ModelParams) -> np.ndarray:
-    """d Gamma^a_bc / d sigma, exact; every coefficient scales as 1/sigma."""
-    return -christoffel(sigma, params) / sigma
-
-
 def _set_riemann_component(R: np.ndarray, a, b, c, d, value: float) -> None:
     # write one independent component plus its antisymmetry and pair images
     for (i, j, k, l, s) in (
@@ -180,22 +175,15 @@ def sectional_coordinate_planes(sigma: float, params: ModelParams) -> np.ndarray
     return K
 
 
-def maximal_symmetry_check(
-    sigma: float, params: ModelParams, scalar_override: float | None = None
-) -> SymmetryReport:
-    """Residuals of the three maximal-symmetry identities.
-
-    ``scalar_override`` substitutes a wrong scalar curvature; useful as a
-    negative control (the residuals must then be visibly nonzero).
-    """
+def maximal_symmetry_check(sigma: float, params: ModelParams) -> SymmetryReport:
+    """Residuals of the three maximal-symmetry identities."""
     g = metric_corr3(sigma, params)
     R = riemann(sigma, params)
     ric = ricci(sigma, params)
     ginv = metric_corr3_inverse(sigma, params)
-    scal = SCALAR_CURVATURE if scalar_override is None else scalar_override
 
-    ricci_res = np.abs(ric - (scal / DIM) * g).max() / np.abs(ric).max()
-    expected = (scal / (DIM * (DIM - 1))) * (
+    ricci_res = np.abs(ric - (SCALAR_CURVATURE / DIM) * g).max() / np.abs(ric).max()
+    expected = (SCALAR_CURVATURE / (DIM * (DIM - 1))) * (
         np.einsum("bd,ac->abcd", g, g) - np.einsum("bc,ad->abcd", g, g)
     )
     riemann_res = np.abs(R - expected).max() / np.abs(R).max()

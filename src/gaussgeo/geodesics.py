@@ -1,4 +1,4 @@
-"""Closed-form geodesics of the 3D Gaussian manifolds and their constants.
+"""Closed-form geodesics of the 3D Gaussian manifolds.
 
 The geodesic equations for (mu1, mu2, sigma) decouple through a Riccati
 reduction: mu' is proportional to sigma^2, which collapses the system to a
@@ -17,9 +17,6 @@ with the rate constant
 The non-correlated branch is r = 0. A collision history joins the two at
 tau = 0: non-correlated before (tau < 0), correlated after (tau >= 0); all
 three coordinates are continuous there.
-
-A0 is always computed from the exact asinh form. The log-series expansion
-in sigma0/p0 is provided only as a cross-check (`amplitude_A0_series`).
 
 Every trajectory function broadcasts over a numpy array of tau; a scalar
 tau is the 0-d case and returns Python floats.
@@ -70,36 +67,9 @@ class InitialConditions:
             f"well-localized bound {LOCALIZATION_MAX}"))
 
 
-@dataclass(frozen=True)
-class RiccatiConstants:
-    """Integration constants of the Riccati reduction.
-
-    (C, E) belong to the non-correlated branch, (C_r, E_r) to the correlated
-    one. They satisfy -E/C = p0^2/2 + sigma0^2, sqrt(-CE/2) = A0, share the
-    ratio E/C = E_r/C_r across the junction, and obey the reality condition
-    CE < 0. gamma > 0 is the rate.
-    """
-
-    C: float
-    E: float
-    C_r: float
-    E_r: float
-    gamma: float
-
-
 def amplitude_A0(ic: InitialConditions) -> float:
     """Geodesic rate constant A0 = asinh(p0 / (sqrt(2) sigma0)) / tau0."""
     return math.asinh(ic.p0 / (math.sqrt(2.0) * ic.sigma0)) / ic.tau0
-
-
-def amplitude_A0_series(ic: InitialConditions) -> float:
-    """Asymptotic log-series for A0 in powers of sigma0/p0 (cross-check only)."""
-    rat = ic.sigma0 / ic.p0
-    return (
-        math.log(math.sqrt(2.0) * ic.p0 / ic.sigma0)
-        + 0.5 * rat**2
-        - 0.375 * rat**4
-    ) / ic.tau0
 
 
 def _clamped(arg):
@@ -177,38 +147,6 @@ def joined_path(tau, params: ModelParams, ic: InitialConditions) -> Macrostate3:
     arg = _clamped(amplitude_A0(ic) * tau)
     m = np.where(tau < 0.0, _momentum_scale(ic, 0.0), _momentum_scale(ic, params.r))
     return _state(arg, m, _spread_scale(ic))
-
-
-def momentum_difference(tau, params: ModelParams, ic: InitialConditions):
-    """Relative momentum <p(tau; r)> = (mu2 - mu1)/2 on the correlated branch."""
-    arg = _clamped(amplitude_A0(ic) * tau)
-    return scalar_or_array(_momentum_scale(ic, params.r) * np.tanh(arg))
-
-
-def riccati_constants(params: ModelParams, ic: InitialConditions) -> RiccatiConstants:
-    """Integration constants reproducing the closed-form trajectories.
-
-    Solves -E/C = p0^2/2 + sigma0^2 together with sqrt(-CE/2) = A0 on the
-    C < 0, E > 0 branch, and the correlated pair from the junction
-    continuity E/C = E_r/C_r with gamma_r = A0.
-    """
-    A0 = amplitude_A0(ic)
-    ratio = 0.5 * ic.p0**2 + ic.sigma0**2  # -E/C
-    C = -math.sqrt(2.0) * A0 / math.sqrt(ratio)
-    E = -C * ratio
-    scale = math.sqrt(1.0 - params.r)
-    return RiccatiConstants(C=C, E=E, C_r=scale * C, E_r=scale * E, gamma=A0)
-
-
-def geodesic_from_constants(
-    tau: float, params: ModelParams, const: RiccatiConstants
-) -> Macrostate3:
-    """Trajectory written directly in terms of (C_r, E_r); round-trip check."""
-    r = params.r
-    gamma = math.sqrt(const.C_r * const.E_r / (2.0 * (r - 1.0)))
-    m = math.sqrt(2.0 * const.E_r * (r - 1.0) / const.C_r)
-    s = math.sqrt(-const.E_r / const.C_r)
-    return _state(_clamped(gamma * tau), m, s)
 
 
 def geodesic_equations_lhs(

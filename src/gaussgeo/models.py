@@ -1,6 +1,6 @@
-"""Correlated Gaussian probability families and their Fisher-Rao metrics.
+"""Fisher-Rao metrics of correlated Gaussian probability families.
 
-Two families are implemented, both bivariate normals over the microscopic
+Two families are covered, both bivariate normals over the microscopic
 variables (x, y):
 
 * the 4-parameter family with macrostate (mu_x, mu_y, sigma_x, sigma_y) and
@@ -21,21 +21,16 @@ order (mu_x, sigma_x, mu_y, sigma_y).
 Only non-negative correlations r in [0, R_MAX) = [0, 1 - 1e-9) are
 admitted: metric entries diverge as r -> 1, so values within 1e-9 of 1 are
 rejected rather than returned as huge floats. Every spread must be positive
-and finite, and `micro_correlation` returns only an admissible r (the
-policy lives in `errors`).
+and finite (the policy lives in `errors`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require, require_correlation, require_positive
-
-#: Default small-r threshold for the perturbative metric split.
-SPLIT_R_MAX = 0.1
+from .errors import require_correlation, require_positive
 
 
 @dataclass(frozen=True)
@@ -81,27 +76,6 @@ class ModelParams:
 
     def __post_init__(self):
         require_correlation(self.r)
-
-
-def pdf_corr3(state: Macrostate3, params: ModelParams, point) -> float:
-    """Equal-spread correlated bivariate normal density at ``point=(x, y)``."""
-    x, y = point
-    r, s = params.r, state.sigma
-    dx, dy = x - state.mu1, y - state.mu2
-    q = (dx * dx - 2.0 * r * dx * dy + dy * dy) / (s * s)
-    norm = 2.0 * math.pi * s * s * math.sqrt(1.0 - r * r)
-    return math.exp(-q / (2.0 * (1.0 - r * r))) / norm
-
-
-def pdf_corr4(state: Macrostate4, params: ModelParams, point) -> float:
-    """Correlated bivariate normal with distinct spreads at ``point=(x, y)``."""
-    x, y = point
-    r = params.r
-    sx, sy = state.sigma_x, state.sigma_y
-    dx, dy = x - state.mu_x, y - state.mu_y
-    q = dx * dx / (sx * sx) - 2.0 * r * dx * dy / (sx * sy) + dy * dy / (sy * sy)
-    norm = 2.0 * math.pi * sx * sy * math.sqrt(1.0 - r * r)
-    return math.exp(-q / (2.0 * (1.0 - r * r))) / norm
 
 
 def metric_corr3(sigma: float, params: ModelParams) -> np.ndarray:
@@ -154,37 +128,3 @@ def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndar
             [0.0, r * r / (sx * sy * d), 0.0, -(2.0 - r * r) / (sy * sy * d)],
         ]
     )
-
-
-def metric_split(
-    sigma: float, params: ModelParams, max_r: float = SPLIT_R_MAX
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the correlated metric into a flat part and a small-r perturbation.
-
-    Returns (g0, h) with g0 the non-correlated metric and h the perturbation
-    truncated at second order in r:
-
-        h = (1/sigma^2) * [[ r^2, -r, 0 ], [ -r, r^2, 0 ], [ 0, 0, 0 ]]
-
-    so that g0 + h = metric_corr3 + O(r^3). Rejected above ``max_r``, where
-    the truncation error is no longer negligible.
-    """
-    require_positive(sigma=sigma)
-    r = params.r
-    require(r <= max_r,
-            lambda: f"metric_split is a small-r expansion; r={r} exceeds max_r={max_r}")
-    g0 = metric_corr3(sigma, ModelParams(0.0))
-    h = np.array(
-        [
-            [r * r, -r, 0.0],
-            [-r, r * r, 0.0],
-            [0.0, 0.0, 0.0],
-        ]
-    ) / (sigma * sigma)
-    return g0, h
-
-
-def micro_correlation(cov: float, sigma: float) -> float:
-    """Correlation coefficient r = Cov(x, y) / sigma^2 for equal spreads."""
-    require_positive(sigma=sigma)
-    return require_correlation(cov / (sigma * sigma))

@@ -8,10 +8,10 @@ coefficients of f vanish), k0*L well below 1.
 
 The chain of observables implemented:
 
-* post-collision momentum density = correlated Gaussian with coefficient
-  r_QM = sqrt(8 (2 k0^2 + sigma^2) R0 a_s);
+* the correlation r_QM = sqrt(8 (2 k0^2 + sigma^2) R0 a_s) of the
+  correlated Gaussian that the post-collision momentum density becomes;
 * purity P = 1 - 8 (2 k0^2 + sigma^2) R0 a_s + O(a_s^2) = 1 - r_QM^2,
-  equivalently expressed through the cross section Sigma = 4 pi a_s^2;
+  and the cross section Sigma = 4 pi a_s^2;
 * square-well phase shift theta0 from the interior/exterior matching
   k_in cot(k_in L) = k_out cot(k_out L + theta0), with the correlation
   entering as k_in = sqrt(1-r) k0, i.e. V = r E;
@@ -49,13 +49,11 @@ from .errors import (
     RegimeError,
     RegimeWarning,
     ResonanceError,
-    require,
     require_correlation,
     require_nonnegative,
     require_positive,
 )
 from .geodesics import InitialConditions, amplitude_A0
-from .models import Macrostate3, ModelParams, pdf_corr3
 
 #: r_QM beyond this strains the perturbative Gaussian identification.
 R_QM_REGIME = 0.3
@@ -132,39 +130,6 @@ class ProlongationReport:
     flagged: bool = False
 
 
-def density_pre(cfg: ScatteringConfig, k1: float, k2: float) -> float:
-    """Pre-collision momentum density: product Gaussians centered at (+k0, -k0)."""
-    state = Macrostate3(cfg.k0, -cfg.k0, cfg.sigma_k0)
-    return pdf_corr3(state, ModelParams(0.0), (k1, k2))
-
-
-def density_post(cfg: ScatteringConfig, r_qm_value: float, k1: float, k2: float) -> float:
-    """Post-collision density: the correlated Gaussian with r = r_QM."""
-    if r_qm_value >= R_QM_REGIME:
-        raise RegimeError(
-            f"r_QM = {r_qm_value:.3g} >= {R_QM_REGIME}: the correlated-Gaussian "
-            "approximation of the post-collision density is invalid"
-        )
-    state = Macrostate3(cfg.k0, -cfg.k0, cfg.sigma_k0)
-    return pdf_corr3(state, ModelParams(r_qm_value), (k1, k2))
-
-
-def varrho(cfg: ScatteringConfig, k: float) -> complex:
-    """Scattered-wave admixture rho(k) = 4i (k0 - i sigma^2 R0) k^2 f(k) / sigma^2.
-
-    With the constant amplitude f = -a_s, Re(rho) = 4 R0 k^2 f exactly and
-    |rho|^2 = 16 (k0^2 + sigma^4 R0^2) k^4 f^2 / sigma^4 exactly.
-    """
-    f = -cfg.a_s
-    s2 = cfg.sigma_k0**2
-    return 4.0j * (cfg.k0 - 1.0j * s2 * cfg.R0) * k * k * f / s2
-
-
-def varrho_re_approx(cfg: ScatteringConfig, k: float) -> float:
-    """Leading real part 4 R0 k^2 f(k); exact for a real constant amplitude."""
-    return 4.0 * cfg.R0 * k * k * (-cfg.a_s)
-
-
 def r_qm(cfg: ScatteringConfig) -> float:
     """Micro-correlation induced by the scattering.
 
@@ -182,22 +147,6 @@ def r_qm(cfg: ScatteringConfig) -> float:
             stacklevel=2,
         )
     return value
-
-
-def gaussian_moment(n: int, sigma: float) -> float:
-    """Moment integral int e^{-k^2/sigma^2} k^n dk over the real line.
-
-    Zero for odd n; for n = 2m it is (2m-1)!! sqrt(pi) sigma (sigma^2/2)^m.
-    """
-    require(n >= 0 and n == int(n),
-            lambda: f"moment order must be a non-negative integer, got {n}")
-    if n % 2 == 1:
-        return 0.0
-    m = n // 2
-    double_fact = 1.0
-    for j in range(2 * m - 1, 0, -2):
-        double_fact *= j
-    return double_fact * math.sqrt(math.pi) * sigma * (sigma**2 / 2.0) ** m
 
 
 def normalization_integral(cfg: ScatteringConfig) -> float:
@@ -241,37 +190,15 @@ def purity_series(cfg: ScatteringConfig) -> float:
     return 1.0 - correction
 
 
-def purity_cross_section(cfg: ScatteringConfig, sigma_cs: float) -> float:
-    """Purity via the cross section: P = 1 - 4 (2 k0^2 + sigma^2) R0 sqrt(Sigma/pi)."""
-    require_nonnegative(sigma_cs=sigma_cs)
-    correction = (
-        4.0
-        * (2.0 * cfg.k0**2 + cfg.sigma_k0**2)
-        * cfg.R0
-        * math.sqrt(sigma_cs)
-        / math.sqrt(math.pi)
-    )
-    _purity_correction_guard(correction)
-    return 1.0 - correction
+def phase_shift_exact(cfg: ScatteringConfig, r: float) -> float:
+    """Exact s-wave phase shift with the correlation-reduced interior wave number.
 
-
-def square_well_matching(cfg: ScatteringConfig, V: float) -> float:
-    """Phase shift from the interior/exterior logarithmic-derivative matching.
-
-    Solves k_in cot(k_in L) = k_out cot(k_out L + theta) with
-    k_in = sqrt(2 mu (E - V))/hbar inside and k_out = sqrt(2 mu E)/hbar
-    outside. Only the E > V branch (oscillatory interior) is supported.
+    The correlation slows the relative motion to k_in = sqrt(1-r) k0, the
+    interior wave number of a square well of height V = r E; theta solves
+    the matching k_in cot(k_in L) = k0 cot(k0 L + theta).
     """
-    require_nonnegative(V=V)
-    E = cfg.kinetic_energy
-    require(E > V,
-            lambda: f"E = {E:.6g} <= V = {V:.6g}: evanescent interior branch unsupported")
-    k_in = math.sqrt(2.0 * cfg.reduced_mass * (E - V)) / cfg.hbar
-    k_out = math.sqrt(2.0 * cfg.reduced_mass * E) / cfg.hbar
-    return _theta_from_wavenumbers(k_in, k_out, cfg.L)
-
-
-def _theta_from_wavenumbers(k_in: float, k_out: float, L: float) -> float:
+    k_in = math.sqrt(1.0 - require_correlation(r)) * cfg.k0
+    k_out, L = cfg.k0, cfg.L
     num = k_out * math.tan(k_in * L) - k_in * math.tan(k_out * L)
     den = k_in + k_out * math.tan(k_out * L) * math.tan(k_in * L)
     if abs(den) < 1e-12:
@@ -279,17 +206,6 @@ def _theta_from_wavenumbers(k_in: float, k_out: float, L: float) -> float:
             f"matching denominator {den:.3g} vanishes; phase shift is resonant"
         )
     return math.atan(num / den)
-
-
-def phase_shift_exact(cfg: ScatteringConfig, r: float) -> float:
-    """Exact s-wave phase shift with the correlation-reduced interior wave number.
-
-    The correlation slows the relative motion to k_r = sqrt(1-r) k0, which
-    plays the role of the interior wave number of a square well of height
-    V = r E.
-    """
-    k_r = math.sqrt(1.0 - require_correlation(r)) * cfg.k0
-    return _theta_from_wavenumbers(k_r, cfg.k0, cfg.L)
 
 
 def phase_shift_series(cfg: ScatteringConfig, r: float, reduced: bool = False) -> float:

@@ -1,0 +1,44 @@
+"""Every public function and class of the package is reached outside the unit tests.
+
+A name is reached when another source module, the acceptance tests or the
+benchmark uses it as ``module.name`` or imports it by name, or when its own
+module uses its bare name. Matching on the module keeps a common name such
+as ``report`` from passing on another module's attribute.
+"""
+
+import ast
+import functools
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "gaussgeo").glob("*.py"))
+CALLERS = [*SOURCES, ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("bench/*.py"))]
+TREES = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+
+
+@functools.cache
+def _reached_from(path: Path, module: str) -> set[str]:
+    """Names ``path`` uses as ``module.name`` or imports from ``module``."""
+    names = set()
+    for node in ast.walk(TREES[path]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == module:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+PUBLIC = [(path, node.name) for path in SOURCES for node in TREES[path].body
+          if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"]
+
+
+@pytest.mark.parametrize("path,name", PUBLIC, ids=[f"{p.stem}.{n}" for p, n in PUBLIC])
+def test_public_name_is_reached(path, name):
+    bare = {node.id for node in ast.walk(TREES[path])
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    reached = name in bare or any(
+        name in _reached_from(caller, path.stem) for caller in CALLERS if caller != path)
+    assert reached, f"{path.stem}.{name} is reached only from unit tests"

@@ -90,9 +90,6 @@ class TestJacobiIntensity:
             closed = chaos.jacobi_intensity(tau, w0, A0)
             assert abs(sol.sol(tau)[0] - closed) <= 1e-8 * max(1.0, abs(closed))
 
-    def test_rate(self):
-        assert chaos.jacobi_intensity_rate(0.0, 0.7, 2.0) == pytest.approx(0.7)
-
 
 class TestLyapunov:
     def test_closed_form(self):
@@ -142,12 +139,3 @@ class TestLyapunov:
                 -curvature.scalar_curvature(ModelParams(r)) * v2 / 6.0
             ) == pytest.approx(lam, rel=1e-14)
 
-
-class TestJacobiState:
-    def test_invariants(self):
-        state = chaos.JacobiState(Q=-4.0, omega0=1.0, A0=2.0)
-        assert state.Q == -4.0
-        with pytest.raises(DomainError):
-            chaos.JacobiState(Q=1.0, omega0=1.0, A0=2.0)
-        with pytest.raises(DomainError):
-            chaos.JacobiState(Q=-1.0, omega0=1.0, A0=0.0)

@@ -3,8 +3,9 @@
 Whatever the flags and the ``--config`` file hold (finite, extreme, infinite
 or NaN numbers, wrong types, unknown keys), ``cli.main`` exits 0 with
 parseable output or 2 with an error message (1 only for ``verify``) and
-never shows a traceback. The options of each command are read from the
-parser, so a new option is fuzzed without editing this file.
+never shows a traceback or a numpy ``RuntimeWarning``. The options of each
+command are read from the parser, so a new option is fuzzed without editing
+this file.
 """
 
 import argparse
@@ -14,9 +15,9 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,15 +79,15 @@ def _assert_parses(text: str, fmt: str) -> None:
             float(field)
 
 
-# numpy warns when extreme finite input overflows on the way to an exit-2 error
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(invocations())
 def test_exit_code_contract(invocation):
     argv, config = invocation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         if config is not None:
             path = Path(tmp) / "run.json"
             path.write_text(json.dumps(config))
@@ -97,6 +98,9 @@ def test_exit_code_contract(invocation):
             code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in err
+    # extreme input must fail with one error line, not numpy warnings first
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (argv, config, err)
     if code == 0:
         # no drawn config value is a valid format, so only a flag selects csv;

@@ -2,47 +2,42 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgeo import complexity, geodesics, models, oracle, scattering
-from gaussgeo.errors import DomainError, RegimeWarning
+from gaussgeo import complexity, geodesics, oracle, scattering
+from gaussgeo.errors import DomainError, RegimeError, RegimeWarning
 from gaussgeo.models import ModelParams
+from gaussgeo.scattering import ScatteringConfig
 
 
 def lam(ic):
     return 2.0 * geodesics.amplitude_A0(ic)
 
 
-class TestFisherDensity:
-    def test_flat_value(self):
-        assert complexity.fisher_density(1.0, ModelParams(0.0)) == 2.0
-
-    def test_correlated_value(self):
-        assert complexity.fisher_density(1.0, ModelParams(0.6)) == pytest.approx(
-            2.5, rel=1e-14
-        )
-
-    @pytest.mark.parametrize("sg", [0.1, 1.0, 5.0])
-    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
-    def test_equals_sqrt_det_metric(self, sg, r):
-        g = models.metric_corr3(sg, ModelParams(r))
-        assert complexity.fisher_density(sg, ModelParams(r)) == pytest.approx(
-            math.sqrt(np.linalg.det(g)), rel=1e-12
-        )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            complexity.fisher_density(0.0, ModelParams(0.0))
-
-
 class TestIgcClosed:
     def test_vanishes_at_small_horizon(self, desk_ic):
-        # bracket cancels to first order; only float crumbs remain
+        # the bracket vanishes like (lambda tau)^5
         value = complexity.igc_closed(1e-6, ModelParams(0.3), desk_ic)
         assert abs(value) < 1e-10
+
+    def test_accurate_against_mpmath(self, desk_ic):
+        # both the series branch and the direct form against a 50-digit
+        # reference; the bracket cancels about log10(120/x^4) digits
+        params, lam_f = ModelParams(0.3), lam(desk_ic)
+        tau = np.logspace(-70.0, math.log10(20.0), 300) / lam_f
+        got = complexity.igc_closed(tau, params, desk_ic)
+        for t, value in zip(tau.tolist(), got.tolist()):
+            lost = max(0, math.ceil(math.log10(120.0 / (lam_f * t) ** 4)))
+            with mpmath.workdps(50 + lost):
+                lm, r, t = mpmath.mpf(lam_f), mpmath.mpf(params.r), mpmath.mpf(t)
+                bracket = (-0.75 * lm + mpmath.sinh(lm * t) / (4 * t)
+                           + mpmath.tanh(lm * t / 2) / t)
+                ref = 4 * mpmath.sqrt((1 - r) / (1 + r)) / lm * bracket
+                assert float(abs(value - ref) / ref) <= 1e-12, float(lm * t)
 
     @pytest.mark.parametrize("lt", [0.5, 2.0, 8.0])
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
@@ -140,34 +135,32 @@ class TestRatioAndInversion:
 
 
 class TestPurityBridge:
-    def test_uncorrelated_is_pure(self):
-        assert complexity.purity_from_complexity(0.0, 100.0) == 1.0
+    # the correlation recovered from the complexities fixes the purity
+    # P = 1 - eta_C r through the scattering chain
+    def test_uncorrelated_is_pure(self, desk_cfg):
+        assert scattering.purity_from_r(desk_cfg, 0.0) == 1.0
 
-    def test_linear_form(self):
-        assert complexity.purity_from_complexity(1e-3, 100.0) == pytest.approx(
-            0.9, rel=1e-14
+    def test_linear_form(self, desk_cfg):
+        eta = scattering.eta_c(desk_cfg)
+        assert scattering.purity_from_r(desk_cfg, 1e-3) == pytest.approx(
+            1.0 - 1e-3 * eta, rel=1e-14
         )
 
-    def test_consistent_with_scattering_chain(self, desk_cfg):
-        # same coefficient eta_C as the purity-vs-r scattering formula
+    def test_consistent_with_scattering_chain(self, desk_cfg, desk_ic):
         eta = scattering.eta_c(desk_cfg)
+        tau = 2.0 / lam(desk_ic)
+        base = complexity.igc_closed(tau, ModelParams(0.0), desk_ic)
         for r in (1e-4, 1e-3, 0.01):
-            assert complexity.purity_from_complexity(r, eta) == pytest.approx(
-                scattering.purity_from_r(desk_cfg, r), rel=1e-12
+            igc = complexity.igc_closed(tau, ModelParams(r), desk_ic)
+            r_hat = complexity.r_from_complexities(base, igc)
+            assert scattering.purity_from_r(desk_cfg, r_hat) == pytest.approx(
+                1.0 - eta * r, rel=1e-12
             )
 
     def test_perturbative_guard(self):
-        with pytest.raises(DomainError):
-            complexity.purity_from_complexity(0.5, 100.0)
-
-
-class TestReport:
-    def test_report_carries_horizon(self, desk_ic):
-        tau = 8.0 / lam(desk_ic)
-        rep = complexity.report(tau, ModelParams(0.2), desk_ic)
-        assert rep.tau == tau
-        assert rep.igc == complexity.igc_closed(tau, ModelParams(0.2), desk_ic)
-        assert rep.ige == complexity.ige_closed(tau, ModelParams(0.2), desk_ic)
+        cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=1000.0, L=0.1)
+        with pytest.raises(RegimeError):
+            scattering.purity_from_r(cfg, 0.5)
 
 
 @settings(max_examples=50, deadline=None)

@@ -34,16 +34,6 @@ class TestChristoffel:
         closed = curvature.christoffel(sg, ModelParams(r))
         assert np.abs(fd.christoffel - closed).max() < 1e-6
 
-    def test_sigma_derivative_exact(self):
-        G = curvature.christoffel(1.5, ModelParams(0.4))
-        dG = curvature.christoffel_sigma_derivative(1.5, ModelParams(0.4))
-        h = 1e-6
-        fd = (
-            curvature.christoffel(1.5 + h, ModelParams(0.4))
-            - curvature.christoffel(1.5 - h, ModelParams(0.4))
-        ) / (2 * h)
-        assert np.abs(dG - fd).max() < 1e-8
-
     def test_domain_error(self):
         with pytest.raises(DomainError):
             curvature.christoffel(0.0, ModelParams(0.0))
@@ -175,10 +165,10 @@ class TestWeylAndSymmetry:
         report = curvature.maximal_symmetry_check(2.0, ModelParams(0.5))
         assert report.max_residual() < 1e-12
 
-    def test_negative_control(self):
-        report = curvature.maximal_symmetry_check(
-            1.0, ModelParams(0.0), scalar_override=-1.4
-        )
+    def test_negative_control(self, monkeypatch):
+        # a wrong scalar curvature must leave visibly nonzero residuals
+        monkeypatch.setattr(curvature, "SCALAR_CURVATURE", -1.4)
+        report = curvature.maximal_symmetry_check(1.0, ModelParams(0.0))
         assert report.max_residual() > 1e-3
 
 

@@ -27,17 +27,6 @@ class TestAmplitude:
     def test_desk_value(self, desk_ic):
         assert geodesics.amplitude_A0(desk_ic) == pytest.approx(A0_DESK, rel=1e-14)
 
-    def test_series_matches_exact_narrow(self, narrow_ic):
-        exact = geodesics.amplitude_A0(narrow_ic)
-        series = geodesics.amplitude_A0_series(narrow_ic)
-        assert abs(series - exact) < 1e-9
-
-    def test_series_error_grows_with_ratio(self, desk_ic):
-        # at sigma0/p0 = 0.1 the truncation is visible but bounded
-        exact = geodesics.amplitude_A0(desk_ic)
-        series = geodesics.amplitude_A0_series(desk_ic)
-        assert 1e-9 < abs(series - exact) < 1e-5
-
 
 class TestInitialConditions:
     def test_rejects_poor_localization(self):
@@ -150,30 +139,6 @@ class TestJoinedPath:
         assert geodesics.amplitude_A0(desk_ic) == pytest.approx(A0_DESK, rel=1e-14)
 
 
-class TestRiccatiConstants:
-    def test_construction_identities(self, desk_ic):
-        const = geodesics.riccati_constants(ModelParams(0.3), desk_ic)
-        ratio = 0.5 * desk_ic.p0**2 + desk_ic.sigma0**2
-        assert -const.E / const.C == pytest.approx(ratio, rel=1e-12)
-        assert math.sqrt(-const.C * const.E / 2.0) == pytest.approx(
-            geodesics.amplitude_A0(desk_ic), rel=1e-12
-        )
-        assert const.C < 0 and const.E > 0
-        assert const.C * const.E < 0
-        assert const.E / const.C == pytest.approx(const.E_r / const.C_r, rel=1e-12)
-
-    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
-    def test_roundtrip_through_constants(self, desk_ic, r):
-        params = ModelParams(r)
-        const = geodesics.riccati_constants(params, desk_ic)
-        for tau in np.linspace(-2.0, 2.0, 11):
-            direct = geodesics.geodesic_corr(tau, params, desk_ic)
-            rebuilt = geodesics.geodesic_from_constants(tau, params, const)
-            assert rebuilt.mu1 == pytest.approx(direct.mu1, abs=1e-12)
-            assert rebuilt.mu2 == pytest.approx(direct.mu2, abs=1e-12)
-            assert rebuilt.sigma == pytest.approx(direct.sigma, rel=1e-12)
-
-
 class TestGeodesicResidual:
     @pytest.mark.parametrize("r", [0.0, 0.3])
     def test_closed_form_satisfies_equations(self, desk_ic, r):
@@ -207,23 +172,24 @@ class TestGeodesicResidual:
 
 
 class TestMomentumDifference:
+    # the relative momentum (mu2 - mu1)/2 is mu2, since mu1 = -mu2
     def test_asymptotic_value(self, desk_ic):
-        assert geodesics.momentum_difference(
+        assert geodesics.geodesic_corr(
             60.0, ModelParams(0.0), desk_ic
-        ) == pytest.approx(math.sqrt(1.02), rel=1e-12)
+        ).mu2 == pytest.approx(math.sqrt(1.02), rel=1e-12)
 
     def test_factorized_scaling(self, desk_ic):
         for tau in (0.1, 0.5, 2.0):
-            base = geodesics.momentum_difference(tau, ModelParams(0.0), desk_ic)
-            half = geodesics.momentum_difference(tau, ModelParams(0.5), desk_ic)
+            base = geodesics.geodesic_corr(tau, ModelParams(0.0), desk_ic).mu2
+            half = geodesics.geodesic_corr(tau, ModelParams(0.5), desk_ic).mu2
             assert half == pytest.approx(math.sqrt(0.5) * base, rel=1e-14)
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_correlation_slows_momentum(self, desk_ic, r):
         for tau in np.linspace(0.0, 3.0, 13):
-            assert geodesics.momentum_difference(
+            assert geodesics.geodesic_corr(
                 tau, ModelParams(0.0), desk_ic
-            ) >= geodesics.momentum_difference(tau, ModelParams(r), desk_ic)
+            ).mu2 >= geodesics.geodesic_corr(tau, ModelParams(r), desk_ic).mu2
 
 
 class TestConservationAndParity:

@@ -1,4 +1,4 @@
-"""Scattering chain: densities, purity, phase shifts, inversions, prolongation."""
+"""Scattering chain: purity, phase shifts, inversions, prolongation."""
 
 import math
 import warnings
@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from gaussgeo import geodesics, models, scattering
+from gaussgeo import geodesics, scattering
 from gaussgeo.errors import (
     DomainError,
     ProlongationBoundError,
@@ -19,7 +18,6 @@ from gaussgeo.errors import (
     ResonanceError,
 )
 from gaussgeo.geodesics import InitialConditions
-from gaussgeo.models import Macrostate3, ModelParams
 from gaussgeo.scattering import ScatteringConfig
 
 
@@ -48,82 +46,6 @@ class TestConfig:
         assert (ic.p0, ic.sigma0, ic.tau0, ic.R0) == (1.0, 0.1, 2.0, 10.0)
 
 
-class TestDensities:
-    def test_pre_peak(self, desk_cfg):
-        s2 = desk_cfg.sigma_k0**2
-        assert scattering.density_pre(desk_cfg, 1.0, -1.0) == pytest.approx(
-            1.0 / (2 * math.pi * s2), rel=1e-14
-        )
-
-    def test_pre_equals_uncorrelated_family(self, desk_cfg):
-        state = Macrostate3(1.0, -1.0, 0.1)
-        for k1, k2 in [(1.05, -0.95), (0.9, -1.2), (1.0, -1.0)]:
-            assert scattering.density_pre(desk_cfg, k1, k2) == models.pdf_corr3(
-                state, ModelParams(0.0), (k1, k2)
-            )
-
-    def test_pre_normalization(self, desk_cfg):
-        total, _ = quad(
-            lambda k1: quad(
-                lambda k2: scattering.density_pre(desk_cfg, k1, k2),
-                -1.8, -0.2, epsabs=1e-12,
-            )[0],
-            0.2, 1.8, epsabs=1e-12,
-        )
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_post_reduces_to_pre(self, desk_cfg):
-        for k1, k2 in [(1.02, -1.05), (0.97, -0.93)]:
-            assert scattering.density_post(desk_cfg, 0.0, k1, k2) == \
-                scattering.density_pre(desk_cfg, k1, k2)
-
-    def test_post_peak(self, desk_cfg):
-        r = 0.1
-        s2 = desk_cfg.sigma_k0**2
-        expected = 1.0 / (2 * math.pi * s2 * math.sqrt(1 - r * r))
-        assert scattering.density_post(desk_cfg, r, 1.0, -1.0) == pytest.approx(
-            expected, rel=1e-14
-        )
-
-    def test_post_normalization(self, desk_cfg):
-        total, _ = quad(
-            lambda k1: quad(
-                lambda k2: scattering.density_post(desk_cfg, 0.1, k1, k2),
-                -1.8, -0.2, epsabs=1e-12,
-            )[0],
-            0.2, 1.8, epsabs=1e-12,
-        )
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_post_regime_guard(self, desk_cfg):
-        with pytest.raises(RegimeError):
-            scattering.density_post(desk_cfg, 0.5, 1.0, -1.0)
-
-
-class TestVarrho:
-    def test_no_scattering(self, desk_cfg):
-        cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=0.0)
-        assert scattering.varrho(cfg, 1.0) == 0.0
-
-    def test_real_part_exact_for_real_amplitude(self, desk_cfg):
-        for k in (0.8, 1.0, 1.3):
-            got = scattering.varrho(desk_cfg, k).real
-            assert got == pytest.approx(scattering.varrho_re_approx(desk_cfg, k),
-                                        rel=1e-14)
-
-    def test_magnitude_identity(self, desk_cfg):
-        # |rho|^2 = 16 (k0^2 + sigma^4 R0^2) k^4 f^2 / sigma^4 for real f
-        s2 = desk_cfg.sigma_k0**2
-        for k in (0.9, 1.1):
-            expected = (
-                16.0 * (desk_cfg.k0**2 + s2**2 * desk_cfg.R0**2)
-                * k**4 * desk_cfg.a_s**2 / s2**2
-            )
-            assert abs(scattering.varrho(desk_cfg, k)) ** 2 == pytest.approx(
-                expected, rel=1e-13
-            )
-
-
 class TestRqm:
     def test_zero_without_scattering(self):
         cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=0.0)
@@ -146,35 +68,6 @@ class TestRqm:
             2 * math.pi * desk_cfg.sigma_k0**2
         )
         assert abs(bracket - (1 - 0.5 * r * r)) < 10.0 * r**4
-
-
-class TestGaussianMoment:
-    def test_odd_vanishes(self):
-        assert scattering.gaussian_moment(1, 1.0) == 0.0
-        assert scattering.gaussian_moment(7, 2.0) == 0.0
-
-    def test_zeroth(self):
-        assert scattering.gaussian_moment(0, 1.0) == pytest.approx(
-            1.7724538509055159, rel=1e-14
-        )
-
-    def test_fourth(self):
-        assert scattering.gaussian_moment(4, 1.0) == pytest.approx(
-            1.329340388179137, rel=1e-14
-        )
-
-    @pytest.mark.parametrize("n", [0, 2, 4, 6])
-    @pytest.mark.parametrize("sg", [0.5, 1.0, 2.0])
-    def test_against_quadrature(self, n, sg):
-        numeric, _ = quad(
-            lambda k: math.exp(-(k * k) / (sg * sg)) * k**n,
-            -12 * sg, 12 * sg, epsabs=1e-14, epsrel=1e-13,
-        )
-        assert scattering.gaussian_moment(n, sg) == pytest.approx(numeric, rel=1e-10)
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(DomainError):
-            scattering.gaussian_moment(-1, 1.0)
 
 
 class TestNormalizationIntegral:
@@ -217,23 +110,27 @@ class TestPuritySeries:
 
 
 class TestPurityCrossSection:
+    # the purity of a cross section: its correlation, then the purity of r
+    @staticmethod
+    def purity(cfg, sigma_cs):
+        return scattering.purity_from_r(cfg, scattering.r_from_cross_section(cfg, sigma_cs))
+
     def test_no_scattering(self, desk_cfg):
-        assert scattering.purity_cross_section(desk_cfg, 0.0) == 1.0
+        assert self.purity(desk_cfg, 0.0) == 1.0
 
     def test_reproduces_series(self, desk_cfg):
         sigma_cs = 4 * math.pi * desk_cfg.a_s**2
-        assert scattering.purity_cross_section(desk_cfg, sigma_cs) == pytest.approx(
+        assert self.purity(desk_cfg, sigma_cs) == pytest.approx(
             scattering.purity_series(desk_cfg), abs=1e-12
         )
 
     def test_reference_value(self, desk_cfg):
-        assert scattering.purity_cross_section(
-            desk_cfg, 4 * math.pi * 1e-10
-        ) == pytest.approx(0.998392, abs=1e-9)
+        assert self.purity(desk_cfg, 4 * math.pi * 1e-10) == pytest.approx(
+            0.998392, abs=1e-9)
 
     def test_rejects_negative(self, desk_cfg):
         with pytest.raises(DomainError):
-            scattering.purity_cross_section(desk_cfg, -1.0)
+            self.purity(desk_cfg, -1.0)
 
 
 class TestPhaseShiftChain:
@@ -307,23 +204,17 @@ class TestPhaseShiftChain:
 
 
 class TestSquareWellMatching:
+    # phase_shift_exact matches a square well of height V = r E, whose
+    # interior wave number is k_in = sqrt(1 - r) k0
     def test_transparent_well(self, desk_cfg):
-        assert scattering.square_well_matching(desk_cfg, 0.0) == 0.0
-
-    def test_reproduces_exact_phase_shift(self, desk_cfg):
-        for r in (0.01, 0.1, 0.3):
-            V = scattering.potential_from_r(r, desk_cfg)
-            assert scattering.square_well_matching(desk_cfg, V) == pytest.approx(
-                scattering.phase_shift_exact(desk_cfg, r), rel=1e-12
-            )
+        assert scattering.phase_shift_exact(desk_cfg, 0.0) == 0.0
 
     def test_matching_equation_residual(self, desk_cfg):
         # theta must satisfy k_in cot(k_in L) = k_out cot(k_out L + theta)
-        V = 0.3
-        theta = scattering.square_well_matching(desk_cfg, V)
-        E = desk_cfg.kinetic_energy
-        k_in = math.sqrt(2 * desk_cfg.reduced_mass * (E - V))
-        k_out = math.sqrt(2 * desk_cfg.reduced_mass * E)
+        r = 0.3
+        theta = scattering.phase_shift_exact(desk_cfg, r)
+        k_out = desk_cfg.k0
+        k_in = math.sqrt(1.0 - r) * k_out
         lhs = k_in / math.tan(k_in * desk_cfg.L)
         rhs = k_out / math.tan(k_out * desk_cfg.L + theta)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -333,13 +224,9 @@ class TestSquareWellMatching:
             warnings.simplefilter("ignore", RegimeWarning)
             cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.05)
         V = 1e-3
-        got = scattering.square_well_matching(cfg, V)
+        got = scattering.phase_shift_exact(cfg, scattering.r_from_potential(cfg, V))
         approx = scattering.phase_shift_from_potential(V, cfg)
         assert abs(got - approx) / abs(approx) < 0.02
-
-    def test_rejects_evanescent_branch(self, desk_cfg):
-        with pytest.raises(DomainError):
-            scattering.square_well_matching(desk_cfg, 2.0)
 
     def test_resonant_denominator_raises(self):
         # engineer k_out tan(k_out L) tan(k_in L) = -k_in with k_in = 1, L = 1
@@ -350,9 +237,9 @@ class TestSquareWellMatching:
             cfg = ScatteringConfig(
                 k0=k_out, sigma_k0=0.05 * k_out, R0=10.0, L=1.0
             )
-            V = cfg.kinetic_energy * (1.0 - 1.0 / k_out**2)  # makes k_in = 1
+            r = 1.0 - 1.0 / k_out**2  # makes k_in = 1
             with pytest.raises(ResonanceError):
-                scattering.square_well_matching(cfg, V)
+                scattering.phase_shift_exact(cfg, r)
 
 
 class TestPotentialAndCrossSection:
