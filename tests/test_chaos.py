@@ -90,6 +90,14 @@ class TestJacobiIntensity:
             closed = chaos.jacobi_intensity(tau, w0, A0)
             assert abs(sol.sol(tau)[0] - closed) <= 1e-8 * max(1.0, abs(closed))
 
+    def test_rate(self):
+        # dJ/dtau = omega0 cosh(A0 tau), by central differences
+        w0, A0, h = 0.7, 2.0, 1e-6
+        for tau in (0.0, 0.5):
+            rate = (chaos.jacobi_intensity(tau + h, w0, A0)
+                    - chaos.jacobi_intensity(tau - h, w0, A0)) / (2 * h)
+            assert rate == pytest.approx(w0 * math.cosh(A0 * tau))
+
 
 class TestLyapunov:
     def test_closed_form(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgeo import complexity, geodesics, oracle, scattering
+from gaussgeo import complexity, geodesics, models, oracle, scattering
 from gaussgeo.errors import DomainError, RegimeError, RegimeWarning
 from gaussgeo.models import ModelParams
 from gaussgeo.scattering import ScatteringConfig
@@ -16,6 +16,35 @@ from gaussgeo.scattering import ScatteringConfig
 
 def lam(ic):
     return 2.0 * geodesics.amplitude_A0(ic)
+
+
+class TestFisherDensity:
+    # the volume element sqrt(det g) = 2 / (sqrt(1 - r^2) sigma^3) of the
+    # volumes whose averages are the IGC
+    @staticmethod
+    def density(sg, r):
+        return math.sqrt(np.linalg.det(models.metric_corr3(sg, ModelParams(r))))
+
+    def test_flat_value(self):
+        assert self.density(1.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+
+    def test_correlated_value(self):
+        assert self.density(1.0, 0.6) == pytest.approx(2.5, rel=1e-14)
+
+    @pytest.mark.parametrize("sg", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
+    def test_equals_sqrt_det_metric(self, desk_ic, sg, r):
+        # the IGC ratio is the density ratio times the squared ratio of the
+        # momentum ranges the correlated and flat geodesics sweep
+        tau = 2.0 / lam(desk_ic)
+        momentum = (geodesics.geodesic_corr(tau, ModelParams(r), desk_ic).mu2
+                    / geodesics.geodesic_corr(tau, ModelParams(0.0), desk_ic).mu2)
+        assert self.density(sg, r) / self.density(sg, 0.0) * momentum**2 == \
+            pytest.approx(complexity.igc_ratio(ModelParams(r)), rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            self.density(0.0, 0.0)
 
 
 class TestIgcClosed:

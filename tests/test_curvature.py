@@ -34,6 +34,16 @@ class TestChristoffel:
         closed = curvature.christoffel(sg, ModelParams(r))
         assert np.abs(fd.christoffel - closed).max() < 1e-6
 
+    def test_sigma_derivative_exact(self):
+        # every coefficient scales as 1/sigma: d Gamma / d sigma = -Gamma / sigma
+        G = curvature.christoffel(1.5, ModelParams(0.4))
+        h = 1e-6
+        fd = (
+            curvature.christoffel(1.5 + h, ModelParams(0.4))
+            - curvature.christoffel(1.5 - h, ModelParams(0.4))
+        ) / (2 * h)
+        assert np.abs(-G / 1.5 - fd).max() < 1e-8
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             curvature.christoffel(0.0, ModelParams(0.0))

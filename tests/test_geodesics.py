@@ -27,6 +27,22 @@ class TestAmplitude:
     def test_desk_value(self, desk_ic):
         assert geodesics.amplitude_A0(desk_ic) == pytest.approx(A0_DESK, rel=1e-14)
 
+    @staticmethod
+    def log_series(ic):
+        # asymptotic series of A0 in powers of sigma0/p0
+        rat = ic.sigma0 / ic.p0
+        return (math.log(math.sqrt(2.0) * ic.p0 / ic.sigma0)
+                + 0.5 * rat**2 - 0.375 * rat**4) / ic.tau0
+
+    def test_series_matches_exact_narrow(self, narrow_ic):
+        exact = geodesics.amplitude_A0(narrow_ic)
+        assert abs(self.log_series(narrow_ic) - exact) < 1e-9
+
+    def test_series_error_grows_with_ratio(self, desk_ic):
+        # at sigma0/p0 = 0.1 the truncation is visible but bounded
+        exact = geodesics.amplitude_A0(desk_ic)
+        assert 1e-9 < abs(self.log_series(desk_ic) - exact) < 1e-5
+
 
 class TestInitialConditions:
     def test_rejects_poor_localization(self):

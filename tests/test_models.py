@@ -177,6 +177,37 @@ LEAK_PROBES = {
 }
 
 
+def _printed_perturbation(sg, r):
+    # second-order small-r part of the metric as printed:
+    # h = [[r^2, -r, 0], [-r, r^2, 0], [0, 0, 0]] / sigma^2
+    return np.array([[r * r, -r, 0.0], [-r, r * r, 0.0], [0.0, 0.0, 0.0]]) / (sg * sg)
+
+
+class TestMetricSplit:
+    def test_zero_perturbation_at_r0(self):
+        np.testing.assert_array_equal(_printed_perturbation(1.3, 0.0), np.zeros((3, 3)))
+        np.testing.assert_array_equal(
+            models.metric_corr3(1.3, ModelParams(0.0)), np.diag([1.0, 1.0, 4.0]) / (1.3 * 1.3)
+        )
+
+    def test_printed_small_r_entries(self):
+        # the metric's departure from flat has the printed entries up to O(r^3)
+        r = 0.01
+        dg = models.metric_corr3(1.0, ModelParams(r)) - models.metric_corr3(1.0, ModelParams(0.0))
+        assert abs(dg[0, 1] - (-r)) <= 1.01 * r**3
+        assert abs(dg[0, 0] - r * r) <= 1.01 * r**4
+
+    def test_cubic_truncation_error(self):
+        # residual / r^3 must be stable across r (third-order truncation)
+        g0 = models.metric_corr3(1.0, ModelParams(0.0))
+        constants = []
+        for r in (0.01, 0.02, 0.04):
+            res = np.abs(models.metric_corr3(1.0, ModelParams(r))
+                         - (g0 + _printed_perturbation(1.0, r))).max()
+            constants.append(res / r**3)
+        assert max(constants) / min(constants) < 1.1
+
+
 class TestAdmissibilityPolicy:
     """One correlation range [0, R_MAX) and one positive-and-finite rule."""
 

@@ -209,6 +209,19 @@ class TestSquareWellMatching:
     def test_transparent_well(self, desk_cfg):
         assert scattering.phase_shift_exact(desk_cfg, 0.0) == 0.0
 
+    def test_reproduces_exact_phase_shift(self, desk_cfg):
+        # the interior wave number sqrt(2 mu (E - V)) / hbar of the well
+        # V = r E satisfies the matching with phase_shift_exact(r)
+        E, L = desk_cfg.kinetic_energy, desk_cfg.L
+        k_out = math.sqrt(2 * desk_cfg.reduced_mass * E) / desk_cfg.hbar
+        for r in (0.01, 0.1, 0.3):
+            V = scattering.potential_from_r(r, desk_cfg)
+            k_in = math.sqrt(2 * desk_cfg.reduced_mass * (E - V)) / desk_cfg.hbar
+            theta = scattering.phase_shift_exact(desk_cfg, r)
+            assert k_in / math.tan(k_in * L) == pytest.approx(
+                k_out / math.tan(k_out * L + theta), rel=1e-12
+            )
+
     def test_matching_equation_residual(self, desk_cfg):
         # theta must satisfy k_in cot(k_in L) = k_out cot(k_out L + theta)
         r = 0.3
