@@ -223,7 +223,6 @@ def _cmd_complexity(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         kept = tau[:keep]
-        base_ige = complexity.ige_closed(kept, ModelParams(0.0), ic)
         igc = np.array([complexity.igc_closed(kept, ModelParams(r), ic)
                         for r in r_values]).T
         ige = np.array([complexity.ige_closed(kept, ModelParams(r), ic)
@@ -239,7 +238,7 @@ def _cmd_complexity(args) -> int:
         "igc": igc.ravel(),
         "ige": ige.ravel(),
         "ratio": np.tile([complexity.igc_ratio(ModelParams(r)) for r in r_values], keep),
-        "ige_gap": (ige - base_ige[:, None]).ravel(),
+        "ige_gap": np.tile([complexity.ige_gap(ModelParams(r)) for r in r_values], keep),
     }
     _emit_table(columns, args.format, args.out, warn_list=_report_warnings(caught))
     return 0

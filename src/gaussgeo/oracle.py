@@ -21,6 +21,7 @@ check's band.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -45,10 +46,18 @@ CUTOFF_SIGMAS = 8.0
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """Tolerances of the adaptive RK45 integration behind the ODE oracles."""
+    """Tolerances of the adaptive DOP853 integration behind the ODE oracles."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
+
+
+@functools.cache
+def _gauss_rule(build, order: int):
+    # a Gauss rule is a constant table: built once per order, read-only
+    nodes, weights = build(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +93,7 @@ def _scores_corr4(xy, mux, muy, sx, sy, r):
 def _fisher_quadrature(mean, cov, score_fn, order):
     # E[s s^T] under N(mean, cov): the Gauss-Hermite product mesh, mapped
     # through the Cholesky factor, summed as one weighted product
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = _gauss_rule(np.polynomial.hermite.hermgauss, order)
     z = np.stack(np.meshgrid(nodes, nodes, indexing="ij")).reshape(2, -1)
     xy = mean[:, None] + math.sqrt(2.0) * np.linalg.cholesky(cov) @ z
     s = score_fn(xy)
@@ -173,7 +182,7 @@ def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
 def _integrate(rhs, y0, t0, t1, spec: OdeSpec, t_eval=None):
     # samples at t_eval, or at every accepted step when t_eval is None
     sol = solve_ivp(
-        rhs, (t0, t1), y0, method="RK45", rtol=spec.rtol, atol=spec.atol, t_eval=t_eval
+        rhs, (t0, t1), y0, method="DOP853", rtol=spec.rtol, atol=spec.atol, t_eval=t_eval
     )
     if not sol.success:
         raise ConvergenceError(f"ODE integration failed: {sol.message}")
@@ -302,14 +311,22 @@ def jacobi_integrate(
     ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30))
 
     closed = chaos.jacobi_intensity(ts, omega0, A0)
-    window = (ts >= 0.5 / A0)
-    rel = np.abs(intensity[window] - closed[window]) / closed[window]
-
-    fit_window = ts >= ts[-1] / 2.0
-    slope = np.polyfit(ts[fit_window], np.log(intensity[fit_window]), 1)[0]
     return JacobiComparison(
-        ts, intensity, closed, float(rel.max()), float(slope), float(ortho)
+        ts, intensity, closed, _intensity_error(ts, intensity, closed, A0),
+        _fitted_rate(ts, intensity), float(ortho)
     )
+
+
+def _intensity_error(ts, intensity, closed, A0) -> float:
+    # max relative intensity error over taus with A0*tau >= 0.5
+    window = ts >= 0.5 / A0
+    return float((np.abs(intensity[window] - closed[window]) / closed[window]).max())
+
+
+def _fitted_rate(ts, intensity) -> float:
+    # slope of ln J over the final half-window
+    fit_window = ts >= ts[-1] / 2.0
+    return float(np.polyfit(ts[fit_window], np.log(intensity[fit_window]), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +403,7 @@ def curvature_fd(
 # ---------------------------------------------------------------------------
 
 def _legendre_grid(center: float, half_width: float, order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_rule(np.polynomial.legendre.leggauss, order)
     return center + half_width * nodes, half_width * weights
 
 
@@ -558,6 +575,22 @@ _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
 
 # Each _check_* yields its residuals, one or more per point it samples.
 
+# Oracle results that several checks share, keyed by function and arguments.
+# run_verification empties it when it starts, so no battery reads a result
+# that an earlier one computed.
+_RUN_MEMO: dict = {}
+
+
+def _per_run(fn):
+    @functools.wraps(fn)
+    def shared(*args):
+        key = (fn.__name__, *args)
+        if key not in _RUN_MEMO:
+            _RUN_MEMO[key] = fn(*args)
+        return _RUN_MEMO[key]
+
+    return shared
+
 
 def _check_metric3_quadrature(fault: bool = False):
     # fault: perturb the closed form's off-diagonal entries by 1e-3
@@ -620,16 +653,26 @@ def _check_velocity_norm():
             yield abs(got - expected) / expected
 
 
+@_per_run
+def _jacobi_run(r: float) -> JacobiComparison:
+    # one integration to 20/A0 serves both chaos checks: its 4*399 + 1
+    # samples hold the 400-point grid on [0, 5/A0] as their first 400 and
+    # the 400-point grid on [0, 20/A0] as every 4th
+    A0 = geodesics.amplitude_A0(_DESK_IC)
+    return jacobi_integrate(ModelParams(r), _DESK_IC, 20.0 / A0, n_samples=1597)
+
+
 def _check_jacobi_intensity():
     A0 = geodesics.amplitude_A0(_DESK_IC)
     for r in (0.0, 0.5):
-        yield jacobi_integrate(ModelParams(r), _DESK_IC, 5.0 / A0).max_rel_error
+        run = _jacobi_run(r)
+        yield _intensity_error(run.taus[:400], run.intensity[:400], run.closed[:400], A0)
 
 
 def _check_lyapunov_fit():
     A0 = geodesics.amplitude_A0(_DESK_IC)
-    rates = [2.0 * jacobi_integrate(ModelParams(r), _DESK_IC, 20.0 / A0).fitted_rate
-             for r in (0.0, 0.5)]
+    rates = [2.0 * _fitted_rate(run.taus[::4], run.intensity[::4])
+             for run in map(_jacobi_run, (0.0, 0.5))]
     for rate in rates:
         yield abs(rate - 2.0 * A0) / (2.0 * A0)
     yield abs(rates[0] - rates[1]) / (2.0 * A0)
@@ -656,6 +699,7 @@ def _check_complexity_relations():
             yield abs(complexity.r_from_complexities(base, igc) - r)
 
 
+@_per_run
 def _purity_deficit(a_s: float) -> float:
     return 1.0 - purity_bruteforce(ScatteringConfig(a_s=a_s, **_DESK_CFG_KW))
 
@@ -779,6 +823,7 @@ def run_verification(
             lambda: f"unknown check group {only!r}; available: {GROUPS}")
     require(fault is None or fault in {row[0] for row in _CHECKS},
             lambda: f"unknown check {fault!r} to fault-inject")
+    _RUN_MEMO.clear()
     results = []
     for name, group, (lo, hi), fn in _CHECKS:
         if only is not None and group != only:

@@ -183,6 +183,18 @@ class TestJacobiIntegrate:
         )
         np.testing.assert_allclose(two.intensity, 2.0 * one.intensity, rtol=1e-7)
 
+    def test_tolerance_refinement_self_test(self, desk_ic):
+        # tightening the tolerance by 10x moves the intensity error and the
+        # fitted rate by less than a tenth of the jacobi_intensity (1e-5)
+        # and lyapunov_fit (1% of 2 A0) bands
+        A0 = geodesics.amplitude_A0(desk_ic)
+        a, b = (
+            oracle.jacobi_integrate(ModelParams(0.5), desk_ic, 20.0 / A0, spec)
+            for spec in (OdeSpec(rtol=1e-10, atol=1e-12), OdeSpec(rtol=1e-11, atol=1e-13))
+        )
+        assert abs(a.max_rel_error - b.max_rel_error) < 1e-6
+        assert abs(2.0 * (a.fitted_rate - b.fitted_rate)) / (2.0 * A0) < 1e-3
+
 
 class TestDimensionalReduction:
     def test_reference_case(self, desk_cfg):
@@ -285,6 +297,30 @@ class TestVerificationBattery:
         for p in payloads:
             assert set(p) == {"name", "group", "residual", "tolerance", "passed"}
             assert p["passed"] is True, p
+
+    def test_no_result_outlives_a_battery(self, monkeypatch):
+        # the chaos checks share one Jacobi run per r within a battery, but
+        # a second battery integrates everything again
+        nfev = []
+        solve_ivp = oracle.solve_ivp
+
+        def counted(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            nfev[-1] += sol.nfev
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_ivp", counted)
+        for _ in range(2):
+            nfev.append(0)
+            assert all(res.passed for res in oracle.run_verification(only="chaos"))
+        assert nfev[0] == nfev[1] > 0
+
+    @pytest.mark.parametrize("build, order", [
+        (np.polynomial.hermite.hermgauss, 40), (np.polynomial.legendre.leggauss, 64)])
+    def test_gauss_rules_are_read_only(self, build, order):
+        nodes, weights = oracle._gauss_rule(build, order)
+        assert oracle._gauss_rule(build, order)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_check_result_serializes(self):
         res = oracle.run_verification(only="models")[0]
