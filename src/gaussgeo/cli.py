@@ -330,8 +330,10 @@ def _cmd_verify(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
+def _add_output_flags(sub, formats: bool = True):
+    # verify always writes JSON, so it takes no --format
+    if formats:
+        sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--config", default=None,
                      help="JSON file with defaults; explicit flags override")
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0)
     p.add_argument("--inject-fault", dest="inject_fault", default=None,
                    help=argparse.SUPPRESS)  # negative-control test hook
-    _add_output_flags(p)
+    _add_output_flags(p, formats=False)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -51,6 +51,13 @@ class CurvatureBundle:
     sectional: np.ndarray    # K(e_i, e_j) for i != j, shape (3,3), diag nan
     weyl: np.ndarray         # W_abcd, shape (3,3,3,3)
 
+    @classmethod
+    def from_tensors(cls, christoffel, riemann, ricci, scalar, metric) -> CurvatureBundle:
+        """The bundle of these tensors, with the sectional curvatures of the
+        coordinate planes and the Weyl tensor assembled from them."""
+        K = _on_planes(_sectional(riemann, metric, _PLANE_U, _PLANE_V))
+        return cls(christoffel, riemann, ricci, scalar, K, _weyl(riemann, ricci, metric))
+
 
 @dataclass(frozen=True)
 class SymmetryReport:
@@ -136,43 +143,55 @@ def scalar_curvature(params: ModelParams) -> float:
     return SCALAR_CURVATURE
 
 
-def sectional(sigma: float, params: ModelParams, u, v) -> float:
-    """Sectional curvature of the plane spanned by tangent vectors u, v.
-
-    u and v count as linearly dependent when the Gram determinant is below
-    1e-12 of <u,u><v,v>, a test that does not depend on the scale of g.
-    """
+def _sectional(R: np.ndarray, g: np.ndarray, u, v):
+    # K(u, v) per pair of rows of u and v (leading axes broadcast)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    g = metric_corr3(sigma, params)
-    R = riemann(sigma, params)
-    num = np.einsum("abcd,a,b,c,d->", R, u, v, u, v)
-    uu, vv = u @ g @ u, v @ g @ v
-    den = uu * vv - (u @ g @ v) ** 2
-    require(abs(den) > 1e-12 * uu * vv, "u and v are (numerically) linearly dependent")
+    num = np.einsum("abcd,...a,...b,...c,...d->...", R, u, v, u, v)
+    uu, vv, uv = (np.einsum("...a,ab,...b->...", x, g, y) for x, y in ((u, u), (v, v), (u, v)))
+    den = uu * vv - uv**2
+    require(np.all(abs(den) > 1e-12 * uu * vv),
+            "u and v are (numerically) linearly dependent")
     return num / den
+
+
+def sectional(sigma: float, params: ModelParams, u, v):
+    """Sectional curvature of the plane spanned by tangent vectors u, v, or
+    of each pair of rows when u and v are stacks (..., 3). u and v count as
+    linearly dependent when the Gram determinant is below 1e-12 of
+    <u,u><v,v>, a test that does not depend on the scale of g."""
+    return _sectional(riemann(sigma, params), metric_corr3(sigma, params), u, v)
+
+
+# mask of the six off-diagonal (i, j) coordinate planes, and their e_i, e_j
+_PLANES = ~np.eye(DIM, dtype=bool)
+_PLANE_U, _PLANE_V = (np.eye(DIM)[idx] for idx in np.nonzero(_PLANES))
+
+
+def _on_planes(values: np.ndarray) -> np.ndarray:
+    # the six coordinate-plane values as a (3, 3) table with nan on the diagonal
+    K = np.full((DIM, DIM), np.nan)
+    K[_PLANES] = values
+    return K
+
+
+def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a_bd b_ac - a_bc b_ad, the tensor structure of a maximally symmetric Riemann
+    return np.einsum("bd,ac->abcd", a, b) - np.einsum("bc,ad->abcd", a, b)
+
+
+def _weyl(R: np.ndarray, ric: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return R - _wedge(ric, g) / (DIM - 1)
 
 
 def weyl(sigma: float, params: ModelParams) -> np.ndarray:
     """Projective Weyl tensor W_abcd; identically zero on this manifold."""
-    g = metric_corr3(sigma, params)
-    R = riemann(sigma, params)
-    ric = ricci(sigma, params)
-    correction = (
-        np.einsum("bd,ac->abcd", ric, g) - np.einsum("bc,ad->abcd", ric, g)
-    ) / (DIM - 1)
-    return R - correction
+    return _weyl(riemann(sigma, params), ricci(sigma, params), metric_corr3(sigma, params))
 
 
 def sectional_coordinate_planes(sigma: float, params: ModelParams) -> np.ndarray:
     """K(e_i, e_j) for the three coordinate planes; nan on the diagonal."""
-    K = np.full((DIM, DIM), np.nan)
-    basis = np.eye(DIM)
-    for i in range(DIM):
-        for j in range(DIM):
-            if i != j:
-                K[i, j] = sectional(sigma, params, basis[i], basis[j])
-    return K
+    return _on_planes(sectional(sigma, params, _PLANE_U, _PLANE_V))
 
 
 def maximal_symmetry_check(sigma: float, params: ModelParams) -> SymmetryReport:
@@ -183,9 +202,7 @@ def maximal_symmetry_check(sigma: float, params: ModelParams) -> SymmetryReport:
     ginv = metric_corr3_inverse(sigma, params)
 
     ricci_res = np.abs(ric - (SCALAR_CURVATURE / DIM) * g).max() / np.abs(ric).max()
-    expected = (SCALAR_CURVATURE / (DIM * (DIM - 1))) * (
-        np.einsum("bd,ac->abcd", g, g) - np.einsum("bc,ad->abcd", g, g)
-    )
+    expected = (SCALAR_CURVATURE / (DIM * (DIM - 1))) * _wedge(g, g)
     riemann_res = np.abs(R - expected).max() / np.abs(R).max()
     trace_res = abs(np.einsum("ab,ab->", ginv, g) - DIM)
     return SymmetryReport(float(ricci_res), float(riemann_res), float(trace_res))
@@ -193,11 +210,6 @@ def maximal_symmetry_check(sigma: float, params: ModelParams) -> SymmetryReport:
 
 def bundle(sigma: float, params: ModelParams) -> CurvatureBundle:
     """Assemble every curvature quantity at (sigma, r)."""
-    return CurvatureBundle(
-        christoffel=christoffel(sigma, params),
-        riemann=riemann(sigma, params),
-        ricci=ricci(sigma, params),
-        scalar=scalar_curvature(params),
-        sectional=sectional_coordinate_planes(sigma, params),
-        weyl=weyl(sigma, params),
-    )
+    return CurvatureBundle.from_tensors(
+        christoffel(sigma, params), riemann(sigma, params), ricci(sigma, params),
+        scalar_curvature(params), metric_corr3(sigma, params))

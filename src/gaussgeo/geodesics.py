@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import curvature
 from ._elementwise import any_true, scalar_or_array
 from .errors import SaturationWarning, require, require_positive
 from .models import Macrostate3, ModelParams
@@ -152,21 +153,13 @@ def joined_path(tau, params: ModelParams, ic: InitialConditions) -> Macrostate3:
 def geodesic_equations_lhs(
     state: np.ndarray, velocity: np.ndarray, accel: np.ndarray, r: float
 ) -> np.ndarray:
-    """Left sides of the three geodesic equations for given derivatives.
+    """Left sides x'' + Gamma(x', x') of the three geodesic equations.
 
-    The three coordinates lead each argument; trailing axes broadcast.
+    Gamma is `curvature.christoffel`'s sigma = 1 table divided by sigma. The
+    three coordinates lead each argument; trailing axes broadcast.
     """
-    mu1d, mu2d, sigd = velocity
-    sig = state[2]
-    d = r * r - 1.0
-    return np.array([
-        accel[0] - 2.0 / sig * mu1d * sigd,
-        accel[1] - 2.0 / sig * mu2d * sigd,
-        accel[2]
-        - sigd**2 / sig
-        - (mu1d**2 + mu2d**2) / (4.0 * sig * d)
-        + r * mu1d * mu2d / (2.0 * sig * d),
-    ])
+    G1 = curvature.christoffel(1.0, ModelParams(r))
+    return accel + np.einsum("abc,b...,c...->a...", G1, velocity, velocity) / state[2]
 
 
 def geodesic_residual(

@@ -6,7 +6,9 @@ expectation, curvature by finite differences of the metric, geodesics and
 Jacobi fields by ODE integration of the defining equations, purity by
 brute-force quadrature of the four-fold trace integral, and the complexity
 by the literal nested volume integral. None of these calls the closed-form
-operation it validates.
+operation it validates. The geodesic and Jacobi ODEs are driven by
+`curvature.christoffel`, which the ``christoffel_fd`` check compares with
+finite differences of the metric.
 
 Oracles carry refinement self-tests (``check_convergence=True``): doubling
 the quadrature order or halving the step must move the result by less than
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -64,19 +67,6 @@ def _gauss_rule(build, order: int):
 # Fisher metric by quadrature of the defining expectation
 # ---------------------------------------------------------------------------
 
-def _scores_corr3(xy, mu1, mu2, sg, r):
-    dx, dy = xy[0] - mu1, xy[1] - mu2
-    omr2 = 1.0 - r * r
-    qt = dx * dx - 2.0 * r * dx * dy + dy * dy
-    return np.array(
-        [
-            (dx - r * dy) / (sg * sg * omr2),
-            (dy - r * dx) / (sg * sg * omr2),
-            -2.0 / sg + qt / (sg**3 * omr2),
-        ]
-    )
-
-
 def _scores_corr4(xy, mux, muy, sx, sy, r):
     dx, dy = xy[0] - mux, xy[1] - muy
     omr2 = 1.0 - r * r
@@ -111,21 +101,22 @@ def fisher_metric_numeric(
 
     ``model`` selects the family: "corr3" (state: Macrostate3) or "corr4"
     (state: Macrostate4). Scores are analytic; only the expectation is
-    numeric, on a 40 x 40 Gauss-Hermite product mesh.
+    numeric, on a 40 x 40 Gauss-Hermite product mesh. The corr3 scores are
+    the chain-rule image of the corr4 scores at sigma_x = sigma_y = sigma:
+    (s_mu1, s_mu2, s_sigma) = (s_mux, s_muy, s_sigmax + s_sigmay).
     """
     if model == "corr3":
-        r, sg = params.r, state.sigma
-        mean = np.array([state.mu1, state.mu2])
-        cov = sg * sg * np.array([[1.0, r], [r, 1.0]])
-        score = lambda xy: _scores_corr3(xy, state.mu1, state.mu2, sg, r)
+        mux, muy, sx, sy = state.mu1, state.mu2, state.sigma, state.sigma
     elif model == "corr4":
-        r = params.r
-        sx, sy = state.sigma_x, state.sigma_y
-        mean = np.array([state.mu_x, state.mu_y])
-        cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
-        score = lambda xy: _scores_corr4(xy, state.mu_x, state.mu_y, sx, sy, r)
+        mux, muy, sx, sy = state.mu_x, state.mu_y, state.sigma_x, state.sigma_y
     else:
         raise DomainError(f"unknown model {model!r}")
+    mean, r = np.array([mux, muy]), params.r
+    cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
+
+    def score(xy):
+        s = _scores_corr4(xy, mux, muy, sx, sy, r)
+        return s if model == "corr4" else np.array([s[0], s[2], s[1] + s[3]])
 
     g = _fisher_quadrature(mean, cov, score, 40)
     if check_convergence:
@@ -151,22 +142,18 @@ class GeodesicComparison:
     max_rel_error: float
 
 
-def _geodesic_rhs(r):
-    d = r * r - 1.0
+def _geodesic_rhs(params: ModelParams):
+    # x'' = -Gamma(x', x'), Gamma the sigma = 1 table over sigma, summed over
+    # its nonzero entries in floats (numpy calls on 3-vectors cost more)
+    terms = [(a, b, c, float(G)) for (a, b, c), G in
+             np.ndenumerate(curvature.christoffel(1.0, params)) if G]
 
     def rhs(_t, y):
-        mu1d, mu2d, sigd = y[3], y[4], y[5]
-        sig = y[2]
-        return [
-            mu1d,
-            mu2d,
-            sigd,
-            2.0 * mu1d * sigd / sig,
-            2.0 * mu2d * sigd / sig,
-            sigd * sigd / sig
-            + (mu1d * mu1d + mu2d * mu2d) / (4.0 * sig * d)
-            - r * mu1d * mu2d / (2.0 * sig * d),
-        ]
+        sg, *v = y[2:].tolist()
+        acc = [0.0, 0.0, 0.0]
+        for a, b, c, G in terms:
+            acc[a] -= G * v[b] * v[c]
+        return [*v, acc[0] / sg, acc[1] / sg, acc[2] / sg]
 
     return rhs
 
@@ -205,7 +192,7 @@ def geodesic_integrate(
     t0, t1 = tau_span
     y0 = _geodesic_start(params, ic, t0)
     t_eval = np.linspace(t0, t1, n_samples)
-    ts, ys = _integrate(_geodesic_rhs(params.r), y0, t0, t1, spec, t_eval=t_eval)
+    ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec, t_eval=t_eval)
     closed = geodesics.geodesic_corr(ts, params, ic).as_array().T
     scale = np.abs(closed).max(axis=0)
     rel = np.abs(ys[:, :3] - closed) / scale[None, :]
@@ -221,7 +208,7 @@ def geodesic_roundtrip_error(
     """Forward-then-backward integration error at the start state (reversibility)."""
     t0, t1 = tau_span
     y0 = _geodesic_start(params, ic, t0)
-    rhs = _geodesic_rhs(params.r)
+    rhs = _geodesic_rhs(params)
     _, fwd = _integrate(rhs, y0, t0, t1, spec)
     _, back = _integrate(rhs, fwd[-1], t1, t0, spec)
     scale = np.maximum(np.abs(y0), 1.0)
@@ -274,7 +261,9 @@ def jacobi_integrate(
     # The r-only tensors at sigma = 1; the exact sigma scalings
     # Gamma ~ 1/sigma, d_sigma Gamma = -Gamma/sigma and g^-1 R ~ 1/sigma^2
     # (checked by christoffel_fd and riemann_fd) carry them along the path.
-    G1 = curvature.christoffel(1.0, params)
+    # The background acceleration is -Gamma(v, v), so curvature.christoffel,
+    # which christoffel_fd checks against the metric, drives the whole ODE.
+    G9 = curvature.christoffel(1.0, params).reshape(9, 3)
     S1 = np.einsum(
         "ae,ebcd->abcd",
         models.metric_corr3_inverse(1.0, params),
@@ -285,12 +274,12 @@ def jacobi_integrate(
         J, K = y[:3], y[3:]
         sg = geodesics.geodesic_corr(t, params, ic).sigma
         v = geodesics.geodesic_velocity(t, params, ic)
-        acc = geodesics.geodesic_acceleration(t, params, ic)
         # Gv[a, b] = Gamma^a_bc v^c, the connection contracted with the velocity
-        Gv = (G1 @ v) / sg
+        Gv = (G9 @ v).reshape(3, 3) / sg
+        acc = -Gv @ v  # the geodesic equation
         Jdd = (
             -2.0 * Gv @ K
-            - (G1 @ acc) @ J / sg
+            - (G9 @ acc).reshape(3, 3) @ J / sg
             + v[2] / sg * Gv @ J
             - Gv @ Gv @ J
             - ((S1 @ v) @ J) @ v / sg**2
@@ -386,16 +375,7 @@ def curvature_fd(
     ginv = np.linalg.inv(g)
     ric = np.einsum("bd,abcd->ac", ginv, riem)
     scal = float(np.einsum("ac,ac->", ginv, ric))
-    weyl_fd = riem - (
-        np.einsum("bd,ac->abcd", ric, g) - np.einsum("bc,ad->abcd", ric, g)
-    ) / 2.0
-    # coordinate-plane sectional curvatures R_ijij / (g_ii g_jj - g_ij^2)
-    den = np.outer(np.diag(g), np.diag(g)) - g * g
-    K = np.divide(np.einsum("ijij->ij", riem), den,
-                  out=np.full((3, 3), np.nan), where=~np.eye(3, dtype=bool))
-    return curvature.CurvatureBundle(
-        christoffel=G_fd, riemann=riem, ricci=ric, scalar=scal, sectional=K, weyl=weyl_fd
-    )
+    return curvature.CurvatureBundle.from_tensors(G_fd, riem, ric, scal, g)
 
 
 # ---------------------------------------------------------------------------
@@ -575,19 +555,25 @@ _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
 
 # Each _check_* yields its residuals, one or more per point it samples.
 
-# Oracle results that several checks share, keyed by function and arguments.
-# run_verification empties it when it starts, so no battery reads a result
-# that an earlier one computed.
-_RUN_MEMO: dict = {}
+class _RunMemo(threading.local):
+    # Oracle results that several checks share, keyed by function and
+    # arguments, one memo per thread. run_verification empties it when it
+    # starts, so no battery reads a result that another one computed.
+    def __init__(self):
+        self.results = {}
+
+
+_RUN_MEMO = _RunMemo()
 
 
 def _per_run(fn):
     @functools.wraps(fn)
     def shared(*args):
+        results = _RUN_MEMO.results
         key = (fn.__name__, *args)
-        if key not in _RUN_MEMO:
-            _RUN_MEMO[key] = fn(*args)
-        return _RUN_MEMO[key]
+        if key not in results:
+            results[key] = fn(*args)
+        return results[key]
 
     return shared
 
@@ -613,10 +599,14 @@ def _check_metric4_quadrature():
             yield np.abs(closed - fisher_metric_numeric("corr4", state, params)).max()
 
 
+# one finite-difference bundle per grid point serves the three fd checks
+_curvature_fd_run = _per_run(curvature_fd)
+
+
 def _check_curvature_fd(residual):
     # residual(fd, sigma, params): the gap between curvature_fd and the closed form
     for sg, params in _GRID:
-        yield residual(curvature_fd(sg, params), sg, params)
+        yield residual(_curvature_fd_run(sg, params), sg, params)
 
 
 def _check_curvature_constants():
@@ -823,7 +813,7 @@ def run_verification(
             lambda: f"unknown check group {only!r}; available: {GROUPS}")
     require(fault is None or fault in {row[0] for row in _CHECKS},
             lambda: f"unknown check {fault!r} to fault-inject")
-    _RUN_MEMO.clear()
+    _RUN_MEMO.results.clear()
     results = []
     for name, group, (lo, hi), fn in _CHECKS:
         if only is not None and group != only:

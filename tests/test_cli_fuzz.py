@@ -103,9 +103,7 @@ def test_exit_code_contract(invocation):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (argv, config, err)
     if code == 0:
-        # no drawn config value is a valid format, so only a flag selects csv;
-        # verify always writes JSON
-        csv_out = "--format=csv" in argv and argv[0] != "verify"
-        _assert_parses(out, "csv" if csv_out else "json")
+        # no drawn config value is a valid format, so only a flag selects csv
+        _assert_parses(out, "csv" if "--format=csv" in argv else "json")
     else:
         assert err

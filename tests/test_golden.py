@@ -1,5 +1,5 @@
 """Golden output of the four table commands (geodesic, jacobi, complexity,
-prolongation) in CSV and JSON.
+prolongation) and of the ``curvature`` record in CSV and JSON.
 
 Each file under ``tests/golden`` is the stdout of ``gaussgeo <argv> --format
 <fmt>`` for one case of `CASES`, as written by the row-at-a-time CLI that
@@ -19,6 +19,10 @@ them the ulp is taken of the largest term of the subtraction (`_scale`):
 * ``ige_gap``: the difference of the correlated and flat entropies, each of
   size lam tau - ln(lam tau);
 * ``delta_exact``: tau_star - tau0 with tau_star = artanh(...)/A0.
+
+The ``curvature`` records (`RECORD_CASES`) are compared byte for byte, floats
+included: the closed forms behind them are unchanged since the fixtures were
+written, so any difference is a change of the program's arithmetic.
 
 JSON warnings are compared per kind: a kind may be reported as several
 messages or as one message that carries the count ("at N of M elements"),
@@ -60,6 +64,13 @@ CASES = {
     # r_bound ~ 0.0199: the upper rows are flagged with NaN prolongations
     "prolongation_past_bound": ["prolongation", "--r-min", "0", "--r-max",
                                 "0.03", "--n", "31"],
+}
+
+#: Record commands, pinned byte for byte.
+RECORD_CASES = {
+    "curvature_s1_r07": ["curvature", "--sigma", "1", "--r", "0.7"],
+    "curvature_s01_r03": ["curvature", "--sigma", "0.1", "--r", "0.3"],
+    "curvature_s2e3_r05": ["curvature", "--sigma", "2e3", "--r", "0.5"],
 }
 
 #: Float literal of CSV (%.17g) or JSON (float repr); a bare integer or the
@@ -166,3 +177,10 @@ def test_table_matches_golden(capsys, name, fmt):
     got = _run(capsys, argv)
     _assert_matches_golden(argv[0], argv, got, want, fmt)
     assert _run(capsys, argv) == got  # reruns are byte-identical
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+def test_record_matches_golden_bytes(capsys, name, fmt):
+    want = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+    assert _run(capsys, RECORD_CASES[name] + ["--format", fmt]) == want

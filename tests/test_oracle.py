@@ -1,6 +1,8 @@
 """Self-tests of the numeric verification engines."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -42,26 +44,31 @@ class TestFisherMetricNumeric:
 
     @pytest.mark.parametrize("model", ["corr3", "corr4"])
     def test_mesh_product_matches_node_loop(self, model):
-        # reference: the node-by-node double loop the weighted product replaced;
-        # only the summation order differs, so agreement is to rounding
+        # reference: the node-by-node double loop the weighted product replaced,
+        # with the corr3 scores written as the chain-rule matrix C applied to
+        # the corr4 scores; only the summation order differs, so agreement is
+        # to rounding
         r = 0.6
         if model == "corr3":
-            mean, sg = np.array([0.4, -0.3]), 0.7
-            cov = sg * sg * np.array([[1.0, r], [r, 1.0]])
-            score = lambda xy: oracle._scores_corr3(xy, 0.4, -0.3, sg, r)
+            mux, muy, sx, sy = 0.4, -0.3, 0.7, 0.7
+            state = Macrostate3(mux, muy, sx)
+            C = np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]])
         else:
-            mean, sx, sy = np.array([0.2, -0.5]), 0.5, 1.5
-            cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
-            score = lambda xy: oracle._scores_corr4(xy, 0.2, -0.5, sx, sy, r)
+            mux, muy, sx, sy = 0.2, -0.5, 0.5, 1.5
+            state = Macrostate4(mux, muy, sx, sy)
+            C = np.eye(4)
+        mean = np.array([mux, muy])
+        cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
         nodes, weights = np.polynomial.hermite.hermgauss(40)
         L = np.linalg.cholesky(cov)
         ref = 0.0
         for i, zi in enumerate(nodes):
             for j, zj in enumerate(nodes):
-                s = score(mean + math.sqrt(2.0) * L @ np.array([zi, zj]))
+                xy = mean + math.sqrt(2.0) * L @ np.array([zi, zj])
+                s = C @ oracle._scores_corr4(xy, mux, muy, sx, sy, r)
                 ref = ref + (weights[i] * weights[j]) * np.outer(s, s)
         ref = ref / math.pi
-        got = oracle._fisher_quadrature(mean, cov, score, 40)
+        got = oracle.fisher_metric_numeric(model, state, ModelParams(r))
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -314,6 +321,67 @@ class TestVerificationBattery:
             nfev.append(0)
             assert all(res.passed for res in oracle.run_verification(only="chaos"))
         assert nfev[0] == nfev[1] > 0
+
+    def test_run_memo_is_private_to_a_thread(self):
+        # a result stored in one thread is neither seen nor cleared by a
+        # battery that runs in another
+        params = ModelParams(0.3)
+        oracle.run_verification(only="oracle")  # starts with an empty memo
+        first = oracle._curvature_fd_run(1.0, params)
+        assert oracle._curvature_fd_run(1.0, params) is first
+        seen = []
+
+        def other_battery():
+            oracle.run_verification(only="oracle")
+            seen.append(oracle._curvature_fd_run(1.0, params))
+
+        thread = threading.Thread(target=other_battery)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen[0] is not first
+        assert oracle._curvature_fd_run(1.0, params) is first
+
+    def test_concurrent_batteries_agree(self):
+        # batteries in more threads than cores, switching often, each read
+        # only their own memo: none raises and all report the serial residuals
+        expected = [res.as_dict() for res in oracle.run_verification(only="scattering")]
+        got, errors = [], []
+
+        def battery():
+            try:
+                for _ in range(3):
+                    got.append([res.as_dict()
+                                for res in oracle.run_verification(only="scattering")])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=battery) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert got == [expected] * 12
+
+    def test_christoffel_fault_reaches_every_user(self, monkeypatch):
+        # curvature.christoffel is the one Gamma table behind the fd check,
+        # the stencil residual and the geodesic ODE: its Gamma^sigma_{mu mu}
+        # family 1% off fails all three
+        christoffel = curvature.christoffel
+        scale = np.ones((3, 3, 3))
+        scale[2, :2, :2] = 1.01
+        monkeypatch.setattr(curvature, "christoffel",
+                            lambda sigma, params: christoffel(sigma, params) * scale)
+        failed = {res.name for group in ("curvature", "geodesics")
+                  for res in oracle.run_verification(only=group) if not res.passed}
+        assert {"christoffel_fd", "geodesic_residual", "geodesic_ode"} <= failed
 
     @pytest.mark.parametrize("build, order", [
         (np.polynomial.hermite.hermgauss, 40), (np.polynomial.legendre.leggauss, 64)])
