@@ -6,9 +6,10 @@ expectation, curvature by finite differences of the metric, geodesics and
 Jacobi fields by ODE integration of the defining equations, purity by
 brute-force quadrature of the four-fold trace integral, and the complexity
 by the literal nested volume integral. None of these calls the closed-form
-operation it validates. The geodesic and Jacobi ODEs are driven by
-`curvature.christoffel`, which the ``christoffel_fd`` check compares with
-finite differences of the metric.
+operation it validates. One table of `curvature.christoffel`, which the
+``christoffel_fd`` check compares with finite differences of the metric,
+drives both ODEs: x'' = -Gamma(x', x') for geodesics, and its linearisation
+about the closed-form path for Jacobi fields.
 
 Oracles carry refinement self-tests (``check_convergence=True``): doubling
 the quadrature order or halving the step must move the result by less than
@@ -80,15 +81,20 @@ def _scores_corr4(xy, mux, muy, sx, sy, r):
     )
 
 
-def _fisher_quadrature(mean, cov, score_fn, order):
-    # E[s s^T] under N(mean, cov): the Gauss-Hermite product mesh, mapped
-    # through the Cholesky factor, summed as one weighted product
+def _fisher_quadrature(mux, muy, sx, sy, r, embed, order):
+    # embed^T E[s s^T] embed, s the corr4 scores: the Gauss-Hermite product
+    # mesh, mapped through the Cholesky factor, summed as one weighted product
     nodes, weights = _gauss_rule(np.polynomial.hermite.hermgauss, order)
     z = np.stack(np.meshgrid(nodes, nodes, indexing="ij")).reshape(2, -1)
-    xy = mean[:, None] + math.sqrt(2.0) * np.linalg.cholesky(cov) @ z
-    s = score_fn(xy)
+    cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
+    xy = np.array([[mux], [muy]]) + math.sqrt(2.0) * np.linalg.cholesky(cov) @ z
+    s = _scores_corr4(xy, mux, muy, sx, sy, r)
     w = np.outer(weights, weights).ravel()
-    return (s * w) @ s.T / math.pi
+    return embed.T @ ((s * w) @ s.T / math.pi) @ embed
+
+
+# d(mux, sigmax, muy, sigmay) / d(mu1, mu2, sigma) on the corr3 submanifold
+_CORR3_EMBEDDING = np.array([[1.0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1]])
 
 
 def fisher_metric_numeric(
@@ -101,26 +107,19 @@ def fisher_metric_numeric(
 
     ``model`` selects the family: "corr3" (state: Macrostate3) or "corr4"
     (state: Macrostate4). Scores are analytic; only the expectation is
-    numeric, on a 40 x 40 Gauss-Hermite product mesh. The corr3 scores are
-    the chain-rule image of the corr4 scores at sigma_x = sigma_y = sigma:
-    (s_mu1, s_mu2, s_sigma) = (s_mux, s_muy, s_sigmax + s_sigmay).
+    numeric, on a 40 x 40 Gauss-Hermite product mesh. corr3 is corr4 at
+    sigma_x = sigma_y = sigma, so its metric is the pullback C^T g4 C of the
+    corr4 quadrature by the constant embedding Jacobian C.
     """
     if model == "corr3":
-        mux, muy, sx, sy = state.mu1, state.mu2, state.sigma, state.sigma
+        args = (state.mu1, state.mu2, state.sigma, state.sigma, params.r, _CORR3_EMBEDDING)
     elif model == "corr4":
-        mux, muy, sx, sy = state.mu_x, state.mu_y, state.sigma_x, state.sigma_y
+        args = (state.mu_x, state.mu_y, state.sigma_x, state.sigma_y, params.r, np.eye(4))
     else:
         raise DomainError(f"unknown model {model!r}")
-    mean, r = np.array([mux, muy]), params.r
-    cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
-
-    def score(xy):
-        s = _scores_corr4(xy, mux, muy, sx, sy, r)
-        return s if model == "corr4" else np.array([s[0], s[2], s[1] + s[3]])
-
-    g = _fisher_quadrature(mean, cov, score, 40)
+    g = _fisher_quadrature(*args, 40)
     if check_convergence:
-        g2 = _fisher_quadrature(mean, cov, score, 80)
+        g2 = _fisher_quadrature(*args, 80)
         if np.abs(g - g2).max() > 1e-7:
             raise ConvergenceError(
                 f"Fisher quadrature drift {np.abs(g - g2).max():.3g} at order doubling"
@@ -142,11 +141,16 @@ class GeodesicComparison:
     max_rel_error: float
 
 
+def _christoffel_terms(params: ModelParams):
+    # the nonzero (a, b, c, Gamma^a_bc) of the sigma = 1 table as floats: the
+    # one Gamma both ODEs sum over (numpy calls on 3-vectors cost more)
+    return [(a, b, c, float(G)) for (a, b, c), G in
+            np.ndenumerate(curvature.christoffel(1.0, params)) if G]
+
+
 def _geodesic_rhs(params: ModelParams):
-    # x'' = -Gamma(x', x'), Gamma the sigma = 1 table over sigma, summed over
-    # its nonzero entries in floats (numpy calls on 3-vectors cost more)
-    terms = [(a, b, c, float(G)) for (a, b, c), G in
-             np.ndenumerate(curvature.christoffel(1.0, params)) if G]
+    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma
+    terms = _christoffel_terms(params)
 
     def rhs(_t, y):
         sg, *v = y[2:].tolist()
@@ -154,6 +158,23 @@ def _geodesic_rhs(params: ModelParams):
         for a, b, c, G in terms:
             acc[a] -= G * v[b] * v[c]
         return [*v, acc[0] / sg, acc[1] / sg, acc[2] / sg]
+
+    return rhs
+
+
+def _jacobi_rhs(params: ModelParams, ic: InitialConditions):
+    # the geodesic equation linearised about the closed-form path, by
+    # d_sigma Gamma = -Gamma / sigma: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma
+    terms = _christoffel_terms(params)
+
+    def rhs(t, y):
+        sg = geodesics.geodesic_corr(t, params, ic).sigma
+        v = geodesics.geodesic_velocity(t, params, ic).tolist()
+        Js, *K = y[2:].tolist()
+        acc = [0.0, 0.0, 0.0]
+        for a, b, c, G in terms:
+            acc[a] -= G * v[b] * (2.0 * K[c] - v[c] * Js / sg)
+        return [*K, acc[0] / sg, acc[1] / sg, acc[2] / sg]
 
     return rhs
 
@@ -216,7 +237,7 @@ def geodesic_roundtrip_error(
 
 
 # ---------------------------------------------------------------------------
-# Jacobi field by integrating the full vector deviation equation
+# Jacobi field as the linearised geodesic flow
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -252,43 +273,20 @@ def jacobi_integrate(
 ) -> JacobiComparison:
     """Integrate the vector geodesic-deviation equation along the geodesic.
 
+    A Jacobi field is the variation field of a family of geodesics, so it
+    obeys x'' = -Gamma(x', x') linearised about the closed-form path with
+    velocity v: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma, the
+    covariant D^2 J + R(J, v) v = 0 in coordinates. Gamma alone drives it.
+
     Initial data: J(0) = 0 and DJ/dtau(0) = omega0 * w with w a g-unit
     vector orthogonal to the velocity; orthogonality of J to the velocity
     is monitored along the whole trajectory.
     """
     A0 = geodesics.amplitude_A0(ic)
     w = _orthonormal_seed(params, ic)
-    # The r-only tensors at sigma = 1; the exact sigma scalings
-    # Gamma ~ 1/sigma, d_sigma Gamma = -Gamma/sigma and g^-1 R ~ 1/sigma^2
-    # (checked by christoffel_fd and riemann_fd) carry them along the path.
-    # The background acceleration is -Gamma(v, v), so curvature.christoffel,
-    # which christoffel_fd checks against the metric, drives the whole ODE.
-    G9 = curvature.christoffel(1.0, params).reshape(9, 3)
-    S1 = np.einsum(
-        "ae,ebcd->abcd",
-        models.metric_corr3_inverse(1.0, params),
-        curvature.riemann(1.0, params),
-    )
-
-    def rhs(t, y):
-        J, K = y[:3], y[3:]
-        sg = geodesics.geodesic_corr(t, params, ic).sigma
-        v = geodesics.geodesic_velocity(t, params, ic)
-        # Gv[a, b] = Gamma^a_bc v^c, the connection contracted with the velocity
-        Gv = (G9 @ v).reshape(3, 3) / sg
-        acc = -Gv @ v  # the geodesic equation
-        Jdd = (
-            -2.0 * Gv @ K
-            - (G9 @ acc).reshape(3, 3) @ J / sg
-            + v[2] / sg * Gv @ J
-            - Gv @ Gv @ J
-            - ((S1 @ v) @ J) @ v / sg**2
-        )
-        return np.concatenate([K, Jdd])
-
     y0 = np.concatenate([np.zeros(3), omega0 * w])
     t_eval = np.linspace(0.0, tau_max, n_samples)
-    ts, ys = _integrate(rhs, y0, 0.0, tau_max, spec, t_eval=t_eval)
+    ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec, t_eval=t_eval)
 
     # g = g1 / sigma^2 along the path, contracted per sample
     g1 = models.metric_corr3(1.0, params)
@@ -804,15 +802,17 @@ def run_verification(
     """Run the oracle-vs-closed-form battery.
 
     ``only`` filters by group name; ``tol_scale`` widens (> 1) or narrows
-    every pass band; ``fault`` names a check to fault-inject (negative-control
-    hook used by the test suite). A check's residual is the maximum of the
+    every pass band; ``fault`` names a check that runs to fault-inject
+    (negative-control hook). A check's residual is the maximum of the
     residuals it yields; NaN propagates, so a non-finite value fails the band.
     """
     require_positive(tol_scale=tol_scale)
     require(only is None or only in GROUPS,
             lambda: f"unknown check group {only!r}; available: {GROUPS}")
-    require(fault is None or fault in {row[0] for row in _CHECKS},
-            lambda: f"unknown check {fault!r} to fault-inject")
+    # a fault outside the checks that run would go unseen
+    runs = {name for name, group, *_ in _CHECKS if only in (None, group)}
+    require(fault is None or fault in runs,
+            lambda: f"no check {fault!r} to fault-inject among the checks that run")
     _RUN_MEMO.results.clear()
     results = []
     for name, group, (lo, hi), fn in _CHECKS:

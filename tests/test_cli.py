@@ -276,6 +276,14 @@ class TestVerifyCommand:
         assert out == ""
         assert "bogus" in err
 
+    def test_fault_outside_group_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--only", "models", "--inject-fault", "purity_scaling",
+        )
+        assert code == 2
+        assert out == ""
+        assert "purity_scaling" in err
+
 
 class TestExtremeInput:
     """Non-finite and extreme finite input exits 2 with a message, no traceback."""

@@ -202,6 +202,33 @@ class TestJacobiIntegrate:
         assert abs(a.max_rel_error - b.max_rel_error) < 1e-6
         assert abs(2.0 * (a.fitted_rate - b.fitted_rate)) / (2.0 * A0) < 1e-3
 
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.7, 0.9])
+    def test_rhs_is_covariant_jacobi_equation(self, desk_ic, rng, r):
+        # the linearised geodesic flow equals the covariant deviation equation
+        # D^2 J + R(J, v) v = 0 written out in coordinates, with
+        # DJ = J' + Gamma(v) J and d_sigma Gamma = -Gamma / sigma
+        params = ModelParams(r)
+        rhs = oracle._jacobi_rhs(params, desk_ic)
+        for tau in rng.uniform(-3.0, 3.0, 50):
+            J, K = rng.standard_normal(3), rng.standard_normal(3)
+            sg = geodesics.geodesic_corr(tau, params, desk_ic).sigma
+            v = geodesics.geodesic_velocity(tau, params, desk_ic)
+            G = curvature.christoffel(sg, params)
+            Rup = np.einsum("ae,ebcd->abcd", models.metric_corr3_inverse(sg, params),
+                            curvature.riemann(sg, params))
+            Gv = G @ v  # Gv[a, b] = Gamma^a_bc v^c
+            acc = -Gv @ v
+            expected = (
+                -2.0 * Gv @ K
+                - (G @ acc) @ J
+                + v[2] / sg * Gv @ J
+                - Gv @ Gv @ J
+                - np.einsum("abcd,b,c,d->a", Rup, v, J, v)
+            )
+            got = np.asarray(rhs(tau, np.concatenate([J, K])))
+            assert np.array_equal(got[:3], K)
+            assert np.abs(got[3:] - expected).max() <= 1e-12 * np.abs(expected).max()
+
 
 class TestDimensionalReduction:
     def test_reference_case(self, desk_cfg):
@@ -259,6 +286,11 @@ class TestVerificationBattery:
     def test_unknown_fault_rejected(self):
         with pytest.raises(DomainError):
             oracle.run_verification(only="models", fault="bogus")
+
+    def test_fault_outside_group_rejected(self):
+        # a negative control on a check that does not run would pass unseen
+        with pytest.raises(DomainError, match="purity_scaling"):
+            oracle.run_verification(only="models", fault="purity_scaling")
 
     def test_two_sided_band(self):
         # the purity_scaling ratio (~4.005) must lie in [3.5, 4.5] scaled by
@@ -372,16 +404,26 @@ class TestVerificationBattery:
 
     def test_christoffel_fault_reaches_every_user(self, monkeypatch):
         # curvature.christoffel is the one Gamma table behind the fd check,
-        # the stencil residual and the geodesic ODE: its Gamma^sigma_{mu mu}
-        # family 1% off fails all three
+        # the stencil residual, the geodesic ODE and the Jacobi ODE: its
+        # Gamma^sigma_{mu mu} family 1% off fails all four
         christoffel = curvature.christoffel
         scale = np.ones((3, 3, 3))
         scale[2, :2, :2] = 1.01
         monkeypatch.setattr(curvature, "christoffel",
                             lambda sigma, params: christoffel(sigma, params) * scale)
-        failed = {res.name for group in ("curvature", "geodesics")
+        failed = {res.name for group in ("curvature", "geodesics", "chaos")
                   for res in oracle.run_verification(only=group) if not res.passed}
-        assert {"christoffel_fd", "geodesic_residual", "geodesic_ode"} <= failed
+        assert {"christoffel_fd", "geodesic_residual", "geodesic_ode",
+                "jacobi_intensity"} <= failed
+
+    def test_riemann_fault_reaches_its_checks(self, monkeypatch):
+        # the ODE oracles do not read R: curvature.riemann 1% off fails the
+        # checks that compare it and only those
+        riemann = curvature.riemann
+        monkeypatch.setattr(curvature, "riemann",
+                            lambda sigma, params: riemann(sigma, params) * 1.01)
+        failed = {res.name for res in oracle.run_verification() if not res.passed}
+        assert failed == {"riemann_fd", "curvature_constants"}
 
     @pytest.mark.parametrize("build, order", [
         (np.polynomial.hermite.hermgauss, 40), (np.polynomial.legendre.leggauss, 64)])
