@@ -4,16 +4,19 @@ Commands: metric, curvature, geodesic, jacobi, complexity, scatter,
 prolongation, verify. Every emitted number is produced by exactly one core
 operation; the CLI only formats. Output is deterministic: CSV uses 17
 significant digits, '.' decimal separator, LF endings; JSON uses a stable
-key order. Validity warnings go to stderr (and the JSON ``warnings``
-field) without changing the exit code. Exit codes: 0 success, 1
-verification failure, 2 usage or domain error, including an arithmetic
-overflow or a singular matrix from extreme finite input. numpy's divide,
-overflow and invalid floating-point errors raise rather than warn.
+key order. Validity warnings go to stderr as ``warning: <Category>:
+<message>`` lines (and as bare messages to the JSON ``warnings`` field)
+without changing the exit code; a CSV table warns with the names of the
+extra fields it cannot hold. Exit codes: 0 success, 1 verification
+failure, 2 usage or domain error, including an arithmetic overflow or a
+singular matrix from extreme finite input. numpy's divide, overflow and
+invalid floating-point errors raise rather than warn.
 
 The table commands (geodesic, jacobi, complexity, prolongation) evaluate
 their closed forms once per column over the whole grid and write the
-table column by column. The oracle, which imports scipy.integrate, is
-loaded only by ``verify``.
+table column by column. A command returns its table, a (columns, extra)
+pair, or its record dict; `main` alone captures warnings and writes output.
+The oracle, which imports scipy.integrate, is loaded only by ``verify``.
 """
 
 from __future__ import annotations
@@ -118,42 +121,36 @@ def _emit_record(record: dict, fmt, out, warn_list=None):
 
 
 def _report_warnings(caught) -> list[str]:
-    messages = [str(w.message) for w in caught]
-    for msg in messages:
-        print(f"warning: {msg}", file=sys.stderr)
-    return messages
+    for w in caught:
+        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+    return [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_metric(args) -> int:
+def _cmd_metric(args) -> dict:
     params = ModelParams(args.r)
     if args.dim == 3:
         g = models.metric_corr3(args.sigma, params)
     else:
         g = models.metric_corr4(args.sigma_x, args.sigma_y, params)
-    record = {}
-    n = g.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            record[f"g_{i + 1}{j + 1}"] = float(g[i, j])
-    record["determinant"] = float(np.linalg.det(g))
-    record["eigenvalues"] = [float(v) for v in np.linalg.eigvalsh(g)]
     if args.format == "json":
-        record = {"matrix": [[float(v) for v in row] for row in g],
-                  "determinant": record["determinant"],
-                  "eigenvalues": record["eigenvalues"]}
-    _emit_record(record, args.format, args.out)
-    return 0
+        record = {"matrix": g.tolist()}
+    else:  # CSV lists the upper triangle, one entry per line
+        n = g.shape[0]
+        record = {f"g_{i + 1}{j + 1}": float(g[i, j]) for i in range(n) for j in range(i, n)}
+    record["determinant"] = float(np.linalg.det(g))
+    record["eigenvalues"] = np.linalg.eigvalsh(g).tolist()
+    return record
 
 
-def _cmd_curvature(args) -> int:
+def _cmd_curvature(args) -> dict:
     params = ModelParams(args.r)
     bundle = curvature.bundle(args.sigma, params)
     report = curvature.maximal_symmetry_check(args.sigma, params)
-    record = {
+    return {
         "scalar": bundle.scalar,
         "sectional_12": float(bundle.sectional[0, 1]),
         "sectional_13": float(bundle.sectional[0, 2]),
@@ -163,8 +160,6 @@ def _cmd_curvature(args) -> int:
         "riemann_identity_residual": report.riemann_residual,
         "trace_identity_residual": report.trace_residual,
     }
-    _emit_record(record, args.format, args.out)
-    return 0
 
 
 def _grid(lo, hi, n) -> np.ndarray:
@@ -181,127 +176,103 @@ def _tau_grid(tau_min, tau_max, n) -> np.ndarray:
     return grid
 
 
-def _cmd_geodesic(args) -> int:
+def _cmd_geodesic(args) -> tuple[dict, dict]:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
     params = ModelParams(args.r)
     tau = _tau_grid(args.tau_min, args.tau_max, args.n)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        state = geodesics.joined_path(tau, params, ic)
-    _emit_table({"tau": tau, "mu1": state.mu1, "mu2": state.mu2,
-                 "sigma": state.sigma}, args.format, args.out,
-                warn_list=_report_warnings(caught))
-    return 0
+    state = geodesics.joined_path(tau, params, ic)
+    return {"tau": tau, "mu1": state.mu1, "mu2": state.mu2, "sigma": state.sigma}, {}
 
 
-def _cmd_jacobi(args) -> int:
+def _cmd_jacobi(args) -> tuple[dict, dict]:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
     A0 = geodesics.amplitude_A0(ic)
     tau = _grid(0.0, args.tau_max, args.n)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        intensity = chaos.jacobi_intensity(tau, args.omega0, A0)
-        estimate = chaos.lyapunov_estimate(args.omega0, A0, args.tau_max)
-    extra = {
+    intensity = chaos.jacobi_intensity(tau, args.omega0, A0)
+    estimate = chaos.lyapunov_estimate(args.omega0, A0, args.tau_max)
+    return {"tau": tau, "intensity": intensity}, {
         "lambda": chaos.lyapunov_exponent(A0),
         "lyapunov_estimate": estimate.value,
         "lyapunov_raw": estimate.raw,
         "jlc_coefficient": chaos.jlc_coefficient(A0),
     }
-    _emit_table({"tau": tau, "intensity": intensity}, args.format, args.out,
-                extra=extra, warn_list=_report_warnings(caught))
-    return 0
 
 
-def _cmd_complexity(args) -> int:
+def _cmd_complexity(args) -> tuple[dict, dict]:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
     lam = 2.0 * geodesics.amplitude_A0(ic)
     r_values = args.r if args.r else [0.0]
     tau = _tau_grid(args.tau_min, args.tau_max, args.n)
     # the grid increases, so rows past the overflow guard form its tail
     keep = int(np.count_nonzero(lam * tau <= complexity.LAMBDA_TAU_MAX))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        kept = tau[:keep]
-        igc = np.array([complexity.igc_closed(kept, ModelParams(r), ic)
-                        for r in r_values]).T
-        ige = np.array([complexity.ige_closed(kept, ModelParams(r), ic)
-                        for r in r_values]).T
-        if keep < len(tau):
-            warnings.warn(
-                f"lambda*tau = {lam * tau[keep]:.3g} beyond overflow guard; "
-                "remaining rows truncated"
-            )
-    columns = {
+    kept = tau[:keep]
+    igc = np.array([complexity.igc_closed(kept, ModelParams(r), ic) for r in r_values]).T
+    ige = np.array([complexity.ige_closed(kept, ModelParams(r), ic) for r in r_values]).T
+    if keep < len(tau):
+        warnings.warn(
+            f"lambda*tau = {lam * tau[keep]:.3g} beyond overflow guard; "
+            "remaining rows truncated"
+        )
+    return {
         "tau": np.repeat(kept, len(r_values)),
         "r": np.tile(np.asarray(r_values, dtype=float), keep),
         "igc": igc.ravel(),
         "ige": ige.ravel(),
         "ratio": np.tile([complexity.igc_ratio(ModelParams(r)) for r in r_values], keep),
         "ige_gap": np.tile([complexity.ige_gap(ModelParams(r)) for r in r_values], keep),
+    }, {}
+
+
+def _cmd_scatter(args) -> dict:
+    cfg = ScatteringConfig(
+        k0=args.k0, sigma_k0=args.sigma_k0, R0=args.R0, L=args.L,
+        a_s=args.a_s, reduced_mass=args.mu, hbar=args.hbar,
+    )
+    ic = cfg.initial_conditions(args.tau0)
+    r = scattering.r_qm(cfg)
+    record = {
+        "r_qm": r,
+        "theta0": scattering.phase_shift_exact(cfg, r),
+        "cross_section": scattering.cross_section(cfg, r),
+        "potential": scattering.potential_from_r(r, cfg),
+        "potential_density": scattering.potential_density(cfg),
+        "purity": scattering.purity_from_r(cfg, r),
+        "purity_series_a_s": scattering.purity_series(cfg),
+        "a_s_effective": scattering.scattering_length_from_r(cfg, r),
+        "eta_c": scattering.eta_c(cfg),
     }
-    _emit_table(columns, args.format, args.out, warn_list=_report_warnings(caught))
-    return 0
+    try:
+        rep = scattering.prolongation(ic, r)
+        record["prolongation"] = rep.delta
+        record["prolongation_approx"] = rep.delta_approx
+        record["r_bound"] = rep.r_bound
+    except ProlongationBoundError as exc:
+        warnings.warn(str(exc))
+        record["prolongation"] = math.nan
+        record["prolongation_approx"] = math.nan
+        record["r_bound"] = exc.r_bound
+    # inline round-trip consistency of the algebraic inversions
+    checks = {
+        "roundtrip_potential": abs(
+            scattering.r_from_potential(cfg, record["potential"]) - r),
+        "roundtrip_cross_section": abs(
+            scattering.r_from_cross_section(cfg, record["cross_section"]) - r),
+        "roundtrip_purity": abs(
+            scattering.r_from_purity(cfg, record["purity"]) - r),
+    }
+    failures = {k: v for k, v in checks.items() if not v <= 1e-10}
+    if failures:
+        warnings.warn(f"consistency round-trips failed: {failures}")
+    record["consistency_max_residual"] = max(checks.values())
+    return record
 
 
-def _cmd_scatter(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cfg = ScatteringConfig(
-            k0=args.k0, sigma_k0=args.sigma_k0, R0=args.R0, L=args.L,
-            a_s=args.a_s, reduced_mass=args.mu, hbar=args.hbar,
-        )
-        ic = cfg.initial_conditions(args.tau0)
-        r = scattering.r_qm(cfg)
-        record = {
-            "r_qm": r,
-            "theta0": scattering.phase_shift_exact(cfg, r),
-            "cross_section": scattering.cross_section(cfg, r),
-            "potential": scattering.potential_from_r(r, cfg),
-            "potential_density": scattering.potential_density(cfg),
-            "purity": scattering.purity_from_r(cfg, r),
-            "purity_series_a_s": scattering.purity_series(cfg),
-            "a_s_effective": scattering.scattering_length_from_r(cfg, r),
-            "eta_c": scattering.eta_c(cfg),
-        }
-        try:
-            rep = scattering.prolongation(ic, r)
-            record["prolongation"] = rep.delta
-            record["prolongation_approx"] = rep.delta_approx
-            record["r_bound"] = rep.r_bound
-        except ProlongationBoundError as exc:
-            warnings.warn(str(exc))
-            record["prolongation"] = math.nan
-            record["prolongation_approx"] = math.nan
-            record["r_bound"] = exc.r_bound
-        # inline round-trip consistency of the algebraic inversions
-        checks = {
-            "roundtrip_potential": abs(
-                scattering.r_from_potential(cfg, record["potential"]) - r),
-            "roundtrip_cross_section": abs(
-                scattering.r_from_cross_section(cfg, record["cross_section"]) - r),
-            "roundtrip_purity": abs(
-                scattering.r_from_purity(cfg, record["purity"]) - r),
-        }
-        failures = {k: v for k, v in checks.items() if not v <= 1e-10}
-        if failures:
-            warnings.warn(f"consistency round-trips failed: {failures}")
-        record["consistency_max_residual"] = max(checks.values())
-    _emit_record(record, args.format, args.out, warn_list=_report_warnings(caught))
-    return 0
-
-
-def _cmd_prolongation(args) -> int:
+def _cmd_prolongation(args) -> tuple[dict, dict]:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
     r = _grid(args.r_min, args.r_max, args.n)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = scattering.prolongation(ic, r)
-    columns = {"r": r, "delta_approx": rep.delta_approx,
-               "delta_exact": rep.delta, "flagged": rep.flagged.astype(np.int64)}
-    _emit_table(columns, args.format, args.out, extra={"r_bound": rep.r_bound},
-                warn_list=_report_warnings(caught))
-    return 0
+    rep = scattering.prolongation(ic, r)
+    return ({"r": r, "delta_approx": rep.delta_approx, "delta_exact": rep.delta,
+             "flagged": rep.flagged.astype(np.int64)}, {"r_bound": rep.r_bound})
 
 
 def _cmd_verify(args) -> int:
@@ -470,7 +441,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(parser, args, argv)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return args.fn(args)
+            if args.command == "verify":
+                return args.fn(args)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = args.fn(args)
+                columns, extra = result if isinstance(result, tuple) else (None, {})
+                if extra and args.format == "csv":
+                    warnings.warn(f"CSV output omits the fields {', '.join(extra)}; "
+                                  "--format json writes them")
+            warn_list = _report_warnings(caught)
+            if columns is None:
+                _emit_record(result, args.format, args.out, warn_list)
+            else:
+                _emit_table(columns, args.format, args.out, extra, warn_list)
+            return 0
     except (GaussGeoError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,8 +83,7 @@ def igc_closed(tau, params: ModelParams, ic: InitialConditions):
     lam = 2.0 * amplitude_A0(ic)
     lam_tau = lam * tau
     _check_horizon(tau, lam_tau)
-    r = params.r
-    prefactor = 4.0 * math.sqrt((1.0 - r) / (1.0 + r))
+    prefactor = 4.0 * igc_ratio(params)
     bracket = (
         -0.75 * lam
         + 0.25 * np.sinh(lam_tau) / tau
@@ -122,10 +121,7 @@ def ige_closed(tau, params: ModelParams, ic: InitialConditions):
             ),
             stacklevel=2,
         )
-    r = params.r
-    return scalar_or_array(
-        lam_tau - np.log(lam_tau) + 0.5 * math.log((1.0 - r) / (1.0 + r))
-    )
+    return scalar_or_array(lam_tau - np.log(lam_tau) + ige_gap(params))
 
 
 def igc_ratio(params: ModelParams) -> float:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussgeo import cli, oracle, scattering
+from gaussgeo import cli, curvature, oracle, scattering
 from gaussgeo.errors import ProlongationBoundError
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.groups import GROUPS
@@ -77,6 +78,19 @@ class TestCurvatureCommand:
             assert payload[key] == pytest.approx(-0.25, abs=1e-12)
         assert payload["weyl_max_abs"] < 1e-12
         assert payload["ricci_identity_residual"] < 1e-12
+
+    def test_warning_is_reported(self, capsys, monkeypatch):
+        check = curvature.maximal_symmetry_check
+
+        def warning_check(sigma, params):
+            warnings.warn("isotropy probe")
+            return check(sigma, params)
+
+        monkeypatch.setattr(curvature, "maximal_symmetry_check", warning_check)
+        code, out, err = run_cli(capsys, "curvature")
+        assert code == 0
+        assert json.loads(out)["warnings"] == ["isotropy probe"]
+        assert err == "warning: UserWarning: isotropy probe\n"
 
 
 class TestGeodesicCommand:
@@ -215,8 +229,11 @@ class TestScatterCommand:
         code, out, err = run_cli(capsys, "scatter", "--a-s", "1e-3")
         payload = json.loads(out)
         assert code == 0
-        assert payload["warnings"]
-        assert "warning" in err
+        regime, bound = payload["warnings"]
+        # stderr names each warning's category; JSON keeps the bare message
+        assert err.splitlines() == [f"warning: RegimeWarning: {regime}",
+                                    f"warning: UserWarning: {bound}"]
+        assert run_cli(capsys, "scatter", "--a-s", "1e-3", "--format", "csv")[2] == err
 
 
 class TestProlongationCommand:
@@ -448,6 +465,19 @@ class TestPlumbing:
         for line in out.strip().split("\n")[1:]:
             for field in line.split(","):
                 assert float(field) == float(format(float(field), ".17g"))
+
+    @pytest.mark.parametrize("cmd", ["jacobi", "prolongation"])
+    def test_csv_warns_of_the_fields_it_omits(self, capsys, cmd):
+        _, out, err = run_cli(capsys, cmd, "--n", "5")
+        payload = json.loads(out)
+        extras = [k for k in payload if k not in ("columns", "rows", "warnings")]
+        assert extras and payload["warnings"] == [] and err == ""
+        code, _, err = run_cli(capsys, cmd, "--n", "5", "--format", "csv")
+        assert code == 0
+        (line,) = err.splitlines()
+        match = re.fullmatch(r"warning: UserWarning: CSV output omits the fields "
+                             r"(.*); --format json writes them", line)
+        assert match[1].split(", ") == extras
 
 
 class TestReadmeSweeps:

@@ -1,5 +1,6 @@
 """Golden output of the four table commands (geodesic, jacobi, complexity,
-prolongation) and of the ``curvature`` record in CSV and JSON.
+prolongation) and of the ``metric``, ``curvature`` and ``scatter`` records
+in CSV and JSON.
 
 Each file under ``tests/golden`` is the stdout of ``gaussgeo <argv> --format
 <fmt>`` for one case of `CASES`, as written by the row-at-a-time CLI that
@@ -20,9 +21,10 @@ them the ulp is taken of the largest term of the subtraction (`_scale`):
   size lam tau - ln(lam tau);
 * ``delta_exact``: tau_star - tau0 with tau_star = artanh(...)/A0.
 
-The ``curvature`` records (`RECORD_CASES`) are compared byte for byte, floats
-included: the closed forms behind them are unchanged since the fixtures were
-written, so any difference is a change of the program's arithmetic.
+The records (`RECORD_CASES`) are compared byte for byte, floats and JSON
+warnings included: the closed forms behind them are unchanged since the
+fixtures were written, so any difference is a change of the program's
+arithmetic or of its report.
 
 JSON warnings are compared per kind: a kind may be reported as several
 messages or as one message that carries the count ("at N of M elements"),
@@ -71,6 +73,13 @@ RECORD_CASES = {
     "curvature_s1_r07": ["curvature", "--sigma", "1", "--r", "0.7"],
     "curvature_s01_r03": ["curvature", "--sigma", "0.1", "--r", "0.3"],
     "curvature_s2e3_r05": ["curvature", "--sigma", "2e3", "--r", "0.5"],
+    "metric_s05_r03": ["metric", "--sigma", "0.5", "--r", "0.3"],
+    "metric_dim4_r03": ["metric", "--dim", "4", "--sigma-x", "0.5", "--sigma-y", "2",
+                        "--r", "0.3"],
+    # r_QM ~ 0.04 is past the prolongation bound ~ 0.0198: NaN and one warning
+    "scatter_as1e-5": ["scatter", "--a-s", "1e-5"],
+    # r_QM ~ 0.4 also strains the perturbative regime: two warnings
+    "scatter_as1e-3": ["scatter", "--a-s", "1e-3"],
 }
 
 #: Float literal of CSV (%.17g) or JSON (float repr); a bare integer or the
