@@ -80,6 +80,9 @@ RECORD_CASES = {
     "scatter_as1e-5": ["scatter", "--a-s", "1e-5"],
     # r_QM ~ 0.4 also strains the perturbative regime: two warnings
     "scatter_as1e-3": ["scatter", "--a-s", "1e-3"],
+    # non-default mu and hbar reach the kinetic energy; finite prolongation
+    "scatter_k07_mu08": ["scatter", "--k0", "0.7", "--sigma-k0", "0.05", "--L", "0.2",
+                         "--R0", "20", "--a-s", "5e-7", "--mu", "0.8", "--hbar", "1.3"],
 }
 
 #: Float literal of CSV (%.17g) or JSON (float repr); a bare integer or the

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -436,3 +437,101 @@ def test_inversion_roundtrip_property(r):
     assert scattering.r_from_cross_section(cfg, sigma_cs) == pytest.approx(
         r, abs=1e-13
     )
+
+
+# ---------------------------------------------------------------------------
+# the s-wave chain against 50-digit references
+# ---------------------------------------------------------------------------
+
+#: Bound on every chain function's error, in units in the last place.
+CHAIN_ULPS = 8
+
+#: Worst error observed over `_chain_cases`, in ulps of the reference.
+CHAIN_WORST_ULPS = {
+    "cross_section": 2.71,
+    "eta_c": 4.51,
+    "normalization_integral": 3.27,
+    "phase_shift_from_potential": 2.66,
+    "potential_density": 2.45,
+    "purity_from_r": 0.54,
+    "purity_series": 0.55,
+    "r_from_cross_section": 2.73,
+    "r_from_potential": 2.17,
+    "r_from_purity": 2.56,
+    "r_qm": 0.89,
+    "scattering_length_from_r": 1.90,
+}
+
+
+def _chain_cases(n=200, seed=20261018):
+    """Seeded in-regime configurations, each with a correlation r.
+
+    k0 L < 0.3, sigma/k0 <= 0.1, r and r_QM below 0.3, and a first-order
+    purity correction eta_c r below 0.2 (configurations past it are redrawn).
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < n:
+        k0, R0, mu, hbar = 10.0 ** rng.uniform([-1, -1, -1, -1], [1, 2, 1, 1])
+        L = 10.0 ** rng.uniform(-2, math.log10(0.299)) / k0
+        sigma = k0 * 10.0 ** rng.uniform(-3, math.log10(0.0999))
+        r = rng.uniform(1e-3, 0.3)
+        kappa = 8.0 * (2.0 * k0**2 + sigma**2) * R0
+        if kappa * k0**2 * L**3 / 3.0 * r >= 0.2:
+            continue
+        a_s = rng.uniform(1e-3, 0.3) ** 2 / kappa
+        cases.append((ScatteringConfig(k0=k0, sigma_k0=sigma, R0=R0, L=L, a_s=a_s,
+                                       reduced_mass=mu, hbar=hbar), r))
+    return cases
+
+
+def _chain_values(cfg, r):
+    """{name: (computed float, 50-digit reference)} for the twelve chain functions."""
+    mp = mpmath.mpf
+    k, s, R0, L, a = map(mp, (cfg.k0, cfg.sigma_k0, cfg.R0, cfg.L, cfg.a_s))
+    mu, hbar, rr = mp(cfg.reduced_mass), mp(cfg.hbar), mp(r)
+    V = scattering.potential_from_r(r, cfg)
+    sigma_cs = scattering.cross_section(cfg, r)
+    purity = scattering.purity_from_r(cfg, r)
+    k2, s2 = k**2, s**2
+    eta = 8 * k2 * (2 * k2 + s2) * R0 * L**3 / 3
+    return {
+        "r_qm": (scattering.r_qm(cfg), mpmath.sqrt(8 * (2 * k2 + s2) * R0 * a)),
+        "purity_series": (scattering.purity_series(cfg), 1 - 8 * (2 * k2 + s2) * R0 * a),
+        "normalization_integral": (
+            scattering.normalization_integral(cfg),
+            2 * mpmath.pi * s2 * (1 - 4 * (2 * k2 + s2) * R0 * a
+                                  + 4 * (k2 + s2**2 * R0**2)
+                                  * (4 * k2**2 + 12 * k2 * s2 + 3 * s2**2) * a**2 / s2**2)),
+        "scattering_length_from_r": (scattering.scattering_length_from_r(cfg, r),
+                                     rr * k2 * L**3 / 3),
+        "cross_section": (sigma_cs, 4 * mpmath.pi * rr**2 * k2**2 * L**6 / 9),
+        "r_from_cross_section": (
+            scattering.r_from_cross_section(cfg, sigma_cs),
+            3 * mpmath.sqrt(mp(sigma_cs)) / (2 * mpmath.sqrt(mpmath.pi) * k2 * L**3)),
+        "eta_c": (scattering.eta_c(cfg), eta),
+        "purity_from_r": (purity, 1 - eta * rr),
+        "r_from_purity": (scattering.r_from_purity(cfg, purity), (1 - mp(purity)) / eta),
+        "r_from_potential": (scattering.r_from_potential(cfg, V),
+                             2 * mu * mp(V) / (hbar**2 * k2)),
+        "phase_shift_from_potential": (scattering.phase_shift_from_potential(V, cfg),
+                                       -2 * mu * mp(V) * k * L**3 / (3 * hbar**2)),
+        "potential_density": (scattering.potential_density(cfg),
+                              4 * hbar**2 * k2**2 * (2 * k2 + s2) * R0 / (3 * mu)),
+    }
+
+
+@pytest.fixture(scope="module")
+def chain_worst_ulps():
+    worst = {}
+    with mpmath.workdps(50):
+        for cfg, r in _chain_cases():
+            for name, (got, ref) in _chain_values(cfg, r).items():
+                ulps = float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
+                worst[name] = max(worst.get(name, 0.0), ulps)
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_WORST_ULPS))
+def test_chain_accurate_against_mpmath(chain_worst_ulps, name):
+    assert chain_worst_ulps[name] <= CHAIN_ULPS, chain_worst_ulps[name]
