@@ -6,16 +6,22 @@ well of height V and range L. Everything here lives in the low-energy
 s-wave regime: constant scattering amplitude f(k) = -a_s (all higher Taylor
 coefficients of f vanish), k0*L well below 1.
 
-The chain of observables implemented:
+The chain of observables is composed from three constants of a
+configuration: the relative kinetic energy E = hbar^2 k0^2 / (2 mu), the
+purity lost per unit scattering length kappa = 8 (2 k0^2 + sigma^2) R0, and
+the scattering length per unit correlation ell = k0^2 L^3 / 3.
 
-* the correlation r_QM = sqrt(8 (2 k0^2 + sigma^2) R0 a_s) of the
-  correlated Gaussian that the post-collision momentum density becomes;
-* purity P = 1 - 8 (2 k0^2 + sigma^2) R0 a_s + O(a_s^2) = 1 - r_QM^2,
-  and the cross section Sigma = 4 pi a_s^2;
+* the correlation r_QM = sqrt(kappa a_s) of the correlated Gaussian that
+  the post-collision momentum density becomes, and the purity
+  P = 1 - kappa a_s + O(a_s^2) = 1 - r_QM^2;
+* the correlation as the potential-to-energy ratio r = V/E, the scattering
+  length a_s = ell r, the cross section Sigma = 4 pi a_s^2, the Born phase
+  shift theta0 = -k0 a_s, and the purity P = 1 - eta_c r, eta_c = kappa ell;
+* algebraic inversions recovering r from V, Sigma, or P, and the potential
+  density V/L^3 = kappa E k0^2 / 3, which does not depend on L;
 * square-well phase shift theta0 from the interior/exterior matching
   k_in cot(k_in L) = k_out cot(k_out L + theta0), with the correlation
   entering as k_in = sqrt(1-r) k0, i.e. V = r E;
-* algebraic inversions recovering r from V, Sigma, or P;
 * the prolongation Delta: the extra affine time a correlated geodesic
   needs to reach the momentum the non-correlated one has at tau0. The
   exact form solves tanh(A0 tau*) = (1-r)^{-1/2} tanh(A0 tau0) by artanh
@@ -116,29 +122,30 @@ class ScatteringConfig:
 class ProlongationReport:
     """Entanglement duration: exact and approximate prolongations.
 
-    delta is the exact artanh solve, delta_approx the log form; tau_star is
-    the correlated-branch time at which the reference momentum is reached.
-    For an array of r these three are arrays, NaN where ``flagged`` marks r
-    at or past the bound; a scalar r past the bound raises instead.
+    delta is the exact artanh solve, delta_approx the log form. For an array
+    of r both are arrays, NaN where ``flagged`` marks r at or past the bound
+    r_bound; a scalar r past the bound raises instead.
     """
 
     delta: float
     delta_approx: float
-    tau_star: float
-    eta_delta: float
     r_bound: float
     flagged: bool = False
 
 
-def r_qm(cfg: ScatteringConfig) -> float:
-    """Micro-correlation induced by the scattering.
+def _swave(cfg: ScatteringConfig) -> float:
+    """kappa = 8 (2 k0^2 + sigma^2) R0: the purity lost per unit a_s."""
+    return 8.0 * (2.0 * cfg.k0**2 + cfg.sigma_k0**2) * cfg.R0
 
-    r_QM = sqrt(8 (2 k0^2 + sigma^2) R0 a_s); warns when it leaves the
-    perturbative window.
-    """
-    value = math.sqrt(
-        8.0 * (2.0 * cfg.k0**2 + cfg.sigma_k0**2) * cfg.R0 * cfg.a_s
-    )
+
+def _a_s_per_r(cfg: ScatteringConfig) -> float:
+    """ell = k0^2 L^3 / 3: the scattering length per unit correlation."""
+    return cfg.k0**2 * cfg.L**3 / 3.0
+
+
+def r_qm(cfg: ScatteringConfig) -> float:
+    """Micro-correlation r_QM = sqrt(kappa a_s); warns outside the perturbative window."""
+    value = math.sqrt(_swave(cfg) * cfg.a_s)
     if value >= R_QM_REGIME:
         warnings.warn(
             f"r_QM = {value:.3g} >= {R_QM_REGIME}: perturbative identification "
@@ -152,7 +159,7 @@ def r_qm(cfg: ScatteringConfig) -> float:
 def normalization_integral(cfg: ScatteringConfig) -> float:
     """Norm of the raw post-collision density before renormalization.
 
-    2 pi sigma^2 [1 - 4 (2 k0^2 + sigma^2) R0 a_s
+    2 pi sigma^2 [1 - (kappa/2) a_s
                   + 4 (k0^2 + sigma^4 R0^2)(4 k0^4 + 12 k0^2 sigma^2
                      + 3 sigma^4) a_s^2 / sigma^4].
     """
@@ -160,7 +167,7 @@ def normalization_integral(cfg: ScatteringConfig) -> float:
     a = cfg.a_s
     bracket = (
         1.0
-        - 4.0 * (2.0 * k2 + s2) * cfg.R0 * a
+        - 0.5 * _swave(cfg) * a
         + 4.0
         * (k2 + s2**2 * cfg.R0**2)
         * (4.0 * k2**2 + 12.0 * k2 * s2 + 3.0 * s2**2)
@@ -170,7 +177,8 @@ def normalization_integral(cfg: ScatteringConfig) -> float:
     return 2.0 * math.pi * s2 * bracket
 
 
-def _purity_correction_guard(correction: float) -> None:
+def _purity(correction: float) -> float:
+    """First-order purity 1 - correction, guarded against a large correction."""
     if correction >= 1.0:
         raise RegimeError(
             f"purity correction {correction:.3g} >= 1: outside the first-order regime"
@@ -181,13 +189,12 @@ def _purity_correction_guard(correction: float) -> None:
             RegimeWarning,
             stacklevel=3,
         )
+    return 1.0 - correction
 
 
 def purity_series(cfg: ScatteringConfig) -> float:
-    """First-order purity P = 1 - 8 (2 k0^2 + sigma^2) R0 a_s  (= 1 - r_QM^2)."""
-    correction = 8.0 * (2.0 * cfg.k0**2 + cfg.sigma_k0**2) * cfg.R0 * cfg.a_s
-    _purity_correction_guard(correction)
-    return 1.0 - correction
+    """First-order purity P = 1 - kappa a_s  (= 1 - r_QM^2)."""
+    return _purity(_swave(cfg) * cfg.a_s)
 
 
 def phase_shift_exact(cfg: ScatteringConfig, r: float) -> float:
@@ -229,9 +236,9 @@ def phase_shift_series(cfg: ScatteringConfig, r: float, reduced: bool = False) -
 
 
 def phase_shift_from_potential(V: float, cfg: ScatteringConfig) -> float:
-    """theta0 = -2 mu V k0 L^3 / (3 hbar^2) for a weak repulsive well."""
+    """Born phase shift theta0 = -k0 a_s with a_s = ell V/E, for a weak repulsive well."""
     require_nonnegative(V=V)
-    return -2.0 * cfg.reduced_mass * V * cfg.k0 * cfg.L**3 / (3.0 * cfg.hbar**2)
+    return -cfg.k0 * _a_s_per_r(cfg) * (V / cfg.kinetic_energy)
 
 
 def potential_from_r(r: float, cfg: ScatteringConfig) -> float:
@@ -239,69 +246,50 @@ def potential_from_r(r: float, cfg: ScatteringConfig) -> float:
     return require_correlation(r) * cfg.kinetic_energy
 
 
-def cross_section(cfg: ScatteringConfig, r: float) -> float:
-    """Total cross section Sigma = 4 pi r^2 k0^4 L^6 / 9 (= 4 pi a_s^2)."""
-    require_correlation(r)
-    return 4.0 * math.pi * r**2 * cfg.k0**4 * cfg.L**6 / 9.0
-
-
 def scattering_length_from_r(cfg: ScatteringConfig, r: float) -> float:
-    """Effective a_s = r k0^2 L^3 / 3 implied by the correlation."""
-    return require_correlation(r) * cfg.k0**2 * cfg.L**3 / 3.0
+    """Effective a_s = ell r = r k0^2 L^3 / 3 implied by the correlation."""
+    return require_correlation(r) * _a_s_per_r(cfg)
 
 
-def purity_from_r(cfg: ScatteringConfig, r: float) -> float:
-    """Purity P = 1 - 8 r k0^2 (2 k0^2 + sigma^2) R0 L^3 / 3."""
-    require_correlation(r)
-    correction = (
-        8.0 * r * cfg.k0**2 * (2.0 * cfg.k0**2 + cfg.sigma_k0**2) * cfg.R0 * cfg.L**3 / 3.0
-    )
-    _purity_correction_guard(correction)
-    return 1.0 - correction
-
-
-def r_from_potential(cfg: ScatteringConfig, V: float) -> float:
-    """Invert V = r E:  r = 2 mu V / (hbar^2 k0^2)."""
-    return require_correlation(2.0 * cfg.reduced_mass * V / (cfg.hbar**2 * cfg.k0**2))
-
-
-def r_from_cross_section(cfg: ScatteringConfig, sigma_cs: float) -> float:
-    """Invert the cross section:  r = 3 sqrt(Sigma) / (2 sqrt(pi) k0^2 L^3)."""
-    require_nonnegative(sigma_cs=sigma_cs)
-    return require_correlation(
-        3.0 * math.sqrt(sigma_cs) / (2.0 * math.sqrt(math.pi) * cfg.k0**2 * cfg.L**3))
-
-
-def r_from_purity(cfg: ScatteringConfig, purity: float) -> float:
-    """Invert the purity:  r = 3 (1-P) / (8 k0^2 (2 k0^2 + sigma^2) R0 L^3)."""
-    return require_correlation(
-        3.0
-        * (1.0 - purity)
-        / (8.0 * cfg.k0**2 * (2.0 * cfg.k0**2 + cfg.sigma_k0**2) * cfg.R0 * cfg.L**3)
-    )
+def cross_section(cfg: ScatteringConfig, r: float) -> float:
+    """Total cross section Sigma = 4 pi a_s^2 with a_s = ell r."""
+    return 4.0 * math.pi * scattering_length_from_r(cfg, r) ** 2
 
 
 def eta_c(cfg: ScatteringConfig) -> float:
-    """Dimensionless purity-complexity coefficient (8/3) k0^2 (2k0^2+sigma^2) R0 L^3."""
-    return (
-        8.0 / 3.0 * cfg.k0**2 * (2.0 * cfg.k0**2 + cfg.sigma_k0**2) * cfg.R0 * cfg.L**3
-    )
+    """Dimensionless purity-complexity coefficient eta_c = kappa ell."""
+    return _swave(cfg) * _a_s_per_r(cfg)
+
+
+def purity_from_r(cfg: ScatteringConfig, r: float) -> float:
+    """Purity P = 1 - eta_c r."""
+    return _purity(eta_c(cfg) * require_correlation(r))
+
+
+def r_from_potential(cfg: ScatteringConfig, V: float) -> float:
+    """Invert V = r E:  r = V / E."""
+    return require_correlation(V / cfg.kinetic_energy)
+
+
+def r_from_cross_section(cfg: ScatteringConfig, sigma_cs: float) -> float:
+    """Invert the cross section:  r = sqrt(Sigma / (4 pi)) / ell."""
+    require_nonnegative(sigma_cs=sigma_cs)
+    return require_correlation(math.sqrt(sigma_cs / (4.0 * math.pi)) / _a_s_per_r(cfg))
+
+
+def r_from_purity(cfg: ScatteringConfig, purity: float) -> float:
+    """Invert the purity:  r = (1 - P) / eta_c."""
+    return require_correlation((1.0 - purity) / eta_c(cfg))
 
 
 def potential_density(cfg: ScatteringConfig) -> float:
-    """Uniform potential density V/L^3 = 4 hbar^2 k0^4 (2 k0^2 + sigma^2) R0 / (3 mu).
+    """Uniform potential density V/L^3 = kappa E k0^2 / 3.
 
     Fixed entirely by the initial conditions: eliminating a_s between the
     induced correlation and the cross-section chain leaves no free scale.
+    It is not eta_c E / L^3, which turns an L^3 that underflows into 0/0.
     """
-    return (
-        4.0
-        * cfg.hbar**2
-        * cfg.k0**4
-        * (2.0 * cfg.k0**2 + cfg.sigma_k0**2)
-        * cfg.R0
-        / (3.0 * cfg.reduced_mass)
-    )
+    return _swave(cfg) * cfg.kinetic_energy * cfg.k0**2 / 3.0
 
 
 def prolongation(ic: InitialConditions, r) -> ProlongationReport:
@@ -339,8 +327,6 @@ def prolongation(ic: InitialConditions, r) -> ProlongationReport:
     return ProlongationReport(
         delta=scalar_or_array(tau_star - ic.tau0),
         delta_approx=scalar_or_array(0.0 - np.log(inner) / (2.0 * A0)),
-        tau_star=scalar_or_array(tau_star),
-        eta_delta=eta,
         r_bound=r_bound,
         flagged=flagged,
     )

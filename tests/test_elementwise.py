@@ -127,8 +127,8 @@ def _scalar_prolongation(ic, r):
     try:
         rep = scattering.prolongation(ic, r)
     except ProlongationBoundError:
-        return (math.nan, math.nan, math.nan), True
-    return (rep.delta, rep.delta_approx, rep.tau_star), False
+        return (math.nan, math.nan), True
+    return (rep.delta, rep.delta_approx), False
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,7 +141,7 @@ def test_prolongation_elementwise_and_mask(ic, frac):
     scalar = [_scalar_prolongation(ic, x) for x in r.tolist()]
     assert rep.flagged.tolist() == [raised for _, raised in scalar]
     _assert_elementwise(
-        np.stack([rep.delta, rep.delta_approx, rep.tau_star], axis=1),
+        np.stack([rep.delta, rep.delta_approx], axis=1),
         [values for values, _ in scalar],
     )
     assert rep.r_bound == r_bound
