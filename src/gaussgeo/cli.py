@@ -132,17 +132,27 @@ def _report_warnings(caught) -> list[str]:
 
 def _cmd_metric(args) -> dict:
     params = ModelParams(args.r)
-    if args.dim == 3:
-        g = models.metric_corr3(args.sigma, params)
-    else:
-        g = models.metric_corr4(args.sigma_x, args.sigma_y, params)
+    scales = ({"--sigma": args.sigma} if args.dim == 3
+              else {"--sigma-x": args.sigma_x, "--sigma-y": args.sigma_y})
+    # a scale far from 1 overflows the metric or its determinant, or
+    # underflows them to 0 or to subnormals; either way it is reported by name
+    try:
+        g = (models.metric_corr3(args.sigma, params) if args.dim == 3
+             else models.metric_corr4(args.sigma_x, args.sigma_y, params))
+        det, eigenvalues = float(np.linalg.det(g)), np.linalg.eigvalsh(g)
+        ok = np.finfo(float).tiny <= min(det, eigenvalues[0])
+    except (ArithmeticError, np.linalg.LinAlgError):
+        ok = False
+    require(ok, lambda: ", ".join(f"{k} {v:g}" for k, v in scales.items())
+            + ": metric out of range, its determinant and eigenvalues are not"
+            " all positive normal floats")
     if args.format == "json":
         record = {"matrix": g.tolist()}
     else:  # CSV lists the upper triangle, one entry per line
         n = g.shape[0]
         record = {f"g_{i + 1}{j + 1}": float(g[i, j]) for i in range(n) for j in range(i, n)}
-    record["determinant"] = float(np.linalg.det(g))
-    record["eigenvalues"] = np.linalg.eigvalsh(g).tolist()
+    record["determinant"] = det
+    record["eigenvalues"] = eigenvalues.tolist()
     return record
 
 

@@ -67,6 +67,26 @@ class TestMetricCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--sigma", "1e60"], "--sigma 1e+60"),    # determinant underflows to 0
+        (["--sigma", "1e200"], "--sigma 1e+200"),  # an all-zero matrix
+        (["--dim", "4", "--sigma-x", "1e100", "--sigma-y", "1e100"],
+         "--sigma-x 1e+100, --sigma-y 1e+100"),    # determinant underflows to 0
+        (["--sigma", "1e-60"], "--sigma 1e-60"),   # determinant overflows
+        (["--sigma", "1e50"], None),
+        (["--sigma", "1e-50"], None),
+    ])
+    def test_representable_range(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "metric", *argv)
+        if named is None:
+            assert code == 0
+            payload = json.loads(out)
+            for value in [payload["determinant"], *payload["eigenvalues"]]:
+                assert np.finfo(float).tiny <= value < math.inf
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {named}: metric out of range")
+
 
 class TestCurvatureCommand:
     def test_constants(self, capsys):

@@ -3,7 +3,8 @@
 Whatever the flags and the ``--config`` file hold (finite, extreme, infinite
 or NaN numbers, wrong types, unknown keys), ``cli.main`` exits 0 with
 parseable output or 2 with an error message (1 only for ``verify``) and
-never shows a traceback or a numpy ``RuntimeWarning``. The options of each
+never shows a traceback or a numpy ``RuntimeWarning``. A ``metric`` that
+exits 0 reports a finite, positive determinant and eigenvalues. The options of each
 command are read from the parser, so a new option is fuzzed without editing
 this file.
 """
@@ -68,15 +69,23 @@ def invocations(draw):
     return argv, config
 
 
-def _assert_parses(text: str, fmt: str) -> None:
+def _assert_parses(text: str, fmt: str) -> dict:
+    """Parse the output; a record comes back as {name: value}."""
     if fmt == "json":
-        json.loads(text)
-        return
+        return json.loads(text)
     header, *rows = list(csv.reader(io.StringIO(text)))
     for row in rows:
         assert len(row) == len(header)
         for field in row[1:] if header == ["name", "value"] else row:
             float(field)
+    return {row[0]: float(row[1]) for row in rows} if header == ["name", "value"] else {}
+
+
+def _metric_spectrum(record: dict) -> list[float]:
+    """Determinant and eigenvalues of a metric record, in CSV or JSON form."""
+    if "eigenvalues" in record:
+        return [record["determinant"], *record["eigenvalues"]]
+    return [v for k, v in record.items() if k == "determinant" or k.startswith("eigenvalues_")]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -104,6 +113,9 @@ def test_exit_code_contract(invocation):
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (argv, config, err)
     if code == 0:
         # no drawn config value is a valid format, so only a flag selects csv
-        _assert_parses(out, "csv" if "--format=csv" in argv else "json")
+        record = _assert_parses(out, "csv" if "--format=csv" in argv else "json")
+        if argv[0] == "metric":
+            spectrum = _metric_spectrum(record)
+            assert spectrum and all(0.0 < v < math.inf for v in spectrum), (argv, config)
     else:
         assert err
