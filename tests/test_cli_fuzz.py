@@ -4,9 +4,9 @@ Whatever the flags and the ``--config`` file hold (finite, extreme, infinite
 or NaN numbers, wrong types, unknown keys), ``cli.main`` exits 0 with
 parseable output or 2 with an error message (1 only for ``verify``) and
 never shows a traceback or a numpy ``RuntimeWarning``. A ``metric`` that
-exits 0 reports a finite, positive determinant and eigenvalues. The options of each
-command are read from the parser, so a new option is fuzzed without editing
-this file.
+exits 0 reports a finite, positive determinant and eigenvalues. The options
+of each command are read from the parser, so a new option is fuzzed without
+editing this file.
 """
 
 import argparse
