@@ -55,7 +55,6 @@ class LyapunovEstimate:
 
     value: float
     raw: float
-    tau_max: float
 
 
 def jlc_coefficient(A0: float) -> float:
@@ -129,4 +128,4 @@ def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstim
         )
     raw = _log_ratio(tau_max, A0)
     extrapolated = 2.0 * raw - _log_ratio(tau_max / 2.0, A0)
-    return LyapunovEstimate(value=extrapolated, raw=raw, tau_max=tau_max)
+    return LyapunovEstimate(value=extrapolated, raw=raw)

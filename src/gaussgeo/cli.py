@@ -187,7 +187,7 @@ def _tau_grid(tau_min, tau_max, n) -> np.ndarray:
 
 
 def _cmd_geodesic(args) -> tuple[dict, dict]:
-    ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
+    ic = InitialConditions(args.p0, args.sigma0, args.tau0)
     params = ModelParams(args.r)
     tau = _tau_grid(args.tau_min, args.tau_max, args.n)
     state = geodesics.joined_path(tau, params, ic)
@@ -195,7 +195,7 @@ def _cmd_geodesic(args) -> tuple[dict, dict]:
 
 
 def _cmd_jacobi(args) -> tuple[dict, dict]:
-    ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
+    ic = InitialConditions(args.p0, args.sigma0, args.tau0)
     A0 = geodesics.amplitude_A0(ic)
     tau = _grid(0.0, args.tau_max, args.n)
     intensity = chaos.jacobi_intensity(tau, args.omega0, A0)
@@ -209,7 +209,7 @@ def _cmd_jacobi(args) -> tuple[dict, dict]:
 
 
 def _cmd_complexity(args) -> tuple[dict, dict]:
-    ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
+    ic = InitialConditions(args.p0, args.sigma0, args.tau0)
     lam = 2.0 * geodesics.amplitude_A0(ic)
     r_values = args.r if args.r else [0.0]
     tau = _tau_grid(args.tau_min, args.tau_max, args.n)
@@ -278,7 +278,7 @@ def _cmd_scatter(args) -> dict:
 
 
 def _cmd_prolongation(args) -> tuple[dict, dict]:
-    ic = InitialConditions(args.p0, args.sigma0, args.tau0, args.R0)
+    ic = InitialConditions(args.p0, args.sigma0, args.tau0)
     r = _grid(args.r_min, args.r_max, args.n)
     rep = scattering.prolongation(ic, r)
     return ({"r": r, "delta_approx": rep.delta_approx, "delta_exact": rep.delta,
@@ -324,7 +324,6 @@ def _add_ic_flags(sub):
     sub.add_argument("--p0", type=float, default=1.0)
     sub.add_argument("--sigma0", type=float, default=0.1)
     sub.add_argument("--tau0", type=float, default=1.0)
-    sub.add_argument("--R0", type=float, default=10.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,8 +18,9 @@ the sign of which is fixed by requiring consistency with the
 maximal-symmetry form R_abcd = R/(n(n-1)) (g_bd g_ac - g_bc g_ad).
 
 The manifold is maximally symmetric and isotropic: the projective Weyl
-tensor W_abcd vanishes identically, which :func:`maximal_symmetry_check`
-verifies together with R_ab = (R/n) g_ab and the trace identity.
+tensor W_abcd (`bundle`'s ``weyl``) vanishes identically, which
+:func:`maximal_symmetry_check` verifies together with R_ab = (R/n) g_ab
+and the trace identity.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class CurvatureBundle:
         """The bundle of these tensors, with the sectional curvatures of the
         coordinate planes and the Weyl tensor assembled from them."""
         K = _on_planes(_sectional(riemann, metric, _PLANE_U, _PLANE_V))
-        return cls(christoffel, riemann, ricci, scalar, K, _weyl(riemann, ricci, metric))
+        weyl = riemann - _wedge(ricci, metric) / (DIM - 1)
+        return cls(christoffel, riemann, ricci, scalar, K, weyl)
 
 
 @dataclass(frozen=True)
@@ -138,11 +140,6 @@ def ricci(sigma: float, params: ModelParams) -> np.ndarray:
     )
 
 
-def scalar_curvature(params: ModelParams) -> float:
-    """Ricci scalar R = g^{ab} R_ab = -3/2 for every sigma and r."""
-    return SCALAR_CURVATURE
-
-
 def _sectional(R: np.ndarray, g: np.ndarray, u, v):
     # K(u, v) per pair of rows of u and v (leading axes broadcast)
     u = np.asarray(u, dtype=float)
@@ -180,15 +177,6 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bd,ac->abcd", a, b) - np.einsum("bc,ad->abcd", a, b)
 
 
-def _weyl(R: np.ndarray, ric: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return R - _wedge(ric, g) / (DIM - 1)
-
-
-def weyl(sigma: float, params: ModelParams) -> np.ndarray:
-    """Projective Weyl tensor W_abcd; identically zero on this manifold."""
-    return _weyl(riemann(sigma, params), ricci(sigma, params), metric_corr3(sigma, params))
-
-
 def sectional_coordinate_planes(sigma: float, params: ModelParams) -> np.ndarray:
     """K(e_i, e_j) for the three coordinate planes; nan on the diagonal."""
     return _on_planes(sectional(sigma, params, _PLANE_U, _PLANE_V))
@@ -212,4 +200,4 @@ def bundle(sigma: float, params: ModelParams) -> CurvatureBundle:
     """Assemble every curvature quantity at (sigma, r)."""
     return CurvatureBundle.from_tensors(
         christoffel(sigma, params), riemann(sigma, params), ricci(sigma, params),
-        scalar_curvature(params), metric_corr3(sigma, params))
+        SCALAR_CURVATURE, metric_corr3(sigma, params))

@@ -51,9 +51,9 @@ LOCALIZATION_MAX = 0.1
 class InitialConditions:
     """Initial data (p0, sigma0, tau0, R0) of the collision history.
 
-    Wave packets must be well localized in momentum: sigma0/p0 <= 0.1.
-    R0 (initial separation) does not enter the geodesics themselves but is
-    carried along for the scattering-side operations.
+    Wave packets must be well localized in momentum: sigma0/p0 <= 0.1, up to
+    the rounding of a common factor such as hbar. R0 (initial separation)
+    does not enter the geodesics but is carried for the scattering side.
     """
 
     p0: float
@@ -63,7 +63,7 @@ class InitialConditions:
 
     def __post_init__(self):
         require_positive(p0=self.p0, sigma0=self.sigma0, tau0=self.tau0, R0=self.R0)
-        require(self.sigma0 / self.p0 <= LOCALIZATION_MAX, lambda: (
+        require(self.sigma0 / self.p0 <= LOCALIZATION_MAX * (1.0 + 1e-15), lambda: (
             f"sigma0/p0 = {self.sigma0 / self.p0:.4g} exceeds the "
             f"well-localized bound {LOCALIZATION_MAX}"))
 

@@ -19,7 +19,11 @@ a tenth of the comparison tolerance, otherwise ``ConvergenceError``.
 the command-line ``verify`` command is a thin formatter over it. Each check
 yields its per-point residuals and `run_verification` scores it by their
 maximum, which propagates NaN: a non-finite residual at any point fails the
-check's band.
+check's band. Checks share oracle runs within a battery: one forward
+geodesic run per r serves ``geodesic_ode``, and ``geodesic_reversibility``
+integrates the r = 0.5 run back from its end state; one 400-sample Jacobi
+run to 20/A0 per r gives ``jacobi_intensity`` its error and
+``lyapunov_fit`` its fitted rate.
 """
 
 from __future__ import annotations
@@ -136,8 +140,8 @@ class GeodesicComparison:
     """Numeric geodesic solution sampled against the closed form."""
 
     taus: np.ndarray
-    numeric: np.ndarray      # shape (n, 3): mu1, mu2, sigma
-    closed: np.ndarray
+    numeric: np.ndarray      # shape (n, 6): mu1, mu2, sigma and their velocities
+    closed: np.ndarray       # shape (n, 3): mu1, mu2, sigma
     max_rel_error: float
 
 
@@ -202,38 +206,22 @@ def geodesic_integrate(
     ic: InitialConditions,
     tau_span: tuple[float, float],
     spec: OdeSpec = OdeSpec(),
-    n_samples: int = 201,
 ) -> GeodesicComparison:
     """Integrate the geodesic equations from closed-form initial data.
 
-    Starts from the closed-form state and velocity at ``tau_span[0]`` and
-    reports the maximum relative deviation from the closed form, measured
-    per coordinate against that coordinate's largest magnitude on the span.
+    Starts from the closed-form state and velocity at ``tau_span[0]``,
+    samples 201 points of the span, and reports the maximum relative
+    deviation from the closed form, measured per coordinate against that
+    coordinate's largest magnitude on the span.
     """
     t0, t1 = tau_span
     y0 = _geodesic_start(params, ic, t0)
-    t_eval = np.linspace(t0, t1, n_samples)
+    t_eval = np.linspace(t0, t1, 201)
     ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec, t_eval=t_eval)
     closed = geodesics.geodesic_corr(ts, params, ic).as_array().T
     scale = np.abs(closed).max(axis=0)
     rel = np.abs(ys[:, :3] - closed) / scale[None, :]
-    return GeodesicComparison(ts, ys[:, :3], closed, float(rel.max()))
-
-
-def geodesic_roundtrip_error(
-    params: ModelParams,
-    ic: InitialConditions,
-    tau_span: tuple[float, float],
-    spec: OdeSpec = OdeSpec(),
-) -> float:
-    """Forward-then-backward integration error at the start state (reversibility)."""
-    t0, t1 = tau_span
-    y0 = _geodesic_start(params, ic, t0)
-    rhs = _geodesic_rhs(params)
-    _, fwd = _integrate(rhs, y0, t0, t1, spec)
-    _, back = _integrate(rhs, fwd[-1], t1, t0, spec)
-    scale = np.maximum(np.abs(y0), 1.0)
-    return float(np.abs((back[-1] - y0) / scale).max())
+    return GeodesicComparison(ts, ys, closed, float(rel.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +286,11 @@ def jacobi_integrate(
     ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30))
 
     closed = chaos.jacobi_intensity(ts, omega0, A0)
-    return JacobiComparison(
-        ts, intensity, closed, _intensity_error(ts, intensity, closed, A0),
-        _fitted_rate(ts, intensity), float(ortho)
-    )
-
-
-def _intensity_error(ts, intensity, closed, A0) -> float:
-    # max relative intensity error over taus with A0*tau >= 0.5
     window = ts >= 0.5 / A0
-    return float((np.abs(intensity[window] - closed[window]) / closed[window]).max())
-
-
-def _fitted_rate(ts, intensity) -> float:
-    # slope of ln J over the final half-window
-    fit_window = ts >= ts[-1] / 2.0
-    return float(np.polyfit(ts[fit_window], np.log(intensity[fit_window]), 1)[0])
+    error = np.abs(intensity[window] - closed[window]) / closed[window]
+    fit = ts >= ts[-1] / 2.0
+    rate = np.polyfit(ts[fit], np.log(intensity[fit]), 1)[0]
+    return JacobiComparison(ts, intensity, closed, float(error.max()), float(rate), float(ortho))
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +586,12 @@ def _check_curvature_fd(residual):
 
 def _check_curvature_constants():
     for sg, params in _GRID:
-        yield abs(curvature.scalar_curvature(params) + 1.5)
         K = curvature.sectional_coordinate_planes(sg, params)
         yield np.abs(K[~np.isnan(K)] + 0.25).max()
         yield curvature.maximal_symmetry_check(sg, params).max_residual()
         # Weyl in units of the Riemann scale (components grow ~ 1/sigma^4)
-        yield (np.abs(curvature.weyl(sg, params)).max()
-               / np.abs(curvature.riemann(sg, params)).max())
+        b = curvature.bundle(sg, params)
+        yield np.abs(b.weyl).max() / np.abs(b.riemann).max()
 
 
 def _check_geodesic_residual():
@@ -624,13 +600,21 @@ def _check_geodesic_residual():
         yield geodesics.geodesic_residual(ModelParams(r), _DESK_IC, grid)
 
 
+# one forward run per r serves geodesic_ode and, at r = 0.5, the reversal
+_geodesic_run = _per_run(geodesic_integrate)
+
+
 def _check_geodesic_ode():
     for r in (0.0, 0.5):
-        yield geodesic_integrate(ModelParams(r), _DESK_IC, (-1.0, 1.0)).max_rel_error
+        yield _geodesic_run(ModelParams(r), _DESK_IC, (-1.0, 1.0)).max_rel_error
 
 
 def _check_geodesic_reversibility():
-    yield geodesic_roundtrip_error(ModelParams(0.5), _DESK_IC, (-1.0, 1.0))
+    # integrated back from its end state, the forward run returns to its start
+    params = ModelParams(0.5)
+    fwd = _geodesic_run(params, _DESK_IC, (-1.0, 1.0)).numeric
+    _, back = _integrate(_geodesic_rhs(params), fwd[-1], 1.0, -1.0, OdeSpec())
+    yield np.abs((back[-1] - fwd[0]) / np.maximum(np.abs(fwd[0]), 1.0)).max()
 
 
 def _check_velocity_norm():
@@ -643,24 +627,19 @@ def _check_velocity_norm():
 
 @_per_run
 def _jacobi_run(r: float) -> JacobiComparison:
-    # one integration to 20/A0 serves both chaos checks: its 4*399 + 1
-    # samples hold the 400-point grid on [0, 5/A0] as their first 400 and
-    # the 400-point grid on [0, 20/A0] as every 4th
+    # one integration to 20/A0 per r serves both chaos checks
     A0 = geodesics.amplitude_A0(_DESK_IC)
-    return jacobi_integrate(ModelParams(r), _DESK_IC, 20.0 / A0, n_samples=1597)
+    return jacobi_integrate(ModelParams(r), _DESK_IC, 20.0 / A0)
 
 
 def _check_jacobi_intensity():
-    A0 = geodesics.amplitude_A0(_DESK_IC)
     for r in (0.0, 0.5):
-        run = _jacobi_run(r)
-        yield _intensity_error(run.taus[:400], run.intensity[:400], run.closed[:400], A0)
+        yield _jacobi_run(r).max_rel_error
 
 
 def _check_lyapunov_fit():
     A0 = geodesics.amplitude_A0(_DESK_IC)
-    rates = [2.0 * _fitted_rate(run.taus[::4], run.intensity[::4])
-             for run in map(_jacobi_run, (0.0, 0.5))]
+    rates = [2.0 * _jacobi_run(r).fitted_rate for r in (0.0, 0.5)]
     for rate in rates:
         yield abs(rate - 2.0 * A0) / (2.0 * A0)
     yield abs(rates[0] - rates[1]) / (2.0 * A0)
@@ -761,8 +740,10 @@ _CHECKS = [
     # Christoffels scale as 1/sigma and Riemann components as 1/sigma^4
     ("christoffel_fd", "curvature", (0.0, 1e-6), lambda: _check_curvature_fd(
         lambda fd, sg, p: np.abs(fd.christoffel - curvature.christoffel(sg, p)).max() * sg)),
+    # riemann_fd also holds the finite-difference scalar to SCALAR_CURVATURE
     ("riemann_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd(
-        lambda fd, sg, p: np.abs(fd.riemann - curvature.riemann(sg, p)).max() * sg**4)),
+        lambda fd, sg, p: np.max([np.abs(fd.riemann - curvature.riemann(sg, p)).max() * sg**4,
+                                  abs(fd.scalar - curvature.SCALAR_CURVATURE)]))),
     ("weyl_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd(
         lambda fd, sg, p: np.abs(fd.weyl).max() * sg**4)),
     ("curvature_constants", "curvature", (0.0, 1e-12), _check_curvature_constants),

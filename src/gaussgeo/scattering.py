@@ -55,11 +55,12 @@ from .errors import (
     RegimeError,
     RegimeWarning,
     ResonanceError,
+    require,
     require_correlation,
     require_nonnegative,
     require_positive,
 )
-from .geodesics import InitialConditions, amplitude_A0
+from .geodesics import LOCALIZATION_MAX, InitialConditions, amplitude_A0
 
 #: r_QM beyond this strains the perturbative Gaussian identification.
 R_QM_REGIME = 0.3
@@ -110,6 +111,10 @@ class ScatteringConfig:
 
     def initial_conditions(self, tau0: float = 1.0) -> InitialConditions:
         """Geodesic-side initial data (p0 = hbar k0, sigma0 = hbar sigma_k0)."""
+        # hbar cancels in sigma0/p0, so sigma_k0/k0 decides the localization bound
+        require(self.sigma_k0 / self.k0 <= LOCALIZATION_MAX, lambda: (
+            f"sigma_k0/k0 = {self.sigma_k0 / self.k0:.4g} exceeds the "
+            f"well-localized bound {LOCALIZATION_MAX}"))
         return InitialConditions(
             p0=self.hbar * self.k0,
             sigma0=self.hbar * self.sigma_k0,
@@ -215,11 +220,11 @@ def phase_shift_exact(cfg: ScatteringConfig, r: float) -> float:
     return math.atan(num / den)
 
 
-def phase_shift_series(cfg: ScatteringConfig, r: float, reduced: bool = False) -> float:
+def phase_shift_series(cfg: ScatteringConfig, r: float) -> float:
     """Low-energy series for the phase shift.
 
-    tan(theta0) ~ [-(k0 L)^3/3 + (k0 L)^5/15] r + [2 (k0 L)^5/15] r^2;
-    with ``reduced=True`` only the leading cubic term -r (k0 L)^3 / 3 is kept.
+    tan(theta0) ~ [-(k0 L)^3/3 + (k0 L)^5/15] r + [2 (k0 L)^5/15] r^2; its
+    leading cubic term -r (k0 L)^3 / 3 is `phase_shift_from_potential` at V = r E.
     """
     require_correlation(r)
     x = cfg.k0 * cfg.L
@@ -229,8 +234,6 @@ def phase_shift_series(cfg: ScatteringConfig, r: float, reduced: bool = False) -
             RegimeWarning,
             stacklevel=2,
         )
-    if reduced:
-        return -r * x**3 / 3.0
     t = (-(x**3) / 3.0 + x**5 / 15.0) * r + (2.0 * x**5 / 15.0) * r * r
     return math.atan(t)
 

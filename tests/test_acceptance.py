@@ -46,7 +46,7 @@ def test_criterion_01_curvature_constants():
         for r in R_GRID:
             params = ModelParams(r)
             worst_scalar = max(
-                worst_scalar, abs(curvature.scalar_curvature(params) + 1.5)
+                worst_scalar, abs(curvature.bundle(sg, params).scalar + 1.5)
             )
             K = curvature.sectional_coordinate_planes(sg, params)
             worst_sectional = max(
@@ -76,13 +76,10 @@ def test_criterion_02_isotropy():
         for r in R_GRID:
             params = ModelParams(r)
             scale = np.abs(curvature.riemann(sg, params)).max()
-            worst_closed = max(
-                worst_closed, float(np.abs(curvature.weyl(sg, params)).max() / scale)
-            )
+            weyl = np.abs(curvature.bundle(sg, params).weyl).max()
+            worst_closed = max(worst_closed, float(weyl / scale))
             if sg >= 1.0:
-                worst_abs = max(
-                    worst_abs, float(np.abs(curvature.weyl(sg, params)).max())
-                )
+                worst_abs = max(worst_abs, float(weyl))
             fd = oracle.curvature_fd(sg, params)
             worst_fd = max(worst_fd, float(np.abs(fd.weyl).max()))
             worst_symmetry = max(
@@ -312,7 +309,8 @@ def test_criterion_09_phase_shift_chain():
     def pair(L):
         cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=L)
         exact = scattering.phase_shift_exact(cfg, 0.01)
-        reduced = scattering.phase_shift_series(cfg, 0.01, reduced=True)
+        reduced = scattering.phase_shift_from_potential(
+            scattering.potential_from_r(0.01, cfg), cfg)
         return exact, reduced
 
     exact1, reduced1 = pair(0.1)

@@ -25,8 +25,7 @@ class TestJlcCoefficient:
 
     def test_assembled_from_parts(self, desk_ic):
         # Q = R ||v||^2 / (n(n-1)) built from independently computed pieces
-        params = ModelParams(0.4)
-        R = curvature.scalar_curvature(params)
+        R = curvature.SCALAR_CURVATURE
         v2 = chaos.velocity_norm_squared(desk_ic)
         A0 = geodesics.amplitude_A0(desk_ic)
         assert R * v2 / 6.0 == pytest.approx(chaos.jlc_coefficient(A0), abs=1e-12)
@@ -144,6 +143,6 @@ class TestLyapunov:
         for r in (0.0, 0.3, 0.7):
             v2 = chaos.velocity_norm_squared(desk_ic)
             assert 2.0 * math.sqrt(
-                -curvature.scalar_curvature(ModelParams(r)) * v2 / 6.0
+                -curvature.bundle(1.0, ModelParams(r)).scalar * v2 / 6.0
             ) == pytest.approx(lam, rel=1e-14)
 

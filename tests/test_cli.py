@@ -144,6 +144,12 @@ class TestGeodesicCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("cmd", ["geodesic", "jacobi", "complexity", "prolongation"])
+def test_table_commands_take_no_R0(capsys, cmd):
+    # the initial separation reaches only the scatter record
+    assert run_cli(capsys, cmd, "--R0", "20")[0] == 2
+
+
 class TestTableGrids:
     @pytest.mark.parametrize("cmd", ["geodesic", "jacobi", "complexity", "prolongation"])
     @pytest.mark.parametrize("n", ["0", "-3"])
@@ -245,6 +251,29 @@ class TestScatterCommand:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_hbar_does_not_decide_localization(self, capsys):
+        # hbar cancels in sigma0/p0, so it must not decide the bound, though
+        # the scaled ratio rounds above it: fl(3 * 0.1) / 3 > 0.1
+        rng = np.random.default_rng(20261018)
+        for hbar in [0.3, 3.0, 7.0, 30.0, *10.0 ** rng.uniform(-3.0, 3.0, 200)]:
+            code, _, err = run_cli(capsys, "scatter", "--hbar", repr(float(hbar)))
+            assert code == 0, (hbar, err)
+
+    def test_poor_localization_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "scatter", "--sigma-k0", "0.11")
+        assert code == 2
+        assert "sigma_k0/k0 = 0.11 exceeds the well-localized bound 0.1" in err
+
+    def test_failed_roundtrip_warns(self, capsys, monkeypatch):
+        # an inversion that misses by 1e-6 is reported without failing the run
+        r_from_potential = scattering.r_from_potential
+        monkeypatch.setattr(scattering, "r_from_potential",
+                            lambda cfg, V: r_from_potential(cfg, V) + 1e-6)
+        code, out, err = run_cli(capsys, "scatter", "--a-s", "1e-7")
+        assert code == 0
+        assert "consistency round-trips failed: {'roundtrip_potential'" in err
+        assert json.loads(out)["consistency_max_residual"] == pytest.approx(1e-6)
+
     def test_regime_violation_warns_but_exits_zero(self, capsys):
         code, out, err = run_cli(capsys, "scatter", "--a-s", "1e-3")
         payload = json.loads(out)
@@ -254,6 +283,45 @@ class TestScatterCommand:
         assert err.splitlines() == [f"warning: RegimeWarning: {regime}",
                                     f"warning: UserWarning: {bound}"]
         assert run_cli(capsys, "scatter", "--a-s", "1e-3", "--format", "csv")[2] == err
+
+
+SUBPARSERS = cli.build_parser()._subparsers._group_actions[0].choices
+
+#: A valid value off the default where doubling the default is not one
+#: (zero, a choice, a repeatable flag, the sigma0/p0 <= 0.1 bound).
+MOVED = {
+    ("metric", "r"): "0.3", ("metric", "dim"): "4", ("curvature", "r"): "0.7",
+    ("geodesic", "sigma0"): "0.05", ("geodesic", "r"): "0.5",
+    ("jacobi", "sigma0"): "0.05", ("complexity", "sigma0"): "0.05",
+    ("complexity", "r"): "0.5", ("scatter", "sigma_k0"): "0.05",
+    ("scatter", "a_s"): "1e-6", ("prolongation", "sigma0"): "0.05",
+    ("prolongation", "r_min"): "0.001",
+}
+
+#: Options that show only beside another: the corr4 spreads need --dim 4, at
+#: r = 0 every curvature output is independent of sigma, and tau0 reaches the
+#: scatter record through a finite prolongation, so a_s > 0.
+CONTEXT = {("metric", "sigma_x"): ["--dim", "4"], ("metric", "sigma_y"): ["--dim", "4"],
+           ("curvature", "sigma"): ["--r", "0.7"], ("scatter", "tau0"): ["--a-s", "1e-6"]}
+
+#: Every option of every command but verify, except those that choose where
+#: and how output is written.
+OPTIONS = [(command, action.dest, action.option_strings[0])
+           for command, sub in SUBPARSERS.items() if command != "verify"
+           for action in sub._actions
+           if action.option_strings and action.dest not in {"help", "format", "out", "config"}]
+
+
+@pytest.mark.parametrize("command,dest,flag", OPTIONS,
+                         ids=[f"{command} {flag}" for command, _, flag in OPTIONS])
+def test_every_option_changes_the_output(capsys, command, dest, flag):
+    # an option whose value no output reads is a dead input
+    moved = MOVED.get((command, dest)) or repr(SUBPARSERS[command].get_default(dest) * 2)
+    context = [command, *CONTEXT.get((command, dest), [])]
+    code, base, _ = run_cli(capsys, *context)
+    moved_code, out, err = run_cli(capsys, *context, flag, moved)
+    assert code == moved_code == 0, err
+    assert out != base, f"{command} {flag} {moved} leaves stdout unchanged"
 
 
 class TestProlongationCommand:

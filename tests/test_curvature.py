@@ -106,7 +106,7 @@ class TestRicci:
 class TestScalarAndSectional:
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
     def test_scalar_constant(self, r):
-        assert curvature.scalar_curvature(ModelParams(r)) == -1.5
+        assert curvature.bundle(1.0, ModelParams(r)).scalar == -1.5
 
     @pytest.mark.parametrize("sg,r", grid_cases())
     def test_scalar_from_contraction(self, sg, r):
@@ -152,11 +152,11 @@ class TestScalarAndSectional:
 class TestWeylAndSymmetry:
     @pytest.mark.parametrize("sg,r", [(1.0, 0.0), (3.0, 0.7), (10.0, 0.9)])
     def test_weyl_vanishes_absolute(self, sg, r):
-        assert np.abs(curvature.weyl(sg, ModelParams(r))).max() < 1e-12
+        assert np.abs(curvature.bundle(sg, ModelParams(r)).weyl).max() < 1e-12
 
     @pytest.mark.parametrize("sg,r", grid_cases())
     def test_weyl_vanishes_scaled(self, sg, r):
-        W = np.abs(curvature.weyl(sg, ModelParams(r))).max()
+        W = np.abs(curvature.bundle(sg, ModelParams(r)).weyl).max()
         scale = np.abs(curvature.riemann(sg, ModelParams(r))).max()
         assert W / scale < 1e-12
 

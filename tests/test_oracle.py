@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +15,28 @@ from gaussgeo.oracle import OdeSpec
 from gaussgeo.scattering import ScatteringConfig
 
 
+def _coarse_rule_at(monkeypatch, order):
+    """Replace the Gauss rule of one order by a 4-node one with 1% heavier
+    weights (a 4-node Hermite rule is still exact on the Fisher scores), so
+    that a refinement self-test doubling to that order sees the result move."""
+    rule = oracle._gauss_rule
+
+    def patched(build, n):
+        if n != order:
+            return rule(build, n)
+        nodes, weights = rule(build, 4)
+        return nodes, 1.01 * weights
+
+    monkeypatch.setattr(oracle, "_gauss_rule", patched)
+
+
 class TestFisherMetricNumeric:
+    def test_convergence_self_test_raises(self, monkeypatch):
+        _coarse_rule_at(monkeypatch, 80)
+        with pytest.raises(ConvergenceError, match="Fisher quadrature drift"):
+            oracle.fisher_metric_numeric("corr3", Macrostate3(0.1, 0.2, 2.0),
+                                         ModelParams(0.5), check_convergence=True)
+
     def test_flat_reference(self):
         state = Macrostate3(0.0, 0.0, 1.0)
         numeric = oracle.fisher_metric_numeric("corr3", state, ModelParams(0.0))
@@ -78,9 +100,16 @@ class TestGeodesicIntegrate:
         cmp = oracle.geodesic_integrate(ModelParams(r), desk_ic, (-1.0, 1.0))
         assert cmp.max_rel_error < 1e-6
 
-    def test_reversibility(self, desk_ic):
-        err = oracle.geodesic_roundtrip_error(ModelParams(0.5), desk_ic, (-1.0, 1.0))
-        assert err < 1e-8
+    def test_reversibility(self):
+        # the battery integrates its r = 0.5 geodesic_ode run back to its start
+        results = {res.name: res for res in oracle.run_verification(only="geodesics")}
+        assert results["geodesic_reversibility"].residual < 1e-8
+
+    def test_failed_integration_raises(self, desk_ic, monkeypatch):
+        failed = types.SimpleNamespace(success=False, message="step size too small")
+        monkeypatch.setattr(oracle, "solve_ivp", lambda *args, **kwargs: failed)
+        with pytest.raises(ConvergenceError, match="step size too small"):
+            oracle.geodesic_integrate(ModelParams(0.5), desk_ic, (-1.0, 1.0))
 
     def test_tolerance_refinement_self_test(self, desk_ic):
         # tightening the tolerance by 10x moves the solution by far less
@@ -115,6 +144,13 @@ class TestPurityBruteforce:
     def test_convergence_self_test(self, desk_cfg):
         oracle.purity_bruteforce(desk_cfg, check_convergence=True)
 
+    def test_convergence_self_test_raises(self, monkeypatch):
+        # a product state is pure on any mesh; an entangled one shows the rule
+        _coarse_rule_at(monkeypatch, 128)
+        cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=0.05)
+        with pytest.raises(ConvergenceError, match="purity quadrature drift"):
+            oracle.purity_bruteforce(cfg, check_convergence=True)
+
     def test_gaussian_state_anchor(self, desk_cfg):
         # trace machinery reproduces the exact sqrt(1-r^2) purity of the
         # correlated-Gaussian pure state
@@ -146,6 +182,13 @@ class TestIgcNumeric:
         lam = 2.0 * geodesics.amplitude_A0(desk_ic)
         with pytest.raises(DomainError):
             oracle.igc_numeric(25.0 / lam, ModelParams(0.0), desk_ic)
+
+    def test_unconverged_time_average_raises(self, desk_ic, monkeypatch):
+        # quad reporting an error estimate of 1 on every integral
+        quad = oracle.quad
+        monkeypatch.setattr(oracle, "quad", lambda *args, **kwargs: (quad(*args, **kwargs)[0], 1.0))
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            oracle.igc_numeric(1.0, ModelParams(0.3), desk_ic)
 
 
 class TestCurvatureFd:
@@ -424,6 +467,13 @@ class TestVerificationBattery:
                             lambda sigma, params: riemann(sigma, params) * 1.01)
         failed = {res.name for res in oracle.run_verification() if not res.passed}
         assert failed == {"riemann_fd", "curvature_constants"}
+
+    def test_scalar_curvature_fault_reaches_riemann_fd(self, monkeypatch):
+        # riemann_fd also holds the finite-difference scalar to SCALAR_CURVATURE
+        monkeypatch.setattr(curvature, "SCALAR_CURVATURE", -1.4)
+        failed = {res.name for res in oracle.run_verification(only="curvature")
+                  if not res.passed}
+        assert "riemann_fd" in failed
 
     @pytest.mark.parametrize("build, order", [
         (np.polynomial.hermite.hermgauss, 40), (np.polynomial.legendre.leggauss, 64)])

@@ -22,6 +22,11 @@ from gaussgeo.geodesics import InitialConditions
 from gaussgeo.scattering import ScatteringConfig
 
 
+def _born(cfg, r):
+    """Born phase shift at the potential V = r E that the correlation r induces."""
+    return scattering.phase_shift_from_potential(scattering.potential_from_r(r, cfg), cfg)
+
+
 class TestConfig:
     def test_rejects_attractive(self):
         with pytest.raises(DomainError):
@@ -102,6 +107,12 @@ class TestPuritySeries:
             1.0 - r * r, abs=1e-15
         )
 
+    def test_warns_when_strained(self):
+        # kappa a_s = 160.8 * 2e-3 ~ 0.32: inside the first-order regime, strained
+        cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=2e-3)
+        with pytest.warns(RegimeWarning, match="first-order form is strained"):
+            assert scattering.purity_series(cfg) == pytest.approx(1.0 - 0.3216)
+
     def test_regime_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -145,7 +156,7 @@ class TestPhaseShiftChain:
 
     def test_exact_vs_reduced_series(self, desk_cfg):
         exact = scattering.phase_shift_exact(desk_cfg, 0.01)
-        reduced = scattering.phase_shift_series(desk_cfg, 0.01, reduced=True)
+        reduced = _born(desk_cfg, 0.01)
         assert reduced == pytest.approx(-0.01 * 0.1**3 / 3.0, rel=1e-14)
         assert abs(exact - reduced) / abs(exact) < 0.02
 
@@ -155,7 +166,7 @@ class TestPhaseShiftChain:
             cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=L)
             return abs(
                 scattering.phase_shift_exact(cfg, 0.01)
-                - scattering.phase_shift_series(cfg, 0.01, reduced=True)
+                - _born(cfg, 0.01)
             )
 
         ratio = residual(0.1) / residual(0.05)
@@ -169,8 +180,7 @@ class TestPhaseShiftChain:
         )
 
     def test_reduced_example(self, desk_cfg):
-        assert scattering.phase_shift_series(desk_cfg, 0.1, reduced=True) == \
-            pytest.approx(-3.3333333333333333e-05, rel=1e-12)
+        assert _born(desk_cfg, 0.1) == pytest.approx(-3.3333333333333333e-05, rel=1e-12)
 
     def test_series_warns_out_of_regime(self, desk_cfg):
         with pytest.warns(RegimeWarning):
@@ -185,11 +195,10 @@ class TestPhaseShiftChain:
         )
 
     def test_potential_route_equals_reduced_series(self, desk_cfg):
+        # the Born route is the series' leading cubic term -r (k0 L)^3 / 3
+        x = desk_cfg.k0 * desk_cfg.L
         for r in (1e-3, 0.01, 0.1):
-            V = scattering.potential_from_r(r, desk_cfg)
-            assert scattering.phase_shift_from_potential(V, desk_cfg) == pytest.approx(
-                scattering.phase_shift_series(desk_cfg, r, reduced=True), rel=1e-14
-            )
+            assert _born(desk_cfg, r) == pytest.approx(-r * x**3 / 3.0, rel=1e-14)
 
     def test_pairwise_agreement_on_grid(self):
         for k0L in (0.05, 0.1, 0.2):
