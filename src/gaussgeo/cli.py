@@ -9,7 +9,8 @@ key order. Validity warnings go to stderr as ``warning: <Category>:
 without changing the exit code; a CSV table warns with the names of the
 extra fields it cannot hold. Exit codes: 0 success, 1 verification
 failure, 2 usage or domain error, including an arithmetic overflow or a
-singular matrix from extreme finite input. numpy's divide, overflow and
+singular matrix from extreme finite input, whose error line names the
+numeric options set off their defaults. numpy's divide, overflow and
 invalid floating-point errors raise rather than warn.
 
 The table commands (geodesic, jacobi, complexity, prolongation) evaluate
@@ -288,9 +289,7 @@ def _cmd_prolongation(args) -> tuple[dict, dict]:
 def _cmd_verify(args) -> int:
     from . import oracle  # loads scipy.integrate, which only verify needs
 
-    results = oracle.run_verification(
-        only=args.only, tol_scale=args.tol_scale, fault=args.inject_fault
-    )
+    results = oracle.run_verification(args.only)
     all_passed = all(res.passed for res in results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -397,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="oracle-vs-closed-form verification suite")
     p.add_argument("--only", choices=GROUPS, default=None)
-    p.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0)
-    p.add_argument("--inject-fault", dest="inject_fault", default=None,
-                   help=argparse.SUPPRESS)  # negative-control test hook
     _add_output_flags(p, formats=False)
     p.set_defaults(fn=_cmd_verify)
 
@@ -465,7 +461,16 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 _emit_table(columns, args.format, args.out, extra, warn_list)
             return 0
-    except (GaussGeoError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # name the numeric options off their defaults, from argv or --config; a
+        # flag is its dest with '-' for '_', and --config cleared this parser's defaults
+        defaults = vars(build_parser().parse_args([args.command]))
+        moved = ", ".join(f"--{k.replace('_', '-')} {x:g}" for k, v in vars(args).items()
+                          if v != defaults.get(k) for x in (v if isinstance(v, list) else [v])
+                          if isinstance(x, (int, float)))
+        print(f"error: {exc}" + (f" (at {moved})" if moved else ""), file=sys.stderr)
+        return 2
+    except (GaussGeoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,11 +177,6 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bd,ac->abcd", a, b) - np.einsum("bc,ad->abcd", a, b)
 
 
-def sectional_coordinate_planes(sigma: float, params: ModelParams) -> np.ndarray:
-    """K(e_i, e_j) for the three coordinate planes; nan on the diagonal."""
-    return _on_planes(sectional(sigma, params, _PLANE_U, _PLANE_V))
-
-
 def maximal_symmetry_check(sigma: float, params: ModelParams) -> SymmetryReport:
     """Residuals of the three maximal-symmetry identities."""
     g = metric_corr3(sigma, params)

@@ -17,13 +17,15 @@ a tenth of the comparison tolerance, otherwise ``ConvergenceError``.
 
 `run_verification` drives the whole battery and returns structured results;
 the command-line ``verify`` command is a thin formatter over it. Each check
-yields its per-point residuals and `run_verification` scores it by their
-maximum, which propagates NaN: a non-finite residual at any point fails the
-check's band. Checks share oracle runs within a battery: one forward
-geodesic run per r serves ``geodesic_ode``, and ``geodesic_reversibility``
-integrates the r = 0.5 run back from its end state; one 400-sample Jacobi
-run to 20/A0 per r gives ``jacobi_intensity`` its error and
-``lyapunov_fit`` its fitted rate.
+yields its per-point residuals and `run_verification` holds their maximum
+to the check's one fixed tolerance; NaN propagates, so a non-finite
+residual at any point fails. A negative control substitutes a closed form
+(pytest's ``monkeypatch``) and expects the checks that read it to fail.
+Checks share oracle runs within a battery: one forward geodesic run per r
+serves ``geodesic_ode``, and ``geodesic_reversibility`` integrates the
+r = 0.5 run back from its end state; one 400-sample Jacobi run to 20/A0 per r
+gives ``jacobi_intensity`` its error and orthogonality and ``lyapunov_fit``
+its fitted rate.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from . import chaos, complexity, curvature, geodesics, models, scattering
-from .errors import (
-    ConvergenceError, DomainError, require, require_correlation, require_positive
-)
+from .errors import ConvergenceError, DomainError, require, require_correlation
 from .geodesics import InitialConditions
 from .groups import GROUPS
 from .models import ModelParams
@@ -257,7 +257,6 @@ def jacobi_integrate(
     tau_max: float,
     spec: OdeSpec = OdeSpec(),
     omega0: float = 1.0,
-    n_samples: int = 400,
 ) -> JacobiComparison:
     """Integrate the vector geodesic-deviation equation along the geodesic.
 
@@ -268,12 +267,13 @@ def jacobi_integrate(
 
     Initial data: J(0) = 0 and DJ/dtau(0) = omega0 * w with w a g-unit
     vector orthogonal to the velocity; orthogonality of J to the velocity
-    is monitored along the whole trajectory.
+    is monitored along the whole trajectory. The run is sampled at 400
+    points of [0, tau_max].
     """
     A0 = geodesics.amplitude_A0(ic)
     w = _orthonormal_seed(params, ic)
     y0 = np.concatenate([np.zeros(3), omega0 * w])
-    t_eval = np.linspace(0.0, tau_max, n_samples)
+    t_eval = np.linspace(0.0, tau_max, 400)
     ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec, t_eval=t_eval)
 
     # g = g1 / sigma^2 along the path, contracted per sample
@@ -530,21 +530,16 @@ _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
 
 # Each _check_* yields its residuals, one or more per point it samples.
 
-class _RunMemo(threading.local):
-    # Oracle results that several checks share, keyed by function and
-    # arguments, one memo per thread. run_verification empties it when it
-    # starts, so no battery reads a result that another one computed.
-    def __init__(self):
-        self.results = {}
-
-
-_RUN_MEMO = _RunMemo()
+# Oracle results that several checks share, keyed by function and arguments,
+# one memo per thread. run_verification gives each battery an empty one, so
+# no battery reads a result that another one computed.
+_RUN_MEMO = threading.local()
 
 
 def _per_run(fn):
     @functools.wraps(fn)
     def shared(*args):
-        results = _RUN_MEMO.results
+        results = vars(_RUN_MEMO).setdefault("results", {})
         key = (fn.__name__, *args)
         if key not in results:
             results[key] = fn(*args)
@@ -553,14 +548,9 @@ def _per_run(fn):
     return shared
 
 
-def _check_metric3_quadrature(fault: bool = False):
-    # fault: perturb the closed form's off-diagonal entries by 1e-3
+def _check_metric3_quadrature():
     for sg, params in _GRID:
         closed = models.metric_corr3(sg, params)
-        if fault:
-            closed = closed.copy()
-            closed[0, 1] += 1e-3
-            closed[1, 0] += 1e-3
         numeric = fisher_metric_numeric("corr3", models.Macrostate3(0.4, -0.3, sg), params)
         yield np.abs(closed - numeric).max()
 
@@ -584,13 +574,17 @@ def _check_curvature_fd(residual):
         yield residual(_curvature_fd_run(sg, params), sg, params)
 
 
+# (u, v): two fixed planes off the coordinate axes, spanned by rows of u and v
+_OBLIQUE = ([[1.0, 1.0, 0.5], [0.3, -0.7, 1.0]], [[0.0, 1.0, -2.0], [1.0, 0.2, 0.4]])
+
+
 def _check_curvature_constants():
     for sg, params in _GRID:
-        K = curvature.sectional_coordinate_planes(sg, params)
-        yield np.abs(K[~np.isnan(K)] + 0.25).max()
+        b = curvature.bundle(sg, params)
+        yield np.abs(b.sectional[~np.isnan(b.sectional)] + 0.25).max()
+        yield np.abs(curvature.sectional(sg, params, *_OBLIQUE) + 0.25).max()
         yield curvature.maximal_symmetry_check(sg, params).max_residual()
         # Weyl in units of the Riemann scale (components grow ~ 1/sigma^4)
-        b = curvature.bundle(sg, params)
         yield np.abs(b.weyl).max() / np.abs(b.riemann).max()
 
 
@@ -633,8 +627,10 @@ def _jacobi_run(r: float) -> JacobiComparison:
 
 
 def _check_jacobi_intensity():
+    # the intensity error, and J's drift out of the plane normal to the velocity
     for r in (0.0, 0.5):
         yield _jacobi_run(r).max_rel_error
+        yield _jacobi_run(r).orthogonality_max
 
 
 def _check_lyapunov_fit():
@@ -673,8 +669,8 @@ def _purity_deficit(a_s: float) -> float:
 
 def _check_purity_scaling():
     # the brute-force purity deficit is quadratic in a_s, so halving a_s
-    # must shrink it by 3.5x-4.5x; the ratio itself is the reported value
-    yield _purity_deficit(1e-5) / _purity_deficit(5e-6)
+    # shrinks it 4x; the residual is the ratio's distance from 4
+    yield abs(_purity_deficit(1e-5) / _purity_deficit(5e-6) - 4.0)
 
 
 def _check_purity_quadratic():
@@ -732,79 +728,56 @@ def _check_dimensional_reduction():
     yield dimensional_reduction_check(ScatteringConfig(a_s=0.0, **_DESK_CFG_KW))
 
 
-# (name, group, (lo, hi), check): a check passes when its residual lies in
-# [lo / tol_scale, hi * tol_scale]; hi * tol_scale is its reported tolerance.
+# (name, group, tolerance, check): a check passes when its residual is at
+# most its tolerance, so a NaN residual fails.
 _CHECKS = [
-    ("metric3_quadrature", "models", (0.0, 1e-6), _check_metric3_quadrature),
-    ("metric4_quadrature", "models", (0.0, 1e-6), _check_metric4_quadrature),
+    ("metric3_quadrature", "models", 1e-6, _check_metric3_quadrature),
+    ("metric4_quadrature", "models", 1e-6, _check_metric4_quadrature),
     # Christoffels scale as 1/sigma and Riemann components as 1/sigma^4
-    ("christoffel_fd", "curvature", (0.0, 1e-6), lambda: _check_curvature_fd(
+    ("christoffel_fd", "curvature", 1e-6, lambda: _check_curvature_fd(
         lambda fd, sg, p: np.abs(fd.christoffel - curvature.christoffel(sg, p)).max() * sg)),
     # riemann_fd also holds the finite-difference scalar to SCALAR_CURVATURE
-    ("riemann_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd(
+    ("riemann_fd", "curvature", 1e-5, lambda: _check_curvature_fd(
         lambda fd, sg, p: np.max([np.abs(fd.riemann - curvature.riemann(sg, p)).max() * sg**4,
                                   abs(fd.scalar - curvature.SCALAR_CURVATURE)]))),
-    ("weyl_fd", "curvature", (0.0, 1e-5), lambda: _check_curvature_fd(
+    ("weyl_fd", "curvature", 1e-5, lambda: _check_curvature_fd(
         lambda fd, sg, p: np.abs(fd.weyl).max() * sg**4)),
-    ("curvature_constants", "curvature", (0.0, 1e-12), _check_curvature_constants),
-    ("geodesic_residual", "geodesics", (0.0, 1e-6), _check_geodesic_residual),
-    ("geodesic_ode", "geodesics", (0.0, 1e-6), _check_geodesic_ode),
-    ("geodesic_reversibility", "geodesics", (0.0, 1e-8), _check_geodesic_reversibility),
-    ("velocity_norm", "geodesics", (0.0, 1e-9), _check_velocity_norm),
-    ("jacobi_intensity", "chaos", (0.0, 1e-5), _check_jacobi_intensity),
-    ("lyapunov_fit", "chaos", (0.0, 0.01), _check_lyapunov_fit),
-    ("igc_numeric", "complexity", (0.0, 1e-5), _check_igc_numeric),
-    ("complexity_relations", "complexity", (0.0, 1e-12), _check_complexity_relations),
-    ("purity_scaling", "scattering", (3.5, 4.5), _check_purity_scaling),
-    ("purity_quadratic", "scattering", (0.0, 0.02), _check_purity_quadratic),
-    ("purity_gaussian_identity", "scattering", (0.0, 1e-9), _check_purity_gaussian_identity),
-    ("phase_chain", "scattering", (0.0, 0.02), _check_phase_chain),
-    ("inversions_roundtrip", "scattering", (0.0, 1e-10), _check_inversions),
-    ("prolongation_agreement", "scattering", (0.0, 0.01), _check_prolongation),
-    ("normalization_quadrature", "scattering", (0.0, 1e-8), _check_normalization_quadrature),
-    ("dimensional_reduction", "oracle", (0.0, 1e-9), _check_dimensional_reduction),
+    ("curvature_constants", "curvature", 1e-12, _check_curvature_constants),
+    ("geodesic_residual", "geodesics", 1e-6, _check_geodesic_residual),
+    ("geodesic_ode", "geodesics", 1e-6, _check_geodesic_ode),
+    ("geodesic_reversibility", "geodesics", 1e-8, _check_geodesic_reversibility),
+    ("velocity_norm", "geodesics", 1e-9, _check_velocity_norm),
+    ("jacobi_intensity", "chaos", 1e-5, _check_jacobi_intensity),
+    ("lyapunov_fit", "chaos", 0.01, _check_lyapunov_fit),
+    ("igc_numeric", "complexity", 1e-5, _check_igc_numeric),
+    ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
+    ("purity_scaling", "scattering", 0.5, _check_purity_scaling),
+    ("purity_quadratic", "scattering", 0.02, _check_purity_quadratic),
+    ("purity_gaussian_identity", "scattering", 1e-9, _check_purity_gaussian_identity),
+    ("phase_chain", "scattering", 0.02, _check_phase_chain),
+    ("inversions_roundtrip", "scattering", 1e-10, _check_inversions),
+    ("prolongation_agreement", "scattering", 0.01, _check_prolongation),
+    ("normalization_quadrature", "scattering", 1e-8, _check_normalization_quadrature),
+    ("dimensional_reduction", "oracle", 1e-9, _check_dimensional_reduction),
 ]
 
 
-# Negative controls: a check named by ``fault`` runs its hook here instead,
-# and one without a hook yields an infinite residual, outside every band.
-_FAULTS = {"metric3_quadrature": lambda: _check_metric3_quadrature(fault=True)}
-
-
-def _no_fault_hook():
-    yield math.inf
-
-
-def run_verification(
-    only: str | None = None,
-    tol_scale: float = 1.0,
-    fault: str | None = None,
-) -> list[CheckResult]:
+def run_verification(only: str | None = None) -> list[CheckResult]:
     """Run the oracle-vs-closed-form battery.
 
-    ``only`` filters by group name; ``tol_scale`` widens (> 1) or narrows
-    every pass band; ``fault`` names a check that runs to fault-inject
-    (negative-control hook). A check's residual is the maximum of the
-    residuals it yields; NaN propagates, so a non-finite value fails the band.
+    ``only`` filters by group name. A check's residual is the maximum of the
+    residuals it yields, and it passes when that is at most its tolerance;
+    NaN propagates, so a non-finite value fails.
     """
-    require_positive(tol_scale=tol_scale)
     require(only is None or only in GROUPS,
             lambda: f"unknown check group {only!r}; available: {GROUPS}")
-    # a fault outside the checks that run would go unseen
-    runs = {name for name, group, *_ in _CHECKS if only in (None, group)}
-    require(fault is None or fault in runs,
-            lambda: f"no check {fault!r} to fault-inject among the checks that run")
-    _RUN_MEMO.results.clear()
+    _RUN_MEMO.results = {}
     results = []
-    for name, group, (lo, hi), fn in _CHECKS:
+    for name, group, tolerance, fn in _CHECKS:
         if only is not None and group != only:
             continue
-        if fault == name:
-            fn = _FAULTS.get(name, _no_fault_hook)
         start = time.perf_counter()
         residual = float(np.max(np.fromiter(fn(), float)))
-        elapsed = time.perf_counter() - start
-        tolerance = hi * tol_scale
-        passed = lo / tol_scale <= residual <= tolerance
-        results.append(CheckResult(name, group, residual, tolerance, passed, elapsed))
+        results.append(CheckResult(name, group, residual, tolerance, residual <= tolerance,
+                                   time.perf_counter() - start))
     return results

@@ -96,10 +96,10 @@ class ScatteringConfig:
                 RegimeWarning,
                 stacklevel=2,
             )
-        if self.sigma_k0 / self.k0 > 0.1:
+        if self.sigma_k0 / self.k0 > LOCALIZATION_MAX:
             warnings.warn(
-                f"sigma_k0/k0 = {self.sigma_k0 / self.k0:.3g} > 0.1: wave packets "
-                "are not well localized",
+                f"sigma_k0/k0 = {self.sigma_k0 / self.k0:.3g} > {LOCALIZATION_MAX}: "
+                "wave packets are not well localized",
                 RegimeWarning,
                 stacklevel=2,
             )

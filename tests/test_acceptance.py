@@ -45,12 +45,10 @@ def test_criterion_01_curvature_constants():
     for sg in SIGMA_GRID:
         for r in R_GRID:
             params = ModelParams(r)
-            worst_scalar = max(
-                worst_scalar, abs(curvature.bundle(sg, params).scalar + 1.5)
-            )
-            K = curvature.sectional_coordinate_planes(sg, params)
+            b = curvature.bundle(sg, params)
+            worst_scalar = max(worst_scalar, abs(b.scalar + 1.5))
             worst_sectional = max(
-                worst_sectional, float(np.nanmax(np.abs(K + 0.25)))
+                worst_sectional, float(np.nanmax(np.abs(b.sectional + 0.25)))
             )
             fd = oracle.curvature_fd(sg, params)
             worst_fd = max(worst_fd, abs(fd.scalar + 1.5))

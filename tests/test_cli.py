@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussgeo import cli, curvature, oracle, scattering
+from gaussgeo import cli, curvature, models, oracle, scattering
 from gaussgeo.errors import ProlongationBoundError
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.groups import GROUPS
@@ -363,31 +363,25 @@ class TestVerifyCommand:
         assert {c["group"] for c in payload["checks"]} == {"models"}
         assert "PASS" in err
 
-    def test_fault_injection_exits_one(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--only", "models",
-            "--inject-fault", "metric3_quadrature",
-        )
+    def test_fault_injection_exits_one(self, capsys, monkeypatch):
+        # a closed form 1e-3 off fails its check, and verify exits 1
+        metric_corr3 = models.metric_corr3
+        monkeypatch.setattr(models, "metric_corr3",
+                            lambda sigma, params: metric_corr3(sigma, params) + 1e-3)
+        code, out, err = run_cli(capsys, "verify", "--only", "models")
         assert code == 1
         payload = json.loads(out)
         assert payload["passed"] is False
-        assert "FAIL" in err
+        assert "[FAIL] models/metric3_quadrature" in err
 
     def test_unknown_fault_exits_two(self, capsys):
+        # the battery is fixed: it has no fault hook to set
         code, out, err = run_cli(
             capsys, "verify", "--only", "models", "--inject-fault", "bogus",
         )
         assert code == 2
         assert out == ""
-        assert "bogus" in err
-
-    def test_fault_outside_group_exits_two(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--only", "models", "--inject-fault", "purity_scaling",
-        )
-        assert code == 2
-        assert out == ""
-        assert "purity_scaling" in err
+        assert "unrecognized arguments: --inject-fault bogus" in err
 
 
 class TestExtremeInput:
@@ -395,12 +389,13 @@ class TestExtremeInput:
 
     @pytest.mark.parametrize("tol_scale", ["0", "-1", "nan", "inf"])
     def test_verify_rejects_bad_tol_scale(self, capsys, tol_scale):
+        # each check has one fixed tolerance, so no scale is accepted
         code, out, err = run_cli(
             capsys, "verify", "--only", "oracle", "--tol-scale", tol_scale
         )
         assert code == 2
         assert out == ""
-        assert "tol_scale must be positive and finite" in err
+        assert f"unrecognized arguments: --tol-scale {tol_scale}" in err
 
     @pytest.mark.parametrize("argv", [
         ["metric", "--sigma", "inf"],   # an all-zero metric, exit 0
@@ -412,20 +407,38 @@ class TestExtremeInput:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["metric", "--dim", "4", "--sigma-x", "1e-200"],  # ZeroDivisionError
-        ["curvature", "--sigma", "1e-100"],               # ZeroDivisionError
-        ["metric", "--sigma", "1e-200"],                  # LinAlgError
-        ["geodesic", "--p0", "1e300", "--sigma0", "1e299"],  # OverflowError
-        ["scatter", "--k0", "1e200"],                     # OverflowError
-    ])
-    def test_arithmetic_failure_exits_two(self, capsys, argv):
+    ARITHMETIC = [
+        # (argv, the options its error line names)
+        (["metric", "--dim", "4", "--sigma-x", "1e-200"], "--sigma-x 1e-200"),  # range check
+        (["curvature", "--sigma", "1e-100"], "--sigma 1e-100"),  # ZeroDivisionError
+        (["metric", "--sigma", "1e-200"], "--sigma 1e-200"),  # range check
+        (["geodesic", "--p0", "1e300", "--sigma0", "1e299"],
+         "--p0 1e+300, --sigma0 1e+299"),  # OverflowError
+        (["scatter", "--k0", "1e200"], "--k0 1e+200"),  # OverflowError
+        (["scatter", "--L", "1e-120"], "--L 1e-120"),  # ZeroDivisionError
+        (["scatter", "--sigma-k0", "1e-200"], "--sigma-k0 1e-200"),  # OverflowError
+        (["curvature", "--sigma", "1e80"], "--sigma 1e+80"),  # OverflowError
+    ]
+
+    @pytest.mark.parametrize("argv, named", ARITHMETIC,
+                             ids=[f"argv{i}" for i in range(len(ARITHMETIC))])
+    def test_arithmetic_failure_exits_two(self, capsys, argv, named):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+    def test_arithmetic_failure_names_config_input(self, capsys, tmp_path):
+        # a value from --config counts as set, like a flag
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"L": 1e-120}))
+        code, out, err = run_cli(capsys, "scatter", "--a-s", "1e-6", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == "error: float division by zero (at --L 1e-120, --a-s 1e-06)\n"
 
     @pytest.mark.parametrize("sigma", ["2000", "5000", "1e4"])
     def test_curvature_at_large_sigma(self, capsys, sigma):

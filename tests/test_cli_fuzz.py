@@ -26,8 +26,8 @@ from gaussgeo import cli
 
 SUBPARSERS = cli.build_parser()._subparsers._group_actions[0].choices
 
-#: Options left alone: output and config paths, and the verify fault hook.
-SKIPPED = {"out", "config", "inject_fault"}
+#: Options left alone: output and config paths.
+SKIPPED = {"out", "config"}
 
 EXTREMES = [0.0, 1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300, math.inf, math.nan]
 FLOATS = st.one_of(
@@ -56,8 +56,10 @@ def invocations(draw):
     # the cheapest group, given as a flag so that it beats the config too
     argv = [command, "--only=oracle"] if command == "verify" else [command]
     # a few options at a time, so that most runs get past the first guard
+    # (verify has no option but --only to draw)
     options = [a for a in _options(command) if a.dest != "only"]
-    for action in draw(st.lists(st.sampled_from(options), max_size=3, unique=True)):
+    chosen = draw(st.lists(st.sampled_from(options), max_size=3, unique=True)) if options else []
+    for action in chosen:
         value = draw(_values(action))
         text = repr(value) if isinstance(value, float) else str(value)
         argv.append(f"{action.option_strings[0]}={text}")

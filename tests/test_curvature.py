@@ -140,7 +140,7 @@ class TestScalarAndSectional:
     @pytest.mark.parametrize("sg", [2e3, 1e4])
     def test_coordinate_planes_at_large_sigma(self, sg):
         # the Gram determinant scales as 1/sigma^4; the dependence test must not
-        K = curvature.sectional_coordinate_planes(sg, ModelParams(0.5))
+        K = curvature.bundle(sg, ModelParams(0.5)).sectional
         np.testing.assert_allclose(K[~np.eye(3, dtype=bool)], -0.25, rtol=1e-12)
 
     @pytest.mark.parametrize("sg", [1.0, 1e4])
@@ -197,6 +197,6 @@ class TestBundle:
     r=st.floats(min_value=0.0, max_value=0.95),
 )
 def test_sectional_constant_everywhere(sg, r):
-    K = curvature.sectional_coordinate_planes(sg, ModelParams(r))
+    K = curvature.bundle(sg, ModelParams(r)).sectional
     off = K[~np.isnan(K)]
     np.testing.assert_allclose(off, -0.25, atol=1e-11)
