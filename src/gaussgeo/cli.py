@@ -133,8 +133,13 @@ def _report_warnings(caught) -> list[str]:
 
 def _cmd_metric(args) -> dict:
     params = ModelParams(args.r)
-    scales = ({"--sigma": args.sigma} if args.dim == 3
-              else {"--sigma-x": args.sigma_x, "--sigma-y": args.sigma_y})
+    corr3 = {"--sigma": args.sigma}
+    corr4 = {"--sigma-x": args.sigma_x, "--sigma-y": args.sigma_y}
+    scales, unread, other = (corr3, corr4, 4) if args.dim == 3 else (corr4, corr3, 3)
+    # the other dimension's spreads are not read, so one set off its default
+    # of 1 (by flag or config) is an error, not a silently ignored input
+    for flag, value in unread.items():
+        require(value == 1.0, lambda: f"{flag} {value:g}: needs --dim {other}")
     # a scale far from 1 overflows the metric or its determinant, or
     # underflows them to 0 or to subnormals; either way it is reported by name
     try:

@@ -87,6 +87,23 @@ class TestMetricCommand:
             assert (code, out) == (2, "")
             assert err.startswith(f"error: {named}: metric out of range")
 
+    @pytest.mark.parametrize("argv, config, named", [
+        (["--sigma-x", "2", "--sigma-y", "3"], None, "--sigma-x 2: needs --dim 4"),
+        (["--dim", "4", "--sigma", "5"], None, "--sigma 5: needs --dim 3"),
+        ([], {"sigma-y": 3}, "--sigma-y 3: needs --dim 4"),
+        (["--dim", "4"], {"sigma": 5}, "--sigma 5: needs --dim 3"),
+    ], ids=["flag corr4 spread", "flag corr3 spread", "config corr4 spread",
+            "config corr3 spread"])
+    def test_other_dimension_spread_is_rejected(self, capsys, tmp_path, argv, config,
+                                                named):
+        # the spreads of the dimension not chosen are not read, so one set
+        # off its default is a usage error, not a silently ignored input
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        assert run_cli(capsys, "metric", *argv) == (2, "", f"error: {named}\n")
+
 
 class TestCurvatureCommand:
     def test_constants(self, capsys):

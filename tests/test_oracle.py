@@ -17,8 +17,8 @@ from gaussgeo.scattering import ScatteringConfig
 
 def _coarse_rule_at(monkeypatch, order):
     """Replace the Gauss rule of one order by a 4-node one with 1% heavier
-    weights (a 4-node Hermite rule is still exact on the Fisher scores), so
-    that a refinement self-test doubling to that order sees the result move."""
+    weights, so that the purity self-test doubling to that order sees the
+    result move."""
     rule = oracle._gauss_rule
 
     def patched(build, n):
@@ -30,12 +30,24 @@ def _coarse_rule_at(monkeypatch, order):
     monkeypatch.setattr(oracle, "_gauss_rule", patched)
 
 
+# the corr3 grid and the corr4 points of the battery, as _fisher_quadrature args
+_FISHER_POINTS = [
+    *[(0.4, -0.3, sg, sg, p.r, oracle._CORR3_EMBEDDING) for sg, p in oracle._GRID],
+    *[(0.2, -0.5, sx, sy, r, np.eye(4))
+      for sx, sy in ((1.0, 2.0), (0.5, 1.0)) for r in (0.0, 0.3, 0.7)],
+]
+
+
 class TestFisherMetricNumeric:
-    def test_convergence_self_test_raises(self, monkeypatch):
-        _coarse_rule_at(monkeypatch, 80)
-        with pytest.raises(ConvergenceError, match="Fisher quadrature drift"):
-            oracle.fisher_metric_numeric("corr3", Macrostate3(0.1, 0.2, 2.0),
-                                         ModelParams(0.5), check_convergence=True)
+    @pytest.mark.parametrize("args", _FISHER_POINTS)
+    def test_rule_is_exact(self, args):
+        # the integrand is a degree-4 polynomial in the nodes and an n-point
+        # Gauss-Hermite rule is exact to degree 2n - 1, so order 3 already
+        # gives the order-40 metric and order 2 does not
+        g40 = oracle._fisher_quadrature(*args, 40)
+        scale = np.abs(g40).max()
+        assert np.abs(oracle._fisher_quadrature(*args, 3) - g40).max() <= 1e-12 * scale
+        assert np.abs(oracle._fisher_quadrature(*args, 2) - g40).max() > 0.5 * scale
 
     def test_flat_reference(self):
         state = Macrostate3(0.0, 0.0, 1.0)
@@ -53,12 +65,6 @@ class TestFisherMetricNumeric:
         numeric = oracle.fisher_metric_numeric("corr4", state, ModelParams(0.3))
         closed = models.metric_corr4(1.0, 2.0, ModelParams(0.3))
         assert np.abs(numeric - closed).max() < 1e-6
-
-    def test_convergence_self_test(self):
-        state = Macrostate3(0.0, 0.0, 1.0)
-        oracle.fisher_metric_numeric(
-            "corr3", state, ModelParams(0.5), check_convergence=True
-        )
 
     def test_unknown_model(self):
         with pytest.raises(DomainError):
@@ -274,8 +280,9 @@ class TestDimensionalReduction:
         assert oracle.dimensional_reduction_check(desk_cfg) < 1e-9
 
     def test_wide_centered_case(self):
+        # the residual is |I(0)^4 - 1| for any k0, I(0) the centred integral
         cfg = ScatteringConfig(k0=10.0, sigma_k0=1.0, R0=10.0, L=0.01)
-        assert oracle.dimensional_reduction_check(cfg, k0=0.0) < 1e-9
+        assert oracle.dimensional_reduction_check(cfg) < 1e-9
 
 
 class TestVerificationBattery:
@@ -396,26 +403,6 @@ class TestVerificationBattery:
             nfev.append(0)
             assert all(res.passed for res in oracle.run_verification(only="chaos"))
         assert nfev[0] == nfev[1] > 0
-
-    def test_run_memo_is_private_to_a_thread(self):
-        # a result stored in one thread is neither seen nor cleared by a
-        # battery that runs in another
-        params = ModelParams(0.3)
-        oracle.run_verification(only="oracle")  # starts with an empty memo
-        first = oracle._curvature_fd_run(1.0, params)
-        assert oracle._curvature_fd_run(1.0, params) is first
-        seen = []
-
-        def other_battery():
-            oracle.run_verification(only="oracle")
-            seen.append(oracle._curvature_fd_run(1.0, params))
-
-        thread = threading.Thread(target=other_battery)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert seen[0] is not first
-        assert oracle._curvature_fd_run(1.0, params) is first
 
     def test_concurrent_batteries_agree(self):
         # batteries in more threads than cores, switching often, each read
