@@ -8,8 +8,9 @@ key order. Validity warnings go to stderr as ``warning: <Category>:
 <message>`` lines (and as bare messages to the JSON ``warnings`` field)
 without changing the exit code; a CSV table warns with the names of the
 extra fields it cannot hold. Exit codes: 0 success, 1 verification
-failure, 2 usage or domain error, including an arithmetic overflow or a
-singular matrix from extreme finite input, whose error line names the
+failure (a check that raises, an oracle's own ``ConvergenceError``
+included, fails), 2 usage or domain error, including an arithmetic overflow
+or a singular matrix from extreme finite input, whose error line names the
 numeric options set off their defaults. numpy's divide, overflow and
 invalid floating-point errors raise rather than warn.
 
@@ -17,7 +18,8 @@ The table commands (geodesic, jacobi, complexity, prolongation) evaluate
 their closed forms once per column over the whole grid and write the
 table column by column. A command returns its table, a (columns, extra)
 pair, or its record dict; `main` alone captures warnings and writes output.
-The oracle, which imports scipy.integrate, is loaded only by ``verify``.
+The battery is loaded only by ``verify``, and scipy.integrate only by the
+verify groups that integrate (geodesics, chaos, complexity).
 """
 
 from __future__ import annotations
@@ -292,15 +294,16 @@ def _cmd_prolongation(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> int:
-    from . import oracle  # loads scipy.integrate, which only verify needs
+    from . import battery  # scipy.integrate loads only in the checks that integrate
 
-    results = oracle.run_verification(args.only)
+    results = battery.run_verification(args.only)
     all_passed = all(res.passed for res in results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(
             f"[{status}] {res.group}/{res.name}: residual {res.residual:.3e} "
-            f"(tolerance {res.tolerance:.3e}, {res.seconds:.2f}s)",
+            f"(tolerance {res.tolerance:.3e}, {res.seconds:.2f}s)"
+            + (f": {res.error}" if res.error else ""),
             file=sys.stderr,
         )
     payload = {

@@ -1,7 +1,7 @@
 """Names of the verification check groups.
 
-Kept apart from :mod:`gaussgeo.oracle`, which imports scipy.integrate, so
-that the command line can offer ``verify --only GROUP`` without loading it.
+Kept apart from :mod:`gaussgeo.battery`, so that the command line can offer
+``verify --only GROUP`` without loading the battery for every command.
 """
 
 #: Check groups of the verification battery, sorted.

@@ -1,55 +1,35 @@
-"""Independent numeric verification engines.
+"""The oracles that integrate: geodesic and Jacobi ODEs, and the nested IGC.
 
-Everything the closed-form modules claim is re-derived here from a more
-primitive representation: Fisher metrics by quadrature of the defining
-expectation, curvature by finite differences of the metric, geodesics and
-Jacobi fields by ODE integration of the defining equations, purity by
-brute-force quadrature of the four-fold trace integral, and the complexity
-by the literal nested volume integral. None of these calls the closed-form
-operation it validates. One table of `curvature.christoffel`, which the
-``christoffel_fd`` check compares with finite differences of the metric,
-drives both ODEs: x'' = -Gamma(x', x') for geodesics, and its linearisation
-about the closed-form path for Jacobi fields.
+Geodesics and Jacobi fields come from ODE integration of their defining
+equations (DOP853), and the complexity from the literal nested volume
+integral (``quad``); none calls the closed form it validates. One table of
+`curvature.christoffel`, which ``christoffel_fd`` checks, drives both ODEs:
+x'' = -Gamma(x', x'), and its linearisation about the closed-form path.
+Self-tests raise ``ConvergenceError``: the ODE oracles refine through a
+tighter ``OdeSpec``, and ``igc_numeric`` tests ``quad``'s error bound.
 
-Self-tests raise ``ConvergenceError``: ``purity_bruteforce`` doubles its
-order behind ``check_convergence``, the ODE oracles refine through a tighter
-``OdeSpec``, and ``curvature_fd`` (a Richardson check) and ``igc_numeric``
-(``quad``'s error bound) test every call. The Fisher rule is exact.
-
-`run_verification` drives the whole battery and returns structured results;
-the command-line ``verify`` command is a thin formatter over it. Each check
-yields its per-point residuals and `run_verification` holds their maximum
-to the check's one fixed tolerance; NaN propagates, so a non-finite
-residual at any point fails. A negative control substitutes a closed form
-(pytest's ``monkeypatch``) and expects the checks that read it to fail.
-Checks share oracle runs within a battery: one forward geodesic run per r
-serves ``geodesic_ode``, and ``geodesic_reversibility`` integrates the
-r = 0.5 run back from its end state; one 400-sample Jacobi run to 20/A0 per r
-gives ``jacobi_intensity`` its error and orthogonality and ``lyapunov_fit``
-its fitted rate.
+This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
+``quad`` through its globals, so wrapping them here counts the oracles' work.
+It re-exports the public names of :mod:`gaussgeo.battery` (the battery and
+the numpy-only oracles), so ``gaussgeo.oracle`` stays the one public
+namespace of every oracle and of `run_verification`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from . import chaos, complexity, curvature, geodesics, models, scattering
-from .errors import ConvergenceError, DomainError, require, require_correlation
+from . import chaos, curvature, geodesics, models
+from .battery import (CheckResult, curvature_fd, dimensional_reduction_check,  # noqa: F401
+                      fisher_metric_numeric, purity_bruteforce, purity_gaussian_state,
+                      run_verification)
+from .errors import ConvergenceError, require
 from .geodesics import InitialConditions
-from .groups import GROUPS
 from .models import ModelParams
-from .scattering import ScatteringConfig
-
-
-# Half-width of the momentum quadrature boxes in packet spreads; narrower
-# boxes truncate the Gaussians.
-CUTOFF_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -58,67 +38,6 @@ class OdeSpec:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-
-
-@functools.cache
-def _gauss_rule(build, order: int):
-    # a Gauss rule is a constant table: built once per order, read-only
-    nodes, weights = build(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-# ---------------------------------------------------------------------------
-# Fisher metric by quadrature of the defining expectation
-# ---------------------------------------------------------------------------
-
-def _scores_corr4(xy, mux, muy, sx, sy, r):
-    dx, dy = xy[0] - mux, xy[1] - muy
-    omr2 = 1.0 - r * r
-    return np.array(
-        [
-            (dx / sx**2 - r * dy / (sx * sy)) / omr2,
-            -1.0 / sx + (dx**2 / sx**3 - r * dx * dy / (sx**2 * sy)) / omr2,
-            (dy / sy**2 - r * dx / (sx * sy)) / omr2,
-            -1.0 / sy + (dy**2 / sy**3 - r * dx * dy / (sx * sy**2)) / omr2,
-        ]
-    )
-
-
-def _fisher_quadrature(mux, muy, sx, sy, r, embed, order):
-    # embed^T E[s s^T] embed, s the corr4 scores: the Gauss-Hermite product
-    # mesh, mapped through the Cholesky factor, summed as one weighted product
-    nodes, weights = _gauss_rule(np.polynomial.hermite.hermgauss, order)
-    z = np.stack(np.meshgrid(nodes, nodes, indexing="ij")).reshape(2, -1)
-    cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
-    xy = np.array([[mux], [muy]]) + math.sqrt(2.0) * np.linalg.cholesky(cov) @ z
-    s = _scores_corr4(xy, mux, muy, sx, sy, r)
-    w = np.outer(weights, weights).ravel()
-    return embed.T @ ((s * w) @ s.T / math.pi) @ embed
-
-
-# d(mux, sigmax, muy, sigmay) / d(mu1, mu2, sigma) on the corr3 submanifold
-_CORR3_EMBEDDING = np.array([[1.0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1]])
-
-
-def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
-    """Fisher metric g_ab = E[d_a ln P d_b ln P] by Gaussian quadrature.
-
-    ``model`` selects the family: "corr3" (state: Macrostate3) or "corr4"
-    (state: Macrostate4). Scores are analytic; only the expectation is
-    numeric, on a 40 x 40 Gauss-Hermite product mesh. That is exact up to
-    rounding: the scores are quadratic in the nodes, and an n-point rule is
-    exact to degree 2n - 1, so any n >= 3 would do. corr3 is corr4 at
-    sigma_x = sigma_y = sigma, so its metric is the pullback C^T g4 C of the
-    corr4 quadrature by the constant embedding Jacobian C.
-    """
-    if model == "corr3":
-        args = (state.mu1, state.mu2, state.sigma, state.sigma, params.r, _CORR3_EMBEDDING)
-    elif model == "corr4":
-        args = (state.mu_x, state.mu_y, state.sigma_x, state.sigma_y, params.r, np.eye(4))
-    else:
-        raise DomainError(f"unknown model {model!r}")
-    return _fisher_quadrature(*args, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -279,151 +198,6 @@ def jacobi_integrate(
     return JacobiComparison(intensity, float(error.max()), float(rate), float(ortho))
 
 
-# ---------------------------------------------------------------------------
-# Curvature by finite differences
-# ---------------------------------------------------------------------------
-
-def curvature_fd(
-    sigma: float, params: ModelParams, step: float | None = None
-) -> curvature.CurvatureBundle:
-    """Curvature tensors from central differences of the metric.
-
-    Christoffels come from differencing the closed-form metric; Riemann
-    from differencing the closed-form Christoffels (plus their quadratic
-    terms); Ricci and Weyl are assembled from those. A Richardson check on
-    the Christoffels guards against a bad step choice.
-    """
-    if step is None:
-        step = 1e-5 * sigma
-
-    def christoffel_at(h):
-        ginv = np.linalg.inv(models.metric_corr3(sigma, params))
-        dg = (
-            models.metric_corr3(sigma + h, params)
-            - models.metric_corr3(sigma - h, params)
-        ) / (2.0 * h)
-        dgf = np.zeros((3, 3, 3))
-        dgf[2] = dg  # the metric depends on sigma only
-        return 0.5 * (
-            np.einsum("ad,bdc->abc", ginv, dgf)
-            + np.einsum("ad,cbd->abc", ginv, dgf)
-            - np.einsum("ad,dbc->abc", ginv, dgf)
-        )
-
-    G_fd = christoffel_at(step)
-    richardson = np.abs(G_fd - christoffel_at(step / 2.0)).max()
-    if richardson > 1e-4 / sigma:
-        raise ConvergenceError(
-            f"Christoffel finite-difference step {step:.3g} fails the "
-            f"Richardson check (drift {richardson:.3g})"
-        )
-
-    dG = np.zeros((3, 3, 3, 3))  # dG[e, a, b, c] = d_e Gamma^a_bc
-    dG[2] = (
-        curvature.christoffel(sigma + step, params)
-        - curvature.christoffel(sigma - step, params)
-    ) / (2.0 * step)
-    G = curvature.christoffel(sigma, params)
-    # R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_fc G^f_bd - G^a_fd G^f_bc
-    Rup = (
-        np.einsum("cabd->abcd", dG)
-        - np.einsum("dabc->abcd", dG)
-        + np.einsum("afc,fbd->abcd", G, G)
-        - np.einsum("afd,fbc->abcd", G, G)
-    )
-    g = models.metric_corr3(sigma, params)
-    riem = np.einsum("ae,ebcd->abcd", g, Rup)
-    ginv = np.linalg.inv(g)
-    ric = np.einsum("bd,abcd->ac", ginv, riem)
-    scal = float(np.einsum("ac,ac->", ginv, ric))
-    return curvature.CurvatureBundle.from_tensors(G_fd, riem, ric, scal, g)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force purity
-# ---------------------------------------------------------------------------
-
-def _legendre_grid(center: float, half_width: float, order: int):
-    nodes, weights = _gauss_rule(np.polynomial.legendre.leggauss, order)
-    return center + half_width * nodes, half_width * weights
-
-
-def _momentum_mesh(cfg: ScatteringConfig, order: int):
-    # Gauss-Legendre product mesh (K1, K2) about the packet centres +k0 and
-    # -k0, CUTOFF_SIGMAS spreads wide, with the per-axis weights
-    half = CUTOFF_SIGMAS * cfg.sigma_k0
-    k1g, w1 = _legendre_grid(cfg.k0, half, order)
-    k2g, w2 = _legendre_grid(-cfg.k0, half, order)
-    K1, K2 = np.meshgrid(k1g, k2g, indexing="ij")
-    return K1, K2, w1, w2
-
-
-def _post_collision_psi(cfg: ScatteringConfig, K1, K2) -> np.ndarray:
-    # unnormalized two-particle wave function at t = 0 after the collision,
-    # with the constant amplitude f = -a_s
-    Krel = 0.5 * (K1 - K2)
-    Ktot = K1 + K2
-    s2 = cfg.sigma_k0**2
-    envelope = np.exp(-(Ktot**2 + 4.0 * (Krel - cfg.k0) ** 2) / (8.0 * s2))
-    rho_k = 4.0j * (cfg.k0 - 1.0j * s2 * cfg.R0) * Krel**2 * (-cfg.a_s) / s2
-    phase = np.exp(-1.0j * (Krel - cfg.k0) * cfg.R0)
-    return envelope * (1.0 + rho_k) * phase
-
-
-def _reduced_purity(psi: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
-    # Tr(M^2) of the numerically normalized discretized reduced density
-    # M[i,k] = sum_j w_i^(1/2) w_k^(1/2) w_j psi(k_i, k_j) conj(psi(k_k, k_j))
-    B = np.sqrt(w1)[:, None] * psi * np.sqrt(w2)[None, :]
-    M = B @ B.conj().T
-    M /= np.real(np.trace(M))
-    return float(np.real(np.einsum("ik,ki->", M, M)))
-
-
-def purity_bruteforce(cfg: ScatteringConfig, check_convergence: bool = False) -> float:
-    """Purity Tr(rho_1^2) by quadrature of the four-fold trace integral.
-
-    Builds the post-collision two-particle wave function at t = 0 with the
-    constant amplitude f = -a_s on a 64 x 64 Gauss-Legendre mesh, normalizes
-    numerically, and contracts the discretized reduced density matrix:
-    P = Tr(M^2) with
-    M[i,k] = sum_j w_i^(1/2) w_k^(1/2) w_j psi(k_i, k_j) conj(psi(k_k, k_j)).
-
-    Note: for this state the purity deficit is second order in the
-    scattering length, 1 - P = 8 (k0^2 + sigma^4 R0^2) a_s^2 + O(a_s^3).
-    The first-order admixture 2 Re(rho) cancels exactly between the trace
-    numerator and the squared normalization, so only the part of rho(k)
-    that couples k1 and k2 (the bilinear term of k^2 = ((k1-k2)/2)^2)
-    contributes, and it enters squared.
-    """
-
-    def compute(order):
-        K1, K2, w1, w2 = _momentum_mesh(cfg, order)
-        return _reduced_purity(_post_collision_psi(cfg, K1, K2), w1, w2)
-
-    p = compute(64)
-    if check_convergence:
-        p2 = compute(128)
-        if abs(p - p2) > 2e-7:
-            raise ConvergenceError(
-                f"purity quadrature drift {abs(p - p2):.3g} at order doubling"
-            )
-    return p
-
-
-def purity_gaussian_state(cfg: ScatteringConfig, r: float) -> float:
-    """Purity of the correlated-Gaussian pure state (square root of the
-    identified post-collision density), by the same trace quadrature.
-
-    Closed form sqrt(1 - r^2); serves as an exactly-solvable anchor for the
-    trace machinery and as the quantum-side purity of the identified state.
-    """
-    require_correlation(r)
-    K1, K2, w1, w2 = _momentum_mesh(cfg, 64)
-    d1, d2 = K1 - cfg.k0, K2 + cfg.k0
-    s2 = cfg.sigma_k0**2
-    q = (d1 * d1 - 2.0 * r * d1 * d2 + d2 * d2) / s2
-    return _reduced_purity(np.exp(-q / (4.0 * (1.0 - r * r))), w1, w2)
-
 
 # ---------------------------------------------------------------------------
 # Complexity by the literal nested integral
@@ -455,300 +229,3 @@ def igc_numeric(tau: float, params: ModelParams, ic: InitialConditions) -> float
     if err / tau > max(1e-9, 1e-7 * abs(result)):
         raise ConvergenceError(f"IGC time average did not converge (err {err:.3g})")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Dimensional reduction of the isotropic 3D product state
-# ---------------------------------------------------------------------------
-
-def dimensional_reduction_check(cfg: ScatteringConfig) -> float:
-    """Relative residual between the 6D and reduced 2D normalization integrals.
-
-    The 6D side is the product of six per-axis Gaussian integrals of the
-    isotropic two-particle density (means (+k0,0,0) and (-k0,0,0), spread
-    sigma_k0 on every axis); the 2D side is the reduced density over the
-    collision axis. Both equal 1.
-
-    The two sides share the collision-axis factors, so the residual reduces
-    algebraically to |I(0)^4 - 1| for any k0, with I(0) the Legendre integral
-    of a centred 1-D Gaussian: a sanity check of the quadrature, not a test
-    of a 6D-to-2D marginalisation.
-    """
-    sg = cfg.sigma_k0
-
-    def axis_integral(center):
-        nodes, weights = _legendre_grid(center, CUTOFF_SIGMAS * sg, 64)
-        vals = np.exp(-((nodes - center) ** 2) / (2.0 * sg * sg))
-        return float(weights @ vals) / math.sqrt(2.0 * math.pi * sg * sg)
-
-    six_d = 1.0
-    for mean_vec in ((cfg.k0, 0.0, 0.0), (-cfg.k0, 0.0, 0.0)):
-        for c in mean_vec:
-            six_d *= axis_integral(c)
-    two_d = axis_integral(cfg.k0) * axis_integral(-cfg.k0)
-    return abs(six_d - two_d) / abs(two_d)
-
-
-# ---------------------------------------------------------------------------
-# Verification battery
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckResult:
-    name: str
-    group: str
-    residual: float
-    tolerance: float
-    passed: bool
-    seconds: float
-
-    def as_dict(self) -> dict:
-        """The check's fields without its timing, so equal runs give equal bytes."""
-        return {k: v for k, v in asdict(self).items() if k != "seconds"}
-
-
-# (sigma, params) points of the metric and curvature checks
-_GRID = [(sg, ModelParams(r)) for sg in (0.1, 1.0, 10.0) for r in (0.0, 0.3, 0.7, 0.9)]
-_DESK_IC = InitialConditions(p0=1.0, sigma0=0.1, tau0=1.0, R0=10.0)
-_DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
-
-# Each _check_* yields its residuals, one or more per point it samples.
-
-def _check_metric3_quadrature():
-    for sg, params in _GRID:
-        closed = models.metric_corr3(sg, params)
-        numeric = fisher_metric_numeric("corr3", models.Macrostate3(0.4, -0.3, sg), params)
-        yield np.abs(closed - numeric).max()
-
-
-def _check_metric4_quadrature():
-    for sx, sy in ((1.0, 2.0), (0.5, 1.0)):
-        for r in (0.0, 0.3, 0.7):
-            params = ModelParams(r)
-            state = models.Macrostate4(0.2, -0.5, sx, sy)
-            closed = models.metric_corr4(sx, sy, params)
-            yield np.abs(closed - fisher_metric_numeric("corr4", state, params)).max()
-
-
-# Runs that several checks share are cached until run_verification clears
-# _SHARED_RUNS; runs are deterministic, so another thread's run is the same.
-# one finite-difference bundle per grid point serves the three fd checks
-_curvature_fd_run = functools.cache(curvature_fd)
-
-
-def _check_curvature_fd(residual):
-    # residual(fd, sigma, params): the gap between curvature_fd and the closed form
-    for sg, params in _GRID:
-        yield residual(_curvature_fd_run(sg, params), sg, params)
-
-
-# (u, v): two fixed planes off the coordinate axes, spanned by rows of u and v
-_OBLIQUE = ([[1.0, 1.0, 0.5], [0.3, -0.7, 1.0]], [[0.0, 1.0, -2.0], [1.0, 0.2, 0.4]])
-
-
-def _check_curvature_constants():
-    for sg, params in _GRID:
-        b = curvature.bundle(sg, params)
-        yield np.abs(b.sectional[~np.isnan(b.sectional)] + 0.25).max()
-        yield np.abs(curvature.sectional(sg, params, *_OBLIQUE) + 0.25).max()
-        yield curvature.maximal_symmetry_check(sg, params).max_residual()
-        # Weyl in units of the Riemann scale (components grow ~ 1/sigma^4)
-        yield np.abs(b.weyl).max() / np.abs(b.riemann).max()
-
-
-def _check_geodesic_residual():
-    grid = np.linspace(-1.0, 1.0, 9)
-    for r in (0.0, 0.3, 0.5):
-        yield geodesics.geodesic_residual(ModelParams(r), _DESK_IC, grid)
-
-
-# one forward run per r serves geodesic_ode and, at r = 0.5, the reversal
-_geodesic_run = functools.cache(geodesic_integrate)
-
-
-def _check_geodesic_ode():
-    for r in (0.0, 0.5):
-        yield _geodesic_run(ModelParams(r), _DESK_IC, (-1.0, 1.0)).max_rel_error
-
-
-def _check_geodesic_reversibility():
-    # integrated back from its end state, the forward run returns to its start
-    params = ModelParams(0.5)
-    fwd = _geodesic_run(params, _DESK_IC, (-1.0, 1.0)).numeric
-    _, back = _integrate(_geodesic_rhs(params), fwd[-1], 1.0, -1.0, OdeSpec())
-    yield np.abs((back[-1] - fwd[0]) / np.maximum(np.abs(fwd[0]), 1.0)).max()
-
-
-def _check_velocity_norm():
-    expected = chaos.velocity_norm_squared(_DESK_IC)
-    for r in (0.0, 0.5, 0.9):
-        for t in np.linspace(-2.0, 2.0, 11):
-            got = chaos.velocity_norm_squared_contracted(ModelParams(r), _DESK_IC, t)
-            yield abs(got - expected) / expected
-
-
-@functools.cache
-def _jacobi_run(r: float) -> JacobiComparison:
-    # one integration to 20/A0 per r serves both chaos checks
-    A0 = geodesics.amplitude_A0(_DESK_IC)
-    return jacobi_integrate(ModelParams(r), _DESK_IC, 20.0 / A0)
-
-
-def _check_jacobi_intensity():
-    # the intensity error, and J's drift out of the plane normal to the velocity
-    for r in (0.0, 0.5):
-        yield _jacobi_run(r).max_rel_error
-        yield _jacobi_run(r).orthogonality_max
-
-
-def _check_lyapunov_fit():
-    A0 = geodesics.amplitude_A0(_DESK_IC)
-    rates = [2.0 * _jacobi_run(r).fitted_rate for r in (0.0, 0.5)]
-    for rate in rates:
-        yield abs(rate - 2.0 * A0) / (2.0 * A0)
-    yield abs(rates[0] - rates[1]) / (2.0 * A0)
-
-
-def _check_igc_numeric():
-    lam = 2.0 * geodesics.amplitude_A0(_DESK_IC)
-    for lt in (1.0, 5.0, 10.0):
-        for r in (0.0, 0.3, 0.7):
-            params = ModelParams(r)
-            closed = complexity.igc_closed(lt / lam, params, _DESK_IC)
-            numeric = igc_numeric(lt / lam, params, _DESK_IC)
-            yield abs(closed - numeric) / abs(numeric)
-
-
-def _check_complexity_relations():
-    lam = 2.0 * geodesics.amplitude_A0(_DESK_IC)
-    for lt in (2.0, 7.0):
-        base = complexity.igc_closed(lt / lam, ModelParams(0.0), _DESK_IC)
-        for r in (0.3, 0.7):
-            params = ModelParams(r)
-            igc = complexity.igc_closed(lt / lam, params, _DESK_IC)
-            yield abs(igc / base - complexity.igc_ratio(params))
-            yield abs(complexity.r_from_complexities(base, igc) - r)
-
-
-@functools.cache
-def _purity_deficit(a_s: float) -> float:
-    return 1.0 - purity_bruteforce(ScatteringConfig(a_s=a_s, **_DESK_CFG_KW))
-
-
-def _check_purity_scaling():
-    # the brute-force purity deficit is quadratic in a_s, so halving a_s
-    # shrinks it 4x; the residual is the ratio's distance from 4
-    yield abs(_purity_deficit(1e-5) / _purity_deficit(5e-6) - 4.0)
-
-
-def _check_purity_quadratic():
-    # deficit agrees with the analytic quadratic coefficient
-    cfg = ScatteringConfig(**_DESK_CFG_KW)
-    for a_s in (1e-5, 2e-5):
-        predicted = 8.0 * (cfg.k0**2 + cfg.sigma_k0**4 * cfg.R0**2) * a_s**2
-        yield abs(_purity_deficit(a_s) - predicted) / predicted
-
-
-def _check_purity_gaussian_identity():
-    cfg = ScatteringConfig(a_s=0.0, **_DESK_CFG_KW)
-    for r in (0.04, 0.2):
-        yield abs(purity_gaussian_state(cfg, r) - math.sqrt(1.0 - r * r))
-
-
-def _check_phase_chain():
-    for k0L, r in ((0.1, 0.01), (0.05, 0.1), (0.2, 0.05)):
-        cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=k0L)
-        exact = scattering.phase_shift_exact(cfg, r)
-        series = scattering.phase_shift_series(cfg, r)
-        from_v = scattering.phase_shift_from_potential(
-            scattering.potential_from_r(r, cfg), cfg
-        )
-        yield abs(exact - series) / abs(exact)
-        yield abs(exact - from_v) / abs(exact)
-
-
-def _check_inversions():
-    cfg = ScatteringConfig(a_s=0.0, **_DESK_CFG_KW)
-    for r in (1e-6, 1e-3, 0.01, 0.1):
-        yield abs(scattering.r_from_potential(cfg, scattering.potential_from_r(r, cfg)) - r)
-        yield abs(scattering.r_from_cross_section(cfg, scattering.cross_section(cfg, r)) - r)
-        yield abs(scattering.r_from_purity(cfg, scattering.purity_from_r(cfg, r)) - r)
-
-
-def _check_prolongation():
-    for ic in (_DESK_IC, InitialConditions(1.0, 1e-3, 1.0, 10.0)):
-        bound = scattering.prolongation(ic, 0.0).r_bound
-        for frac in (0.1, 0.25, 0.5):
-            rep = scattering.prolongation(ic, frac * bound)
-            yield abs(rep.delta_approx - rep.delta) / rep.delta
-
-
-def _check_normalization_quadrature():
-    # bracket integral of the raw (unnormalized) post-collision density
-    cfg = ScatteringConfig(a_s=1e-5, **_DESK_CFG_KW)
-    K1, K2, w1, w2 = _momentum_mesh(cfg, 96)
-    numeric = float(w1 @ np.abs(_post_collision_psi(cfg, K1, K2)) ** 2 @ w2)
-    closed = scattering.normalization_integral(cfg)
-    yield abs(numeric - closed) / closed
-
-
-def _check_dimensional_reduction():
-    yield dimensional_reduction_check(ScatteringConfig(a_s=0.0, **_DESK_CFG_KW))
-
-
-_SHARED_RUNS = (_curvature_fd_run, _geodesic_run, _jacobi_run, _purity_deficit)
-
-# (name, group, tolerance, check): a check passes when its residual is at
-# most its tolerance, so a NaN residual fails.
-_CHECKS = [
-    ("metric3_quadrature", "models", 1e-6, _check_metric3_quadrature),
-    ("metric4_quadrature", "models", 1e-6, _check_metric4_quadrature),
-    # Christoffels scale as 1/sigma and Riemann components as 1/sigma^4
-    ("christoffel_fd", "curvature", 1e-6, lambda: _check_curvature_fd(
-        lambda fd, sg, p: np.abs(fd.christoffel - curvature.christoffel(sg, p)).max() * sg)),
-    # riemann_fd also holds the finite-difference scalar to SCALAR_CURVATURE
-    ("riemann_fd", "curvature", 1e-5, lambda: _check_curvature_fd(
-        lambda fd, sg, p: np.max([np.abs(fd.riemann - curvature.riemann(sg, p)).max() * sg**4,
-                                  abs(fd.scalar - curvature.SCALAR_CURVATURE)]))),
-    ("weyl_fd", "curvature", 1e-5, lambda: _check_curvature_fd(
-        lambda fd, sg, p: np.abs(fd.weyl).max() * sg**4)),
-    ("curvature_constants", "curvature", 1e-12, _check_curvature_constants),
-    ("geodesic_residual", "geodesics", 1e-6, _check_geodesic_residual),
-    ("geodesic_ode", "geodesics", 1e-6, _check_geodesic_ode),
-    ("geodesic_reversibility", "geodesics", 1e-8, _check_geodesic_reversibility),
-    ("velocity_norm", "geodesics", 1e-9, _check_velocity_norm),
-    ("jacobi_intensity", "chaos", 1e-5, _check_jacobi_intensity),
-    ("lyapunov_fit", "chaos", 0.01, _check_lyapunov_fit),
-    ("igc_numeric", "complexity", 1e-5, _check_igc_numeric),
-    ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
-    ("purity_scaling", "scattering", 0.5, _check_purity_scaling),
-    ("purity_quadratic", "scattering", 0.02, _check_purity_quadratic),
-    ("purity_gaussian_identity", "scattering", 1e-9, _check_purity_gaussian_identity),
-    ("phase_chain", "scattering", 0.02, _check_phase_chain),
-    ("inversions_roundtrip", "scattering", 1e-10, _check_inversions),
-    ("prolongation_agreement", "scattering", 0.01, _check_prolongation),
-    ("normalization_quadrature", "scattering", 1e-8, _check_normalization_quadrature),
-    ("dimensional_reduction", "oracle", 1e-9, _check_dimensional_reduction),
-]
-
-
-def run_verification(only: str | None = None) -> list[CheckResult]:
-    """Run the oracle-vs-closed-form battery.
-
-    ``only`` filters by group name. A check's residual is the maximum of the
-    residuals it yields, and it passes when that is at most its tolerance;
-    NaN propagates, so a non-finite value fails.
-    """
-    require(only is None or only in GROUPS,
-            lambda: f"unknown check group {only!r}; available: {GROUPS}")
-    for run in _SHARED_RUNS:
-        run.cache_clear()
-    results = []
-    for name, group, tolerance, fn in _CHECKS:
-        if only is not None and group != only:
-            continue
-        start = time.perf_counter()
-        residual = float(np.max(np.fromiter(fn(), float)))
-        results.append(CheckResult(name, group, residual, tolerance, residual <= tolerance,
-                                   time.perf_counter() - start))
-    return results

@@ -109,7 +109,7 @@ class ScatteringConfig:
         """Relative kinetic energy E = hbar^2 k0^2 / (2 mu)."""
         return self.hbar**2 * self.k0**2 / (2.0 * self.reduced_mass)
 
-    def initial_conditions(self, tau0: float = 1.0) -> InitialConditions:
+    def initial_conditions(self, tau0: float) -> InitialConditions:
         """Geodesic-side initial data (p0 = hbar k0, sigma0 = hbar sigma_k0)."""
         # hbar cancels in sigma0/p0, so sigma_k0/k0 decides the localization bound
         require(self.sigma_k0 / self.k0 <= LOCALIZATION_MAX, lambda: (

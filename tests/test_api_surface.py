@@ -5,8 +5,9 @@ benchmark uses it as ``module.name`` or imports it by name, or when its own
 module uses its bare name. Matching on the module keeps a common name such
 as ``report`` from passing on another module's attribute.
 
-Every defaulted parameter of a module-level public function is listed with
-the reason it exists, so a new knob needs a deliberate entry.
+Every defaulted parameter of a public module-level function, or of a public
+method of a public class, is listed with the reason it exists, so a new
+knob needs a deliberate entry.
 """
 
 import ast
@@ -51,22 +52,32 @@ def test_public_name_is_reached(path, name):
 DEFAULTED = {
     "oracle.geodesic_integrate.spec": "refinement self-test with a tighter OdeSpec",
     "oracle.jacobi_integrate.spec": "refinement self-test with a tighter OdeSpec",
-    "oracle.curvature_fd.step": "the Richardson self-test fed a bad step",
-    "oracle.purity_bruteforce.check_convergence": "the purity order-doubling self-test",
+    "battery.curvature_fd.step": "the Richardson self-test fed a bad step",
+    "battery.purity_bruteforce.check_convergence": "the purity order-doubling self-test",
     "oracle.jacobi_integrate.omega0": "the linearity test of the Jacobi intensity",
-    "oracle.run_verification.only": "verify --only",
+    "battery.run_verification.only": "verify --only",
     "cli.main.argv": "sys.argv when run as a program, a list when called in-process",
 }
+
+
+def _public_functions(path):
+    """(qualified name, node) of the module's public functions and of the
+    public methods of its public classes."""
+    for node in TREES[path].body:
+        if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and m.name[0] != "_")
 
 
 def test_defaulted_parameters_are_listed():
     found = set()
     for path in SOURCES:
-        for node in TREES[path].body:
-            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
-                args = node.args
-                positional = args.posonlyargs + args.args
-                defaulted = positional[len(positional) - len(args.defaults):]
-                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
-                found.update(f"{path.stem}.{node.name}.{a.arg}" for a in defaulted)
+        for name, node in _public_functions(path):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            found.update(f"{path.stem}.{name}.{a.arg}" for a in defaulted)
     assert found == set(DEFAULTED)

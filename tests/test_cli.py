@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussgeo import cli, curvature, models, oracle, scattering
+from gaussgeo import battery, cli, curvature, models, scattering
 from gaussgeo.errors import ProlongationBoundError
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.groups import GROUPS
@@ -391,6 +391,22 @@ class TestVerifyCommand:
         assert payload["passed"] is False
         assert "[FAIL] models/metric3_quadrature" in err
 
+    def test_raising_check_exits_one(self, capsys, monkeypatch):
+        # r_from_purity raises on a purity 1% high: its check fails with the
+        # message, the other checks keep their lines, and verify exits 1
+        purity_from_r = scattering.purity_from_r
+        monkeypatch.setattr(scattering, "purity_from_r",
+                            lambda cfg, r: 1.01 * purity_from_r(cfg, r))
+        code, out, err = run_cli(capsys, "verify", "--only", "scattering")
+        assert code == 1
+        payload = json.loads(out)
+        assert [c["passed"] for c in payload["checks"]] == [True] * 4 + [False] + [True] * 2
+        lines = err.splitlines()
+        assert len(lines) == 7 and sum(line.startswith("[PASS]") for line in lines) == 6
+        assert re.fullmatch(r"\[FAIL\] scattering/inversions_roundtrip: residual inf "
+                            r"\(tolerance 1\.000e-10, \d+\.\d\ds\): DomainError: correlation "
+                            r"must lie in \[0, 0\.999999999\), got -0\.18\d+", lines[4])
+
     def test_unknown_fault_exits_two(self, capsys):
         # the battery is fixed: it has no fault hook to set
         code, out, err = run_cli(
@@ -478,8 +494,42 @@ class TestImports:
         assert proc.stdout.strip() == "[]"
 
     def test_groups_match_the_checks(self):
-        assert GROUPS == tuple(sorted({group for _, group, _, _ in oracle._CHECKS}))
-        assert oracle.GROUPS is GROUPS
+        assert GROUPS == tuple(sorted({group for _, group, _, _ in battery._CHECKS}))
+        assert battery.GROUPS is GROUPS
+
+    @staticmethod
+    def _python(*args):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+
+    def test_oracle_imports_scipy_integrate(self):
+        # the oracle binds solve_ivp and quad when it loads, so a caller can
+        # wrap them there and time the import of scipy.integrate
+        proc = self._python("-X", "importtime", "-c", "import gaussgeo.cli, gaussgeo.oracle")
+        imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {"scipy.integrate", "gaussgeo.oracle"} <= imported
+
+    def test_groups_that_integrate_nothing_load_no_scipy(self):
+        code = ("import io, sys; from contextlib import redirect_stderr, redirect_stdout; "
+                "from gaussgeo import cli\n"
+                "for g in ('models', 'curvature', 'scattering', 'oracle'):\n"
+                "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+                "        assert cli.main(['verify', '--only', g]) == 0\n"
+                "    print(g, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert self._python("-c", code).stdout.splitlines() == [
+            "models []", "curvature []", "scattering []", "oracle []"]
+
+    @pytest.mark.parametrize("group", ["geodesics", "chaos", "complexity"])
+    def test_groups_that_integrate_load_scipy(self, group):
+        code = ("import io, sys; from contextlib import redirect_stderr, redirect_stdout; "
+                "from gaussgeo import cli\n"
+                "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+                f"    assert cli.main(['verify', '--only', '{group}']) == 0\n"
+                "print('scipy.integrate' in sys.modules)")
+        assert self._python("-c", code).stdout.strip() == "True"
 
 
 class TestPlumbing:

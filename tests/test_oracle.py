@@ -8,7 +8,8 @@ import types
 import numpy as np
 import pytest
 
-from gaussgeo import chaos, cli, complexity, curvature, geodesics, models, oracle, scattering
+from gaussgeo import (battery, chaos, cli, complexity, curvature, geodesics, models, oracle,
+                      scattering)
 from gaussgeo.errors import ConvergenceError, DomainError
 from gaussgeo.models import Macrostate3, Macrostate4, ModelParams
 from gaussgeo.oracle import OdeSpec
@@ -19,7 +20,7 @@ def _coarse_rule_at(monkeypatch, order):
     """Replace the Gauss rule of one order by a 4-node one with 1% heavier
     weights, so that the purity self-test doubling to that order sees the
     result move."""
-    rule = oracle._gauss_rule
+    rule = battery._gauss_rule
 
     def patched(build, n):
         if n != order:
@@ -27,12 +28,12 @@ def _coarse_rule_at(monkeypatch, order):
         nodes, weights = rule(build, 4)
         return nodes, 1.01 * weights
 
-    monkeypatch.setattr(oracle, "_gauss_rule", patched)
+    monkeypatch.setattr(battery, "_gauss_rule", patched)
 
 
 # the corr3 grid and the corr4 points of the battery, as _fisher_quadrature args
 _FISHER_POINTS = [
-    *[(0.4, -0.3, sg, sg, p.r, oracle._CORR3_EMBEDDING) for sg, p in oracle._GRID],
+    *[(0.4, -0.3, sg, sg, p.r, battery._CORR3_EMBEDDING) for sg, p in battery._GRID],
     *[(0.2, -0.5, sx, sy, r, np.eye(4))
       for sx, sy in ((1.0, 2.0), (0.5, 1.0)) for r in (0.0, 0.3, 0.7)],
 ]
@@ -44,10 +45,10 @@ class TestFisherMetricNumeric:
         # the integrand is a degree-4 polynomial in the nodes and an n-point
         # Gauss-Hermite rule is exact to degree 2n - 1, so order 3 already
         # gives the order-40 metric and order 2 does not
-        g40 = oracle._fisher_quadrature(*args, 40)
+        g40 = battery._fisher_quadrature(*args, 40)
         scale = np.abs(g40).max()
-        assert np.abs(oracle._fisher_quadrature(*args, 3) - g40).max() <= 1e-12 * scale
-        assert np.abs(oracle._fisher_quadrature(*args, 2) - g40).max() > 0.5 * scale
+        assert np.abs(battery._fisher_quadrature(*args, 3) - g40).max() <= 1e-12 * scale
+        assert np.abs(battery._fisher_quadrature(*args, 2) - g40).max() > 0.5 * scale
 
     def test_flat_reference(self):
         state = Macrostate3(0.0, 0.0, 1.0)
@@ -93,7 +94,7 @@ class TestFisherMetricNumeric:
         for i, zi in enumerate(nodes):
             for j, zj in enumerate(nodes):
                 xy = mean + math.sqrt(2.0) * L @ np.array([zi, zj])
-                s = C @ oracle._scores_corr4(xy, mux, muy, sx, sy, r)
+                s = C @ battery._scores_corr4(xy, mux, muy, sx, sy, r)
                 ref = ref + (weights[i] * weights[j]) * np.outer(s, s)
         ref = ref / math.pi
         got = oracle.fisher_metric_numeric(model, state, ModelParams(r))
@@ -323,7 +324,7 @@ class TestVerificationBattery:
     def test_non_finite_residual_fails_check(self, monkeypatch, bad):
         # the largest finite residual lies within the tolerance
         row = ("probe", "oracle", 1.0, lambda: iter([0.0, bad, 0.5]))
-        monkeypatch.setattr(oracle, "_CHECKS", [row])
+        monkeypatch.setattr(battery, "_CHECKS", [row])
         (res,) = oracle.run_verification()
         assert res.name == "probe"
         assert res.passed is False
@@ -331,13 +332,47 @@ class TestVerificationBattery:
     def test_two_sided_band(self, monkeypatch):
         # purity_scaling holds the deficit ratio of a_s = 1e-5 to 5e-6 within
         # 0.5 of 4, so a ratio too far below or above 4 fails
-        row = next(row for row in oracle._CHECKS if row[0] == "purity_scaling")
-        monkeypatch.setattr(oracle, "_CHECKS", [row])
+        row = next(row for row in battery._CHECKS if row[0] == "purity_scaling")
+        monkeypatch.setattr(battery, "_CHECKS", [row])
         for ratio, passed in ((3.4, False), (3.6, True), (4.6, False)):
-            monkeypatch.setattr(oracle, "_purity_deficit", {1e-5: ratio, 5e-6: 1.0}.get)
+            monkeypatch.setattr(battery, "_purity_deficit", {1e-5: ratio, 5e-6: 1.0}.get)
             (res,) = oracle.run_verification()
             assert res.residual == pytest.approx(abs(ratio - 4.0))
             assert res.tolerance == 0.5 and res.passed is passed
+
+    def test_raising_check_fails_and_the_battery_goes_on(self, monkeypatch):
+        # a purity 1% high has no correlation, so r_from_purity raises inside
+        # inversions_roundtrip; that check fails and the others still run
+        purity_from_r = scattering.purity_from_r
+        monkeypatch.setattr(scattering, "purity_from_r",
+                            lambda cfg, r: 1.01 * purity_from_r(cfg, r))
+        results = oracle.run_verification(only="scattering")
+        assert [res.name for res in results] == [
+            row[0] for row in battery._CHECKS if row[1] == "scattering"]
+        failed = {res.name: res for res in results if not res.passed}
+        assert set(failed) == {"inversions_roundtrip"}
+        res = failed["inversions_roundtrip"]
+        assert res.residual == math.inf
+        assert res.error.startswith("DomainError: correlation must lie in [0, 0.999999999)")
+        assert res.as_dict()["error"] == res.error
+
+    def test_oracle_convergence_error_fails_its_check(self, monkeypatch):
+        # quad reporting an error estimate of 1 makes igc_numeric raise
+        quad = oracle.quad
+        monkeypatch.setattr(oracle, "quad", lambda *args, **kwargs: (quad(*args, **kwargs)[0], 1.0))
+        res = {res.name: res for res in oracle.run_verification(only="complexity")}
+        assert res["igc_numeric"].residual == math.inf and not res["igc_numeric"].passed
+        assert res["igc_numeric"].error.startswith("ConvergenceError: IGC time average")
+        assert res["complexity_relations"].passed and res["complexity_relations"].error is None
+
+    def test_lyapunov_exponent_fault_fails_fit(self, monkeypatch):
+        # lyapunov_fit holds the fitted rate to chaos.lyapunov_exponent
+        lyapunov_exponent = chaos.lyapunov_exponent
+        monkeypatch.setattr(chaos, "lyapunov_exponent", lambda A0: 1.05 * lyapunov_exponent(A0))
+        res = {res.name: res for res in oracle.run_verification(only="chaos")}
+        assert not res["lyapunov_fit"].passed
+        assert res["lyapunov_fit"].residual == pytest.approx(0.05 / 1.05, rel=1e-6)
+        assert res["jacobi_intensity"].passed
 
     def test_tilted_jacobi_seed_fails_intensity(self, monkeypatch):
         # a seed tilted by 1e-4 along the velocity moves the intensity by
@@ -465,8 +500,8 @@ class TestVerificationBattery:
     @pytest.mark.parametrize("build, order", [
         (np.polynomial.hermite.hermgauss, 40), (np.polynomial.legendre.leggauss, 64)])
     def test_gauss_rules_are_read_only(self, build, order):
-        nodes, weights = oracle._gauss_rule(build, order)
-        assert oracle._gauss_rule(build, order)[0] is nodes
+        nodes, weights = battery._gauss_rule(build, order)
+        assert battery._gauss_rule(build, order)[0] is nodes
         assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_check_result_serializes(self):
