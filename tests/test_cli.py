@@ -482,54 +482,53 @@ class TestExtremeInput:
             assert payload[key] == pytest.approx(-0.25, rel=1e-12)
 
 
+def _python(*args):
+    """A fresh interpreter run on this source tree."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+
+
+# defines verify(group): verify --only group in-process, output discarded
+_VERIFY = ("import io, sys; from contextlib import redirect_stderr, redirect_stdout; "
+           "from gaussgeo import cli\n"
+           "def verify(g):\n"
+           "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+           "        assert cli.main(['verify', '--only', g]) == 0\n")
+
+
 class TestImports:
     def test_cli_does_not_load_the_oracle(self):
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
         code = ("import sys, gaussgeo.cli; "
                 "print(sorted(m for m in ('scipy.integrate', 'gaussgeo.oracle') "
                 "if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert _python("-c", code).stdout.strip() == "[]"
 
     def test_groups_match_the_checks(self):
         assert GROUPS == tuple(sorted({group for _, group, _, _ in battery._CHECKS}))
         assert battery.GROUPS is GROUPS
 
-    @staticmethod
-    def _python(*args):
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=env, timeout=120, check=True)
-
     def test_oracle_imports_scipy_integrate(self):
         # the oracle binds solve_ivp and quad when it loads, so a caller can
         # wrap them there and time the import of scipy.integrate
-        proc = self._python("-X", "importtime", "-c", "import gaussgeo.cli, gaussgeo.oracle")
+        proc = _python("-X", "importtime", "-c", "import gaussgeo.cli, gaussgeo.oracle")
         imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}
         assert {"scipy.integrate", "gaussgeo.oracle"} <= imported
 
     def test_groups_that_integrate_nothing_load_no_scipy(self):
-        code = ("import io, sys; from contextlib import redirect_stderr, redirect_stdout; "
-                "from gaussgeo import cli\n"
-                "for g in ('models', 'curvature', 'scattering', 'oracle'):\n"
-                "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
-                "        assert cli.main(['verify', '--only', g]) == 0\n"
-                "    print(g, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        assert self._python("-c", code).stdout.splitlines() == [
+        code = _VERIFY + (
+            "for g in ('models', 'curvature', 'scattering', 'oracle'):\n"
+            "    verify(g)\n"
+            "    print(g, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert _python("-c", code).stdout.splitlines() == [
             "models []", "curvature []", "scattering []", "oracle []"]
 
     @pytest.mark.parametrize("group", ["geodesics", "chaos", "complexity"])
     def test_groups_that_integrate_load_scipy(self, group):
-        code = ("import io, sys; from contextlib import redirect_stderr, redirect_stdout; "
-                "from gaussgeo import cli\n"
-                "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
-                f"    assert cli.main(['verify', '--only', '{group}']) == 0\n"
-                "print('scipy.integrate' in sys.modules)")
-        assert self._python("-c", code).stdout.strip() == "True"
+        code = _VERIFY + f"verify('{group}')\nprint('scipy.integrate' in sys.modules)"
+        assert _python("-c", code).stdout.strip() == "True"
 
 
 class TestPlumbing:
