@@ -1,11 +1,13 @@
 """The verification battery and the oracles that need only numpy.
 
 Fisher metrics come from quadrature of the defining expectation, curvature
-from finite differences of the metric, and purity from brute-force
-quadrature of the four-fold trace integral; none calls the closed form it
+from finite differences of the metric, purity from brute-force quadrature
+of the four-fold trace integral, and the complexity from Gauss-Legendre
+rules on its nested volume integral; none calls the closed form it
 validates. Self-tests raise ``ConvergenceError``: ``purity_bruteforce``
-doubles its order behind ``check_convergence``, and ``curvature_fd`` runs a
-Richardson check on every call. The Fisher rule is exact.
+doubles its order behind ``check_convergence``, ``igc_gauss`` on every call,
+and ``curvature_fd`` runs a Richardson check on every call. The Fisher rule
+is exact.
 
 `run_verification` drives the battery; ``verify`` formats its results. Each
 check yields per-point residuals, and their maximum (NaN propagates) must be
@@ -15,7 +17,7 @@ keeps the message. Negative controls monkeypatch a closed form. Checks share
 runs within a battery: one forward geodesic run per r serves
 ``geodesic_ode`` and, integrated back at r = 0.5, ``geodesic_reversibility``;
 one Jacobi run to 20/A0 per r serves ``jacobi_intensity`` and
-``lyapunov_fit``. The four sites that run an ODE or ``quad`` import
+``lyapunov_fit``. The three sites that run an ODE import
 :mod:`gaussgeo.oracle`, and with it scipy.integrate, only when they run.
 """
 
@@ -100,7 +102,6 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
     else:
         raise DomainError(f"unknown model {model!r}")
     return _fisher_quadrature(*args, 40)
-
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,34 @@ def purity_gaussian_state(cfg: ScatteringConfig, r: float) -> float:
     q = (d1 * d1 - 2.0 * r * d1 * d2 + d2 * d2) / s2
     return _reduced_purity(np.exp(-q / (4.0 * (1.0 - r * r))), w1, w2)
 
+
+# ---------------------------------------------------------------------------
+# Complexity by Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+def igc_gauss(tau: float, params: ModelParams, ic: InitialConditions) -> float:
+    """``oracle.igc_numeric``'s nested volume integral by Gauss-Legendre rules
+    instead of ``quad``: the inner one over u = ln sigma, where 2/sigma^3 dsigma
+    is 2 exp(-2u) du. The 48-point value must match the 96-point one."""
+    lam = 2.0 * geodesics.amplitude_A0(ic)
+    require(lam * tau <= 20.0,
+            lambda: f"lambda*tau = {lam * tau:.3g} > 20: cosh overflow guard")
+    start = geodesics.geodesic_corr(0.0, params, ic)
+
+    def average(order):
+        x, w = _gauss_rule(np.polynomial.legendre.leggauss, order)
+        state = geodesics.geodesic_corr(0.5 * tau * (x + 1.0), params, ic)
+        u0 = math.log(start.sigma)
+        half = 0.5 * (np.log(state.sigma) - u0)  # half-widths of the u intervals
+        inner = half * (2.0 * np.exp(-2.0 * (u0 + np.outer(half, x + 1.0))) @ w)
+        volume = (state.mu1 - start.mu1) * (state.mu2 - start.mu2) * inner
+        return 0.5 * float(w @ volume) / math.sqrt(1.0 - params.r**2)
+
+    result = average(48)
+    drift = abs(average(96) - result)
+    if drift > max(1e-9, 1e-7 * abs(result)):
+        raise ConvergenceError(f"IGC time average drift {drift:.3g} at order doubling")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +440,12 @@ def _check_lyapunov_fit():
 
 
 def _check_igc_numeric():
-    from . import oracle
     lam = 2.0 * geodesics.amplitude_A0(_DESK_IC)
     for lt in (1.0, 5.0, 10.0):
         for r in (0.0, 0.3, 0.7):
             params = ModelParams(r)
             closed = complexity.igc_closed(lt / lam, params, _DESK_IC)
-            numeric = oracle.igc_numeric(lt / lam, params, _DESK_IC)
+            numeric = igc_gauss(lt / lam, params, _DESK_IC)
             yield abs(closed - numeric) / abs(numeric)
 
 

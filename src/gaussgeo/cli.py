@@ -19,7 +19,7 @@ their closed forms once per column over the whole grid and write the
 table column by column. A command returns its table, a (columns, extra)
 pair, or its record dict; `main` alone captures warnings and writes output.
 The battery is loaded only by ``verify``, and scipy.integrate only by the
-verify groups that integrate (geodesics, chaos, complexity).
+verify groups that integrate an ODE (geodesics, chaos).
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ def _cmd_prolongation(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> int:
-    from . import battery  # scipy.integrate loads only in the checks that integrate
+    from . import battery  # scipy.integrate loads only in the checks that run an ODE
 
     results = battery.run_verification(args.only)
     all_passed = all(res.passed for res in results)

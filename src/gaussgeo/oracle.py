@@ -7,6 +7,8 @@ integral (``quad``); none calls the closed form it validates. One table of
 x'' = -Gamma(x', x'), and its linearisation about the closed-form path.
 Self-tests raise ``ConvergenceError``: the ODE oracles refine through a
 tighter ``OdeSpec``, and ``igc_numeric`` tests ``quad``'s error bound.
+The battery's ``igc_numeric`` check runs `battery.igc_gauss` instead, so
+that ``verify --only complexity`` loads no scipy.
 
 This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
 ``quad`` through its globals, so wrapping them here counts the oracles' work.
@@ -25,8 +27,8 @@ from scipy.integrate import quad, solve_ivp
 
 from . import chaos, curvature, geodesics, models
 from .battery import (CheckResult, curvature_fd, dimensional_reduction_check,  # noqa: F401
-                      fisher_metric_numeric, purity_bruteforce, purity_gaussian_state,
-                      run_verification)
+                      fisher_metric_numeric, igc_gauss, purity_bruteforce,
+                      purity_gaussian_state, run_verification)
 from .errors import ConvergenceError, require
 from .geodesics import InitialConditions
 from .models import ModelParams

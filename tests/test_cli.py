@@ -517,16 +517,16 @@ class TestImports:
                     if line.startswith("import time:")}
         assert {"scipy.integrate", "gaussgeo.oracle"} <= imported
 
-    def test_groups_that_integrate_nothing_load_no_scipy(self):
+    def test_groups_without_an_ode_load_no_scipy(self):
         code = _VERIFY + (
-            "for g in ('models', 'curvature', 'scattering', 'oracle'):\n"
+            "for g in ('models', 'curvature', 'complexity', 'scattering', 'oracle'):\n"
             "    verify(g)\n"
             "    print(g, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert _python("-c", code).stdout.splitlines() == [
-            "models []", "curvature []", "scattering []", "oracle []"]
+            "models []", "curvature []", "complexity []", "scattering []", "oracle []"]
 
-    @pytest.mark.parametrize("group", ["geodesics", "chaos", "complexity"])
-    def test_groups_that_integrate_load_scipy(self, group):
+    @pytest.mark.parametrize("group", ["geodesics", "chaos"])
+    def test_groups_with_an_ode_load_scipy(self, group):
         code = _VERIFY + f"verify('{group}')\nprint('scipy.integrate' in sys.modules)"
         assert _python("-c", code).stdout.strip() == "True"
 

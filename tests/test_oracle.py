@@ -18,8 +18,8 @@ from gaussgeo.scattering import ScatteringConfig
 
 def _coarse_rule_at(monkeypatch, order):
     """Replace the Gauss rule of one order by a 4-node one with 1% heavier
-    weights, so that the purity self-test doubling to that order sees the
-    result move."""
+    weights, so that a self-test doubling to that order sees the result
+    move."""
     rule = battery._gauss_rule
 
     def patched(build, n):
@@ -198,6 +198,30 @@ class TestIgcNumeric:
             oracle.igc_numeric(1.0, ModelParams(0.3), desk_ic)
 
 
+class TestIgcGauss:
+    @pytest.mark.parametrize("lt", [1.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    def test_matches_quad_and_closed_form(self, desk_ic, lt, r):
+        tau = lt / (2.0 * geodesics.amplitude_A0(desk_ic))
+        gauss = oracle.igc_gauss(tau, ModelParams(r), desk_ic)
+        assert gauss == pytest.approx(oracle.igc_numeric(tau, ModelParams(r), desk_ic), rel=1e-12)
+        assert gauss == pytest.approx(complexity.igc_closed(tau, ModelParams(r), desk_ic),
+                                      rel=1e-12)
+
+    def test_degenerate_box_at_small_horizon(self, desk_ic):
+        assert abs(oracle.igc_gauss(1e-8, ModelParams(0.3), desk_ic)) < 1e-10
+
+    def test_overflow_guard(self, desk_ic):
+        lam = 2.0 * geodesics.amplitude_A0(desk_ic)
+        with pytest.raises(DomainError):
+            oracle.igc_gauss(25.0 / lam, ModelParams(0.0), desk_ic)
+
+    def test_order_doubling_drift_raises(self, desk_ic, monkeypatch):
+        _coarse_rule_at(monkeypatch, 96)
+        with pytest.raises(ConvergenceError, match="drift .* at order doubling"):
+            oracle.igc_gauss(1.0, ModelParams(0.3), desk_ic)
+
+
 class TestCurvatureFd:
     def test_matches_closed_forms(self):
         params = ModelParams(0.5)
@@ -357,9 +381,8 @@ class TestVerificationBattery:
         assert res.as_dict()["error"] == res.error
 
     def test_oracle_convergence_error_fails_its_check(self, monkeypatch):
-        # quad reporting an error estimate of 1 makes igc_numeric raise
-        quad = oracle.quad
-        monkeypatch.setattr(oracle, "quad", lambda *args, **kwargs: (quad(*args, **kwargs)[0], 1.0))
+        # a coarse 96-point rule makes igc_gauss's order doubling raise
+        _coarse_rule_at(monkeypatch, 96)
         res = {res.name: res for res in oracle.run_verification(only="complexity")}
         assert res["igc_numeric"].residual == math.inf and not res["igc_numeric"].passed
         assert res["igc_numeric"].error.startswith("ConvergenceError: IGC time average")
