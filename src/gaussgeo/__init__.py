@@ -9,7 +9,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     GaussGeoError,
-    ProlongationBoundError,
     RegimeError,
     RegimeWarning,
     ResonanceError,
@@ -27,7 +26,6 @@ __all__ = [
     "Macrostate3",
     "Macrostate4",
     "ModelParams",
-    "ProlongationBoundError",
     "RegimeError",
     "RegimeWarning",
     "ResonanceError",

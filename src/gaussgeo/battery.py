@@ -17,8 +17,9 @@ keeps the message. Negative controls monkeypatch a closed form. Checks share
 runs within a battery: one forward geodesic run per r serves
 ``geodesic_ode`` and, integrated back at r = 0.5, ``geodesic_reversibility``;
 one Jacobi run to 20/A0 per r serves ``jacobi_intensity`` and
-``lyapunov_fit``. The three sites that run an ODE import
-:mod:`gaussgeo.oracle`, and with it scipy.integrate, only when they run.
+``lyapunov_fit``. `run_verification` imports :mod:`gaussgeo.oracle`, and
+with it scipy.integrate, before it times any check, and only when the
+selection includes a group that runs an ODE (geodesics, chaos).
 """
 
 from __future__ import annotations
@@ -280,38 +281,6 @@ def igc_gauss(tau: float, params: ModelParams, ic: InitialConditions) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dimensional reduction of the isotropic 3D product state
-# ---------------------------------------------------------------------------
-
-def dimensional_reduction_check(cfg: ScatteringConfig) -> float:
-    """Relative residual between the 6D and reduced 2D normalization integrals.
-
-    The 6D side is the product of six per-axis Gaussian integrals of the
-    isotropic two-particle density (means (+k0,0,0) and (-k0,0,0), spread
-    sigma_k0 on every axis); the 2D side is the reduced density over the
-    collision axis. Both equal 1.
-
-    The two sides share the collision-axis factors, so the residual reduces
-    algebraically to |I(0)^4 - 1| for any k0, with I(0) the Legendre integral
-    of a centred 1-D Gaussian: a sanity check of the quadrature, not a test
-    of a 6D-to-2D marginalisation.
-    """
-    sg = cfg.sigma_k0
-
-    def axis_integral(center):
-        nodes, weights = _legendre_grid(center, CUTOFF_SIGMAS * sg, 64)
-        vals = np.exp(-((nodes - center) ** 2) / (2.0 * sg * sg))
-        return float(weights @ vals) / math.sqrt(2.0 * math.pi * sg * sg)
-
-    six_d = 1.0
-    for mean_vec in ((cfg.k0, 0.0, 0.0), (-cfg.k0, 0.0, 0.0)):
-        for c in mean_vec:
-            six_d *= axis_integral(c)
-    two_d = axis_integral(cfg.k0) * axis_integral(-cfg.k0)
-    return abs(six_d - two_d) / abs(two_d)
-
-
-# ---------------------------------------------------------------------------
 # Verification battery
 # ---------------------------------------------------------------------------
 
@@ -522,10 +491,6 @@ def _check_normalization_quadrature():
     yield abs(numeric - closed) / closed
 
 
-def _check_dimensional_reduction():
-    yield dimensional_reduction_check(ScatteringConfig(a_s=0.0, **_DESK_CFG_KW))
-
-
 _SHARED_RUNS = (_curvature_fd_run, _geodesic_run, _jacobi_run, _purity_deficit)
 
 # (name, group, tolerance, check): a check passes when its residual is at
@@ -553,12 +518,12 @@ _CHECKS = [
     ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
     ("purity_scaling", "scattering", 0.5, _check_purity_scaling),
     ("purity_quadratic", "scattering", 0.02, _check_purity_quadratic),
-    ("purity_gaussian_identity", "scattering", 1e-9, _check_purity_gaussian_identity),
+    # the trace quadrature against the exact sqrt(1 - r^2); reads no closed form
+    ("purity_gaussian_identity", "oracle", 1e-9, _check_purity_gaussian_identity),
     ("phase_chain", "scattering", 0.02, _check_phase_chain),
     ("inversions_roundtrip", "scattering", 1e-10, _check_inversions),
     ("prolongation_agreement", "scattering", 0.01, _check_prolongation),
     ("normalization_quadrature", "scattering", 1e-8, _check_normalization_quadrature),
-    ("dimensional_reduction", "oracle", 1e-9, _check_dimensional_reduction),
 ]
 
 
@@ -575,6 +540,9 @@ def run_verification(only: str | None = None) -> list[CheckResult]:
             lambda: f"unknown check group {only!r}; available: {GROUPS}")
     for run in _SHARED_RUNS:
         run.cache_clear()
+    if only in (None, "geodesics", "chaos"):
+        # the checks that integrate an ODE need scipy: load it before any clock starts
+        from . import oracle  # noqa: F401
     results = []
     for name, group, tolerance, fn in _CHECKS:
         if only is not None and group != only:

@@ -33,7 +33,8 @@ import warnings
 import numpy as np
 
 from . import chaos, complexity, curvature, geodesics, models, scattering
-from .errors import GaussGeoError, ProlongationBoundError, require
+from .errors import (GaussGeoError, OmittedFieldsWarning, ProlongationBoundWarning,
+                     RoundTripWarning, TruncationWarning, require)
 from .geodesics import InitialConditions
 from .groups import GROUPS
 from .models import ModelParams
@@ -227,10 +228,9 @@ def _cmd_complexity(args) -> tuple[dict, dict]:
     igc = np.array([complexity.igc_closed(kept, ModelParams(r), ic) for r in r_values]).T
     ige = np.array([complexity.ige_closed(kept, ModelParams(r), ic) for r in r_values]).T
     if keep < len(tau):
-        warnings.warn(
+        warnings.warn(TruncationWarning(
             f"lambda*tau = {lam * tau[keep]:.3g} beyond overflow guard; "
-            "remaining rows truncated"
-        )
+            "remaining rows truncated", len(tau) - keep))
     return {
         "tau": np.repeat(kept, len(r_values)),
         "r": np.tile(np.asarray(r_values, dtype=float), keep),
@@ -259,16 +259,12 @@ def _cmd_scatter(args) -> dict:
         "a_s_effective": scattering.scattering_length_from_r(cfg, r),
         "eta_c": scattering.eta_c(cfg),
     }
-    try:
-        rep = scattering.prolongation(ic, r)
-        record["prolongation"] = rep.delta
-        record["prolongation_approx"] = rep.delta_approx
-        record["r_bound"] = rep.r_bound
-    except ProlongationBoundError as exc:
-        warnings.warn(str(exc))
-        record["prolongation"] = math.nan
-        record["prolongation_approx"] = math.nan
-        record["r_bound"] = exc.r_bound
+    rep = scattering.prolongation(ic, r)
+    if rep.flagged:
+        warnings.warn(ProlongationBoundWarning(
+            f"r={r:.6g} is at or above the prolongation bound 2/eta={rep.r_bound:.6g}"))
+    record.update(prolongation=rep.delta, prolongation_approx=rep.delta_approx,
+                  r_bound=rep.r_bound)
     # inline round-trip consistency of the algebraic inversions
     checks = {
         "roundtrip_potential": abs(
@@ -280,7 +276,8 @@ def _cmd_scatter(args) -> dict:
     }
     failures = {k: v for k, v in checks.items() if not v <= 1e-10}
     if failures:
-        warnings.warn(f"consistency round-trips failed: {failures}")
+        warnings.warn(RoundTripWarning(f"consistency round-trips failed: {failures}",
+                                       len(failures)))
     record["consistency_max_residual"] = max(checks.values())
     return record
 
@@ -294,7 +291,7 @@ def _cmd_prolongation(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> int:
-    from . import battery  # scipy.integrate loads only in the checks that run an ODE
+    from . import battery  # scipy.integrate loads only for the groups that run an ODE
 
     results = battery.run_verification(args.only)
     all_passed = all(res.passed for res in results)
@@ -461,8 +458,9 @@ def main(argv: list[str] | None = None) -> int:
                 result = args.fn(args)
                 columns, extra = result if isinstance(result, tuple) else (None, {})
                 if extra and args.format == "csv":
-                    warnings.warn(f"CSV output omits the fields {', '.join(extra)}; "
-                                  "--format json writes them")
+                    warnings.warn(OmittedFieldsWarning(
+                        f"CSV output omits the fields {', '.join(extra)}; "
+                        "--format json writes them", len(extra)))
             warn_list = _report_warnings(caught)
             if columns is None:
                 _emit_record(result, args.format, args.out, warn_list)

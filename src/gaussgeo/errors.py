@@ -38,20 +38,6 @@ class ConvergenceError(GaussGeoError):
     """A numeric oracle failed its own refinement self-test."""
 
 
-class ProlongationBoundError(DomainError):
-    """Correlation exceeds the bound below which a prolongation exists.
-
-    Carries the offending bound so sweeps can report it per row.
-    """
-
-    def __init__(self, r: float, r_bound: float):
-        self.r = r
-        self.r_bound = r_bound
-        super().__init__(
-            f"r={r:.6g} is at or above the prolongation bound 2/eta={r_bound:.6g}"
-        )
-
-
 class CountedWarning(UserWarning):
     """Warning about ``count`` elements of one (possibly array) call.
 
@@ -70,6 +56,23 @@ class RegimeWarning(CountedWarning):
 
 class SaturationWarning(CountedWarning):
     """Hyperbolic argument clamped to avoid overflow; output is saturated."""
+
+
+class TruncationWarning(CountedWarning):
+    """Table rows past an overflow guard were dropped; ``count`` rows."""
+
+
+class ProlongationBoundWarning(CountedWarning):
+    """Correlation at or past the bound below which a prolongation exists;
+    the prolongation is reported as NaN."""
+
+
+class RoundTripWarning(CountedWarning):
+    """Algebraic inversions missed their input; ``count`` round-trips."""
+
+
+class OmittedFieldsWarning(CountedWarning):
+    """The output format cannot hold ``count`` fields of the result."""
 
 
 def require(ok, message) -> None:

@@ -52,8 +52,9 @@ class InitialConditions:
     """Initial data (p0, sigma0, tau0, R0) of the collision history.
 
     Wave packets must be well localized in momentum: sigma0/p0 <= 0.1, up to
-    the rounding of a common factor such as hbar. R0 (initial separation)
-    does not enter the geodesics but is carried for the scattering side.
+    the rounding of a common factor such as hbar. Nothing reads R0 (the
+    initial separation): the scattering side reads ``ScatteringConfig.R0``,
+    and the field stays only because the benchmark constructs it.
     """
 
     p0: float

@@ -26,9 +26,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from . import chaos, curvature, geodesics, models
-from .battery import (CheckResult, curvature_fd, dimensional_reduction_check,  # noqa: F401
-                      fisher_metric_numeric, igc_gauss, purity_bruteforce,
-                      purity_gaussian_state, run_verification)
+from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
+                      igc_gauss, purity_bruteforce, purity_gaussian_state, run_verification)
 from .errors import ConvergenceError, require
 from .geodesics import InitialConditions
 from .models import ModelParams

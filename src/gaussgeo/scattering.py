@@ -28,9 +28,9 @@ the scattering length per unit correlation ell = k0^2 L^3 / 3.
   (no iteration); the approximate form is
   Delta = -ln(1 - ((1-r)^{-1/2} - 1) eta) / (2 A0), eta = e^{2 A0 tau0}/2.
   A solution exists only below r_bound = 2/eta; the exact solve also
-  requires (1-r)^{-1/2} tanh(A0 tau0) < 1. Both limits raise
-  ProlongationBoundError carrying r_bound; over a numpy array of r they
-  flag the element instead (`ProlongationReport.flagged`).
+  requires (1-r)^{-1/2} tanh(A0 tau0) < 1. An r past either limit, a
+  scalar or an array element alike, is flagged
+  (`ProlongationReport.flagged`) with NaN prolongations.
 
 Only the repulsive branch (V >= 0, r >= 0, a_s >= 0) is supported;
 attractive potentials are rejected. Every scale of the configuration must be
@@ -51,7 +51,6 @@ import numpy as np
 
 from ._elementwise import scalar_or_array
 from .errors import (
-    ProlongationBoundError,
     RegimeError,
     RegimeWarning,
     ResonanceError,
@@ -127,15 +126,15 @@ class ScatteringConfig:
 class ProlongationReport:
     """Entanglement duration: exact and approximate prolongations.
 
-    delta is the exact artanh solve, delta_approx the log form. For an array
-    of r both are arrays, NaN where ``flagged`` marks r at or past the bound
-    r_bound; a scalar r past the bound raises instead.
+    delta is the exact artanh solve, delta_approx the log form, both NaN
+    where ``flagged`` marks r at or past the bound r_bound. For an array of
+    r, delta, delta_approx and flagged are arrays.
     """
 
     delta: float
     delta_approx: float
     r_bound: float
-    flagged: bool = False
+    flagged: bool
 
 
 def _swave(cfg: ScatteringConfig) -> float:
@@ -298,10 +297,10 @@ def potential_density(cfg: ScatteringConfig) -> float:
 def prolongation(ic: InitialConditions, r) -> ProlongationReport:
     """Entanglement duration for correlation r (scalar or array), exact and approximate.
 
-    A scalar r raises ProlongationBoundError when it reaches either the
-    approximate bound 2/eta or the exact no-solution threshold, whichever is
-    lower (they agree to O(e^{-2 A0 tau0})); an array of r flags those
-    elements instead.
+    An r that reaches either the approximate bound 2/eta or the exact
+    no-solution threshold, whichever is lower (they agree to
+    O(e^{-2 A0 tau0})), is flagged with NaN prolongations; a scalar r is
+    the 0-d case of an array.
     """
     require_correlation(r)
     A0 = amplitude_A0(ic)
@@ -317,19 +316,13 @@ def prolongation(ic: InitialConditions, r) -> ProlongationReport:
     # the log argument goes nonpositive first, then the exact solve loses
     # its solution — all are reported as the same bound violation
     flagged = ((r >= r_bound) | (arg >= 1.0) | (inner <= 0.0)) & (r != 0.0)
-    if not (isinstance(r, np.ndarray) and r.ndim):
-        if flagged:
-            raise ProlongationBoundError(r, r_bound)
-        flagged = False
-    else:
-        # NaN passes quietly through artanh and log
-        arg = np.where(flagged, np.nan, arg)
-        inner = np.where(flagged, np.nan, inner)
+    # NaN passes quietly through artanh and log
+    arg, inner = np.where(flagged, np.nan, (arg, inner))
     # r = 0 takes no time to catch up: tau_star = tau0 exactly
     tau_star = np.where(r == 0.0, ic.tau0, np.arctanh(arg) / A0)
     return ProlongationReport(
         delta=scalar_or_array(tau_star - ic.tau0),
         delta_approx=scalar_or_array(0.0 - np.log(inner) / (2.0 * A0)),
         r_bound=r_bound,
-        flagged=flagged,
+        flagged=flagged if isinstance(flagged, np.ndarray) else bool(flagged),
     )

@@ -4,7 +4,7 @@ Each closed form used by a table command takes a scalar or a numpy array;
 the scalar is the 0-d case of the same computation. These properties pin
 that: element i of an array call equals the scalar call on element i bit
 for bit, an array call warns once with the number of affected elements,
-and the prolongation mask marks exactly the r where a scalar call raises.
+and a scalar prolongation report, its flag included, is the array's element.
 The columnar writer must give the bytes of the row-at-a-time formatting it
 replaced, which is kept here as the reference.
 """
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from gaussgeo import chaos, cli, complexity, geodesics, scattering
 from gaussgeo.errors import (
     DomainError,
-    ProlongationBoundError,
     RegimeWarning,
     SaturationWarning,
 )
@@ -123,14 +122,6 @@ def test_complexity_elementwise(ic, r, frac):
         )
 
 
-def _scalar_prolongation(ic, r):
-    try:
-        rep = scattering.prolongation(ic, r)
-    except ProlongationBoundError:
-        return (math.nan, math.nan), True
-    return (rep.delta, rep.delta_approx), False
-
-
 @settings(max_examples=40, deadline=None)
 @given(ic=ics, frac=fractions)
 def test_prolongation_elementwise_and_mask(ic, frac):
@@ -138,13 +129,15 @@ def test_prolongation_elementwise_and_mask(ic, frac):
     # 0 up to twice the bound, and always the r = 0 row
     r = np.minimum(np.abs(np.array(frac + [0.0])) * 2.0 * r_bound, 0.99)
     rep = scattering.prolongation(ic, r)
-    scalar = [_scalar_prolongation(ic, x) for x in r.tolist()]
-    assert rep.flagged.tolist() == [raised for _, raised in scalar]
+    scalar = [scattering.prolongation(ic, x) for x in r.tolist()]
+    assert rep.flagged.tolist() == [s.flagged for s in scalar]
+    assert all(type(s.flagged) is bool for s in scalar)
     _assert_elementwise(
         np.stack([rep.delta, rep.delta_approx], axis=1),
-        [values for values, _ in scalar],
+        [(s.delta, s.delta_approx) for s in scalar],
     )
     assert rep.r_bound == r_bound
+    assert all(s.r_bound == r_bound for s in scalar)
 
 
 # ---------------------------------------------------------------------------

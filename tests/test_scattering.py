@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 from gaussgeo import geodesics, scattering
 from gaussgeo.errors import (
     DomainError,
-    ProlongationBoundError,
     RegimeError,
     RegimeWarning,
     ResonanceError,
@@ -358,6 +357,13 @@ class TestPurityFromR:
             )
 
 
+def _assert_flagged(rep, r_bound):
+    """A scalar r past the bound: flagged, NaN prolongations, the same bound."""
+    assert rep.flagged is True
+    assert math.isnan(rep.delta) and math.isnan(rep.delta_approx)
+    assert rep.r_bound == r_bound
+
+
 class TestProlongation:
     def test_vanishes_without_correlation(self, desk_ic):
         rep = scattering.prolongation(desk_ic, 0.0)
@@ -396,20 +402,17 @@ class TestProlongation:
 
     def test_bound_violation(self, desk_ic):
         bound = scattering.prolongation(desk_ic, 0.0).r_bound
-        with pytest.raises(ProlongationBoundError) as excinfo:
-            scattering.prolongation(desk_ic, bound * 1.01)
-        assert excinfo.value.r_bound == pytest.approx(bound)
+        _assert_flagged(scattering.prolongation(desk_ic, bound * 1.01), bound)
 
     def test_no_solution_marginally_below_bound(self, desk_ic):
         # the exact solve loses its solution at sech^2(A0 tau0), slightly
-        # below 2/eta; the sliver in between must also raise
+        # below 2/eta; the sliver in between must also be flagged
         bound = scattering.prolongation(desk_ic, 0.0).r_bound
         A0 = geodesics.amplitude_A0(desk_ic)
         r_ns = 1.0 / math.cosh(A0 * desk_ic.tau0) ** 2
         assert r_ns < bound
         r_mid = 0.5 * (r_ns + bound)
-        with pytest.raises(ProlongationBoundError):
-            scattering.prolongation(desk_ic, r_mid)
+        _assert_flagged(scattering.prolongation(desk_ic, r_mid), bound)
 
     def test_log_argument_threshold_also_raises(self, desk_ic):
         # the approximate form's log argument vanishes at
@@ -420,11 +423,10 @@ class TestProlongation:
         A0 = geodesics.amplitude_A0(desk_ic)
         r_ns = 1.0 / math.cosh(A0 * desk_ic.tau0) ** 2
         assert r_star < r_ns < rep.r_bound
-        with pytest.raises(ProlongationBoundError):
-            scattering.prolongation(desk_ic, 0.5 * (r_star + r_ns))
+        _assert_flagged(scattering.prolongation(desk_ic, 0.5 * (r_star + r_ns)), rep.r_bound)
         # just below every threshold the report is well formed
         rep_ok = scattering.prolongation(desk_ic, 0.999 * r_star)
-        assert rep_ok.delta > 0 and rep_ok.delta_approx > 0
+        assert rep_ok.delta > 0 and rep_ok.delta_approx > 0 and rep_ok.flagged is False
 
     def test_rejects_invalid_r(self, desk_ic):
         with pytest.raises(DomainError):
