@@ -34,7 +34,6 @@ import numpy as np
 from . import chaos, complexity, curvature, geodesics, models, scattering
 from .errors import ConvergenceError, DomainError, GaussGeoError, require, require_correlation
 from .geodesics import InitialConditions
-from .groups import GROUPS
 from .models import ModelParams
 from .scattering import ScatteringConfig
 
@@ -409,7 +408,7 @@ def _check_lyapunov_fit():
 
 
 def _check_igc_numeric():
-    lam = 2.0 * geodesics.amplitude_A0(_DESK_IC)
+    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(_DESK_IC))
     for lt in (1.0, 5.0, 10.0):
         for r in (0.0, 0.3, 0.7):
             params = ModelParams(r)
@@ -419,14 +418,13 @@ def _check_igc_numeric():
 
 
 def _check_complexity_relations():
-    lam = 2.0 * geodesics.amplitude_A0(_DESK_IC)
-    for lt in (2.0, 7.0):
-        base = complexity.igc_closed(lt / lam, ModelParams(0.0), _DESK_IC)
-        for r in (0.3, 0.7):
-            params = ModelParams(r)
-            igc = complexity.igc_closed(lt / lam, params, _DESK_IC)
-            yield abs(igc / base - complexity.igc_ratio(params))
-            yield abs(complexity.r_from_complexities(base, igc) - r)
+    # horizons lambda tau = 2, 7 down the rows, correlations 0.3, 0.7 across
+    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(_DESK_IC))
+    tau, params = np.array([[2.0], [7.0]]) / lam, ModelParams(np.array([0.3, 0.7]))
+    base = complexity.igc_closed(tau, ModelParams(0.0), _DESK_IC)
+    igc = complexity.igc_closed(tau, params, _DESK_IC)
+    yield np.abs(igc / base - complexity.igc_ratio(params)).max()
+    yield np.abs(complexity.r_from_complexities(base, igc) - params.r).max()
 
 
 @functools.cache
@@ -477,9 +475,8 @@ def _check_inversions():
 def _check_prolongation():
     for ic in (_DESK_IC, InitialConditions(1.0, 1e-3, 1.0, 10.0)):
         bound = scattering.prolongation(ic, 0.0).r_bound
-        for frac in (0.1, 0.25, 0.5):
-            rep = scattering.prolongation(ic, frac * bound)
-            yield abs(rep.delta_approx - rep.delta) / rep.delta
+        rep = scattering.prolongation(ic, np.array([0.1, 0.25, 0.5]) * bound)
+        yield (np.abs(rep.delta_approx - rep.delta) / rep.delta).max()
 
 
 def _check_normalization_quadrature():
@@ -526,6 +523,9 @@ _CHECKS = [
     ("normalization_quadrature", "scattering", 1e-8, _check_normalization_quadrature),
 ]
 
+#: Check groups of the battery, sorted: the values ``verify --only`` takes.
+GROUPS = tuple(sorted({group for _, group, _, _ in _CHECKS}))
+
 
 def run_verification(only: str | None = None) -> list[CheckResult]:
     """Run the oracle-vs-closed-form battery.
@@ -537,7 +537,7 @@ def run_verification(only: str | None = None) -> list[CheckResult]:
     its message in ``error``; an unknown group raises ``DomainError``.
     """
     require(only is None or only in GROUPS,
-            lambda: f"unknown check group {only!r}; available: {GROUPS}")
+            lambda: f"unknown check group {only!r}; available: {', '.join(GROUPS)}")
     for run in _SHARED_RUNS:
         run.cache_clear()
     if only in (None, "geodesics", "chaos"):

@@ -16,10 +16,13 @@ invalid floating-point errors raise rather than warn.
 
 The table commands (geodesic, jacobi, complexity, prolongation) evaluate
 their closed forms once per column over the whole grid and write the
-table column by column. A command returns its table, a (columns, extra)
-pair, or its record dict; `main` alone captures warnings and writes output.
-The battery is loaded only by ``verify``, and scipy.integrate only by the
-verify groups that integrate an ODE (geodesics, chaos).
+table column by column; complexity's grid is the flat (tau, r) mesh, and
+its lambda is `chaos.lyapunov_exponent`. A command returns its table, a
+(columns, extra) pair, or its record dict; `main` alone captures warnings
+and writes output. The battery is loaded only by ``verify``, which is also
+where ``--only GROUP`` is checked against the battery's groups, and
+scipy.integrate only by the verify groups that integrate an ODE
+(geodesics, chaos).
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ import numpy as np
 
 from . import chaos, complexity, curvature, geodesics, models, scattering
 from .errors import (GaussGeoError, OmittedFieldsWarning, ProlongationBoundWarning,
-                     RoundTripWarning, TruncationWarning, require)
+                     RoundTripWarning, TruncationWarning, require, require_correlation)
 from .geodesics import InitialConditions
-from .groups import GROUPS
 from .models import ModelParams
 from .scattering import ScatteringConfig
 
@@ -219,26 +221,27 @@ def _cmd_jacobi(args) -> tuple[dict, dict]:
 
 def _cmd_complexity(args) -> tuple[dict, dict]:
     ic = InitialConditions(args.p0, args.sigma0, args.tau0)
-    lam = 2.0 * geodesics.amplitude_A0(ic)
-    r_values = args.r if args.r else [0.0]
+    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
+    r_axis = require_correlation(np.array(args.r or [0.0]))  # even if no row is kept
     tau = _tau_grid(args.tau_min, args.tau_max, args.n)
     # the grid increases, so rows past the overflow guard form its tail
     keep = int(np.count_nonzero(lam * tau <= complexity.LAMBDA_TAU_MAX))
-    kept = tau[:keep]
-    igc = np.array([complexity.igc_closed(kept, ModelParams(r), ic) for r in r_values]).T
-    ige = np.array([complexity.ige_closed(kept, ModelParams(r), ic) for r in r_values]).T
+    # the flat, tau-major (tau, r) mesh: one call of each closed form
+    tau_col, r_col = np.repeat(tau[:keep], r_axis.size), np.tile(r_axis, keep)
+    params = ModelParams(r_col)
+    columns = {
+        "tau": tau_col,
+        "r": r_col,
+        "igc": complexity.igc_closed(tau_col, params, ic),
+        "ige": complexity.ige_closed(tau_col, params, ic),
+        "ratio": complexity.igc_ratio(params),
+        "ige_gap": complexity.ige_gap(params),
+    }
     if keep < len(tau):
         warnings.warn(TruncationWarning(
             f"lambda*tau = {lam * tau[keep]:.3g} beyond overflow guard; "
             "remaining rows truncated", len(tau) - keep))
-    return {
-        "tau": np.repeat(kept, len(r_values)),
-        "r": np.tile(np.asarray(r_values, dtype=float), keep),
-        "igc": igc.ravel(),
-        "ige": ige.ravel(),
-        "ratio": np.tile([complexity.igc_ratio(ModelParams(r)) for r in r_values], keep),
-        "ige_gap": np.tile([complexity.ige_gap(ModelParams(r)) for r in r_values], keep),
-    }, {}
+    return columns, {}
 
 
 def _cmd_scatter(args) -> dict:
@@ -400,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_prolongation)
 
     p = subs.add_parser("verify", help="oracle-vs-closed-form verification suite")
-    p.add_argument("--only", choices=GROUPS, default=None)
+    # checked by the battery, so that no other command loads it for the names
+    p.add_argument("--only", metavar="GROUP", default=None, help="run one check group")
     _add_output_flags(p, formats=False)
     p.set_defaults(fn=_cmd_verify)
 

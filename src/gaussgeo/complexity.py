@@ -7,7 +7,8 @@ volume swept between the macrostates at 0 and tau:
 
 where the volume element is the Fisher density sqrt(det g)
 = 2/(sqrt(1-r^2) sigma^3). On the closed-form geodesics the nested integral
-evaluates exactly: with lambda = 2 A0,
+evaluates exactly: with the Lyapunov rate lambda = 2 A0
+(`chaos.lyapunov_exponent`, the one place it is computed),
 
     V(tau; r) = (4/lambda) sqrt((1-r)/(1+r))
                 * [ -(3/4) lambda + sinh(lambda tau)/(4 tau)
@@ -34,8 +35,9 @@ lambda tau = 0.7 `igc_closed` sums its Taylor series instead,
 
 which converges for |x| < pi; twelve terms reach double precision there.
 
-`igc_closed` and `ige_closed` broadcast over a numpy array of horizons tau;
-a scalar tau is the 0-d case.
+`igc_closed` and `ige_closed` broadcast over numpy arrays of horizons tau
+and of correlations ``ModelParams(r).r``, as do `igc_ratio` and `ige_gap`
+over r; a scalar is the 0-d case.
 
 Both quantities shrink under correlation; `r_from_complexities` inverts the
 volume ratio to recover r.
@@ -43,14 +45,14 @@ volume ratio to recover r.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
+from . import chaos, geodesics
 from ._elementwise import any_true, scalar_or_array
 from .errors import RegimeWarning, require, require_correlation, require_positive
-from .geodesics import InitialConditions, amplitude_A0
+from .geodesics import InitialConditions
 from .models import ModelParams
 
 #: Hyperbolic overflow guard on lambda * tau.
@@ -80,7 +82,7 @@ def _check_horizon(tau, lam_tau) -> None:
 
 def igc_closed(tau, params: ModelParams, ic: InitialConditions):
     """Closed-form IGC at horizon tau (exact finite-time average)."""
-    lam = 2.0 * amplitude_A0(ic)
+    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     lam_tau = lam * tau
     _check_horizon(tau, lam_tau)
     prefactor = 4.0 * igc_ratio(params)
@@ -106,7 +108,7 @@ def ige_closed(tau, params: ModelParams, ic: InitialConditions):
 
     One RegimeWarning per call counts the elements with lambda*tau < 5.
     """
-    lam = 2.0 * amplitude_A0(ic)
+    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     lam_tau = lam * tau
     _check_horizon(tau, lam_tau)
     early = lam_tau < IGE_ASYMPTOTIC_MIN
@@ -124,16 +126,16 @@ def ige_closed(tau, params: ModelParams, ic: InitialConditions):
     return scalar_or_array(lam_tau - np.log(lam_tau) + ige_gap(params))
 
 
-def igc_ratio(params: ModelParams) -> float:
+def igc_ratio(params: ModelParams):
     """Correlated-to-flat volume ratio sqrt((1-r)/(1+r)), tau-independent."""
     r = params.r
-    return math.sqrt((1.0 - r) / (1.0 + r))
+    return scalar_or_array(np.sqrt((1.0 - r) / (1.0 + r)))
 
 
-def ige_gap(params: ModelParams) -> float:
+def ige_gap(params: ModelParams):
     """Entropy deficit (1/2) ln((1-r)/(1+r)) of the correlated flow."""
     r = params.r
-    return 0.5 * math.log((1.0 - r) / (1.0 + r))
+    return scalar_or_array(0.5 * np.log((1.0 - r) / (1.0 + r)))
 
 
 def r_from_complexities(v_noncorr: float, v_corr: float) -> float:

@@ -69,7 +69,9 @@ class Macrostate4:
 class ModelParams:
     """Micro-correlation coefficient of the Gaussian family.
 
-    Restricted to the non-negative branch r in [0, R_MAX).
+    Restricted to the non-negative branch r in [0, R_MAX). ``r`` may also be
+    a numpy array, a set of correlations, for the closed forms that
+    broadcast over r (`complexity`'s).
     """
 
     r: float = 0.0

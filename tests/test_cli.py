@@ -14,7 +14,6 @@ import pytest
 
 from gaussgeo import battery, cli, curvature, errors, models, scattering
 from gaussgeo.geodesics import InitialConditions
-from gaussgeo.groups import GROUPS
 
 
 def run_cli(capsys, *argv):
@@ -406,6 +405,17 @@ class TestVerifyCommand:
                             r"\(tolerance 1\.000e-10, \d+\.\d\ds\): DomainError: correlation "
                             r"must lie in \[0, 0\.999999999\), got -0\.18\d+", lines[3])
 
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_unknown_group_exits_two(self, capsys, tmp_path, by_config):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"only": "bogus"}))
+        argv = ["--config", str(config)] if by_config else ["--only", "bogus"]
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown check group 'bogus'") and err.count("\n") == 1
+        assert all(group in err for group in battery.GROUPS) and len(battery.GROUPS) == 7
+
     def test_unknown_fault_exits_two(self, capsys):
         # the battery is fixed: it has no fault hook to set
         code, out, err = run_cli(
@@ -504,9 +514,10 @@ class TestImports:
                 "if m in sys.modules))")
         assert _python("-c", code).stdout.strip() == "[]"
 
-    def test_groups_match_the_checks(self):
-        assert GROUPS == tuple(sorted({group for _, group, _, _ in battery._CHECKS}))
-        assert battery.GROUPS is GROUPS
+    def test_cli_does_not_load_the_battery(self):
+        # verify --only is checked by the battery, not by a copy of its groups
+        code = "import sys, gaussgeo.cli; print('gaussgeo.battery' in sys.modules)"
+        assert _python("-c", code).stdout.strip() == "False"
 
     def test_oracle_imports_scipy_integrate(self):
         # the oracle binds solve_ivp and quad when it loads, so a caller can

@@ -108,18 +108,26 @@ def test_jacobi_intensity_elementwise(ic, omega0, frac):
     _assert_elementwise(chaos.jacobi_intensity(tau, omega0, A0), scalar)
 
 
+def _mesh(tau, r):
+    """The flat, tau-major (tau, r) mesh of a complexity table."""
+    return np.repeat(tau, len(r)), np.tile(np.array(r, dtype=float), len(tau))
+
+
 @settings(max_examples=40, deadline=None)
-@given(ic=ics, r=correlations, frac=fractions)
+@given(ic=ics, r=st.lists(correlations, min_size=1, max_size=4), frac=fractions)
 def test_complexity_elementwise(ic, r, frac):
-    lam = 2.0 * geodesics.amplitude_A0(ic)
+    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     # horizons in (0, the overflow guard)
     tau = (np.abs(np.array(frac)) * 0.998 + 1e-3) * complexity.LAMBDA_TAU_MAX / lam
-    params = ModelParams(r)
+    tau, r = _mesh(tau, r)
+    points = list(zip(tau.tolist(), map(ModelParams, r.tolist())))
     for fn in (complexity.igc_closed, complexity.ige_closed):
         _assert_elementwise(
-            _quietly(fn, tau, params, ic),
-            [_quietly(fn, t, params, ic) for t in tau.tolist()],
+            _quietly(fn, tau, ModelParams(r), ic),
+            [_quietly(fn, t, params, ic) for t, params in points],
         )
+    for fn in (complexity.igc_ratio, complexity.ige_gap):
+        _assert_elementwise(fn(ModelParams(r)), [fn(params) for _, params in points])
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,13 +169,13 @@ def test_clamp_warning_counts_clamped_elements(ic, frac):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ic=ics, frac=fractions)
-def test_regime_warning_counts_early_horizons(ic, frac):
-    lam = 2.0 * geodesics.amplitude_A0(ic)
+@given(ic=ics, r=st.lists(correlations, min_size=1, max_size=4), frac=fractions)
+def test_regime_warning_counts_early_horizons(ic, r, frac):
+    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     # lambda tau from 0.2 to 20.2: some below the asymptotic minimum of 5
-    tau = (np.abs(np.array(frac)) * 20.0 + 0.2) / lam
+    tau, r = _mesh((np.abs(np.array(frac)) * 20.0 + 0.2) / lam, r)
     expected = int(np.count_nonzero(lam * tau < complexity.IGE_ASYMPTOTIC_MIN))
-    caught = _caught(complexity.ige_closed, tau, ModelParams(0.3), ic)
+    caught = _caught(complexity.ige_closed, tau, ModelParams(r), ic)
     if expected:
         assert [w.category for w in caught] == [RegimeWarning]
         assert caught[0].message.count == expected

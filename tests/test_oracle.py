@@ -387,6 +387,16 @@ class TestVerificationBattery:
         assert res["lyapunov_fit"].residual == pytest.approx(0.05 / 1.05, rel=1e-6)
         assert res["jacobi_intensity"].passed
 
+    def test_lyapunov_exponent_fault_fails_igc(self, monkeypatch):
+        # igc_closed reads lambda from chaos.lyapunov_exponent, igc_gauss
+        # from the geodesics, so a lambda 1e-5 high fails the oracle check
+        lyapunov_exponent = chaos.lyapunov_exponent
+        monkeypatch.setattr(chaos, "lyapunov_exponent",
+                            lambda A0: (1.0 + 1e-5) * lyapunov_exponent(A0))
+        res = {res.name: res for res in oracle.run_verification(only="complexity")}
+        assert not res["igc_numeric"].passed
+        assert res["igc_numeric"].residual > 5e-5
+
     def test_tilted_jacobi_seed_fails_intensity(self, monkeypatch):
         # a seed tilted by 1e-4 along the velocity moves the intensity by
         # about 5e-9, well within the tolerance, but J leaves the normal plane
