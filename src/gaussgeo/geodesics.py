@@ -91,11 +91,14 @@ def _clamped(arg):
 
 
 def _momentum_scale(ic: InitialConditions, r: float) -> float:
-    return math.sqrt((1.0 - r) * (ic.p0**2 + 2.0 * ic.sigma0**2))
+    # sqrt((1-r)(p0^2 + 2 sigma0^2)) by hypot: p0^2 itself under- or
+    # overflows long before the scale does
+    return math.sqrt(1.0 - r) * math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
 
 
 def _spread_scale(ic: InitialConditions) -> float:
-    return math.sqrt(0.5 * ic.p0**2 + ic.sigma0**2)
+    # sqrt(p0^2/2 + sigma0^2)
+    return _momentum_scale(ic, 0.0) / math.sqrt(2.0)
 
 
 def _state(arg, m, spread) -> Macrostate3:

@@ -454,8 +454,8 @@ class TestExtremeInput:
         (["metric", "--dim", "4", "--sigma-x", "1e-200"], "--sigma-x 1e-200"),  # range check
         (["curvature", "--sigma", "1e-100"], "--sigma 1e-100"),  # ZeroDivisionError
         (["metric", "--sigma", "1e-200"], "--sigma 1e-200"),  # range check
-        (["geodesic", "--p0", "1e300", "--sigma0", "1e299"],
-         "--p0 1e+300, --sigma0 1e+299"),  # OverflowError
+        (["geodesic", "--p0", "1.79e308", "--sigma0", "1.7e307"],
+         "--p0 1.79e+308, --sigma0 1.7e+307"),  # an infinite momentum scale
         (["scatter", "--k0", "1e200"], "--k0 1e+200"),  # OverflowError
         (["scatter", "--L", "1e-120"], "--L 1e-120"),  # ZeroDivisionError
         (["scatter", "--sigma-k0", "1e-200"], "--sigma-k0 1e-200"),  # OverflowError

@@ -109,6 +109,23 @@ class TestCorrelated:
                 assert geodesics.geodesic_corr(tau, ModelParams(r), desk_ic).sigma == base
 
 
+class TestScaleCovariance:
+    """p0 and sigma0 scaled together by s scale the state and the velocity by
+    s, since A0 reads only their ratio. The scales of the closed form avoid
+    squaring p0, which under- or overflows far inside the float range."""
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-160, 1e150, 1e300])
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_state_and_velocity_scale_with_the_data(self, desk_ic, s, r):
+        scaled = InitialConditions(p0=s * desk_ic.p0, sigma0=s * desk_ic.sigma0,
+                                   tau0=desk_ic.tau0)
+        tau, params = np.linspace(-1.0, 1.0, 9), ModelParams(r)
+        for fn in (lambda ic: geodesics.geodesic_corr(tau, params, ic).as_array(),
+                   lambda ic: geodesics.geodesic_velocity(tau, params, ic)):
+            want = s * fn(desk_ic)
+            assert np.all(np.abs(fn(scaled) - want) <= 4 * np.spacing(np.abs(want)))
+
+
 class TestJoinedPath:
     def test_continuity_at_junction(self, desk_ic):
         params = ModelParams(0.5)
