@@ -169,8 +169,18 @@ def _cmd_metric(args) -> dict:
 
 def _cmd_curvature(args) -> dict:
     params = ModelParams(args.r)
-    bundle = curvature.bundle(args.sigma, params)
-    report = curvature.maximal_symmetry_check(args.sigma, params)
+    # R_abcd scales as sigma^-4: a sigma far from 1 overflows it, or takes
+    # R_1212, R_1313 and R_2323 (nonzero at every r) out of the normal
+    # floats, which zeroes the sectional curvatures; either way it is named
+    try:
+        bundle = curvature.bundle(args.sigma, params)
+        report = curvature.maximal_symmetry_check(args.sigma, params)
+        R = np.abs(bundle.riemann[(0, 0, 1), (1, 2, 2), (0, 0, 1), (1, 2, 2)])
+        ok = np.finfo(float).tiny <= R.min() and R.max() < math.inf
+    except ArithmeticError:
+        ok = False
+    require(ok, lambda: f"--sigma {args.sigma:g}: curvature out of range, R_1212, R_1313"
+            " and R_2323 are not all normal floats")
     return {
         "scalar": bundle.scalar,
         "sectional_12": float(bundle.sectional[0, 1]),

@@ -452,14 +452,14 @@ class TestExtremeInput:
     ARITHMETIC = [
         # (argv, the options its error line names)
         (["metric", "--dim", "4", "--sigma-x", "1e-200"], "--sigma-x 1e-200"),  # range check
-        (["curvature", "--sigma", "1e-100"], "--sigma 1e-100"),  # ZeroDivisionError
+        (["curvature", "--sigma", "1e-100"], "--sigma 1e-100"),  # range check
         (["metric", "--sigma", "1e-200"], "--sigma 1e-200"),  # range check
         (["geodesic", "--p0", "1.79e308", "--sigma0", "1.7e307"],
          "--p0 1.79e+308, --sigma0 1.7e+307"),  # an infinite momentum scale
         (["scatter", "--k0", "1e200"], "--k0 1e+200"),  # OverflowError
         (["scatter", "--L", "1e-120"], "--L 1e-120"),  # ZeroDivisionError
         (["scatter", "--sigma-k0", "1e-200"], "--sigma-k0 1e-200"),  # OverflowError
-        (["curvature", "--sigma", "1e80"], "--sigma 1e+80"),  # OverflowError
+        (["curvature", "--sigma", "1e80"], "--sigma 1e+80"),  # range check
     ]
 
     @pytest.mark.parametrize("argv, named", ARITHMETIC,
@@ -481,6 +481,26 @@ class TestExtremeInput:
         assert code == 2
         assert out == ""
         assert err == "error: float division by zero (at --L 1e-120, --a-s 1e-06)\n"
+
+    @pytest.mark.parametrize("r", ["0", "0.5", "0.9"])
+    @pytest.mark.parametrize("sigma", ["1e77", "1e78", "1e-80"])
+    def test_curvature_out_of_range_exits_two(self, capsys, sigma, r):
+        # R_abcd ~ sigma^-4 overflows or leaves the normal floats: at 1e77 it
+        # used to print sectional_12 0, at 1e78 and 1e-80 a raw float error
+        code, out, err = run_cli(capsys, "curvature", "--sigma", sigma, "--r", r)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --sigma {float(sigma):g}: curvature out of range")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("r", ["0", "0.5", "0.9"])
+    @pytest.mark.parametrize("sigma", ["5e76", "3e-77", "1e-40", "2000"])
+    def test_curvature_inside_its_range(self, capsys, sigma, r):
+        code, out, _ = run_cli(capsys, "curvature", "--sigma", sigma, "--r", r)
+        assert code == 0
+        payload = json.loads(out)
+        for key in ("sectional_12", "sectional_13", "sectional_23"):
+            assert abs(payload[key] + 0.25) <= 1e-15
 
     @pytest.mark.parametrize("sigma", ["2000", "5000", "1e4"])
     def test_curvature_at_large_sigma(self, capsys, sigma):
