@@ -16,13 +16,11 @@ invalid floating-point errors raise rather than warn.
 
 The table commands (geodesic, jacobi, complexity, prolongation) evaluate
 their closed forms once per column over the whole grid and write the
-table column by column; complexity's grid is the flat (tau, r) mesh, and
-its lambda is `chaos.lyapunov_exponent`. A command returns its table, a
-(columns, extra) pair, or its record dict; `main` alone captures warnings
-and writes output. The battery is loaded only by ``verify``, which is also
-where ``--only GROUP`` is checked against the battery's groups, and
-scipy.integrate only by the verify groups that integrate an ODE
-(geodesics, chaos).
+table column by column (complexity's grid is the flat (tau, r) mesh). A
+command returns its table, a (columns, extra) pair, or its record dict;
+`main` alone captures warnings and writes output. The battery, which checks
+``verify --only GROUP``, is loaded only by ``verify``, and scipy.integrate
+only by the verify groups that integrate an ODE (geodesics, chaos).
 """
 
 from __future__ import annotations
@@ -237,16 +235,11 @@ def _cmd_complexity(args) -> tuple[dict, dict]:
     # the grid increases, so rows past the overflow guard form its tail
     keep = int(np.count_nonzero(lam * tau <= complexity.LAMBDA_TAU_MAX))
     # the flat, tau-major (tau, r) mesh: one call of each closed form
-    tau_col, r_col = np.repeat(tau[:keep], r_axis.size), np.tile(r_axis, keep)
-    params = ModelParams(r_col)
-    columns = {
-        "tau": tau_col,
-        "r": r_col,
-        "igc": complexity.igc_closed(tau_col, params, ic),
-        "ige": complexity.ige_closed(tau_col, params, ic),
-        "ratio": complexity.igc_ratio(params),
-        "ige_gap": complexity.ige_gap(params),
-    }
+    tau_col, params = np.repeat(tau[:keep], r_axis.size), ModelParams(np.tile(r_axis, keep))
+    columns = {"tau": tau_col, "r": params.r,
+               "igc": complexity.igc_closed(tau_col, params, ic),
+               "ige": complexity.ige_closed(tau_col, params, ic),
+               "ratio": complexity.igc_ratio(params), "ige_gap": complexity.ige_gap(params)}
     if keep < len(tau):
         warnings.warn(TruncationWarning(
             f"lambda*tau = {lam * tau[keep]:.3g} beyond overflow guard; "
@@ -413,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_prolongation)
 
     p = subs.add_parser("verify", help="oracle-vs-closed-form verification suite")
-    # checked by the battery, so that no other command loads it for the names
     p.add_argument("--only", metavar="GROUP", default=None, help="run one check group")
     _add_output_flags(p, formats=False)
     p.set_defaults(fn=_cmd_verify)

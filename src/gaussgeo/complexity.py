@@ -7,8 +7,7 @@ volume swept between the macrostates at 0 and tau:
 
 where the volume element is the Fisher density sqrt(det g)
 = 2/(sqrt(1-r^2) sigma^3). On the closed-form geodesics the nested integral
-evaluates exactly: with the Lyapunov rate lambda = 2 A0
-(`chaos.lyapunov_exponent`, the one place it is computed),
+evaluates exactly: with lambda = 2 A0, read from `chaos.lyapunov_exponent`,
 
     V(tau; r) = (4/lambda) sqrt((1-r)/(1+r))
                 * [ -(3/4) lambda + sinh(lambda tau)/(4 tau)
@@ -128,14 +127,12 @@ def ige_closed(tau, params: ModelParams, ic: InitialConditions):
 
 def igc_ratio(params: ModelParams):
     """Correlated-to-flat volume ratio sqrt((1-r)/(1+r)), tau-independent."""
-    r = params.r
-    return scalar_or_array(np.sqrt((1.0 - r) / (1.0 + r)))
+    return scalar_or_array(np.sqrt((1.0 - params.r) / (1.0 + params.r)))
 
 
 def ige_gap(params: ModelParams):
     """Entropy deficit (1/2) ln((1-r)/(1+r)) of the correlated flow."""
-    r = params.r
-    return scalar_or_array(0.5 * np.log((1.0 - r) / (1.0 + r)))
+    return scalar_or_array(0.5 * np.log((1.0 - params.r) / (1.0 + params.r)))
 
 
 def r_from_complexities(v_noncorr: float, v_corr: float) -> float:

@@ -97,7 +97,6 @@ def _momentum_scale(ic: InitialConditions, r: float) -> float:
 
 
 def _spread_scale(ic: InitialConditions) -> float:
-    # sqrt(p0^2/2 + sigma0^2)
     return _momentum_scale(ic, 0.0) / math.sqrt(2.0)
 
 

@@ -69,9 +69,8 @@ class Macrostate4:
 class ModelParams:
     """Micro-correlation coefficient of the Gaussian family.
 
-    Restricted to the non-negative branch r in [0, R_MAX). ``r`` may also be
-    a numpy array, a set of correlations, for the closed forms that
-    broadcast over r (`complexity`'s).
+    Restricted to the non-negative branch r in [0, R_MAX). ``r`` may be an
+    array of correlations for the closed forms that broadcast over r.
     """
 
     r: float = 0.0
