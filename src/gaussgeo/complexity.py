@@ -105,17 +105,18 @@ def igc_closed(tau, params: ModelParams, ic: InitialConditions):
 def ige_closed(tau, params: ModelParams, ic: InitialConditions):
     """Asymptotic IGE at horizon tau.
 
-    One RegimeWarning per call counts the elements with lambda*tau < 5.
+    One RegimeWarning per call counts the result's elements with lambda*tau < 5.
     """
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     lam_tau = lam * tau
     _check_horizon(tau, lam_tau)
     early = lam_tau < IGE_ASYMPTOTIC_MIN
     if any_true(early):
+        early = np.broadcast_to(early, np.broadcast(lam_tau, params.r).shape)
         count = int(np.count_nonzero(early))
         warnings.warn(
             RegimeWarning(
-                f"lambda*tau < {IGE_ASYMPTOTIC_MIN} at {count} of {np.size(lam_tau)} "
+                f"lambda*tau < {IGE_ASYMPTOTIC_MIN} at {count} of {early.size} "
                 f"elements (smallest {np.min(lam_tau):.3g}): asymptotic entropy "
                 "form used outside its regime",
                 count,

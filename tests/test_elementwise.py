@@ -173,14 +173,16 @@ def test_clamp_warning_counts_clamped_elements(ic, frac):
 def test_regime_warning_counts_early_horizons(ic, r, frac):
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     # lambda tau from 0.2 to 20.2: some below the asymptotic minimum of 5
-    tau, r = _mesh((np.abs(np.array(frac)) * 20.0 + 0.2) / lam, r)
-    expected = int(np.count_nonzero(lam * tau < complexity.IGE_ASYMPTOTIC_MIN))
-    caught = _caught(complexity.ige_closed, tau, ModelParams(r), ic)
-    if expected:
-        assert [w.category for w in caught] == [RegimeWarning]
-        assert caught[0].message.count == expected
-    else:
-        assert caught == []
+    tau = (np.abs(np.array(frac)) * 20.0 + 0.2) / lam
+    expected = int(np.count_nonzero(lam * tau < complexity.IGE_ASYMPTOTIC_MIN)) * len(r)
+    # the flat mesh, and a tau column broadcast against a row of r
+    for tau_arg, r_arg in (_mesh(tau, r), (tau[:, None], np.array(r))):
+        caught = _caught(complexity.ige_closed, tau_arg, ModelParams(r_arg), ic)
+        if expected:
+            assert [w.category for w in caught] == [RegimeWarning]
+            assert caught[0].message.count == expected
+        else:
+            assert caught == []
 
 
 # ---------------------------------------------------------------------------
