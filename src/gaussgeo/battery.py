@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import chaos, complexity, curvature, geodesics, models, scattering
+from ._elementwise import any_true, scalar_or_array
 from .errors import ConvergenceError, DomainError, GaussGeoError, require, require_correlation
 from .geodesics import InitialConditions
 from .models import ModelParams
@@ -108,59 +109,46 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
 # Curvature by finite differences
 # ---------------------------------------------------------------------------
 
-def curvature_fd(
-    sigma: float, params: ModelParams, step: float | None = None
-) -> curvature.CurvatureBundle:
+def curvature_fd(sigma, params: ModelParams, step=None) -> curvature.CurvatureBundle:
     """Curvature tensors from central differences of the metric.
 
     Christoffels come from differencing the closed-form metric; Riemann
     from differencing the closed-form Christoffels (plus their quadratic
     terms); Ricci and Weyl are assembled from those. A Richardson check on
-    the Christoffels guards against a bad step choice.
+    the Christoffels guards against a bad step choice, and fails if any
+    point fails it. Array sigma and r broadcast as in `curvature.bundle`.
     """
-    if step is None:
-        step = 1e-5 * sigma
+    h = np.asarray(1e-5 * sigma if step is None else step)
+    g = models.metric_corr3(sigma, params)
+    ginv = np.linalg.inv(g)
+
+    def d_sigma(tensor, rank, h):
+        # d_e of a tensor of sigma alone, as an axis e before the tensor axes
+        diff = tensor(sigma + h, params) - tensor(sigma - h, params)
+        diff /= np.reshape(2.0 * h, h.shape + (1,) * rank)
+        return np.stack([np.zeros_like(diff), np.zeros_like(diff), diff], axis=-rank - 1)
 
     def christoffel_at(h):
-        ginv = np.linalg.inv(models.metric_corr3(sigma, params))
-        dg = (
-            models.metric_corr3(sigma + h, params)
-            - models.metric_corr3(sigma - h, params)
-        ) / (2.0 * h)
-        dgf = np.zeros((3, 3, 3))
-        dgf[2] = dg  # the metric depends on sigma only
-        return 0.5 * (
-            np.einsum("ad,bdc->abc", ginv, dgf)
-            + np.einsum("ad,cbd->abc", ginv, dgf)
-            - np.einsum("ad,dbc->abc", ginv, dgf)
-        )
+        dgf = d_sigma(models.metric_corr3, 2, h)
+        return 0.5 * (np.einsum("...ad,...bdc->...abc", ginv, dgf)
+                      + np.einsum("...ad,...cbd->...abc", ginv, dgf)
+                      - np.einsum("...ad,...dbc->...abc", ginv, dgf))
 
-    G_fd = christoffel_at(step)
-    richardson = np.abs(G_fd - christoffel_at(step / 2.0)).max()
-    if richardson > 1e-4 / sigma:
-        raise ConvergenceError(
-            f"Christoffel finite-difference step {step:.3g} fails the "
-            f"Richardson check (drift {richardson:.3g})"
-        )
+    G_fd = christoffel_at(h)
+    drift = np.abs(G_fd - christoffel_at(h / 2.0)).max(axis=(-3, -2, -1))
+    if any_true(drift > 1e-4 / sigma):  # naming the largest step and drift
+        raise ConvergenceError(f"Christoffel finite-difference step {np.max(h):.3g} fails "
+                               f"the Richardson check (drift {np.max(drift):.3g})")
 
-    dG = np.zeros((3, 3, 3, 3))  # dG[e, a, b, c] = d_e Gamma^a_bc
-    dG[2] = (
-        curvature.christoffel(sigma + step, params)
-        - curvature.christoffel(sigma - step, params)
-    ) / (2.0 * step)
+    dG = d_sigma(curvature.christoffel, 3, h)  # dG[..., e, a, b, c] = d_e Gamma^a_bc
     G = curvature.christoffel(sigma, params)
     # R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_fc G^f_bd - G^a_fd G^f_bc
-    Rup = (
-        np.einsum("cabd->abcd", dG)
-        - np.einsum("dabc->abcd", dG)
-        + np.einsum("afc,fbd->abcd", G, G)
-        - np.einsum("afd,fbc->abcd", G, G)
-    )
-    g = models.metric_corr3(sigma, params)
-    riem = np.einsum("ae,ebcd->abcd", g, Rup)
-    ginv = np.linalg.inv(g)
-    ric = np.einsum("bd,abcd->ac", ginv, riem)
-    scal = float(np.einsum("ac,ac->", ginv, ric))
+    Rup = (np.einsum("...cabd->...abcd", dG) - np.einsum("...dabc->...abcd", dG)
+           + np.einsum("...afc,...fbd->...abcd", G, G)
+           - np.einsum("...afd,...fbc->...abcd", G, G))
+    riem = np.einsum("...ae,...ebcd->...abcd", g, Rup)
+    ric = np.einsum("...bd,...abcd->...ac", ginv, riem)
+    scal = scalar_or_array(np.einsum("...ac,...ac->...", ginv, ric))
     return curvature.CurvatureBundle.from_tensors(G_fd, riem, ric, scal, g)
 
 
@@ -300,18 +288,17 @@ class CheckResult:
                 if k != "seconds" and (k != "error" or v is not None)}
 
 
-# (sigma, params) points of the metric and curvature checks
-_GRID = [(sg, ModelParams(r)) for sg in (0.1, 1.0, 10.0) for r in (0.0, 0.3, 0.7, 0.9)]
+# the (sigma, r) points of the metric and curvature checks: two flat axes, sigma-major
+_SIGMA, _R = np.repeat([0.1, 1.0, 10.0], 4), np.tile([0.0, 0.3, 0.7, 0.9], 3)
 _DESK_IC = InitialConditions(p0=1.0, sigma0=0.1, tau0=1.0, R0=10.0)
 _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
 
 # Each _check_* yields its residuals, one or more per point it samples.
 
 def _check_metric3_quadrature():
-    for sg, params in _GRID:
-        closed = models.metric_corr3(sg, params)
-        numeric = fisher_metric_numeric("corr3", models.Macrostate3(0.4, -0.3, sg), params)
-        yield np.abs(closed - numeric).max()
+    numeric = [fisher_metric_numeric("corr3", models.Macrostate3(0.4, -0.3, sg), ModelParams(r))
+               for sg, r in zip(_SIGMA.tolist(), _R.tolist())]
+    yield from curvature._max_abs(models.metric_corr3(_SIGMA, ModelParams(_R)) - numeric, 2)
 
 
 def _check_metric4_quadrature():
@@ -325,14 +312,26 @@ def _check_metric4_quadrature():
 
 # Runs that several checks share are cached until run_verification clears
 # _SHARED_RUNS; runs are deterministic, so another thread's run is the same.
-# one finite-difference bundle per grid point serves the three fd checks
-_curvature_fd_run = functools.cache(curvature_fd)
+# one finite-difference bundle over the grid serves the three fd checks
+_curvature_fd_run = functools.cache(lambda: curvature_fd(_SIGMA, ModelParams(_R)))
 
 
-def _check_curvature_fd(residual):
-    # residual(fd, sigma, params): the gap between curvature_fd and the closed form
-    for sg, params in _GRID:
-        yield residual(_curvature_fd_run(sg, params), sg, params)
+# Christoffels scale as 1/sigma and Riemann components as 1/sigma^4
+def _check_christoffel_fd():
+    gap = _curvature_fd_run().christoffel - curvature.christoffel(_SIGMA, ModelParams(_R))
+    yield from curvature._max_abs(gap, 3) * _SIGMA
+
+
+def _check_riemann_fd():
+    # also holds the finite-difference scalar to SCALAR_CURVATURE
+    fd = _curvature_fd_run()
+    gap = fd.riemann - curvature.riemann(_SIGMA, ModelParams(_R))
+    yield from curvature._max_abs(gap, 4) * _SIGMA**4
+    yield from np.abs(fd.scalar - curvature.SCALAR_CURVATURE)
+
+
+def _check_weyl_fd():
+    yield from curvature._max_abs(_curvature_fd_run().weyl, 4) * _SIGMA**4
 
 
 # (u, v): two fixed planes off the coordinate axes, spanned by rows of u and v
@@ -340,13 +339,14 @@ _OBLIQUE = ([[1.0, 1.0, 0.5], [0.3, -0.7, 1.0]], [[0.0, 1.0, -2.0], [1.0, 0.2, 0
 
 
 def _check_curvature_constants():
-    for sg, params in _GRID:
-        b = curvature.bundle(sg, params)
-        yield np.abs(b.sectional[~np.isnan(b.sectional)] + 0.25).max()
-        yield np.abs(curvature.sectional(sg, params, *_OBLIQUE) + 0.25).max()
-        yield curvature.maximal_symmetry_check(sg, params).max_residual()
-        # Weyl in units of the Riemann scale (components grow ~ 1/sigma^4)
-        yield np.abs(b.weyl).max() / np.abs(b.riemann).max()
+    b = curvature.bundle(_SIGMA, ModelParams(_R))
+    yield np.abs(b.sectional[~np.isnan(b.sectional)] - curvature.SECTIONAL_CURVATURE).max()
+    # a point axis against the two planes
+    oblique = curvature.sectional(_SIGMA[:, None], ModelParams(_R[:, None]), *_OBLIQUE)
+    yield np.abs(oblique - curvature.SECTIONAL_CURVATURE).max()
+    yield from curvature.maximal_symmetry_check(_SIGMA, ModelParams(_R)).max_residual()
+    # Weyl in units of the Riemann scale (components grow ~ 1/sigma^4)
+    yield from curvature._max_abs(b.weyl, 4) / curvature._max_abs(b.riemann, 4)
 
 
 def _check_geodesic_residual():
@@ -378,10 +378,10 @@ def _check_geodesic_reversibility():
 
 def _check_velocity_norm():
     expected = chaos.velocity_norm_squared(_DESK_IC)
+    tau = np.linspace(-2.0, 2.0, 11)
     for r in (0.0, 0.5, 0.9):
-        for t in np.linspace(-2.0, 2.0, 11):
-            got = chaos.velocity_norm_squared_contracted(ModelParams(r), _DESK_IC, t)
-            yield abs(got - expected) / expected
+        got = chaos.velocity_norm_squared_contracted(ModelParams(r), _DESK_IC, tau)
+        yield from np.abs(got - expected) / expected
 
 
 @functools.cache
@@ -495,15 +495,9 @@ _SHARED_RUNS = (_curvature_fd_run, _geodesic_run, _jacobi_run, _purity_deficit)
 _CHECKS = [
     ("metric3_quadrature", "models", 1e-6, _check_metric3_quadrature),
     ("metric4_quadrature", "models", 1e-6, _check_metric4_quadrature),
-    # Christoffels scale as 1/sigma and Riemann components as 1/sigma^4
-    ("christoffel_fd", "curvature", 1e-6, lambda: _check_curvature_fd(
-        lambda fd, sg, p: np.abs(fd.christoffel - curvature.christoffel(sg, p)).max() * sg)),
-    # riemann_fd also holds the finite-difference scalar to SCALAR_CURVATURE
-    ("riemann_fd", "curvature", 1e-5, lambda: _check_curvature_fd(
-        lambda fd, sg, p: np.max([np.abs(fd.riemann - curvature.riemann(sg, p)).max() * sg**4,
-                                  abs(fd.scalar - curvature.SCALAR_CURVATURE)]))),
-    ("weyl_fd", "curvature", 1e-5, lambda: _check_curvature_fd(
-        lambda fd, sg, p: np.abs(fd.weyl).max() * sg**4)),
+    ("christoffel_fd", "curvature", 1e-6, _check_christoffel_fd),
+    ("riemann_fd", "curvature", 1e-5, _check_riemann_fd),
+    ("weyl_fd", "curvature", 1e-5, _check_weyl_fd),
     ("curvature_constants", "curvature", 1e-12, _check_curvature_constants),
     ("geodesic_residual", "geodesics", 1e-6, _check_geodesic_residual),
     ("geodesic_ode", "geodesics", 1e-6, _check_geodesic_ode),

@@ -69,18 +69,15 @@ def velocity_norm_squared(ic: InitialConditions) -> float:
     return 4.0 * A0 * A0
 
 
-def velocity_norm_squared_contracted(
-    params: ModelParams, ic: InitialConditions, tau: float
-) -> float:
-    """Direct contraction of the analytic velocity with the metric.
+def velocity_norm_squared_contracted(params: ModelParams, ic: InitialConditions, tau):
+    """Direct contraction of the analytic velocity with the metric, per tau.
 
     Exists as the explicit counterpart of the constant value; agreement is
     asserted in the test suite.
     """
-    state = geodesic_corr(tau, params, ic)
-    v = geodesic_velocity(tau, params, ic)
-    g = metric_corr3(state.sigma, params)
-    return float(v @ g @ v)
+    v = geodesic_velocity(tau, params, ic)  # the components lead
+    g = metric_corr3(geodesic_corr(tau, params, ic).sigma, params)
+    return scalar_or_array(np.einsum("a...,...ab,b...->...", v, g, v))
 
 
 def _check_overflow(arg) -> None:

@@ -1,7 +1,9 @@
 """Connection and curvature tensors of the 3D correlated Gaussian manifold.
 
 All tensors are dense numpy arrays indexed 0..2 in coordinate order
-(mu1, mu2, sigma). The curvature convention is
+(mu1, mu2, sigma). An array sigma broadcasts against an array
+``ModelParams(r)``: the point axes lead and the tensor axes trail, so a
+scalar call is the 0-d case. The curvature convention is
 
     R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc
               + Gamma^a_fc Gamma^f_bd - Gamma^a_fd Gamma^f_bc,
@@ -29,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import gather, scalar_or_array
 from .errors import require, require_positive
-from .models import ModelParams, metric_corr3, metric_corr3_inverse
+from .models import _BLOCK_SLOTS, ModelParams, metric_corr3, metric_corr3_inverse
 
 DIM = 3
 
@@ -43,27 +46,31 @@ SECTIONAL_CURVATURE = -0.25
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """All curvature data of the manifold at one point."""
+    """All curvature data of the manifold at one point, or at an array of
+    points, whose axes lead the tensor axes."""
 
-    christoffel: np.ndarray  # Gamma^a_bc, shape (3,3,3)
-    riemann: np.ndarray      # R_abcd lowered, shape (3,3,3,3)
-    ricci: np.ndarray        # R_ab, shape (3,3)
+    christoffel: np.ndarray  # Gamma^a_bc, shape (..., 3, 3, 3)
+    riemann: np.ndarray      # R_abcd lowered, shape (..., 3, 3, 3, 3)
+    ricci: np.ndarray        # R_ab, shape (..., 3, 3)
     scalar: float
-    sectional: np.ndarray    # K(e_i, e_j) for i != j, shape (3,3), diag nan
-    weyl: np.ndarray         # W_abcd, shape (3,3,3,3)
+    sectional: np.ndarray    # K(e_i, e_j) for i != j, shape (..., 3, 3), diag nan
+    weyl: np.ndarray         # W_abcd, shape (..., 3, 3, 3, 3)
 
     @classmethod
     def from_tensors(cls, christoffel, riemann, ricci, scalar, metric) -> CurvatureBundle:
         """The bundle of these tensors, with the sectional curvatures of the
         coordinate planes and the Weyl tensor assembled from them."""
-        K = _on_planes(_sectional(riemann, metric, _PLANE_U, _PLANE_V))
+        i, j = _PLANES  # K(e_i, e_j) = R_ijij / (g_ii g_jj - g_ij^2), nan on the diagonal
+        K = np.full(riemann.shape[:-4] + (DIM, DIM), np.nan)
+        K[..., i, j] = riemann[..., i, j, i, j] / (
+            metric[..., i, i] * metric[..., j, j] - metric[..., i, j] ** 2)
         weyl = riemann - _wedge(ricci, metric) / (DIM - 1)
         return cls(christoffel, riemann, ricci, scalar, K, weyl)
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Residuals of the maximal-symmetry identities.
+    """Residuals of the maximal-symmetry identities, per point.
 
     Each residual is normalized by the magnitude of the tensor it compares
     (the identities are scale-covariant; tensor components grow like
@@ -75,124 +82,107 @@ class SymmetryReport:
     riemann_residual: float  # |R_abcd - R/(n(n-1))(g_bd g_ac - g_bc g_ad)| / max|R_abcd|
     trace_residual: float    # |delta^a_a - n|
 
-    def max_residual(self) -> float:
-        return max(self.ricci_residual, self.riemann_residual, self.trace_residual)
+    def max_residual(self):
+        """The largest of the three residuals per point; NaN propagates."""
+        return scalar_or_array(np.max(
+            [self.ricci_residual, self.riemann_residual, self.trace_residual], axis=0))
 
 
-def christoffel(sigma: float, params: ModelParams) -> np.ndarray:
-    """Connection coefficients Gamma^a_bc; six nonzero families, rest zero."""
+# Gather slots of each tensor's values, listed in its function's docstring.
+_CHRISTOFFEL_SLOTS = np.array([
+    [[0, 0, 1], [0, 0, 0], [1, 0, 0]],  # Gamma^mu1
+    [[0, 0, 0], [0, 0, 1], [0, 1, 0]],  # Gamma^mu2
+    [[2, 3, 0], [3, 2, 0], [0, 0, 1]],  # Gamma^sigma
+])
+# R_1212, R_1313, R_1323 and R_2323 in slots 1, 2, 3 and 2, then their antisymmetry
+# and pair images; slot -k, the k-th from the end, holds the negation of slot k
+_RIEMANN_SLOTS = np.zeros((DIM,) * 4, dtype=int)
+_RIEMANN_SLOTS[(0, 0, 0, 1), (1, 2, 2, 2), (0, 0, 1, 1), (1, 2, 2, 2)] = 1, 2, 3, 2
+_RIEMANN_SLOTS -= _RIEMANN_SLOTS.transpose(1, 0, 2, 3)
+_RIEMANN_SLOTS -= _RIEMANN_SLOTS.transpose(0, 1, 3, 2)
+_RIEMANN_SLOTS += _RIEMANN_SLOTS.transpose(2, 3, 0, 1) * (_RIEMANN_SLOTS == 0)
+
+
+def christoffel(sigma, params: ModelParams) -> np.ndarray:
+    """Connection coefficients Gamma^a_bc: -1/sigma (Gamma^1_13, Gamma^2_23,
+    Gamma^3_33 and their b, c images), -1/(4 sigma (r^2-1)) (Gamma^3_11,
+    Gamma^3_22) and r/(4 sigma (r^2-1)) (Gamma^3_12, Gamma^3_21); the rest are 0."""
     require_positive(sigma=sigma)
     r = params.r
     d = r * r - 1.0
-    G = np.zeros((DIM, DIM, DIM))
-    G[0, 0, 2] = G[0, 2, 0] = -1.0 / sigma
-    G[1, 1, 2] = G[1, 2, 1] = -1.0 / sigma
-    G[2, 0, 0] = -1.0 / (4.0 * sigma * d)
-    G[2, 0, 1] = G[2, 1, 0] = r / (4.0 * sigma * d)
-    G[2, 1, 1] = -1.0 / (4.0 * sigma * d)
-    G[2, 2, 2] = -1.0 / sigma
-    return G
+    return gather(_CHRISTOFFEL_SLOTS, -1.0 / sigma, -1.0 / (4.0 * sigma * d),
+                  r / (4.0 * sigma * d))
 
 
-def _set_riemann_component(R: np.ndarray, a, b, c, d, value: float) -> None:
-    # write one independent component plus its antisymmetry and pair images
-    for (i, j, k, l, s) in (
-        (a, b, c, d, 1.0),
-        (b, a, c, d, -1.0),
-        (a, b, d, c, -1.0),
-        (b, a, d, c, 1.0),
-    ):
-        R[i, j, k, l] = s * value
-        R[k, l, i, j] = s * value
-
-
-def riemann(sigma: float, params: ModelParams) -> np.ndarray:
-    """Lowered Riemann tensor R_abcd.
-
-    Independent nonzero components (indices 1-based (mu1, mu2, sigma)):
-    R_1212, R_1313, R_1323, R_2323; everything else follows from the
-    antisymmetries and the pair symmetry.
-    """
+def riemann(sigma, params: ModelParams) -> np.ndarray:
+    """Lowered Riemann tensor R_abcd. Its independent nonzero components
+    (indices 1-based (mu1, mu2, sigma)) are R_1212 = 1/(4 sigma^4 (r^2-1)),
+    R_1313 = R_2323 = 1/(sigma^4 (r^2-1)) and R_1323 = -r/(sigma^4 (r^2-1));
+    the rest follow from the antisymmetries and the pair symmetry."""
     require_positive(sigma=sigma)
     r = params.r
     d = r * r - 1.0
-    s4 = sigma ** 4
-    R = np.zeros((DIM,) * 4)
-    _set_riemann_component(R, 0, 1, 0, 1, 1.0 / (4.0 * s4 * d))
-    _set_riemann_component(R, 0, 2, 0, 2, 1.0 / (s4 * d))
-    _set_riemann_component(R, 0, 2, 1, 2, -r / (s4 * d))
-    _set_riemann_component(R, 1, 2, 1, 2, 1.0 / (s4 * d))
-    return R
+    # libm's pow per element, as for a float: numpy's SIMD pow can differ in the last bit
+    s4 = (np.vectorize(pow, otypes=[float])(sigma, 4) if isinstance(sigma, np.ndarray)
+          else sigma ** 4)
+    values = (1.0 / (4.0 * s4 * d), 1.0 / (s4 * d), -r / (s4 * d))
+    return gather(_RIEMANN_SLOTS, *values, *(-x for x in reversed(values)))
 
 
-def ricci(sigma: float, params: ModelParams) -> np.ndarray:
+def ricci(sigma, params: ModelParams) -> np.ndarray:
     """Ricci tensor R_ab = g^{cd} R_cadb (equivalently g^{bd} R_abcd by pair symmetry)."""
     require_positive(sigma=sigma)
     r = params.r
     d = r * r - 1.0
     s2 = sigma * sigma
-    return np.array(
-        [
-            [1.0 / (2.0 * s2 * d), -r / (2.0 * s2 * d), 0.0],
-            [-r / (2.0 * s2 * d), 1.0 / (2.0 * s2 * d), 0.0],
-            [0.0, 0.0, -2.0 / s2],
-        ]
-    )
+    return gather(_BLOCK_SLOTS, 1.0 / (2.0 * s2 * d), -r / (2.0 * s2 * d), -2.0 / s2)
 
 
-def _sectional(R: np.ndarray, g: np.ndarray, u, v):
-    # K(u, v) per pair of rows of u and v (leading axes broadcast)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    num = np.einsum("abcd,...a,...b,...c,...d->...", R, u, v, u, v)
-    uu, vv, uv = (np.einsum("...a,ab,...b->...", x, g, y) for x, y in ((u, u), (v, v), (u, v)))
+def sectional(sigma, params: ModelParams, u, v):
+    """Sectional curvature of the plane spanned by tangent vectors u, v, or
+    of each pair of rows when u and v are stacks (..., 3); the leading axes
+    of u and v broadcast against the points. u and v count as linearly
+    dependent when the Gram determinant is below 1e-12 of <u,u><v,v>, a
+    test that does not depend on the scale of g."""
+    R, g = riemann(sigma, params), metric_corr3(sigma, params)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    num = np.einsum("...abcd,...a,...b,...c,...d->...", R, u, v, u, v)
+    uu, vv, uv = (np.einsum("...a,...ab,...b->...", x, g, y)
+                  for x, y in ((u, u), (v, v), (u, v)))
     den = uu * vv - uv**2
     require(np.all(abs(den) > 1e-12 * uu * vv),
             "u and v are (numerically) linearly dependent")
     return num / den
 
 
-def sectional(sigma: float, params: ModelParams, u, v):
-    """Sectional curvature of the plane spanned by tangent vectors u, v, or
-    of each pair of rows when u and v are stacks (..., 3). u and v count as
-    linearly dependent when the Gram determinant is below 1e-12 of
-    <u,u><v,v>, a test that does not depend on the scale of g."""
-    return _sectional(riemann(sigma, params), metric_corr3(sigma, params), u, v)
+# the (i, j) indices of the six off-diagonal coordinate planes
+_PLANES = np.nonzero(~np.eye(DIM, dtype=bool))
 
 
-# mask of the six off-diagonal (i, j) coordinate planes, and their e_i, e_j
-_PLANES = ~np.eye(DIM, dtype=bool)
-_PLANE_U, _PLANE_V = (np.eye(DIM)[idx] for idx in np.nonzero(_PLANES))
-
-
-def _on_planes(values: np.ndarray) -> np.ndarray:
-    # the six coordinate-plane values as a (3, 3) table with nan on the diagonal
-    K = np.full((DIM, DIM), np.nan)
-    K[_PLANES] = values
-    return K
+def _max_abs(x: np.ndarray, rank: int) -> np.ndarray:
+    # the largest |component| of each point's tensor, over its trailing rank axes
+    return np.abs(x).max(axis=tuple(range(-rank, 0)))
 
 
 def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a_bd b_ac - a_bc b_ad, the tensor structure of a maximally symmetric Riemann
-    return np.einsum("bd,ac->abcd", a, b) - np.einsum("bc,ad->abcd", a, b)
+    return np.einsum("...bd,...ac->...abcd", a, b) - np.einsum("...bc,...ad->...abcd", a, b)
 
 
-def maximal_symmetry_check(sigma: float, params: ModelParams) -> SymmetryReport:
-    """Residuals of the three maximal-symmetry identities."""
-    g = metric_corr3(sigma, params)
-    R = riemann(sigma, params)
-    ric = ricci(sigma, params)
-    ginv = metric_corr3_inverse(sigma, params)
-
-    ricci_res = np.abs(ric - (SCALAR_CURVATURE / DIM) * g).max() / np.abs(ric).max()
+def maximal_symmetry_check(sigma, params: ModelParams) -> SymmetryReport:
+    """Residuals of the three maximal-symmetry identities, per point."""
+    g, R, ric, ginv = (f(sigma, params)
+                       for f in (metric_corr3, riemann, ricci, metric_corr3_inverse))
+    ricci_res = _max_abs(ric - (SCALAR_CURVATURE / DIM) * g, 2) / _max_abs(ric, 2)
     expected = (SCALAR_CURVATURE / (DIM * (DIM - 1))) * _wedge(g, g)
-    riemann_res = np.abs(R - expected).max() / np.abs(R).max()
-    trace_res = abs(np.einsum("ab,ab->", ginv, g) - DIM)
-    return SymmetryReport(float(ricci_res), float(riemann_res), float(trace_res))
+    riemann_res = _max_abs(R - expected, 4) / _max_abs(R, 4)
+    trace_res = abs(np.einsum("...ab,...ab->...", ginv, g) - DIM)
+    return SymmetryReport(*map(scalar_or_array, (ricci_res, riemann_res, trace_res)))
 
 
-def bundle(sigma: float, params: ModelParams) -> CurvatureBundle:
-    """Assemble every curvature quantity at (sigma, r)."""
+def bundle(sigma, params: ModelParams) -> CurvatureBundle:
+    """Assemble every curvature quantity at (sigma, r), or at each point of
+    their broadcast arrays."""
     return CurvatureBundle.from_tensors(
         christoffel(sigma, params), riemann(sigma, params), ricci(sigma, params),
         SCALAR_CURVATURE, metric_corr3(sigma, params))

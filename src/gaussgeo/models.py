@@ -18,6 +18,9 @@ For the 3-parameter family, with coordinate order (mu1, mu2, sigma),
 with det g = 4 / ((1-r^2) sigma^6). The 4-parameter metric uses coordinate
 order (mu_x, sigma_x, mu_y, sigma_y).
 
+`metric_corr3` and its inverse broadcast an array sigma against an array
+``ModelParams(r)``; the point axes lead and the tensor axes trail.
+
 Only non-negative correlations r in [0, R_MAX) = [0, 1 - 1e-9) are
 admitted: metric entries diverge as r -> 1, so values within 1e-9 of 1 are
 rejected rather than returned as huge floats. Every spread must be positive
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import gather
 from .errors import require_correlation, require_positive
 
 
@@ -79,37 +83,28 @@ class ModelParams:
         require_correlation(self.r)
 
 
-def metric_corr3(sigma: float, params: ModelParams) -> np.ndarray:
+# [[a, b, 0], [b, a, 0], [0, 0, c]], the metric's, its inverse's and Ricci's form
+_BLOCK_SLOTS = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 3]])
+
+
+def metric_corr3(sigma, params: ModelParams) -> np.ndarray:
     """Fisher-Rao metric of the equal-spread family, coordinates (mu1, mu2, sigma)."""
     require_positive(sigma=sigma)
     r = params.r
     d = 1.0 - r * r
-    g = np.array(
-        [
-            [1.0 / d, -r / d, 0.0],
-            [-r / d, 1.0 / d, 0.0],
-            [0.0, 0.0, 4.0],
-        ]
-    )
-    return g / (sigma * sigma)
+    s2 = sigma * sigma
+    return gather(_BLOCK_SLOTS, 1.0 / d / s2, -r / d / s2, 4.0 / s2)
 
 
-def metric_corr3_inverse(sigma: float, params: ModelParams) -> np.ndarray:
+def metric_corr3_inverse(sigma, params: ModelParams) -> np.ndarray:
     """Exact inverse of :func:`metric_corr3`.
 
     The momentum block inverts to sigma^2 [[1, r], [r, 1]]; kept in closed
     form so index raising never goes through a numeric inverse.
     """
     require_positive(sigma=sigma)
-    r = params.r
     s2 = sigma * sigma
-    return np.array(
-        [
-            [s2, r * s2, 0.0],
-            [r * s2, s2, 0.0],
-            [0.0, 0.0, s2 / 4.0],
-        ]
-    )
+    return gather(_BLOCK_SLOTS, s2, params.r * s2, s2 / 4.0)
 
 
 def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndarray:

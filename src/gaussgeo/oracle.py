@@ -182,13 +182,11 @@ def jacobi_integrate(
     t_eval = np.linspace(0.0, tau_max, 400)
     ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec, t_eval=t_eval)
 
-    # g = g1 / sigma^2 along the path, contracted per sample
-    g1 = models.metric_corr3(1.0, params)
-    s2 = geodesics.geodesic_corr(ts, params, ic).sigma ** 2
+    # the metric along the path, contracted per sample
+    g = models.metric_corr3(geodesics.geodesic_corr(ts, params, ic).sigma, params)
     J, v = ys[:, :3], geodesics.geodesic_velocity(ts, params, ic).T
-    intensity = np.sqrt(np.maximum(np.einsum("ia,ab,ib->i", J, g1, J) / s2, 0.0))
-    Jgu = np.einsum("ia,ab,ib->i", J, g1, v) / np.sqrt(
-        np.einsum("ia,ab,ib->i", v, g1, v) * s2)
+    intensity = np.sqrt(np.maximum(np.einsum("ia,iab,ib->i", J, g, J), 0.0))
+    Jgu = np.einsum("ia,iab,ib->i", J, g, v) / np.sqrt(np.einsum("ia,iab,ib->i", v, g, v))
     ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30))
 
     closed = chaos.jacobi_intensity(ts, omega0, A0)

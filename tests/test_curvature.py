@@ -1,5 +1,7 @@
 """Closed-form curvature tensors, symmetries, and isotropy checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,12 @@ class TestWeylAndSymmetry:
     def test_symmetry_residuals_correlated(self):
         report = curvature.maximal_symmetry_check(2.0, ModelParams(0.5))
         assert report.max_residual() < 1e-12
+
+    @pytest.mark.parametrize("field", range(3))
+    def test_max_residual_propagates_nan(self, field):
+        residuals = [1e-16, 0.0, 2e-16]
+        residuals[field] = math.nan
+        assert math.isnan(curvature.SymmetryReport(*residuals).max_residual())
 
     def test_negative_control(self, monkeypatch):
         # a wrong scalar curvature must leave visibly nonzero residuals

@@ -1,7 +1,7 @@
-"""Array calls of the table closed forms and the columnar table writer.
+"""Array calls of the closed forms and the columnar table writer.
 
-Each closed form used by a table command takes a scalar or a numpy array;
-the scalar is the 0-d case of the same computation. These properties pin
+Each closed form used by a table command, and each geometry tensor, takes a
+scalar or a numpy array; the scalar is the 0-d case of the same computation. These properties pin
 that: element i of an array call equals the scalar call on element i bit
 for bit, an array call warns once with the number of affected elements,
 and a scalar prolongation report, its flag included, is the array's element.
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgeo import chaos, cli, complexity, geodesics, scattering
+from gaussgeo import battery, chaos, cli, complexity, curvature, geodesics, models, scattering
 from gaussgeo.errors import (
     DomainError,
     RegimeWarning,
@@ -146,6 +146,77 @@ def test_prolongation_elementwise_and_mask(ic, frac):
     )
     assert rep.r_bound == r_bound
     assert all(s.r_bound == r_bound for s in scalar)
+
+
+#: log10 sigma, and the (sigma, r) points of the geometry tests
+log_sigmas = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)
+GEOMETRY = (models.metric_corr3, models.metric_corr3_inverse, curvature.christoffel,
+            curvature.riemann, curvature.ricci)
+BUNDLE_FIELDS = ("christoffel", "riemann", "ricci", "scalar", "sectional", "weyl")
+
+
+def _assert_fields_elementwise(array_result, scalar_results, names):
+    for name in names:
+        scalar = [getattr(s, name) for s in scalar_results]
+        _assert_elementwise(np.broadcast_to(getattr(array_result, name), np.shape(scalar)),
+                            scalar)
+
+
+def _geometry_cases(sigma, r):
+    """(sigma, r) array pairs: the flat mesh, an array sigma against a scalar
+    r and the reverse; with the scalar points of each."""
+    sigma, r = 10.0 ** np.array(sigma), np.array(r)
+    mesh = np.repeat(sigma, len(r)), np.tile(r, len(sigma))
+    for s_arg, r_arg in (mesh, (sigma, r[0]), (sigma[0], r)):
+        points = np.broadcast_arrays(s_arg, r_arg)
+        yield s_arg, ModelParams(r_arg), [
+            (s, ModelParams(x)) for s, x in zip(points[0].tolist(), points[1].tolist())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=log_sigmas, r=st.lists(correlations, min_size=1, max_size=4))
+def test_geometry_tensors_elementwise(sigma, r):
+    for s_arg, params, points in _geometry_cases(sigma, r):
+        for fn in GEOMETRY:
+            _assert_elementwise(fn(s_arg, params), [fn(*point) for point in points])
+        _assert_fields_elementwise(curvature.bundle(s_arg, params),
+                                   [curvature.bundle(*point) for point in points],
+                                   BUNDLE_FIELDS)
+        report = curvature.maximal_symmetry_check(s_arg, params)
+        scalar = [curvature.maximal_symmetry_check(*point) for point in points]
+        _assert_fields_elementwise(
+            report, scalar, ("ricci_residual", "riemann_residual", "trace_residual"))
+        _assert_elementwise(report.max_residual(), [rep.max_residual() for rep in scalar])
+
+
+@settings(max_examples=20, deadline=None)
+@given(sigma=log_sigmas, r=st.lists(correlations, min_size=1, max_size=4))
+def test_curvature_fd_elementwise(sigma, r):
+    for s_arg, params, points in _geometry_cases(sigma, r):
+        _assert_fields_elementwise(battery.curvature_fd(s_arg, params),
+                                   [battery.curvature_fd(*point) for point in points],
+                                   BUNDLE_FIELDS)
+
+
+def test_geometry_broadcasts_to_trailing_tensor_axes():
+    sigma, params = np.array([[0.5], [2.0]]), ModelParams(np.array([0.0, 0.3, 0.9]))
+    for fn in GEOMETRY:
+        rank = fn(1.0, ModelParams(0.0)).ndim
+        assert fn(sigma, params).shape == (2, 3) + (3,) * rank
+    b = curvature.bundle(sigma, params)
+    assert b.sectional.shape == (2, 3, 3, 3)
+    assert curvature.maximal_symmetry_check(sigma, params).max_residual().shape == (2, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ic=ics, r=correlations, frac=fractions)
+def test_velocity_norm_contracted_elementwise(ic, r, frac):
+    # |A0 tau| up to 20, inside the range where the metric stays finite
+    tau = np.array(frac) * 20.0 / geodesics.amplitude_A0(ic)
+    params = ModelParams(r)
+    _assert_elementwise(
+        chaos.velocity_norm_squared_contracted(params, ic, tau),
+        [chaos.velocity_norm_squared_contracted(params, ic, t) for t in tau.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ def _coarse_rule_at(monkeypatch, order):
 
 # the corr3 grid and the corr4 points of the battery, as _fisher_quadrature args
 _FISHER_POINTS = [
-    *[(0.4, -0.3, sg, sg, p.r, battery._CORR3_EMBEDDING) for sg, p in battery._GRID],
+    *[(0.4, -0.3, sg, sg, r, battery._CORR3_EMBEDDING)
+      for sg, r in zip(battery._SIGMA.tolist(), battery._R.tolist())],
     *[(0.2, -0.5, sx, sy, r, np.eye(4))
       for sx, sy in ((1.0, 2.0), (0.5, 1.0)) for r in (0.0, 0.3, 0.7)],
 ]
@@ -326,7 +327,8 @@ class TestVerificationBattery:
 
         def patched(sigma, params):
             g = metric_corr3(sigma, params)
-            return g * math.nan if (sigma, params.r) == (1.0, 0.3) else g
+            at = (np.asarray(sigma) == 1.0) & (np.asarray(params.r) == 0.3)
+            return np.where(at[..., None, None], math.nan, g)
 
         monkeypatch.setattr(models, "metric_corr3", patched)
         res = oracle.run_verification(only="models")[0]
