@@ -92,8 +92,11 @@ def _clamped(arg):
 
 def _momentum_scale(ic: InitialConditions, r: float) -> float:
     # sqrt((1-r)(p0^2 + 2 sigma0^2)) by hypot: p0^2 itself under- or
-    # overflows long before the scale does
-    return math.sqrt(1.0 - r) * math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
+    # overflows long before the scale does, and hypot returns inf silently
+    scale = math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
+    if scale == math.inf:
+        raise OverflowError("momentum scale sqrt(p0^2 + 2 sigma0^2) overflows")
+    return math.sqrt(1.0 - r) * scale
 
 
 def _spread_scale(ic: InitialConditions) -> float:

@@ -456,6 +456,8 @@ class TestExtremeInput:
         (["metric", "--sigma", "1e-200"], "--sigma 1e-200"),  # range check
         (["geodesic", "--p0", "1.79e308", "--sigma0", "1.7e307"],
          "--p0 1.79e+308, --sigma0 1.7e+307"),  # an infinite momentum scale
+        (["geodesic", "--p0", "1.79e308", "--sigma0", "1.7e307", "--tau-min", "0.5",
+          "--tau-max", "1"], "--p0 1.79e+308, --sigma0 1.7e+307"),  # the same, off tau = 0
         (["scatter", "--k0", "1e200"], "--k0 1e+200"),  # OverflowError
         (["scatter", "--L", "1e-120"], "--L 1e-120"),  # ZeroDivisionError
         (["scatter", "--sigma-k0", "1e-200"], "--sigma-k0 1e-200"),  # OverflowError
@@ -472,6 +474,17 @@ class TestExtremeInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    def test_infinite_momentum_scale(self, capsys):
+        # hypot(p0, sqrt(2) sigma0) overflows for these finite inputs: geodesic
+        # names the scale, and jacobi, which never reads it, still runs
+        huge = ["--p0", "1.79e308", "--sigma0", "1.7e307"]
+        code, out, err = run_cli(capsys, "geodesic", *huge, "--tau-min", "0.5", "--tau-max", "1")
+        assert code == 2
+        assert err.startswith("error: momentum scale sqrt(p0^2 + 2 sigma0^2) overflows (at ")
+        code, out, err = run_cli(capsys, "jacobi", *huge)
+        assert code == 0
+        assert out and err == ""
 
     def test_arithmetic_failure_names_config_input(self, capsys, tmp_path):
         # a value from --config counts as set, like a flag
