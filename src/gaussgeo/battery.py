@@ -400,10 +400,13 @@ def _check_jacobi_intensity():
 
 
 def _check_lyapunov_fit():
-    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(_DESK_IC))
+    A0 = geodesics.amplitude_A0(_DESK_IC)
+    lam = chaos.lyapunov_exponent(A0)
+    estimate = chaos.lyapunov_estimate(1.0, A0, 20.0 / A0).value
     rates = [2.0 * _jacobi_run(r).fitted_rate for r in (0.0, 0.5)]
     for rate in rates:
         yield abs(rate - lam) / lam
+        yield abs(estimate - rate) / lam
     yield abs(rates[0] - rates[1]) / lam
 
 

@@ -399,6 +399,21 @@ class TestVerificationBattery:
         assert not res["igc_numeric"].passed
         assert res["igc_numeric"].residual > 5e-5
 
+    def test_lyapunov_estimate_fault_fails_fit(self, monkeypatch):
+        # lyapunov_fit holds the finite-horizon estimate to the fitted rate,
+        # so an estimate 2% high fails it and the exponent alone does not
+        lyapunov_estimate = chaos.lyapunov_estimate
+
+        def high(omega0, A0, tau_max):
+            est = lyapunov_estimate(omega0, A0, tau_max)
+            return chaos.LyapunovEstimate(1.02 * est.value, est.raw)
+
+        monkeypatch.setattr(chaos, "lyapunov_estimate", high)
+        (res,) = [res for res in oracle.run_verification(only="chaos")
+                  if res.name == "lyapunov_fit"]
+        assert not res.passed
+        assert res.residual == pytest.approx(0.02, rel=1e-3)
+
     def test_tilted_jacobi_seed_fails_intensity(self, monkeypatch):
         # a seed tilted by 1e-4 along the velocity moves the intensity by
         # about 5e-9, well within the tolerance, but J leaves the normal plane
