@@ -161,7 +161,7 @@ _PLANES = np.nonzero(~np.eye(DIM, dtype=bool))
 
 def _max_abs(x: np.ndarray, rank: int) -> np.ndarray:
     # the largest |component| of each point's tensor, over its trailing rank axes
-    return np.abs(x).max(axis=tuple(range(-rank, 0)))
+    return np.abs(x).max(axis=tuple(range(-rank, 0)) if x.ndim > rank else None)
 
 
 def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -456,12 +456,12 @@ class TestExtremeInput:
         (["metric", "--sigma", "1e-200"], "--sigma 1e-200"),  # range check
         (["geodesic", "--p0", "1.79e308", "--sigma0", "1.7e307"],
          "--p0 1.79e+308, --sigma0 1.7e+307"),  # an infinite momentum scale
-        (["geodesic", "--p0", "1.79e308", "--sigma0", "1.7e307", "--tau-min", "0.5",
-          "--tau-max", "1"], "--p0 1.79e+308, --sigma0 1.7e+307"),  # the same, off tau = 0
         (["scatter", "--k0", "1e200"], "--k0 1e+200"),  # OverflowError
         (["scatter", "--L", "1e-120"], "--L 1e-120"),  # ZeroDivisionError
         (["scatter", "--sigma-k0", "1e-200"], "--sigma-k0 1e-200"),  # OverflowError
         (["curvature", "--sigma", "1e80"], "--sigma 1e+80"),  # range check
+        (["geodesic", "--p0", "1.79e308", "--sigma0", "1.7e307", "--tau-min", "0.5",
+          "--tau-max", "1"], "--p0 1.79e+308, --sigma0 1.7e+307"),  # the same scale, off tau = 0
     ]
 
     @pytest.mark.parametrize("argv, named", ARITHMETIC,
