@@ -1,10 +1,11 @@
 """Array calls of the closed forms and the columnar table writer.
 
 Each closed form used by a table command, and each geometry tensor, takes a
-scalar or a numpy array; the scalar is the 0-d case of the same computation. These properties pin
-that: element i of an array call equals the scalar call on element i bit
-for bit, an array call warns once with the number of affected elements,
-and a scalar prolongation report, its flag included, is the array's element.
+scalar or a numpy array; the scalar is the 0-d case of the same computation.
+These properties pin that: element i of an array call equals the scalar call
+on element i bit for bit, an array call warns once with the number of
+affected elements, and a scalar prolongation report, its flag included, is
+the array's element.
 The columnar writer must give the bytes of the row-at-a-time formatting it
 replaced, which is kept here as the reference.
 """
