@@ -57,28 +57,31 @@ def _gauss_rule(build, order: int):
 # ---------------------------------------------------------------------------
 
 def _scores_corr4(xy, mux, muy, sx, sy, r):
-    dx, dy = xy[0] - mux, xy[1] - muy
+    # with the standardized offsets a = (x - mux)/sx and b = (y - muy)/sy, a
+    # mean's score is (a - r b)/(sx (1 - r^2)), and its spread's is that times
+    # a, less 1/sx
+    a, b = (xy[0] - mux) / sx, (xy[1] - muy) / sy
     omr2 = 1.0 - r * r
-    return np.array(
-        [
-            (dx / sx**2 - r * dy / (sx * sy)) / omr2,
-            -1.0 / sx + (dx**2 / sx**3 - r * dx * dy / (sx**2 * sy)) / omr2,
-            (dy / sy**2 - r * dx / (sx * sy)) / omr2,
-            -1.0 / sy + (dy**2 / sy**3 - r * dx * dy / (sx * sy**2)) / omr2,
-        ]
-    )
+    ux, uy = (a - r * b) / (sx * omr2), (b - r * a) / (sy * omr2)
+    return np.array([ux, a * ux - 1.0 / sx, uy, b * uy - 1.0 / sy])
+
+
+def _hermite_product(order: int):
+    # nodes (2, order^2) and weights of the 2D Gauss-Hermite product rule
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    mesh = np.stack(np.meshgrid(nodes, nodes, indexing="ij")).reshape(2, -1)
+    return mesh, np.outer(weights, weights).ravel()
 
 
 def _fisher_quadrature(mux, muy, sx, sy, r, embed, order):
-    # embed^T E[s s^T] embed, s the corr4 scores: the Gauss-Hermite product
-    # mesh, mapped through the Cholesky factor, summed as one weighted product
-    nodes, weights = _gauss_rule(np.polynomial.hermite.hermgauss, order)
-    z = np.stack(np.meshgrid(nodes, nodes, indexing="ij")).reshape(2, -1)
+    # E[s s^T] of the scores s = embed^T s4, s4 the corr4 scores: the
+    # Gauss-Hermite product mesh, mapped through the Cholesky factor, summed
+    # as one weighted product
+    z, w = _gauss_rule(_hermite_product, order)
     cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
     xy = np.array([[mux], [muy]]) + math.sqrt(2.0) * np.linalg.cholesky(cov) @ z
-    s = _scores_corr4(xy, mux, muy, sx, sy, r)
-    w = np.outer(weights, weights).ravel()
-    return embed.T @ ((s * w) @ s.T / math.pi) @ embed
+    s = embed.T @ _scores_corr4(xy, mux, muy, sx, sy, r)
+    return (s * w) @ s.T / math.pi
 
 
 # d(mux, sigmax, muy, sigmay) / d(mu1, mu2, sigma) on the corr3 submanifold
@@ -93,8 +96,9 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
     numeric, on a 40 x 40 Gauss-Hermite product mesh. That is exact up to
     rounding: the scores are quadratic in the nodes, and an n-point rule is
     exact to degree 2n - 1, so any n >= 3 would do. corr3 is corr4 at
-    sigma_x = sigma_y = sigma, so its metric is the pullback C^T g4 C of the
-    corr4 quadrature by the constant embedding Jacobian C.
+    sigma_x = sigma_y = sigma, so its scores are the corr4 scores pulled back
+    by the constant embedding Jacobian C, C^T s4, and its metric is their
+    quadrature.
     """
     if model == "corr3":
         args = (state.mu1, state.mu2, state.sigma, state.sigma, params.r, _CORR3_EMBEDDING)

@@ -85,37 +85,46 @@ def _clamped(arg):
             f"(largest {np.max(abs(arg)):.3g}); state is saturated",
             count,
         ),
-        stacklevel=3,
+        stacklevel=4,
     )
     return np.where(over, np.copysign(ARG_CLAMP, arg), arg)
 
 
-def _momentum_scale(ic: InitialConditions, r: float) -> float:
-    # sqrt((1-r)(p0^2 + 2 sigma0^2)) by hypot: p0^2 itself under- or
-    # overflows long before the scale does, and hypot returns inf silently
+def _path_constants(ic: InitialConditions, r: float) -> tuple[float, float, float]:
+    # A0, the momentum scale m = sqrt((1-r)(p0^2 + 2 sigma0^2)) and the spread
+    # scale sqrt(p0^2/2 + sigma0^2), by hypot: p0^2 itself under- or
+    # overflows long before the scales do, and hypot returns inf silently
     scale = math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
     if scale == math.inf:
         raise OverflowError("momentum scale sqrt(p0^2 + 2 sigma0^2) overflows")
-    return math.sqrt(1.0 - r) * scale
+    return amplitude_A0(ic), math.sqrt(1.0 - r) * scale, scale / math.sqrt(2.0)
 
 
-def _spread_scale(ic: InitialConditions) -> float:
-    return _momentum_scale(ic, 0.0) / math.sqrt(2.0)
+def _state(m, spread, th, ch):
+    # (mu1, mu2, sigma) from th = tanh(A0 tau) and ch = cosh(A0 tau), by
+    # arithmetic alone: Python floats and numpy arrays alike
+    return -m * th, m * th, spread / ch
 
 
-def _state(arg, m, spread) -> Macrostate3:
-    t = np.tanh(arg)
-    return Macrostate3(
-        scalar_or_array(-m * t),
-        scalar_or_array(m * t),
-        scalar_or_array(spread / np.cosh(arg)),
-    )
+def _velocity(A0, m, spread, th, ch):
+    # d(mu1, mu2, sigma)/dtau likewise, in sech and tanh, not cosh^2, which
+    # overflows beyond |A0 tau| ~ 355
+    sech = 1.0 / ch
+    dmu = m * A0 * (sech * sech)
+    return -dmu, dmu, -spread * A0 * th * sech
+
+
+def _hyperbolic(tau, params: ModelParams, ic: InitialConditions):
+    # the path constants, and tanh and cosh at the clamped A0 tau
+    A0, m, spread = _path_constants(ic, params.r)
+    arg = _clamped(A0 * tau)
+    return A0, m, spread, np.tanh(arg), np.cosh(arg)
 
 
 def geodesic_corr(tau, params: ModelParams, ic: InitialConditions) -> Macrostate3:
     """Correlated-branch macrostate at affine time tau (scalar or array)."""
-    arg = _clamped(amplitude_A0(ic) * tau)
-    return _state(arg, _momentum_scale(ic, params.r), _spread_scale(ic))
+    _, m, spread, th, ch = _hyperbolic(tau, params, ic)
+    return Macrostate3(*map(scalar_or_array, _state(m, spread, th, ch)))
 
 
 def geodesic_velocity(tau, params: ModelParams, ic: InitialConditions) -> np.ndarray:
@@ -123,26 +132,17 @@ def geodesic_velocity(tau, params: ModelParams, ic: InitialConditions) -> np.nda
 
     Shape (3,) + shape(tau): the three components lead.
     """
-    A0 = amplitude_A0(ic)
-    arg = _clamped(A0 * tau)
-    m = _momentum_scale(ic, params.r)
-    # in sech and tanh, not cosh^2, which overflows beyond |A0 tau| ~ 355
-    sech = 1.0 / np.cosh(arg)
-    sech2 = sech * sech
-    dsig = -_spread_scale(ic) * A0 * np.tanh(arg) * sech
-    return np.array([-m * A0 * sech2, m * A0 * sech2, dsig])
+    return np.array(_velocity(*_hyperbolic(tau, params, ic)))
 
 
 def geodesic_acceleration(
     tau, params: ModelParams, ic: InitialConditions
 ) -> np.ndarray:
     """Analytic second derivatives of the correlated branch, components leading."""
-    A0 = amplitude_A0(ic)
-    arg = _clamped(A0 * tau)
-    m = _momentum_scale(ic, params.r)
-    th, sech = np.tanh(arg), 1.0 / np.cosh(arg)
+    A0, m, spread, th, ch = _hyperbolic(tau, params, ic)
+    sech = 1.0 / ch
     ddmu = 2.0 * m * A0**2 * th * sech * sech
-    ddsig = _spread_scale(ic) * A0**2 * (2.0 * th**2 - 1.0) * sech
+    ddsig = spread * A0**2 * (2.0 * th**2 - 1.0) * sech
     return np.array([ddmu, -ddmu, ddsig])
 
 
@@ -151,9 +151,9 @@ def joined_path(tau, params: ModelParams, ic: InitialConditions) -> Macrostate3:
 
     Element-wise: the r = 0 branch where tau < 0, the correlated one elsewhere.
     """
-    arg = _clamped(amplitude_A0(ic) * tau)
-    m = np.where(tau < 0.0, _momentum_scale(ic, 0.0), _momentum_scale(ic, params.r))
-    return _state(arg, m, _spread_scale(ic))
+    _, m, spread, th, ch = _hyperbolic(tau, params, ic)
+    m = np.where(tau < 0.0, _path_constants(ic, 0.0)[1], m)
+    return Macrostate3(*map(scalar_or_array, _state(m, spread, th, ch)))
 
 
 def geodesic_equations_lhs(

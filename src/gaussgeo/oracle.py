@@ -4,7 +4,9 @@ Geodesics and Jacobi fields come from ODE integration of their defining
 equations (DOP853), and the complexity from the literal nested volume
 integral (``quad``); none calls the closed form it validates. One table of
 `curvature.christoffel`, which ``christoffel_fd`` checks, drives both ODEs:
-x'' = -Gamma(x', x'), and its linearisation about the closed-form path.
+x'' = -Gamma(x', x'), and its linearisation about the closed-form path, which
+the Jacobi right-hand side reads through the geodesics path helpers in Python
+floats, their constants computed once per run (it validates J, not the path).
 Self-tests raise ``ConvergenceError``: the ODE oracles refine through a
 tighter ``OdeSpec``, and ``igc_numeric`` tests ``quad``'s error bound.
 The battery's ``igc_numeric`` check runs `battery.igc_gauss` instead, so
@@ -76,12 +78,15 @@ def _geodesic_rhs(params: ModelParams):
 
 def _jacobi_rhs(params: ModelParams, ic: InitialConditions):
     # the geodesic equation linearised about the closed-form path, by
-    # d_sigma Gamma = -Gamma / sigma: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma
+    # d_sigma Gamma = -Gamma / sigma: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma.
+    # sigma and v come from the closed forms' path helpers in Python floats, their
+    # constants hoisted; jacobi_integrate keeps |A0 t| within the clamp
     terms = _christoffel_terms(params)
+    A0, m, spread = geodesics._path_constants(ic, params.r)
 
     def rhs(t, y):
-        sg = geodesics.geodesic_corr(t, params, ic).sigma
-        v = geodesics.geodesic_velocity(t, params, ic).tolist()
+        th, ch = math.tanh(A0 * t), math.cosh(A0 * t)
+        sg, v = geodesics._state(m, spread, th, ch)[2], geodesics._velocity(A0, m, spread, th, ch)
         Js, *K = y[2:].tolist()
         acc = [0.0, 0.0, 0.0]
         for a, b, c, G in terms:
@@ -177,6 +182,7 @@ def jacobi_integrate(
     points of [0, tau_max].
     """
     A0 = geodesics.amplitude_A0(ic)
+    chaos._check_overflow(A0 * tau_max)
     w = _orthonormal_seed(params, ic)
     y0 = np.concatenate([np.zeros(3), omega0 * w])
     t_eval = np.linspace(0.0, tau_max, 400)

@@ -172,6 +172,58 @@ class TestJoinedPath:
         assert geodesics.amplitude_A0(desk_ic) == pytest.approx(A0_DESK, rel=1e-14)
 
 
+def _written_out(tau, r, ic):
+    """The four closed forms as written before they shared one path helper,
+    kept as the bit-for-bit reference: state, velocity, acceleration and the
+    joined path's state."""
+    A0 = geodesics.amplitude_A0(ic)
+    arg = np.clip(A0 * tau, -geodesics.ARG_CLAMP, geodesics.ARG_CLAMP)
+    scale = math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
+    m, spread = math.sqrt(1.0 - r) * scale, math.sqrt(1.0 - 0.0) * scale / math.sqrt(2.0)
+    t = np.tanh(arg)
+    sech = 1.0 / np.cosh(arg)
+    sech2 = sech * sech
+    velocity = [-m * A0 * sech2, m * A0 * sech2, -spread * A0 * np.tanh(arg) * sech]
+    th, sech = np.tanh(arg), 1.0 / np.cosh(arg)
+    ddmu = 2.0 * m * A0**2 * th * sech * sech
+    accel = [ddmu, -ddmu, spread * A0**2 * (2.0 * th**2 - 1.0) * sech]
+    mj = np.where(tau < 0.0, math.sqrt(1.0 - 0.0) * scale, m)
+    return {
+        "geodesic_corr": [-m * t, m * t, spread / np.cosh(arg)],
+        "geodesic_velocity": velocity,
+        "geodesic_acceleration": accel,
+        "joined_path": [-mj * t, mj * t, spread / np.cosh(arg)],
+    }
+
+
+class TestPathHelper:
+    """The closed forms share one path helper and keep their bits."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
+    def test_closed_forms_keep_their_bits(self, desk_ic, r):
+        # a grid through 0, both signs and the clamp at |A0 tau| = 700
+        A0 = geodesics.amplitude_A0(desk_ic)
+        tau = np.concatenate([np.linspace(-30.0, 30.0, 121),
+                              [-0.0, 699.9, 700.0, -800.0, 1e4]]) / A0
+        params = ModelParams(r)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.uint64)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            expected = _written_out(tau, r, desk_ic)
+            for name, want in expected.items():
+                fn = getattr(geodesics, name)
+                got = fn(tau, params, desk_ic)
+                got = got.as_array() if hasattr(got, "as_array") else got
+                assert np.array_equal(bits(got), bits(want)), name
+                for t in tau.tolist():
+                    got = fn(t, params, desk_ic)
+                    got = got.as_array() if hasattr(got, "as_array") else got
+                    assert np.array_equal(bits(got), bits(_written_out(t, r, desk_ic)[name]))
+
+
 class TestGeodesicResidual:
     @pytest.mark.parametrize("r", [0.0, 0.3])
     def test_closed_form_satisfies_equations(self, desk_ic, r):

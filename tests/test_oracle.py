@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,53 @@ class TestJacobiIntegrate:
         )
         assert abs(a.max_rel_error - b.max_rel_error) < 1e-6
         assert abs(2.0 * (a.fitted_rate - b.fitted_rate)) / (2.0 * A0) < 1e-3
+
+    def test_rejects_tau_max_past_the_clamp(self, desk_ic):
+        # refused before any step, with jacobi_intensity's error and no warning
+        A0 = geodesics.amplitude_A0(desk_ic)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="exceeds the overflow guard 700.0"):
+                oracle.jacobi_integrate(ModelParams(0.5), desk_ic, 800.0 / A0)
+        assert caught == []
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
+    def test_rhs_reads_the_closed_form_path(self, desk_ic, rng, r):
+        # the RHS in Python floats agrees within a few ulps of its largest
+        # component with one built from the public closed forms
+        params = ModelParams(r)
+        terms = oracle._christoffel_terms(params)
+
+        def written_out(t, y):
+            sg = geodesics.geodesic_corr(t, params, desk_ic).sigma
+            v = geodesics.geodesic_velocity(t, params, desk_ic).tolist()
+            Js, *K = y[2:].tolist()
+            acc = [0.0, 0.0, 0.0]
+            for a, b, c, G in terms:
+                acc[a] -= G * v[b] * (2.0 * K[c] - v[c] * Js / sg)
+            return [*K, acc[0] / sg, acc[1] / sg, acc[2] / sg]
+
+        rhs = oracle._jacobi_rhs(params, desk_ic)
+        A0 = geodesics.amplitude_A0(desk_ic)
+        for tau in rng.uniform(0.0, 20.0 / A0, 200):
+            y = rng.standard_normal(6)
+            got, want = np.array(rhs(tau, y)), np.array(written_out(tau, y))
+            assert np.abs(got - want).max() <= 16 * np.spacing(np.abs(want).max())
+
+    def test_battery_nfev(self, monkeypatch):
+        # the two Jacobi runs and the whole battery keep their step sequences
+        nfev = {}
+        solve_ivp = oracle.solve_ivp
+
+        def counted(rhs, *args, **kwargs):
+            sol = solve_ivp(rhs, *args, **kwargs)
+            nfev.setdefault(rhs.__qualname__.split(".")[0], []).append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(oracle, "solve_ivp", counted)
+        assert all(res.passed for res in oracle.run_verification())
+        assert nfev["_jacobi_rhs"] == [839, 824]
+        assert sum(map(sum, nfev.values())) == 3229
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.7, 0.9])
     def test_rhs_is_covariant_jacobi_equation(self, desk_ic, rng, r):
