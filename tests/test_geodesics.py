@@ -173,13 +173,13 @@ class TestJoinedPath:
 
 
 def _written_out(tau, r, ic):
-    """The four closed forms as written before they shared one path helper,
+    """The four closed forms as written before they shared the path helpers,
     kept as the bit-for-bit reference: state, velocity, acceleration and the
     joined path's state."""
     A0 = geodesics.amplitude_A0(ic)
     arg = np.clip(A0 * tau, -geodesics.ARG_CLAMP, geodesics.ARG_CLAMP)
     scale = math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
-    m, spread = math.sqrt(1.0 - r) * scale, math.sqrt(1.0 - 0.0) * scale / math.sqrt(2.0)
+    m, spread = math.sqrt(1.0 - r) * scale, scale / math.sqrt(2.0)
     t = np.tanh(arg)
     sech = 1.0 / np.cosh(arg)
     sech2 = sech * sech
@@ -187,7 +187,7 @@ def _written_out(tau, r, ic):
     th, sech = np.tanh(arg), 1.0 / np.cosh(arg)
     ddmu = 2.0 * m * A0**2 * th * sech * sech
     accel = [ddmu, -ddmu, spread * A0**2 * (2.0 * th**2 - 1.0) * sech]
-    mj = np.where(tau < 0.0, math.sqrt(1.0 - 0.0) * scale, m)
+    mj = np.where(tau < 0.0, scale, m)
     return {
         "geodesic_corr": [-m * t, m * t, spread / np.cosh(arg)],
         "geodesic_velocity": velocity,
@@ -197,7 +197,7 @@ def _written_out(tau, r, ic):
 
 
 class TestPathHelper:
-    """The closed forms share one path helper and keep their bits."""
+    """The closed forms share the path helpers and keep their bits."""
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
     def test_closed_forms_keep_their_bits(self, desk_ic, r):
