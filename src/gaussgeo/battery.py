@@ -33,7 +33,8 @@ import numpy as np
 
 from . import chaos, complexity, curvature, geodesics, models, scattering
 from ._elementwise import any_true, scalar_or_array
-from .errors import ConvergenceError, DomainError, GaussGeoError, require, require_correlation
+from .errors import (ConvergenceError, DomainError, GaussGeoError, require, require_correlation,
+                     require_positive)
 from .geodesics import InitialConditions
 from .models import ModelParams
 from .scattering import ScatteringConfig
@@ -247,12 +248,11 @@ def purity_gaussian_state(cfg: ScatteringConfig, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def igc_gauss(tau: float, params: ModelParams, ic: InitialConditions) -> float:
-    """``oracle.igc_numeric``'s nested volume integral by Gauss-Legendre rules
-    instead of ``quad``: the inner one over u = ln sigma, where 2/sigma^3 dsigma
-    is 2 exp(-2u) du. The 48-point value must match the 96-point one."""
-    lam = 2.0 * geodesics.amplitude_A0(ic)
-    require(lam * tau <= 20.0,
-            lambda: f"lambda*tau = {lam * tau:.3g} > 20: cosh overflow guard")
+    """Time-averaged Fisher volume at a positive, finite horizon tau, by the
+    literal nested integral: Gauss-Legendre rules over tau' and over u = ln sigma,
+    where 2/sigma^3 dsigma is 2 exp(-2u) du (the mu integrals are exact). The
+    48-point value must match the 96-point one; a non-finite one fails."""
+    require_positive(tau=tau)
     start = geodesics.geodesic_corr(0.0, params, ic)
 
     def average(order):
@@ -266,7 +266,7 @@ def igc_gauss(tau: float, params: ModelParams, ic: InitialConditions) -> float:
 
     result = average(48)
     drift = abs(average(96) - result)
-    if drift > max(1e-9, 1e-7 * abs(result)):
+    if not drift <= max(1e-9, 1e-7 * abs(result)):  # inf - inf is NaN
         raise ConvergenceError(f"IGC time average drift {drift:.3g} at order doubling")
     return result
 

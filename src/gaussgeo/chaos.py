@@ -11,9 +11,9 @@ the growth-rate indicator (the Riemannian analogue of a Lyapunov exponent)
 is lambda = 2 sqrt(-Q) = 2 A0 -- notably independent of the correlation r.
 
 `jacobi_intensity` broadcasts over a numpy array of tau. It and
-`lyapunov_estimate` reject a NaN A0 tau, or one beyond the geodesics'
-hyperbolic clamp (700) where sinh and cosh overflow, with a DomainError;
-A0, an intensity's initial rate omega0 and tau_max must be positive and finite.
+`lyapunov_estimate` reject a NaN A0 tau, or one past the overflow guard
+`errors.require_hyperbolic` (|A0 tau| <= 700), with a DomainError; A0,
+omega0 and tau_max must be positive and finite.
 
 `lyapunov_estimate` evaluates the defining log-ratio at a finite horizon.
 The raw value converges only like 1/tau (the limit sheds a constant inside
@@ -30,16 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geodesics, models
 from ._elementwise import scalar_or_array
-from .errors import RegimeWarning, require, require_positive
-from .geodesics import (
-    ARG_CLAMP,
-    InitialConditions,
-    amplitude_A0,
-    geodesic_corr,
-    geodesic_velocity,
-)
-from .models import ModelParams, metric_corr3
+from .errors import RegimeWarning, require_hyperbolic, require_positive
 
 #: Minimum A0 * tau_max for the asymptotic Lyapunov regime.
 ASYMPTOTIC_MIN = 5.0
@@ -63,33 +56,29 @@ def jlc_coefficient(A0: float) -> float:
     return -A0 * A0
 
 
-def velocity_norm_squared(ic: InitialConditions) -> float:
+def velocity_norm_squared(ic: geodesics.InitialConditions) -> float:
     """Conserved squared velocity g_ab v^a v^b = 4 A0^2, at every tau and r."""
-    A0 = amplitude_A0(ic)
+    A0 = geodesics.amplitude_A0(ic)
     return 4.0 * A0 * A0
 
 
-def velocity_norm_squared_contracted(params: ModelParams, ic: InitialConditions, tau):
+def velocity_norm_squared_contracted(params: models.ModelParams,
+                                     ic: geodesics.InitialConditions, tau):
     """Direct contraction of the analytic velocity with the metric, per tau.
 
     Exists as the explicit counterpart of the constant value; agreement is
     asserted in the test suite.
     """
-    v = geodesic_velocity(tau, params, ic)  # the components lead
-    g = metric_corr3(geodesic_corr(tau, params, ic).sigma, params)
+    v = geodesics.geodesic_velocity(tau, params, ic)  # the components lead
+    g = models.metric_corr3(geodesics.geodesic_corr(tau, params, ic).sigma, params)
     return scalar_or_array(np.einsum("a...,...ab,b...->...", v, g, v))
-
-
-def _check_overflow(arg) -> None:
-    require(abs(arg) <= ARG_CLAMP, lambda: f"|A0*tau| = {np.max(abs(arg)):.3g} "
-            f"exceeds the overflow guard {ARG_CLAMP}")
 
 
 def jacobi_intensity(tau, omega0: float, A0: float):
     """Jacobi-field intensity J(tau) = (omega0/A0) sinh(A0 tau), scalar or array."""
     require_positive(omega0=omega0, A0=A0)
     arg = A0 * tau
-    _check_overflow(arg)
+    require_hyperbolic(arg, "|A0*tau|")
     return scalar_or_array(omega0 / A0 * np.sinh(arg))
 
 
@@ -115,7 +104,7 @@ def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstim
     for signature symmetry with `jacobi_intensity`.
     """
     require_positive(A0=A0, tau_max=tau_max)
-    _check_overflow(A0 * tau_max)
+    require_hyperbolic(A0 * tau_max, "|A0*tau|")
     if A0 * tau_max < ASYMPTOTIC_MIN:
         warnings.warn(
             f"A0*tau_max = {A0 * tau_max:.3g} < {ASYMPTOTIC_MIN}: estimate returned "

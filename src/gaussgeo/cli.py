@@ -33,7 +33,7 @@ import warnings
 
 import numpy as np
 
-from . import chaos, complexity, curvature, geodesics, models, scattering
+from . import chaos, complexity, curvature, errors, geodesics, models, scattering
 from .errors import (GaussGeoError, OmittedFieldsWarning, ProlongationBoundWarning,
                      RoundTripWarning, TruncationWarning, require, require_correlation)
 from .geodesics import InitialConditions
@@ -233,7 +233,7 @@ def _cmd_complexity(args) -> tuple[dict, dict]:
     r_axis = require_correlation(np.array(args.r or [0.0]))  # even if no row is kept
     tau = _tau_grid(args.tau_min, args.tau_max, args.n)
     # the grid increases, so rows past the overflow guard form its tail
-    keep = int(np.count_nonzero(lam * tau <= complexity.LAMBDA_TAU_MAX))
+    keep = int(np.count_nonzero(lam * tau <= errors.ARG_CLAMP))
     # the flat, tau-major (tau, r) mesh: one call of each closed form
     tau_col, params = np.repeat(tau[:keep], r_axis.size), ModelParams(np.tile(r_axis, keep))
     columns = {"tau": tau_col, "r": params.r,

@@ -36,7 +36,8 @@ which converges for |x| < pi; twelve terms reach double precision there.
 
 `igc_closed` and `ige_closed` broadcast over numpy arrays of horizons tau
 and of correlations ``ModelParams(r).r``, as do `igc_ratio` and `ige_gap`
-over r; a scalar is the 0-d case.
+over r; a scalar is the 0-d case. tau must be positive and finite, and
+lambda tau within the overflow guard `errors.require_hyperbolic` (700).
 
 Both quantities shrink under correlation; `r_from_complexities` inverts the
 volume ratio to recover r.
@@ -48,14 +49,9 @@ import warnings
 
 import numpy as np
 
-from . import chaos, geodesics
+from . import chaos, geodesics, models
 from ._elementwise import any_true, scalar_or_array
-from .errors import RegimeWarning, require, require_correlation, require_positive
-from .geodesics import InitialConditions
-from .models import ModelParams
-
-#: Hyperbolic overflow guard on lambda * tau.
-LAMBDA_TAU_MAX = 700.0
+from .errors import RegimeWarning, require_correlation, require_hyperbolic, require_positive
 
 #: Below this lambda * tau the asymptotic entropy form is unreliable.
 IGE_ASYMPTOTIC_MIN = 5.0
@@ -73,17 +69,12 @@ _IGC_SERIES = (
 )
 
 
-def _check_horizon(tau, lam_tau) -> None:
-    require_positive(tau=tau)
-    require(lam_tau <= LAMBDA_TAU_MAX, lambda: f"lambda*tau = {np.max(lam_tau):.3g} "
-            f"exceeds the overflow guard {LAMBDA_TAU_MAX}")
-
-
-def igc_closed(tau, params: ModelParams, ic: InitialConditions):
+def igc_closed(tau, params: models.ModelParams, ic: geodesics.InitialConditions):
     """Closed-form IGC at horizon tau (exact finite-time average)."""
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
+    require_positive(tau=tau)
     lam_tau = lam * tau
-    _check_horizon(tau, lam_tau)
+    require_hyperbolic(lam_tau, "lambda*tau")
     prefactor = 4.0 * igc_ratio(params)
     bracket = (
         -0.75 * lam
@@ -102,14 +93,15 @@ def igc_closed(tau, params: ModelParams, ic: InitialConditions):
     return scalar_or_array(value)
 
 
-def ige_closed(tau, params: ModelParams, ic: InitialConditions):
+def ige_closed(tau, params: models.ModelParams, ic: geodesics.InitialConditions):
     """Asymptotic IGE at horizon tau.
 
     One RegimeWarning per call counts the result's elements with lambda*tau < 5.
     """
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
+    require_positive(tau=tau)
     lam_tau = lam * tau
-    _check_horizon(tau, lam_tau)
+    require_hyperbolic(lam_tau, "lambda*tau")
     early = lam_tau < IGE_ASYMPTOTIC_MIN
     if any_true(early):
         early = np.broadcast_to(early, np.broadcast(lam_tau, params.r).shape)
@@ -126,12 +118,12 @@ def ige_closed(tau, params: ModelParams, ic: InitialConditions):
     return scalar_or_array(lam_tau - np.log(lam_tau) + ige_gap(params))
 
 
-def igc_ratio(params: ModelParams):
+def igc_ratio(params: models.ModelParams):
     """Correlated-to-flat volume ratio sqrt((1-r)/(1+r)), tau-independent."""
     return scalar_or_array(np.sqrt((1.0 - params.r) / (1.0 + params.r)))
 
 
-def ige_gap(params: ModelParams):
+def ige_gap(params: models.ModelParams):
     """Entropy deficit (1/2) ln((1-r)/(1+r)) of the correlated flow."""
     return scalar_or_array(0.5 * np.log((1.0 - params.r) / (1.0 + params.r)))
 

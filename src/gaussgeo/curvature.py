@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from ._elementwise import gather, scalar_or_array
 from .errors import require, require_positive
-from .models import _BLOCK_SLOTS, ModelParams, metric_corr3, metric_corr3_inverse
 
 DIM = 3
 
@@ -103,7 +103,7 @@ _RIEMANN_SLOTS -= _RIEMANN_SLOTS.transpose(0, 1, 3, 2)
 _RIEMANN_SLOTS += _RIEMANN_SLOTS.transpose(2, 3, 0, 1) * (_RIEMANN_SLOTS == 0)
 
 
-def christoffel(sigma, params: ModelParams) -> np.ndarray:
+def christoffel(sigma, params: models.ModelParams) -> np.ndarray:
     """Connection coefficients Gamma^a_bc: -1/sigma (Gamma^1_13, Gamma^2_23,
     Gamma^3_33 and their b, c images), -1/(4 sigma (r^2-1)) (Gamma^3_11,
     Gamma^3_22) and r/(4 sigma (r^2-1)) (Gamma^3_12, Gamma^3_21); the rest are 0."""
@@ -114,7 +114,7 @@ def christoffel(sigma, params: ModelParams) -> np.ndarray:
                   r / (4.0 * sigma * d))
 
 
-def riemann(sigma, params: ModelParams) -> np.ndarray:
+def riemann(sigma, params: models.ModelParams) -> np.ndarray:
     """Lowered Riemann tensor R_abcd. Its independent nonzero components
     (indices 1-based (mu1, mu2, sigma)) are R_1212 = 1/(4 sigma^4 (r^2-1)),
     R_1313 = R_2323 = 1/(sigma^4 (r^2-1)) and R_1323 = -r/(sigma^4 (r^2-1));
@@ -129,22 +129,22 @@ def riemann(sigma, params: ModelParams) -> np.ndarray:
     return gather(_RIEMANN_SLOTS, *values, *(-x for x in reversed(values)))
 
 
-def ricci(sigma, params: ModelParams) -> np.ndarray:
+def ricci(sigma, params: models.ModelParams) -> np.ndarray:
     """Ricci tensor R_ab = g^{cd} R_cadb (equivalently g^{bd} R_abcd by pair symmetry)."""
     require_positive(sigma=sigma)
     r = params.r
     d = r * r - 1.0
     s2 = sigma * sigma
-    return gather(_BLOCK_SLOTS, 1.0 / (2.0 * s2 * d), -r / (2.0 * s2 * d), -2.0 / s2)
+    return gather(models._BLOCK_SLOTS, 1.0 / (2.0 * s2 * d), -r / (2.0 * s2 * d), -2.0 / s2)
 
 
-def sectional(sigma, params: ModelParams, u, v):
+def sectional(sigma, params: models.ModelParams, u, v):
     """Sectional curvature of the plane spanned by tangent vectors u, v, or
     of each pair of rows when u and v are stacks (..., 3); the leading axes
     of u and v broadcast against the points. u and v count as linearly
     dependent when the Gram determinant is below 1e-12 of <u,u><v,v>, a
     test that does not depend on the scale of g."""
-    R, g = riemann(sigma, params), metric_corr3(sigma, params)
+    R, g = riemann(sigma, params), models.metric_corr3(sigma, params)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     num = np.einsum("...abcd,...a,...b,...c,...d->...", R, u, v, u, v)
     uu, vv, uv = (np.einsum("...a,...ab,...b->...", x, g, y)
@@ -169,10 +169,10 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...bd,...ac->...abcd", a, b) - np.einsum("...bc,...ad->...abcd", a, b)
 
 
-def maximal_symmetry_check(sigma, params: ModelParams) -> SymmetryReport:
+def maximal_symmetry_check(sigma, params: models.ModelParams) -> SymmetryReport:
     """Residuals of the three maximal-symmetry identities, per point."""
-    g, R, ric, ginv = (f(sigma, params)
-                       for f in (metric_corr3, riemann, ricci, metric_corr3_inverse))
+    g, R, ric = models.metric_corr3(sigma, params), riemann(sigma, params), ricci(sigma, params)
+    ginv = models.metric_corr3_inverse(sigma, params)
     ricci_res = _max_abs(ric - (SCALAR_CURVATURE / DIM) * g, 2) / _max_abs(ric, 2)
     expected = (SCALAR_CURVATURE / (DIM * (DIM - 1))) * _wedge(g, g)
     riemann_res = _max_abs(R - expected, 4) / _max_abs(R, 4)
@@ -180,9 +180,9 @@ def maximal_symmetry_check(sigma, params: ModelParams) -> SymmetryReport:
     return SymmetryReport(*map(scalar_or_array, (ricci_res, riemann_res, trace_res)))
 
 
-def bundle(sigma, params: ModelParams) -> CurvatureBundle:
+def bundle(sigma, params: models.ModelParams) -> CurvatureBundle:
     """Assemble every curvature quantity at (sigma, r), or at each point of
     their broadcast arrays."""
     return CurvatureBundle.from_tensors(
         christoffel(sigma, params), riemann(sigma, params), ricci(sigma, params),
-        SCALAR_CURVATURE, metric_corr3(sigma, params))
+        SCALAR_CURVATURE, models.metric_corr3(sigma, params))

@@ -7,6 +7,7 @@ separately from programming errors.
 
 Every domain guard goes through the helpers at the end, which write each
 rule once for a scalar or an array (at every element); NaN fails them all.
+`require_hyperbolic` is the one overflow guard of sinh, cosh and tanh.
 """
 
 import math
@@ -16,6 +17,9 @@ import numpy as np
 #: Correlations lie in [0, R_MAX): r = 1 is a genuine singularity of the
 #: Gaussian family, where metric entries diverge.
 R_MAX = 1.0 - 1e-9
+
+#: Largest usable hyperbolic argument; sinh and cosh overflow near 710.
+ARG_CLAMP = 700.0
 
 
 class GaussGeoError(Exception):
@@ -106,3 +110,9 @@ def require_correlation(r):
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise DomainError(f"correlation must lie in [0, {R_MAX}), got {r}")
     return r
+
+
+def require_hyperbolic(arg, label: str) -> None:
+    """Require |arg| <= ARG_CLAMP; ``label`` names arg in the message."""
+    require(abs(arg) <= ARG_CLAMP, lambda: f"{label} = {np.max(abs(arg)):.3g} "
+            f"exceeds the overflow guard {ARG_CLAMP}")

@@ -21,10 +21,10 @@ three coordinates are continuous there.
 Every trajectory function broadcasts over a numpy array of tau; a scalar
 tau is the 0-d case and returns Python floats.
 
-Hyperbolic arguments are clamped to |A0 tau| <= 700: beyond that cosh
-overflows while the state is already saturated (tanh = +-1, sigma at the
-underflow floor), so the clamped state is returned with one
-SaturationWarning per call that counts the clamped elements.
+Hyperbolic arguments are clamped to |A0 tau| <= 700, `errors.ARG_CLAMP`:
+beyond that cosh overflows while the state is already saturated (tanh =
++-1, sigma at the underflow floor), so the clamped state is returned with
+one SaturationWarning per call that counts the clamped elements.
 """
 
 from __future__ import annotations
@@ -35,13 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvature
+from . import curvature, errors
 from ._elementwise import any_true, scalar_or_array
 from .errors import SaturationWarning, require, require_positive
 from .models import Macrostate3, ModelParams
-
-#: Largest usable hyperbolic argument; cosh overflows near 710.
-ARG_CLAMP = 700.0
 
 #: Loosest admissible spread-to-momentum ratio for the well-localized regime.
 LOCALIZATION_MAX = 0.1
@@ -75,19 +72,19 @@ def amplitude_A0(ic: InitialConditions) -> float:
 
 
 def _clamped(arg):
-    over = abs(arg) > ARG_CLAMP
+    over = abs(arg) > errors.ARG_CLAMP
     if not any_true(over):
         return arg
     count = int(np.count_nonzero(over))
     warnings.warn(
         SaturationWarning(
-            f"|A0*tau| clamped to {ARG_CLAMP} at {count} of {np.size(arg)} elements "
+            f"|A0*tau| clamped to {errors.ARG_CLAMP} at {count} of {np.size(arg)} elements "
             f"(largest {np.max(abs(arg)):.3g}); state is saturated",
             count,
         ),
         stacklevel=4,
     )
-    return np.where(over, np.copysign(ARG_CLAMP, arg), arg)
+    return np.where(over, np.copysign(errors.ARG_CLAMP, arg), arg)
 
 
 def _path_constants(ic: InitialConditions, r: float) -> tuple[float, float, float]:

@@ -30,7 +30,7 @@ from scipy.integrate import quad, solve_ivp
 from . import chaos, curvature, geodesics, models
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
                       igc_gauss, purity_bruteforce, purity_gaussian_state, run_verification)
-from .errors import ConvergenceError, require
+from .errors import ConvergenceError, require, require_hyperbolic, require_positive
 from .geodesics import InitialConditions
 from .models import ModelParams
 
@@ -179,10 +179,12 @@ def jacobi_integrate(
     Initial data: J(0) = 0 and DJ/dtau(0) = omega0 * w with w a g-unit
     vector orthogonal to the velocity; orthogonality of J to the velocity
     is monitored along the whole trajectory. The run is sampled at 400
-    points of [0, tau_max].
+    points of [0, tau_max], tau_max > 0.5/A0.
     """
     A0 = geodesics.amplitude_A0(ic)
-    chaos._check_overflow(A0 * tau_max)
+    require(0.5 / A0 < tau_max,
+            lambda: f"tau_max = {tau_max} must exceed 0.5/A0 = {0.5 / A0:.3g}")
+    require_hyperbolic(A0 * tau_max, "|A0*tau|")
     w = _orthonormal_seed(params, ic)
     y0 = np.concatenate([np.zeros(3), omega0 * w])
     t_eval = np.linspace(0.0, tau_max, 400)
@@ -211,12 +213,13 @@ def jacobi_integrate(
 def igc_numeric(tau: float, params: ModelParams, ic: InitialConditions) -> float:
     """Time-averaged Fisher volume by the literal nested integral.
 
-    The mu integrals are exact (the density does not depend on mu); the
-    sigma integral and the time average are adaptive quadratures.
+    The mu integrals are exact (the density does not depend on mu); the sigma
+    integral and the time average are adaptive quadratures, up to lambda tau = 20.
     """
+    require_positive(tau=tau)
     lam = 2.0 * geodesics.amplitude_A0(ic)
     require(lam * tau <= 20.0,
-            lambda: f"lambda*tau = {lam * tau:.3g} > 20: cosh overflow guard")
+            lambda: f"lambda*tau = {lam * tau:.3g} > 20: past the range of the nested quad")
     r = params.r
     fac = 1.0 / math.sqrt(1.0 - r * r)
     s0_state = geodesics.geodesic_corr(0.0, params, ic)

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geodesics
 from ._elementwise import scalar_or_array
 from .errors import (
     RegimeError,
@@ -59,7 +60,7 @@ from .errors import (
     require_nonnegative,
     require_positive,
 )
-from .geodesics import LOCALIZATION_MAX, InitialConditions, amplitude_A0
+from .geodesics import LOCALIZATION_MAX, InitialConditions
 
 #: r_QM beyond this strains the perturbative Gaussian identification.
 R_QM_REGIME = 0.3
@@ -303,7 +304,7 @@ def prolongation(ic: InitialConditions, r) -> ProlongationReport:
     the 0-d case of an array.
     """
     require_correlation(r)
-    A0 = amplitude_A0(ic)
+    A0 = geodesics.amplitude_A0(ic)
     X = A0 * ic.tau0
     eta = 0.5 * math.exp(2.0 * X)
     r_bound = 2.0 / eta

@@ -10,6 +10,10 @@ as ``report`` from passing on another module's attribute.
 Every defaulted parameter of a public module-level function, or of a public
 method of a public class, is listed with the reason it exists, so a new
 knob needs a deliberate entry.
+
+No source module imports a public function of a closed-form module by name:
+each is called as ``module.name``, so patching that one binding reaches every
+caller, as editing the source would.
 """
 
 import ast
@@ -54,6 +58,21 @@ def test_public_name_is_reached(path, name):
     reached = name in _read(path) or any(
         name in _reached_from(caller, path.stem) for caller in CALLERS if caller != path)
     assert reached, f"{path.stem}.{name} is reached only from unit tests"
+
+
+#: The modules of the closed forms, each bound once, as ``module.name``.
+CLOSED_FORM_MODULES = ("models", "curvature", "geodesics", "chaos", "complexity", "scattering")
+
+
+def test_closed_forms_are_called_through_their_module():
+    functions = {(path.stem, node.name) for path in SOURCES for node in TREES[path].body
+                 if path.stem in CLOSED_FORM_MODULES
+                 and isinstance(node, ast.FunctionDef) and node.name[0] != "_"}
+    by_name = [f"{path.stem}: from {node.module} import {alias.name}"
+               for path in SOURCES for node in ast.walk(TREES[path])
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if ((node.module or "").rpartition(".")[2], alias.name) in functions]
+    assert by_name == []
 
 
 #: module.function.parameter: why the default exists

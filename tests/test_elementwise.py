@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgeo import battery, chaos, cli, complexity, curvature, geodesics, models, scattering
+from gaussgeo import (battery, chaos, cli, complexity, curvature, errors, geodesics, models,
+                      scattering)
 from gaussgeo.errors import (
     DomainError,
     RegimeWarning,
@@ -95,7 +96,7 @@ def test_geodesic_derivatives_elementwise(ic, r, frac):
 @given(ic=ics, omega0=st.floats(0.1, 10.0), frac=fractions)
 def test_jacobi_intensity_elementwise(ic, omega0, frac):
     A0 = geodesics.amplitude_A0(ic)
-    tau = np.array(frac) * geodesics.ARG_CLAMP / A0
+    tau = np.array(frac) * errors.ARG_CLAMP / A0
     scalar = []
     for t in tau.tolist():
         try:
@@ -119,7 +120,7 @@ def _mesh(tau, r):
 def test_complexity_elementwise(ic, r, frac):
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     # horizons in (0, the overflow guard)
-    tau = (np.abs(np.array(frac)) * 0.998 + 1e-3) * complexity.LAMBDA_TAU_MAX / lam
+    tau = (np.abs(np.array(frac)) * 0.998 + 1e-3) * errors.ARG_CLAMP / lam
     tau, r = _mesh(tau, r)
     points = list(zip(tau.tolist(), map(ModelParams, r.tolist())))
     for fn in (complexity.igc_closed, complexity.ige_closed):
@@ -229,7 +230,7 @@ def test_velocity_norm_contracted_elementwise(ic, r, frac):
 def test_clamp_warning_counts_clamped_elements(ic, frac):
     A0 = geodesics.amplitude_A0(ic)
     tau = np.array(frac) * 1000.0 / A0
-    expected = int(np.count_nonzero(np.abs(A0 * tau) > geodesics.ARG_CLAMP))
+    expected = int(np.count_nonzero(np.abs(A0 * tau) > errors.ARG_CLAMP))
     for fn in (geodesics.geodesic_corr, geodesics.joined_path,
                geodesics.geodesic_velocity, geodesics.geodesic_acceleration):
         caught = _caught(fn, tau, ModelParams(0.2), ic)

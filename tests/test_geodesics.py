@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
-from gaussgeo import geodesics
+from gaussgeo import errors, geodesics
 from gaussgeo.errors import DomainError, SaturationWarning
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import ModelParams
@@ -177,7 +177,7 @@ def _written_out(tau, r, ic):
     kept as the bit-for-bit reference: state, velocity, acceleration and the
     joined path's state."""
     A0 = geodesics.amplitude_A0(ic)
-    arg = np.clip(A0 * tau, -geodesics.ARG_CLAMP, geodesics.ARG_CLAMP)
+    arg = np.clip(A0 * tau, -errors.ARG_CLAMP, errors.ARG_CLAMP)
     scale = math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
     m, spread = math.sqrt(1.0 - r) * scale, scale / math.sqrt(2.0)
     t = np.tanh(arg)

@@ -189,8 +189,14 @@ class TestIgcNumeric:
 
     def test_overflow_guard(self, desk_ic):
         lam = 2.0 * geodesics.amplitude_A0(desk_ic)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="past the range of the nested quad"):
             oracle.igc_numeric(25.0 / lam, ModelParams(0.0), desk_ic)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_requires_a_positive_finite_horizon(self, desk_ic, tau):
+        # igc_closed's precondition; 0 divided by zero and -1 returned a value
+        with pytest.raises(DomainError, match="tau must be positive and finite"):
+            oracle.igc_numeric(tau, ModelParams(0.0), desk_ic)
 
     def test_unconverged_time_average_raises(self, desk_ic, monkeypatch):
         # quad reporting an error estimate of 1 on every integral
@@ -213,10 +219,28 @@ class TestIgcGauss:
     def test_degenerate_box_at_small_horizon(self, desk_ic):
         assert abs(oracle.igc_gauss(1e-8, ModelParams(0.3), desk_ic)) < 1e-10
 
-    def test_overflow_guard(self, desk_ic):
+    def test_accurate_up_to_the_overflow_guard(self, desk_ic):
+        # no horizon guard of its own: the order doubling holds it to the
+        # closed form far past quad's range, and fails at the guard
         lam = 2.0 * geodesics.amplitude_A0(desk_ic)
-        with pytest.raises(DomainError):
-            oracle.igc_gauss(25.0 / lam, ModelParams(0.0), desk_ic)
+        for lt in (25.0, 100.0, 300.0):
+            for r in (0.0, 0.3, 0.9):
+                gauss = oracle.igc_gauss(lt / lam, ModelParams(r), desk_ic)
+                closed = complexity.igc_closed(lt / lam, ModelParams(r), desk_ic)
+                assert gauss == pytest.approx(closed, rel=2e-12)
+        with pytest.raises(ConvergenceError, match="drift .* at order doubling"):
+            oracle.igc_gauss(700.0 / lam, ModelParams(0.3), desk_ic)
+
+    def test_non_finite_result_fails_order_doubling(self, desk_ic):
+        # past the guard exp(-2u) overflows; inf - inf is a NaN drift, which fails
+        lam = 2.0 * geodesics.amplitude_A0(desk_ic)
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="drift nan"):
+            oracle.igc_gauss(1000.0 / lam, ModelParams(0.3), desk_ic)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_requires_a_positive_finite_horizon(self, desk_ic, tau):
+        with pytest.raises(DomainError, match="tau must be positive and finite"):
+            oracle.igc_gauss(tau, ModelParams(0.0), desk_ic)
 
     def test_order_doubling_drift_raises(self, desk_ic, monkeypatch):
         _coarse_rule_at(monkeypatch, 96)
@@ -282,6 +306,16 @@ class TestJacobiIntegrate:
             with pytest.raises(DomainError, match="exceeds the overflow guard 700.0"):
                 oracle.jacobi_integrate(ModelParams(0.5), desk_ic, 800.0 / A0)
         assert caught == []
+
+    @pytest.mark.parametrize("tau_max", [1e-3, 0.0, -1.0, math.nan])
+    def test_rejects_an_empty_intensity_window(self, desk_ic, tau_max):
+        # the intensity error is measured from A0 tau = 0.5 on; refused before any step
+        with pytest.raises(DomainError, match=r"tau_max = \S+ must exceed 0.5/A0 = 0.188"):
+            oracle.jacobi_integrate(ModelParams(0.5), desk_ic, tau_max)
+
+    def test_shortest_window_runs(self, desk_ic):
+        A0 = geodesics.amplitude_A0(desk_ic)
+        assert oracle.jacobi_integrate(ModelParams(0.5), desk_ic, 0.6 / A0).max_rel_error < 1e-5
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
     def test_rhs_reads_the_closed_form_path(self, desk_ic, rng, r):
@@ -368,6 +402,15 @@ class TestVerificationBattery:
         results = oracle.run_verification(only="models")
         passed = {res.name: res.passed for res in results}
         assert passed == {"metric3_quadrature": False, "metric4_quadrature": True}
+
+    def test_metric_fault_fails_every_check_that_reads_it(self, monkeypatch):
+        # curvature and chaos call models.metric_corr3 through the module, so
+        # one patch reaches the sectional curvatures and the contracted norm
+        metric_corr3 = models.metric_corr3
+        monkeypatch.setattr(models, "metric_corr3",
+                            lambda sigma, params: (1.0 + 1e-6) * metric_corr3(sigma, params))
+        failed = {res.name for res in oracle.run_verification() if not res.passed}
+        assert failed == {"metric3_quadrature", "curvature_constants", "velocity_norm"}
 
     def test_nan_closed_form_fails_check(self, monkeypatch):
         # a closed form that is NaN at one grid point, (sigma 1, r 0.3)
