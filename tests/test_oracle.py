@@ -309,7 +309,7 @@ class TestJacobiIntegrate:
 
     @pytest.mark.parametrize("tau_max", [1e-3, 0.0, -1.0, math.nan])
     def test_rejects_an_empty_intensity_window(self, desk_ic, tau_max):
-        # the intensity error is measured from A0 tau = 0.5 on; refused before any step
+        # the intensity error is measured from A0 tau = 0.5 on: a shorter run has no sample
         with pytest.raises(DomainError, match=r"tau_max = \S+ must exceed 0.5/A0 = 0.188"):
             oracle.jacobi_integrate(ModelParams(0.5), desk_ic, tau_max)
 
