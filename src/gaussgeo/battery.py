@@ -264,8 +264,9 @@ def igc_gauss(tau: float, params: ModelParams, ic: InitialConditions) -> float:
         volume = (state.mu1 - start.mu1) * (state.mu2 - start.mu2) * inner
         return 0.5 * float(w @ volume) / math.sqrt(1.0 - params.r**2)
 
-    result = average(48)
-    drift = abs(average(96) - result)
+    with np.errstate(over="ignore"):  # exp(-2u) of a saturated sigma is inf
+        result = average(48)
+        drift = abs(average(96) - result)
     if not drift <= max(1e-9, 1e-7 * abs(result)):  # inf - inf is NaN
         raise ConvergenceError(f"IGC time average drift {drift:.3g} at order doubling")
     return result

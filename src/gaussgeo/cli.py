@@ -67,6 +67,11 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _json_payload(fields: dict, warn_list) -> str:
+    """JSON text of ``fields`` followed by ``warnings``, -0.0 normalized to 0.0."""
+    return json.dumps(_no_negzero({**fields, "warnings": warn_list or []}), indent=2)
+
+
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -84,7 +89,7 @@ def _emit_table(columns: dict, fmt, out, extra=None, warn_list=None) -> None:
     """Write a table given as {name: 1-D array}, column by column.
 
     Bytes equal those of formatting each row's values with `_fmt` (CSV) or
-    ``json.dumps(_no_negzero(payload), indent=2)`` (JSON). Float columns
+    `_json_payload` with the rows in its fields (JSON). Float columns
     are normalized from -0.0 to 0.0 by adding 0.0.
     """
     names = list(columns)
@@ -95,10 +100,7 @@ def _emit_table(columns: dict, fmt, out, extra=None, warn_list=None) -> None:
         lines = [",".join(names), *rows]
         _write("\n".join(lines) + "\n", out)
         return
-    payload = {"columns": names, "rows": []}
-    payload.update(_no_negzero(extra or {}))
-    payload["warnings"] = warn_list or []
-    text = json.dumps(payload, indent=2)
+    text = _json_payload({"columns": names, "rows": [], **(extra or {})}, warn_list)
     if len(cols[0]):
         fields = ",\n".join(f"      {json.dumps(name)}: %s" for name in names)
         rows = ",\n".join(
@@ -119,9 +121,7 @@ def _emit_record(record: dict, fmt, out, warn_list=None):
                 lines.append(f"{key},{_fmt(value)}")
         _write("\n".join(lines) + "\n", out)
     else:
-        payload = dict(record)
-        payload["warnings"] = warn_list or []
-        _write(json.dumps(_no_negzero(payload), indent=2) + "\n", out)
+        _write(_json_payload(record, warn_list) + "\n", out)
 
 
 def _report_warnings(caught) -> list[str]:

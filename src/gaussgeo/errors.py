@@ -6,8 +6,10 @@ meaningless). Callers that sweep parameter grids can trap ``RegimeError``
 separately from programming errors.
 
 Every domain guard goes through the helpers at the end, which write each
-rule once for a scalar or an array (at every element); NaN fails them all.
-`require_hyperbolic` is the one overflow guard of sinh, cosh and tanh.
+rule once for a scalar or an array. `require` alone tests a rule: it holds
+only if it holds at every element, and NaN fails it; the other helpers
+raise through it. `require_hyperbolic` is the one overflow guard of sinh,
+cosh and tanh.
 """
 
 import math
@@ -90,11 +92,9 @@ def require(ok, message) -> None:
 
 def require_positive(**named) -> None:
     """Require each named value to be finite and > 0."""
-    # tested in place, not through require: dataclasses on hot paths call this
     for name, value in named.items():
-        ok = (0.0 < value) & (value < math.inf)
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+        require((0.0 < value) & (value < math.inf),
+                lambda: f"{name} must be positive and finite, got {value}")
 
 
 def require_nonnegative(**named) -> None:
@@ -106,9 +106,7 @@ def require_nonnegative(**named) -> None:
 
 def require_correlation(r):
     """Require r in [0, R_MAX) and return it."""
-    ok = (0.0 <= r) & (r < R_MAX)
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise DomainError(f"correlation must lie in [0, {R_MAX}), got {r}")
+    require((0.0 <= r) & (r < R_MAX), lambda: f"correlation must lie in [0, {R_MAX}), got {r}")
     return r
 
 

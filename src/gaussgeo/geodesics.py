@@ -153,22 +153,12 @@ def joined_path(tau, params: ModelParams, ic: InitialConditions) -> Macrostate3:
     return Macrostate3(*map(scalar_or_array, _state(m, spread, th, ch)))
 
 
-def geodesic_equations_lhs(
-    state: np.ndarray, velocity: np.ndarray, accel: np.ndarray, r: float
-) -> np.ndarray:
-    """Left sides x'' + Gamma(x', x') of the three geodesic equations.
-
-    Gamma is `curvature.christoffel`'s sigma = 1 table divided by sigma. The
-    three coordinates lead each argument; trailing axes broadcast.
-    """
-    G1 = curvature.christoffel(1.0, ModelParams(r))
-    return accel + np.einsum("abc,b...,c...->a...", G1, velocity, velocity) / state[2]
-
-
 def geodesic_residual(
     params: ModelParams, ic: InitialConditions, tau_grid
 ) -> float:
-    """Max norm of the geodesic-equation left sides along the closed form.
+    """Max norm, along the closed form, of the geodesic equations' x'' + Gamma(x', x').
+
+    Gamma is `curvature.christoffel`'s sigma = 1 table divided by sigma.
 
     Derivatives are taken by 5-point central differences with step
     h = 3e-3/A0. The stencil's truncation error shrinks like h^4 while its
@@ -191,5 +181,6 @@ def geodesic_residual(
     acc = (
         -stencil[0] + 16 * stencil[1] - 30 * stencil[2] + 16 * stencil[3] - stencil[4]
     ) / (12 * h * h)
-    lhs = geodesic_equations_lhs(stencil[2], vel, acc, params.r)
+    G1 = curvature.christoffel(1.0, params)
+    lhs = acc + np.einsum("abc,b...,c...->a...", G1, vel, vel) / stencil[2, 2]  # sigma
     return float(np.abs(lhs).max())

@@ -7,8 +7,9 @@ integral (``quad``); none calls the closed form it validates. One table of
 x'' = -Gamma(x', x'), and its linearisation about the closed-form path, which
 the Jacobi right-hand side reads through the geodesics path helpers in Python
 floats, their constants computed once per run (it validates J, not the path).
-Self-tests raise ``ConvergenceError``: the ODE oracles refine through a
-tighter ``OdeSpec``, and ``igc_numeric`` tests ``quad``'s error bound.
+``igc_numeric`` raises ``ConvergenceError`` when ``quad``'s error bound fails,
+the ODE oracles only when ``solve_ivp`` fails: they run no refinement of their
+own, and only Tier-1 tests rerun them at a tighter ``OdeSpec``.
 The battery's ``igc_numeric`` check runs `battery.igc_gauss` instead, so
 that ``verify --only complexity`` loads no scipy.
 
@@ -104,8 +105,12 @@ def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
     ])
 
 
-def _integrate(rhs, y0, t0, t1, spec: OdeSpec, t_eval=None):
-    # samples at t_eval, or at every accepted step when t_eval is None
+def _integrate(rhs, y0, t0, t1, spec: OdeSpec, samples=None):
+    # at `samples` evenly spaced points of the span, or at every accepted step
+    # when samples is None; a NaN end would keep solve_ivp stepping forever
+    require(math.isfinite(t0) and math.isfinite(t1) and t0 != t1,
+            lambda: f"ODE span ends must be finite and distinct, got {t0}, {t1}")
+    t_eval = None if samples is None else np.linspace(t0, t1, samples)
     sol = solve_ivp(
         rhs, (t0, t1), y0, method="DOP853", rtol=spec.rtol, atol=spec.atol, t_eval=t_eval
     )
@@ -129,8 +134,7 @@ def geodesic_integrate(
     """
     t0, t1 = tau_span
     y0 = _geodesic_start(params, ic, t0)
-    t_eval = np.linspace(t0, t1, 201)
-    ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec, t_eval=t_eval)
+    ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec, samples=201)
     closed = geodesics.geodesic_corr(ts, params, ic).as_array().T
     scale = np.abs(closed).max(axis=0)
     rel = np.abs(ys[:, :3] - closed) / scale[None, :]
@@ -154,9 +158,9 @@ class JacobiComparison:
 def _orthonormal_seed(params: ModelParams, ic: InitialConditions) -> np.ndarray:
     # g-unit combination orthogonal to the initial velocity (which has no
     # sigma component and equal-and-opposite momentum components)
-    g = models.metric_corr3(geodesics.geodesic_corr(0.0, params, ic).sigma, params)
+    start = _geodesic_start(params, ic, 0.0)
+    g, v = models.metric_corr3(start[2], params), start[3:]
     w = np.array([1.0, 1.0, 0.5])
-    v = geodesics.geodesic_velocity(0.0, params, ic)
     gv = g @ v
     w = w - (w @ gv) / (v @ gv) * v
     return w / math.sqrt(w @ g @ w)
@@ -176,19 +180,19 @@ def jacobi_integrate(
     velocity v: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma, the
     covariant D^2 J + R(J, v) v = 0 in coordinates. Gamma alone drives it.
 
-    Initial data: J(0) = 0 and DJ/dtau(0) = omega0 * w with w a g-unit
-    vector orthogonal to the velocity; orthogonality of J to the velocity
-    is monitored along the whole trajectory. The run is sampled at 400
-    points of [0, tau_max], tau_max > 0.5/A0.
+    Initial data: J(0) = 0 and DJ/dtau(0) = omega0 * w, omega0 > 0 and
+    finite, with w a g-unit vector orthogonal to the velocity; orthogonality
+    of J to the velocity is monitored along the whole trajectory. The run is
+    sampled at 400 points of [0, tau_max], tau_max > 0.5/A0.
     """
+    require_positive(omega0=omega0)
     A0 = geodesics.amplitude_A0(ic)
     require(0.5 / A0 < tau_max,
             lambda: f"tau_max = {tau_max} must exceed 0.5/A0 = {0.5 / A0:.3g}")
     require_hyperbolic(A0 * tau_max, "|A0*tau|")
     w = _orthonormal_seed(params, ic)
     y0 = np.concatenate([np.zeros(3), omega0 * w])
-    t_eval = np.linspace(0.0, tau_max, 400)
-    ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec, t_eval=t_eval)
+    ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec, samples=400)
 
     # the metric along the path, contracted per sample
     g = models.metric_corr3(geodesics.geodesic_corr(ts, params, ic).sigma, params)

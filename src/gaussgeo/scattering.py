@@ -89,19 +89,20 @@ class ScatteringConfig:
         require_positive(k0=self.k0, sigma_k0=self.sigma_k0, R0=self.R0, L=self.L,
                          reduced_mass=self.reduced_mass, hbar=self.hbar)
         require_nonnegative(a_s=self.a_s)
+        # stacklevel 3 passes the generated __init__ to the line that built the config
         if self.k0 * self.L >= K0L_REGIME:
             warnings.warn(
                 f"k0*L = {self.k0 * self.L:.3g} is outside the low-energy "
                 f"s-wave regime (< {K0L_REGIME})",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.sigma_k0 / self.k0 > LOCALIZATION_MAX:
             warnings.warn(
                 f"sigma_k0/k0 = {self.sigma_k0 / self.k0:.3g} > {LOCALIZATION_MAX}: "
                 "wave packets are not well localized",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

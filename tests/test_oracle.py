@@ -120,6 +120,13 @@ class TestGeodesicIntegrate:
         with pytest.raises(ConvergenceError, match="step size too small"):
             oracle.geodesic_integrate(ModelParams(0.5), desk_ic, (-1.0, 1.0))
 
+    @pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf),
+                                      (1.0, 1.0)])
+    def test_rejects_a_span_without_finite_distinct_ends(self, desk_ic, span):
+        # refused before solve_ivp, which steps forever towards a NaN end
+        with pytest.raises(DomainError, match="ODE span ends must be finite and distinct"):
+            oracle.geodesic_integrate(ModelParams(0.5), desk_ic, span)
+
     def test_tolerance_refinement_self_test(self, desk_ic):
         # tightening the tolerance by 10x moves the solution by far less
         # than a tenth of the 1e-6 comparison tolerance
@@ -232,10 +239,14 @@ class TestIgcGauss:
             oracle.igc_gauss(700.0 / lam, ModelParams(0.3), desk_ic)
 
     def test_non_finite_result_fails_order_doubling(self, desk_ic):
-        # past the guard exp(-2u) overflows; inf - inf is a NaN drift, which fails
+        # past the guard exp(-2u) overflows; inf - inf is a NaN drift, which
+        # fails with no RuntimeWarning first
         lam = 2.0 * geodesics.amplitude_A0(desk_ic)
-        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="drift nan"):
-            oracle.igc_gauss(1000.0 / lam, ModelParams(0.3), desk_ic)
+        for lt in (720.0, 1000.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConvergenceError, match="drift nan"):
+                    oracle.igc_gauss(lt / lam, ModelParams(0.3), desk_ic)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
     def test_requires_a_positive_finite_horizon(self, desk_ic, tau):
@@ -312,6 +323,13 @@ class TestJacobiIntegrate:
         # the intensity error is measured from A0 tau = 0.5 on: a shorter run has no sample
         with pytest.raises(DomainError, match=r"tau_max = \S+ must exceed 0.5/A0 = 0.188"):
             oracle.jacobi_integrate(ModelParams(0.5), desk_ic, tau_max)
+
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan])
+    def test_rejects_omega0_before_integrating(self, desk_ic, omega0, monkeypatch):
+        monkeypatch.setattr(oracle, "solve_ivp", None)  # any call would fail otherwise
+        A0 = geodesics.amplitude_A0(desk_ic)
+        with pytest.raises(DomainError, match="omega0 must be positive and finite"):
+            oracle.jacobi_integrate(ModelParams(0.5), desk_ic, 2.0 / A0, omega0=omega0)
 
     def test_shortest_window_runs(self, desk_ic):
         A0 = geodesics.amplitude_A0(desk_ic)

@@ -35,13 +35,17 @@ class TestConfig:
         with pytest.raises(DomainError):
             ScatteringConfig(k0=0.0, sigma_k0=0.1, R0=10.0, L=0.1)
 
+    # each warning names the line that built the config, not the dataclass's
+    # generated __init__, whose filename is '<string>'
     def test_warns_outside_low_energy_regime(self):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning, match=r"k0\*L") as record:
             ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.5)
+        assert [w.filename for w in record] == [__file__]
 
     def test_warns_poor_localization(self):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning, match="sigma_k0/k0") as record:
             ScatteringConfig(k0=1.0, sigma_k0=0.2, R0=10.0, L=0.1)
+        assert [w.filename for w in record] == [__file__]
 
     def test_kinetic_energy(self, desk_cfg):
         assert desk_cfg.kinetic_energy == pytest.approx(1.0, rel=1e-14)
