@@ -76,6 +76,10 @@ RECORD_CASES = {
     "metric_s05_r03": ["metric", "--sigma", "0.5", "--r", "0.3"],
     "metric_dim4_r03": ["metric", "--dim", "4", "--sigma-x", "0.5", "--sigma-y", "2",
                         "--r", "0.3"],
+    # at r = 0 the off-diagonal entries g_12 (dim 3), g_13 and g_24 (dim 4) are
+    # -0.0 and must print as 0
+    "metric_r0": ["metric", "--r", "0"],
+    "metric_dim4_r0": ["metric", "--dim", "4", "--sigma-x", "1", "--sigma-y", "2", "--r", "0"],
     # r_QM ~ 0.04 is past the prolongation bound ~ 0.0198: NaN and one warning
     "scatter_as1e-5": ["scatter", "--a-s", "1e-5"],
     # r_QM ~ 0.4 also strains the perturbative regime: two warnings
