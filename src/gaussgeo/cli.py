@@ -41,14 +41,6 @@ from .models import ModelParams
 from .scattering import ScatteringConfig
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if x == 0.0:
-            x = 0.0  # normalize -0.0 so reruns and branches agree bytewise
-        return format(x, ".17g")
-    return str(x)
-
-
 def _no_negzero(obj):
     if isinstance(obj, float):
         return 0.0 if obj == 0.0 else obj
@@ -88,14 +80,16 @@ def _json_numbers(col: np.ndarray) -> list[str]:
 def _emit_table(columns: dict, fmt, out, extra=None, warn_list=None) -> None:
     """Write a table given as {name: 1-D array}, column by column.
 
-    Bytes equal those of formatting each row's values with `_fmt` (CSV) or
-    `_json_payload` with the rows in its fields (JSON). Float columns
-    are normalized from -0.0 to 0.0 by adding 0.0.
+    Bytes equal those of formatting each row's values with ``%.17g``
+    (floats), ``%d`` (integers) or ``%s`` (strings) for CSV, or
+    `_json_payload` with the rows in its fields for JSON. Float columns are
+    normalized from -0.0 to 0.0 by adding 0.0.
     """
     names = list(columns)
     cols = [c + 0.0 if c.dtype.kind == "f" else c for c in columns.values()]
     if fmt == "csv":
-        template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols)
+        template = ",".join({"i": "%d", "u": "%d", "U": "%s"}.get(c.dtype.kind, "%.17g")
+                            for c in cols)
         rows = map(template.__mod__, zip(*(c.tolist() for c in cols)))
         lines = [",".join(names), *rows]
         _write("\n".join(lines) + "\n", out)
@@ -111,17 +105,16 @@ def _emit_table(columns: dict, fmt, out, extra=None, warn_list=None) -> None:
 
 
 def _emit_record(record: dict, fmt, out, warn_list=None):
-    if fmt == "csv":
-        lines = ["name,value"]
-        for key, value in record.items():
-            if isinstance(value, (list, tuple)):
-                for i, v in enumerate(value):
-                    lines.append(f"{key}_{i},{_fmt(v)}")
-            else:
-                lines.append(f"{key},{_fmt(value)}")
-        _write("\n".join(lines) + "\n", out)
-    else:
+    """Write a record: JSON as it is, CSV as a name,value table with one row
+    per list element (``eigenvalues_0``, ...)."""
+    if fmt == "json":
         _write(_json_payload(record, warn_list) + "\n", out)
+        return
+    rows = {}
+    for key, value in record.items():
+        rows.update({f"{key}_{i}": v for i, v in enumerate(value)}
+                    if isinstance(value, list) else {key: value})
+    _emit_table({"name": np.array(list(rows)), "value": np.array(list(rows.values()))}, fmt, out)
 
 
 def _report_warnings(caught) -> list[str]:

@@ -269,7 +269,8 @@ def _reference_table(columns, fmt, extra, warn_list):
             for values in zip(*(c.tolist() for c in columns.values()))]
     if fmt == "csv":
         lines = [",".join(names)]
-        lines += [",".join(cli._fmt(row[c]) for c in names) for row in rows]
+        # ints of up to 1e9 print alike as floats; adding 0.0 turns -0.0 into 0.0
+        lines += [",".join(format(row[c] + 0.0, ".17g") for c in names) for row in rows]
         return "\n".join(lines) + "\n"
     payload = {"columns": names, "rows": [{c: row[c] for c in names} for row in rows]}
     if extra:
