@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import chaos, complexity, curvature, geodesics, models, scattering
-from ._elementwise import any_true, scalar_or_array
+from ._elementwise import scalar_or_array
 from .errors import (ConvergenceError, DomainError, GaussGeoError, require, require_correlation,
                      require_positive)
 from .geodesics import InitialConditions
@@ -107,6 +107,8 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
         args = (state.mu_x, state.mu_y, state.sigma_x, state.sigma_y, params.r, np.eye(4))
     else:
         raise DomainError(f"unknown model {model!r}")
+    # an infinite mean would reach the quadrature as inf - inf
+    require(np.isfinite(args[:2]), lambda: f"means must be finite, got {args[0]}, {args[1]}")
     return _fisher_quadrature(*args, 40)
 
 
@@ -121,10 +123,13 @@ def curvature_fd(sigma, params: ModelParams, step=None) -> curvature.CurvatureBu
     from differencing the closed-form Christoffels (plus their quadratic
     terms); Ricci and Weyl are assembled from those. A Richardson check on
     the Christoffels guards against a bad step choice, and fails if any
-    point fails it. Array sigma and r broadcast as in `curvature.bundle`.
+    point fails it (NaN drift included). ``step`` must be positive and
+    finite; it defaults to 1e-5 sigma. Array sigma and r broadcast as in
+    `curvature.bundle`.
     """
+    g = models.metric_corr3(sigma, params)  # checks sigma before the step reads it
     h = np.asarray(1e-5 * sigma if step is None else step)
-    g = models.metric_corr3(sigma, params)
+    require_positive(step=h)
     ginv = np.linalg.inv(g)
 
     def d_sigma(tensor, rank, h):
@@ -141,7 +146,7 @@ def curvature_fd(sigma, params: ModelParams, step=None) -> curvature.CurvatureBu
 
     G_fd = christoffel_at(h)
     drift = np.abs(G_fd - christoffel_at(h / 2.0)).max(axis=(-3, -2, -1))
-    if any_true(drift > 1e-4 / sigma):  # naming the largest step and drift
+    if not np.all(drift <= 1e-4 / sigma):  # naming the largest step and drift
         raise ConvergenceError(f"Christoffel finite-difference step {np.max(h):.3g} fails "
                                f"the Richardson check (drift {np.max(drift):.3g})")
 

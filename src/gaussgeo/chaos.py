@@ -101,9 +101,10 @@ def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstim
     """Finite-horizon Lyapunov estimate converging to 2 A0.
 
     The initial rate omega0 cancels in the log-ratio and is accepted only
-    for signature symmetry with `jacobi_intensity`.
+    for signature symmetry with `jacobi_intensity`; it must still be
+    positive and finite.
     """
-    require_positive(A0=A0, tau_max=tau_max)
+    require_positive(omega0=omega0, A0=A0, tau_max=tau_max)
     require_hyperbolic(A0 * tau_max, "|A0*tau|")
     if A0 * tau_max < ASYMPTOTIC_MIN:
         warnings.warn(

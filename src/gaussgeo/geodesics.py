@@ -21,10 +21,11 @@ three coordinates are continuous there.
 Every trajectory function broadcasts over a numpy array of tau; a scalar
 tau is the 0-d case and returns Python floats.
 
-Hyperbolic arguments are clamped to |A0 tau| <= 700, `errors.ARG_CLAMP`:
-beyond that cosh overflows while the state is already saturated (tanh =
-+-1, sigma at the underflow floor), so the clamped state is returned with
-one SaturationWarning per call that counts the clamped elements.
+A NaN tau is rejected with a DomainError. Hyperbolic arguments are clamped
+to |A0 tau| <= 700, `errors.ARG_CLAMP`: beyond that cosh overflows while
+the state is already saturated (tanh = +-1, sigma at the underflow floor),
+so the clamped state is returned with one SaturationWarning per call that
+counts the clamped elements.
 """
 
 from __future__ import annotations
@@ -112,9 +113,12 @@ def _velocity(A0, m, spread, th, ch):
 
 
 def _hyperbolic(tau, params: ModelParams, ic: InitialConditions):
-    # the path constants, and tanh and cosh at the clamped A0 tau
+    # the path constants, and tanh and cosh at the clamped A0 tau; every
+    # closed form takes tau here, so here alone a NaN is refused
     A0, m, spread = _path_constants(ic, params.r)
-    arg = _clamped(A0 * tau)
+    arg = A0 * tau
+    require(arg == arg, "tau must not be NaN")  # false only at NaN
+    arg = _clamped(arg)
     return A0, m, spread, np.tanh(arg), np.cosh(arg)
 
 

@@ -38,10 +38,17 @@ from .models import ModelParams
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """Tolerances of the adaptive DOP853 integration behind the ODE oracles."""
+    """Tolerances of the adaptive DOP853 integration behind the ODE oracles.
+
+    Both must be positive and finite: with a NaN or infinite tolerance
+    solve_ivp never finishes a step.
+    """
 
     rtol: float = 1e-10
     atol: float = 1e-12
+
+    def __post_init__(self):
+        require_positive(rtol=self.rtol, atol=self.atol)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +114,7 @@ def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
 
 def _integrate(rhs, y0, t0, t1, spec: OdeSpec, samples=None):
     # at `samples` evenly spaced points of the span, or at every accepted step
-    # when samples is None; a NaN end would keep solve_ivp stepping forever
-    require(math.isfinite(t0) and math.isfinite(t1) and t0 != t1,
-            lambda: f"ODE span ends must be finite and distinct, got {t0}, {t1}")
+    # when samples is None
     t_eval = None if samples is None else np.linspace(t0, t1, samples)
     sol = solve_ivp(
         rhs, (t0, t1), y0, method="DOP853", rtol=spec.rtol, atol=spec.atol, t_eval=t_eval
@@ -133,6 +138,9 @@ def geodesic_integrate(
     coordinate's largest magnitude on the span.
     """
     t0, t1 = tau_span
+    # refused before the start state: a NaN end would keep solve_ivp stepping forever
+    require(math.isfinite(t0) and math.isfinite(t1) and t0 != t1,
+            lambda: f"ODE span ends must be finite and distinct, got {t0}, {t1}")
     y0 = _geodesic_start(params, ic, t0)
     ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec, samples=201)
     closed = geodesics.geodesic_corr(ts, params, ic).as_array().T

@@ -132,6 +132,11 @@ class TestLyapunov:
         assert errs[1] <= max(0.05 * errs[0], 5e-14)
         assert errs[2] <= max(errs[1], 5e-14)
 
+    @pytest.mark.parametrize("omega0", [math.nan, 0.0, -1.0])
+    def test_estimate_rejects_omega0_not_positive_and_finite(self, omega0):
+        with pytest.raises(DomainError, match="omega0 must be positive and finite"):
+            chaos.lyapunov_estimate(omega0, 1.0, 10.0)
+
     def test_warns_below_asymptotic_regime(self):
         with pytest.warns(RegimeWarning):
             chaos.lyapunov_estimate(1.0, 1.0, 2.0)

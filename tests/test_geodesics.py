@@ -225,6 +225,22 @@ class TestPathHelper:
                     assert np.array_equal(bits(got), bits(_written_out(t, r, desk_ic)[name]))
 
 
+class TestNanTau:
+    """A NaN tau is refused by name in every closed form, scalar or element."""
+
+    @pytest.mark.parametrize("tau", [math.nan, np.array([-1.0, math.nan, 1.0])])
+    @pytest.mark.parametrize("name", ["geodesic_corr", "geodesic_velocity",
+                                      "geodesic_acceleration", "joined_path"])
+    def test_closed_forms_reject_nan(self, desk_ic, name, tau):
+        with pytest.raises(DomainError, match="tau must not be NaN"):
+            getattr(geodesics, name)(tau, ModelParams(0.3), desk_ic)
+
+    def test_residual_rejects_a_nan_grid_point(self, desk_ic):
+        grid = np.array([-1.0, -0.5, math.nan, 0.5, 1.0])
+        with pytest.raises(DomainError, match="tau must not be NaN"):
+            geodesics.geodesic_residual(ModelParams(0.3), desk_ic, grid)
+
+
 class TestGeodesicResidual:
     @pytest.mark.parametrize("r", [0.0, 0.3])
     def test_closed_form_satisfies_equations(self, desk_ic, r):

@@ -69,6 +69,18 @@ class TestFisherMetricNumeric:
         closed = models.metric_corr4(1.0, 2.0, ModelParams(0.3))
         assert np.abs(numeric - closed).max() < 1e-6
 
+    @pytest.mark.parametrize("model", ["corr3", "corr4"])
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_mean(self, model, mean):
+        # refused before the quadrature, which would return NaN or warn on inf - inf
+        state = (Macrostate3(mean, 0.0, 1.0) if model == "corr3"
+                 else Macrostate4(0.0, mean, 1.0, 2.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="means must be finite"):
+                oracle.fisher_metric_numeric(model, state, ModelParams(0.3))
+        assert caught == []
+
     def test_unknown_model(self):
         with pytest.raises(DomainError):
             oracle.fisher_metric_numeric("corr5", None, None)
@@ -121,11 +133,15 @@ class TestGeodesicIntegrate:
             oracle.geodesic_integrate(ModelParams(0.5), desk_ic, (-1.0, 1.0))
 
     @pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf),
-                                      (1.0, 1.0)])
+                                      (1.0, 1.0), (math.nan, 0.0), (-math.inf, 0.0)])
     def test_rejects_a_span_without_finite_distinct_ends(self, desk_ic, span):
-        # refused before solve_ivp, which steps forever towards a NaN end
-        with pytest.raises(DomainError, match="ODE span ends must be finite and distinct"):
-            oracle.geodesic_integrate(ModelParams(0.5), desk_ic, span)
+        # refused before solve_ivp, which steps forever towards a NaN end, and
+        # before the start state, which would raise or warn at a bad first end
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="ODE span ends must be finite and distinct"):
+                oracle.geodesic_integrate(ModelParams(0.5), desk_ic, span)
+        assert caught == []
 
     def test_tolerance_refinement_self_test(self, desk_ic):
         # tightening the tolerance by 10x moves the solution by far less
@@ -272,6 +288,24 @@ class TestCurvatureFd:
     def test_bad_step_detected(self):
         with pytest.raises(ConvergenceError):
             oracle.curvature_fd(1.0, ModelParams(0.0), step=0.5)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_step_not_positive_and_finite(self, step):
+        # a zero step divided 0 by 0 into a NaN bundle; inf was reported as sigma
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="step must be positive and finite"):
+                oracle.curvature_fd(1.0, ModelParams(0.3), step=step)
+        assert caught == []
+
+
+class TestOdeSpec:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
+    def test_rejects_a_tolerance_not_positive_and_finite(self, field, value):
+        # solve_ivp never finishes a step at a NaN or infinite tolerance
+        with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+            OdeSpec(**{field: value})
 
 
 class TestJacobiIntegrate:
