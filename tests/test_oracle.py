@@ -291,7 +291,7 @@ class TestCurvatureFd:
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_a_step_not_positive_and_finite(self, step):
-        # a zero step divided 0 by 0 into a NaN bundle; inf was reported as sigma
+        # refused by name before any difference: a zero step would divide 0 by 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(DomainError, match="step must be positive and finite"):
