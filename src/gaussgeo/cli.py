@@ -64,26 +64,14 @@ def _json_payload(fields: dict, warn_list) -> str:
     return json.dumps(_no_negzero({**fields, "warnings": warn_list or []}), indent=2)
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_numbers(col: np.ndarray) -> list[str]:
-    """json.dumps's text for each element: float repr, NaN, +-Infinity, ints."""
-    if col.dtype.kind in "iu":
-        return list(map(str, col.tolist()))
-    text = list(map(float.__repr__, col.tolist()))
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
-        text[i] = _JSON_NONFINITE[text[i]]
-    return text
-
-
 def _emit_table(columns: dict, fmt, out, extra=None, warn_list=None) -> None:
     """Write a table given as {name: 1-D array}, column by column.
 
     Bytes equal those of formatting each row's values with ``%.17g``
     (floats), ``%d`` (integers) or ``%s`` (strings) for CSV, or
-    `_json_payload` with the rows in its fields for JSON. Float columns are
-    normalized from -0.0 to 0.0 by adding 0.0.
+    `_json_payload` with the rows in its fields for JSON, whose number text
+    comes from `json.dumps`. Float columns are normalized from -0.0 to 0.0
+    by adding 0.0.
     """
     names = list(columns)
     cols = [c + 0.0 if c.dtype.kind == "f" else c for c in columns.values()]
@@ -97,9 +85,10 @@ def _emit_table(columns: dict, fmt, out, extra=None, warn_list=None) -> None:
     text = _json_payload({"columns": names, "rows": [], **(extra or {})}, warn_list)
     if len(cols[0]):
         fields = ",\n".join(f"      {json.dumps(name)}: %s" for name in names)
-        rows = ",\n".join(
-            map(f"    {{\n{fields}\n    }}".__mod__, zip(*map(_json_numbers, cols)))
-        )
+        # string columns come only from records, which reach this writer for CSV
+        # alone, so each column holds numbers and json's ", " separates them
+        numbers = (json.dumps(c.tolist())[1:-1].split(", ") for c in cols)
+        rows = ",\n".join(map(f"    {{\n{fields}\n    }}".__mod__, zip(*numbers)))
         text = text.replace('\n  "rows": []', f'\n  "rows": [\n{rows}\n  ]', 1)
     _write(text + "\n", out)
 
