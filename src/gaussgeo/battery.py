@@ -123,13 +123,14 @@ def curvature_fd(sigma, params: ModelParams, step=None) -> curvature.CurvatureBu
     from differencing the closed-form Christoffels (plus their quadratic
     terms); Ricci and Weyl are assembled from those. A Richardson check on
     the Christoffels guards against a bad step choice, and fails if any
-    point fails it (NaN drift included). ``step`` must be positive and
-    finite; it defaults to 1e-5 sigma. Array sigma and r broadcast as in
-    `curvature.bundle`.
+    point fails it (NaN drift included). ``step`` must be positive, finite
+    and below sigma at every point; it defaults to 1e-5 sigma. Array sigma
+    and r broadcast as in `curvature.bundle`.
     """
     g = models.metric_corr3(sigma, params)  # checks sigma before the step reads it
     h = np.asarray(1e-5 * sigma if step is None else step)
     require_positive(step=h)
+    require(h < sigma, lambda: f"step must be below sigma, got step {h} and sigma {sigma}")
     ginv = np.linalg.inv(g)
 
     def d_sigma(tensor, rank, h):

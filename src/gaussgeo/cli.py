@@ -175,7 +175,10 @@ def _cmd_curvature(args) -> dict:
 
 def _grid(lo, hi, n) -> np.ndarray:
     require(n >= 1, lambda: f"--n must be at least 1, got {n}")
-    require(abs(hi - lo) < math.inf, lambda: f"grid ends must be finite, got {lo}, {hi}")
+    require(math.isfinite(lo) and math.isfinite(hi),
+            lambda: f"grid ends must be finite, got {lo}, {hi}")
+    # np.linspace would fill a grid whose span overflows with NaN
+    require(abs(hi - lo) < math.inf, lambda: f"grid span from {lo} to {hi} overflows a float")
     return np.linspace(lo, hi, n)
 
 

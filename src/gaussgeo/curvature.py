@@ -143,9 +143,11 @@ def sectional(sigma, params: models.ModelParams, u, v):
     of each pair of rows when u and v are stacks (..., 3); the leading axes
     of u and v broadcast against the points. u and v count as linearly
     dependent when the Gram determinant is below 1e-12 of <u,u><v,v>, a
-    test that does not depend on the scale of g."""
+    test that does not depend on the scale of g; u and v must be finite."""
     R, g = riemann(sigma, params), models.metric_corr3(sigma, params)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    for name, x in (("u", u), ("v", v)):
+        require(np.isfinite(x), lambda: f"{name} must be finite, got {x}")
     num = np.einsum("...abcd,...a,...b,...c,...d->...", R, u, v, u, v)
     uu, vv, uv = (np.einsum("...a,...ab,...b->...", x, g, y)
                   for x, y in ((u, u), (v, v), (u, v)))

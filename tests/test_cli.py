@@ -174,6 +174,15 @@ class TestTableGrids:
         assert out == ""
         assert "--n must be at least 1" in err
 
+    @pytest.mark.parametrize("cmd,ends", [("geodesic", ["--tau-min=-1e308", "--tau-max=1e308"]),
+                                          ("prolongation", ["--r-min=-1e308", "--r-max=1e308"])])
+    def test_rejects_a_span_that_overflows(self, capsys, cmd, ends):
+        # finite ends, refused because np.linspace would fill the grid with NaN
+        code, out, err = run_cli(capsys, cmd, *ends, "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid span from -1e+308 to 1e+308 overflows a float\n"
+
     def test_single_row(self, capsys):
         code, out, _ = run_cli(capsys, "jacobi", "--n", "1", "--format", "csv")
         assert code == 0

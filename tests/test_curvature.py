@@ -150,6 +150,15 @@ class TestScalarAndSectional:
         with pytest.raises(DomainError):
             curvature.sectional(sg, ModelParams(0.3), [1.0, 2.0, 0.5], [2.0, 4.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["u", "v"])
+    def test_non_finite_vector_rejected_by_name(self, name, bad):
+        # refused before the Gram test, which would call it linearly dependent
+        vectors = {"u": [1.0, 1.0, 0.0], "v": [0.0, 1.0, 1.0]}
+        vectors[name][0] = bad
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            curvature.sectional(1.0, ModelParams(0.3), **vectors)
+
 
 class TestWeylAndSymmetry:
     @pytest.mark.parametrize("sg,r", [(1.0, 0.0), (3.0, 0.7), (10.0, 0.9)])

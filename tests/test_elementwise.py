@@ -272,11 +272,14 @@ def _reference_table(columns, fmt, extra, warn_list):
         # ints of up to 1e9 print alike as floats; adding 0.0 turns -0.0 into 0.0
         lines += [",".join(format(row[c] + 0.0, ".17g") for c in names) for row in rows]
         return "\n".join(lines) + "\n"
-    payload = {"columns": names, "rows": [{c: row[c] for c in names} for row in rows]}
-    if extra:
-        payload.update(extra)
+
+    def no_negzero(v):  # floats only, so that int columns still print as ints
+        return v + 0.0 if isinstance(v, float) else v
+
+    payload = {"columns": names, "rows": [{c: no_negzero(row[c]) for c in names} for row in rows]}
+    payload.update({k: no_negzero(v) for k, v in extra.items()})
     payload["warnings"] = warn_list or []
-    return json.dumps(cli._no_negzero(payload), indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 specials = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324])

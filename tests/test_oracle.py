@@ -298,6 +298,12 @@ class TestCurvatureFd:
                 oracle.curvature_fd(1.0, ModelParams(0.3), step=step)
         assert caught == []
 
+    @pytest.mark.parametrize("sigma,step", [(1.0, 1.0), (1.0, 2.0), (np.array([0.1, 1.0]), 0.5)])
+    def test_rejects_a_step_not_below_sigma(self, sigma, step):
+        # named as the step, not as the point sigma - step it would reach
+        with pytest.raises(DomainError, match="step must be below sigma, got step"):
+            oracle.curvature_fd(sigma, ModelParams(0.3), step=step)
+
 
 class TestOdeSpec:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
