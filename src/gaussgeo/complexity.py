@@ -124,8 +124,8 @@ def igc_ratio(params: models.ModelParams):
 
 
 def ige_gap(params: models.ModelParams):
-    """Entropy deficit (1/2) ln((1-r)/(1+r)) of the correlated flow."""
-    return scalar_or_array(0.5 * np.log((1.0 - params.r) / (1.0 + params.r)))
+    """Entropy deficit (1/2) ln((1-r)/(1+r)) = -artanh(r) of the correlated flow."""
+    return scalar_or_array(-np.arctanh(params.r))
 
 
 def r_from_complexities(v_noncorr: float, v_corr: float) -> float:

@@ -1,8 +1,9 @@
 """The oracles that integrate: geodesic and Jacobi ODEs, and the nested IGC.
 
 Geodesics and Jacobi fields come from ODE integration of their defining
-equations (DOP853), and the complexity from the literal nested volume
-integral (``quad``); none calls the closed form it validates. One table of
+equations (DOP853), read at the integrator's accepted steps, and the
+complexity from the literal nested volume integral (``quad``); none calls
+the closed form it validates. One table of
 `curvature.christoffel`, which ``christoffel_fd`` checks, drives both ODEs:
 x'' = -Gamma(x', x'), and its linearisation about the closed-form path, which
 the Jacobi right-hand side reads through the geodesics path helpers in Python
@@ -57,8 +58,9 @@ class OdeSpec:
 
 @dataclass(frozen=True)
 class GeodesicComparison:
-    """Numeric geodesic solution sampled against the closed form."""
+    """Numeric geodesic solution at the integrator's steps against the closed form."""
 
+    tau: np.ndarray          # shape (n,): the accepted steps, both span ends included
     numeric: np.ndarray      # shape (n, 6): mu1, mu2, sigma and their velocities
     max_rel_error: float
 
@@ -112,13 +114,11 @@ def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
     ])
 
 
-def _integrate(rhs, y0, t0, t1, spec: OdeSpec, samples=None):
-    # at `samples` evenly spaced points of the span, or at every accepted step
-    # when samples is None
-    t_eval = None if samples is None else np.linspace(t0, t1, samples)
-    sol = solve_ivp(
-        rhs, (t0, t1), y0, method="DOP853", rtol=spec.rtol, atol=spec.atol, t_eval=t_eval
-    )
+def _integrate(rhs, y0, t0, t1, spec: OdeSpec):
+    # at every accepted step, both span ends included: no t_eval, so DOP853
+    # builds no dense output (3 more RHS calls per step) and adds no
+    # interpolation error
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=spec.rtol, atol=spec.atol)
     if not sol.success:
         raise ConvergenceError(f"ODE integration failed: {sol.message}")
     return sol.t, sol.y.T
@@ -132,21 +132,21 @@ def geodesic_integrate(
 ) -> GeodesicComparison:
     """Integrate the geodesic equations from closed-form initial data.
 
-    Starts from the closed-form state and velocity at ``tau_span[0]``,
-    samples 201 points of the span, and reports the maximum relative
-    deviation from the closed form, measured per coordinate against that
-    coordinate's largest magnitude on the span.
+    Starts from the closed-form state and velocity at ``tau_span[0]`` and
+    reports, over the integrator's accepted steps from one span end to the
+    other, the maximum relative deviation from the closed form, measured per
+    coordinate against that coordinate's largest magnitude at those steps.
     """
     t0, t1 = tau_span
     # refused before the start state: a NaN end would keep solve_ivp stepping forever
     require(math.isfinite(t0) and math.isfinite(t1) and t0 != t1,
             lambda: f"ODE span ends must be finite and distinct, got {t0}, {t1}")
     y0 = _geodesic_start(params, ic, t0)
-    ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec, samples=201)
+    ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec)
     closed = geodesics.geodesic_corr(ts, params, ic).as_array().T
     scale = np.abs(closed).max(axis=0)
     rel = np.abs(ys[:, :3] - closed) / scale[None, :]
-    return GeodesicComparison(ys, float(rel.max()))
+    return GeodesicComparison(ts, ys, float(rel.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +155,10 @@ def geodesic_integrate(
 
 @dataclass(frozen=True)
 class JacobiComparison:
-    """Numeric Jacobi intensity sampled against the closed form."""
+    """Numeric Jacobi intensity at the integrator's steps against the closed form."""
 
-    intensity: np.ndarray
+    tau: np.ndarray             # the accepted steps, from 0 to tau_max
+    intensity: np.ndarray       # |J|_g at each of them
     max_rel_error: float        # over taus with A0*tau >= 0.5
     fitted_rate: float          # slope of ln J over the final half-window
     orthogonality_max: float    # max |g(J, u)| along the trajectory
@@ -190,8 +191,9 @@ def jacobi_integrate(
 
     Initial data: J(0) = 0 and DJ/dtau(0) = omega0 * w, omega0 > 0 and
     finite, with w a g-unit vector orthogonal to the velocity; orthogonality
-    of J to the velocity is monitored along the whole trajectory. The run is
-    sampled at 400 points of [0, tau_max], tau_max > 0.5/A0.
+    of J to the velocity is monitored along the whole trajectory. Every
+    result is read at the integrator's accepted steps on [0, tau_max],
+    tau_max > 0.5/A0.
     """
     require_positive(omega0=omega0)
     A0 = geodesics.amplitude_A0(ic)
@@ -200,9 +202,9 @@ def jacobi_integrate(
     require_hyperbolic(A0 * tau_max, "|A0*tau|")
     w = _orthonormal_seed(params, ic)
     y0 = np.concatenate([np.zeros(3), omega0 * w])
-    ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec, samples=400)
+    ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec)
 
-    # the metric along the path, contracted per sample
+    # the metric along the path, contracted per step
     g = models.metric_corr3(geodesics.geodesic_corr(ts, params, ic).sigma, params)
     J, v = ys[:, :3], geodesics.geodesic_velocity(ts, params, ic).T
     intensity = np.sqrt(np.maximum(np.einsum("ia,iab,ib->i", J, g, J), 0.0))
@@ -214,7 +216,7 @@ def jacobi_integrate(
     error = np.abs(intensity[window] - closed[window]) / closed[window]
     fit = ts >= ts[-1] / 2.0
     rate = np.polyfit(ts[fit], np.log(intensity[fit]), 1)[0]
-    return JacobiComparison(intensity, float(error.max()), float(rate), float(ortho))
+    return JacobiComparison(ts, intensity, float(error.max()), float(rate), float(ortho))
 
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussgeo import complexity, geodesics, models, oracle, scattering
-from gaussgeo.errors import DomainError, RegimeError, RegimeWarning
+from gaussgeo.errors import R_MAX, DomainError, RegimeError, RegimeWarning
 from gaussgeo.models import ModelParams
 from gaussgeo.scattering import ScatteringConfig
 
@@ -115,6 +115,18 @@ class TestIgeClosed:
         assert complexity.ige_gap(ModelParams(0.5)) == pytest.approx(
             0.5 * math.log(1.0 / 3.0), rel=1e-14
         )
+
+    def test_gap_accurate_against_mpmath(self):
+        # -artanh(r) within a few ulps over the whole r domain, from the weak
+        # correlations where (1/2) ln((1-r)/(1+r)) cancels to the last r below R_MAX
+        top = np.nextafter(R_MAX, 0.0)
+        r = np.concatenate([np.logspace(-12.0, -1.0, 110, endpoint=False),
+                            np.linspace(0.1, top, 100)])
+        got = complexity.ige_gap(ModelParams(r))
+        with mpmath.workdps(50):
+            for x, value in zip(r.tolist(), got.tolist()):
+                ref = -mpmath.atanh(x)
+                assert abs(value - ref) <= 2 * np.spacing(abs(float(ref))), x
 
     def test_log_volume_offset(self, desk_ic):
         # ln(IGC) approaches IGE shifted by the volume normalization -ln 2

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from gaussgeo import (battery, chaos, cli, complexity, curvature, geodesics, models, oracle,
                       scattering)
@@ -144,15 +145,29 @@ class TestGeodesicIntegrate:
         assert caught == []
 
     def test_tolerance_refinement_self_test(self, desk_ic):
-        # tightening the tolerance by 10x moves the solution by far less
-        # than a tenth of the 1e-6 comparison tolerance
-        a = oracle.geodesic_integrate(
-            ModelParams(0.5), desk_ic, (-1.0, 1.0), OdeSpec(rtol=1e-10, atol=1e-12)
-        )
-        b = oracle.geodesic_integrate(
-            ModelParams(0.5), desk_ic, (-1.0, 1.0), OdeSpec(rtol=1e-11, atol=1e-13)
-        )
-        assert np.abs(a.numeric - b.numeric).max() < 1e-7
+        # tightening the tolerance by 10x moves the solution on a fixed
+        # 201-point grid, and the oracle's error, by far less than a tenth of
+        # the 1e-6 comparison tolerance; the oracle reads its own steps, which
+        # differ between the two specs, so the grid comes from dense output
+        params = ModelParams(0.5)
+        specs = (OdeSpec(rtol=1e-10, atol=1e-12), OdeSpec(rtol=1e-11, atol=1e-13))
+        rhs, y0 = oracle._geodesic_rhs(params), oracle._geodesic_start(params, desk_ic, -1.0)
+        grid = np.linspace(-1.0, 1.0, 201)
+        a, b = (solve_ivp(rhs, (-1.0, 1.0), y0, method="DOP853", rtol=spec.rtol,
+                          atol=spec.atol, t_eval=grid).y for spec in specs)
+        assert np.abs(a - b).max() < 1e-7
+        a, b = (oracle.geodesic_integrate(params, desk_ic, (-1.0, 1.0), spec) for spec in specs)
+        assert abs(a.max_rel_error - b.max_rel_error) < 1e-7
+
+    @pytest.mark.parametrize("span", [(-1.0, 1.0), (1.0, -1.0), (0.0, 0.3)])
+    def test_reports_the_steps_from_end_to_end(self, desk_ic, span):
+        # the battery's reversal starts from numeric[-1] and returns to numeric[0]
+        params = ModelParams(0.5)
+        cmp = oracle.geodesic_integrate(params, desk_ic, span)
+        assert (cmp.tau[0], cmp.tau[-1]) == span
+        assert np.all(np.diff(cmp.tau) * np.sign(span[1] - span[0]) > 0)
+        assert cmp.numeric.shape == (len(cmp.tau), 6)
+        assert np.array_equal(cmp.numeric[0], oracle._geodesic_start(params, desk_ic, span[0]))
 
 
 class TestPurityBruteforce:
@@ -332,10 +347,15 @@ class TestJacobiIntegrate:
         assert abs(rates[0.0] - rates[0.5]) / (2.0 * A0) < 1e-4
 
     def test_omega0_scales_intensity(self, desk_ic):
+        # the equation is linear in J: doubling omega0 and atol doubles every
+        # state and error scale exactly, so the steps are the same and the
+        # intensity doubles bit for bit
         A0 = geodesics.amplitude_A0(desk_ic)
         one = oracle.jacobi_integrate(ModelParams(0.0), desk_ic, 2.0 / A0, omega0=1.0)
-        two = oracle.jacobi_integrate(ModelParams(0.0), desk_ic, 2.0 / A0, omega0=2.0)
-        np.testing.assert_allclose(two.intensity, 2.0 * one.intensity, rtol=1e-7)
+        two = oracle.jacobi_integrate(ModelParams(0.0), desk_ic, 2.0 / A0, OdeSpec(atol=2e-12),
+                                      omega0=2.0)
+        assert np.array_equal(two.tau, one.tau)
+        assert np.array_equal(two.intensity, 2.0 * one.intensity)
 
     def test_tolerance_refinement_self_test(self, desk_ic):
         # tightening the tolerance by 10x moves the intensity error and the
@@ -375,6 +395,14 @@ class TestJacobiIntegrate:
         A0 = geodesics.amplitude_A0(desk_ic)
         assert oracle.jacobi_integrate(ModelParams(0.5), desk_ic, 0.6 / A0).max_rel_error < 1e-5
 
+    @pytest.mark.parametrize("span", [0.6, 5.0, 20.0])
+    def test_reports_the_steps_from_end_to_end(self, desk_ic, span):
+        tau_max = span / geodesics.amplitude_A0(desk_ic)
+        cmp = oracle.jacobi_integrate(ModelParams(0.5), desk_ic, tau_max)
+        assert (cmp.tau[0], cmp.tau[-1]) == (0.0, tau_max)
+        assert np.all(np.diff(cmp.tau) > 0)
+        assert cmp.intensity.shape == cmp.tau.shape
+
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
     def test_rhs_reads_the_closed_form_path(self, desk_ic, rng, r):
         # the RHS in Python floats agrees within a few ulps of its largest
@@ -399,19 +427,23 @@ class TestJacobiIntegrate:
             assert np.abs(got - want).max() <= 16 * np.spacing(np.abs(want).max())
 
     def test_battery_nfev(self, monkeypatch):
-        # the two Jacobi runs and the whole battery keep their step sequences
-        nfev = {}
+        # the accepted steps of the battery's ODE runs, and their RHS calls,
+        # which dense output (t_eval) would raise by 3 per step
+        nfev, steps = {}, {}
         solve_ivp = oracle.solve_ivp
 
         def counted(rhs, *args, **kwargs):
             sol = solve_ivp(rhs, *args, **kwargs)
-            nfev.setdefault(rhs.__qualname__.split(".")[0], []).append(sol.nfev)
+            name = rhs.__qualname__.split(".")[0]
+            nfev.setdefault(name, []).append(sol.nfev)
+            steps.setdefault(name, []).append(len(sol.t) - 1)
             return sol
 
         monkeypatch.setattr(oracle, "solve_ivp", counted)
         assert all(res.passed for res in oracle.run_verification())
-        assert nfev["_jacobi_rhs"] == [839, 824]
-        assert sum(map(sum, nfev.values())) == 3229
+        assert steps == {"_geodesic_rhs": [34, 34, 34], "_jacobi_rhs": [55, 54]}
+        assert nfev == {"_geodesic_rhs": [446, 458, 458], "_jacobi_rhs": [674, 662]}
+        assert sum(map(sum, nfev.values())) == 2698
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.7, 0.9])
     def test_rhs_is_covariant_jacobi_equation(self, desk_ic, rng, r):
