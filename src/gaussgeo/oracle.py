@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
 
 from . import chaos, curvature, geodesics, models
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
@@ -114,11 +114,83 @@ def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
     ])
 
 
+# scipy's step-size controller (scipy.integrate._ivp.rk), which _Dop853 keeps
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+
+
+class _Dop853(DOP853):
+    # scipy's DOP853 with its stepping loop rewritten: the same stage sums,
+    # error norm and controller in the same order, so the same steps, states
+    # and nfev bit for bit. It calls the raw RHS (12 calls per attempted step
+    # added to nfev; the base class counts f0 and the initial-step call),
+    # builds its stage views once per solve and takes its scalars in math,
+    # where scipy goes through nfev and asarray wrappers, np.linalg.norm and
+    # np.nextafter at every stage or step. Everything per instance, so
+    # concurrent solves share nothing.
+
+    def __init__(self, fun, *args, **kwargs):
+        super().__init__(fun, *args, **kwargs)
+        K = self.K
+        self._rhs = fun
+        self._stages = [(s, K[:s].T, self.A[s, :s], float(self.C[s]))
+                        for s in range(1, self.n_stages)]
+        self._K_sum, self._K_err = K[:-1].T, K.T
+
+    def _step_impl(self):
+        t, y, K, rhs, direction = self.t, self.y, self.K, self._rhs, self.direction
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        K[0] = self.f
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            for s, K_s, a, c in self._stages:
+                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(self._K_sum, self.B)
+            K[-1] = rhs(t + h, y_new)
+            self.nfev += self.n_stages
+
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            err5 = np.dot(self._K_err, self.E5) / scale
+            err3 = np.dot(self._K_err, self.E3) / scale
+            err5_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_2 = math.sqrt(err3.dot(err3)) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * self.n)
+
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0 else
+                          min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            rejected = True
+
+        self.h_previous, self.y_old = h, y
+        self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs, K[-1].copy()
+        return True, None
+
+
 def _integrate(rhs, y0, t0, t1, spec: OdeSpec):
     # at every accepted step, both span ends included: no t_eval, so DOP853
     # builds no dense output (3 more RHS calls per step) and adds no
-    # interpolation error
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=spec.rtol, atol=spec.atol)
+    # interpolation error; _Dop853 steps, and solve_ivp drives it
+    sol = solve_ivp(rhs, (t0, t1), y0, method=_Dop853, rtol=spec.rtol, atol=spec.atol)
     if not sol.success:
         raise ConvergenceError(f"ODE integration failed: {sol.message}")
     return sol.t, sol.y.T

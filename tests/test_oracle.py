@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from gaussgeo import (battery, chaos, cli, complexity, curvature, geodesics, models, oracle,
@@ -327,6 +329,74 @@ class TestOdeSpec:
         # solve_ivp never finishes a step at a NaN or infinite tolerance
         with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
             OdeSpec(**{field: value})
+
+
+def _assert_steps_like_scipy(rhs, span, y0, spec):
+    # the lean stepper against scipy's DOP853: every accepted step, state and
+    # RHS call bit for bit, and the same outcome
+    ours, scipys = (solve_ivp(rhs, span, y0, method=method, rtol=spec.rtol, atol=spec.atol)
+                    for method in (oracle._Dop853, "DOP853"))
+    assert np.array_equal(ours.t, scipys.t)
+    assert np.array_equal(ours.y, scipys.y)
+    assert (ours.nfev, ours.status, ours.message) == (scipys.nfev, scipys.status, scipys.message)
+    return ours
+
+
+_TOLERANCES = st.builds(OdeSpec, rtol=st.floats(-12.0, -4.0).map(lambda u: 10.0 ** u),
+                        atol=st.floats(-12.0, -4.0).map(lambda u: 10.0 ** u))
+_ENTRIES = st.floats(-2.0, 2.0)
+
+
+class TestDop853:
+    def test_keeps_scipys_controller(self):
+        from scipy.integrate._ivp import rk
+        assert (oracle.SAFETY, oracle.MIN_FACTOR, oracle.MAX_FACTOR) == \
+            (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+
+    def test_battery_runs_step_like_scipy(self, monkeypatch):
+        # the five runs of a battery: two geodesics, the reversal and two Jacobi fields
+        calls, solve = [], oracle.solve_ivp
+
+        def recorded(rhs, span, y0, **kwargs):
+            calls.append((rhs, span, y0, kwargs))
+            return solve(rhs, span, y0, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", recorded)
+        assert all(res.passed for res in oracle.run_verification())
+        assert len(calls) == 5
+        for rhs, span, y0, kwargs in calls:
+            assert kwargs["method"] is oracle._Dop853
+            _assert_steps_like_scipy(rhs, span, y0, OdeSpec(kwargs["rtol"], kwargs["atol"]))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 4), data=st.data(), t0=st.floats(-1.0, 1.0),
+           length=st.sampled_from([3.0, -3.0, 1e-3]), spec=_TOLERANCES)
+    def test_linear_systems_step_like_scipy(self, n, data, t0, length, spec):
+        M = np.array(data.draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+        y0 = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+        _assert_steps_like_scipy(lambda _t, y: M @ y, (t0, t0 + length), y0, spec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(y0=st.lists(_ENTRIES, min_size=2, max_size=2), damping=st.floats(0.0, 1.0),
+           span=st.sampled_from([(0.0, 5.0), (5.0, -1.0), (0.3, 0.3 + 1e-4)]), spec=_TOLERANCES)
+    def test_forced_pendulum_steps_like_scipy(self, y0, damping, span, spec):
+        def rhs(t, y):
+            q, p = y.tolist()
+            return [p, -math.sin(q) - damping * p + math.cos(t)]
+
+        _assert_steps_like_scipy(rhs, span, y0, spec)
+
+    def test_too_small_a_step_fails_like_scipy(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1
+        def rhs(_t, y):
+            return [y[0] * y[0]]
+
+        spec = OdeSpec()
+        sol = _assert_steps_like_scipy(rhs, (0.0, 2.0), [1.0], spec)
+        assert sol.status == -1
+        with pytest.raises(ConvergenceError) as failed:
+            oracle._integrate(rhs, [1.0], 0.0, 2.0, spec)
+        assert str(failed.value) == f"ODE integration failed: {sol.message}"
 
 
 class TestJacobiIntegrate:
