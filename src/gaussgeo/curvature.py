@@ -109,7 +109,7 @@ def christoffel(sigma, params: models.ModelParams) -> np.ndarray:
     Gamma^3_22) and r/(4 sigma (r^2-1)) (Gamma^3_12, Gamma^3_21); the rest are 0."""
     require_positive(sigma=sigma)
     r = params.r
-    d = r * r - 1.0
+    d = (r - 1.0) * (r + 1.0)  # r^2 - 1 to one rounding as r -> 1
     return gather(_CHRISTOFFEL_SLOTS, -1.0 / sigma, -1.0 / (4.0 * sigma * d),
                   r / (4.0 * sigma * d))
 
@@ -121,7 +121,7 @@ def riemann(sigma, params: models.ModelParams) -> np.ndarray:
     the rest follow from the antisymmetries and the pair symmetry."""
     require_positive(sigma=sigma)
     r = params.r
-    d = r * r - 1.0
+    d = (r - 1.0) * (r + 1.0)
     # libm's pow per element, as for a float: numpy's SIMD pow can differ in the last bit
     s4 = (np.vectorize(pow, otypes=[float])(sigma, 4) if isinstance(sigma, np.ndarray)
           else sigma ** 4)
@@ -133,7 +133,7 @@ def ricci(sigma, params: models.ModelParams) -> np.ndarray:
     """Ricci tensor R_ab = g^{cd} R_cadb (equivalently g^{bd} R_abcd by pair symmetry)."""
     require_positive(sigma=sigma)
     r = params.r
-    d = r * r - 1.0
+    d = (r - 1.0) * (r + 1.0)
     s2 = sigma * sigma
     return gather(models._BLOCK_SLOTS, 1.0 / (2.0 * s2 * d), -r / (2.0 * s2 * d), -2.0 / s2)
 

@@ -91,7 +91,7 @@ def metric_corr3(sigma, params: ModelParams) -> np.ndarray:
     """Fisher-Rao metric of the equal-spread family, coordinates (mu1, mu2, sigma)."""
     require_positive(sigma=sigma)
     r = params.r
-    d = 1.0 - r * r
+    d = (1.0 - r) * (1.0 + r)  # 1 - r^2 to one rounding as r -> 1
     s2 = sigma * sigma
     return gather(_BLOCK_SLOTS, 1.0 / d / s2, -r / d / s2, 4.0 / s2)
 
@@ -114,7 +114,7 @@ def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndar
     """
     require_positive(sigma_x=sigma_x, sigma_y=sigma_y)
     r = params.r
-    d = r * r - 1.0
+    d = (r - 1.0) * (r + 1.0)  # r^2 - 1 to one rounding as r -> 1
     sx, sy = sigma_x, sigma_y
     return np.array(
         [

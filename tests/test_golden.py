@@ -22,9 +22,10 @@ them the ulp is taken of the largest term of the subtraction (`_scale`):
 * ``delta_exact``: tau_star - tau0 with tau_star = artanh(...)/A0.
 
 The records (`RECORD_CASES`) are compared byte for byte, floats and JSON
-warnings included: the closed forms behind them are unchanged since the
-fixtures were written, so any difference is a change of the program's
-arithmetic or of its report.
+warnings included, so any difference is a change of the program's
+arithmetic or of its report. The three records at r = 0.3 were rewritten
+when the metric and curvature forms came to build 1 - r^2 as
+(1 - r)(1 + r); every other record is as first written.
 
 JSON warnings are compared per kind: a kind may be reported as several
 messages or as one message that carries the count ("at N of M elements"),
