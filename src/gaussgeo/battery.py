@@ -421,6 +421,23 @@ def _check_lyapunov_fit():
     yield abs(rates[0] - rates[1]) / lam
 
 
+def _check_constant_curvature():
+    # at constant curvature K the deviation equation is J'' + K g(v, v) J = 0 (do
+    # Carmo, Riemannian Geometry, ch. 5): with c = sqrt(-K g(v, v)) the
+    # intensity is omega0 sinh(c tau)/c, the exponent 2c and Q = K g(v, v)
+    A0 = geodesics.amplitude_A0(_DESK_IC)
+    tau = np.linspace(0.0, 20.0, 51)[1:] / A0
+    for r in (0.0, 0.5):
+        Q = curvature.SECTIONAL_CURVATURE * chaos.velocity_norm_squared_contracted(
+            ModelParams(r), _DESK_IC, 0.0)
+        c = math.sqrt(-Q)
+        exact = 2.5 * np.sinh(c * tau) / c
+        yield from np.abs(chaos.jacobi_intensity(tau, 2.5, A0) - exact) / exact
+        yield abs(chaos.lyapunov_exponent(A0) - 2.0 * c) / (2.0 * c)
+        yield abs(chaos.jlc_coefficient(A0) - Q) / -Q
+        yield abs(chaos.lyapunov_estimate(1.0, A0, 20.0 / A0).value - 2.0 * c) / (2.0 * c)
+
+
 def _check_igc_numeric():
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(_DESK_IC))
     for lt in (1.0, 5.0, 10.0):
@@ -519,6 +536,7 @@ _CHECKS = [
     ("velocity_norm", "geodesics", 1e-9, _check_velocity_norm),
     ("jacobi_intensity", "chaos", 1e-5, _check_jacobi_intensity),
     ("lyapunov_fit", "chaos", 0.01, _check_lyapunov_fit),
+    ("constant_curvature", "chaos", 1e-8, _check_constant_curvature),
     ("igc_numeric", "complexity", 1e-5, _check_igc_numeric),
     ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
     ("purity_scaling", "scattering", 0.5, _check_purity_scaling),

@@ -1,5 +1,6 @@
 """Self-tests of the numeric verification engines."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -565,12 +566,14 @@ class TestVerificationBattery:
 
     def test_metric_fault_fails_every_check_that_reads_it(self, monkeypatch):
         # curvature and chaos call models.metric_corr3 through the module, so
-        # one patch reaches the sectional curvatures and the contracted norm
+        # one patch reaches the sectional curvatures and the contracted norm,
+        # which both velocity_norm and constant_curvature read
         metric_corr3 = models.metric_corr3
         monkeypatch.setattr(models, "metric_corr3",
                             lambda sigma, params: (1.0 + 1e-6) * metric_corr3(sigma, params))
         failed = {res.name for res in oracle.run_verification() if not res.passed}
-        assert failed == {"metric3_quadrature", "curvature_constants", "velocity_norm"}
+        assert failed == {"metric3_quadrature", "curvature_constants", "velocity_norm",
+                          "constant_curvature"}
 
     def test_nan_closed_form_fails_check(self, monkeypatch):
         # a closed form that is NaN at one grid point, (sigma 1, r 0.3)
@@ -665,6 +668,24 @@ class TestVerificationBattery:
         assert not res.passed
         assert res.residual == pytest.approx(0.02, rel=1e-3)
 
+    @pytest.mark.parametrize("name", ["jacobi_intensity", "lyapunov_exponent", "jlc_coefficient",
+                                      "lyapunov_estimate"])
+    def test_chaos_fault_fails_constant_curvature(self, monkeypatch, name):
+        # each chaos form follows exactly from K and g(v, v), so 1e-6 off fails
+        # constant_curvature; an estimate is scaled in its value
+        form = getattr(chaos, name)
+
+        def off(*args):
+            out = form(*args)
+            if name == "lyapunov_estimate":
+                return dataclasses.replace(out, value=(1.0 + 1e-6) * out.value)
+            return (1.0 + 1e-6) * out
+
+        monkeypatch.setattr(chaos, name, off)
+        res = {res.name: res for res in oracle.run_verification(only="chaos")}
+        assert not res["constant_curvature"].passed
+        assert res["constant_curvature"].residual == pytest.approx(1e-6, rel=1e-3)
+
     def test_tilted_jacobi_seed_fails_intensity(self, monkeypatch):
         # a seed tilted by 1e-4 along the velocity moves the intensity by
         # about 5e-9, well within the tolerance, but J leaves the normal plane
@@ -696,6 +717,7 @@ class TestVerificationBattery:
             ("velocity_norm", "geodesics", 1e-9),
             ("jacobi_intensity", "chaos", 1e-5),
             ("lyapunov_fit", "chaos", 0.01),
+            ("constant_curvature", "chaos", 1e-8),
             ("igc_numeric", "complexity", 1e-5),
             ("complexity_relations", "complexity", 1e-12),
             ("purity_scaling", "scattering", 0.5),
