@@ -1,7 +1,7 @@
 """The oracles that integrate: geodesic and Jacobi ODEs, and the nested IGC.
 
 Geodesics and Jacobi fields come from ODE integration of their defining
-equations (DOP853), read at the integrator's accepted steps, and the
+equations, read at the integrator's accepted steps, and the
 complexity from the literal nested volume integral (``quad``); none calls
 the closed form it validates. One table of
 `curvature.christoffel`, which ``christoffel_fd`` checks, drives both ODEs:
@@ -13,6 +13,11 @@ the ODE oracles only when ``solve_ivp`` fails: they run no refinement of their
 own, and only Tier-1 tests rerun them at a tighter ``OdeSpec``.
 The battery's ``igc_numeric`` check runs `battery.igc_gauss` instead, so
 that ``verify --only complexity`` loads no scipy.
+
+The ODE engine is ``_Dop853``: scipy's DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.5) with its stepping loop rewritten here, bit for bit the
+same steps, states and nfev as ``solve_ivp(method="DOP853")``; scipy keeps
+the tableau, the initial step and the ``solve_ivp`` driver.
 
 This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
 ``quad`` through its globals, so wrapping them here counts the oracles' work.
@@ -138,13 +143,9 @@ class _Dop853(DOP853):
 
     def _step_impl(self):
         t, y, K, rhs, direction = self.t, self.y, self.K, self._rhs, self.direction
+        # _integrate passes no max_step, so scipy's clamp to it is left out
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+        h_abs = max(self.h_abs, min_step)
 
         K[0] = self.f
         rejected = False
@@ -166,6 +167,7 @@ class _Dop853(DOP853):
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             err5 = np.dot(self._K_err, self.E5) / scale
             err3 = np.dot(self._K_err, self.E3) / scale
+            # np.linalg.norm's square, which x.dot(x) can miss by an ulp
             err5_2 = math.sqrt(err5.dot(err5)) ** 2
             err3_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_2 == 0 and err3_2 == 0:
