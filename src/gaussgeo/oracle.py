@@ -17,7 +17,7 @@ that ``verify --only complexity`` loads no scipy.
 The ODE engine is ``_Dop853``: scipy's DOP853 (Hairer, Norsett & Wanner,
 Solving ODEs I, II.5) with its stepping loop rewritten here, bit for bit the
 same steps, states and nfev as ``solve_ivp(method="DOP853")``; scipy keeps
-the tableau, the initial step and the ``solve_ivp`` driver.
+the tableau, the initial step and the ``solve_ivp`` loop.
 
 This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
 ``quad`` through its globals, so wrapping them here counts the oracles' work.
