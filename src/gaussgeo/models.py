@@ -18,6 +18,11 @@ For the 3-parameter family, with coordinate order (mu1, mu2, sigma),
 with det g = 4 / ((1-r^2) sigma^6). The 4-parameter metric uses coordinate
 order (mu_x, sigma_x, mu_y, sigma_y).
 
+The eigenvalues of both metrics come in closed form from their 2x2 blocks
+(`metric_corr3_eigenvalues`, `metric_corr4_eigenvalues`), each to a few
+roundings of its value: an eigensolver's error scales with the largest
+eigenvalue, which swamps the smallest one.
+
 `metric_corr3` and its inverse broadcast an array sigma against an array
 ``ModelParams(r)``; the point axes lead and the tensor axes trail.
 
@@ -29,6 +34,7 @@ and finite (the policy lives in `errors`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,3 +130,35 @@ def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndar
             [0.0, r * r / (sx * sy * d), 0.0, -(2.0 - r * r) / (sy * sy * d)],
         ]
     )
+
+
+def metric_corr3_eigenvalues(sigma: float, params: ModelParams) -> np.ndarray:
+    """Eigenvalues of :func:`metric_corr3`, ascending, at a scalar sigma.
+
+    The momentum block [[a, b], [b, a]] has a + b = 1/((1+r) sigma^2) and
+    a - b = 1/((1-r) sigma^2); the spread entry is 4/sigma^2.
+    """
+    require_positive(sigma=sigma)
+    r = params.r
+    s2 = sigma * sigma
+    return np.sort([1.0 / ((1.0 + r) * s2), 1.0 / ((1.0 - r) * s2), 4.0 / s2])
+
+
+def metric_corr4_eigenvalues(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndarray:
+    """Eigenvalues of :func:`metric_corr4`, ascending, from its two 2x2 blocks.
+
+    The means (mu_x, mu_y) and the spreads (sigma_x, sigma_y) each form a
+    block [[p, c], [c, q]]. Its larger root is (p+q)/2 + hypot((p-q)/2, c);
+    its smaller is the block determinant over the larger, with the
+    determinants in closed form, 1/(sigma_x^2 sigma_y^2 (1-r^2)) and 4 times
+    that, so neither root subtracts nearly equal terms.
+    """
+    g = metric_corr4(sigma_x, sigma_y, params).tolist()
+    r = params.r
+    det = 1.0 / ((sigma_x * sigma_y) ** 2 * ((1.0 - r) * (1.0 + r)))
+    roots = []
+    for i, j, block_det in ((0, 2, det), (1, 3, 4.0 * det)):
+        p, q, c = g[i][i], g[j][j], g[i][j]
+        larger = 0.5 * (p + q) + math.hypot(0.5 * (p - q), c)
+        roots += [block_det / larger, larger]
+    return np.sort(roots)

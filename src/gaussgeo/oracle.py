@@ -17,7 +17,10 @@ that ``verify --only complexity`` loads no scipy.
 The ODE engine is ``_Dop853``: scipy's DOP853 (Hairer, Norsett & Wanner,
 Solving ODEs I, II.5) with its stepping loop rewritten here, bit for bit the
 same steps, states and nfev as ``solve_ivp(method="DOP853")``; scipy keeps
-the tableau, the initial step and the ``solve_ivp`` loop.
+the tableau, the initial step and the ``solve_ivp`` loop. Each right-hand
+side sums a paired table, built once per solve, that keeps each symmetric
+pair Gamma^a_bc = Gamma^a_cb once; the Jacobi one forms J^sigma/sigma and
+w = 2 J' - v J^sigma/sigma once per call and sums -Gamma(v, w).
 
 This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
 ``quad`` through its globals, so wrapping them here counts the oracles' work.
@@ -72,17 +75,25 @@ class GeodesicComparison:
 
 def _christoffel_terms(params: ModelParams):
     # the nonzero (a, b, c, Gamma^a_bc) of the sigma = 1 table as floats: the
-    # one Gamma both ODEs sum over (numpy calls on 3-vectors cost more)
+    # one Gamma both ODEs sum over, each right-hand side through its paired
+    # table built once per solve (numpy calls on 3-vectors cost more)
     return [(a, b, c, float(G)) for (a, b, c), G in
             np.ndenumerate(curvature.christoffel(1.0, params)) if G]
 
 
+def _pair_terms(params: ModelParams):
+    # each symmetric pair Gamma^a_bc = Gamma^a_cb once (b <= c), the diagonal
+    # halved: Gamma(x, y)^a is the sum of G (x_b y_c + x_c y_b) over the pairs
+    return [(a, b, c, G if b < c else 0.5 * G)
+            for a, b, c, G in _christoffel_terms(params) if b <= c]
+
+
 def _geodesic_rhs(params: ModelParams):
-    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma
-    terms = _christoffel_terms(params)
+    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma, the pairs doubled
+    terms = [(a, b, c, 2.0 * G) for a, b, c, G in _pair_terms(params)]
 
     def rhs(_t, y):
-        sg, *v = y[2:].tolist()
+        _, _, sg, *v = y.tolist()
         acc = [0.0, 0.0, 0.0]
         for a, b, c, G in terms:
             acc[a] -= G * v[b] * v[c]
@@ -93,19 +104,22 @@ def _geodesic_rhs(params: ModelParams):
 
 def _jacobi_rhs(params: ModelParams, ic: InitialConditions):
     # the geodesic equation linearised about the closed-form path, by
-    # d_sigma Gamma = -Gamma / sigma: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma.
+    # d_sigma Gamma = -Gamma / sigma: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma
+    # = -Gamma(v, w) with w = 2 J' - v J^sigma / sigma, formed once per call.
     # sigma and v come from the closed forms' path helpers in Python floats, their
     # constants hoisted; jacobi_integrate keeps |A0 t| within the clamp
-    terms = _christoffel_terms(params)
+    terms = _pair_terms(params)
     A0, m, spread = geodesics._path_constants(ic, params.r)
 
     def rhs(t, y):
         th, ch = math.tanh(A0 * t), math.cosh(A0 * t)
         sg, v = geodesics._state(m, spread, th, ch)[2], geodesics._velocity(A0, m, spread, th, ch)
-        Js, *K = y[2:].tolist()
+        _, _, Js, *K = y.tolist()
+        u = Js / sg
+        w = [2.0 * K[0] - v[0] * u, 2.0 * K[1] - v[1] * u, 2.0 * K[2] - v[2] * u]
         acc = [0.0, 0.0, 0.0]
         for a, b, c, G in terms:
-            acc[a] -= G * v[b] * (2.0 * K[c] - v[c] * Js / sg)
+            acc[a] -= G * (v[b] * w[c] + v[c] * w[b])
         return [*K, acc[0] / sg, acc[1] / sg, acc[2] / sg]
 
     return rhs
@@ -128,8 +142,10 @@ class _Dop853(DOP853):
     # error norm and controller in the same order, so the same steps, states
     # and nfev bit for bit. It calls the raw RHS (12 calls per attempted step
     # added to nfev; the base class counts f0 and the initial-step call),
-    # builds its stage views once per solve and takes its scalars in math,
-    # where scipy goes through nfev and asarray wrappers, np.linalg.norm and
+    # builds its stage views once per solve, takes the stage sums through
+    # those views' own dot (the C routine and BLAS kernel of np.dot, without
+    # its Python-level dispatch) and its scalars in math, where scipy goes
+    # through nfev and asarray wrappers, np.dot, np.linalg.norm and
     # np.nextafter at every stage or step. Everything per instance, so
     # concurrent solves share nothing.
 
@@ -159,14 +175,14 @@ class _Dop853(DOP853):
             h_abs = abs(h)
 
             for s, K_s, a, c in self._stages:
-                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(self._K_sum, self.B)
+                K[s] = rhs(t + c * h, y + K_s.dot(a) * h)
+            y_new = y + h * self._K_sum.dot(self.B)
             K[-1] = rhs(t + h, y_new)
             self.nfev += self.n_stages
 
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            err5 = np.dot(self._K_err, self.E5) / scale
-            err3 = np.dot(self._K_err, self.E3) / scale
+            err5 = self._K_err.dot(self.E5) / scale
+            err3 = self._K_err.dot(self.E3) / scale
             # np.linalg.norm's square, which x.dot(x) can miss by an ulp
             err5_2 = math.sqrt(err5.dot(err5)) ** 2
             err3_2 = math.sqrt(err3.dot(err3)) ** 2

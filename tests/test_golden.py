@@ -25,7 +25,9 @@ The records (`RECORD_CASES`) are compared byte for byte, floats and JSON
 warnings included, so any difference is a change of the program's
 arithmetic or of its report. The three records at r = 0.3 were rewritten
 when the metric and curvature forms came to build 1 - r^2 as
-(1 - r)(1 + r); every other record is as first written.
+(1 - r)(1 + r), and the two metric ones again when their eigenvalues came
+from the closed forms in `models` instead of an eigensolver; every other
+record is as first written.
 
 JSON warnings are compared per kind: a kind may be reported as several
 messages or as one message that carries the count ("at N of M elements"),

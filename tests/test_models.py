@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,45 @@ def test_metric4_symmetry_and_positivity(sx, sy, r):
     g = models.metric_corr4(sx, sy, ModelParams(r))
     np.testing.assert_array_equal(g, g.T)
     assert np.all(np.linalg.eigvalsh(g) > 0)
+
+
+
+# r through the last float below R_MAX, where 1 - r in the eigenvalues is exact
+_EIGEN_R = [0.0, 0.3, 0.9, 1.0 - 1e-6, math.nextafter(R_MAX, 0.0)]
+
+
+def _mp_metric4(sx, sy, r):
+    # metric_corr4 at 50 digits, from the same float inputs
+    d = (1 - r) * (1 + r)
+    return mpmath.matrix([
+        [1 / (sx**2 * d), 0, -r / (sx * sy * d), 0],
+        [0, (2 - r**2) / (sx**2 * d), 0, -r**2 / (sx * sy * d)],
+        [-r / (sx * sy * d), 0, 1 / (sy**2 * d), 0],
+        [0, -r**2 / (sx * sy * d), 0, (2 - r**2) / (sy**2 * d)]])
+
+
+@pytest.mark.parametrize("r", _EIGEN_R)
+@pytest.mark.parametrize("scales", [(0.1,), (1.0,), (7.0,), (0.5, 2.0), (0.1, 10.0), (1.0, 1.0)])
+def test_eigenvalues_against_mpmath(scales, r):
+    # every eigenvalue, in ascending order, within 4 ulps of mpmath's
+    # eigensolver on the 50-digit metric; an eigensolver in floats misses the
+    # smallest by up to 2e-12 relative at (0.1, 10, 0.7)
+    params = ModelParams(r)
+    with mpmath.workdps(50):
+        s, rr = map(mpmath.mpf, scales), mpmath.mpf(r)
+        if len(scales) == 1:
+            got = models.metric_corr3_eigenvalues(*scales, params)
+            (sg,) = s
+            d = (1 - rr) * (1 + rr)
+            g = mpmath.matrix([[1 / (d * sg**2), -rr / (d * sg**2), 0],
+                               [-rr / (d * sg**2), 1 / (d * sg**2), 0], [0, 0, 4 / sg**2]])
+        else:
+            got = models.metric_corr4_eigenvalues(*scales, params)
+            g = _mp_metric4(*s, rr)
+        ref = sorted(mpmath.eigsy(g, eigvals_only=True))
+    assert np.all(np.diff(got) >= 0)
+    for value, exact in zip(got.tolist(), ref):
+        assert abs(value - exact) <= 4 * math.ulp(float(exact)), (value, exact)
 
 
 _CFG = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=1e-5)

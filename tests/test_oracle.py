@@ -173,6 +173,24 @@ class TestGeodesicIntegrate:
         assert np.array_equal(cmp.numeric[0], oracle._geodesic_start(params, desk_ic, span[0]))
 
 
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
+    def test_rhs_is_the_geodesic_equation(self, rng, r):
+        # the paired RHS in Python floats agrees within a few ulps of its
+        # largest component with -Gamma(sigma)(v, v) written out over all 27
+        # entries of curvature.christoffel at the state's sigma, unpaired; at
+        # r = 0.9 the sigma row cancels to a tenth of its terms (12 ulps seen)
+        params = ModelParams(r)
+        rhs = oracle._geodesic_rhs(params)
+        for _ in range(200):
+            y = rng.standard_normal(6)
+            y[2] = rng.uniform(0.01, 3.0)
+            G, v = curvature.christoffel(y[2], params), y[3:].tolist()
+            acc = [-sum(G[a, b, c] * v[b] * v[c] for b in range(3) for c in range(3))
+                   for a in range(3)]
+            got, want = np.array(rhs(0.0, y)), np.array(v + acc)
+            assert np.array_equal(got[:3], y[3:])
+            assert np.abs(got - want).max() <= 16 * np.spacing(np.abs(want).max())
+
 class TestPurityBruteforce:
     def test_product_state_is_pure(self):
         cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=0.0)
@@ -686,6 +704,23 @@ class TestVerificationBattery:
         assert not res["constant_curvature"].passed
         assert res["constant_curvature"].residual == pytest.approx(1e-6, rel=1e-3)
 
+    @pytest.mark.parametrize("name", ["amplitude_A0", "joined_path"])
+    def test_path_fault_fails_boundary_data(self, monkeypatch, name):
+        # A0 1e-6 high moves sigma(tau0) by about 2.6e-6 on the desk data; a
+        # joined path is scaled in its first field, mu1
+        form = getattr(geodesics, name)
+
+        def off(*args):
+            out = form(*args)
+            if name == "joined_path":
+                return dataclasses.replace(out, mu1=(1.0 + 1e-6) * out.mu1)
+            return (1.0 + 1e-6) * out
+
+        monkeypatch.setattr(geodesics, name, off)
+        res = {res.name: res for res in oracle.run_verification(only="geodesics")}
+        assert not res["boundary_data"].passed
+        assert res["boundary_data"].residual >= 1e-6 * (1.0 - 1e-9)
+
     def test_tilted_jacobi_seed_fails_intensity(self, monkeypatch):
         # a seed tilted by 1e-4 along the velocity moves the intensity by
         # about 5e-9, well within the tolerance, but J leaves the normal plane
@@ -712,6 +747,7 @@ class TestVerificationBattery:
             ("weyl_fd", "curvature", 1e-5),
             ("curvature_constants", "curvature", 1e-12),
             ("geodesic_residual", "geodesics", 1e-6),
+            ("boundary_data", "geodesics", 1e-13),
             ("geodesic_ode", "geodesics", 1e-6),
             ("geodesic_reversibility", "geodesics", 1e-8),
             ("velocity_norm", "geodesics", 1e-9),
