@@ -18,11 +18,6 @@ For the 3-parameter family, with coordinate order (mu1, mu2, sigma),
 with det g = 4 / ((1-r^2) sigma^6). The 4-parameter metric uses coordinate
 order (mu_x, sigma_x, mu_y, sigma_y).
 
-The eigenvalues of both metrics come in closed form from their 2x2 blocks
-(`metric_corr3_eigenvalues`, `metric_corr4_eigenvalues`), each to a few
-roundings of its value: an eigensolver's error scales with the largest
-eigenvalue, which swamps the smallest one.
-
 `metric_corr3` and its inverse broadcast an array sigma against an array
 ``ModelParams(r)``; the point axes lead and the tensor axes trail.
 
@@ -151,7 +146,8 @@ def metric_corr4_eigenvalues(sigma_x: float, sigma_y: float, params: ModelParams
     block [[p, c], [c, q]]. Its larger root is (p+q)/2 + hypot((p-q)/2, c);
     its smaller is the block determinant over the larger, with the
     determinants in closed form, 1/(sigma_x^2 sigma_y^2 (1-r^2)) and 4 times
-    that, so neither root subtracts nearly equal terms.
+    that, so neither root subtracts nearly equal terms. (An eigensolver's
+    error scales with the largest eigenvalue and swamps the smallest.)
     """
     g = metric_corr4(sigma_x, sigma_y, params).tolist()
     r = params.r

@@ -89,15 +89,17 @@ def _pair_terms(params: ModelParams):
 
 
 def _geodesic_rhs(params: ModelParams):
-    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma, the pairs doubled
-    terms = [(a, b, c, 2.0 * G) for a, b, c, G in _pair_terms(params)]
+    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma, the pairs doubled and
+    # their velocity indices shifted to index the state (x, x') itself
+    terms = [(a, b + 3, c + 3, 2.0 * G) for a, b, c, G in _pair_terms(params)]
 
     def rhs(_t, y):
-        _, _, sg, *v = y.tolist()
+        x = y.tolist()
         acc = [0.0, 0.0, 0.0]
         for a, b, c, G in terms:
-            acc[a] -= G * v[b] * v[c]
-        return [*v, acc[0] / sg, acc[1] / sg, acc[2] / sg]
+            acc[a] -= G * x[b] * x[c]
+        sg = x[2]
+        return [x[3], x[4], x[5], acc[0] / sg, acc[1] / sg, acc[2] / sg]
 
     return rhs
 
@@ -114,13 +116,13 @@ def _jacobi_rhs(params: ModelParams, ic: InitialConditions):
     def rhs(t, y):
         th, ch = math.tanh(A0 * t), math.cosh(A0 * t)
         sg, v = geodesics._state(m, spread, th, ch)[2], geodesics._velocity(A0, m, spread, th, ch)
-        _, _, Js, *K = y.tolist()
+        _, _, Js, K0, K1, K2 = y.tolist()
         u = Js / sg
-        w = [2.0 * K[0] - v[0] * u, 2.0 * K[1] - v[1] * u, 2.0 * K[2] - v[2] * u]
+        w = (2.0 * K0 - v[0] * u, 2.0 * K1 - v[1] * u, 2.0 * K2 - v[2] * u)
         acc = [0.0, 0.0, 0.0]
         for a, b, c, G in terms:
             acc[a] -= G * (v[b] * w[c] + v[c] * w[b])
-        return [*K, acc[0] / sg, acc[1] / sg, acc[2] / sg]
+        return [K0, K1, K2, acc[0] / sg, acc[1] / sg, acc[2] / sg]
 
     return rhs
 
