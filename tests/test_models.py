@@ -139,39 +139,33 @@ def test_metric4_symmetry_and_positivity(sx, sy, r):
     assert np.all(np.linalg.eigvalsh(g) > 0)
 
 
-
-# r through the last float below R_MAX, where 1 - r in the eigenvalues is exact
+# r up to the last float below R_MAX, where an eigensolver loses the most
 _EIGEN_R = [0.0, 0.3, 0.9, 1.0 - 1e-6, math.nextafter(R_MAX, 0.0)]
-
-
-def _mp_metric4(sx, sy, r):
-    # metric_corr4 at 50 digits, from the same float inputs
-    d = (1 - r) * (1 + r)
-    return mpmath.matrix([
-        [1 / (sx**2 * d), 0, -r / (sx * sy * d), 0],
-        [0, (2 - r**2) / (sx**2 * d), 0, -r**2 / (sx * sy * d)],
-        [-r / (sx * sy * d), 0, 1 / (sy**2 * d), 0],
-        [0, -r**2 / (sx * sy * d), 0, (2 - r**2) / (sy**2 * d)]])
 
 
 @pytest.mark.parametrize("r", _EIGEN_R)
 @pytest.mark.parametrize("scales", [(0.1,), (1.0,), (7.0,), (0.5, 2.0), (0.1, 10.0), (1.0, 1.0)])
 def test_eigenvalues_against_mpmath(scales, r):
     # every eigenvalue, in ascending order, within 4 ulps of mpmath's
-    # eigensolver on the 50-digit metric; an eigensolver in floats misses the
-    # smallest by up to 2e-12 relative at (0.1, 10, 0.7)
+    # eigensolver on the 50-digit metric at the same float inputs; an
+    # eigensolver in floats misses the smallest by up to 2e-12 relative at
+    # (0.1, 10, 0.7)
     params = ModelParams(r)
     with mpmath.workdps(50):
-        s, rr = map(mpmath.mpf, scales), mpmath.mpf(r)
+        s, rr = [mpmath.mpf(x) for x in scales], mpmath.mpf(r)
+        d = (1 - rr) * (1 + rr)
         if len(scales) == 1:
-            got = models.metric_corr3_eigenvalues(*scales, params)
-            (sg,) = s
-            d = (1 - rr) * (1 + rr)
-            g = mpmath.matrix([[1 / (d * sg**2), -rr / (d * sg**2), 0],
-                               [-rr / (d * sg**2), 1 / (d * sg**2), 0], [0, 0, 4 / sg**2]])
+            got = models.metric_corr3_eigenvalues(scales[0], params)
+            a, b = 1 / (d * s[0]**2), -rr / (d * s[0]**2)
+            g = mpmath.matrix([[a, b, 0], [b, a, 0], [0, 0, 4 / s[0]**2]])
         else:
             got = models.metric_corr4_eigenvalues(*scales, params)
-            g = _mp_metric4(*s, rr)
+            (sx, sy), c = s, -rr / (s[0] * s[1] * d)
+            g = mpmath.matrix([
+                [1 / (sx**2 * d), 0, c, 0],
+                [0, (2 - rr**2) / (sx**2 * d), 0, rr * c],
+                [c, 0, 1 / (sy**2 * d), 0],
+                [0, rr * c, 0, (2 - rr**2) / (sy**2 * d)]])
         ref = sorted(mpmath.eigsy(g, eigvals_only=True))
     assert np.all(np.diff(got) >= 0)
     for value, exact in zip(got.tolist(), ref):

@@ -172,7 +172,6 @@ class TestGeodesicIntegrate:
         assert cmp.numeric.shape == (len(cmp.tau), 6)
         assert np.array_equal(cmp.numeric[0], oracle._geodesic_start(params, desk_ic, span[0]))
 
-
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
     def test_rhs_is_the_geodesic_equation(self, rng, r):
         # the paired RHS in Python floats agrees within a few ulps of its
@@ -190,6 +189,7 @@ class TestGeodesicIntegrate:
             got, want = np.array(rhs(0.0, y)), np.array(v + acc)
             assert np.array_equal(got[:3], y[3:])
             assert np.abs(got - want).max() <= 16 * np.spacing(np.abs(want).max())
+
 
 class TestPurityBruteforce:
     def test_product_state_is_pure(self):
