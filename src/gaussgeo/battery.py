@@ -14,12 +14,13 @@ check yields per-point residuals, and their maximum (NaN propagates) must be
 at most the check's one fixed tolerance. A check that raises a
 ``GaussGeoError`` or an ``ArithmeticError`` fails with residual inf and
 keeps the message. Negative controls monkeypatch a closed form. Checks share
-runs within a battery: one forward geodesic run per r serves
-``geodesic_ode`` and, integrated back at r = 0.5, ``geodesic_reversibility``;
-one Jacobi run to 20/A0 per r serves ``jacobi_intensity`` and
-``lyapunov_fit``. `run_verification` imports :mod:`gaussgeo.oracle`, and
-with it scipy.integrate, before it times any check, and only when the
-selection includes a group that runs an ODE (geodesics, chaos).
+runs within a battery, each one solve over r = 0 and 0.5 at once: the
+forward geodesic run serves ``geodesic_ode`` and, integrated back from its
+end state, ``geodesic_reversibility``; the Jacobi run to 20/A0 serves
+``jacobi_intensity`` and ``lyapunov_fit``. `run_verification` imports
+:mod:`gaussgeo.oracle`, and with it scipy.integrate, before it times any
+check, and only when the selection includes a group that runs an ODE
+(geodesics, chaos).
 """
 
 from __future__ import annotations
@@ -379,25 +380,28 @@ def _check_boundary_data():
             yield from (np.abs(path.as_array() - expected) / np.abs(expected)).ravel()
 
 
+# the correlations of the ODE checks, integrated as one batch of 6-state blocks
+_ODE_R = np.array([0.0, 0.5])
+
+
 @functools.cache
-def _geodesic_run(r: float):
-    # one forward run per r serves geodesic_ode and, at r = 0.5, the reversal
+def _geodesic_run():
+    # one forward run over both r serves geodesic_ode and the reversal
     from . import oracle
-    return oracle.geodesic_integrate(ModelParams(r), _DESK_IC, (-1.0, 1.0))
+    return oracle.geodesic_integrate(ModelParams(_ODE_R), _DESK_IC, (-1.0, 1.0))
 
 
 def _check_geodesic_ode():
-    for r in (0.0, 0.5):
-        yield _geodesic_run(r).max_rel_error
+    yield from _geodesic_run().max_rel_error
 
 
 def _check_geodesic_reversibility():
     # integrated back from its end state, the forward run returns to its start
     from . import oracle
-    fwd = _geodesic_run(0.5).numeric
-    rhs = oracle._geodesic_rhs(ModelParams(0.5))
-    _, back = oracle._integrate(rhs, fwd[-1], 1.0, -1.0, oracle.OdeSpec())
-    yield np.abs((back[-1] - fwd[0]) / np.maximum(np.abs(fwd[0]), 1.0)).max()
+    fwd = _geodesic_run().numeric
+    start, rhs = fwd[0].ravel(), oracle._geodesic_rhs(ModelParams(_ODE_R))
+    _, back = oracle._integrate(rhs, fwd[-1].ravel(), 1.0, -1.0, oracle.OdeSpec())
+    yield np.abs((back[-1] - start) / np.maximum(np.abs(start), 1.0)).max()
 
 
 def _check_velocity_norm():
@@ -409,25 +413,24 @@ def _check_velocity_norm():
 
 
 @functools.cache
-def _jacobi_run(r: float):
-    # one integration to 20/A0 per r serves both chaos checks
+def _jacobi_run():
+    # one integration to 20/A0 over both r serves both chaos checks
     from . import oracle
     A0 = geodesics.amplitude_A0(_DESK_IC)
-    return oracle.jacobi_integrate(ModelParams(r), _DESK_IC, 20.0 / A0)
+    return oracle.jacobi_integrate(ModelParams(_ODE_R), _DESK_IC, 20.0 / A0)
 
 
 def _check_jacobi_intensity():
     # the intensity error, and J's drift out of the plane normal to the velocity
-    for r in (0.0, 0.5):
-        yield _jacobi_run(r).max_rel_error
-        yield _jacobi_run(r).orthogonality_max
+    yield from _jacobi_run().max_rel_error
+    yield from _jacobi_run().orthogonality_max
 
 
 def _check_lyapunov_fit():
     A0 = geodesics.amplitude_A0(_DESK_IC)
     lam = chaos.lyapunov_exponent(A0)
     estimate = chaos.lyapunov_estimate(1.0, A0, 20.0 / A0).value
-    rates = [2.0 * _jacobi_run(r).fitted_rate for r in (0.0, 0.5)]
+    rates = (2.0 * _jacobi_run().fitted_rate).tolist()
     for rate in rates:
         yield abs(rate - lam) / lam
         yield abs(estimate - rate) / lam

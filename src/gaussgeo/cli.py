@@ -130,12 +130,13 @@ def _cmd_metric(args) -> dict:
     try:
         if args.dim == 3:
             g = models.metric_corr3(args.sigma, params)
+            det = models.metric_corr3_determinant(args.sigma, params)
             eigenvalues = models.metric_corr3_eigenvalues(args.sigma, params)
         else:
             g = models.metric_corr4(args.sigma_x, args.sigma_y, params)
+            det = models.metric_corr4_determinant(args.sigma_x, args.sigma_y, params)
             eigenvalues = models.metric_corr4_eigenvalues(args.sigma_x, args.sigma_y, params)
-        det = float(np.linalg.det(g))
-        ok = np.finfo(float).tiny <= min(det, eigenvalues[0])
+        ok = np.finfo(float).tiny <= min(det, eigenvalues[0]) and det < math.inf
     except ArithmeticError:
         ok = False
     require(ok, lambda: ", ".join(f"{k} {v:g}" for k, v in scales.items())

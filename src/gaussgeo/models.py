@@ -16,7 +16,9 @@ For the 3-parameter family, with coordinate order (mu1, mu2, sigma),
                        [ 0,           0,        4 ]]
 
 with det g = 4 / ((1-r^2) sigma^6). The 4-parameter metric uses coordinate
-order (mu_x, sigma_x, mu_y, sigma_y).
+order (mu_x, sigma_x, mu_y, sigma_y); its determinant is
+4 / (sigma_x^4 sigma_y^4 (1-r^2)^2). Both determinants and the eigenvalues
+are taken in closed form from the 2x2 blocks.
 
 `metric_corr3` and its inverse broadcast an array sigma against an array
 ``ModelParams(r)``; the point axes lead and the tensor axes trail.
@@ -127,6 +129,18 @@ def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndar
     )
 
 
+def metric_corr3_determinant(sigma: float, params: ModelParams) -> float:
+    """Determinant of :func:`metric_corr3`, 4 / ((1-r^2) sigma^6), at a scalar sigma.
+
+    In closed form, with no LU rounding; it may overflow to inf or underflow
+    to 0 where the metric itself is finite.
+    """
+    require_positive(sigma=sigma)
+    r = params.r
+    s2 = sigma * sigma
+    return 4.0 / ((1.0 - r) * (1.0 + r) * (s2 * s2 * s2))
+
+
 def metric_corr3_eigenvalues(sigma: float, params: ModelParams) -> np.ndarray:
     """Eigenvalues of :func:`metric_corr3`, ascending, at a scalar sigma.
 
@@ -137,6 +151,22 @@ def metric_corr3_eigenvalues(sigma: float, params: ModelParams) -> np.ndarray:
     r = params.r
     s2 = sigma * sigma
     return np.sort([1.0 / ((1.0 + r) * s2), 1.0 / ((1.0 - r) * s2), 4.0 / s2])
+
+
+def _corr4_block_determinant(sigma_x: float, sigma_y: float, r: float) -> float:
+    # the determinant of the means' 2x2 block of metric_corr4,
+    # 1/(sigma_x^2 sigma_y^2 (1-r^2)); the spreads' block has 4 times it
+    return 1.0 / ((sigma_x * sigma_y) ** 2 * ((1.0 - r) * (1.0 + r)))
+
+
+def metric_corr4_determinant(sigma_x: float, sigma_y: float, params: ModelParams) -> float:
+    """Determinant of :func:`metric_corr4`, 4 / (sigma_x^4 sigma_y^4 (1-r^2)^2).
+
+    The product of its two block determinants, as for :func:`metric_corr3_determinant`.
+    """
+    require_positive(sigma_x=sigma_x, sigma_y=sigma_y)
+    det = _corr4_block_determinant(sigma_x, sigma_y, params.r)
+    return det * (4.0 * det)
 
 
 def metric_corr4_eigenvalues(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndarray:
@@ -150,8 +180,7 @@ def metric_corr4_eigenvalues(sigma_x: float, sigma_y: float, params: ModelParams
     error scales with the largest eigenvalue and swamps the smallest.)
     """
     g = metric_corr4(sigma_x, sigma_y, params).tolist()
-    r = params.r
-    det = 1.0 / ((sigma_x * sigma_y) ** 2 * ((1.0 - r) * (1.0 + r)))
+    det = _corr4_block_determinant(sigma_x, sigma_y, params.r)
     roots = []
     for i, j, block_det in ((0, 2, det), (1, 3, 4.0 * det)):
         p, q, c = g[i][i], g[j][j], g[i][j]

@@ -14,13 +14,20 @@ own, and only Tier-1 tests rerun them at a tighter ``OdeSpec``.
 The battery's ``igc_numeric`` check runs `battery.igc_gauss` instead, so
 that ``verify --only complexity`` loads no scipy.
 
+Both ODE oracles take a scalar r or a 1-D array of k correlations and
+integrate the k systems as one solve of 6k states, r-major in blocks of 6,
+so the integrator's per-step cost is paid once; a scalar r is k = 1, with the
+same arithmetic in the same order, and a 2-D or empty r is refused before any
+solve. For an array r each report field but ``tau`` gains a k axis.
+
 The ODE engine is ``_Dop853``: scipy's DOP853 (Hairer, Norsett & Wanner,
 Solving ODEs I, II.5) with its stepping loop rewritten here, bit for bit the
 same steps, states and nfev as ``solve_ivp(method="DOP853")``; scipy keeps
 the tableau, the initial step and the ``solve_ivp`` loop. Each right-hand
-side sums a paired table, built once per solve, that keeps each symmetric
-pair Gamma^a_bc = Gamma^a_cb once; the Jacobi one forms J^sigma/sigma and
-w = 2 J' - v J^sigma/sigma once per call and sums -Gamma(v, w).
+side loops over the r blocks, each summing its own paired table, built once
+per solve, that keeps each symmetric pair Gamma^a_bc = Gamma^a_cb once; the
+Jacobi one forms tanh(A0 t) and cosh(A0 t) once per call, J^sigma/sigma and
+w = 2 J' - v J^sigma/sigma once per call and block, and sums -Gamma(v, w).
 
 This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
 ``quad`` through its globals, so wrapping them here counts the oracles' work.
@@ -38,6 +45,7 @@ import numpy as np
 from scipy.integrate import DOP853, quad, solve_ivp
 
 from . import chaos, curvature, geodesics, models
+from ._elementwise import scalar_or_array
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
                       igc_gauss, purity_bruteforce, purity_gaussian_state, run_verification)
 from .errors import ConvergenceError, require, require_hyperbolic, require_positive
@@ -69,8 +77,24 @@ class GeodesicComparison:
     """Numeric geodesic solution at the integrator's steps against the closed form."""
 
     tau: np.ndarray          # shape (n,): the accepted steps, both span ends included
-    numeric: np.ndarray      # shape (n, 6): mu1, mu2, sigma and their velocities
-    max_rel_error: float
+    numeric: np.ndarray      # shape (n, 6), or (n, k, 6): mu1, mu2, sigma and their velocities
+    max_rel_error: float     # or shape (k,)
+
+
+def _blocks(params: ModelParams) -> list[ModelParams]:
+    # the k correlations that the ODE oracles integrate as one system of 6k
+    # states, r-major in blocks of 6, one ModelParams each: a scalar r is k = 1
+    r = np.asarray(params.r)
+    require(r.ndim <= 1 and r.size > 0, lambda: (
+        f"r must be a scalar or a non-empty 1-D array of correlations, got shape {r.shape}"))
+    return [ModelParams(x) for x in r.reshape(-1).tolist()]
+
+
+def _per_r(params: ModelParams, blocks):
+    # the blocks' results stacked on a last axis of k; for a scalar r that axis
+    # is dropped, and a float comes back as a Python float
+    stacked = np.stack(blocks, axis=-1)
+    return stacked if np.ndim(params.r) else scalar_or_array(stacked[..., 0])
 
 
 def _christoffel_terms(params: ModelParams):
@@ -89,17 +113,23 @@ def _pair_terms(params: ModelParams):
 
 
 def _geodesic_rhs(params: ModelParams):
-    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma, the pairs doubled and
-    # their velocity indices shifted to index the state (x, x') itself
-    terms = [(a, b + 3, c + 3, 2.0 * G) for a, b, c, G in _pair_terms(params)]
+    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma, per block of 6 states:
+    # the pairs doubled and their velocity indices shifted to index the state
+    # (x, x') itself
+    blocks = [(6 * i, [(a, 6 * i + b + 3, 6 * i + c + 3, 2.0 * G)
+                       for a, b, c, G in _pair_terms(p)])
+              for i, p in enumerate(_blocks(params))]
 
     def rhs(_t, y):
         x = y.tolist()
-        acc = [0.0, 0.0, 0.0]
-        for a, b, c, G in terms:
-            acc[a] -= G * x[b] * x[c]
-        sg = x[2]
-        return [x[3], x[4], x[5], acc[0] / sg, acc[1] / sg, acc[2] / sg]
+        out = []
+        for o, terms in blocks:
+            acc = [0.0, 0.0, 0.0]
+            for a, b, c, G in terms:
+                acc[a] -= G * x[b] * x[c]
+            sg = x[o + 2]
+            out += [x[o + 3], x[o + 4], x[o + 5], acc[0] / sg, acc[1] / sg, acc[2] / sg]
+        return out
 
     return rhs
 
@@ -107,22 +137,29 @@ def _geodesic_rhs(params: ModelParams):
 def _jacobi_rhs(params: ModelParams, ic: InitialConditions):
     # the geodesic equation linearised about the closed-form path, by
     # d_sigma Gamma = -Gamma / sigma: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma
-    # = -Gamma(v, w) with w = 2 J' - v J^sigma / sigma, formed once per call.
-    # sigma and v come from the closed forms' path helpers in Python floats, their
-    # constants hoisted; jacobi_integrate keeps |A0 t| within the clamp
-    terms = _pair_terms(params)
-    A0, m, spread = geodesics._path_constants(ic, params.r)
+    # = -Gamma(v, w) with w = 2 J' - v J^sigma / sigma, formed once per call and
+    # block. sigma and v come from the closed forms' path helpers in Python
+    # floats, their constants hoisted, from tanh(A0 t) and cosh(A0 t), which do
+    # not depend on r; jacobi_integrate keeps |A0 t| within the clamp
+    A0, _, spread = geodesics._path_constants(ic, 0.0)
+    blocks = [(6 * i, geodesics._path_constants(ic, p.r)[1], _pair_terms(p))
+              for i, p in enumerate(_blocks(params))]
 
     def rhs(t, y):
         th, ch = math.tanh(A0 * t), math.cosh(A0 * t)
-        sg, v = geodesics._state(m, spread, th, ch)[2], geodesics._velocity(A0, m, spread, th, ch)
-        _, _, Js, K0, K1, K2 = y.tolist()
-        u = Js / sg
-        w = (2.0 * K0 - v[0] * u, 2.0 * K1 - v[1] * u, 2.0 * K2 - v[2] * u)
-        acc = [0.0, 0.0, 0.0]
-        for a, b, c, G in terms:
-            acc[a] -= G * (v[b] * w[c] + v[c] * w[b])
-        return [K0, K1, K2, acc[0] / sg, acc[1] / sg, acc[2] / sg]
+        x = y.tolist()
+        out = []
+        for o, m, terms in blocks:
+            sg = geodesics._state(m, spread, th, ch)[2]
+            v = geodesics._velocity(A0, m, spread, th, ch)
+            _, _, Js, K0, K1, K2 = x[o:o + 6]
+            u = Js / sg
+            w = (2.0 * K0 - v[0] * u, 2.0 * K1 - v[1] * u, 2.0 * K2 - v[2] * u)
+            acc = [0.0, 0.0, 0.0]
+            for a, b, c, G in terms:
+                acc[a] -= G * (v[b] * w[c] + v[c] * w[b])
+            out += [K0, K1, K2, acc[0] / sg, acc[1] / sg, acc[2] / sg]
+        return out
 
     return rhs
 
@@ -228,17 +265,24 @@ def geodesic_integrate(
     reports, over the integrator's accepted steps from one span end to the
     other, the maximum relative deviation from the closed form, measured per
     coordinate against that coordinate's largest magnitude at those steps.
+    ``params.r`` may be a 1-D array of k correlations: the k geodesics are
+    then integrated as one system and reported per r.
     """
+    blocks = _blocks(params)
     t0, t1 = tau_span
     # refused before the start state: a NaN end would keep solve_ivp stepping forever
     require(math.isfinite(t0) and math.isfinite(t1) and t0 != t1,
             lambda: f"ODE span ends must be finite and distinct, got {t0}, {t1}")
-    y0 = _geodesic_start(params, ic, t0)
+    y0 = np.concatenate([_geodesic_start(p, ic, t0) for p in blocks])
     ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec)
-    closed = geodesics.geodesic_corr(ts, params, ic).as_array().T
-    scale = np.abs(closed).max(axis=0)
-    rel = np.abs(ys[:, :3] - closed) / scale[None, :]
-    return GeodesicComparison(ts, ys, float(rel.max()))
+    numeric = ys.reshape(len(ts), len(blocks), 6)
+    errors = []
+    for i, p in enumerate(blocks):
+        closed = geodesics.geodesic_corr(ts, p, ic).as_array().T
+        scale = np.abs(closed).max(axis=0)
+        errors.append(float((np.abs(numeric[:, i, :3] - closed) / scale[None, :]).max()))
+    return GeodesicComparison(ts, numeric if np.ndim(params.r) else numeric[:, 0],
+                              _per_r(params, errors))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +294,8 @@ class JacobiComparison:
     """Numeric Jacobi intensity at the integrator's steps against the closed form."""
 
     tau: np.ndarray             # the accepted steps, from 0 to tau_max
-    intensity: np.ndarray       # |J|_g at each of them
-    max_rel_error: float        # over taus with A0*tau >= 0.5
+    intensity: np.ndarray       # |J|_g at each of them: shape (n,), or (n, k)
+    max_rel_error: float        # over taus with A0*tau >= 0.5; each float or shape (k,)
     fitted_rate: float          # slope of ln J over the final half-window
     orthogonality_max: float    # max |g(J, u)| along the trajectory
 
@@ -285,31 +329,34 @@ def jacobi_integrate(
     finite, with w a g-unit vector orthogonal to the velocity; orthogonality
     of J to the velocity is monitored along the whole trajectory. Every
     result is read at the integrator's accepted steps on [0, tau_max],
-    tau_max > 0.5/A0.
+    tau_max > 0.5/A0. ``params.r`` may be a 1-D array of k correlations: the
+    k fields are then integrated as one system and reported per r.
     """
+    blocks = _blocks(params)
     require_positive(omega0=omega0)
     A0 = geodesics.amplitude_A0(ic)
     require(0.5 / A0 < tau_max,
             lambda: f"tau_max = {tau_max} must exceed 0.5/A0 = {0.5 / A0:.3g}")
     require_hyperbolic(A0 * tau_max, "|A0*tau|")
-    w = _orthonormal_seed(params, ic)
-    y0 = np.concatenate([np.zeros(3), omega0 * w])
+    y0 = np.concatenate([np.concatenate([np.zeros(3), omega0 * _orthonormal_seed(p, ic)])
+                         for p in blocks])
     ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec)
-
-    # the metric along the path, contracted per step
-    g = models.metric_corr3(geodesics.geodesic_corr(ts, params, ic).sigma, params)
-    J, v = ys[:, :3], geodesics.geodesic_velocity(ts, params, ic).T
-    intensity = np.sqrt(np.maximum(np.einsum("ia,iab,ib->i", J, g, J), 0.0))
-    Jgu = np.einsum("ia,iab,ib->i", J, g, v) / np.sqrt(np.einsum("ia,iab,ib->i", v, g, v))
-    ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30))
 
     closed = chaos.jacobi_intensity(ts, omega0, A0)
     window = ts >= 0.5 / A0
-    error = np.abs(intensity[window] - closed[window]) / closed[window]
     fit = ts >= ts[-1] / 2.0
-    rate = np.polyfit(ts[fit], np.log(intensity[fit]), 1)[0]
-    return JacobiComparison(ts, intensity, float(error.max()), float(rate), float(ortho))
-
+    reports = []
+    for i, p in enumerate(blocks):
+        # the metric along the path, contracted per step
+        g = models.metric_corr3(geodesics.geodesic_corr(ts, p, ic).sigma, p)
+        J, v = ys[:, 6 * i:6 * i + 3], geodesics.geodesic_velocity(ts, p, ic).T
+        intensity = np.sqrt(np.maximum(np.einsum("ia,iab,ib->i", J, g, J), 0.0))
+        Jgu = np.einsum("ia,iab,ib->i", J, g, v) / np.sqrt(np.einsum("ia,iab,ib->i", v, g, v))
+        ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30))
+        error = np.abs(intensity[window] - closed[window]) / closed[window]
+        rate = np.polyfit(ts[fit], np.log(intensity[fit]), 1)[0]
+        reports.append((intensity, float(error.max()), float(rate), float(ortho)))
+    return JacobiComparison(ts, *(_per_r(params, field) for field in zip(*reports)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ class TestMetricCommand:
         (["--sigma", "1e-60"], "--sigma 1e-60"),   # determinant overflows
         (["--sigma", "1e50"], None),
         (["--sigma", "1e-50"], None),
+        (["--sigma", "1e-52"], "--sigma 1e-52"),   # determinant rounds to inf
+        (["--dim", "4", "--sigma-x", "1e-40", "--sigma-y", "1e-40"],
+         "--sigma-x 1e-40, --sigma-y 1e-40"),      # determinant rounds to inf
     ])
     def test_representable_range(self, capsys, argv, named):
         code, out, err = run_cli(capsys, "metric", *argv)

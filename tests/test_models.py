@@ -172,6 +172,28 @@ def test_eigenvalues_against_mpmath(scales, r):
         assert abs(value - exact) <= 4 * math.ulp(float(exact)), (value, exact)
 
 
+@pytest.mark.parametrize("r", [*_EIGEN_R, 0.7])
+@pytest.mark.parametrize("scales", [(0.1,), (1.0,), (7.0,), (0.5, 2.0), (0.1, 10.0), (1.0, 1.0),
+                                    (3.0, 0.01)])
+def test_determinants_against_mpmath(scales, r):
+    # the closed-form determinants against 50-digit 4/((1-r^2) sigma^6) and
+    # 4/(sigma_x^4 sigma_y^4 (1-r^2)^2) at the same float inputs. Counting
+    # each rounding's relative error u = 2^-53 with its power in the result
+    # bounds corr3 by 10u (5 ulps) and corr4, which squares the block
+    # determinant, by 17u (9 ulps); an LU determinant was 13.5 ulps off at
+    # corr3 (0.1, 0.7) and 3.1e5 ulps off at corr4 (1, 1, 1 - 1e-6)
+    params = ModelParams(r)
+    with mpmath.workdps(50):
+        s, d = [mpmath.mpf(x) for x in scales], (1 - mpmath.mpf(r)) * (1 + mpmath.mpf(r))
+        if len(scales) == 1:
+            got, bound = models.metric_corr3_determinant(*scales, params), 5
+            exact = 4 / (d * s[0]**6)
+        else:
+            got, bound = models.metric_corr4_determinant(*scales, params), 9
+            exact = 4 / (s[0]**4 * s[1]**4 * d**2)
+        assert abs(got - exact) <= bound * math.ulp(float(exact)), (got, exact)
+
+
 _CFG = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=1e-5)
 _IC = InitialConditions(p0=1.0, sigma0=0.1)
 

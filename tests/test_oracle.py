@@ -16,6 +16,7 @@ from scipy.integrate import solve_ivp
 from gaussgeo import (battery, chaos, cli, complexity, curvature, geodesics, models, oracle,
                       scattering)
 from gaussgeo.errors import ConvergenceError, DomainError
+from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import Macrostate3, Macrostate4, ModelParams
 from gaussgeo.oracle import OdeSpec
 from gaussgeo.scattering import ScatteringConfig
@@ -126,7 +127,7 @@ class TestGeodesicIntegrate:
         assert cmp.max_rel_error < 1e-6
 
     def test_reversibility(self):
-        # the battery integrates its r = 0.5 geodesic_ode run back to its start
+        # the battery integrates its geodesic_ode run over r = 0 and 0.5 back to its start
         results = {res.name: res for res in oracle.run_verification(only="geodesics")}
         assert results["geodesic_reversibility"].residual < 1e-8
 
@@ -373,7 +374,8 @@ class TestDop853:
             (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
 
     def test_battery_runs_step_like_scipy(self, monkeypatch):
-        # the five runs of a battery: two geodesics, the reversal and two Jacobi fields
+        # the three runs of a battery, each over r = 0 and 0.5 at once: the
+        # geodesics, their reversal and the Jacobi fields
         calls, solve = [], oracle.solve_ivp
 
         def recorded(rhs, span, y0, **kwargs):
@@ -382,7 +384,7 @@ class TestDop853:
 
         monkeypatch.setattr(oracle, "solve_ivp", recorded)
         assert all(res.passed for res in oracle.run_verification())
-        assert len(calls) == 5
+        assert len(calls) == 3
         for rhs, span, y0, kwargs in calls:
             assert kwargs["method"] is oracle._Dop853
             _assert_steps_like_scipy(rhs, span, y0, OdeSpec(kwargs["rtol"], kwargs["atol"]))
@@ -516,8 +518,9 @@ class TestJacobiIntegrate:
             assert np.abs(got - want).max() <= 16 * np.spacing(np.abs(want).max())
 
     def test_battery_nfev(self, monkeypatch):
-        # the accepted steps of the battery's ODE runs, and their RHS calls,
-        # which dense output (t_eval) would raise by 3 per step
+        # the accepted steps of the battery's ODE runs, each one solve over
+        # r = 0 and 0.5, and their RHS calls, which dense output (t_eval)
+        # would raise by 3 per step
         nfev, steps = {}, {}
         solve_ivp = oracle.solve_ivp
 
@@ -530,9 +533,9 @@ class TestJacobiIntegrate:
 
         monkeypatch.setattr(oracle, "solve_ivp", counted)
         assert all(res.passed for res in oracle.run_verification())
-        assert steps == {"_geodesic_rhs": [34, 34, 34], "_jacobi_rhs": [55, 54]}
-        assert nfev == {"_geodesic_rhs": [446, 458, 458], "_jacobi_rhs": [674, 662]}
-        assert sum(map(sum, nfev.values())) == 2698
+        assert steps == {"_geodesic_rhs": [34, 34], "_jacobi_rhs": [54]}
+        assert nfev == {"_geodesic_rhs": [446, 446], "_jacobi_rhs": [662]}
+        assert sum(map(sum, nfev.values())) == 1554
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.7, 0.9])
     def test_rhs_is_covariant_jacobi_equation(self, desk_ic, rng, r):
@@ -560,6 +563,94 @@ class TestJacobiIntegrate:
             got = np.asarray(rhs(tau, np.concatenate([J, K])))
             assert np.array_equal(got[:3], K)
             assert np.abs(got[3:] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _solve_counts(monkeypatch):
+    # (accepted steps, nfev) of each solve_ivp call the oracles make
+    counts, solve = [], oracle.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        counts.append((len(sol.t) - 1, sol.nfev))
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_ivp", counted)
+    return counts
+
+
+_DESK = InitialConditions(p0=1.0, sigma0=0.1, tau0=1.0)
+_RS = st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4)
+
+
+class TestBatchedOdes:
+    """An array r of k correlations integrates k systems as one solve of 6k states."""
+
+    @pytest.mark.parametrize("r, counts", [(0.0, (34, 446)), (0.5, (34, 458))])
+    def test_scalar_geodesic_keeps_its_steps(self, monkeypatch, r, counts):
+        # a scalar r is the k = 1 case: the steps and nfev of the unbatched oracle
+        solves = _solve_counts(monkeypatch)
+        oracle.geodesic_integrate(ModelParams(r), _DESK, (-1.0, 1.0))
+        assert solves == [counts]
+
+    @pytest.mark.parametrize("r, counts", [(0.0, (55, 674)), (0.5, (54, 662))])
+    def test_scalar_jacobi_keeps_its_steps(self, monkeypatch, r, counts):
+        solves = _solve_counts(monkeypatch)
+        oracle.jacobi_integrate(ModelParams(r), _DESK, 20.0 / geodesics.amplitude_A0(_DESK))
+        assert solves == [counts]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rs=_RS, t=st.floats(-1.0, 1.0), data=st.data())
+    def test_geodesic_rhs_is_the_blocks_rhs(self, rs, t, data):
+        # bit for bit the per-r right-hand sides on the matching blocks, concatenated
+        y = np.array(data.draw(st.lists(_ENTRIES, min_size=6 * len(rs), max_size=6 * len(rs))))
+        y[2::6] = data.draw(st.lists(st.floats(0.01, 3.0), min_size=len(rs), max_size=len(rs)))
+        want = [f for i, r in enumerate(rs)
+                for f in oracle._geodesic_rhs(ModelParams(r))(t, y[6 * i:6 * i + 6])]
+        assert oracle._geodesic_rhs(ModelParams(np.array(rs)))(t, y) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rs=_RS, t=st.floats(-20.0, 20.0), data=st.data())
+    def test_jacobi_rhs_is_the_blocks_rhs(self, rs, t, data):
+        # tanh and cosh formed once per call give the per-r values bit for bit
+        t = t / geodesics.amplitude_A0(_DESK)
+        y = np.array(data.draw(st.lists(_ENTRIES, min_size=6 * len(rs), max_size=6 * len(rs))))
+        want = [f for i, r in enumerate(rs)
+                for f in oracle._jacobi_rhs(ModelParams(r), _DESK)(t, y[6 * i:6 * i + 6])]
+        assert oracle._jacobi_rhs(ModelParams(np.array(rs)), _DESK)(t, y) == want
+
+    @pytest.mark.parametrize("rs", [[0.0, 0.5], [0.9, 0.3, 0.0]])
+    def test_each_geodesic_block_meets_the_scalar_bound(self, rs):
+        cmp = oracle.geodesic_integrate(ModelParams(np.array(rs)), _DESK, (-1.0, 1.0))
+        assert cmp.numeric.shape == (len(cmp.tau), len(rs), 6)
+        assert cmp.max_rel_error.shape == (len(rs),)
+        assert np.all(cmp.max_rel_error < 1e-6)
+        for i, r in enumerate(rs):
+            start = oracle._geodesic_start(ModelParams(r), _DESK, -1.0)
+            assert np.array_equal(cmp.numeric[0, i], start)
+
+    @pytest.mark.parametrize("rs", [[0.0, 0.5], [0.9, 0.3, 0.0]])
+    def test_each_jacobi_block_meets_the_scalar_bounds(self, rs):
+        # the bounds of the intensity, orthogonality and growth-rate tests
+        A0 = geodesics.amplitude_A0(_DESK)
+        cmp = oracle.jacobi_integrate(ModelParams(np.array(rs)), _DESK, 20.0 / A0)
+        assert cmp.intensity.shape == (len(cmp.tau), len(rs))
+        for field in (cmp.max_rel_error, cmp.fitted_rate, cmp.orthogonality_max):
+            assert field.shape == (len(rs),)
+        assert np.all(cmp.max_rel_error < 1e-5)
+        assert np.all(cmp.orthogonality_max < 1e-8)
+        rates = 2.0 * cmp.fitted_rate
+        assert np.all(np.abs(rates - 2.0 * A0) / (2.0 * A0) < 0.01)
+        assert np.ptp(rates) / (2.0 * A0) < 1e-4
+
+    @pytest.mark.parametrize("r", [np.array([[0.0, 0.5]]), np.zeros((1, 1)), np.array([])])
+    def test_rejects_a_bad_r_shape_before_integrating(self, monkeypatch, r):
+        monkeypatch.setattr(oracle, "solve_ivp", None)  # any call would fail otherwise
+        A0 = geodesics.amplitude_A0(_DESK)
+        for run in (lambda: oracle.geodesic_integrate(ModelParams(r), _DESK, (-1.0, 1.0)),
+                    lambda: oracle.jacobi_integrate(ModelParams(r), _DESK, 20.0 / A0)):
+            with pytest.raises(DomainError, match=r"r must be a scalar or a non-empty 1-D "
+                                                  r"array of correlations, got shape \("):
+                run()
 
 
 class TestVerificationBattery:
@@ -771,7 +862,7 @@ class TestVerificationBattery:
             assert p["passed"] is True, p
 
     def test_no_result_outlives_a_battery(self, monkeypatch):
-        # the chaos checks share one Jacobi run per r within a battery, but
+        # the chaos checks share one Jacobi run within a battery, but
         # a second battery integrates everything again
         nfev = []
         solve_ivp = oracle.solve_ivp
