@@ -35,7 +35,7 @@ import numpy as np
 from . import chaos, complexity, curvature, geodesics, models, scattering
 from ._elementwise import scalar_or_array
 from .errors import (ConvergenceError, DomainError, GaussGeoError, require, require_correlation,
-                     require_positive)
+                     require_positive, require_scalar_r)
 from .geodesics import InitialConditions
 from .models import ModelParams
 from .scattering import ScatteringConfig
@@ -108,6 +108,7 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
         args = (state.mu_x, state.mu_y, state.sigma_x, state.sigma_y, params.r, np.eye(4))
     else:
         raise DomainError(f"unknown model {model!r}")
+    require_scalar_r(params.r)
     # an infinite mean would reach the quadrature as inf - inf
     require(np.isfinite(args[:2]), lambda: f"means must be finite, got {args[0]}, {args[1]}")
     return _fisher_quadrature(*args, 40)
@@ -260,6 +261,7 @@ def igc_gauss(tau: float, params: ModelParams, ic: InitialConditions) -> float:
     where 2/sigma^3 dsigma is 2 exp(-2u) du (the mu integrals are exact). The
     48-point value must match the 96-point one; a non-finite one fails."""
     require_positive(tau=tau)
+    require_scalar_r(params.r)
     start = geodesics.geodesic_corr(0.0, params, ic)
 
     def average(order):
@@ -304,6 +306,9 @@ class CheckResult:
 _SIGMA, _R = np.repeat([0.1, 1.0, 10.0], 4), np.tile([0.0, 0.3, 0.7, 0.9], 3)
 _DESK_IC = InitialConditions(p0=1.0, sigma0=0.1, tau0=1.0, R0=10.0)
 _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
+# the correlations of the path checks; the ODE ones integrate them as one
+# batch of 6-state blocks
+_ODE_R = np.array([0.0, 0.5])
 
 # Each _check_* yields its residuals, one or more per point it samples.
 
@@ -373,15 +378,11 @@ def _check_boundary_data():
     # at +tau0; the relative residuals stayed within 2.8e-15, 1/35 of the
     # tolerance, on a seeded grid of 20000 initial conditions
     for ic in (_DESK_IC, InitialConditions(2.5, 1e-3, 0.4)):
-        for r in (0.0, 0.5):
-            m = math.sqrt(1.0 - r) * ic.p0
-            path = geodesics.joined_path(np.array([-ic.tau0, ic.tau0]), ModelParams(r), ic)
-            expected = np.array([[ic.p0, -m], [-ic.p0, m], [ic.sigma0, ic.sigma0]])
-            yield from (np.abs(path.as_array() - expected) / np.abs(expected)).ravel()
-
-
-# the correlations of the ODE checks, integrated as one batch of 6-state blocks
-_ODE_R = np.array([0.0, 0.5])
+        # -tau0 and +tau0 down the rows, r = 0 and 0.5 across
+        path = geodesics.joined_path(np.array([[-ic.tau0], [ic.tau0]]), ModelParams(_ODE_R), ic)
+        mu1 = np.array([np.full(2, ic.p0), -np.sqrt(1.0 - _ODE_R) * ic.p0])
+        expected = np.array([mu1, -mu1, np.full((2, 2), ic.sigma0)])
+        yield from (np.abs(path.as_array() - expected) / np.abs(expected)).ravel()
 
 
 @functools.cache
@@ -406,10 +407,10 @@ def _check_geodesic_reversibility():
 
 def _check_velocity_norm():
     expected = chaos.velocity_norm_squared(_DESK_IC)
-    tau = np.linspace(-2.0, 2.0, 11)
-    for r in (0.0, 0.5, 0.9):
-        got = chaos.velocity_norm_squared_contracted(ModelParams(r), _DESK_IC, tau)
-        yield from np.abs(got - expected) / expected
+    tau = np.linspace(-2.0, 2.0, 11)[:, None]
+    got = chaos.velocity_norm_squared_contracted(ModelParams(np.array([0.0, 0.5, 0.9])),
+                                                 _DESK_IC, tau)
+    yield from (np.abs(got - expected) / expected).ravel()
 
 
 @functools.cache
@@ -442,16 +443,15 @@ def _check_constant_curvature():
     # Carmo, Riemannian Geometry, ch. 5): with c = sqrt(-K g(v, v)) the
     # intensity is omega0 sinh(c tau)/c, the exponent 2c and Q = K g(v, v)
     A0 = geodesics.amplitude_A0(_DESK_IC)
-    tau = np.linspace(0.0, 20.0, 51)[1:] / A0
-    for r in (0.0, 0.5):
-        Q = curvature.SECTIONAL_CURVATURE * chaos.velocity_norm_squared_contracted(
-            ModelParams(r), _DESK_IC, 0.0)
-        c = math.sqrt(-Q)
-        exact = 2.5 * np.sinh(c * tau) / c
-        yield from np.abs(chaos.jacobi_intensity(tau, 2.5, A0) - exact) / exact
-        yield abs(chaos.lyapunov_exponent(A0) - 2.0 * c) / (2.0 * c)
-        yield abs(chaos.jlc_coefficient(A0) - Q) / -Q
-        yield abs(chaos.lyapunov_estimate(1.0, A0, 20.0 / A0).value - 2.0 * c) / (2.0 * c)
+    tau = np.linspace(0.0, 20.0, 51)[1:, None] / A0
+    Q = curvature.SECTIONAL_CURVATURE * chaos.velocity_norm_squared_contracted(
+        ModelParams(_ODE_R), _DESK_IC, 0.0)
+    c = np.sqrt(-Q)
+    exact = 2.5 * np.sinh(c * tau) / c
+    yield from (np.abs(chaos.jacobi_intensity(tau, 2.5, A0) - exact) / exact).ravel()
+    yield from np.abs(chaos.lyapunov_exponent(A0) - 2.0 * c) / (2.0 * c)
+    yield from np.abs(chaos.jlc_coefficient(A0) - Q) / -Q
+    yield from np.abs(chaos.lyapunov_estimate(1.0, A0, 20.0 / A0).value - 2.0 * c) / (2.0 * c)
 
 
 def _check_igc_numeric():

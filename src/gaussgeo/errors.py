@@ -9,7 +9,7 @@ Every domain guard goes through the helpers at the end, which write each
 rule once for a scalar or an array. `require` alone tests a rule: it holds
 only if it holds at every element, and NaN fails it; the other helpers
 raise through it. `require_hyperbolic` is the one overflow guard of sinh,
-cosh and tanh.
+cosh and tanh, and `require_scalar_r` the one refusal of an array r.
 """
 
 import math
@@ -107,6 +107,13 @@ def require_nonnegative(**named) -> None:
 def require_correlation(r):
     """Require r in [0, R_MAX) and return it."""
     require((0.0 <= r) & (r < R_MAX), lambda: f"correlation must lie in [0, {R_MAX}), got {r}")
+    return r
+
+
+def require_scalar_r(r):
+    """Require a scalar correlation, where a closed form does not broadcast
+    over r, and return it."""
+    require(np.ndim(r) == 0, lambda: f"r must be a scalar here, got shape {np.shape(r)}")
     return r
 
 

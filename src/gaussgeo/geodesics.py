@@ -18,8 +18,9 @@ The non-correlated branch is r = 0. A collision history joins the two at
 tau = 0: non-correlated before (tau < 0), correlated after (tau >= 0); all
 three coordinates are continuous there.
 
-Every trajectory function broadcasts over a numpy array of tau; a scalar
-tau is the 0-d case and returns Python floats.
+Every trajectory function broadcasts a numpy array of tau against an array
+``ModelParams(r)``, ``tau[:, None]`` against k correlations giving shape
+(n, k); scalars are the 0-d case and return Python floats.
 
 A NaN tau is rejected with a DomainError. Hyperbolic arguments are clamped
 to |A0 tau| <= 700, `errors.ARG_CLAMP`: beyond that cosh overflows while
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import curvature, errors
 from ._elementwise import any_true, scalar_or_array
-from .errors import SaturationWarning, require, require_positive
+from .errors import SaturationWarning, require, require_positive, require_scalar_r
 from .models import Macrostate3, ModelParams
 
 #: Loosest admissible spread-to-momentum ratio for the well-localized regime.
@@ -88,14 +89,16 @@ def _clamped(arg):
     return np.where(over, np.copysign(errors.ARG_CLAMP, arg), arg)
 
 
-def _path_constants(ic: InitialConditions, r: float) -> tuple[float, float, float]:
+def _path_constants(ic: InitialConditions, r):
     # A0, the momentum scale m = sqrt((1-r)(p0^2 + 2 sigma0^2)) and the spread
     # scale sqrt(p0^2/2 + sigma0^2), by hypot: p0^2 itself under- or
-    # overflows long before the scales do, and hypot returns inf silently
+    # overflows long before the scales do, and hypot returns inf silently.
+    # m has r's shape: a Python float for a scalar r, for the Jacobi RHS
     scale = math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
     if scale == math.inf:
         raise OverflowError("momentum scale sqrt(p0^2 + 2 sigma0^2) overflows")
-    return amplitude_A0(ic), math.sqrt(1.0 - r) * scale, scale / math.sqrt(2.0)
+    root = math.sqrt(1.0 - r) if isinstance(r, float) else np.sqrt(1.0 - r)
+    return amplitude_A0(ic), root * scale, scale / math.sqrt(2.0)
 
 
 def _state(m, spread, th, ch):
@@ -114,10 +117,13 @@ def _velocity(A0, m, spread, th, ch):
 
 def _hyperbolic(tau, params: ModelParams, ic: InitialConditions):
     # the path constants, and tanh and cosh at the clamped A0 tau; every
-    # closed form takes tau here, so here alone a NaN is refused
+    # closed form takes tau here, so here alone a NaN is refused. An array r
+    # broadcasts against tau, so the clamp counts the elements of the result
     A0, m, spread = _path_constants(ic, params.r)
     arg = A0 * tau
     require(arg == arg, "tau must not be NaN")  # false only at NaN
+    if not isinstance(m, float):
+        arg, m = np.broadcast_arrays(arg, m)
     arg = _clamped(arg)
     return A0, m, spread, np.tanh(arg), np.cosh(arg)
 
@@ -172,6 +178,7 @@ def geodesic_residual(
     so the residual tests the closed form, not the stencil (a step of
     1e-4/A0 would leave ~4e-7 of rounding noise).
     """
+    require_scalar_r(params.r)
     tau_grid = np.asarray(tau_grid, dtype=float)
     require(tau_grid.size >= 5, "tau grid needs at least 5 points")
     A0 = amplitude_A0(ic)

@@ -21,7 +21,9 @@ order (mu_x, sigma_x, mu_y, sigma_y); its determinant is
 are taken in closed form from the 2x2 blocks.
 
 `metric_corr3` and its inverse broadcast an array sigma against an array
-``ModelParams(r)``; the point axes lead and the tensor axes trail.
+``ModelParams(r)``; the point axes lead and the tensor axes trail. The
+determinants broadcast over r too; `metric_corr4` and the eigenvalues take a
+scalar r alone.
 
 Only non-negative correlations r in [0, R_MAX) = [0, 1 - 1e-9) are
 admitted: metric entries diverge as r -> 1, so values within 1e-9 of 1 are
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import gather
-from .errors import require_correlation, require_positive
+from .errors import require_correlation, require_positive, require_scalar_r
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,9 @@ class ModelParams:
     """Micro-correlation coefficient of the Gaussian family.
 
     Restricted to the non-negative branch r in [0, R_MAX). ``r`` may be an
-    array of correlations for the closed forms that broadcast over r.
+    array of correlations: each callable that takes a ModelParams either
+    broadcasts over it or refuses it with a DomainError that names r and its
+    shape (`errors.require_scalar_r`).
     """
 
     r: float = 0.0
@@ -116,7 +120,7 @@ def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndar
     Coordinate order is fixed to (mu_x, sigma_x, mu_y, sigma_y).
     """
     require_positive(sigma_x=sigma_x, sigma_y=sigma_y)
-    r = params.r
+    r = require_scalar_r(params.r)
     d = (r - 1.0) * (r + 1.0)  # r^2 - 1 to one rounding as r -> 1
     sx, sy = sigma_x, sigma_y
     return np.array(
@@ -148,7 +152,7 @@ def metric_corr3_eigenvalues(sigma: float, params: ModelParams) -> np.ndarray:
     a - b = 1/((1-r) sigma^2); the spread entry is 4/sigma^2.
     """
     require_positive(sigma=sigma)
-    r = params.r
+    r = require_scalar_r(params.r)
     s2 = sigma * sigma
     return np.sort([1.0 / ((1.0 + r) * s2), 1.0 / ((1.0 - r) * s2), 4.0 / s2])
 

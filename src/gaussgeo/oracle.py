@@ -18,7 +18,10 @@ Both ODE oracles take a scalar r or a 1-D array of k correlations and
 integrate the k systems as one solve of 6k states, r-major in blocks of 6,
 so the integrator's per-step cost is paid once; a scalar r is k = 1, with the
 same arithmetic in the same order, and a 2-D or empty r is refused before any
-solve. For an array r each report field but ``tau`` gains a k axis.
+solve. For an array r each report field but ``tau`` gains a k axis: the
+start state and the path constants come from one closed-form call over r,
+and the report from the closed forms on the steps as a column against r,
+each block's growth rate fit alone.
 
 The ODE engine is ``_Dop853``: scipy's DOP853 (Hairer, Norsett & Wanner,
 Solving ODEs I, II.5) with its stepping loop rewritten here, bit for bit the
@@ -48,7 +51,8 @@ from . import chaos, curvature, geodesics, models
 from ._elementwise import scalar_or_array
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
                       igc_gauss, purity_bruteforce, purity_gaussian_state, run_verification)
-from .errors import ConvergenceError, require, require_hyperbolic, require_positive
+from .errors import (ConvergenceError, require, require_hyperbolic, require_positive,
+                     require_scalar_r)
 from .geodesics import InitialConditions
 from .models import ModelParams
 
@@ -88,13 +92,6 @@ def _blocks(params: ModelParams) -> list[ModelParams]:
     require(r.ndim <= 1 and r.size > 0, lambda: (
         f"r must be a scalar or a non-empty 1-D array of correlations, got shape {r.shape}"))
     return [ModelParams(x) for x in r.reshape(-1).tolist()]
-
-
-def _per_r(params: ModelParams, blocks):
-    # the blocks' results stacked on a last axis of k; for a scalar r that axis
-    # is dropped, and a float comes back as a Python float
-    stacked = np.stack(blocks, axis=-1)
-    return stacked if np.ndim(params.r) else scalar_or_array(stacked[..., 0])
 
 
 def _christoffel_terms(params: ModelParams):
@@ -141,9 +138,9 @@ def _jacobi_rhs(params: ModelParams, ic: InitialConditions):
     # block. sigma and v come from the closed forms' path helpers in Python
     # floats, their constants hoisted, from tanh(A0 t) and cosh(A0 t), which do
     # not depend on r; jacobi_integrate keeps |A0 t| within the clamp
-    A0, _, spread = geodesics._path_constants(ic, 0.0)
-    blocks = [(6 * i, geodesics._path_constants(ic, p.r)[1], _pair_terms(p))
-              for i, p in enumerate(_blocks(params))]
+    A0, m, spread = geodesics._path_constants(ic, params.r)
+    blocks = [(6 * i, m_i, _pair_terms(p))
+              for i, (p, m_i) in enumerate(zip(_blocks(params), np.ravel(m).tolist()))]
 
     def rhs(t, y):
         th, ch = math.tanh(A0 * t), math.cosh(A0 * t)
@@ -165,11 +162,12 @@ def _jacobi_rhs(params: ModelParams, ic: InitialConditions):
 
 
 def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
-    # closed-form (mu1, mu2, sigma) and their velocities at t0
+    # closed-form (mu1, mu2, sigma) and their velocities at t0, r-major in
+    # blocks of 6
     return np.concatenate([
         geodesics.geodesic_corr(t0, params, ic).as_array(),
         geodesics.geodesic_velocity(t0, params, ic),
-    ])
+    ]).T.ravel()
 
 
 # scipy's step-size controller (scipy.integrate._ivp.rk), which _Dop853 keeps
@@ -268,21 +266,17 @@ def geodesic_integrate(
     ``params.r`` may be a 1-D array of k correlations: the k geodesics are
     then integrated as one system and reported per r.
     """
-    blocks = _blocks(params)
+    rhs = _geodesic_rhs(params)  # refuses a bad r before any solve
     t0, t1 = tau_span
     # refused before the start state: a NaN end would keep solve_ivp stepping forever
     require(math.isfinite(t0) and math.isfinite(t1) and t0 != t1,
             lambda: f"ODE span ends must be finite and distinct, got {t0}, {t1}")
-    y0 = np.concatenate([_geodesic_start(p, ic, t0) for p in blocks])
-    ts, ys = _integrate(_geodesic_rhs(params), y0, t0, t1, spec)
-    numeric = ys.reshape(len(ts), len(blocks), 6)
-    errors = []
-    for i, p in enumerate(blocks):
-        closed = geodesics.geodesic_corr(ts, p, ic).as_array().T
-        scale = np.abs(closed).max(axis=0)
-        errors.append(float((np.abs(numeric[:, i, :3] - closed) / scale[None, :]).max()))
-    return GeodesicComparison(ts, numeric if np.ndim(params.r) else numeric[:, 0],
-                              _per_r(params, errors))
+    ts, ys = _integrate(rhs, _geodesic_start(params, ic, t0), t0, t1, spec)
+    numeric = ys.reshape(len(ts), *np.shape(params.r), 6)
+    steps = ts[:, None] if np.ndim(params.r) else ts  # a column against an array r
+    closed = np.moveaxis(geodesics.geodesic_corr(steps, params, ic).as_array(), 0, -1)
+    error = np.abs(numeric[..., :3] - closed) / np.abs(closed).max(axis=0)
+    return GeodesicComparison(ts, numeric, scalar_or_array(error.max(axis=(0, -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +336,22 @@ def jacobi_integrate(
                          for p in blocks])
     ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec)
 
-    closed = chaos.jacobi_intensity(ts, omega0, A0)
+    steps = ts[:, None] if np.ndim(params.r) else ts  # a column against an array r
+    closed = chaos.jacobi_intensity(steps, omega0, A0)
     window = ts >= 0.5 / A0
     fit = ts >= ts[-1] / 2.0
-    reports = []
-    for i, p in enumerate(blocks):
-        # the metric along the path, contracted per step
-        g = models.metric_corr3(geodesics.geodesic_corr(ts, p, ic).sigma, p)
-        J, v = ys[:, 6 * i:6 * i + 3], geodesics.geodesic_velocity(ts, p, ic).T
-        intensity = np.sqrt(np.maximum(np.einsum("ia,iab,ib->i", J, g, J), 0.0))
-        Jgu = np.einsum("ia,iab,ib->i", J, g, v) / np.sqrt(np.einsum("ia,iab,ib->i", v, g, v))
-        ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30))
-        error = np.abs(intensity[window] - closed[window]) / closed[window]
-        rate = np.polyfit(ts[fit], np.log(intensity[fit]), 1)[0]
-        reports.append((intensity, float(error.max()), float(rate), float(ortho)))
-    return JacobiComparison(ts, *(_per_r(params, field) for field in zip(*reports)))
+    # the metric along the path, contracted per step and r
+    g = models.metric_corr3(geodesics.geodesic_corr(steps, params, ic).sigma, params)
+    J = ys.reshape(len(ts), *np.shape(params.r), 6)[..., :3]
+    v = np.moveaxis(geodesics.geodesic_velocity(steps, params, ic), 0, -1)
+    intensity = np.sqrt(np.maximum(np.einsum("...a,...ab,...b->...", J, g, J), 0.0))
+    Jgu = (np.einsum("...a,...ab,...b->...", J, g, v)
+           / np.sqrt(np.einsum("...a,...ab,...b->...", v, g, v)))
+    ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30), axis=0)
+    error = np.abs(intensity[window] - closed[window]) / closed[window]
+    # each column fit alone: lstsq over several columns at once rounds them differently
+    rate = np.apply_along_axis(lambda y: np.polyfit(ts[fit], y, 1)[0], 0, np.log(intensity[fit]))
+    return JacobiComparison(ts, intensity, *map(scalar_or_array, (error.max(axis=0), rate, ortho)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +368,7 @@ def igc_numeric(tau: float, params: ModelParams, ic: InitialConditions) -> float
     lam = 2.0 * geodesics.amplitude_A0(ic)
     require(lam * tau <= 20.0,
             lambda: f"lambda*tau = {lam * tau:.3g} > 20: past the range of the nested quad")
-    r = params.r
+    r = require_scalar_r(params.r)
     fac = 1.0 / math.sqrt(1.0 - r * r)
     s0_state = geodesics.geodesic_corr(0.0, params, ic)
 

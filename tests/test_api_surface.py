@@ -14,13 +14,28 @@ knob needs a deliberate entry.
 No source module imports a public function of a closed-form module by name:
 each is called as ``module.name``, so patching that one binding reaches every
 caller, as editing the source would.
+
+Every public callable that takes a ``ModelParams`` is listed with a valid
+call, so a new one needs a deliberate entry. Called with an array r, each
+either broadcasts over it or refuses it with a DomainError that names r.
 """
 
 import ast
+import dataclasses
 import functools
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import gaussgeo
+from gaussgeo import battery, chaos, complexity, curvature, geodesics, models, oracle
+from gaussgeo.errors import DomainError
+from gaussgeo.geodesics import InitialConditions
+from gaussgeo.models import ModelParams
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "gaussgeo").glob("*.py"))
@@ -108,3 +123,114 @@ def test_defaulted_parameters_are_listed():
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
             found.update(f"{path.stem}.{name}.{a.arg}" for a in defaulted)
     assert found == set(DEFAULTED)
+
+
+_IC = InitialConditions(p0=1.0, sigma0=0.1)
+
+#: module.function: a valid call of each public callable that takes a ModelParams
+R_CALLS = {
+    "models.metric_corr3": lambda p: models.metric_corr3(0.5, p),
+    "models.metric_corr3_inverse": lambda p: models.metric_corr3_inverse(0.5, p),
+    "models.metric_corr3_determinant": lambda p: models.metric_corr3_determinant(0.5, p),
+    "models.metric_corr3_eigenvalues": lambda p: models.metric_corr3_eigenvalues(0.5, p),
+    "models.metric_corr4": lambda p: models.metric_corr4(0.5, 2.0, p),
+    "models.metric_corr4_determinant": lambda p: models.metric_corr4_determinant(0.5, 2.0, p),
+    "models.metric_corr4_eigenvalues": lambda p: models.metric_corr4_eigenvalues(0.5, 2.0, p),
+    "curvature.christoffel": lambda p: curvature.christoffel(0.5, p),
+    "curvature.riemann": lambda p: curvature.riemann(0.5, p),
+    "curvature.ricci": lambda p: curvature.ricci(0.5, p),
+    "curvature.sectional": lambda p: curvature.sectional(0.5, p, [1.0, 1.0, 0.5], [0.0, 1.0, -2.0]),
+    "curvature.maximal_symmetry_check": lambda p: curvature.maximal_symmetry_check(0.5, p),
+    "curvature.bundle": lambda p: curvature.bundle(0.5, p),
+    "geodesics.geodesic_corr": lambda p: geodesics.geodesic_corr(0.3, p, _IC),
+    "geodesics.geodesic_velocity": lambda p: geodesics.geodesic_velocity(0.3, p, _IC),
+    "geodesics.geodesic_acceleration": lambda p: geodesics.geodesic_acceleration(0.3, p, _IC),
+    "geodesics.joined_path": lambda p: geodesics.joined_path(-0.3, p, _IC),
+    "geodesics.geodesic_residual":
+        lambda p: geodesics.geodesic_residual(p, _IC, np.linspace(-1.0, 1.0, 9)),
+    "chaos.velocity_norm_squared_contracted":
+        lambda p: chaos.velocity_norm_squared_contracted(p, _IC, 0.3),
+    "complexity.igc_closed": lambda p: complexity.igc_closed(2.0, p, _IC),
+    "complexity.ige_closed": lambda p: complexity.ige_closed(2.0, p, _IC),
+    "complexity.igc_ratio": lambda p: complexity.igc_ratio(p),
+    "complexity.ige_gap": lambda p: complexity.ige_gap(p),
+    "battery.fisher_metric_numeric": lambda p: battery.fisher_metric_numeric(
+        "corr3", models.Macrostate3(0.4, -0.3, 0.5), p),
+    "battery.curvature_fd": lambda p: battery.curvature_fd(0.5, p),
+    "battery.igc_gauss": lambda p: battery.igc_gauss(1.0, p, _IC),
+    "oracle.geodesic_integrate": lambda p: oracle.geodesic_integrate(p, _IC, (-1.0, 1.0)),
+    "oracle.jacobi_integrate": lambda p: oracle.jacobi_integrate(p, _IC, 2.0),
+    "oracle.igc_numeric": lambda p: oracle.igc_numeric(1.0, p, _IC),
+}
+
+#: the callables that take a scalar r alone
+SCALAR_R = {"models.metric_corr3_eigenvalues", "models.metric_corr4",
+            "models.metric_corr4_eigenvalues", "geodesics.geodesic_residual",
+            "battery.fisher_metric_numeric", "battery.igc_gauss", "oracle.igc_numeric"}
+
+#: the ODE oracles: an array r is one solve, whose steps no scalar call takes
+ONE_SOLVE = {"oracle.geodesic_integrate", "oracle.jacobi_integrate"}
+
+
+def _takes_model_params(fn) -> bool:
+    try:
+        parameters = inspect.signature(fn).parameters.values()
+    except ValueError:  # an exception class, whose signature is its builtin base's
+        return False
+    return any(str(getattr(p.annotation, "__name__", p.annotation)).rpartition(".")[2]
+               == "ModelParams" for p in parameters)
+
+
+def _model_params_callables() -> set[str]:
+    """module.name of every public function, class or public method of a
+    public class in the package whose signature has a ModelParams parameter."""
+    found = set()
+    for info in pkgutil.iter_modules(gaussgeo.__path__):
+        module = importlib.import_module(f"gaussgeo.{info.name}")
+        for name, obj in vars(module).items():
+            if name[0] == "_" or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{m}", getattr(obj, m)) for m in vars(obj) if m[0] != "_"]
+            found.update(f"{info.name}.{qual}" for qual, fn in members
+                         if callable(fn) and _takes_model_params(fn))
+    return found
+
+
+def test_model_params_callables_are_listed():
+    assert _model_params_callables() == set(R_CALLS)
+
+
+def _leaves(result) -> list:
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [result]
+
+
+def _holds_each_r(leaf, per_r) -> bool:
+    """Whether an axis of ``leaf`` holds the scalar calls' values in r's order,
+    or ``leaf`` is the value of each scalar call (a field r does not reach)."""
+    leaf = np.asarray(leaf)
+    return any(leaf.shape[axis] == len(per_r) and all(
+        np.array_equal(np.take(leaf, i, axis), value, equal_nan=True)
+        for i, value in enumerate(per_r)) for axis in range(leaf.ndim)) or all(
+        np.array_equal(leaf, value, equal_nan=True) for value in per_r)
+
+
+@pytest.mark.parametrize("name", sorted(R_CALLS))
+def test_array_r_broadcasts_or_is_refused_by_name(name):
+    call, rs = R_CALLS[name], (0.0, 0.5)
+    if name in SCALAR_R:
+        with pytest.raises(DomainError, match=r"\br\b.*shape \(2,\)"):
+            call(ModelParams(np.array(rs)))
+        return
+    result = _leaves(call(ModelParams(np.array(rs))))
+    scalar = [_leaves(call(ModelParams(r))) for r in rs]
+    for i, leaf in enumerate(result):
+        per_r = [leaves[i] for leaves in scalar]
+        if name in ONE_SOLVE:
+            # a field that is one float per run gains the r axis
+            assert np.ndim(per_r[0]) > 0 or np.shape(leaf) == (len(rs),)
+        else:
+            assert _holds_each_r(leaf, per_r)

@@ -67,29 +67,39 @@ def _caught(fn, *args):
 # array call == scalar call, element by element
 # ---------------------------------------------------------------------------
 
+def _path_cases(tau, r):
+    """(tau, ModelParams) array arguments of the path forms: an array tau
+    against a scalar r, and a tau column against a row of r; with the scalar
+    points of each, in the flat order of the broadcast result."""
+    for tau_arg, r_arg in ((tau, r[0]), (tau[:, None], np.array(r))):
+        points = [a.ravel().tolist() for a in np.broadcast_arrays(tau_arg, r_arg)]
+        yield tau_arg, ModelParams(r_arg), [(t, ModelParams(x)) for t, x in zip(*points)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(ic=ics, r=correlations, frac=fractions)
+@given(ic=ics, r=st.lists(correlations, min_size=1, max_size=4), frac=fractions)
 def test_geodesic_state_elementwise(ic, r, frac):
     # |A0 tau| up to 1000: beyond the clamp on some elements
     tau = np.array(frac) * 1000.0 / geodesics.amplitude_A0(ic)
-    params = ModelParams(r)
-    for fn in (geodesics.geodesic_corr, geodesics.joined_path):
-        state = _quietly(fn, tau, params, ic)
-        scalar = [_quietly(fn, t, params, ic) for t in tau.tolist()]
-        for name in ("mu1", "mu2", "sigma"):
-            _assert_elementwise(getattr(state, name), [getattr(s, name) for s in scalar])
+    for tau_arg, params, points in _path_cases(tau, r):
+        for fn in (geodesics.geodesic_corr, geodesics.joined_path):
+            state = _quietly(fn, tau_arg, params, ic)
+            scalar = [_quietly(fn, t, p, ic) for t, p in points]
+            for name in ("mu1", "mu2", "sigma"):
+                _assert_elementwise(getattr(state, name).ravel(),
+                                    [getattr(s, name) for s in scalar])
 
 
 @settings(max_examples=40, deadline=None)
-@given(ic=ics, r=correlations, frac=fractions)
+@given(ic=ics, r=st.lists(correlations, min_size=1, max_size=4), frac=fractions)
 def test_geodesic_derivatives_elementwise(ic, r, frac):
     tau = np.array(frac) * 1000.0 / geodesics.amplitude_A0(ic)
-    params = ModelParams(r)
-    for fn in (geodesics.geodesic_velocity, geodesics.geodesic_acceleration):
-        array = _quietly(fn, tau, params, ic)
-        assert array.shape == (3, len(tau))
-        scalar = [_quietly(fn, t, params, ic) for t in tau.tolist()]
-        _assert_elementwise(array.T, scalar)
+    for tau_arg, params, points in _path_cases(tau, r):
+        for fn in (geodesics.geodesic_velocity, geodesics.geodesic_acceleration):
+            array = _quietly(fn, tau_arg, params, ic)
+            assert array.shape == (3,) + np.broadcast_shapes(tau_arg.shape, np.shape(params.r))
+            scalar = [_quietly(fn, t, p, ic) for t, p in points]
+            _assert_elementwise(array.reshape(3, -1).T, scalar)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,14 +221,27 @@ def test_geometry_broadcasts_to_trailing_tensor_axes():
 
 
 @settings(max_examples=40, deadline=None)
-@given(ic=ics, r=correlations, frac=fractions)
+@given(ic=ics, r=st.lists(correlations, min_size=1, max_size=4), frac=fractions)
 def test_velocity_norm_contracted_elementwise(ic, r, frac):
     # |A0 tau| up to 20, inside the range where the metric stays finite
     tau = np.array(frac) * 20.0 / geodesics.amplitude_A0(ic)
-    params = ModelParams(r)
-    _assert_elementwise(
-        chaos.velocity_norm_squared_contracted(params, ic, tau),
-        [chaos.velocity_norm_squared_contracted(params, ic, t) for t in tau.tolist()])
+    for tau_arg, params, points in _path_cases(tau, r):
+        _assert_elementwise(
+            chaos.velocity_norm_squared_contracted(params, ic, tau_arg).ravel(),
+            [chaos.velocity_norm_squared_contracted(p, ic, t) for t, p in points])
+
+
+def test_path_forms_broadcast_tau_against_r():
+    # a tau column against a row of r, the components leading
+    tau, params = np.array([[-0.5], [2.0]]), ModelParams(np.array([0.0, 0.3, 0.9]))
+    ic = InitialConditions(1.0, 0.1)
+    for fn in (geodesics.geodesic_corr, geodesics.joined_path):
+        assert fn(tau, params, ic).as_array().shape == (3, 2, 3)
+    for fn in (geodesics.geodesic_velocity, geodesics.geodesic_acceleration):
+        assert fn(tau, params, ic).shape == (3, 2, 3)
+    assert chaos.velocity_norm_squared_contracted(params, ic, tau).shape == (2, 3)
+    # a scalar tau takes r's shape
+    assert geodesics.geodesic_corr(0.5, params, ic).sigma.shape == (3,)
 
 
 # ---------------------------------------------------------------------------

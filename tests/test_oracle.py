@@ -627,6 +627,10 @@ class TestBatchedOdes:
         for i, r in enumerate(rs):
             start = oracle._geodesic_start(ModelParams(r), _DESK, -1.0)
             assert np.array_equal(cmp.numeric[0, i], start)
+            # the block's error, reduced over its own steps and coordinates alone
+            closed = geodesics.geodesic_corr(cmp.tau, ModelParams(r), _DESK).as_array().T
+            error = np.abs(cmp.numeric[:, i, :3] - closed) / np.abs(closed).max(axis=0)
+            assert cmp.max_rel_error[i] == error.max()
 
     @pytest.mark.parametrize("rs", [[0.0, 0.5], [0.9, 0.3, 0.0]])
     def test_each_jacobi_block_meets_the_scalar_bounds(self, rs):
@@ -641,6 +645,14 @@ class TestBatchedOdes:
         rates = 2.0 * cmp.fitted_rate
         assert np.all(np.abs(rates - 2.0 * A0) / (2.0 * A0) < 0.01)
         assert np.ptp(rates) / (2.0 * A0) < 1e-4
+        # each block's error and rate, reduced over its own intensity column alone
+        closed = chaos.jacobi_intensity(cmp.tau, 1.0, A0)
+        window, fit = cmp.tau >= 0.5 / A0, cmp.tau >= cmp.tau[-1] / 2.0
+        for i in range(len(rs)):
+            intensity = cmp.intensity[:, i]
+            error = np.abs(intensity[window] - closed[window]) / closed[window]
+            assert cmp.max_rel_error[i] == error.max()
+            assert cmp.fitted_rate[i] == np.polyfit(cmp.tau[fit], np.log(intensity[fit]), 1)[0]
 
     @pytest.mark.parametrize("r", [np.array([[0.0, 0.5]]), np.zeros((1, 1)), np.array([])])
     def test_rejects_a_bad_r_shape_before_integrating(self, monkeypatch, r):
