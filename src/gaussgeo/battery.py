@@ -17,10 +17,11 @@ keeps the message. Negative controls monkeypatch a closed form. Checks share
 runs within a battery, each one solve over r = 0 and 0.5 at once: the
 forward geodesic run serves ``geodesic_ode`` and, integrated back from its
 end state, ``geodesic_reversibility``; the Jacobi run to 20/A0 serves
-``jacobi_intensity`` and ``lyapunov_fit``. `run_verification` imports
-:mod:`gaussgeo.oracle`, and with it scipy.integrate, before it times any
-check, and only when the selection includes a group that runs an ODE
-(geodesics, chaos).
+``jacobi_intensity`` and ``lyapunov_fit``. Those three solves step in
+Hairer's compiled DOP853, which ``solve_ivp`` drives through
+``oracle._Dop853``. `run_verification` imports :mod:`gaussgeo.oracle`, and
+with it scipy.integrate, before it times any check, and only when the
+selection includes a group that runs an ODE (geodesics, chaos).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import chaos, complexity, curvature, geodesics, models, scattering
 from ._elementwise import scalar_or_array
 from .errors import (ConvergenceError, DomainError, GaussGeoError, require, require_correlation,
-                     require_positive, require_scalar_r)
+                     require_positive, require_scalar)
 from .geodesics import InitialConditions
 from .models import ModelParams
 from .scattering import ScatteringConfig
@@ -108,7 +109,7 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
         args = (state.mu_x, state.mu_y, state.sigma_x, state.sigma_y, params.r, np.eye(4))
     else:
         raise DomainError(f"unknown model {model!r}")
-    require_scalar_r(params.r)
+    require_scalar(r=params.r)
     # an infinite mean would reach the quadrature as inf - inf
     require(np.isfinite(args[:2]), lambda: f"means must be finite, got {args[0]}, {args[1]}")
     return _fisher_quadrature(*args, 40)
@@ -261,7 +262,7 @@ def igc_gauss(tau: float, params: ModelParams, ic: InitialConditions) -> float:
     where 2/sigma^3 dsigma is 2 exp(-2u) du (the mu integrals are exact). The
     48-point value must match the 96-point one; a non-finite one fails."""
     require_positive(tau=tau)
-    require_scalar_r(params.r)
+    require_scalar(tau=tau, r=params.r)
     start = geodesics.geodesic_corr(0.0, params, ic)
 
     def average(order):

@@ -9,7 +9,7 @@ Every domain guard goes through the helpers at the end, which write each
 rule once for a scalar or an array. `require` alone tests a rule: it holds
 only if it holds at every element, and NaN fails it; the other helpers
 raise through it. `require_hyperbolic` is the one overflow guard of sinh,
-cosh and tanh, and `require_scalar_r` the one refusal of an array r.
+cosh and tanh, and `require_scalar` the one refusal of an array input.
 """
 
 import math
@@ -110,11 +110,13 @@ def require_correlation(r):
     return r
 
 
-def require_scalar_r(r):
-    """Require a scalar correlation, where a closed form does not broadcast
-    over r, and return it."""
-    require(np.ndim(r) == 0, lambda: f"r must be a scalar here, got shape {np.shape(r)}")
-    return r
+def require_scalar(**named):
+    """Require each named value to be a scalar, where a form does not
+    broadcast over it, and return the last one named."""
+    for name, value in named.items():
+        require(np.ndim(value) == 0,
+                lambda: f"{name} must be a scalar here, got shape {np.shape(value)}")
+    return value
 
 
 def require_hyperbolic(arg, label: str) -> None:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import curvature, errors
 from ._elementwise import any_true, scalar_or_array
-from .errors import SaturationWarning, require, require_positive, require_scalar_r
+from .errors import SaturationWarning, require, require_positive, require_scalar
 from .models import Macrostate3, ModelParams
 
 #: Loosest admissible spread-to-momentum ratio for the well-localized regime.
@@ -178,7 +178,7 @@ def geodesic_residual(
     so the residual tests the closed form, not the stencil (a step of
     1e-4/A0 would leave ~4e-7 of rounding noise).
     """
-    require_scalar_r(params.r)
+    require_scalar(r=params.r)
     tau_grid = np.asarray(tau_grid, dtype=float)
     require(tau_grid.size >= 5, "tau grid needs at least 5 points")
     A0 = amplitude_A0(ic)

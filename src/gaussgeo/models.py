@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import gather
-from .errors import require_correlation, require_positive, require_scalar_r
+from .errors import require_correlation, require_positive, require_scalar
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class ModelParams:
     Restricted to the non-negative branch r in [0, R_MAX). ``r`` may be an
     array of correlations: each callable that takes a ModelParams either
     broadcasts over it or refuses it with a DomainError that names r and its
-    shape (`errors.require_scalar_r`).
+    shape (`errors.require_scalar`).
     """
 
     r: float = 0.0
@@ -120,7 +120,7 @@ def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndar
     Coordinate order is fixed to (mu_x, sigma_x, mu_y, sigma_y).
     """
     require_positive(sigma_x=sigma_x, sigma_y=sigma_y)
-    r = require_scalar_r(params.r)
+    r = require_scalar(sigma_x=sigma_x, sigma_y=sigma_y, r=params.r)
     d = (r - 1.0) * (r + 1.0)  # r^2 - 1 to one rounding as r -> 1
     sx, sy = sigma_x, sigma_y
     return np.array(
@@ -152,7 +152,7 @@ def metric_corr3_eigenvalues(sigma: float, params: ModelParams) -> np.ndarray:
     a - b = 1/((1-r) sigma^2); the spread entry is 4/sigma^2.
     """
     require_positive(sigma=sigma)
-    r = require_scalar_r(params.r)
+    r = require_scalar(sigma=sigma, r=params.r)
     s2 = sigma * sigma
     return np.sort([1.0 / ((1.0 + r) * s2), 1.0 / ((1.0 - r) * s2), 4.0 / s2])
 

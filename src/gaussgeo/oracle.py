@@ -23,14 +23,19 @@ start state and the path constants come from one closed-form call over r,
 and the report from the closed forms on the steps as a column against r,
 each block's growth rate fit alone.
 
-The ODE engine is ``_Dop853``: scipy's DOP853 (Hairer, Norsett & Wanner,
-Solving ODEs I, II.5) with its stepping loop rewritten here, bit for bit the
-same steps, states and nfev as ``solve_ivp(method="DOP853")``; scipy keeps
-the tableau, the initial step and the ``solve_ivp`` loop. Each right-hand
-side loops over the r blocks, each summing its own paired table, built once
-per solve, that keeps each symmetric pair Gamma^a_bc = Gamma^a_cb once; the
-Jacobi one forms tanh(A0 t) and cosh(A0 t) once per call, J^sigma/sigma and
-w = 2 J' - v J^sigma/sigma once per call and block, and sums -Gamma(v, w).
+The ODE engine is ``_Dop853``: Hairer's DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.5) as scipy compiles it for ``scipy.integrate.ode``, run
+once over each span with Hairer's own step-size controller, its accepted
+steps handed to ``solve_ivp`` one at a time. Solves in different threads run
+side by side, as dop853 keeps its callbacks per thread; a solve started
+inside another solve's right-hand side, in the same thread, takes the outer
+solve's callbacks, and the outer solve ends in ``ConvergenceError``.
+
+Each right-hand side loops over the r blocks, each summing its own paired
+table, built once per solve, that keeps each symmetric pair
+Gamma^a_bc = Gamma^a_cb once; the Jacobi one forms tanh(A0 t) and
+cosh(A0 t) once per call, J^sigma/sigma and w = 2 J' - v J^sigma/sigma once
+per call and block, and sums -Gamma(v, w).
 
 This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
 ``quad`` through its globals, so wrapping them here counts the oracles' work.
@@ -45,14 +50,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate import OdeSolver, ode, quad, solve_ivp
 
 from . import chaos, curvature, geodesics, models
 from ._elementwise import scalar_or_array
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
                       igc_gauss, purity_bruteforce, purity_gaussian_state, run_verification)
 from .errors import (ConvergenceError, require, require_hyperbolic, require_positive,
-                     require_scalar_r)
+                     require_scalar)
 from .geodesics import InitialConditions
 from .models import ModelParams
 
@@ -61,8 +66,8 @@ from .models import ModelParams
 class OdeSpec:
     """Tolerances of the adaptive DOP853 integration behind the ODE oracles.
 
-    Both must be positive and finite: with a NaN or infinite tolerance
-    solve_ivp never finishes a step.
+    Both must be positive and finite: at a NaN tolerance dop853 never accepts
+    a step, and at an infinite one every step passes its error test.
     """
 
     rtol: float = 1e-10
@@ -170,81 +175,57 @@ def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
     ]).T.ravel()
 
 
-# scipy's step-size controller (scipy.integrate._ivp.rk), which _Dop853 keeps
-SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+class _Dop853(OdeSolver):
+    # Hairer's DOP853 as scipy.integrate.ode compiles it, run once over the
+    # whole span with its own default controller: its solout records each
+    # accepted step, which solve_ivp then takes one at a time.
+    # - The state solout gets is a view of dop853's work array: it is copied.
+    # - The last step ends at X + (XEND - X), which can miss XEND by an ulp:
+    #   it is put at t_bound, where solve_ivp stops.
+    # - nfev is dop853's own RHS-call count, IWORK(17), and a failure ends the
+    #   steps with dop853's message.
+    # - An exception must not cross the compiled loop: the RHS keeps it and
+    #   returns zeros until solout stops dop853, and it is raised here.
 
+    def __init__(self, fun, t0, y0, t_bound, vectorized, rtol, atol):
+        super().__init__(fun, t0, y0, t_bound, vectorized)
+        steps, raised, zeros = [], [], [0.0] * self.n
 
-class _Dop853(DOP853):
-    # scipy's DOP853 with its stepping loop rewritten: the same stage sums,
-    # error norm and controller in the same order, so the same steps, states
-    # and nfev bit for bit. It calls the raw RHS (12 calls per attempted step
-    # added to nfev; the base class counts f0 and the initial-step call),
-    # builds its stage views once per solve, takes the stage sums through
-    # those views' own dot (the C routine and BLAS kernel of np.dot, without
-    # its Python-level dispatch) and its scalars in math, where scipy goes
-    # through nfev and asarray wrappers, np.dot, np.linalg.norm and
-    # np.nextafter at every stage or step. Everything per instance, so
-    # concurrent solves share nothing.
+        def rhs(t, y):
+            if not raised:
+                try:
+                    return fun(t, y)
+                except BaseException as exc:
+                    raised.append(exc)
+            return zeros
 
-    def __init__(self, fun, *args, **kwargs):
-        super().__init__(fun, *args, **kwargs)
-        K = self.K
-        self._rhs = fun
-        self._stages = [(s, K[:s].T, self.A[s, :s], float(self.C[s]))
-                        for s in range(1, self.n_stages)]
-        self._K_sum, self._K_err = K[:-1].T, K.T
+        def solout(t, y):
+            if raised and steps:  # dop853 reads a stop at t0 as too small a step
+                return -1
+            steps.append((t, y.copy()))
+
+        solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol)
+        solver.set_solout(solout)
+        solver.set_initial_value(self.y, t0).integrate(t_bound)
+        if raised:
+            raise raised[0]
+        dop853 = solver._integrator
+        self.nfev = int(dop853.iwork[16])
+        self._message = dop853.messages.get(dop853.istate, f"istate {dop853.istate}")
+        if solver.successful():
+            steps[-1] = (t_bound, steps[-1][1])
+        self._steps = steps[:0:-1]  # the accepted steps past t0, last first
 
     def _step_impl(self):
-        t, y, K, rhs, direction = self.t, self.y, self.K, self._rhs, self.direction
-        # _integrate passes no max_step, so scipy's clamp to it is left out
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(self.h_abs, min_step)
-
-        K[0] = self.f
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs * direction
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-
-            for s, K_s, a, c in self._stages:
-                K[s] = rhs(t + c * h, y + K_s.dot(a) * h)
-            y_new = y + h * self._K_sum.dot(self.B)
-            K[-1] = rhs(t + h, y_new)
-            self.nfev += self.n_stages
-
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            err5 = self._K_err.dot(self.E5) / scale
-            err3 = self._K_err.dot(self.E3) / scale
-            # np.linalg.norm's square, which x.dot(x) can miss by an ulp
-            err5_2 = math.sqrt(err5.dot(err5)) ** 2
-            err3_2 = math.sqrt(err3.dot(err3)) ** 2
-            if err5_2 == 0 and err3_2 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * self.n)
-
-            if error_norm < 1:
-                factor = (MAX_FACTOR if error_norm == 0 else
-                          min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
-            rejected = True
-
-        self.h_previous, self.y_old = h, y
-        self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs, K[-1].copy()
+        if not self._steps:
+            return False, self._message
+        self.t, self.y = self._steps.pop()
         return True, None
 
 
 def _integrate(rhs, y0, t0, t1, spec: OdeSpec):
-    # at every accepted step, both span ends included: no t_eval, so DOP853
-    # builds no dense output (3 more RHS calls per step) and adds no
-    # interpolation error; _Dop853 steps, and solve_ivp drives it
+    # at every accepted step, both span ends included, with no interpolation
+    # error: _Dop853 builds no dense output, so solve_ivp takes no t_eval
     sol = solve_ivp(rhs, (t0, t1), y0, method=_Dop853, rtol=spec.rtol, atol=spec.atol)
     if not sol.success:
         raise ConvergenceError(f"ODE integration failed: {sol.message}")
@@ -368,7 +349,7 @@ def igc_numeric(tau: float, params: ModelParams, ic: InitialConditions) -> float
     lam = 2.0 * geodesics.amplitude_A0(ic)
     require(lam * tau <= 20.0,
             lambda: f"lambda*tau = {lam * tau:.3g} > 20: past the range of the nested quad")
-    r = require_scalar_r(params.r)
+    r = require_scalar(tau=tau, r=params.r)
     fac = 1.0 / math.sqrt(1.0 - r * r)
     s0_state = geodesics.geodesic_corr(0.0, params, ic)
 

@@ -90,6 +90,27 @@ def test_closed_forms_are_called_through_their_module():
     assert by_name == []
 
 
+def _imported(tree) -> list[str]:
+    """Every module and every name a module imports, dotted in full."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_sources_import_public_scipy_only(path):
+    # a private scipy module, such as scipy.integrate._ivp, may move or change
+    # in any release: the ODE engine reaches scipy.integrate.OdeSolver and
+    # scipy.integrate.ode by their public names
+    private = [name for name in _imported(TREES[path])
+               if name.split(".")[0] == "scipy" and any(p[0] == "_" for p in name.split("."))]
+    assert private == []
+
+
 #: module.function.parameter: why the default exists
 DEFAULTED = {
     "oracle.geodesic_integrate.spec": "refinement self-test with a tighter OdeSpec",
@@ -234,3 +255,28 @@ def test_array_r_broadcasts_or_is_refused_by_name(name):
             assert np.ndim(per_r[0]) > 0 or np.shape(leaf) == (len(rs),)
         else:
             assert _holds_each_r(leaf, per_r)
+
+
+#: (module.function, input, the call with that input an array) for each
+#: numeric input, other than r, that a form takes as a scalar alone
+SCALAR_INPUTS = [
+    ("models.metric_corr3_eigenvalues", "sigma",
+     lambda x: models.metric_corr3_eigenvalues(x, ModelParams(0.3))),
+    ("models.metric_corr4", "sigma_x", lambda x: models.metric_corr4(x, 2.0, ModelParams(0.3))),
+    ("models.metric_corr4", "sigma_y", lambda x: models.metric_corr4(0.5, x, ModelParams(0.3))),
+    ("models.metric_corr4_eigenvalues", "sigma_x",
+     lambda x: models.metric_corr4_eigenvalues(x, 2.0, ModelParams(0.3))),
+    ("models.metric_corr4_eigenvalues", "sigma_y",
+     lambda x: models.metric_corr4_eigenvalues(0.5, x, ModelParams(0.3))),
+    ("battery.igc_gauss", "tau", lambda x: battery.igc_gauss(x, ModelParams(0.3), _IC)),
+    ("oracle.igc_numeric", "tau", lambda x: oracle.igc_numeric(x, ModelParams(0.3), _IC)),
+]
+
+
+@pytest.mark.parametrize("name, input, call", SCALAR_INPUTS,
+                         ids=[f"{name}.{input}" for name, input, _ in SCALAR_INPUTS])
+def test_array_input_is_refused_by_name(name, input, call):
+    # not a raw numpy error, nor values that mix the points: the eigenvalue
+    # forms sort, and a sort over an array input runs along its point axis
+    with pytest.raises(DomainError, match=rf"^{input} must be a scalar here, got shape \(2,\)$"):
+        call(np.array([0.5, 2.0]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 
 from gaussgeo import (battery, chaos, cli, complexity, curvature, geodesics, models, oracle,
                       scattering)
@@ -346,20 +346,47 @@ class TestOdeSpec:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("field", ["rtol", "atol"])
     def test_rejects_a_tolerance_not_positive_and_finite(self, field, value):
-        # solve_ivp never finishes a step at a NaN or infinite tolerance
+        # dop853 never accepts a step at a NaN tolerance, and accepts every one at an infinite one
         with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
             OdeSpec(**{field: value})
 
 
-def _assert_steps_like_scipy(rhs, span, y0, spec):
-    # the lean stepper against scipy's DOP853: every accepted step, state and
-    # RHS call bit for bit, and the same outcome
-    ours, scipys = (solve_ivp(rhs, span, y0, method=method, rtol=spec.rtol, atol=spec.atol)
-                    for method in (oracle._Dop853, "DOP853"))
-    assert np.array_equal(ours.t, scipys.t)
-    assert np.array_equal(ours.y, scipys.y)
-    assert (ours.nfev, ours.status, ours.message) == (scipys.nfev, scipys.status, scipys.message)
-    return ours
+def _assert_steps_like_dop853(rhs, span, y0, spec):
+    # the adapter through solve_ivp against Hairer's dop853 run directly
+    # through scipy.integrate.ode: every accepted step, state and RHS call bit
+    # for bit, and the same outcome and warnings; dop853's last step may miss
+    # the span end by an ulp, and the adapter ends it there. Returns the
+    # adapter's solution and the time of dop853's own last step
+    calls, ts, ys = [], [], []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    def solout(t, y):
+        ts.append(t)
+        ys.append(y.copy())
+
+    solver = ode(counted).set_integrator("dop853", rtol=spec.rtol, atol=spec.atol)
+    solver.set_solout(solout)
+    with warnings.catch_warnings(record=True) as direct:
+        warnings.simplefilter("always")
+        solver.set_initial_value(y0, span[0]).integrate(span[1])
+    with warnings.catch_warnings(record=True) as adapted:
+        warnings.simplefilter("always")
+        ours = solve_ivp(rhs, span, y0, method=oracle._Dop853, rtol=spec.rtol, atol=spec.atol)
+    assert [str(w.message) for w in adapted] == [str(w.message) for w in direct]
+    end = ts[-1]
+    if solver.successful():
+        assert ours.status == 0
+        assert abs(end - span[1]) <= np.spacing(abs(span[1]))
+        ts[-1] = span[1]
+    else:  # scipy warns "dop853: <message>" as dop853 fails
+        assert (ours.status, f"dop853: {ours.message}") == (-1, str(direct[-1].message))
+    assert np.array_equal(ours.t, ts)
+    assert np.array_equal(ours.y.T, ys)
+    assert ours.nfev == len(calls)
+    return ours, end
 
 
 _TOLERANCES = st.builds(OdeSpec, rtol=st.floats(-12.0, -4.0).map(lambda u: 10.0 ** u),
@@ -368,11 +395,6 @@ _ENTRIES = st.floats(-2.0, 2.0)
 
 
 class TestDop853:
-    def test_keeps_scipys_controller(self):
-        from scipy.integrate._ivp import rk
-        assert (oracle.SAFETY, oracle.MIN_FACTOR, oracle.MAX_FACTOR) == \
-            (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
-
     def test_battery_runs_step_like_scipy(self, monkeypatch):
         # the three runs of a battery, each over r = 0 and 0.5 at once: the
         # geodesics, their reversal and the Jacobi fields
@@ -387,7 +409,7 @@ class TestDop853:
         assert len(calls) == 3
         for rhs, span, y0, kwargs in calls:
             assert kwargs["method"] is oracle._Dop853
-            _assert_steps_like_scipy(rhs, span, y0, OdeSpec(kwargs["rtol"], kwargs["atol"]))
+            _assert_steps_like_dop853(rhs, span, y0, OdeSpec(kwargs["rtol"], kwargs["atol"]))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 4), data=st.data(), t0=st.floats(-1.0, 1.0),
@@ -395,7 +417,7 @@ class TestDop853:
     def test_linear_systems_step_like_scipy(self, n, data, t0, length, spec):
         M = np.array(data.draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
         y0 = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
-        _assert_steps_like_scipy(lambda _t, y: M @ y, (t0, t0 + length), y0, spec)
+        _assert_steps_like_dop853(lambda _t, y: M @ y, (t0, t0 + length), y0, spec)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(y0=st.lists(_ENTRIES, min_size=2, max_size=2), damping=st.floats(0.0, 1.0),
@@ -405,19 +427,66 @@ class TestDop853:
             q, p = y.tolist()
             return [p, -math.sin(q) - damping * p + math.cos(t)]
 
-        _assert_steps_like_scipy(rhs, span, y0, spec)
+        _assert_steps_like_dop853(rhs, span, y0, spec)
 
-    def test_too_small_a_step_fails_like_scipy(self):
-        # y' = y^2 from y(0) = 1 blows up at t = 1
+    def test_blow_up_fails_with_dop853s_message(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1: dop853 steps towards it
+        # until its step budget runs out, and warns as it stops
         def rhs(_t, y):
             return [y[0] * y[0]]
 
-        spec = OdeSpec()
-        sol = _assert_steps_like_scipy(rhs, (0.0, 2.0), [1.0], spec)
-        assert sol.status == -1
-        with pytest.raises(ConvergenceError) as failed:
-            oracle._integrate(rhs, [1.0], 0.0, 2.0, spec)
-        assert str(failed.value) == f"ODE integration failed: {sol.message}"
+        sol, _ = _assert_steps_like_dop853(rhs, (0.0, 2.0), [1.0], OdeSpec())
+        assert sol.status == -1 and sol.t[-1] < 1.0
+        with pytest.warns(UserWarning, match="^dop853: larger nsteps is needed$"):
+            with pytest.raises(ConvergenceError,
+                               match="^ODE integration failed: larger nsteps is needed$"):
+                oracle._integrate(rhs, [1.0], 0.0, 2.0, OdeSpec())
+
+    def test_last_step_ends_at_the_span_end(self):
+        # dop853 ends its last step at X + (XEND - X), here an ulp past XEND,
+        # and solve_ivp stops only at t_bound itself
+        span = (-0.9757069477727749, 0.3022548378547494)
+
+        def rhs(t, y):
+            return [0.8670027222549126 * y[0] + math.cos(t)]
+
+        sol, end = _assert_steps_like_dop853(rhs, span, [1.0], OdeSpec(rtol=1.4735340930131697e-07))
+        assert end == np.nextafter(span[1], math.inf)
+        assert sol.t[-1] == span[1]
+
+    @pytest.mark.parametrize("calls", [0, 1, 5, 40])
+    def test_an_exception_in_the_rhs_is_raised_as_it_is(self, calls):
+        # at the first call, inside the initial step or inside a later step:
+        # the exception itself comes out, and dop853 stops with no warning
+        seen = []
+
+        def rhs(t, y):
+            seen.append(t)
+            if len(seen) > calls:
+                raise KeyError("rhs")
+            return [-y[0]]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KeyError, match="rhs"):
+                oracle._integrate(rhs, [1.0], 0.0, 100.0, OdeSpec())
+        assert len(seen) == calls + 1
+
+    def test_a_solve_inside_a_solve_fails(self):
+        # dop853 keeps one set of callbacks per thread: a solve started in
+        # another's RHS takes them, and the outer solve never calls its own
+        # RHS again, so it ends in ConvergenceError, not in a result
+        outer_calls, inner = [], []
+
+        def outer(_t, y):
+            outer_calls.append(y)
+            inner.append(oracle._integrate(lambda _t, z: [-z[0]], [1.0], 0.0, 1.0, OdeSpec()))
+            return [-y[0]]
+
+        with pytest.warns(UserWarning, match="^dop853: "):
+            with pytest.raises(ConvergenceError, match="^ODE integration failed: "):
+                oracle._integrate(outer, [1.0], 0.0, 1.0, OdeSpec())
+        assert len(outer_calls) == len(inner) == 1
 
 
 class TestJacobiIntegrate:
@@ -519,8 +588,7 @@ class TestJacobiIntegrate:
 
     def test_battery_nfev(self, monkeypatch):
         # the accepted steps of the battery's ODE runs, each one solve over
-        # r = 0 and 0.5, and their RHS calls, which dense output (t_eval)
-        # would raise by 3 per step
+        # r = 0 and 0.5, and their RHS calls as dop853 counts them
         nfev, steps = {}, {}
         solve_ivp = oracle.solve_ivp
 
@@ -533,9 +601,9 @@ class TestJacobiIntegrate:
 
         monkeypatch.setattr(oracle, "solve_ivp", counted)
         assert all(res.passed for res in oracle.run_verification())
-        assert steps == {"_geodesic_rhs": [34, 34], "_jacobi_rhs": [54]}
-        assert nfev == {"_geodesic_rhs": [446, 446], "_jacobi_rhs": [662]}
-        assert sum(map(sum, nfev.values())) == 1554
+        assert steps == {"_geodesic_rhs": [38, 38], "_jacobi_rhs": [56]}
+        assert nfev == {"_geodesic_rhs": [491, 491], "_jacobi_rhs": [685]}
+        assert sum(map(sum, nfev.values())) == 1667
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.7, 0.9])
     def test_rhs_is_covariant_jacobi_equation(self, desk_ic, rng, r):
@@ -585,14 +653,14 @@ _RS = st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4)
 class TestBatchedOdes:
     """An array r of k correlations integrates k systems as one solve of 6k states."""
 
-    @pytest.mark.parametrize("r, counts", [(0.0, (34, 446)), (0.5, (34, 458))])
+    @pytest.mark.parametrize("r, counts", [(0.0, (38, 491)), (0.5, (38, 491))])
     def test_scalar_geodesic_keeps_its_steps(self, monkeypatch, r, counts):
         # a scalar r is the k = 1 case: the steps and nfev of the unbatched oracle
         solves = _solve_counts(monkeypatch)
         oracle.geodesic_integrate(ModelParams(r), _DESK, (-1.0, 1.0))
         assert solves == [counts]
 
-    @pytest.mark.parametrize("r, counts", [(0.0, (55, 674)), (0.5, (54, 662))])
+    @pytest.mark.parametrize("r, counts", [(0.0, (56, 685)), (0.5, (55, 673))])
     def test_scalar_jacobi_keeps_its_steps(self, monkeypatch, r, counts):
         solves = _solve_counts(monkeypatch)
         oracle.jacobi_integrate(ModelParams(r), _DESK, 20.0 / geodesics.amplitude_A0(_DESK))
@@ -663,6 +731,38 @@ class TestBatchedOdes:
             with pytest.raises(DomainError, match=r"r must be a scalar or a non-empty 1-D "
                                                   r"array of correlations, got shape \("):
                 run()
+
+
+def _assert_concurrent_batteries_agree(groups):
+    # four threads, each running the groups' batteries three times with the
+    # interpreter switching threads every microsecond: none raises, and each
+    # reports the serial residuals bit for bit
+    def batteries():
+        return [res.as_dict() for only in groups for res in oracle.run_verification(only=only)]
+
+    expected = batteries()
+    got, errors = [], []
+
+    def battery():
+        try:
+            for _ in range(3):
+                got.append(batteries())
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=battery) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert got == [expected] * 12
 
 
 class TestVerificationBattery:
@@ -893,30 +993,12 @@ class TestVerificationBattery:
     def test_concurrent_batteries_agree(self):
         # batteries in more threads than cores, switching often, each read
         # only their own memo: none raises and all report the serial residuals
-        expected = [res.as_dict() for res in oracle.run_verification(only="scattering")]
-        got, errors = [], []
+        _assert_concurrent_batteries_agree(["scattering"])
 
-        def battery():
-            try:
-                for _ in range(3):
-                    got.append([res.as_dict()
-                                for res in oracle.run_verification(only="scattering")])
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=battery) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert got == [expected] * 12
+    def test_concurrent_ode_batteries_agree(self):
+        # the same for the groups that run compiled dop853, whose callbacks are
+        # kept per thread: every solve in every thread steps as it does alone
+        _assert_concurrent_batteries_agree(["geodesics", "chaos"])
 
     def test_christoffel_fault_reaches_every_user(self, monkeypatch):
         # curvature.christoffel is the one Gamma table behind the fd check,
