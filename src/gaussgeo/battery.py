@@ -14,14 +14,8 @@ check yields per-point residuals, and their maximum (NaN propagates) must be
 at most the check's one fixed tolerance. A check that raises a
 ``GaussGeoError`` or an ``ArithmeticError`` fails with residual inf and
 keeps the message. Negative controls monkeypatch a closed form. Checks share
-runs within a battery, each one solve over r = 0 and 0.5 at once: the
-forward geodesic run serves ``geodesic_ode`` and, integrated back from its
-end state, ``geodesic_reversibility``; the Jacobi run to 20/A0 serves
-``jacobi_intensity`` and ``lyapunov_fit``. Those three solves step in
-Hairer's compiled DOP853, which ``solve_ivp`` drives through
-``oracle._Dop853``. `run_verification` imports :mod:`gaussgeo.oracle`, and
-with it scipy.integrate, before it times any check, and only when the
-selection includes a group that runs an ODE (geodesics, chaos).
+runs within a battery. Every check needs numpy alone, so no group loads
+scipy; the ODE oracles of :mod:`gaussgeo.oracle` are held by Tier-1 tests.
 """
 
 from __future__ import annotations
@@ -307,9 +301,8 @@ class CheckResult:
 _SIGMA, _R = np.repeat([0.1, 1.0, 10.0], 4), np.tile([0.0, 0.3, 0.7, 0.9], 3)
 _DESK_IC = InitialConditions(p0=1.0, sigma0=0.1, tau0=1.0, R0=10.0)
 _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
-# the correlations of the path checks; the ODE ones integrate them as one
-# batch of 6-state blocks
-_ODE_R = np.array([0.0, 0.5])
+# the correlations of the path checks
+_PATH_R = np.array([0.0, 0.5])
 
 # Each _check_* yields its residuals, one or more per point it samples.
 
@@ -380,30 +373,10 @@ def _check_boundary_data():
     # tolerance, on a seeded grid of 20000 initial conditions
     for ic in (_DESK_IC, InitialConditions(2.5, 1e-3, 0.4)):
         # -tau0 and +tau0 down the rows, r = 0 and 0.5 across
-        path = geodesics.joined_path(np.array([[-ic.tau0], [ic.tau0]]), ModelParams(_ODE_R), ic)
-        mu1 = np.array([np.full(2, ic.p0), -np.sqrt(1.0 - _ODE_R) * ic.p0])
+        path = geodesics.joined_path(np.array([[-ic.tau0], [ic.tau0]]), ModelParams(_PATH_R), ic)
+        mu1 = np.array([np.full(2, ic.p0), -np.sqrt(1.0 - _PATH_R) * ic.p0])
         expected = np.array([mu1, -mu1, np.full((2, 2), ic.sigma0)])
         yield from (np.abs(path.as_array() - expected) / np.abs(expected)).ravel()
-
-
-@functools.cache
-def _geodesic_run():
-    # one forward run over both r serves geodesic_ode and the reversal
-    from . import oracle
-    return oracle.geodesic_integrate(ModelParams(_ODE_R), _DESK_IC, (-1.0, 1.0))
-
-
-def _check_geodesic_ode():
-    yield from _geodesic_run().max_rel_error
-
-
-def _check_geodesic_reversibility():
-    # integrated back from its end state, the forward run returns to its start
-    from . import oracle
-    fwd = _geodesic_run().numeric
-    start, rhs = fwd[0].ravel(), oracle._geodesic_rhs(ModelParams(_ODE_R))
-    _, back = oracle._integrate(rhs, fwd[-1].ravel(), 1.0, -1.0, oracle.OdeSpec())
-    yield np.abs((back[-1] - start) / np.maximum(np.abs(start), 1.0)).max()
 
 
 def _check_velocity_norm():
@@ -414,31 +387,6 @@ def _check_velocity_norm():
     yield from (np.abs(got - expected) / expected).ravel()
 
 
-@functools.cache
-def _jacobi_run():
-    # one integration to 20/A0 over both r serves both chaos checks
-    from . import oracle
-    A0 = geodesics.amplitude_A0(_DESK_IC)
-    return oracle.jacobi_integrate(ModelParams(_ODE_R), _DESK_IC, 20.0 / A0)
-
-
-def _check_jacobi_intensity():
-    # the intensity error, and J's drift out of the plane normal to the velocity
-    yield from _jacobi_run().max_rel_error
-    yield from _jacobi_run().orthogonality_max
-
-
-def _check_lyapunov_fit():
-    A0 = geodesics.amplitude_A0(_DESK_IC)
-    lam = chaos.lyapunov_exponent(A0)
-    estimate = chaos.lyapunov_estimate(1.0, A0, 20.0 / A0).value
-    rates = (2.0 * _jacobi_run().fitted_rate).tolist()
-    for rate in rates:
-        yield abs(rate - lam) / lam
-        yield abs(estimate - rate) / lam
-    yield abs(rates[0] - rates[1]) / lam
-
-
 def _check_constant_curvature():
     # at constant curvature K the deviation equation is J'' + K g(v, v) J = 0 (do
     # Carmo, Riemannian Geometry, ch. 5): with c = sqrt(-K g(v, v)) the
@@ -446,7 +394,7 @@ def _check_constant_curvature():
     A0 = geodesics.amplitude_A0(_DESK_IC)
     tau = np.linspace(0.0, 20.0, 51)[1:, None] / A0
     Q = curvature.SECTIONAL_CURVATURE * chaos.velocity_norm_squared_contracted(
-        ModelParams(_ODE_R), _DESK_IC, 0.0)
+        ModelParams(_PATH_R), _DESK_IC, 0.0)
     c = np.sqrt(-Q)
     exact = 2.5 * np.sinh(c * tau) / c
     yield from (np.abs(chaos.jacobi_intensity(tau, 2.5, A0) - exact) / exact).ravel()
@@ -536,7 +484,7 @@ def _check_normalization_quadrature():
     yield abs(numeric - closed) / closed
 
 
-_SHARED_RUNS = (_curvature_fd_run, _geodesic_run, _jacobi_run, _purity_deficit)
+_SHARED_RUNS = (_curvature_fd_run, _purity_deficit)
 
 # (name, group, tolerance, check): a check passes when its residual is at
 # most its tolerance, so a NaN residual fails.
@@ -549,11 +497,7 @@ _CHECKS = [
     ("curvature_constants", "curvature", 1e-12, _check_curvature_constants),
     ("geodesic_residual", "geodesics", 1e-6, _check_geodesic_residual),
     ("boundary_data", "geodesics", 1e-13, _check_boundary_data),
-    ("geodesic_ode", "geodesics", 1e-6, _check_geodesic_ode),
-    ("geodesic_reversibility", "geodesics", 1e-8, _check_geodesic_reversibility),
     ("velocity_norm", "geodesics", 1e-9, _check_velocity_norm),
-    ("jacobi_intensity", "chaos", 1e-5, _check_jacobi_intensity),
-    ("lyapunov_fit", "chaos", 0.01, _check_lyapunov_fit),
     ("constant_curvature", "chaos", 1e-8, _check_constant_curvature),
     ("igc_numeric", "complexity", 1e-5, _check_igc_numeric),
     ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
@@ -584,9 +528,6 @@ def run_verification(only: str | None = None) -> list[CheckResult]:
             lambda: f"unknown check group {only!r}; available: {', '.join(GROUPS)}")
     for run in _SHARED_RUNS:
         run.cache_clear()
-    if only in (None, "geodesics", "chaos"):
-        # the checks that integrate an ODE need scipy: load it before any clock starts
-        from . import oracle  # noqa: F401
     results = []
     for name, group, tolerance, fn in _CHECKS:
         if only is not None and group != only:

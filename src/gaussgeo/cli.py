@@ -19,8 +19,7 @@ their closed forms once per column over the whole grid and write the
 table column by column (complexity's grid is the flat (tau, r) mesh). A
 command returns its table, a (columns, extra) pair, or its record dict;
 `main` alone captures warnings and writes output. The battery, which checks
-``verify --only GROUP``, is loaded only by ``verify``, and scipy.integrate
-only by the verify groups that integrate an ODE (geodesics, chaos).
+``verify --only GROUP``, is loaded only by ``verify``; no command loads scipy.
 """
 
 from __future__ import annotations
@@ -287,7 +286,7 @@ def _cmd_prolongation(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> int:
-    from . import battery  # scipy.integrate loads only for the groups that run an ODE
+    from . import battery  # loaded here alone: no other command reads it
 
     results = battery.run_verification(args.only)
     all_passed = all(res.passed for res in results)

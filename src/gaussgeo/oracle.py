@@ -10,9 +10,10 @@ the Jacobi right-hand side reads through the geodesics path helpers in Python
 floats, their constants computed once per run (it validates J, not the path).
 ``igc_numeric`` raises ``ConvergenceError`` when ``quad``'s error bound fails,
 the ODE oracles only when ``solve_ivp`` fails: they run no refinement of their
-own, and only Tier-1 tests rerun them at a tighter ``OdeSpec``.
-The battery's ``igc_numeric`` check runs `battery.igc_gauss` instead, so
-that ``verify --only complexity`` loads no scipy.
+own, and only Tier-1 tests rerun them at a tighter ``OdeSpec``. No battery
+check runs an oracle of this module, so ``verify`` loads no scipy: Tier-1
+tests hold the ODE oracles, and the ``igc_numeric`` check runs
+`battery.igc_gauss`.
 
 Both ODE oracles take a scalar r or a 1-D array of k correlations and
 integrate the k systems as one solve of 6k states, r-major in blocks of 6,
@@ -23,13 +24,8 @@ start state and the path constants come from one closed-form call over r,
 and the report from the closed forms on the steps as a column against r,
 each block's growth rate fit alone.
 
-The ODE engine is ``_Dop853``: Hairer's DOP853 (Hairer, Norsett & Wanner,
-Solving ODEs I, II.5) as scipy compiles it for ``scipy.integrate.ode``, run
-once over each span with Hairer's own step-size controller, its accepted
-steps handed to ``solve_ivp`` one at a time. Solves in different threads run
-side by side, as dop853 keeps its callbacks per thread; a solve started
-inside another solve's right-hand side, in the same thread, takes the outer
-solve's callbacks, and the outer solve ends in ``ConvergenceError``.
+The ODE engine is ``solve_ivp``'s DOP853 (Hairer, Norsett & Wanner, Solving
+ODEs I, II.5), with no dense output.
 
 Each right-hand side loops over the r blocks, each summing its own paired
 table, built once per solve, that keeps each symmetric pair
@@ -50,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolver, ode, quad, solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from . import chaos, curvature, geodesics, models
 from ._elementwise import scalar_or_array
@@ -66,7 +62,7 @@ from .models import ModelParams
 class OdeSpec:
     """Tolerances of the adaptive DOP853 integration behind the ODE oracles.
 
-    Both must be positive and finite: at a NaN tolerance dop853 never accepts
+    Both must be positive and finite: at a NaN tolerance DOP853 never accepts
     a step, and at an infinite one every step passes its error test.
     """
 
@@ -175,58 +171,10 @@ def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
     ]).T.ravel()
 
 
-class _Dop853(OdeSolver):
-    # Hairer's DOP853 as scipy.integrate.ode compiles it, run once over the
-    # whole span with its own default controller: its solout records each
-    # accepted step, which solve_ivp then takes one at a time.
-    # - The state solout gets is a view of dop853's work array: it is copied.
-    # - The last step ends at X + (XEND - X), which can miss XEND by an ulp:
-    #   it is put at t_bound, where solve_ivp stops.
-    # - nfev is dop853's own RHS-call count, IWORK(17), and a failure ends the
-    #   steps with dop853's message.
-    # - An exception must not cross the compiled loop: the RHS keeps it and
-    #   returns zeros until solout stops dop853, and it is raised here.
-
-    def __init__(self, fun, t0, y0, t_bound, vectorized, rtol, atol):
-        super().__init__(fun, t0, y0, t_bound, vectorized)
-        steps, raised, zeros = [], [], [0.0] * self.n
-
-        def rhs(t, y):
-            if not raised:
-                try:
-                    return fun(t, y)
-                except BaseException as exc:
-                    raised.append(exc)
-            return zeros
-
-        def solout(t, y):
-            if raised and steps:  # dop853 reads a stop at t0 as too small a step
-                return -1
-            steps.append((t, y.copy()))
-
-        solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol)
-        solver.set_solout(solout)
-        solver.set_initial_value(self.y, t0).integrate(t_bound)
-        if raised:
-            raise raised[0]
-        dop853 = solver._integrator
-        self.nfev = int(dop853.iwork[16])
-        self._message = dop853.messages.get(dop853.istate, f"istate {dop853.istate}")
-        if solver.successful():
-            steps[-1] = (t_bound, steps[-1][1])
-        self._steps = steps[:0:-1]  # the accepted steps past t0, last first
-
-    def _step_impl(self):
-        if not self._steps:
-            return False, self._message
-        self.t, self.y = self._steps.pop()
-        return True, None
-
-
 def _integrate(rhs, y0, t0, t1, spec: OdeSpec):
     # at every accepted step, both span ends included, with no interpolation
-    # error: _Dop853 builds no dense output, so solve_ivp takes no t_eval
-    sol = solve_ivp(rhs, (t0, t1), y0, method=_Dop853, rtol=spec.rtol, atol=spec.atol)
+    # error: solve_ivp takes no t_eval and builds no dense output
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=spec.rtol, atol=spec.atol)
     if not sol.success:
         raise ConvergenceError(f"ODE integration failed: {sol.message}")
     return sol.t, sol.y.T

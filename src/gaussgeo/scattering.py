@@ -59,6 +59,7 @@ from .errors import (
     require_correlation,
     require_nonnegative,
     require_positive,
+    require_scalar,
 )
 from .geodesics import LOCALIZATION_MAX, InitialConditions
 
@@ -210,7 +211,7 @@ def phase_shift_exact(cfg: ScatteringConfig, r: float) -> float:
     interior wave number of a square well of height V = r E; theta solves
     the matching k_in cot(k_in L) = k0 cot(k0 L + theta).
     """
-    k_in = math.sqrt(1.0 - require_correlation(r)) * cfg.k0
+    k_in = math.sqrt(1.0 - require_correlation(require_scalar(r=r))) * cfg.k0
     k_out, L = cfg.k0, cfg.L
     num = k_out * math.tan(k_in * L) - k_in * math.tan(k_out * L)
     den = k_in + k_out * math.tan(k_out * L) * math.tan(k_in * L)
@@ -227,7 +228,7 @@ def phase_shift_series(cfg: ScatteringConfig, r: float) -> float:
     tan(theta0) ~ [-(k0 L)^3/3 + (k0 L)^5/15] r + [2 (k0 L)^5/15] r^2; its
     leading cubic term -r (k0 L)^3 / 3 is `phase_shift_from_potential` at V = r E.
     """
-    require_correlation(r)
+    require_correlation(require_scalar(r=r))
     x = cfg.k0 * cfg.L
     if x >= K0L_REGIME or r >= R_QM_REGIME:
         warnings.warn(
@@ -267,7 +268,7 @@ def eta_c(cfg: ScatteringConfig) -> float:
 
 def purity_from_r(cfg: ScatteringConfig, r: float) -> float:
     """Purity P = 1 - eta_c r."""
-    return _purity(eta_c(cfg) * require_correlation(r))
+    return _purity(eta_c(cfg) * require_correlation(require_scalar(r=r)))
 
 
 def r_from_potential(cfg: ScatteringConfig, V: float) -> float:
@@ -277,7 +278,7 @@ def r_from_potential(cfg: ScatteringConfig, V: float) -> float:
 
 def r_from_cross_section(cfg: ScatteringConfig, sigma_cs: float) -> float:
     """Invert the cross section:  r = sqrt(Sigma / (4 pi)) / ell."""
-    require_nonnegative(sigma_cs=sigma_cs)
+    require_nonnegative(sigma_cs=require_scalar(sigma_cs=sigma_cs))
     return require_correlation(math.sqrt(sigma_cs / (4.0 * math.pi)) / _a_s_per_r(cfg))
 
 

@@ -32,10 +32,12 @@ import numpy as np
 import pytest
 
 import gaussgeo
-from gaussgeo import battery, chaos, complexity, curvature, geodesics, models, oracle
+from gaussgeo import (battery, chaos, complexity, curvature, geodesics, models, oracle,
+                      scattering)
 from gaussgeo.errors import DomainError
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import ModelParams
+from gaussgeo.scattering import ScatteringConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "gaussgeo").glob("*.py"))
@@ -104,8 +106,8 @@ def _imported(tree) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_sources_import_public_scipy_only(path):
     # a private scipy module, such as scipy.integrate._ivp, may move or change
-    # in any release: the ODE engine reaches scipy.integrate.OdeSolver and
-    # scipy.integrate.ode by their public names
+    # in any release: the oracles reach scipy.integrate.solve_ivp and
+    # scipy.integrate.quad by their public names
     private = [name for name in _imported(TREES[path])
                if name.split(".")[0] == "scipy" and any(p[0] == "_" for p in name.split("."))]
     assert private == []
@@ -147,6 +149,7 @@ def test_defaulted_parameters_are_listed():
 
 
 _IC = InitialConditions(p0=1.0, sigma0=0.1)
+_CFG = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
 
 #: module.function: a valid call of each public callable that takes a ModelParams
 R_CALLS = {
@@ -258,7 +261,7 @@ def test_array_r_broadcasts_or_is_refused_by_name(name):
 
 
 #: (module.function, input, the call with that input an array) for each
-#: numeric input, other than r, that a form takes as a scalar alone
+#: numeric input, other than a ModelParams r, that a form takes as a scalar alone
 SCALAR_INPUTS = [
     ("models.metric_corr3_eigenvalues", "sigma",
      lambda x: models.metric_corr3_eigenvalues(x, ModelParams(0.3))),
@@ -270,6 +273,11 @@ SCALAR_INPUTS = [
      lambda x: models.metric_corr4_eigenvalues(0.5, x, ModelParams(0.3))),
     ("battery.igc_gauss", "tau", lambda x: battery.igc_gauss(x, ModelParams(0.3), _IC)),
     ("oracle.igc_numeric", "tau", lambda x: oracle.igc_numeric(x, ModelParams(0.3), _IC)),
+    ("scattering.phase_shift_exact", "r", lambda x: scattering.phase_shift_exact(_CFG, x)),
+    ("scattering.phase_shift_series", "r", lambda x: scattering.phase_shift_series(_CFG, x)),
+    ("scattering.purity_from_r", "r", lambda x: scattering.purity_from_r(_CFG, x)),
+    ("scattering.r_from_cross_section", "sigma_cs",
+     lambda x: scattering.r_from_cross_section(_CFG, x)),
 ]
 
 

@@ -544,12 +544,12 @@ def _python(*args):
                           env=env, timeout=120, check=True)
 
 
-# defines verify(group): verify --only group in-process, output discarded
+# defines verify(*argv): verify with argv in-process, output discarded
 _VERIFY = ("import io, sys; from contextlib import redirect_stderr, redirect_stdout; "
            "from gaussgeo import cli\n"
-           "def verify(g):\n"
+           "def verify(*argv):\n"
            "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
-           "        assert cli.main(['verify', '--only', g]) == 0\n")
+           "        assert cli.main(['verify', *argv]) == 0\n")
 
 
 class TestImports:
@@ -573,23 +573,16 @@ class TestImports:
         assert {"scipy.integrate", "gaussgeo.oracle"} <= imported
 
     def test_groups_without_an_ode_load_no_scipy(self):
+        # no battery check integrates an ODE: every group, and the full
+        # battery after them, runs on numpy alone
+        groups = ("models", "curvature", "geodesics", "chaos", "complexity", "scattering",
+                  "oracle")
         code = _VERIFY + (
-            "for g in ('models', 'curvature', 'complexity', 'scattering', 'oracle'):\n"
-            "    verify(g)\n"
-            "    print(g, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"for argv in [['--only', g] for g in {groups}] + [[]]:\n"
+            "    verify(*argv)\n"
+            "    print(*argv, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert _python("-c", code).stdout.splitlines() == [
-            "models []", "curvature []", "complexity []", "scattering []", "oracle []"]
-
-    @pytest.mark.parametrize("group", ["geodesics", "chaos"])
-    def test_groups_with_an_ode_load_scipy(self, group):
-        code = _VERIFY + f"verify('{group}')\nprint('scipy.integrate' in sys.modules)"
-        assert _python("-c", code).stdout.strip() == "True"
-
-    def test_scipy_import_is_not_charged_to_a_check(self):
-        # a cold run loads scipy before the first ODE check starts its clock
-        err = _python("-m", "gaussgeo.cli", "verify", "--only", "geodesics").stderr
-        seconds = re.search(r"geodesics/geodesic_ode: .*, ([0-9.]+)s\)", err)
-        assert float(seconds[1]) < 0.3, err
+            *(f"--only {g} []" for g in groups), "[]"]
 
 
 class TestPlumbing:
