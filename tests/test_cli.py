@@ -584,6 +584,27 @@ class TestImports:
         assert _python("-c", code).stdout.splitlines() == [
             *(f"--only {g} []" for g in groups), "[]"]
 
+    @pytest.mark.parametrize("group", ["geodesics", "chaos"])
+    def test_groups_with_an_ode_load_scipy(self, group):
+        # the geodesic and Jacobi ODEs are integrated by the oracle, not by
+        # the group's checks: scipy loads with the oracle's first solve
+        solve = {"geodesics": "oracle.geodesic_integrate(params, ic, (-1.0, 1.0))",
+                 "chaos": "oracle.jacobi_integrate(params, ic, 5.0)"}[group]
+        code = _VERIFY + (
+            f"verify('--only', '{group}')\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "from gaussgeo import oracle; from gaussgeo.models import ModelParams\n"
+            "from gaussgeo.geodesics import InitialConditions\n"
+            "params, ic = ModelParams(0.5), InitialConditions(1.0, 0.1, 1.0, 10.0)\n"
+            f"print({solve}.max_rel_error < 1e-5, 'scipy.integrate' in sys.modules)")
+        assert _python("-c", code).stdout.splitlines() == ["False", "True True"]
+
+    def test_scipy_import_is_not_charged_to_a_check(self):
+        # a cold run loads no scipy, so no check's clock holds its import
+        err = _python("-m", "gaussgeo.cli", "verify").stderr
+        seconds = re.findall(r"\[PASS\] \w+/\w+: .*, ([0-9.]+)s\)", err)
+        assert len(seconds) == 19 and max(map(float, seconds)) < 0.3, err
+
 
 class TestPlumbing:
     def test_output_file(self, capsys, tmp_path):
