@@ -93,7 +93,8 @@ def _path_constants(ic: InitialConditions, r):
     # A0, the momentum scale m = sqrt((1-r)(p0^2 + 2 sigma0^2)) and the spread
     # scale sqrt(p0^2/2 + sigma0^2), by hypot: p0^2 itself under- or
     # overflows long before the scales do, and hypot returns inf silently.
-    # m has r's shape: a Python float for a scalar r, for the Jacobi RHS
+    # m has r's shape, and is a Python float for a float r, whose arithmetic
+    # costs less than numpy's scalars
     scale = math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
     if scale == math.inf:
         raise OverflowError("momentum scale sqrt(p0^2 + 2 sigma0^2) overflows")

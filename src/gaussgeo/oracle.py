@@ -15,23 +15,15 @@ check runs an oracle of this module, so ``verify`` loads no scipy: Tier-1
 tests hold the ODE oracles, and the ``igc_numeric`` check runs
 `battery.igc_gauss`.
 
-Both ODE oracles take a scalar r or a 1-D array of k correlations and
-integrate the k systems as one solve of 6k states, r-major in blocks of 6,
-so the integrator's per-step cost is paid once; a scalar r is k = 1, with the
-same arithmetic in the same order, and a 2-D or empty r is refused before any
-solve. For an array r each report field but ``tau`` gains a k axis: the
-start state and the path constants come from one closed-form call over r,
-and the report from the closed forms on the steps as a column against r,
-each block's growth rate fit alone.
+Both ODE oracles take a scalar r alone: an array r, span end, ``tau_max``
+or ``omega0`` is refused by name through `errors.require_scalar` before any
+solve. The ODE engine is ``solve_ivp``'s DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.5), with no dense output.
 
-The ODE engine is ``solve_ivp``'s DOP853 (Hairer, Norsett & Wanner, Solving
-ODEs I, II.5), with no dense output.
-
-Each right-hand side loops over the r blocks, each summing its own paired
-table, built once per solve, that keeps each symmetric pair
-Gamma^a_bc = Gamma^a_cb once; the Jacobi one forms tanh(A0 t) and
-cosh(A0 t) once per call, J^sigma/sigma and w = 2 J' - v J^sigma/sigma once
-per call and block, and sums -Gamma(v, w).
+Each right-hand side sums a paired table, built once per solve, that keeps
+each symmetric pair Gamma^a_bc = Gamma^a_cb once; the Jacobi one forms
+tanh(A0 t) and cosh(A0 t), J^sigma/sigma and w = 2 J' - v J^sigma/sigma once
+per call, and sums -Gamma(v, w).
 
 This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
 ``quad`` through its globals, so wrapping them here counts the oracles' work.
@@ -49,7 +41,6 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from . import chaos, curvature, geodesics, models
-from ._elementwise import scalar_or_array
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
                       igc_gauss, purity_bruteforce, purity_gaussian_state, run_verification)
 from .errors import (ConvergenceError, require, require_hyperbolic, require_positive,
@@ -82,52 +73,32 @@ class GeodesicComparison:
     """Numeric geodesic solution at the integrator's steps against the closed form."""
 
     tau: np.ndarray          # shape (n,): the accepted steps, both span ends included
-    numeric: np.ndarray      # shape (n, 6), or (n, k, 6): mu1, mu2, sigma and their velocities
-    max_rel_error: float     # or shape (k,)
-
-
-def _blocks(params: ModelParams) -> list[ModelParams]:
-    # the k correlations that the ODE oracles integrate as one system of 6k
-    # states, r-major in blocks of 6, one ModelParams each: a scalar r is k = 1
-    r = np.asarray(params.r)
-    require(r.ndim <= 1 and r.size > 0, lambda: (
-        f"r must be a scalar or a non-empty 1-D array of correlations, got shape {r.shape}"))
-    return [ModelParams(x) for x in r.reshape(-1).tolist()]
-
-
-def _christoffel_terms(params: ModelParams):
-    # the nonzero (a, b, c, Gamma^a_bc) of the sigma = 1 table as floats: the
-    # one Gamma both ODEs sum over, each right-hand side through its paired
-    # table built once per solve (numpy calls on 3-vectors cost more)
-    return [(a, b, c, float(G)) for (a, b, c), G in
-            np.ndenumerate(curvature.christoffel(1.0, params)) if G]
+    numeric: np.ndarray      # shape (n, 6): mu1, mu2, sigma and their velocities
+    max_rel_error: float
 
 
 def _pair_terms(params: ModelParams):
-    # each symmetric pair Gamma^a_bc = Gamma^a_cb once (b <= c), the diagonal
-    # halved: Gamma(x, y)^a is the sum of G (x_b y_c + x_c y_b) over the pairs
-    return [(a, b, c, G if b < c else 0.5 * G)
-            for a, b, c, G in _christoffel_terms(params) if b <= c]
+    # the nonzero Gamma^a_bc of the sigma = 1 table as floats, each symmetric
+    # pair Gamma^a_bc = Gamma^a_cb once (b <= c), the diagonal halved:
+    # Gamma(x, y)^a is the sum of G (x_b y_c + x_c y_b) over the pairs. It is
+    # the one Gamma both ODEs sum over, each right-hand side through its table
+    # built once per solve (numpy calls on 3-vectors cost more)
+    return [(a, b, c, float(G) if b < c else 0.5 * float(G)) for (a, b, c), G in
+            np.ndenumerate(curvature.christoffel(1.0, params)) if G and b <= c]
 
 
 def _geodesic_rhs(params: ModelParams):
-    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma, per block of 6 states:
-    # the pairs doubled and their velocity indices shifted to index the state
-    # (x, x') itself
-    blocks = [(6 * i, [(a, 6 * i + b + 3, 6 * i + c + 3, 2.0 * G)
-                       for a, b, c, G in _pair_terms(p)])
-              for i, p in enumerate(_blocks(params))]
+    # x'' = -Gamma(x', x') with Gamma = Gamma_1 / sigma: the pairs doubled and
+    # their velocity indices shifted to index the state (x, x') itself
+    terms = [(a, b + 3, c + 3, 2.0 * G) for a, b, c, G in _pair_terms(params)]
 
     def rhs(_t, y):
         x = y.tolist()
-        out = []
-        for o, terms in blocks:
-            acc = [0.0, 0.0, 0.0]
-            for a, b, c, G in terms:
-                acc[a] -= G * x[b] * x[c]
-            sg = x[o + 2]
-            out += [x[o + 3], x[o + 4], x[o + 5], acc[0] / sg, acc[1] / sg, acc[2] / sg]
-        return out
+        acc = [0.0, 0.0, 0.0]
+        for a, b, c, G in terms:
+            acc[a] -= G * x[b] * x[c]
+        sg = x[2]
+        return [x[3], x[4], x[5], acc[0] / sg, acc[1] / sg, acc[2] / sg]
 
     return rhs
 
@@ -135,40 +106,32 @@ def _geodesic_rhs(params: ModelParams):
 def _jacobi_rhs(params: ModelParams, ic: InitialConditions):
     # the geodesic equation linearised about the closed-form path, by
     # d_sigma Gamma = -Gamma / sigma: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma
-    # = -Gamma(v, w) with w = 2 J' - v J^sigma / sigma, formed once per call and
-    # block. sigma and v come from the closed forms' path helpers in Python
-    # floats, their constants hoisted, from tanh(A0 t) and cosh(A0 t), which do
-    # not depend on r; jacobi_integrate keeps |A0 t| within the clamp
+    # = -Gamma(v, w) with w = 2 J' - v J^sigma / sigma, formed once per call.
+    # sigma and v come from the closed forms' path helpers in Python floats
+    # (m too, for an integer r), their constants hoisted, from tanh(A0 t) and
+    # cosh(A0 t); jacobi_integrate keeps |A0 t| within the clamp
     A0, m, spread = geodesics._path_constants(ic, params.r)
-    blocks = [(6 * i, m_i, _pair_terms(p))
-              for i, (p, m_i) in enumerate(zip(_blocks(params), np.ravel(m).tolist()))]
+    m, terms = float(m), _pair_terms(params)
 
     def rhs(t, y):
         th, ch = math.tanh(A0 * t), math.cosh(A0 * t)
-        x = y.tolist()
-        out = []
-        for o, m, terms in blocks:
-            sg = geodesics._state(m, spread, th, ch)[2]
-            v = geodesics._velocity(A0, m, spread, th, ch)
-            _, _, Js, K0, K1, K2 = x[o:o + 6]
-            u = Js / sg
-            w = (2.0 * K0 - v[0] * u, 2.0 * K1 - v[1] * u, 2.0 * K2 - v[2] * u)
-            acc = [0.0, 0.0, 0.0]
-            for a, b, c, G in terms:
-                acc[a] -= G * (v[b] * w[c] + v[c] * w[b])
-            out += [K0, K1, K2, acc[0] / sg, acc[1] / sg, acc[2] / sg]
-        return out
+        sg = geodesics._state(m, spread, th, ch)[2]
+        v = geodesics._velocity(A0, m, spread, th, ch)
+        _, _, Js, K0, K1, K2 = y.tolist()
+        u = Js / sg
+        w = (2.0 * K0 - v[0] * u, 2.0 * K1 - v[1] * u, 2.0 * K2 - v[2] * u)
+        acc = [0.0, 0.0, 0.0]
+        for a, b, c, G in terms:
+            acc[a] -= G * (v[b] * w[c] + v[c] * w[b])
+        return [K0, K1, K2, acc[0] / sg, acc[1] / sg, acc[2] / sg]
 
     return rhs
 
 
 def _geodesic_start(params: ModelParams, ic: InitialConditions, t0: float):
-    # closed-form (mu1, mu2, sigma) and their velocities at t0, r-major in
-    # blocks of 6
-    return np.concatenate([
-        geodesics.geodesic_corr(t0, params, ic).as_array(),
-        geodesics.geodesic_velocity(t0, params, ic),
-    ]).T.ravel()
+    # closed-form (mu1, mu2, sigma) and their velocities at t0
+    return np.concatenate([geodesics.geodesic_corr(t0, params, ic).as_array(),
+                           geodesics.geodesic_velocity(t0, params, ic)])
 
 
 def _integrate(rhs, y0, t0, t1, spec: OdeSpec):
@@ -192,20 +155,16 @@ def geodesic_integrate(
     reports, over the integrator's accepted steps from one span end to the
     other, the maximum relative deviation from the closed form, measured per
     coordinate against that coordinate's largest magnitude at those steps.
-    ``params.r`` may be a 1-D array of k correlations: the k geodesics are
-    then integrated as one system and reported per r.
     """
-    rhs = _geodesic_rhs(params)  # refuses a bad r before any solve
-    t0, t1 = tau_span
+    require_scalar(r=params.r)
+    t0, t1 = (require_scalar(tau_span=end) for end in tau_span)
     # refused before the start state: a NaN end would keep solve_ivp stepping forever
     require(math.isfinite(t0) and math.isfinite(t1) and t0 != t1,
             lambda: f"ODE span ends must be finite and distinct, got {t0}, {t1}")
-    ts, ys = _integrate(rhs, _geodesic_start(params, ic, t0), t0, t1, spec)
-    numeric = ys.reshape(len(ts), *np.shape(params.r), 6)
-    steps = ts[:, None] if np.ndim(params.r) else ts  # a column against an array r
-    closed = np.moveaxis(geodesics.geodesic_corr(steps, params, ic).as_array(), 0, -1)
-    error = np.abs(numeric[..., :3] - closed) / np.abs(closed).max(axis=0)
-    return GeodesicComparison(ts, numeric, scalar_or_array(error.max(axis=(0, -1))))
+    ts, ys = _integrate(_geodesic_rhs(params), _geodesic_start(params, ic, t0), t0, t1, spec)
+    closed = geodesics.geodesic_corr(ts, params, ic).as_array().T
+    error = np.abs(ys[:, :3] - closed) / np.abs(closed).max(axis=0)
+    return GeodesicComparison(ts, ys, float(error.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +176,8 @@ class JacobiComparison:
     """Numeric Jacobi intensity at the integrator's steps against the closed form."""
 
     tau: np.ndarray             # the accepted steps, from 0 to tau_max
-    intensity: np.ndarray       # |J|_g at each of them: shape (n,), or (n, k)
-    max_rel_error: float        # over taus with A0*tau >= 0.5; each float or shape (k,)
+    intensity: np.ndarray       # |J|_g at each of them
+    max_rel_error: float        # over taus with A0*tau >= 0.5
     fitted_rate: float          # slope of ln J over the final half-window
     orthogonality_max: float    # max |g(J, u)| along the trajectory
 
@@ -252,35 +211,30 @@ def jacobi_integrate(
     finite, with w a g-unit vector orthogonal to the velocity; orthogonality
     of J to the velocity is monitored along the whole trajectory. Every
     result is read at the integrator's accepted steps on [0, tau_max],
-    tau_max > 0.5/A0. ``params.r`` may be a 1-D array of k correlations: the
-    k fields are then integrated as one system and reported per r.
+    tau_max > 0.5/A0.
     """
-    blocks = _blocks(params)
+    require_scalar(r=params.r, tau_max=tau_max, omega0=omega0)
     require_positive(omega0=omega0)
     A0 = geodesics.amplitude_A0(ic)
     require(0.5 / A0 < tau_max,
             lambda: f"tau_max = {tau_max} must exceed 0.5/A0 = {0.5 / A0:.3g}")
     require_hyperbolic(A0 * tau_max, "|A0*tau|")
-    y0 = np.concatenate([np.concatenate([np.zeros(3), omega0 * _orthonormal_seed(p, ic)])
-                         for p in blocks])
+    y0 = np.concatenate([np.zeros(3), omega0 * _orthonormal_seed(params, ic)])
     ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec)
 
-    steps = ts[:, None] if np.ndim(params.r) else ts  # a column against an array r
-    closed = chaos.jacobi_intensity(steps, omega0, A0)
+    closed = chaos.jacobi_intensity(ts, omega0, A0)
     window = ts >= 0.5 / A0
     fit = ts >= ts[-1] / 2.0
-    # the metric along the path, contracted per step and r
-    g = models.metric_corr3(geodesics.geodesic_corr(steps, params, ic).sigma, params)
-    J = ys.reshape(len(ts), *np.shape(params.r), 6)[..., :3]
-    v = np.moveaxis(geodesics.geodesic_velocity(steps, params, ic), 0, -1)
+    # the metric along the path, contracted per step
+    g = models.metric_corr3(geodesics.geodesic_corr(ts, params, ic).sigma, params)
+    J, v = ys[:, :3], geodesics.geodesic_velocity(ts, params, ic).T
     intensity = np.sqrt(np.maximum(np.einsum("...a,...ab,...b->...", J, g, J), 0.0))
     Jgu = (np.einsum("...a,...ab,...b->...", J, g, v)
            / np.sqrt(np.einsum("...a,...ab,...b->...", v, g, v)))
-    ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30), axis=0)
+    ortho = np.max(np.abs(Jgu) / np.maximum(intensity, 1e-30))
     error = np.abs(intensity[window] - closed[window]) / closed[window]
-    # each column fit alone: lstsq over several columns at once rounds them differently
-    rate = np.apply_along_axis(lambda y: np.polyfit(ts[fit], y, 1)[0], 0, np.log(intensity[fit]))
-    return JacobiComparison(ts, intensity, *map(scalar_or_array, (error.max(axis=0), rate, ortho)))
+    rate = np.polyfit(ts[fit], np.log(intensity[fit]), 1)[0]
+    return JacobiComparison(ts, intensity, *map(float, (error.max(), rate, ortho)))
 
 
 # ---------------------------------------------------------------------------
