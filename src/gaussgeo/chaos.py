@@ -11,10 +11,10 @@ the growth-rate indicator (the Riemannian analogue of a Lyapunov exponent)
 is lambda = 2 sqrt(-Q) = 2 A0 -- notably independent of the correlation r.
 
 `jacobi_intensity` broadcasts over a numpy array of tau, and
-`lyapunov_estimate` refuses an array A0 or tau_max by name. Both reject a
-NaN A0 tau, or one past the overflow guard `errors.require_hyperbolic`
-(|A0 tau| <= 700), with a DomainError; A0, omega0 and tau_max must be
-positive and finite.
+`lyapunov_estimate` refuses an array omega0, A0 or tau_max by name. Both
+reject a NaN A0 tau, or one past the overflow guard
+`errors.require_hyperbolic` (|A0 tau| <= 700), with a DomainError; A0,
+omega0 and tau_max must be positive and finite.
 
 `lyapunov_estimate` evaluates the defining log-ratio at a finite horizon.
 The raw value converges only like 1/tau (the limit sheds a constant inside
@@ -105,7 +105,7 @@ def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstim
     for signature symmetry with `jacobi_intensity`; it must still be
     positive and finite.
     """
-    require_scalar(A0=A0, tau_max=tau_max)
+    require_scalar(omega0=omega0, A0=A0, tau_max=tau_max)
     require_positive(omega0=omega0, A0=A0, tau_max=tau_max)
     require_hyperbolic(A0 * tau_max, "|A0*tau|")
     if A0 * tau_max < ASYMPTOTIC_MIN:

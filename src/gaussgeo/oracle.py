@@ -157,6 +157,8 @@ def geodesic_integrate(
     coordinate against that coordinate's largest magnitude at those steps.
     """
     require_scalar(r=params.r)
+    require(hasattr(tau_span, "__len__") and len(tau_span) == 2,
+            lambda: f"tau_span must be a pair of span ends, got {tau_span!r}")
     t0, t1 = (require_scalar(tau_span=end) for end in tau_span)
     # refused before the start state: a NaN end would keep solve_ivp stepping forever
     require(math.isfinite(t0) and math.isfinite(t1) and t0 != t1,

@@ -272,6 +272,7 @@ SCALAR_INPUTS = [
      lambda x: oracle.jacobi_integrate(ModelParams(0.3), _IC, x)),
     ("oracle.jacobi_integrate", "omega0",
      lambda x: oracle.jacobi_integrate(ModelParams(0.3), _IC, 2.0, omega0=x)),
+    ("chaos.lyapunov_estimate", "omega0", lambda x: chaos.lyapunov_estimate(x, 1.0, 20.0)),
     ("chaos.lyapunov_estimate", "A0", lambda x: chaos.lyapunov_estimate(1.0, x, 20.0)),
     ("chaos.lyapunov_estimate", "tau_max", lambda x: chaos.lyapunov_estimate(1.0, 1.0, x)),
     ("scattering.phase_shift_exact", "r", lambda x: scattering.phase_shift_exact(_CFG, x)),

@@ -7,13 +7,16 @@ on element i bit for bit, an array call warns once with the number of
 affected elements, and a scalar prolongation report, its flag included, is
 the array's element.
 The columnar writer must give the bytes of the row-at-a-time formatting it
-replaced, which is kept here as the reference.
+replaced, which is kept here as the reference, also where a forked child
+formats the second half of a large table; no table call leaves a child.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -335,3 +338,91 @@ def test_columnar_writer_matches_row_reference(table, fmt):
     with contextlib.redirect_stdout(out):
         cli._emit_table(columns, fmt, None, extra=extra, warn_list=warn_list)
     assert out.getvalue() == _reference_table(columns, fmt, extra, warn_list)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_SPLIT = cli._SPLIT_ROWS
+
+
+@pytest.mark.parametrize("n", [_SPLIT - 1, _SPLIT, _SPLIT + 1, 2 * _SPLIT + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_split_writer_matches_row_reference(monkeypatch, tmp_path, n, fmt, to_file):
+    rng = np.random.default_rng(n)
+    specials = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
+    columns = {"x": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+               "special": rng.choice(specials, n),
+               "flag": rng.integers(-10**9, 10**9, n)}
+    extra, warn_list = {"r_bound": -0.0}, ["a warning"]
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    out = io.StringIO()
+    path = tmp_path / "table"
+    with contextlib.redirect_stdout(out):
+        cli._emit_table(columns, fmt, str(path) if to_file else None, extra, warn_list)
+    _assert_no_child_left()
+    assert len(forks) == (n >= _SPLIT)
+    got = path.read_bytes() if to_file else out.getvalue().encode()
+    assert got == _reference_table(columns, fmt, extra, warn_list).encode()
+
+
+def _numbered(lo, hi):
+    return "".join(f"{i:015d}\n" for i in range(lo, hi))
+
+
+def _numbered_rows(in_child, fail):
+    """`_numbered` as a formatter that calls ``fail`` in the child alone, or
+    in the parent alone; half of 4 * _SPLIT_ROWS lines is more than a pipe's
+    64 KiB buffer, so a child writing its half blocks until it is read."""
+    parent = os.getpid()
+
+    def rows(lo, hi):
+        if (os.getpid() != parent) == in_child:
+            fail()
+        return _numbered(lo, hi)
+
+    return rows
+
+
+def _raise():
+    raise RuntimeError("formatter failed")
+
+
+@pytest.mark.parametrize("fail", [_raise, lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                         ids=["raises", "killed"])
+def test_failed_child_leaves_the_parent_to_format_its_half(fail):
+    n = 4 * _SPLIT
+    parts = cli._in_two(_numbered_rows(True, fail), n)
+    _assert_no_child_left()
+    assert len(parts) == 2
+    assert "".join(parts) == _numbered(0, n)
+
+
+def test_failed_fork_leaves_this_process_to_format_both_halves(monkeypatch):
+    def fork():
+        raise OSError("fork failed")
+
+    monkeypatch.setattr(os, "fork", fork)
+    n = 4 * _SPLIT
+    parts = cli._in_two(_numbered_rows(True, _raise), n)
+    assert "".join(parts) == _numbered(0, n)
+
+
+def test_failing_parent_raises_and_reaps_a_child_blocked_on_the_pipe():
+    def timeout(*_):
+        raise TimeoutError("the parent waited for a child blocked on the pipe")
+
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli._in_two(_numbered_rows(False, _raise), 4 * _SPLIT)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    _assert_no_child_left()

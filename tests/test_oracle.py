@@ -583,6 +583,12 @@ class TestScalarOdes:
             with pytest.raises(DomainError, match=r"^r must be a scalar here, got shape \("):
                 run()
 
+    @pytest.mark.parametrize("span", [(-1.0, 0.0, 1.0), (1.0,), (), 1.0, np.array([[-1.0, 1.0]])])
+    def test_rejects_a_tau_span_that_is_not_a_pair_before_integrating(self, monkeypatch, span):
+        monkeypatch.setattr(oracle, "solve_ivp", None)  # any call would fail otherwise
+        with pytest.raises(DomainError, match=r"^tau_span must be a pair of span ends, got "):
+            oracle.geodesic_integrate(ModelParams(0.5), _DESK, span)
+
 
 def _assert_concurrent_batteries_agree(groups):
     # four threads, each running the groups' batteries three times with the
