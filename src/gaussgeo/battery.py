@@ -103,7 +103,7 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
         args = (state.mu_x, state.mu_y, state.sigma_x, state.sigma_y, params.r, np.eye(4))
     else:
         raise DomainError(f"unknown model {model!r}")
-    require_scalar(r=params.r)
+    require_scalar(r=params.r, **vars(state))
     # an infinite mean would reach the quadrature as inf - inf
     require(np.isfinite(args[:2]), lambda: f"means must be finite, got {args[0]}, {args[1]}")
     return _fisher_quadrature(*args, 40)
@@ -238,7 +238,7 @@ def purity_gaussian_state(cfg: ScatteringConfig, r: float) -> float:
     Closed form sqrt(1 - r^2); serves as an exactly-solvable anchor for the
     trace machinery and as the quantum-side purity of the identified state.
     """
-    require_correlation(r)
+    require_correlation(require_scalar(r=r))
     K1, K2, w1, w2 = _momentum_mesh(cfg, 64)
     d1, d2 = K1 - cfg.k0, K2 + cfg.k0
     s2 = cfg.sigma_k0**2

@@ -20,7 +20,8 @@ three coordinates are continuous there.
 
 Every trajectory function broadcasts a numpy array of tau against an array
 ``ModelParams(r)``, ``tau[:, None]`` against k correlations giving shape
-(n, k); scalars are the 0-d case and return Python floats.
+(n, k); scalars are the 0-d case and return Python floats. The Jacobi ODE
+oracle reads the path through these public forms alone.
 
 A NaN tau is rejected with a DomainError. Hyperbolic arguments are clamped
 to |A0 tau| <= 700, `errors.ARG_CLAMP`: beyond that cosh overflows while
@@ -93,27 +94,17 @@ def _path_constants(ic: InitialConditions, r):
     # A0, the momentum scale m = sqrt((1-r)(p0^2 + 2 sigma0^2)) and the spread
     # scale sqrt(p0^2/2 + sigma0^2), by hypot: p0^2 itself under- or
     # overflows long before the scales do, and hypot returns inf silently.
-    # m has r's shape, and is a Python float for a float r, whose arithmetic
-    # costs less than numpy's scalars
+    # m has r's shape: for a scalar r a numpy float, which _hyperbolic takes as a float
     scale = math.hypot(ic.p0, math.sqrt(2.0) * ic.sigma0)
     if scale == math.inf:
         raise OverflowError("momentum scale sqrt(p0^2 + 2 sigma0^2) overflows")
-    root = math.sqrt(1.0 - r) if isinstance(r, float) else np.sqrt(1.0 - r)
-    return amplitude_A0(ic), root * scale, scale / math.sqrt(2.0)
+    return amplitude_A0(ic), np.sqrt(1.0 - r) * scale, scale / math.sqrt(2.0)
 
 
 def _state(m, spread, th, ch):
     # (mu1, mu2, sigma) from th = tanh(A0 tau) and ch = cosh(A0 tau), by
-    # arithmetic alone: Python floats and numpy arrays alike
+    # arithmetic alone: scalars and numpy arrays alike
     return -m * th, m * th, spread / ch
-
-
-def _velocity(A0, m, spread, th, ch):
-    # d(mu1, mu2, sigma)/dtau likewise, in sech and tanh, not cosh^2, which
-    # overflows beyond |A0 tau| ~ 355
-    sech = 1.0 / ch
-    dmu = m * A0 * (sech * sech)
-    return -dmu, dmu, -spread * A0 * th * sech
 
 
 def _hyperbolic(tau, params: ModelParams, ic: InitialConditions):
@@ -140,7 +131,11 @@ def geodesic_velocity(tau, params: ModelParams, ic: InitialConditions) -> np.nda
 
     Shape (3,) + shape(tau): the three components lead.
     """
-    return np.array(_velocity(*_hyperbolic(tau, params, ic)))
+    A0, m, spread, th, ch = _hyperbolic(tau, params, ic)
+    # in sech and tanh, not cosh^2, which overflows beyond |A0 tau| ~ 355
+    sech = 1.0 / ch
+    dmu = m * A0 * (sech * sech)
+    return np.array([-dmu, dmu, -spread * A0 * th * sech])
 
 
 def geodesic_acceleration(

@@ -15,6 +15,9 @@ No source module imports a public function of a closed-form module by name:
 each is called as ``module.name``, so patching that one binding reaches every
 caller, as editing the source would.
 
+No source module reads a private name of another, as ``module._name`` or
+by import, outside a listed allowlist with a reason for each entry.
+
 Every public callable that takes a ``ModelParams`` is listed with a valid
 call, so a new one needs a deliberate entry. Called with an array r, each
 either broadcasts over it or refuses it with a DomainError that names r.
@@ -101,6 +104,37 @@ def _imported(tree) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names += [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
     return names
+
+
+#: (module, module._name) where a module reads another's private name, with
+#: the reason for each; the list only shrinks
+PRIVATE_READS = {
+    ("battery", "curvature._max_abs"):
+        "the Fisher and curvature rows reduce each point's tensor as the symmetry residuals do",
+    ("curvature", "models._BLOCK_SLOTS"):
+        "Ricci has the metric's block form, and gathers its entries through the same slots",
+}
+
+
+def _private_reads(path: Path) -> set[str]:
+    """Private names ``path`` reads as ``module._name`` of, or imports from,
+    another gaussgeo module."""
+    modules = {p.stem for p in SOURCES} - {path.stem}
+    names = set()
+    for node in ast.walk(TREES[path]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            names.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name for name in names if name.rpartition(".")[2][0] == "_"}
+
+
+def test_sources_read_no_private_name_of_another_module():
+    # each module reaches another through its public names, so a private
+    # helper can change with its own module alone
+    reads = {(path.stem, name) for path in SOURCES for name in _private_reads(path)}
+    assert sorted(reads - PRIVATE_READS.keys()) == []
+    assert sorted(PRIVATE_READS.keys() - reads) == []  # an entry goes once its read does
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
@@ -280,6 +314,11 @@ SCALAR_INPUTS = [
     ("scattering.purity_from_r", "r", lambda x: scattering.purity_from_r(_CFG, x)),
     ("scattering.r_from_cross_section", "sigma_cs",
      lambda x: scattering.r_from_cross_section(_CFG, x)),
+    ("battery.purity_gaussian_state", "r", lambda x: battery.purity_gaussian_state(_CFG, x)),
+    ("battery.fisher_metric_numeric", "sigma", lambda x: battery.fisher_metric_numeric(
+        "corr3", models.Macrostate3(0.4, -0.3, x), ModelParams(0.3))),
+    ("battery.fisher_metric_numeric", "sigma_x", lambda x: battery.fisher_metric_numeric(
+        "corr4", models.Macrostate4(0.4, -0.3, x, 1.0), ModelParams(0.3))),
 ]
 
 

@@ -166,6 +166,19 @@ class TestGeodesicIntegrate:
                 oracle.geodesic_integrate(ModelParams(0.5), desk_ic, span)
         assert caught == []
 
+    @pytest.mark.parametrize("r", [0.0, 0.9])
+    @pytest.mark.parametrize("tau0", [3.0, 1.0])  # A0 = 0.883 and 2.65
+    def test_error_is_rtol_grown_by_geodesic_deviation(self, tau0, r):
+        # the integrator's local errors grow like cosh(A0 tau) along the flow,
+        # as nearby geodesics separate, so the comparison holds to
+        # rtol cosh(A0 max|tau|) far into the tails (2.07 x seen at most)
+        ic = InitialConditions(p0=1.0, sigma0=0.1, tau0=tau0)
+        A0, spec = geodesics.amplitude_A0(ic), OdeSpec()
+        for end in (2.0, 10.0, 20.0):
+            cmp = oracle.geodesic_integrate(ModelParams(r), ic, (-end / A0, end / A0), spec)
+            bound = 4.0 * spec.rtol * math.cosh(A0 * np.abs(cmp.tau).max())
+            assert cmp.max_rel_error <= bound
+
     def test_tolerance_refinement_self_test(self, desk_ic):
         # tightening the tolerance by 10x moves the solution on a fixed
         # 201-point grid, and the oracle's error, by far less than a tenth of
@@ -193,10 +206,11 @@ class TestGeodesicIntegrate:
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
     def test_rhs_is_the_geodesic_equation(self, rng, r):
-        # the paired RHS in Python floats agrees within a few ulps of its
-        # largest component with -Gamma(sigma)(v, v) written out over all 27
-        # entries of curvature.christoffel at the state's sigma, unpaired; at
-        # r = 0.9 the sigma row cancels to a tenth of its terms (12 ulps seen)
+        # the RHS, over the sigma = 1 table divided by sigma, agrees within a
+        # few ulps of its largest component with -Gamma(sigma)(v, v) written
+        # out term by term over all 27 entries of curvature.christoffel at the
+        # state's sigma; at r = 0.9 the sigma row cancels to a tenth of its
+        # terms (7 ulps seen)
         params = ModelParams(r)
         rhs = oracle._geodesic_rhs(params)
         for _ in range(200):
@@ -493,10 +507,10 @@ class TestJacobiIntegrate:
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
     def test_rhs_reads_the_closed_form_path(self, desk_ic, rng, r):
-        # the paired RHS in Python floats agrees within a few ulps of its
-        # largest component with -Gamma(sigma)(v, w) written out over all 27
-        # entries of curvature.christoffel at the path's sigma, unpaired, from
-        # the public closed forms
+        # the RHS, over the sigma = 1 table divided by sigma, agrees within a
+        # few ulps of its largest component with -Gamma(sigma)(v, w) written
+        # out term by term over all 27 entries of curvature.christoffel at the
+        # path's sigma, from the public closed forms
         params = ModelParams(r)
 
         def written_out(t, y):
