@@ -114,8 +114,9 @@ def require_scalar(**named):
     """Require each named value to be a scalar, where a form does not
     broadcast over it, and return the last one named."""
     for name, value in named.items():
-        require(np.ndim(value) == 0,
-                lambda: f"{name} must be a scalar here, got shape {np.shape(value)}")
+        if not isinstance(value, (float, int)):  # np.ndim costs a microsecond on a float
+            require(np.ndim(value) == 0,
+                    lambda: f"{name} must be a scalar here, got shape {np.shape(value)}")
     return value
 
 

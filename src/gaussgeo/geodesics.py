@@ -63,6 +63,7 @@ class InitialConditions:
     R0: float = 10.0
 
     def __post_init__(self):
+        require_scalar(**vars(self))
         require_positive(p0=self.p0, sigma0=self.sigma0, tau0=self.tau0, R0=self.R0)
         require(self.sigma0 / self.p0 <= LOCALIZATION_MAX * (1.0 + 1e-15), lambda: (
             f"sigma0/p0 = {self.sigma0 / self.p0:.4g} exceeds the "

@@ -28,7 +28,7 @@ scalar r alone.
 Only non-negative correlations r in [0, R_MAX) = [0, 1 - 1e-9) are
 admitted: metric entries diverge as r -> 1, so values within 1e-9 of 1 are
 rejected rather than returned as huge floats. Every spread must be positive
-and finite (the policy lives in `errors`).
+and finite, and every mean finite (the policy lives in `errors`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import gather
-from .errors import require_correlation, require_positive, require_scalar
+from .errors import require, require_correlation, require_positive, require_scalar
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class Macrostate3:
 
     def __post_init__(self):
         require_positive(sigma=self.sigma)
+        require((abs(self.mu1) < math.inf) & (abs(self.mu2) < math.inf),
+                lambda: f"means must be finite, got mu1 = {self.mu1}, mu2 = {self.mu2}")
 
     def as_array(self) -> np.ndarray:
         """(mu1, mu2, sigma) stacked on the leading axis."""
@@ -72,6 +74,8 @@ class Macrostate4:
 
     def __post_init__(self):
         require_positive(sigma_x=self.sigma_x, sigma_y=self.sigma_y)
+        require((abs(self.mu_x) < math.inf) & (abs(self.mu_y) < math.inf),
+                lambda: f"means must be finite, got mu_x = {self.mu_x}, mu_y = {self.mu_y}")
 
 
 @dataclass(frozen=True)

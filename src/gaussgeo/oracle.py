@@ -57,6 +57,7 @@ class OdeSpec:
     atol: float = 1e-12
 
     def __post_init__(self):
+        require_scalar(**vars(self))
         require_positive(rtol=self.rtol, atol=self.atol)
 
 

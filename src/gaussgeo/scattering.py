@@ -87,6 +87,7 @@ class ScatteringConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
+        require_scalar(**vars(self))
         require_positive(k0=self.k0, sigma_k0=self.sigma_k0, R0=self.R0, L=self.L,
                          reduced_mass=self.reduced_mass, hbar=self.hbar)
         require_nonnegative(a_s=self.a_s)

@@ -18,9 +18,11 @@ caller, as editing the source would.
 No source module reads a private name of another, as ``module._name`` or
 by import, outside a listed allowlist with a reason for each entry.
 
-Every public callable that takes a ``ModelParams`` is listed with a valid
-call, so a new one needs a deliberate entry. Called with an array r, each
-either broadcasts over it or refuses it with a DomainError that names r.
+Every public callable and input dataclass is listed with one valid call, so
+a new one needs a deliberate entry, and the input contract is derived from
+those calls: an array in each numeric input broadcasts, or is refused by name
+where SCALAR_ONLY lists it; an r outside [0, R_MAX) is refused; and so is each
+of BAD_VALUES, by the input's name.
 """
 
 import ast
@@ -28,7 +30,9 @@ import dataclasses
 import functools
 import importlib
 import inspect
+import math
 import pkgutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +41,9 @@ import pytest
 import gaussgeo
 from gaussgeo import (battery, chaos, complexity, curvature, geodesics, models, oracle,
                       scattering)
-from gaussgeo.errors import DomainError
+from gaussgeo.errors import R_MAX, DomainError
 from gaussgeo.geodesics import InitialConditions
-from gaussgeo.models import ModelParams
+from gaussgeo.models import Macrostate3, Macrostate4, ModelParams
 from gaussgeo.scattering import ScatteringConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -182,80 +186,189 @@ def test_defaulted_parameters_are_listed():
     assert found == set(DEFAULTED)
 
 
+_P = ModelParams(0.5)
 _IC = InitialConditions(p0=1.0, sigma0=0.1)
-_CFG = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
+# R0 = 100 puts eta_c past 1/2, so r_from_purity's half purity is still valid
+_CFG = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=100.0, L=0.1, a_s=1e-5)
+_PATH = {"tau": 0.3, "params": _P, "ic": _IC}
 
-#: module.function: a valid call of each public callable that takes a ModelParams
-R_CALLS = {
-    "models.metric_corr3": lambda p: models.metric_corr3(0.5, p),
-    "models.metric_corr3_inverse": lambda p: models.metric_corr3_inverse(0.5, p),
-    "models.metric_corr3_determinant": lambda p: models.metric_corr3_determinant(0.5, p),
-    "models.metric_corr3_eigenvalues": lambda p: models.metric_corr3_eigenvalues(0.5, p),
-    "models.metric_corr4": lambda p: models.metric_corr4(0.5, 2.0, p),
-    "models.metric_corr4_determinant": lambda p: models.metric_corr4_determinant(0.5, 2.0, p),
-    "models.metric_corr4_eigenvalues": lambda p: models.metric_corr4_eigenvalues(0.5, 2.0, p),
-    "curvature.christoffel": lambda p: curvature.christoffel(0.5, p),
-    "curvature.riemann": lambda p: curvature.riemann(0.5, p),
-    "curvature.ricci": lambda p: curvature.ricci(0.5, p),
-    "curvature.sectional": lambda p: curvature.sectional(0.5, p, [1.0, 1.0, 0.5], [0.0, 1.0, -2.0]),
-    "curvature.maximal_symmetry_check": lambda p: curvature.maximal_symmetry_check(0.5, p),
-    "curvature.bundle": lambda p: curvature.bundle(0.5, p),
-    "geodesics.geodesic_corr": lambda p: geodesics.geodesic_corr(0.3, p, _IC),
-    "geodesics.geodesic_velocity": lambda p: geodesics.geodesic_velocity(0.3, p, _IC),
-    "geodesics.geodesic_acceleration": lambda p: geodesics.geodesic_acceleration(0.3, p, _IC),
-    "geodesics.joined_path": lambda p: geodesics.joined_path(-0.3, p, _IC),
-    "geodesics.geodesic_residual":
-        lambda p: geodesics.geodesic_residual(p, _IC, np.linspace(-1.0, 1.0, 9)),
-    "chaos.velocity_norm_squared_contracted":
-        lambda p: chaos.velocity_norm_squared_contracted(p, _IC, 0.3),
-    "complexity.igc_closed": lambda p: complexity.igc_closed(2.0, p, _IC),
-    "complexity.ige_closed": lambda p: complexity.ige_closed(2.0, p, _IC),
-    "complexity.igc_ratio": lambda p: complexity.igc_ratio(p),
-    "complexity.ige_gap": lambda p: complexity.ige_gap(p),
-    "battery.fisher_metric_numeric": lambda p: battery.fisher_metric_numeric(
-        "corr3", models.Macrostate3(0.4, -0.3, 0.5), p),
-    "battery.curvature_fd": lambda p: battery.curvature_fd(0.5, p),
-    "battery.igc_gauss": lambda p: battery.igc_gauss(1.0, p, _IC),
-    "oracle.geodesic_integrate": lambda p: oracle.geodesic_integrate(p, _IC, (-1.0, 1.0)),
-    "oracle.jacobi_integrate": lambda p: oracle.jacobi_integrate(p, _IC, 2.0),
-    "oracle.igc_numeric": lambda p: oracle.igc_numeric(1.0, p, _IC),
+#: (keywords, callable, ...): a valid call, in any order, that names every
+#: parameter of each public callable and input dataclass listed with it. A
+#: callable listed twice has a second call, which reaches another branch. Half
+#: of each float is valid too
+_GROUPS = [
+    ({"r": 0.5}, ModelParams),
+    ({"mu1": 0.4, "mu2": -0.3, "sigma": 0.5}, Macrostate3),
+    ({}, Macrostate3(0.4, -0.3, 0.5).as_array),
+    ({"mu_x": 0.4, "mu_y": -0.3, "sigma_x": 0.5, "sigma_y": 2.0}, Macrostate4),
+    ({"sigma": 0.5, "params": _P}, models.metric_corr3, models.metric_corr3_inverse,
+     models.metric_corr3_determinant, models.metric_corr3_eigenvalues, curvature.christoffel,
+     curvature.riemann, curvature.ricci, curvature.maximal_symmetry_check, curvature.bundle),
+    ({"sigma_x": 0.5, "sigma_y": 2.0, "params": _P}, models.metric_corr4,
+     models.metric_corr4_determinant, models.metric_corr4_eigenvalues),
+    ({"sigma": 0.5, "params": _P, "u": [1.0, 1.0, 0.5], "v": [0.0, 1.0, -2.0]},
+     curvature.sectional),
+    ({"p0": 1.0, "sigma0": 0.1, "tau0": 1.0, "R0": 10.0}, InitialConditions),
+    ({"ic": _IC}, geodesics.amplitude_A0, chaos.velocity_norm_squared),
+    (_PATH, geodesics.geodesic_corr, geodesics.geodesic_velocity,
+     geodesics.geodesic_acceleration, chaos.velocity_norm_squared_contracted),
+    ({**_PATH, "tau": -0.3}, geodesics.joined_path),
+    ({"params": _P, "ic": _IC, "tau_grid": np.linspace(-1.0, 1.0, 9)},
+     geodesics.geodesic_residual),
+    ({"A0": 2.0}, chaos.jlc_coefficient, chaos.lyapunov_exponent),
+    ({"tau": 0.3, "omega0": 1.0, "A0": 2.0}, chaos.jacobi_intensity),
+    ({"omega0": 1.0, "A0": 1.0, "tau_max": 20.0}, chaos.lyapunov_estimate),
+    ({**_PATH, "tau": 2.0}, complexity.igc_closed, complexity.ige_closed),
+    ({"params": _P}, complexity.igc_ratio, complexity.ige_gap),
+    ({"v_noncorr": 1.0, "v_corr": 0.5}, complexity.r_from_complexities),
+    ({"k0": 1.0, "sigma_k0": 0.1, "R0": 10.0, "L": 0.1, "a_s": 1e-5, "reduced_mass": 0.5,
+      "hbar": 1.0}, ScatteringConfig),
+    ({"tau0": 2.0}, _CFG.initial_conditions),
+    ({"cfg": _CFG}, scattering.r_qm, scattering.normalization_integral,
+     scattering.purity_series, scattering.eta_c, scattering.potential_density),
+    ({"cfg": _CFG, "r": 0.1}, scattering.phase_shift_exact, scattering.phase_shift_series,
+     scattering.potential_from_r, scattering.scattering_length_from_r, scattering.cross_section,
+     scattering.purity_from_r, battery.purity_gaussian_state),
+    ({"cfg": _CFG, "V": 0.1}, scattering.phase_shift_from_potential, scattering.r_from_potential),
+    ({"cfg": _CFG, "sigma_cs": 1e-10}, scattering.r_from_cross_section),
+    ({"cfg": _CFG, "purity": 0.99}, scattering.r_from_purity),
+    ({"ic": _IC, "r": 1e-3}, scattering.prolongation),
+    ({"model": "corr3", "state": Macrostate3(0.4, -0.3, 0.5), "params": _P},
+     battery.fisher_metric_numeric),
+    ({"model": "corr4", "state": Macrostate4(0.4, -0.3, 0.5, 1.0), "params": _P},
+     battery.fisher_metric_numeric),
+    ({"sigma": 0.5, "params": _P, "step": 5e-6}, battery.curvature_fd),
+    ({"cfg": _CFG, "check_convergence": False}, battery.purity_bruteforce),
+    ({**_PATH, "tau": 1.0}, battery.igc_gauss, oracle.igc_numeric),
+    ({"rtol": 1e-10, "atol": 1e-12}, oracle.OdeSpec),
+    ({"params": _P, "ic": _IC, "tau_span": (-1.0, 1.0), "spec": oracle.OdeSpec()},
+     oracle.geodesic_integrate),
+    ({"params": _P, "ic": _IC, "tau_max": 2.0, "spec": oracle.OdeSpec(), "omega0": 1.0},
+     oracle.jacobi_integrate),
+]
+
+#: module.name: (callable, keywords, ...) of each callable in _GROUPS
+CALLS = {}
+for _kwargs, *_fns in _GROUPS:
+    for _fn in _fns:
+        _name = f"{_fn.__module__.rpartition('.')[2]}.{_fn.__qualname__}"
+        CALLS[_name] = (*CALLS.get(_name, (_fn,)), _kwargs)
+
+#: module or module.name: why a public callable has no valid call in CALLS
+EXEMPT = {
+    "errors": "the guards that every refusal below goes through, and the exception classes",
+    "cli": "argv and config files, held by the exit-code contract of tests/test_cli_fuzz.py",
+    "battery.run_verification": "its one input is the name of a group",
+    **dict.fromkeys(["battery.CheckResult", "chaos.LyapunovEstimate", "curvature.CurvatureBundle",
+                     "curvature.SymmetryReport", "oracle.GeodesicComparison",
+                     "oracle.JacobiComparison", "scattering.ProlongationReport"],
+                    "a result, which the package builds"),
 }
 
-#: the callables that take a scalar r alone
-SCALAR_R = {"models.metric_corr3_eigenvalues", "models.metric_corr4",
-            "models.metric_corr4_eigenvalues", "geodesics.geodesic_residual",
-            "battery.fisher_metric_numeric", "battery.igc_gauss", "oracle.geodesic_integrate",
-            "oracle.jacobi_integrate", "oracle.igc_numeric"}
 
-
-def _takes_model_params(fn) -> bool:
-    try:
-        parameters = inspect.signature(fn).parameters.values()
-    except ValueError:  # an exception class, whose signature is its builtin base's
-        return False
-    return any(str(getattr(p.annotation, "__name__", p.annotation)).rpartition(".")[2]
-               == "ModelParams" for p in parameters)
-
-
-def _model_params_callables() -> set[str]:
-    """module.name of every public function, class or public method of a
-    public class in the package whose signature has a ModelParams parameter."""
+def _public_callables() -> set[str]:
+    """module.name of every public function and class of the package's
+    public modules, and of every public method of a public class."""
     found = set()
-    for info in pkgutil.iter_modules(gaussgeo.__path__):
-        module = importlib.import_module(f"gaussgeo.{info.name}")
+    for stem in [info.name for info in pkgutil.iter_modules(gaussgeo.__path__)
+                 if info.name[0] != "_"]:
+        module = importlib.import_module(f"gaussgeo.{stem}")
         for name, obj in vars(module).items():
             if name[0] == "_" or getattr(obj, "__module__", None) != module.__name__:
                 continue
-            members = [(name, obj)]
+            found.add(f"{stem}.{name}")
             if inspect.isclass(obj):
-                members += [(f"{name}.{m}", getattr(obj, m)) for m in vars(obj) if m[0] != "_"]
-            found.update(f"{info.name}.{qual}" for qual, fn in members
-                         if callable(fn) and _takes_model_params(fn))
+                found.update(f"{stem}.{name}.{m}" for m in vars(obj)
+                             if m[0] != "_" and callable(getattr(obj, m)))
     return found
 
 
-def test_model_params_callables_are_listed():
-    assert _model_params_callables() == set(R_CALLS)
+def test_every_public_callable_has_a_valid_call_or_a_reason():
+    found = _public_callables()
+    exempt = {key: {name for name in found if f"{name}.".startswith(f"{key}.")} for key in EXEMPT}
+    assert sorted(found - set().union(*exempt.values()) - CALLS.keys()) == []
+    assert sorted(CALLS.keys() - found) == []
+    assert sorted(key for key, names in exempt.items() if not names) == []  # a stale reason
+    assert sorted(SCALAR_ONLY - INPUTS.keys()) == []
+
+
+@pytest.mark.parametrize("entry", sorted(CALLS))
+def test_call_is_valid(entry):
+    # every parameter named, so each numeric one has a row below, and no
+    # warning, so a refusal below is of the input it replaces
+    fn, *calls = CALLS[entry]
+    for kwargs in calls:
+        assert set(kwargs) == set(inspect.signature(fn).parameters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn(**kwargs)
+
+
+#: An argument of these classes is probed through its fields: each broadcasts
+#: over an array field, and each form that takes one states its own rule
+_POINTS = (ModelParams, Macrostate3, Macrostate4)
+#: The config dataclasses, which refuse an array in every field
+_CONFIGS = (InitialConditions, ScatteringConfig, oracle.OdeSpec)
+
+
+def _inputs(kwargs):
+    """The path of each numeric input of a call: (argument,) for a float or a
+    pair of floats, (argument, field) for a field of a ModelParams or Macrostate."""
+    for arg, value in kwargs.items():
+        if isinstance(value, _POINTS):
+            yield from ((arg, field.name) for field in dataclasses.fields(value))
+        elif isinstance(value, (float, tuple)):
+            yield (arg,)
+
+
+#: module.name.input: (callable, keywords, path, value) of each numeric input,
+#: in the first call of its entry that has it
+INPUTS = {}
+for _entry, (_fn, *_calls) in CALLS.items():
+    for _kwargs in _calls:
+        for _path in _inputs(_kwargs):
+            _value = _kwargs[_path[0]]
+            INPUTS.setdefault(f"{_entry}.{_path[-1]}", (
+                _fn, _kwargs, _path, getattr(_value, _path[1]) if _path[1:] else _value))
+
+
+def _call(name: str, x):
+    """The valid call of ``name``'s entry with that input x."""
+    fn, kwargs, (arg, *field), _ = INPUTS[name]
+    value = dataclasses.replace(kwargs[arg], **{field[0]: x}) if field else x
+    return fn(**{**kwargs, arg: value})
+
+
+#: module.name.input of each numeric input that a form takes as a scalar alone;
+#: every other one broadcasts
+SCALAR_ONLY = {
+    *(f"{name}.r" for name in (
+        "models.metric_corr3_eigenvalues", "models.metric_corr4",
+        "models.metric_corr4_eigenvalues", "geodesics.geodesic_residual",
+        "battery.fisher_metric_numeric", "battery.igc_gauss", "oracle.geodesic_integrate",
+        "oracle.jacobi_integrate", "oracle.igc_numeric", "scattering.phase_shift_exact",
+        "scattering.phase_shift_series", "scattering.purity_from_r",
+        "battery.purity_gaussian_state")),
+    "models.metric_corr3_eigenvalues.sigma",
+    *(f"models.{name}.{input}" for name in ("metric_corr4", "metric_corr4_eigenvalues")
+      for input in ("sigma_x", "sigma_y")),
+    *(f"battery.fisher_metric_numeric.{field.name}"
+      for state in (Macrostate3, Macrostate4) for field in dataclasses.fields(state)),
+    "battery.igc_gauss.tau", "oracle.igc_numeric.tau", "oracle.geodesic_integrate.tau_span",
+    "oracle.jacobi_integrate.tau_max", "oracle.jacobi_integrate.omega0",
+    *(f"chaos.lyapunov_estimate.{input}" for input in ("omega0", "A0", "tau_max")),
+    "scattering.r_from_cross_section.sigma_cs",
+    "scattering.ScatteringConfig.initial_conditions.tau0",
+    *(name for name, (fn, *_) in INPUTS.items() if fn in _CONFIGS),
+}
+
+
+def _pair(value):
+    """Two valid values of an input, the valid one and its half, as one array;
+    of a pair of floats, each."""
+    if isinstance(value, tuple):
+        return tuple(map(_pair, value))
+    return np.array([value, value / 2.0])
 
 
 def _leaves(result) -> list:
@@ -264,68 +377,91 @@ def _leaves(result) -> list:
     return [result]
 
 
-def _holds_each_r(leaf, per_r) -> bool:
-    """Whether an axis of ``leaf`` holds the scalar calls' values in r's order,
-    or ``leaf`` is the value of each scalar call (a field r does not reach)."""
+def _holds_each(leaf, per_point) -> bool:
+    """Whether an axis of ``leaf`` holds the scalar calls' values in order, or
+    ``leaf`` is the value of each scalar call (a field the input does not reach)."""
     leaf = np.asarray(leaf)
-    return any(leaf.shape[axis] == len(per_r) and all(
+    return any(leaf.shape[axis] == len(per_point) and all(
         np.array_equal(np.take(leaf, i, axis), value, equal_nan=True)
-        for i, value in enumerate(per_r)) for axis in range(leaf.ndim)) or all(
-        np.array_equal(leaf, value, equal_nan=True) for value in per_r)
+        for i, value in enumerate(per_point)) for axis in range(leaf.ndim)) or all(
+        np.array_equal(leaf, value, equal_nan=True) for value in per_point)
 
 
-@pytest.mark.parametrize("name", sorted(R_CALLS))
-def test_array_r_broadcasts_or_is_refused_by_name(name):
-    call, rs = R_CALLS[name], (0.0, 0.5)
-    if name in SCALAR_R:
-        with pytest.raises(DomainError, match=r"^r must be a scalar here, got shape \(2,\)$"):
-            call(ModelParams(np.array(rs)))
+def _assert_broadcasts_or_is_refused_by_name(name: str):
+    pair, input = _pair(INPUTS[name][3]), name.rpartition(".")[2]
+    if name in SCALAR_ONLY:
+        # not a raw numpy error, nor values that mix the points: the eigenvalue
+        # forms sort, and a sort over an array input runs along its point axis
+        message = rf"^{input} must be a scalar here, got shape \(2,\)$"
+        with pytest.raises(DomainError, match=message):
+            _call(name, pair)
         return
-    result = _leaves(call(ModelParams(np.array(rs))))
-    scalar = [_leaves(call(ModelParams(r))) for r in rs]
+    result = _leaves(_call(name, pair))
+    scalar = [_leaves(_call(name, x)) for x in pair.tolist()]
     for i, leaf in enumerate(result):
-        assert _holds_each_r(leaf, [leaves[i] for leaves in scalar])
+        assert _holds_each(leaf, [leaves[i] for leaves in scalar])
 
 
-#: (module.function, input, the call with that input an array) for each
-#: numeric input, other than a ModelParams r, that a form takes as a scalar alone
-SCALAR_INPUTS = [
-    ("models.metric_corr3_eigenvalues", "sigma",
-     lambda x: models.metric_corr3_eigenvalues(x, ModelParams(0.3))),
-    ("models.metric_corr4", "sigma_x", lambda x: models.metric_corr4(x, 2.0, ModelParams(0.3))),
-    ("models.metric_corr4", "sigma_y", lambda x: models.metric_corr4(0.5, x, ModelParams(0.3))),
-    ("models.metric_corr4_eigenvalues", "sigma_x",
-     lambda x: models.metric_corr4_eigenvalues(x, 2.0, ModelParams(0.3))),
-    ("models.metric_corr4_eigenvalues", "sigma_y",
-     lambda x: models.metric_corr4_eigenvalues(0.5, x, ModelParams(0.3))),
-    ("battery.igc_gauss", "tau", lambda x: battery.igc_gauss(x, ModelParams(0.3), _IC)),
-    ("oracle.igc_numeric", "tau", lambda x: oracle.igc_numeric(x, ModelParams(0.3), _IC)),
-    ("oracle.geodesic_integrate", "tau_span",
-     lambda x: oracle.geodesic_integrate(ModelParams(0.3), _IC, (x, 1.0))),
-    ("oracle.jacobi_integrate", "tau_max",
-     lambda x: oracle.jacobi_integrate(ModelParams(0.3), _IC, x)),
-    ("oracle.jacobi_integrate", "omega0",
-     lambda x: oracle.jacobi_integrate(ModelParams(0.3), _IC, 2.0, omega0=x)),
-    ("chaos.lyapunov_estimate", "omega0", lambda x: chaos.lyapunov_estimate(x, 1.0, 20.0)),
-    ("chaos.lyapunov_estimate", "A0", lambda x: chaos.lyapunov_estimate(1.0, x, 20.0)),
-    ("chaos.lyapunov_estimate", "tau_max", lambda x: chaos.lyapunov_estimate(1.0, 1.0, x)),
-    ("scattering.phase_shift_exact", "r", lambda x: scattering.phase_shift_exact(_CFG, x)),
-    ("scattering.phase_shift_series", "r", lambda x: scattering.phase_shift_series(_CFG, x)),
-    ("scattering.purity_from_r", "r", lambda x: scattering.purity_from_r(_CFG, x)),
-    ("scattering.r_from_cross_section", "sigma_cs",
-     lambda x: scattering.r_from_cross_section(_CFG, x)),
-    ("battery.purity_gaussian_state", "r", lambda x: battery.purity_gaussian_state(_CFG, x)),
-    ("battery.fisher_metric_numeric", "sigma", lambda x: battery.fisher_metric_numeric(
-        "corr3", models.Macrostate3(0.4, -0.3, x), ModelParams(0.3))),
-    ("battery.fisher_metric_numeric", "sigma_x", lambda x: battery.fisher_metric_numeric(
-        "corr4", models.Macrostate4(0.4, -0.3, x, 1.0), ModelParams(0.3))),
+_R_AXIS = sorted(name for name, (*_, path, _) in INPUTS.items() if path == ("params", "r"))
+_OTHER = sorted(INPUTS.keys() - set(_R_AXIS))
+
+
+@pytest.mark.parametrize("name", _R_AXIS, ids=[name[:-2] for name in _R_AXIS])
+def test_array_r_broadcasts_or_is_refused_by_name(name):
+    _assert_broadcasts_or_is_refused_by_name(name)
+
+
+@pytest.mark.parametrize("name", [name for name in _OTHER if name in SCALAR_ONLY])
+def test_array_input_is_refused_by_name(name):
+    _assert_broadcasts_or_is_refused_by_name(name)
+
+
+@pytest.mark.parametrize("name", [name for name in _OTHER if name not in SCALAR_ONLY])
+def test_array_input_broadcasts(name):
+    _assert_broadcasts_or_is_refused_by_name(name)
+
+
+@pytest.mark.parametrize("name", [name for name, (*_, path, _) in INPUTS.items()
+                                  if path == ("r",)])
+def test_r_outside_the_range_is_refused(name):
+    # an array r is refused for its one bad element
+    for r in (R_MAX, -1e-12, math.nan, math.inf):
+        for x in [r] if name in SCALAR_ONLY else [r, np.array([INPUTS[name][3], r])]:
+            with pytest.raises(DomainError, match="correlation"):
+                _call(name, x)
+
+
+#: (module.name, input, value): each in the entry's valid call is refused
+BAD_VALUES = [
+    ("models.ModelParams", "r", -0.1), ("models.ModelParams", "r", 1.0),
+    ("models.Macrostate3", "sigma", 0.0), ("models.Macrostate3", "sigma", math.inf),
+    ("models.Macrostate4", "sigma_y", math.inf),
+    *(("models.Macrostate3", "mu1", x) for x in (math.nan, math.inf, -math.inf)),
+    *(("models.Macrostate4", "mu_y", x) for x in (math.nan, math.inf, -math.inf)),
+    *(("models.metric_corr3", "sigma", x) for x in (-1.0, 0.0, math.inf)),
+    ("curvature.christoffel", "sigma", 0.0),
+    ("geodesics.InitialConditions", "p0", -1.0), ("geodesics.InitialConditions", "p0", math.inf),
+    ("geodesics.InitialConditions", "tau0", 0.0), ("geodesics.InitialConditions", "R0", math.inf),
+    ("geodesics.InitialConditions", "sigma0", 0.2),  # sigma0/p0 past LOCALIZATION_MAX
+    ("chaos.jlc_coefficient", "A0", 0.0),
+    ("chaos.jacobi_intensity", "omega0", math.nan), ("chaos.jacobi_intensity", "tau", math.nan),
+    ("complexity.igc_closed", "tau", -1.0),
+    ("complexity.igc_closed", "tau", 701.0 / (2.0 * geodesics.amplitude_A0(_IC))),  # lambda*tau
+    *(("complexity.r_from_complexities", "v_corr", x) for x in (1e-6, 1.1)),
+    ("complexity.r_from_complexities", "v_noncorr", 0.0),
+    ("scattering.ScatteringConfig", "k0", 0.0), ("scattering.ScatteringConfig", "L", math.inf),
+    ("scattering.ScatteringConfig", "a_s", -1e-5), ("scattering.ScatteringConfig", "a_s", math.nan),
+    ("scattering.phase_shift_from_potential", "V", math.inf),
+    ("scattering.r_from_potential", "V", 1e3), ("scattering.r_from_potential", "V", -0.1),
+    *(("scattering.r_from_cross_section", "sigma_cs", x) for x in (1.0, -1e-9, -1.0)),
+    ("scattering.r_from_purity", "purity", -5.0), ("scattering.r_from_purity", "purity", 1.5),
+    ("scattering.r_from_purity", "purity", math.nan), ("scattering.prolongation", "r", -0.1),
 ]
 
 
-@pytest.mark.parametrize("name, input, call", SCALAR_INPUTS,
-                         ids=[f"{name}.{input}" for name, input, _ in SCALAR_INPUTS])
-def test_array_input_is_refused_by_name(name, input, call):
-    # not a raw numpy error, nor values that mix the points: the eigenvalue
-    # forms sort, and a sort over an array input runs along its point axis
-    with pytest.raises(DomainError, match=rf"^{input} must be a scalar here, got shape \(2,\)$"):
-        call(np.array([0.5, 2.0]))
+@pytest.mark.parametrize("entry, input, value", BAD_VALUES,
+                         ids=[f"{entry}.{input}={value}" for entry, input, value in BAD_VALUES])
+def test_bad_value_is_refused_by_name(entry, input, value):
+    # by the input's name, or, for an inversion, as the correlation it gives
+    with pytest.raises(DomainError, match=rf"\b{input}\b|correlation"):
+        _call(f"{entry}.{input}", value)

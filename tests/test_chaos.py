@@ -30,10 +30,6 @@ class TestJlcCoefficient:
         A0 = geodesics.amplitude_A0(desk_ic)
         assert R * v2 / 6.0 == pytest.approx(chaos.jlc_coefficient(A0), abs=1e-12)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            chaos.jlc_coefficient(0.0)
-
 
 class TestVelocityNorm:
     def test_constant_value(self, desk_ic):

@@ -47,10 +47,6 @@ class TestChristoffel:
         ) / (2 * h)
         assert np.abs(-G / 1.5 - fd).max() < 1e-8
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            curvature.christoffel(0.0, ModelParams(0.0))
-
 
 class TestRiemann:
     def test_printed_flat_component(self):

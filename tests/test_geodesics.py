@@ -45,18 +45,6 @@ class TestAmplitude:
         assert 1e-9 < abs(self.log_series(desk_ic) - exact) < 1e-5
 
 
-class TestInitialConditions:
-    def test_rejects_poor_localization(self):
-        with pytest.raises(DomainError):
-            InitialConditions(p0=1.0, sigma0=0.2, tau0=1.0, R0=10.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            InitialConditions(p0=-1.0, sigma0=0.1)
-        with pytest.raises(DomainError):
-            InitialConditions(p0=1.0, sigma0=0.1, tau0=0.0)
-
-
 class TestNonCorrelated:
     def test_junction_state(self, desk_ic):
         s = geodesics.geodesic_corr(0.0, ModelParams(0.0), desk_ic)

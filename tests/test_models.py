@@ -8,25 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgeo import chaos, complexity, models, oracle, scattering
-from gaussgeo.errors import R_MAX, DomainError
-from gaussgeo.geodesics import InitialConditions
+from gaussgeo import models, oracle, scattering
+from gaussgeo.errors import R_MAX
 from gaussgeo.models import Macrostate3, Macrostate4, ModelParams
 from gaussgeo.scattering import ScatteringConfig
 
 from conftest import grid_cases
-
-
-class TestPdfCorr3:
-    """Parameter domain of the equal-spread correlated family."""
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            ModelParams(-0.1)
-        with pytest.raises(DomainError):
-            ModelParams(1.0)
-        with pytest.raises(DomainError):
-            Macrostate3(0.0, 0.0, 0.0)
 
 
 class TestMetric3:
@@ -82,12 +69,6 @@ class TestMetric3:
             g = models.metric_corr3(sg, ModelParams(r))
             ginv = models.metric_corr3_inverse(sg, ModelParams(r))
             np.testing.assert_allclose(g @ ginv, np.eye(3), atol=1e-12)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(DomainError):
-            models.metric_corr3(-1.0, ModelParams(0.0))
-        with pytest.raises(DomainError):
-            models.metric_corr3(0.0, ModelParams(0.0))
 
 
 class TestMetric4:
@@ -195,42 +176,6 @@ def test_determinants_against_mpmath(scales, r):
 
 
 _CFG = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=1e-5)
-_IC = InitialConditions(p0=1.0, sigma0=0.1)
-
-#: Every entry point that takes a raw correlation r.
-RAW_R_ENTRY_POINTS = {
-    "ModelParams": ModelParams,
-    "phase_shift_exact": lambda r: scattering.phase_shift_exact(_CFG, r),
-    "phase_shift_series": lambda r: scattering.phase_shift_series(_CFG, r),
-    "potential_from_r": lambda r: scattering.potential_from_r(r, _CFG),
-    "cross_section": lambda r: scattering.cross_section(_CFG, r),
-    "purity_from_r": lambda r: scattering.purity_from_r(_CFG, r),
-    "scattering_length_from_r": lambda r: scattering.scattering_length_from_r(_CFG, r),
-    "prolongation": lambda r: scattering.prolongation(_IC, r),
-    "prolongation_array": lambda r: scattering.prolongation(_IC, np.array([0.0, r])),
-    "purity_gaussian_state": lambda r: oracle.purity_gaussian_state(_CFG, r),
-}
-
-#: Inputs that used to leak out as inf, NaN, 0 or an r outside [0, R_MAX).
-LEAK_PROBES = {
-    "p0 = inf": lambda: InitialConditions(p0=math.inf, sigma0=0.1),
-    "R0 = inf": lambda: InitialConditions(p0=1.0, sigma0=0.1, R0=math.inf),
-    "metric sigma = inf": lambda: models.metric_corr3(math.inf, ModelParams(0.0)),
-    "Macrostate3 sigma = inf": lambda: Macrostate3(0.0, 0.0, math.inf),
-    "Macrostate4 sigma_y = inf": lambda: Macrostate4(0.0, 0.0, 1.0, math.inf),
-    "a_s = nan": lambda: ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1,
-                                          a_s=math.nan),
-    "L = inf": lambda: ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=math.inf),
-    "jacobi omega0 = nan": lambda: chaos.jacobi_intensity(1.0, math.nan, 1.0),
-    "jacobi tau = nan": lambda: chaos.jacobi_intensity(math.nan, 1.0, 1.0),
-    "r_from_purity(-5)": lambda: scattering.r_from_purity(_CFG, -5.0),
-    "r_from_purity(nan)": lambda: scattering.r_from_purity(_CFG, math.nan),
-    "r_from_cross_section(1)": lambda: scattering.r_from_cross_section(_CFG, 1.0),
-    "r_from_potential(1e3)": lambda: scattering.r_from_potential(_CFG, 1e3),
-    "r_from_complexities(1, 1e-6)": lambda: complexity.r_from_complexities(1.0, 1e-6),
-    "phase_shift_from_potential(inf)": lambda: scattering.phase_shift_from_potential(
-        math.inf, _CFG),
-}
 
 
 def _printed_perturbation(sg, r):
@@ -265,13 +210,8 @@ class TestMetricSplit:
 
 
 class TestAdmissibilityPolicy:
-    """One correlation range [0, R_MAX) and one positive-and-finite rule."""
-
-    @pytest.mark.parametrize("entry", RAW_R_ENTRY_POINTS)
-    def test_raw_r_outside_the_range_rejected(self, entry):
-        for r in (R_MAX, -1e-12, math.nan, math.inf):
-            with pytest.raises(DomainError, match="correlation"):
-                RAW_R_ENTRY_POINTS[entry](r)
+    """One correlation range [0, R_MAX); tests/test_api_surface.py refuses
+    every input outside it and each bad value by name."""
 
     def test_largest_admitted_r(self):
         # the perturbative forms strain long before R_MAX; the range's upper
@@ -279,8 +219,3 @@ class TestAdmissibilityPolicy:
         r = np.nextafter(R_MAX, 0.0)
         assert ModelParams(r).r == r
         assert scattering.potential_from_r(r, _CFG) == r * _CFG.kinetic_energy
-
-    @pytest.mark.parametrize("probe", LEAK_PROBES)
-    def test_leak_probe_rejected(self, probe):
-        with pytest.raises(DomainError):
-            LEAK_PROBES[probe]()

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from gaussgeo import geodesics, scattering
-from gaussgeo.errors import (
-    DomainError,
-    RegimeError,
-    RegimeWarning,
-    ResonanceError,
-)
-from gaussgeo.geodesics import InitialConditions
+from gaussgeo.errors import RegimeError, RegimeWarning, ResonanceError
 from gaussgeo.scattering import ScatteringConfig
 
 
@@ -27,14 +21,6 @@ def _born(cfg, r):
 
 
 class TestConfig:
-    def test_rejects_attractive(self):
-        with pytest.raises(DomainError):
-            ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=-1e-5)
-
-    def test_rejects_nonpositive_scales(self):
-        with pytest.raises(DomainError):
-            ScatteringConfig(k0=0.0, sigma_k0=0.1, R0=10.0, L=0.1)
-
     # each warning names the line that built the config, not the dataclass's
     # generated __init__, whose filename is '<string>'
     def test_warns_outside_low_energy_regime(self):
@@ -142,10 +128,6 @@ class TestPurityCrossSection:
     def test_reference_value(self, desk_cfg):
         assert self.purity(desk_cfg, 4 * math.pi * 1e-10) == pytest.approx(
             0.998392, abs=1e-9)
-
-    def test_rejects_negative(self, desk_cfg):
-        with pytest.raises(DomainError):
-            self.purity(desk_cfg, -1.0)
 
 
 class TestPhaseShiftChain:
@@ -332,14 +314,6 @@ class TestInversions:
     def test_pure_state_has_no_correlation(self, desk_cfg):
         assert scattering.r_from_purity(desk_cfg, 1.0) == 0.0
 
-    def test_domain_errors(self, desk_cfg):
-        with pytest.raises(DomainError):
-            scattering.r_from_purity(desk_cfg, 1.5)
-        with pytest.raises(DomainError):
-            scattering.r_from_cross_section(desk_cfg, -1e-9)
-        with pytest.raises(DomainError):
-            scattering.r_from_potential(desk_cfg, -0.1)
-
 
 class TestPurityFromR:
     def test_trivial(self, desk_cfg):
@@ -431,10 +405,6 @@ class TestProlongation:
         # just below every threshold the report is well formed
         rep_ok = scattering.prolongation(desk_ic, 0.999 * r_star)
         assert rep_ok.delta > 0 and rep_ok.delta_approx > 0 and rep_ok.flagged is False
-
-    def test_rejects_invalid_r(self, desk_ic):
-        with pytest.raises(DomainError):
-            scattering.prolongation(desk_ic, -0.1)
 
 
 class TestEtaC:
