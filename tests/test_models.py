@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussgeo import models, oracle, scattering
-from gaussgeo.errors import R_MAX
+from gaussgeo.errors import R_MAX, DomainError
+from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import Macrostate3, Macrostate4, ModelParams
 from gaussgeo.scattering import ScatteringConfig
 
@@ -209,9 +210,24 @@ class TestMetricSplit:
         assert max(constants) / min(constants) < 1.1
 
 
+#: prolongation takes r as a scalar and as an array, whose path masks each
+#: element on its own; both are kept apart here
+_PROLONGATION_R = {
+    "prolongation": lambda r: scattering.prolongation(_IC, r),
+    "prolongation_array": lambda r: scattering.prolongation(_IC, np.array([0.0, r])),
+}
+_IC = InitialConditions(p0=1.0, sigma0=0.1)
+
+
 class TestAdmissibilityPolicy:
     """One correlation range [0, R_MAX); tests/test_api_surface.py refuses
     every input outside it and each bad value by name."""
+
+    @pytest.mark.parametrize("entry", _PROLONGATION_R)
+    def test_raw_r_outside_the_range_rejected(self, entry):
+        for r in (R_MAX, -1e-12, math.nan, math.inf):
+            with pytest.raises(DomainError, match="correlation"):
+                _PROLONGATION_R[entry](r)
 
     def test_largest_admitted_r(self):
         # the perturbative forms strain long before R_MAX; the range's upper
