@@ -21,7 +21,6 @@ def any_true(mask) -> bool:
     return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
 
 
-
 def gather(slots: np.ndarray, *values):
     """``(0.0, *values)[slots]`` at each point: each entry is a copy of its
     value. The values broadcast; their axes lead and the slot axes trail."""

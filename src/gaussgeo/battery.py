@@ -497,7 +497,7 @@ _CHECKS = [
     ("boundary_data", "geodesics", 1e-13, _check_boundary_data),
     ("velocity_norm", "geodesics", 1e-9, _check_velocity_norm),
     ("constant_curvature", "chaos", 1e-8, _check_constant_curvature),
-    ("igc_numeric", "complexity", 1e-5, _check_igc_numeric),
+    ("igc_numeric", "complexity", 5e-12, _check_igc_numeric),
     ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
     ("purity_scaling", "scattering", 0.5, _check_purity_scaling),
     ("purity_quadratic", "scattering", 0.02, _check_purity_quadratic),

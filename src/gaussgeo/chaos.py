@@ -14,7 +14,8 @@ is lambda = 2 sqrt(-Q) = 2 A0 -- notably independent of the correlation r.
 `lyapunov_estimate` refuses an array omega0, A0 or tau_max by name. Both
 reject a NaN A0 tau, or one past the overflow guard
 `errors.require_hyperbolic` (|A0 tau| <= 700), with a DomainError; A0,
-omega0 and tau_max must be positive and finite.
+omega0 and tau_max must be positive and finite, and an A0 whose Q or lambda
+overflows is refused.
 
 `lyapunov_estimate` evaluates the defining log-ratio at a finite horizon.
 The raw value converges only like 1/tau (the limit sheds a constant inside
@@ -26,6 +27,7 @@ small error.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import geodesics, models
 from ._elementwise import scalar_or_array
-from .errors import RegimeWarning, require_hyperbolic, require_positive, require_scalar
+from .errors import RegimeWarning, require, require_hyperbolic, require_positive, require_scalar
 
 #: Minimum A0 * tau_max for the asymptotic Lyapunov regime.
 ASYMPTOTIC_MIN = 5.0
@@ -54,6 +56,8 @@ class LyapunovEstimate:
 def jlc_coefficient(A0: float) -> float:
     """Constant Q of the reduced Jacobi equation: -A0^2."""
     require_positive(A0=A0)
+    require(A0 <= math.sqrt(sys.float_info.max),
+            lambda: f"A0 = {A0} overflows the JLC coefficient -A0^2")
     return -A0 * A0
 
 
@@ -86,6 +90,7 @@ def jacobi_intensity(tau, omega0: float, A0: float):
 def lyapunov_exponent(A0: float) -> float:
     """Asymptotic growth-rate indicator lambda = 2 A0; the same for every r."""
     require_positive(A0=A0)
+    require(A0 <= 0.5 * sys.float_info.max, lambda: f"A0 = {A0} overflows lambda = 2 A0")
     return 2.0 * A0
 
 

@@ -443,7 +443,8 @@ BAD_VALUES = [
     ("geodesics.InitialConditions", "p0", -1.0), ("geodesics.InitialConditions", "p0", math.inf),
     ("geodesics.InitialConditions", "tau0", 0.0), ("geodesics.InitialConditions", "R0", math.inf),
     ("geodesics.InitialConditions", "sigma0", 0.2),  # sigma0/p0 past LOCALIZATION_MAX
-    ("chaos.jlc_coefficient", "A0", 0.0),
+    ("chaos.jlc_coefficient", "A0", 0.0), ("chaos.jlc_coefficient", "A0", 1e308),
+    ("chaos.lyapunov_exponent", "A0", 1e308),
     ("chaos.jacobi_intensity", "omega0", math.nan), ("chaos.jacobi_intensity", "tau", math.nan),
     ("complexity.igc_closed", "tau", -1.0),
     ("complexity.igc_closed", "tau", 701.0 / (2.0 * geodesics.amplitude_A0(_IC))),  # lambda*tau

@@ -1,6 +1,8 @@
-"""Self-tests of the numeric verification engines."""
+"""Self-tests of the numeric verification engines, and the mutation matrix that
+holds each `verify` row to the closed forms whose fault it catches."""
 
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -36,19 +38,20 @@ def _coarse_rule_at(monkeypatch, order):
     monkeypatch.setattr(battery, "_gauss_rule", patched)
 
 
-def _scale_form(monkeypatch, module, name, factor):
-    """Patch ``module.name`` to return its result times ``factor``; a report
-    is scaled in its first field."""
+def _scale(monkeypatch, cell, factor):
+    """Patch a cell to its value times ``factor``: ``module.name``, a form or
+    a constant, or ``module.name.field``, one field of the report a form
+    returns."""
+    module, name, *field = cell.split(".")
+    module = getattr(gaussgeo, module)
     form = getattr(module, name)
 
     def scaled(*args, **kwargs):
         out = form(*args, **kwargs)
-        if dataclasses.is_dataclass(out):
-            first = dataclasses.fields(out)[0].name
-            return dataclasses.replace(out, **{first: factor * getattr(out, first)})
-        return factor * out
+        return (dataclasses.replace(out, **{field[0]: factor * getattr(out, field[0])})
+                if field else factor * out)
 
-    monkeypatch.setattr(module, name, scaled)
+    monkeypatch.setattr(module, name, scaled if callable(form) else factor * form)
 
 
 # the corr3 grid and the corr4 points of the battery, as _fisher_quadrature args
@@ -624,16 +627,6 @@ def _assert_concurrent_batteries_agree(groups):
     assert got == [expected] * 12
 
 
-#: forms that the ODE comparisons read, and the battery rows that catch each
-#: 1e-6 off; the others, amplitude_A0 and the chaos forms, are inputs of
-#: test_path_fault_fails_boundary_data and test_chaos_fault_fails_constant_curvature
-_ODE_ORACLE_FORMS = {
-    "curvature.christoffel": {"christoffel_fd", "geodesic_residual"},
-    "geodesics.geodesic_corr": {"geodesic_residual"},
-    "geodesics.geodesic_velocity": {"velocity_norm", "constant_curvature"},
-}
-
-
 class TestVerificationBattery:
     def test_group_filter(self):
         results = oracle.run_verification(only="curvature")
@@ -653,17 +646,6 @@ class TestVerificationBattery:
         results = oracle.run_verification(only="models")
         passed = {res.name: res.passed for res in results}
         assert passed == {"metric3_quadrature": False, "metric4_quadrature": True}
-
-    def test_metric_fault_fails_every_check_that_reads_it(self, monkeypatch):
-        # curvature and chaos call models.metric_corr3 through the module, so
-        # one patch reaches the sectional curvatures and the contracted norm,
-        # which both velocity_norm and constant_curvature read
-        metric_corr3 = models.metric_corr3
-        monkeypatch.setattr(models, "metric_corr3",
-                            lambda sigma, params: (1.0 + 1e-6) * metric_corr3(sigma, params))
-        failed = {res.name for res in oracle.run_verification() if not res.passed}
-        assert failed == {"metric3_quadrature", "curvature_constants", "velocity_norm",
-                          "constant_curvature"}
 
     def test_nan_closed_form_fails_check(self, monkeypatch):
         # a closed form that is NaN at one grid point, (sigma 1, r 0.3)
@@ -734,33 +716,25 @@ class TestVerificationBattery:
         assert not res["igc_numeric"].passed
         assert res["igc_numeric"].residual > 5e-5
 
-    @pytest.mark.parametrize("name", ["jacobi_intensity", "lyapunov_exponent", "jlc_coefficient",
-                                      "lyapunov_estimate"])
-    def test_chaos_fault_fails_constant_curvature(self, monkeypatch, name):
+    @pytest.mark.parametrize("cell", [f"chaos.{name}" for name in (
+        "jacobi_intensity", "lyapunov_exponent", "jlc_coefficient", "lyapunov_estimate.value")],
+        ids=["jacobi_intensity", "lyapunov_exponent", "jlc_coefficient", "lyapunov_estimate"])
+    def test_chaos_fault_fails_constant_curvature(self, monkeypatch, cell):
         # each chaos form follows exactly from K and g(v, v), so 1e-6 off fails
-        # constant_curvature; an estimate is scaled in its value
-        _scale_form(monkeypatch, chaos, name, 1.0 + 1e-6)
+        # constant_curvature by 1e-6
+        _scale(monkeypatch, cell, 1.0 + 1e-6)
         res = {res.name: res for res in oracle.run_verification(only="chaos")}
         assert not res["constant_curvature"].passed
         assert res["constant_curvature"].residual == pytest.approx(1e-6, rel=1e-3)
 
-    @pytest.mark.parametrize("name", ["amplitude_A0", "joined_path"])
-    def test_path_fault_fails_boundary_data(self, monkeypatch, name):
-        # A0 1e-6 high moves sigma(tau0) by about 2.6e-6 on the desk data; a
-        # joined path is scaled in its first field, mu1
-        _scale_form(monkeypatch, geodesics, name, 1.0 + 1e-6)
+    @pytest.mark.parametrize("cell", ["geodesics.amplitude_A0", "geodesics.joined_path.mu1"],
+                             ids=["amplitude_A0", "joined_path"])
+    def test_path_fault_fails_boundary_data(self, monkeypatch, cell):
+        # A0 1e-6 high moves sigma(tau0) by about 2.6e-6 on the desk data
+        _scale(monkeypatch, cell, 1.0 + 1e-6)
         res = {res.name: res for res in oracle.run_verification(only="geodesics")}
         assert not res["boundary_data"].passed
         assert res["boundary_data"].residual >= 1e-6 * (1.0 - 1e-9)
-
-    @pytest.mark.parametrize("form", list(_ODE_ORACLE_FORMS))
-    def test_ode_oracle_form_fails_a_numpy_row(self, monkeypatch, form):
-        # a form the ODE comparisons read, 1e-6 off, fails a row of the
-        # battery, which runs no ODE
-        module, name = form.split(".")
-        _scale_form(monkeypatch, getattr(gaussgeo, module), name, 1.0 + 1e-6)
-        failed = {res.name for res in oracle.run_verification() if not res.passed}
-        assert _ODE_ORACLE_FORMS[form] <= failed
 
     def test_tilted_jacobi_seed_fails_intensity(self, desk_ic, monkeypatch):
         # a seed tilted by 1e-4 along the velocity moves the intensity by
@@ -794,7 +768,7 @@ class TestVerificationBattery:
             ("boundary_data", "geodesics", 1e-13),
             ("velocity_norm", "geodesics", 1e-9),
             ("constant_curvature", "chaos", 1e-8),
-            ("igc_numeric", "complexity", 1e-5),
+            ("igc_numeric", "complexity", 5e-12),
             ("complexity_relations", "complexity", 1e-12),
             ("purity_scaling", "scattering", 0.5),
             ("purity_quadratic", "scattering", 0.02),
@@ -849,22 +823,6 @@ class TestVerificationBattery:
         jacobi = oracle.jacobi_integrate(params, desk_ic, 20.0 / A0)
         assert jacobi.max_rel_error > 1e-5 and jacobi.orthogonality_max > 1e-8
 
-    def test_riemann_fault_reaches_its_checks(self, monkeypatch):
-        # the ODE oracles do not read R: curvature.riemann 1% off fails the
-        # checks that compare it and only those
-        riemann = curvature.riemann
-        monkeypatch.setattr(curvature, "riemann",
-                            lambda sigma, params: riemann(sigma, params) * 1.01)
-        failed = {res.name for res in oracle.run_verification() if not res.passed}
-        assert failed == {"riemann_fd", "curvature_constants"}
-
-    def test_scalar_curvature_fault_reaches_riemann_fd(self, monkeypatch):
-        # riemann_fd also holds the finite-difference scalar to SCALAR_CURVATURE
-        monkeypatch.setattr(curvature, "SCALAR_CURVATURE", -1.4)
-        failed = {res.name for res in oracle.run_verification(only="curvature")
-                  if not res.passed}
-        assert "riemann_fd" in failed
-
     @pytest.mark.parametrize("build, order", [
         (np.polynomial.hermite.hermgauss, 40), (np.polynomial.legendre.leggauss, 64)])
     def test_gauss_rules_are_read_only(self, build, order):
@@ -884,3 +842,116 @@ class TestVerificationBattery:
             assert cli.main(["verify", "--only", "oracle"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+#: The modules whose public forms the mutation matrix scales
+_FORM_MODULES = (models, curvature, geodesics, chaos, complexity, scattering)
+
+
+def _cells() -> list[str]:
+    """module.name of each public function of the closed-form modules or,
+    where it returns a report, module.name.field of each numeric field; then
+    the two curvature constants."""
+    cells = []
+    for module in _FORM_MODULES:
+        stem = module.__name__.rpartition(".")[2]
+        for name, form in inspect.getmembers(module, inspect.isfunction):
+            if name[0] == "_" or form.__module__ != module.__name__:
+                continue
+            report = inspect.signature(form, eval_str=True).return_annotation
+            cells += ([f"{stem}.{name}.{f.name}" for f in dataclasses.fields(report)
+                       if f.type != "bool"] if dataclasses.is_dataclass(report)
+                      else [f"{stem}.{name}"])
+    return [*cells, "curvature.SCALAR_CURVATURE", "curvature.SECTIONAL_CURVATURE"]
+
+
+CELLS = _cells()
+_PATH = "geodesics.geodesic_corr.mu1 geodesics.geodesic_corr.mu2 geodesics.geodesic_corr.sigma"
+
+#: row: (the cells whose value times 1 + 1e-6 fails it, the cells that fail it
+#: only at 1 + 1e-2), each a space-separated list, in battery order
+CATCHES = {
+    "metric3_quadrature": ("models.metric_corr3", ""),
+    "metric4_quadrature": ("models.metric_corr4", ""),
+    "christoffel_fd": ("curvature.christoffel", ""),
+    "riemann_fd": ("", "models.metric_corr3 curvature.christoffel curvature.riemann "
+                       "curvature.SCALAR_CURVATURE"),
+    "weyl_fd": ("", "curvature.christoffel"),
+    "curvature_constants": (
+        "models.metric_corr3 models.metric_corr3_inverse curvature.riemann curvature.ricci "
+        "curvature.sectional curvature.bundle.sectional curvature.SCALAR_CURVATURE "
+        "curvature.SECTIONAL_CURVATURE", ""),
+    "geodesic_residual": (f"curvature.christoffel {_PATH}", ""),
+    "boundary_data": ("geodesics.amplitude_A0 geodesics.joined_path.mu1 "
+                      "geodesics.joined_path.mu2 geodesics.joined_path.sigma", ""),
+    "velocity_norm": ("models.metric_corr3 geodesics.geodesic_corr.sigma "
+                      "geodesics.geodesic_velocity chaos.velocity_norm_squared "
+                      "chaos.velocity_norm_squared_contracted", ""),
+    "constant_curvature": (
+        "models.metric_corr3 curvature.SECTIONAL_CURVATURE geodesics.geodesic_corr.sigma "
+        "geodesics.geodesic_velocity chaos.velocity_norm_squared_contracted "
+        "chaos.jlc_coefficient chaos.jacobi_intensity chaos.lyapunov_exponent "
+        "chaos.lyapunov_estimate.value", ""),
+    "igc_numeric": (f"{_PATH} chaos.lyapunov_exponent complexity.igc_closed "
+                    "complexity.igc_ratio", ""),
+    "complexity_relations": ("complexity.igc_ratio complexity.r_from_complexities", ""),
+    "purity_scaling": ("", ""),
+    "purity_quadratic": ("", ""),
+    "purity_gaussian_identity": ("", ""),
+    "phase_chain": ("", ""),
+    "inversions_roundtrip": (
+        "scattering.potential_from_r scattering.scattering_length_from_r "
+        "scattering.cross_section scattering.purity_from_r scattering.r_from_potential "
+        "scattering.r_from_cross_section scattering.r_from_purity", ""),
+    "prolongation_agreement": ("", "scattering.prolongation.delta_approx"),
+    "normalization_quadrature": ("scattering.normalization_integral", ""),
+}
+
+#: cell: why no row fails at its 1e-6 mutation; the table only shrinks, and a
+#: cell leaves it once a row catches it
+ESCAPES = {cell: reason for cells, reason in [
+    ("models.metric_corr3_determinant models.metric_corr3_eigenvalues "
+     "models.metric_corr4_determinant models.metric_corr4_eigenvalues",
+     "printed by the metric record alone; no row holds the spectrum"),
+    ("curvature.maximal_symmetry_check.ricci_residual curvature.bundle.weyl "
+     "curvature.maximal_symmetry_check.riemann_residual geodesics.geodesic_residual "
+     "curvature.maximal_symmetry_check.trace_residual",
+     "zero in exact arithmetic, so a scaled value is still rounding"),
+    ("curvature.bundle.christoffel curvature.bundle.ricci curvature.bundle.scalar",
+     "no row reads this field of the bundle; the row of its own form does"),
+    ("curvature.bundle.riemann", "read only as the scale of the Weyl residual"),
+    ("geodesics.geodesic_acceleration", "geodesic_residual differences the path instead"),
+    ("chaos.lyapunov_estimate.raw", "constant_curvature holds the extrapolated value alone"),
+    ("complexity.ige_closed complexity.ige_gap", "no row holds the entropy"),
+    ("scattering.r_qm scattering.purity_series scattering.eta_c scattering.potential_density",
+     "printed by the scatter record alone; no row ties them to their definitions"),
+    ("scattering.phase_shift_exact scattering.phase_shift_series "
+     "scattering.phase_shift_from_potential",
+     "phase_chain holds the routes to each other within their truncation, 0.02"),
+    ("scattering.prolongation.delta scattering.prolongation.delta_approx",
+     "prolongation_agreement holds the two within their truncation, 0.01"),
+    ("scattering.prolongation.r_bound", "prolongation_agreement samples at fractions of it"),
+] for cell in cells.split()}
+
+
+def test_every_cell_is_declared_or_escapes():
+    # a new form or row needs a deliberate entry, and a stale one fails
+    assert list(CATCHES) == [row[0] for row in battery._CHECKS]
+    caught = {cell for fine, _ in CATCHES.values() for cell in fine.split()}
+    coarse = {cell for _, cells in CATCHES.values() for cell in cells.split()}
+    assert sorted(set(CELLS) - caught - ESCAPES.keys()) == []
+    assert sorted(caught & ESCAPES.keys()) == []
+    assert sorted((caught | coarse | ESCAPES.keys()) - set(CELLS)) == []
+    assert all(ESCAPES.values())
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_mutation_fails_the_rows_that_declare_it(monkeypatch, cell):
+    # the full battery under each mutation fails exactly the declared rows
+    for eps in (1e-6, 1e-2):
+        declared = {row for row, (fine, coarse) in CATCHES.items()
+                    if cell in fine.split() or (eps > 1e-6 and cell in coarse.split())}
+        with monkeypatch.context() as patch:
+            _scale(patch, cell, 1.0 + eps)
+            failed = {res.name for res in battery.run_verification() if not res.passed}
+        assert failed == declared, f"at 1 + {eps:g}"
