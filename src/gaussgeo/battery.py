@@ -13,9 +13,10 @@ is exact.
 check yields per-point residuals, and their maximum (NaN propagates) must be
 at most the check's one fixed tolerance. A check that raises a
 ``GaussGeoError`` or an ``ArithmeticError`` fails with residual inf and
-keeps the message. Negative controls monkeypatch a closed form. Checks share
-runs within a battery. Every check needs numpy alone, so no group loads
-scipy; the ODE oracles of :mod:`gaussgeo.oracle` are held by Tier-1 tests.
+keeps the message. Negative controls monkeypatch a closed form. The three
+finite-difference checks share one run within a battery. Every check needs
+numpy alone, so no group loads scipy; the ODE oracles of
+:mod:`gaussgeo.oracle` are held by Tier-1 tests.
 """
 
 from __future__ import annotations
@@ -319,9 +320,9 @@ def _check_metric4_quadrature():
             yield np.abs(closed - fisher_metric_numeric("corr4", state, params)).max()
 
 
-# Runs that several checks share are cached until run_verification clears
-# _SHARED_RUNS; runs are deterministic, so another thread's run is the same.
-# one finite-difference bundle over the grid serves the three fd checks
+# One finite-difference bundle over the grid serves the three fd checks. It is
+# cached until run_verification clears it; runs are deterministic, so another
+# thread's run is the same.
 _curvature_fd_run = functools.cache(lambda: curvature_fd(_SIGMA, ModelParams(_R)))
 
 
@@ -421,25 +422,6 @@ def _check_complexity_relations():
     yield np.abs(complexity.r_from_complexities(base, igc) - params.r).max()
 
 
-@functools.cache
-def _purity_deficit(a_s: float) -> float:
-    return 1.0 - purity_bruteforce(ScatteringConfig(a_s=a_s, **_DESK_CFG_KW))
-
-
-def _check_purity_scaling():
-    # the brute-force purity deficit is quadratic in a_s, so halving a_s
-    # shrinks it 4x; the residual is the ratio's distance from 4
-    yield abs(_purity_deficit(1e-5) / _purity_deficit(5e-6) - 4.0)
-
-
-def _check_purity_quadratic():
-    # deficit agrees with the analytic quadratic coefficient
-    cfg = ScatteringConfig(**_DESK_CFG_KW)
-    for a_s in (1e-5, 2e-5):
-        predicted = 8.0 * (cfg.k0**2 + cfg.sigma_k0**4 * cfg.R0**2) * a_s**2
-        yield abs(_purity_deficit(a_s) - predicted) / predicted
-
-
 def _check_purity_gaussian_identity():
     cfg = ScatteringConfig(a_s=0.0, **_DESK_CFG_KW)
     for r in (0.04, 0.2):
@@ -482,8 +464,6 @@ def _check_normalization_quadrature():
     yield abs(numeric - closed) / closed
 
 
-_SHARED_RUNS = (_curvature_fd_run, _purity_deficit)
-
 # (name, group, tolerance, check): a check passes when its residual is at
 # most its tolerance, so a NaN residual fails.
 _CHECKS = [
@@ -499,8 +479,6 @@ _CHECKS = [
     ("constant_curvature", "chaos", 1e-8, _check_constant_curvature),
     ("igc_numeric", "complexity", 5e-12, _check_igc_numeric),
     ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
-    ("purity_scaling", "scattering", 0.5, _check_purity_scaling),
-    ("purity_quadratic", "scattering", 0.02, _check_purity_quadratic),
     # the trace quadrature against the exact sqrt(1 - r^2); reads no closed form
     ("purity_gaussian_identity", "oracle", 1e-9, _check_purity_gaussian_identity),
     ("phase_chain", "scattering", 0.02, _check_phase_chain),
@@ -524,8 +502,7 @@ def run_verification(only: str | None = None) -> list[CheckResult]:
     """
     require(only is None or only in GROUPS,
             lambda: f"unknown check group {only!r}; available: {', '.join(GROUPS)}")
-    for run in _SHARED_RUNS:
-        run.cache_clear()
+    _curvature_fd_run.cache_clear()
     results = []
     for name, group, tolerance, fn in _CHECKS:
         if only is not None and group != only:

@@ -518,7 +518,11 @@ def main(argv: list[str] | None = None) -> int:
         moved = ", ".join(f"--{k.replace('_', '-')} {x:g}" for k, v in vars(args).items()
                           if v != defaults.get(k) for x in (v if isinstance(v, list) else [v])
                           if isinstance(x, (int, float)))
-        print(f"error: {exc}" + (f" (at {moved})" if moved else ""), file=sys.stderr)
+        # a float ** that overflows carries the C library's (errno, text) pair,
+        # whose text differs by platform
+        errno_pair = isinstance(exc, OverflowError) and len(exc.args) == 2
+        text = "numerical result out of range" if errno_pair else exc
+        print(f"error: {text}" + (f" (at {moved})" if moved else ""), file=sys.stderr)
         return 2
     except (GaussGeoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

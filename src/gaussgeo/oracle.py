@@ -21,8 +21,10 @@ or ``omega0`` is refused by name through `errors.require_scalar` before any
 solve. The ODE engine is ``solve_ivp``'s DOP853 (Hairer, Norsett & Wanner,
 Solving ODEs I, II.5), with no dense output.
 
-This module imports scipy.integrate when it loads and calls ``solve_ivp`` and
-``quad`` through its globals, so wrapping them here counts the oracles' work.
+This module imports scipy.integrate when it loads, and without scipy fails to
+load with a ``ModuleNotFoundError`` that names the ``gaussgeo[oracle]`` extra.
+It calls ``solve_ivp`` and ``quad`` through its globals, so wrapping them here
+counts the oracles' work.
 It re-exports the public names of :mod:`gaussgeo.battery` (the battery and
 the numpy-only oracles), so ``gaussgeo.oracle`` stays the one public
 namespace of every oracle and of `run_verification`.
@@ -34,7 +36,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+try:
+    from scipy.integrate import quad, solve_ivp
+except ModuleNotFoundError as exc:  # an install without the oracle extra
+    raise ModuleNotFoundError("gaussgeo.oracle needs scipy, which the gaussgeo[oracle] "
+                              "extra installs", name="scipy") from exc
 
 from . import chaos, curvature, geodesics, models
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401

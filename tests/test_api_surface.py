@@ -4,8 +4,10 @@ A name is reached when another source module, the acceptance tests or the
 benchmark uses it as ``module.name`` or imports it by name and reads it, or
 when its own module uses its bare name. A re-export (an import the file never
 reads, as in ``gaussgeo/__init__.py``) is not a use, so a name that only its
-re-export keeps alive fails. Matching on the module keeps a common name such
-as ``report`` from passing on another module's attribute.
+re-export keeps alive fails; but a use through the re-exporting source module
+counts, as ``oracle.purity_bruteforce`` reaches ``battery.purity_bruteforce``.
+Matching on the module keeps a common name such as ``report`` from passing on
+another module's attribute.
 
 Every defaulted parameter of a public module-level function, or of a public
 method of a public class, is listed with the reason it exists, so a new
@@ -79,8 +81,12 @@ PUBLIC = [(path, node.name) for path in SOURCES for node in TREES[path].body
 
 @pytest.mark.parametrize("path,name", PUBLIC, ids=[f"{p.stem}.{n}" for p, n in PUBLIC])
 def test_public_name_is_reached(path, name):
-    reached = name in _read(path) or any(
-        name in _reached_from(caller, path.stem) for caller in CALLERS if caller != path)
+    # path's module, and each source module that imports name from it
+    homes = {path.stem} | {source.stem for source in SOURCES for node in TREES[source].body
+                           if isinstance(node, ast.ImportFrom) and node.module == path.stem
+                           and name in (alias.name for alias in node.names)}
+    reached = name in _read(path) or any(name in _reached_from(caller, home) for home in homes
+                                         for caller in CALLERS if caller != path)
     assert reached, f"{path.stem}.{name} is reached only from unit tests"
 
 

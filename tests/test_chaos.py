@@ -134,8 +134,9 @@ class TestLyapunov:
             chaos.lyapunov_estimate(omega0, 1.0, 10.0)
 
     def test_warns_below_asymptotic_regime(self):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as record:
             chaos.lyapunov_estimate(1.0, 1.0, 2.0)
+        assert [w.filename for w in record] == [__file__]
 
     def test_r_independent_through_initial_conditions(self, desk_ic):
         # the exponent depends on the initial conditions only, never on r

@@ -133,8 +133,9 @@ class TestIgeClosed:
             assert abs(diff + math.log(2.0)) < tol
 
     def test_warns_below_asymptotic_regime(self, desk_ic):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as record:
             complexity.ige_closed(1.0 / lam(desk_ic), ModelParams(0.0), desk_ic)
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestRatioAndInversion:

@@ -222,15 +222,14 @@ class TestPurityBruteforce:
 
     def test_deficit_matches_quadratic_coefficient(self, desk_cfg):
         # 1 - P = 8 (k0^2 + sigma^4 R0^2) a_s^2 to leading order
-        deficit = 1.0 - oracle.purity_bruteforce(desk_cfg)
-        predicted = 8.0 * (1.0 + 0.1**4 * 100.0) * (1e-5) ** 2
-        assert deficit == pytest.approx(predicted, rel=0.01)
+        for a_s in (1e-5, 2e-5):
+            deficit = 1.0 - oracle.purity_bruteforce(dataclasses.replace(desk_cfg, a_s=a_s))
+            predicted = 8.0 * (1.0 + 0.1**4 * 100.0) * a_s**2
+            assert deficit == pytest.approx(predicted, rel=0.01)
 
-    def test_deficit_scales_quadratically(self):
-        deficits = []
-        for a_s in (1e-5, 5e-6):
-            cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=a_s)
-            deficits.append(1.0 - oracle.purity_bruteforce(cfg))
+    def test_deficit_scales_quadratically(self, desk_cfg):
+        deficits = [1.0 - oracle.purity_bruteforce(dataclasses.replace(desk_cfg, a_s=a_s))
+                    for a_s in (1e-5, 5e-6)]
         assert 3.5 < deficits[0] / deficits[1] < 4.5
 
     def test_convergence_self_test(self, desk_cfg):
@@ -595,38 +594,6 @@ class TestScalarOdes:
             oracle.geodesic_integrate(ModelParams(0.5), _DESK, span)
 
 
-def _assert_concurrent_batteries_agree(groups):
-    # four threads, each running the groups' batteries three times with the
-    # interpreter switching threads every microsecond: none raises, and each
-    # reports the serial residuals bit for bit
-    def batteries():
-        return [res.as_dict() for only in groups for res in oracle.run_verification(only=only)]
-
-    expected = batteries()
-    got, errors = [], []
-
-    def battery():
-        try:
-            for _ in range(3):
-                got.append(batteries())
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=battery) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert got == [expected] * 12
-
-
 class TestVerificationBattery:
     def test_group_filter(self):
         results = oracle.run_verification(only="curvature")
@@ -670,17 +637,6 @@ class TestVerificationBattery:
         (res,) = oracle.run_verification()
         assert res.name == "probe"
         assert res.passed is False
-
-    def test_two_sided_band(self, monkeypatch):
-        # purity_scaling holds the deficit ratio of a_s = 1e-5 to 5e-6 within
-        # 0.5 of 4, so a ratio too far below or above 4 fails
-        row = next(row for row in battery._CHECKS if row[0] == "purity_scaling")
-        monkeypatch.setattr(battery, "_CHECKS", [row])
-        for ratio, passed in ((3.4, False), (3.6, True), (4.6, False)):
-            monkeypatch.setattr(battery, "_purity_deficit", {1e-5: ratio, 5e-6: 1.0}.get)
-            (res,) = oracle.run_verification()
-            assert res.residual == pytest.approx(abs(ratio - 4.0))
-            assert res.tolerance == 0.5 and res.passed is passed
 
     def test_raising_check_fails_and_the_battery_goes_on(self, monkeypatch):
         # a purity 1% high has no correlation, so r_from_purity raises inside
@@ -770,8 +726,6 @@ class TestVerificationBattery:
             ("constant_curvature", "chaos", 1e-8),
             ("igc_numeric", "complexity", 5e-12),
             ("complexity_relations", "complexity", 1e-12),
-            ("purity_scaling", "scattering", 0.5),
-            ("purity_quadratic", "scattering", 0.02),
             ("purity_gaussian_identity", "oracle", 1e-9),
             ("phase_chain", "scattering", 0.02),
             ("inversions_roundtrip", "scattering", 1e-10),
@@ -785,25 +739,51 @@ class TestVerificationBattery:
             assert p["passed"] is True, p
 
     def test_no_result_outlives_a_battery(self, monkeypatch):
-        # the purity checks share one brute-force run per a_s within a
-        # battery (1e-5, 5e-6 and 2e-5), but a second battery runs them again
+        # the three fd checks share one finite-difference run within a
+        # battery, but a second battery runs it again
         calls = []
-        purity_bruteforce = battery.purity_bruteforce
+        curvature_fd = battery.curvature_fd
 
         def counted(*args, **kwargs):
             calls[-1] += 1
-            return purity_bruteforce(*args, **kwargs)
+            return curvature_fd(*args, **kwargs)
 
-        monkeypatch.setattr(battery, "purity_bruteforce", counted)
+        monkeypatch.setattr(battery, "curvature_fd", counted)
         for _ in range(2):
             calls.append(0)
-            assert all(res.passed for res in oracle.run_verification(only="scattering"))
-        assert calls == [3, 3]
+            assert all(res.passed for res in oracle.run_verification(only="curvature"))
+        assert calls == [1, 1]
 
     def test_concurrent_batteries_agree(self):
-        # batteries in more threads than cores, switching often, each read
-        # only their own memo: none raises and all report the serial residuals
-        _assert_concurrent_batteries_agree(["scattering"])
+        # four threads run the curvature battery, which shares its fd run,
+        # three times each with the interpreter switching every microsecond:
+        # none raises, and each reports the serial residuals bit for bit
+        def run():
+            return [res.as_dict() for res in oracle.run_verification(only="curvature")]
+
+        expected = run()
+        got, errors = [], []
+
+        def work():
+            try:
+                for _ in range(3):
+                    got.append(run())
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert got == [expected] * 12
 
     def test_christoffel_fault_reaches_every_user(self, desk_ic, monkeypatch):
         # curvature.christoffel is the one Gamma table behind the fd check,
@@ -895,8 +875,6 @@ CATCHES = {
     "igc_numeric": (f"{_PATH} chaos.lyapunov_exponent complexity.igc_closed "
                     "complexity.igc_ratio", ""),
     "complexity_relations": ("complexity.igc_ratio complexity.r_from_complexities", ""),
-    "purity_scaling": ("", ""),
-    "purity_quadratic": ("", ""),
     "purity_gaussian_identity": ("", ""),
     "phase_chain": ("", ""),
     "inversions_roundtrip": (

@@ -53,8 +53,9 @@ class TestRqm:
 
     def test_warns_out_of_regime(self):
         cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=1e-3)
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as record:
             scattering.r_qm(cfg)
+        assert [w.filename for w in record] == [__file__]
 
     def test_norm_matches_correlated_gaussian_to_leading_order(self, desk_cfg):
         # bracket of the norm integral vs sqrt(1 - r_qm^2) expansion
@@ -99,8 +100,9 @@ class TestPuritySeries:
     def test_warns_when_strained(self):
         # kappa a_s = 160.8 * 2e-3 ~ 0.32: inside the first-order regime, strained
         cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=2e-3)
-        with pytest.warns(RegimeWarning, match="first-order form is strained"):
+        with pytest.warns(RegimeWarning, match="first-order form is strained") as record:
             assert scattering.purity_series(cfg) == pytest.approx(1.0 - 0.3216)
+        assert [w.filename for w in record] == [__file__]
 
     def test_regime_error(self):
         with warnings.catch_warnings():
@@ -168,8 +170,9 @@ class TestPhaseShiftChain:
         assert _born(desk_cfg, 0.1) == pytest.approx(-3.3333333333333333e-05, rel=1e-12)
 
     def test_series_warns_out_of_regime(self, desk_cfg):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as record:
             scattering.phase_shift_series(desk_cfg, 0.5)
+        assert [w.filename for w in record] == [__file__]
 
     def test_from_potential_trivial(self, desk_cfg):
         assert scattering.phase_shift_from_potential(0.0, desk_cfg) == 0.0
