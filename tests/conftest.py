@@ -1,6 +1,10 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from gaussgeo import chaos, complexity, curvature, geodesics, models, scattering
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.scattering import ScatteringConfig
 
@@ -30,3 +34,24 @@ def grid_cases():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def _cells() -> list[str]:
+    """module.name of each public function of the closed-form modules or,
+    where it returns a report, module.name.field of each numeric field; then
+    the two curvature constants."""
+    cells = []
+    for module in (models, curvature, geodesics, chaos, complexity, scattering):
+        stem = module.__name__.rpartition(".")[2]
+        for name, form in inspect.getmembers(module, inspect.isfunction):
+            if name[0] == "_" or form.__module__ != module.__name__:
+                continue
+            report = inspect.signature(form, eval_str=True).return_annotation
+            cells += ([f"{stem}.{name}.{f.name}" for f in dataclasses.fields(report)
+                       if f.type != "bool"] if dataclasses.is_dataclass(report)
+                      else [f"{stem}.{name}"])
+    return [*cells, "curvature.SCALAR_CURVATURE", "curvature.SECTIONAL_CURVATURE"]
+
+
+#: The mutation-matrix cells: every closed form, or field of the report it returns
+CELLS = _cells()

@@ -2,14 +2,13 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussgeo import complexity, geodesics, models, oracle, scattering
-from gaussgeo.errors import R_MAX, DomainError, RegimeError, RegimeWarning
+from gaussgeo.errors import DomainError, RegimeError, RegimeWarning
 from gaussgeo.models import ModelParams
 from gaussgeo.scattering import ScatteringConfig
 
@@ -53,21 +52,6 @@ class TestIgcClosed:
         value = complexity.igc_closed(1e-6, ModelParams(0.3), desk_ic)
         assert abs(value) < 1e-10
 
-    def test_accurate_against_mpmath(self, desk_ic):
-        # both the series branch and the direct form against a 50-digit
-        # reference; the bracket cancels about log10(120/x^4) digits
-        params, lam_f = ModelParams(0.3), lam(desk_ic)
-        tau = np.logspace(-70.0, math.log10(20.0), 300) / lam_f
-        got = complexity.igc_closed(tau, params, desk_ic)
-        for t, value in zip(tau.tolist(), got.tolist()):
-            lost = max(0, math.ceil(math.log10(120.0 / (lam_f * t) ** 4)))
-            with mpmath.workdps(50 + lost):
-                lm, r, t = mpmath.mpf(lam_f), mpmath.mpf(params.r), mpmath.mpf(t)
-                bracket = (-0.75 * lm + mpmath.sinh(lm * t) / (4 * t)
-                           + mpmath.tanh(lm * t / 2) / t)
-                ref = 4 * mpmath.sqrt((1 - r) / (1 + r)) / lm * bracket
-                assert float(abs(value - ref) / ref) <= 1e-12, float(lm * t)
-
     @pytest.mark.parametrize("lt", [0.5, 2.0, 8.0])
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_ratio_factorizes(self, desk_ic, lt, r):
@@ -109,18 +93,6 @@ class TestIgeClosed:
         assert complexity.ige_gap(ModelParams(0.5)) == pytest.approx(
             0.5 * math.log(1.0 / 3.0), rel=1e-14
         )
-
-    def test_gap_accurate_against_mpmath(self):
-        # -artanh(r) within a few ulps over the whole r domain, from the weak
-        # correlations where (1/2) ln((1-r)/(1+r)) cancels to the last r below R_MAX
-        top = np.nextafter(R_MAX, 0.0)
-        r = np.concatenate([np.logspace(-12.0, -1.0, 110, endpoint=False),
-                            np.linspace(0.1, top, 100)])
-        got = complexity.ige_gap(ModelParams(r))
-        with mpmath.workdps(50):
-            for x, value in zip(r.tolist(), got.tolist()):
-                ref = -mpmath.atanh(x)
-                assert abs(value - ref) <= 2 * np.spacing(abs(float(ref))), x
 
     def test_log_volume_offset(self, desk_ic):
         # ln(IGC) approaches IGE shifted by the volume normalization -ln 2

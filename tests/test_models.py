@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,61 +118,6 @@ def test_metric4_symmetry_and_positivity(sx, sy, r):
     g = models.metric_corr4(sx, sy, ModelParams(r))
     np.testing.assert_array_equal(g, g.T)
     assert np.all(np.linalg.eigvalsh(g) > 0)
-
-
-# r up to the last float below R_MAX, where an eigensolver loses the most
-_EIGEN_R = [0.0, 0.3, 0.9, 1.0 - 1e-6, math.nextafter(R_MAX, 0.0)]
-
-
-@pytest.mark.parametrize("r", _EIGEN_R)
-@pytest.mark.parametrize("scales", [(0.1,), (1.0,), (7.0,), (0.5, 2.0), (0.1, 10.0), (1.0, 1.0)])
-def test_eigenvalues_against_mpmath(scales, r):
-    # every eigenvalue, in ascending order, within 4 ulps of mpmath's
-    # eigensolver on the 50-digit metric at the same float inputs; an
-    # eigensolver in floats misses the smallest by up to 2e-12 relative at
-    # (0.1, 10, 0.7)
-    params = ModelParams(r)
-    with mpmath.workdps(50):
-        s, rr = [mpmath.mpf(x) for x in scales], mpmath.mpf(r)
-        d = (1 - rr) * (1 + rr)
-        if len(scales) == 1:
-            got = models.metric_corr3_eigenvalues(scales[0], params)
-            a, b = 1 / (d * s[0]**2), -rr / (d * s[0]**2)
-            g = mpmath.matrix([[a, b, 0], [b, a, 0], [0, 0, 4 / s[0]**2]])
-        else:
-            got = models.metric_corr4_eigenvalues(*scales, params)
-            (sx, sy), c = s, -rr / (s[0] * s[1] * d)
-            g = mpmath.matrix([
-                [1 / (sx**2 * d), 0, c, 0],
-                [0, (2 - rr**2) / (sx**2 * d), 0, rr * c],
-                [c, 0, 1 / (sy**2 * d), 0],
-                [0, rr * c, 0, (2 - rr**2) / (sy**2 * d)]])
-        ref = sorted(mpmath.eigsy(g, eigvals_only=True))
-    assert np.all(np.diff(got) >= 0)
-    for value, exact in zip(got.tolist(), ref):
-        assert abs(value - exact) <= 4 * math.ulp(float(exact)), (value, exact)
-
-
-@pytest.mark.parametrize("r", [*_EIGEN_R, 0.7])
-@pytest.mark.parametrize("scales", [(0.1,), (1.0,), (7.0,), (0.5, 2.0), (0.1, 10.0), (1.0, 1.0),
-                                    (3.0, 0.01)])
-def test_determinants_against_mpmath(scales, r):
-    # the closed-form determinants against 50-digit 4/((1-r^2) sigma^6) and
-    # 4/(sigma_x^4 sigma_y^4 (1-r^2)^2) at the same float inputs. Counting
-    # each rounding's relative error u = 2^-53 with its power in the result
-    # bounds corr3 by 10u (5 ulps) and corr4, which squares the block
-    # determinant, by 17u (9 ulps); an LU determinant was 13.5 ulps off at
-    # corr3 (0.1, 0.7) and 3.1e5 ulps off at corr4 (1, 1, 1 - 1e-6)
-    params = ModelParams(r)
-    with mpmath.workdps(50):
-        s, d = [mpmath.mpf(x) for x in scales], (1 - mpmath.mpf(r)) * (1 + mpmath.mpf(r))
-        if len(scales) == 1:
-            got, bound = models.metric_corr3_determinant(*scales, params), 5
-            exact = 4 / (d * s[0]**6)
-        else:
-            got, bound = models.metric_corr4_determinant(*scales, params), 9
-            exact = 4 / (s[0]**4 * s[1]**4 * d**2)
-        assert abs(got - exact) <= bound * math.ulp(float(exact)), (got, exact)
 
 
 _CFG = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1, a_s=1e-5)

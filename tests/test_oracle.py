@@ -2,7 +2,6 @@
 holds each `verify` row to the closed forms whose fault it catches."""
 
 import dataclasses
-import inspect
 import math
 import sys
 import threading
@@ -21,6 +20,8 @@ from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import Macrostate3, Macrostate4, ModelParams
 from gaussgeo.oracle import OdeSpec
 from gaussgeo.scattering import ScatteringConfig
+
+from conftest import CELLS
 
 
 def _coarse_rule_at(monkeypatch, order):
@@ -824,28 +825,6 @@ class TestVerificationBattery:
         assert outputs[0] == outputs[1]
 
 
-#: The modules whose public forms the mutation matrix scales
-_FORM_MODULES = (models, curvature, geodesics, chaos, complexity, scattering)
-
-
-def _cells() -> list[str]:
-    """module.name of each public function of the closed-form modules or,
-    where it returns a report, module.name.field of each numeric field; then
-    the two curvature constants."""
-    cells = []
-    for module in _FORM_MODULES:
-        stem = module.__name__.rpartition(".")[2]
-        for name, form in inspect.getmembers(module, inspect.isfunction):
-            if name[0] == "_" or form.__module__ != module.__name__:
-                continue
-            report = inspect.signature(form, eval_str=True).return_annotation
-            cells += ([f"{stem}.{name}.{f.name}" for f in dataclasses.fields(report)
-                       if f.type != "bool"] if dataclasses.is_dataclass(report)
-                      else [f"{stem}.{name}"])
-    return [*cells, "curvature.SCALAR_CURVATURE", "curvature.SECTIONAL_CURVATURE"]
-
-
-CELLS = _cells()
 _PATH = "geodesics.geodesic_corr.mu1 geodesics.geodesic_corr.mu2 geodesics.geodesic_corr.sigma"
 
 #: row: (the cells whose value times 1 + 1e-6 fails it, the cells that fail it
