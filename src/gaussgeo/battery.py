@@ -7,7 +7,7 @@ rules on its nested volume integral; none calls the closed form it
 validates. Self-tests raise ``ConvergenceError``: ``purity_bruteforce``
 doubles its order behind ``check_convergence``, ``igc_gauss`` on every call,
 and ``curvature_fd`` runs a Richardson check on every call. The Fisher rule
-is exact.
+is exact at order 4 and broadcasts over its points.
 
 `run_verification` drives the battery; ``verify`` formats its results. Each
 check yields per-point residuals, and their maximum (NaN propagates) must be
@@ -73,13 +73,16 @@ def _hermite_product(order: int):
 
 def _fisher_quadrature(mux, muy, sx, sy, r, embed, order):
     # E[s s^T] of the scores s = embed^T s4, s4 the corr4 scores: the
-    # Gauss-Hermite product mesh, mapped through the Cholesky factor, summed
-    # as one weighted product
+    # Gauss-Hermite product mesh, mapped through the covariance's Cholesky
+    # factor [[sx, 0], [r sy, sqrt(1 - r^2) sy]], summed as one weighted
+    # product per point of the broadcast inputs, which lead the result
     z, w = _gauss_rule(_hermite_product, order)
-    cov = np.array([[sx * sx, r * sx * sy], [r * sx * sy, sy * sy]])
-    xy = np.array([[mux], [muy]]) + math.sqrt(2.0) * np.linalg.cholesky(cov) @ z
-    s = embed.T @ _scores_corr4(xy, mux, muy, sx, sy, r)
-    return (s * w) @ s.T / math.pi
+    mux, muy, sx, sy, r = (np.asarray(v, float)[..., None]
+                           for v in np.broadcast_arrays(mux, muy, sx, sy, r))
+    xy = np.array([mux + math.sqrt(2.0) * sx * z[0],
+                   muy + math.sqrt(2.0) * sy * (r * z[0] + np.sqrt(1.0 - r * r) * z[1])])
+    s = np.einsum("ak,a...n->...kn", embed, _scores_corr4(xy, mux, muy, sx, sy, r))
+    return (s * w) @ np.swapaxes(s, -1, -2) / math.pi
 
 
 # d(mux, sigmax, muy, sigmay) / d(mu1, mu2, sigma) on the corr3 submanifold
@@ -91,12 +94,13 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
 
     ``model`` selects the family: "corr3" (state: Macrostate3) or "corr4"
     (state: Macrostate4). Scores are analytic; only the expectation is
-    numeric, on a 40 x 40 Gauss-Hermite product mesh. That is exact up to
-    rounding: the scores are quadratic in the nodes, and an n-point rule is
-    exact to degree 2n - 1, so any n >= 3 would do. corr3 is corr4 at
-    sigma_x = sigma_y = sigma, so its scores are the corr4 scores pulled back
-    by the constant embedding Jacobian C, C^T s4, and its metric is their
-    quadrature.
+    numeric, on a 4 x 4 Gauss-Hermite product mesh. That is exact up to
+    rounding: the integrand is a degree-4 polynomial in the nodes, and an
+    n-point rule is exact to degree 2n - 1, so any n >= 3 would do. corr3 is
+    corr4 at sigma_x = sigma_y = sigma, so its scores are the corr4 scores
+    pulled back by the constant embedding Jacobian C, C^T s4, and its metric
+    is their quadrature. Array state fields and r broadcast: the points lead
+    the result, whose last two axes hold each point's metric.
     """
     if model == "corr3":
         args = (state.mu1, state.mu2, state.sigma, state.sigma, params.r, _CORR3_EMBEDDING)
@@ -104,8 +108,7 @@ def fisher_metric_numeric(model: str, state, params: ModelParams) -> np.ndarray:
         args = (state.mu_x, state.mu_y, state.sigma_x, state.sigma_y, params.r, np.eye(4))
     else:
         raise DomainError(f"unknown model {model!r}")
-    require_scalar(r=params.r, **vars(state))
-    return _fisher_quadrature(*args, 40)
+    return _fisher_quadrature(*args, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +309,18 @@ _PATH_R = np.array([0.0, 0.5])
 # Each _check_* yields its residuals, one or more per point it samples.
 
 def _check_metric3_quadrature():
-    numeric = [fisher_metric_numeric("corr3", models.Macrostate3(0.4, -0.3, sg), ModelParams(r))
-               for sg, r in zip(_SIGMA.tolist(), _R.tolist())]
-    yield from curvature._max_abs(models.metric_corr3(_SIGMA, ModelParams(_R)) - numeric, 2)
+    params = ModelParams(_R)
+    numeric = fisher_metric_numeric("corr3", models.Macrostate3(0.4, -0.3, _SIGMA), params)
+    yield from curvature._max_abs(models.metric_corr3(_SIGMA, params) - numeric, 2)
 
 
 def _check_metric4_quadrature():
-    for sx, sy in ((1.0, 2.0), (0.5, 1.0)):
-        for r in (0.0, 0.3, 0.7):
-            params = ModelParams(r)
-            state = models.Macrostate4(0.2, -0.5, sx, sy)
-            closed = models.metric_corr4(sx, sy, params)
-            yield np.abs(closed - fisher_metric_numeric("corr4", state, params)).max()
+    # (sigma_x, sigma_y) = (1, 2) and (0.5, 1), each at r = 0, 0.3 and 0.7
+    sx, sy, r = np.repeat([1.0, 0.5], 3), np.repeat([2.0, 1.0], 3), np.tile([0.0, 0.3, 0.7], 2)
+    numeric = fisher_metric_numeric("corr4", models.Macrostate4(0.2, -0.5, sx, sy), ModelParams(r))
+    for i, (x, y, rho) in enumerate(zip(sx.tolist(), sy.tolist(), r.tolist())):
+        # the closed form takes a scalar r alone
+        yield np.abs(models.metric_corr4(x, y, ModelParams(rho)) - numeric[i]).max()
 
 
 # One finite-difference bundle over the grid serves the three fd checks. It is
@@ -456,9 +459,11 @@ def _check_prolongation():
 
 
 def _check_normalization_quadrature():
-    # bracket integral of the raw (unnormalized) post-collision density
+    # bracket integral of the raw (unnormalized) post-collision density; in
+    # sigma_k0 units it is a unit Gaussian times a quartic, cut at
+    # CUTOFF_SIGMAS, so order 48 converges whatever the config
     cfg = ScatteringConfig(a_s=1e-5, **_DESK_CFG_KW)
-    K1, K2, w1, w2 = _momentum_mesh(cfg, 96)
+    K1, K2, w1, w2 = _momentum_mesh(cfg, 48)
     numeric = float(w1 @ np.abs(_post_collision_psi(cfg, K1, K2)) ** 2 @ w2)
     closed = scattering.normalization_integral(cfg)
     yield abs(numeric - closed) / closed

@@ -351,15 +351,13 @@ SCALAR_ONLY = {
     *(f"{name}.r" for name in (
         "models.metric_corr3_eigenvalues", "models.metric_corr4",
         "models.metric_corr4_eigenvalues", "geodesics.geodesic_residual",
-        "battery.fisher_metric_numeric", "battery.igc_gauss", "oracle.geodesic_integrate",
+        "battery.igc_gauss", "oracle.geodesic_integrate",
         "oracle.jacobi_integrate", "oracle.igc_numeric", "scattering.phase_shift_exact",
         "scattering.phase_shift_series", "scattering.purity_from_r",
         "battery.purity_gaussian_state")),
     "models.metric_corr3_eigenvalues.sigma",
     *(f"models.{name}.{input}" for name in ("metric_corr4", "metric_corr4_eigenvalues")
       for input in ("sigma_x", "sigma_y")),
-    *(f"battery.fisher_metric_numeric.{field.name}"
-      for state in (Macrostate3, Macrostate4) for field in dataclasses.fields(state)),
     "battery.igc_gauss.tau", "oracle.igc_numeric.tau", "oracle.geodesic_integrate.tau_span",
     "oracle.jacobi_integrate.tau_max", "oracle.jacobi_integrate.omega0",
     *(f"chaos.lyapunov_estimate.{input}" for input in ("omega0", "A0", "tau_max")),

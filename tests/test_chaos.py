@@ -1,7 +1,6 @@
 """Jacobi fields, the reduced deviation equation, and Lyapunov indicators."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 import gaussgeo
 from gaussgeo import (battery, chaos, cli, complexity, curvature, geodesics, models, oracle,
                       scattering)
-from gaussgeo.errors import ConvergenceError, DomainError
+from gaussgeo.errors import ConvergenceError, DomainError, RegimeWarning
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import Macrostate3, Macrostate4, ModelParams
 from gaussgeo.oracle import OdeSpec
@@ -69,10 +69,12 @@ class TestFisherMetricNumeric:
     def test_rule_is_exact(self, args):
         # the integrand is a degree-4 polynomial in the nodes and an n-point
         # Gauss-Hermite rule is exact to degree 2n - 1, so order 3 already
-        # gives the order-40 metric and order 2 does not
+        # gives the order-40 metric, as does order 4, the order of
+        # fisher_metric_numeric, and order 2 does not
         g40 = battery._fisher_quadrature(*args, 40)
         scale = np.abs(g40).max()
-        assert np.abs(battery._fisher_quadrature(*args, 3) - g40).max() <= 1e-12 * scale
+        for order in (3, 4):
+            assert np.abs(battery._fisher_quadrature(*args, order) - g40).max() <= 1e-12 * scale
         assert np.abs(battery._fisher_quadrature(*args, 2) - g40).max() > 0.5 * scale
 
     def test_flat_reference(self):
@@ -256,6 +258,27 @@ class TestPurityBruteforce:
         r = scattering.r_qm(desk_cfg)
         got = oracle.purity_gaussian_state(desk_cfg, r)
         assert got == pytest.approx(1.0 - 0.5 * r * r, abs=1e-6)
+
+
+def test_normalization_mesh_is_converged(rng):
+    # the order-48 momentum mesh of the normalization_quadrature row against
+    # order 96: in sigma_k0 units the bracket integrand is a unit Gaussian
+    # times a quartic, cut at CUTOFF_SIGMAS, so no config needs more nodes
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), 200)).tolist()
+
+    def bracket(cfg, order):
+        K1, K2, w1, w2 = battery._momentum_mesh(cfg, order)
+        return w1 @ np.abs(battery._post_collision_psi(cfg, K1, K2)) ** 2 @ w2
+
+    configs = zip(log_uniform(0.1, 10.0), log_uniform(1e-3, 0.3), log_uniform(1.0, 100.0),
+                  log_uniform(1e-8, 1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)  # spreads past LOCALIZATION_MAX
+        cfgs = [ScatteringConfig(k0=k0, sigma_k0=rel * k0, R0=R0, L=0.1 / k0, a_s=a_s)
+                for k0, rel, R0, a_s in configs]
+    gaps = [abs(bracket(cfg, 48) / bracket(cfg, 96) - 1.0) for cfg in cfgs]
+    assert max(gaps) <= 1e-12
 
 
 class TestIgcNumeric:
