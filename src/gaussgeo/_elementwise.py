@@ -8,7 +8,15 @@ cost microseconds on a scalar.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import require_normal
+
+#: the slots of a, c and b in [[a, b, 0], [b, a, 0], [0, 0, c]], the form of
+#: the corr3 metric, its inverse and Ricci
+BLOCK_SLOTS = np.array([[1, 3, 0], [3, 1, 0], [0, 0, 2]])
 
 
 def scalar_or_array(x):
@@ -29,3 +37,23 @@ def gather(slots: np.ndarray, *values):
     except ValueError:  # arrays of points next to the scalar zero
         # C-ordered, as the 0-d result: numpy's reductions sum in memory order
         return np.stack(np.broadcast_arrays(0.0, *values), axis=-1).take(slots, axis=-1)
+
+
+@np.errstate(all="ignore")  # a spread far from 1 leaves the floats; the guard refuses it
+def scaled(power: int, table, *vanishing, **spreads) -> list:
+    """The r-only entries of ``table``, nonzero at every admitted r, and of
+    ``vanishing``, each at most a table entry in magnitude, times the named
+    spreads' product s to ``power``: each is multiplied, or for a negative
+    power divided, by s*s (and s for an odd power) in turn, the same float
+    operations on a scalar and an array. `errors.require_normal` refuses the
+    spreads where a table entry leaves the normal floats."""
+    s = math.prod(spreads.values())
+    factors = [s] * (power % 2) + [s * s] * (abs(power) // 2)
+    entries = [*table, *vanishing]
+    for f in factors:
+        try:
+            entries = [t / f for t in entries] if power < 0 else [t * f for t in entries]
+        except ZeroDivisionError:  # a float spread whose square is 0, where numpy gives inf
+            entries = [math.inf] * len(entries)
+    require_normal(entries[:len(table)], table, power, **spreads)
+    return entries

@@ -318,9 +318,7 @@ def _check_metric4_quadrature():
     # (sigma_x, sigma_y) = (1, 2) and (0.5, 1), each at r = 0, 0.3 and 0.7
     sx, sy, r = np.repeat([1.0, 0.5], 3), np.repeat([2.0, 1.0], 3), np.tile([0.0, 0.3, 0.7], 2)
     numeric = fisher_metric_numeric("corr4", models.Macrostate4(0.2, -0.5, sx, sy), ModelParams(r))
-    for i, (x, y, rho) in enumerate(zip(sx.tolist(), sy.tolist(), r.tolist())):
-        # the closed form takes a scalar r alone
-        yield np.abs(models.metric_corr4(x, y, ModelParams(rho)) - numeric[i]).max()
+    yield from curvature._max_abs(models.metric_corr4(sx, sy, ModelParams(r)) - numeric, 2)
 
 
 # One finite-difference bundle over the grid serves the three fd checks. It is

@@ -3,7 +3,9 @@
 All tensors are dense numpy arrays indexed 0..2 in coordinate order
 (mu1, mu2, sigma). An array sigma broadcasts against an array
 ``ModelParams(r)``: the point axes lead and the tensor axes trail, so a
-scalar call is the 0-d case. The curvature convention is
+scalar call is the 0-d case. Gamma, R_abcd and R_ab are r-only tables times
+1/sigma, 1/sigma^4 and 1/sigma^2 (`_elementwise.scaled`), each refusing a
+sigma at which it leaves the normal floats. The curvature convention is
 
     R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc
               + Gamma^a_fc Gamma^f_bd - Gamma^a_fd Gamma^f_bc,
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from ._elementwise import gather, scalar_or_array
-from .errors import require, require_positive
+from ._elementwise import BLOCK_SLOTS, gather, scalar_or_array, scaled
+from .errors import require
 
 DIM = 3
 
@@ -107,11 +109,10 @@ def christoffel(sigma, params: models.ModelParams) -> np.ndarray:
     """Connection coefficients Gamma^a_bc: -1/sigma (Gamma^1_13, Gamma^2_23,
     Gamma^3_33 and their b, c images), -1/(4 sigma (r^2-1)) (Gamma^3_11,
     Gamma^3_22) and r/(4 sigma (r^2-1)) (Gamma^3_12, Gamma^3_21); the rest are 0."""
-    require_positive(sigma=sigma)
     r = params.r
     d = (r - 1.0) * (r + 1.0)  # r^2 - 1 to one rounding as r -> 1
-    return gather(_CHRISTOFFEL_SLOTS, -1.0 / sigma, -1.0 / (4.0 * sigma * d),
-                  r / (4.0 * sigma * d))
+    return gather(_CHRISTOFFEL_SLOTS, *scaled(-1, (-1.0, -1.0 / (4.0 * d)), r / (4.0 * d),
+                                              sigma=sigma))
 
 
 def riemann(sigma, params: models.ModelParams) -> np.ndarray:
@@ -119,23 +120,17 @@ def riemann(sigma, params: models.ModelParams) -> np.ndarray:
     (indices 1-based (mu1, mu2, sigma)) are R_1212 = 1/(4 sigma^4 (r^2-1)),
     R_1313 = R_2323 = 1/(sigma^4 (r^2-1)) and R_1323 = -r/(sigma^4 (r^2-1));
     the rest follow from the antisymmetries and the pair symmetry."""
-    require_positive(sigma=sigma)
     r = params.r
     d = (r - 1.0) * (r + 1.0)
-    # libm's pow per element, as for a float: numpy's SIMD pow can differ in the last bit
-    s4 = (np.vectorize(pow, otypes=[float])(sigma, 4) if isinstance(sigma, np.ndarray)
-          else sigma ** 4)
-    values = (1.0 / (4.0 * s4 * d), 1.0 / (s4 * d), -r / (s4 * d))
+    values = scaled(-4, (1.0 / (4.0 * d), 1.0 / d), -r / d, sigma=sigma)
     return gather(_RIEMANN_SLOTS, *values, *(-x for x in reversed(values)))
 
 
 def ricci(sigma, params: models.ModelParams) -> np.ndarray:
     """Ricci tensor R_ab = g^{cd} R_cadb (equivalently g^{bd} R_abcd by pair symmetry)."""
-    require_positive(sigma=sigma)
     r = params.r
     d = (r - 1.0) * (r + 1.0)
-    s2 = sigma * sigma
-    return gather(models._BLOCK_SLOTS, 1.0 / (2.0 * s2 * d), -r / (2.0 * s2 * d), -2.0 / s2)
+    return gather(BLOCK_SLOTS, *scaled(-2, (1.0 / (2.0 * d), -2.0), -r / (2.0 * d), sigma=sigma))
 
 
 def sectional(sigma, params: models.ModelParams, u, v):

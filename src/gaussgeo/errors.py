@@ -9,7 +9,8 @@ Every domain guard goes through the helpers at the end, which write each
 rule once for a scalar or an array. `require` alone tests a rule: it holds
 only if it holds at every element, and NaN fails it; the other helpers
 raise through it. `require_hyperbolic` is the one overflow guard of sinh,
-cosh and tanh, and `require_scalar` the one refusal of an array input.
+cosh and tanh, `require_normal` the one range guard of a spread that scales
+a geometry form, and `require_scalar` the one refusal of an array input.
 """
 
 import math
@@ -22,6 +23,9 @@ R_MAX = 1.0 - 1e-9
 
 #: Largest usable hyperbolic argument; sinh and cosh overflow near 710.
 ARG_CLAMP = 700.0
+
+#: The least and the largest positive normal float.
+TINY, HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 class GaussGeoError(Exception):
@@ -124,3 +128,25 @@ def require_hyperbolic(arg, label: str) -> None:
     """Require |arg| <= ARG_CLAMP; ``label`` names arg in the message."""
     require(abs(arg) <= ARG_CLAMP, lambda: f"{label} = {np.max(abs(arg)):.3g} "
             f"exceeds the overflow guard {ARG_CLAMP}")
+
+
+def require_normal(entries, table, power, **spreads) -> None:
+    """Require the named spreads > 0 and ``entries``, the r-only ``table``
+    times their product to ``power``, normal floats, where numpy ignores float
+    errors; the message states the range, at the first point refused, of the
+    product, in which TINY <= |t| product**power <= HUGE for each t."""
+    ok = True
+    for spread in spreads.values():
+        ok = ok & (0.0 < spread)
+    for x in map(abs, entries):
+        ok = ok & (TINY <= x) & (x <= HUGE)
+    require(ok, lambda: _normal_range(ok, table, power, spreads))
+
+
+def _normal_range(ok, table, power, spreads) -> str:
+    at = np.unravel_index(np.argmin(ok), np.shape(ok))  # the first point refused
+    t, got = (np.array([np.broadcast_to(x, np.shape(ok))[at] for x in xs])
+              for xs in (table, spreads.values()))
+    lo, hi = sorted([(TINY / abs(t).min()) ** (1 / power), (HUGE / abs(t).max()) ** (1 / power)])
+    return (f"{' * '.join(spreads)} must lie in [{lo:.3g}, {hi:.3g}] at this r, "
+            f"got {', '.join(f'{float(x):g}' for x in got)}")

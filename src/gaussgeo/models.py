@@ -20,15 +20,12 @@ order (mu_x, sigma_x, mu_y, sigma_y); its determinant is
 4 / (sigma_x^4 sigma_y^4 (1-r^2)^2). Both determinants and the eigenvalues
 are taken in closed form from the 2x2 blocks.
 
-`metric_corr3` and its inverse broadcast an array sigma against an array
-``ModelParams(r)``; the point axes lead and the tensor axes trail. The
-determinants broadcast over r too; `metric_corr4` and the eigenvalues take a
-scalar r alone.
-
-Only non-negative correlations r in [0, R_MAX) = [0, 1 - 1e-9) are
-admitted: metric entries diverge as r -> 1, so values within 1e-9 of 1 are
-rejected rather than returned as huge floats. Every spread must be positive
-and finite, and every mean finite (the policy lives in `errors`).
+Every form broadcasts its spreads against an array ``ModelParams(r)``, the
+point axes before the tensor axes. Each is an r-only table times a power of
+the spreads (`_elementwise.scaled`), which refuses by name, with its range,
+a spread at which an entry nonzero at every r leaves the normal floats.
+Only r in [0, R_MAX) = [0, 1 - 1e-9) is admitted, as metric entries diverge
+as r -> 1, and every mean must be finite (the policy lives in `errors`).
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import gather
-from .errors import require, require_correlation, require_positive, require_scalar
+from ._elementwise import BLOCK_SLOTS, gather, scalar_or_array, scaled
+from .errors import require, require_correlation, require_positive
 
 
 @dataclass(frozen=True)
@@ -94,104 +91,78 @@ class ModelParams:
         require_correlation(self.r)
 
 
-# [[a, b, 0], [b, a, 0], [0, 0, c]], the metric's, its inverse's and Ricci's form
-_BLOCK_SLOTS = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 3]])
+# the corr4 metric's entries 1/d and (2 - r^2)/d over sigma_x^2 (slots 1, 2) and over
+# sigma_y^2 (3, 4), and -r/d and -r^2/d over sigma_x sigma_y (5, 6), with d = 1 - r^2
+_CORR4_SLOTS = np.array([[1, 0, 5, 0], [0, 2, 0, 6], [5, 0, 3, 0], [0, 6, 0, 4]])
 
 
 def metric_corr3(sigma, params: ModelParams) -> np.ndarray:
     """Fisher-Rao metric of the equal-spread family, coordinates (mu1, mu2, sigma)."""
-    require_positive(sigma=sigma)
     r = params.r
     d = (1.0 - r) * (1.0 + r)  # 1 - r^2 to one rounding as r -> 1
-    s2 = sigma * sigma
-    return gather(_BLOCK_SLOTS, 1.0 / d / s2, -r / d / s2, 4.0 / s2)
+    return gather(BLOCK_SLOTS, *scaled(-2, (1.0 / d, 4.0), -r / d, sigma=sigma))
 
 
 def metric_corr3_inverse(sigma, params: ModelParams) -> np.ndarray:
-    """Exact inverse of :func:`metric_corr3`.
-
-    The momentum block inverts to sigma^2 [[1, r], [r, 1]]; kept in closed
-    form so index raising never goes through a numeric inverse.
-    """
-    require_positive(sigma=sigma)
-    s2 = sigma * sigma
-    return gather(_BLOCK_SLOTS, s2, params.r * s2, s2 / 4.0)
+    """Exact inverse of :func:`metric_corr3`, so that index raising never goes
+    through a numeric inverse: the momentum block inverts to sigma^2 [[1, r], [r, 1]]."""
+    return gather(BLOCK_SLOTS, *scaled(2, (1.0, 0.25), params.r, sigma=sigma))
 
 
-def metric_corr4(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndarray:
-    """Fisher-Rao metric of the 4-parameter family.
-
-    Coordinate order is fixed to (mu_x, sigma_x, mu_y, sigma_y).
-    """
-    require_positive(sigma_x=sigma_x, sigma_y=sigma_y)
-    r = require_scalar(sigma_x=sigma_x, sigma_y=sigma_y, r=params.r)
-    d = (r - 1.0) * (r + 1.0)  # r^2 - 1 to one rounding as r -> 1
-    sx, sy = sigma_x, sigma_y
-    return np.array(
-        [
-            [-1.0 / (sx * sx * d), 0.0, r / (sx * sy * d), 0.0],
-            [0.0, -(2.0 - r * r) / (sx * sx * d), 0.0, r * r / (sx * sy * d)],
-            [r / (sx * sy * d), 0.0, -1.0 / (sy * sy * d), 0.0],
-            [0.0, r * r / (sx * sy * d), 0.0, -(2.0 - r * r) / (sy * sy * d)],
-        ]
-    )
-
-
-def metric_corr3_determinant(sigma: float, params: ModelParams) -> float:
-    """Determinant of :func:`metric_corr3`, 4 / ((1-r^2) sigma^6), at a scalar sigma.
-
-    In closed form, with no LU rounding; it may overflow to inf or underflow
-    to 0 where the metric itself is finite.
-    """
-    require_positive(sigma=sigma)
+def metric_corr4(sigma_x, sigma_y, params: ModelParams) -> np.ndarray:
+    """Fisher-Rao metric of the 4-parameter family, coordinates (mu_x, sigma_x,
+    mu_y, sigma_y): the unit-spread one congruent by diag(1/sigma_x, 1/sigma_x,
+    1/sigma_y, 1/sigma_y)."""
     r = params.r
-    s2 = sigma * sigma
-    return 4.0 / ((1.0 - r) * (1.0 + r) * (s2 * s2 * s2))
+    d = (1.0 - r) * (1.0 + r)
+    diagonal = (1.0 / d, (2.0 - r * r) / d)
+    return gather(_CORR4_SLOTS, *scaled(-2, diagonal, sigma_x=sigma_x),
+                  *scaled(-2, diagonal, sigma_y=sigma_y),
+                  *scaled(-1, (), -r / d, -r * r / d, sigma_x=sigma_x, sigma_y=sigma_y))
 
 
-def metric_corr3_eigenvalues(sigma: float, params: ModelParams) -> np.ndarray:
-    """Eigenvalues of :func:`metric_corr3`, ascending, at a scalar sigma.
-
-    The momentum block [[a, b], [b, a]] has a + b = 1/((1+r) sigma^2) and
-    a - b = 1/((1-r) sigma^2); the spread entry is 4/sigma^2.
-    """
-    require_positive(sigma=sigma)
-    r = require_scalar(sigma=sigma, r=params.r)
-    s2 = sigma * sigma
-    return np.sort([1.0 / ((1.0 + r) * s2), 1.0 / ((1.0 - r) * s2), 4.0 / s2])
+def metric_corr3_determinant(sigma, params: ModelParams):
+    """Determinant of :func:`metric_corr3`, 4 / ((1-r^2) sigma^6), in closed
+    form, with no LU rounding."""
+    r = params.r
+    return scalar_or_array(scaled(-6, (4.0 / ((1.0 - r) * (1.0 + r)),), sigma=sigma)[0])
 
 
-def _corr4_block_determinant(sigma_x: float, sigma_y: float, r: float) -> float:
-    # the determinant of the means' 2x2 block of metric_corr4,
-    # 1/(sigma_x^2 sigma_y^2 (1-r^2)); the spreads' block has 4 times it
-    return 1.0 / ((sigma_x * sigma_y) ** 2 * ((1.0 - r) * (1.0 + r)))
+def metric_corr3_eigenvalues(sigma, params: ModelParams) -> np.ndarray:
+    """Eigenvalues of :func:`metric_corr3`, ascending along the last axis: those
+    of the momentum block, 1/((1+r) sigma^2) (the least, as r >= 0) and
+    1/((1-r) sigma^2), and the spread entry 4/sigma^2."""
+    r = params.r
+    upper = 1.0 / (1.0 - r)  # passes 4 at r = 3/4
+    return gather(np.arange(1, 4), *scaled(
+        -2, (1.0 / (1.0 + r), np.minimum(upper, 4.0), np.maximum(upper, 4.0)), sigma=sigma))
 
 
-def metric_corr4_determinant(sigma_x: float, sigma_y: float, params: ModelParams) -> float:
-    """Determinant of :func:`metric_corr4`, 4 / (sigma_x^4 sigma_y^4 (1-r^2)^2).
+def metric_corr4_determinant(sigma_x, sigma_y, params: ModelParams):
+    """Determinant of :func:`metric_corr4`, 4 / (sigma_x^4 sigma_y^4 (1-r^2)^2):
+    the product of its block determinants, 1/(sigma_x^2 sigma_y^2 (1-r^2))
+    and 4 times that."""
+    r = params.r
+    b = 1.0 / ((1.0 - r) * (1.0 + r))  # the means' block determinant at unit spreads
+    return scalar_or_array(scaled(-4, (b * (4.0 * b),), sigma_x=sigma_x, sigma_y=sigma_y)[0])
 
-    The product of its two block determinants, as for :func:`metric_corr3_determinant`.
-    """
-    require_positive(sigma_x=sigma_x, sigma_y=sigma_y)
-    det = _corr4_block_determinant(sigma_x, sigma_y, params.r)
-    return det * (4.0 * det)
 
-
-def metric_corr4_eigenvalues(sigma_x: float, sigma_y: float, params: ModelParams) -> np.ndarray:
-    """Eigenvalues of :func:`metric_corr4`, ascending, from its two 2x2 blocks.
+def metric_corr4_eigenvalues(sigma_x, sigma_y, params: ModelParams) -> np.ndarray:
+    """Eigenvalues of :func:`metric_corr4`, ascending along the last axis.
 
     The means (mu_x, mu_y) and the spreads (sigma_x, sigma_y) each form a
-    block [[p, c], [c, q]]. Its larger root is (p+q)/2 + hypot((p-q)/2, c);
-    its smaller is the block determinant over the larger, with the
-    determinants in closed form, 1/(sigma_x^2 sigma_y^2 (1-r^2)) and 4 times
-    that, so neither root subtracts nearly equal terms. (An eigensolver's
-    error scales with the largest eigenvalue and swamps the smallest.)
+    block [[p, c], [c, q]]. Its larger root is (p+q)/2 + hypot((p-q)/2, c),
+    and its smaller the block determinant, in closed form, over the larger:
+    neither subtracts nearly equal terms, as an eigensolver's smallest does.
+    Every root lies in [1/(2 max(sigma)^2), 2/((1-r^2) min(sigma)^2)] over the
+    spreads, and a spread that takes those bounds out of the normal floats is refused.
     """
-    g = metric_corr4(sigma_x, sigma_y, params).tolist()
-    det = _corr4_block_determinant(sigma_x, sigma_y, params.r)
-    roots = []
-    for i, j, block_det in ((0, 2, det), (1, 3, 4.0 * det)):
-        p, q, c = g[i][i], g[j][j], g[i][j]
-        larger = 0.5 * (p + q) + math.hypot(0.5 * (p - q), c)
-        roots += [block_det / larger, larger]
-    return np.sort(roots)
+    g = metric_corr4(sigma_x, sigma_y, params)
+    r = params.r
+    d = (1.0 - r) * (1.0 + r)
+    for spread in ({"sigma_x": sigma_x}, {"sigma_y": sigma_y}):
+        scaled(-2, (0.5, 2.0 / d), **spread)
+    dets = np.stack(scaled(-2, (1.0 / d, 4.0 / d), sigma_x=sigma_x, sigma_y=sigma_y), axis=-1)
+    p, q, c = g[..., [0, 1], [0, 1]], g[..., [2, 3], [2, 3]], g[..., [0, 1], [2, 3]]
+    larger = 0.5 * (p + q) + np.hypot(0.5 * (p - q), c)
+    return np.sort(np.concatenate([dets / larger, larger], axis=-1), axis=-1)

@@ -30,6 +30,8 @@ from gaussgeo.scattering import ScatteringConfig
 
 SIGMA_GRID = (0.1, 1.0, 10.0)
 R_GRID = (0.0, 0.3, 0.7, 0.9)
+#: the (sigma, r) grid as two flat axes, sigma-major, for the forms that broadcast
+SIGMA, R = (a.ravel() for a in np.meshgrid(SIGMA_GRID, R_GRID, indexing="ij"))
 DESK_IC = InitialConditions(p0=1.0, sigma0=0.1, tau0=1.0, R0=10.0)
 NARROW_IC = InitialConditions(p0=1.0, sigma0=1e-3, tau0=1.0, R0=10.0)
 
@@ -41,18 +43,10 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 def test_criterion_01_curvature_constants():
     start = time.perf_counter()
-    worst_scalar = worst_sectional = worst_fd = 0.0
-    for sg in SIGMA_GRID:
-        for r in R_GRID:
-            params = ModelParams(r)
-            b = curvature.bundle(sg, params)
-            worst_scalar = max(worst_scalar, abs(b.scalar + 1.5))
-            worst_sectional = max(
-                worst_sectional, float(np.nanmax(np.abs(b.sectional + 0.25)))
-            )
-            fd = oracle.curvature_fd(sg, params)
-            worst_fd = max(worst_fd, abs(fd.scalar + 1.5))
-            worst_fd = max(worst_fd, float(np.nanmax(np.abs(fd.sectional + 0.25))))
+    b, fd = curvature.bundle(SIGMA, ModelParams(R)), oracle.curvature_fd(SIGMA, ModelParams(R))
+    worst_scalar = abs(b.scalar + 1.5)
+    worst_sectional = float(np.nanmax(np.abs(b.sectional + 0.25)))
+    worst_fd = float(max(np.abs(fd.scalar + 1.5).max(), np.nanmax(np.abs(fd.sectional + 0.25))))
     elapsed = time.perf_counter() - start
     ok = worst_scalar == 0.0 and worst_sectional < 1e-13 and worst_fd < 1e-5 \
         and elapsed < 1.0
@@ -69,21 +63,12 @@ def test_criterion_01_curvature_constants():
 
 def test_criterion_02_isotropy():
     start = time.perf_counter()
-    worst_closed = worst_fd = worst_symmetry = worst_abs = 0.0
-    for sg in SIGMA_GRID:
-        for r in R_GRID:
-            params = ModelParams(r)
-            scale = np.abs(curvature.riemann(sg, params)).max()
-            weyl = np.abs(curvature.bundle(sg, params).weyl).max()
-            worst_closed = max(worst_closed, float(weyl / scale))
-            if sg >= 1.0:
-                worst_abs = max(worst_abs, float(weyl))
-            fd = oracle.curvature_fd(sg, params)
-            worst_fd = max(worst_fd, float(np.abs(fd.weyl).max()))
-            worst_symmetry = max(
-                worst_symmetry,
-                curvature.maximal_symmetry_check(sg, params).max_residual(),
-            )
+    params, axes = ModelParams(R), (1, 2, 3, 4)
+    weyl = np.abs(curvature.bundle(SIGMA, params).weyl).max(axis=axes)
+    worst_closed = float((weyl / np.abs(curvature.riemann(SIGMA, params)).max(axis=axes)).max())
+    worst_abs = float(weyl[SIGMA >= 1.0].max())
+    worst_fd = float(np.abs(oracle.curvature_fd(SIGMA, params).weyl).max())
+    worst_symmetry = float(curvature.maximal_symmetry_check(SIGMA, params).max_residual().max())
     elapsed = time.perf_counter() - start
     ok = (
         worst_closed < 1e-12 and worst_abs < 1e-12 and worst_fd < 1e-5
@@ -166,25 +151,12 @@ def test_criterion_05_velocity_norm_and_lyapunov():
 
 def test_criterion_06_fisher_oracle_equivalence():
     start = time.perf_counter()
-    worst = 0.0
-    for sg in SIGMA_GRID:
-        for r in R_GRID:
-            params = ModelParams(r)
-            state = Macrostate3(0.4, -0.3, sg)
-            numeric = oracle.fisher_metric_numeric("corr3", state, params)
-            worst = max(
-                worst,
-                float(np.abs(numeric - models.metric_corr3(sg, params)).max()),
-            )
-    for sx, sy in ((1.0, 2.0), (0.5, 1.0)):
-        for r in (0.0, 0.3, 0.7):
-            params = ModelParams(r)
-            state = Macrostate4(0.2, -0.5, sx, sy)
-            numeric = oracle.fisher_metric_numeric("corr4", state, params)
-            worst = max(
-                worst,
-                float(np.abs(numeric - models.metric_corr4(sx, sy, params)).max()),
-            )
+    # each family in one call over its grid, as both the oracle and the closed forms broadcast
+    numeric = oracle.fisher_metric_numeric("corr3", Macrostate3(0.4, -0.3, SIGMA), ModelParams(R))
+    worst = np.abs(numeric - models.metric_corr3(SIGMA, ModelParams(R))).max()
+    sx, sy, r = np.repeat([1.0, 0.5], 3), np.repeat([2.0, 1.0], 3), np.tile([0.0, 0.3, 0.7], 2)
+    numeric = oracle.fisher_metric_numeric("corr4", Macrostate4(0.2, -0.5, sx, sy), ModelParams(r))
+    worst = float(max(worst, np.abs(numeric - models.metric_corr4(sx, sy, ModelParams(r))).max()))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 10.0
     report(

@@ -24,7 +24,8 @@ Every public callable and input dataclass is listed with one valid call, so
 a new one needs a deliberate entry, and the input contract is derived from
 those calls: an array in each numeric input broadcasts, or is refused by name
 where SCALAR_ONLY lists it; an r outside [0, R_MAX) is refused; and so is each
-of BAD_VALUES, by the input's name.
+of BAD_VALUES, by the input's name. A spread of a geometry form at a value
+that leaves the floats is refused by name, or gives finite values.
 """
 
 import ast
@@ -34,6 +35,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 import warnings
 from pathlib import Path
 
@@ -121,8 +123,6 @@ def _imported(tree) -> list[str]:
 PRIVATE_READS = {
     ("battery", "curvature._max_abs"):
         "the Fisher and curvature rows reduce each point's tensor as the symmetry residuals do",
-    ("curvature", "models._BLOCK_SLOTS"):
-        "Ricci has the metric's block form, and gathers its entries through the same slots",
 }
 
 
@@ -349,15 +349,10 @@ def _call(name: str, x):
 #: every other one broadcasts
 SCALAR_ONLY = {
     *(f"{name}.r" for name in (
-        "models.metric_corr3_eigenvalues", "models.metric_corr4",
-        "models.metric_corr4_eigenvalues", "geodesics.geodesic_residual",
-        "battery.igc_gauss", "oracle.geodesic_integrate",
+        "geodesics.geodesic_residual", "battery.igc_gauss", "oracle.geodesic_integrate",
         "oracle.jacobi_integrate", "oracle.igc_numeric", "scattering.phase_shift_exact",
         "scattering.phase_shift_series", "scattering.purity_from_r",
         "battery.purity_gaussian_state")),
-    "models.metric_corr3_eigenvalues.sigma",
-    *(f"models.{name}.{input}" for name in ("metric_corr4", "metric_corr4_eigenvalues")
-      for input in ("sigma_x", "sigma_y")),
     "battery.igc_gauss.tau", "oracle.igc_numeric.tau", "oracle.geodesic_integrate.tau_span",
     "oracle.jacobi_integrate.tau_max", "oracle.jacobi_integrate.omega0",
     *(f"chaos.lyapunov_estimate.{input}" for input in ("omega0", "A0", "tau_max")),
@@ -394,8 +389,7 @@ def _holds_each(leaf, per_point) -> bool:
 def _assert_broadcasts_or_is_refused_by_name(name: str):
     pair, input = _pair(INPUTS[name][3]), name.rpartition(".")[2]
     if name in SCALAR_ONLY:
-        # not a raw numpy error, nor values that mix the points: the eigenvalue
-        # forms sort, and a sort over an array input runs along its point axis
+        # not a raw numpy error, nor values that mix the points
         message = rf"^{input} must be a scalar here, got shape \(2,\)$"
         with pytest.raises(DomainError, match=message):
             _call(name, pair)
@@ -470,3 +464,24 @@ def test_bad_value_is_refused_by_name(entry, input, value):
     # by the input's name, or, for an inversion, as the correlation it gives
     with pytest.raises(DomainError, match=rf"\b{input}\b|correlation"):
         _call(f"{entry}.{input}", value)
+
+
+#: The spread inputs of the geometry forms, and values of them that leave the floats
+SPREADS = sorted(name for name in INPUTS if name.split(".")[0] in ("models", "curvature")
+                 and name.rpartition(".")[2] in ("sigma", "sigma_x", "sigma_y"))
+OFF_SCALE = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 1e300, 1e-300, 5e-324]
+
+
+@pytest.mark.parametrize("value", OFF_SCALE)
+@pytest.mark.parametrize("name", SPREADS)
+def test_spread_is_refused_by_name_or_gives_finite_values(name, value):
+    # under the CLI's floating-point error state, so that no raw error escapes it either
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            result = _call(name, value)
+        except DomainError as exc:
+            assert re.search(rf"\b{name.rpartition('.')[2]}\b", str(exc)), exc
+            return
+    if isinstance(result, curvature.CurvatureBundle):  # K(e_i, e_i) is NaN by definition
+        result = dataclasses.replace(result, sectional=result.sectional[~np.eye(3, dtype=bool)])
+    assert all(np.isfinite(leaf).all() for leaf in _leaves(result))

@@ -29,7 +29,10 @@ when the metric and curvature forms came to build 1 - r^2 as
 from the closed forms in `models` instead of an eigensolver. ``metric_s05_r03``
 was rewritten once more when its determinant came from the closed form in
 `models` instead of an LU factorisation (0.45 ulp from the 50-digit value
-instead of 1.55); every other record is as first written.
+instead of 1.55). The curvature records at sigma = 0.1 and 2e3 were rewritten
+when each tensor came to divide its r-table by sigma^2 in turn (the weyl and
+identity residuals fell, and five of their six sectional curvatures are no
+farther from -1/4); every other record is as first written.
 
 JSON warnings are compared per kind: a kind may be reported as several
 messages or as one message that carries the count ("at N of M elements"),
