@@ -10,10 +10,12 @@ and ``curvature_fd`` runs a Richardson check on every call. The Fisher rule
 is exact at order 4 and broadcasts over its points.
 
 `run_verification` drives the battery; ``verify`` formats its results. Each
-check yields per-point residuals, and their maximum (NaN propagates) must be
-at most the check's one fixed tolerance. A check that raises a
-``GaussGeoError`` or an ``ArithmeticError`` fails with residual inf and
-keeps the message. Negative controls monkeypatch a closed form. The three
+row is one record, made by a decorator on its check: its group, one fixed
+tolerance, and the cells (closed forms, report fields, curvature constants)
+whose fault it catches, to which the tests' mutation matrix holds it. The
+check's per-point residuals have a maximum (NaN propagates) that must be at
+most the tolerance; a check that raises a ``GaussGeoError`` or an
+``ArithmeticError`` fails with residual inf and keeps the message. The three
 finite-difference checks share one run within a battery. Every check needs
 numpy alone, so no group loads scipy; the ODE oracles of
 :mod:`gaussgeo.oracle` are held by Tier-1 tests.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -299,6 +302,32 @@ class CheckResult:
                 if k != "seconds" and (k != "error" or v is not None)}
 
 
+@dataclass(frozen=True)
+class _Check:
+    """A row: it passes when the largest residual ``run`` yields, one or more per
+    point it samples, is at most ``tolerance`` (so NaN fails). A cell of
+    ``guards`` times 1 + 1e-6 fails it; one of ``coarse`` only times 1 + 1e-2."""
+
+    name: str
+    group: str
+    tolerance: float
+    run: Callable[[], Iterator[float]]
+    guards: tuple[str, ...]
+    coarse: tuple[str, ...]
+
+
+_CHECKS: list[_Check] = []  # in the order they run, each added by `_check` at its code
+
+
+def _check(group: str, tolerance: float, guards: str = "", coarse: str = ""):
+    # adds its function as the next row, named without the underscore; cells space-separated
+    def add(run):
+        _CHECKS.append(_Check(run.__name__[1:], group, tolerance, run,
+                              tuple(guards.split()), tuple(coarse.split())))
+        return run
+    return add
+
+
 # the (sigma, r) points of the metric and curvature checks: two flat axes, sigma-major
 _SIGMA, _R = np.repeat([0.1, 1.0, 10.0], 4), np.tile([0.0, 0.3, 0.7, 0.9], 3)
 _DESK_IC = InitialConditions(p0=1.0, sigma0=0.1, tau0=1.0, R0=10.0)
@@ -306,15 +335,16 @@ _DESK_CFG_KW = dict(k0=1.0, sigma_k0=0.1, R0=10.0, L=0.1)
 # the correlations of the path checks
 _PATH_R = np.array([0.0, 0.5])
 
-# Each _check_* yields its residuals, one or more per point it samples.
 
-def _check_metric3_quadrature():
+@_check("models", 1e-6, guards="models.metric_corr3")
+def _metric3_quadrature():
     params = ModelParams(_R)
     numeric = fisher_metric_numeric("corr3", models.Macrostate3(0.4, -0.3, _SIGMA), params)
     yield from curvature._max_abs(models.metric_corr3(_SIGMA, params) - numeric, 2)
 
 
-def _check_metric4_quadrature():
+@_check("models", 1e-6, guards="models.metric_corr4")
+def _metric4_quadrature():
     # (sigma_x, sigma_y) = (1, 2) and (0.5, 1), each at r = 0, 0.3 and 0.7
     sx, sy, r = np.repeat([1.0, 0.5], 3), np.repeat([2.0, 1.0], 3), np.tile([0.0, 0.3, 0.7], 2)
     numeric = fisher_metric_numeric("corr4", models.Macrostate4(0.2, -0.5, sx, sy), ModelParams(r))
@@ -328,12 +358,15 @@ _curvature_fd_run = functools.cache(lambda: curvature_fd(_SIGMA, ModelParams(_R)
 
 
 # Christoffels scale as 1/sigma and Riemann components as 1/sigma^4
-def _check_christoffel_fd():
+@_check("curvature", 1e-6, guards="curvature.christoffel")
+def _christoffel_fd():
     gap = _curvature_fd_run().christoffel - curvature.christoffel(_SIGMA, ModelParams(_R))
     yield from curvature._max_abs(gap, 3) * _SIGMA
 
 
-def _check_riemann_fd():
+@_check("curvature", 1e-5, coarse="models.metric_corr3 curvature.christoffel curvature.riemann "
+        "curvature.SCALAR_CURVATURE")
+def _riemann_fd():
     # also holds the finite-difference scalar to SCALAR_CURVATURE
     fd = _curvature_fd_run()
     gap = fd.riemann - curvature.riemann(_SIGMA, ModelParams(_R))
@@ -341,7 +374,8 @@ def _check_riemann_fd():
     yield from np.abs(fd.scalar - curvature.SCALAR_CURVATURE)
 
 
-def _check_weyl_fd():
+@_check("curvature", 1e-5, coarse="curvature.christoffel")
+def _weyl_fd():
     yield from curvature._max_abs(_curvature_fd_run().weyl, 4) * _SIGMA**4
 
 
@@ -349,7 +383,10 @@ def _check_weyl_fd():
 _OBLIQUE = ([[1.0, 1.0, 0.5], [0.3, -0.7, 1.0]], [[0.0, 1.0, -2.0], [1.0, 0.2, 0.4]])
 
 
-def _check_curvature_constants():
+@_check("curvature", 1e-12, guards="models.metric_corr3 models.metric_corr3_inverse "
+        "curvature.riemann curvature.ricci curvature.sectional curvature.bundle.sectional "
+        "curvature.SCALAR_CURVATURE curvature.SECTIONAL_CURVATURE")
+def _curvature_constants():
     b = curvature.bundle(_SIGMA, ModelParams(_R))
     yield np.abs(b.sectional[~np.isnan(b.sectional)] - curvature.SECTIONAL_CURVATURE).max()
     # a point axis against the two planes
@@ -360,13 +397,17 @@ def _check_curvature_constants():
     yield from curvature._max_abs(b.weyl, 4) / curvature._max_abs(b.riemann, 4)
 
 
-def _check_geodesic_residual():
+@_check("geodesics", 1e-6, guards="curvature.christoffel geodesics.geodesic_corr.mu1 "
+        "geodesics.geodesic_corr.mu2 geodesics.geodesic_corr.sigma")
+def _geodesic_residual():
     grid = np.linspace(-1.0, 1.0, 9)
     for r in (0.0, 0.3, 0.5):
         yield geodesics.geodesic_residual(ModelParams(r), _DESK_IC, grid)
 
 
-def _check_boundary_data():
+@_check("geodesics", 1e-13, guards="geodesics.amplitude_A0 geodesics.joined_path.mu1 "
+        "geodesics.joined_path.mu2 geodesics.joined_path.sigma")
+def _boundary_data():
     # the data that fix A0 and the join: the joined path passes through
     # (p0, -p0, sigma0) at tau = -tau0 and (-m, m, sigma0), m = sqrt(1-r) p0,
     # at +tau0; the relative residuals stayed within 2.8e-15, 1/35 of the
@@ -379,7 +420,10 @@ def _check_boundary_data():
         yield from (np.abs(path.as_array() - expected) / np.abs(expected)).ravel()
 
 
-def _check_velocity_norm():
+@_check("geodesics", 1e-9, guards="models.metric_corr3 geodesics.geodesic_corr.sigma "
+        "geodesics.geodesic_velocity chaos.velocity_norm_squared "
+        "chaos.velocity_norm_squared_contracted")
+def _velocity_norm():
     expected = chaos.velocity_norm_squared(_DESK_IC)
     tau = np.linspace(-2.0, 2.0, 11)[:, None]
     got = chaos.velocity_norm_squared_contracted(ModelParams(np.array([0.0, 0.5, 0.9])),
@@ -387,7 +431,11 @@ def _check_velocity_norm():
     yield from (np.abs(got - expected) / expected).ravel()
 
 
-def _check_constant_curvature():
+@_check("chaos", 1e-8, guards="models.metric_corr3 curvature.SECTIONAL_CURVATURE "
+        "geodesics.geodesic_corr.sigma geodesics.geodesic_velocity "
+        "chaos.velocity_norm_squared_contracted chaos.jlc_coefficient chaos.jacobi_intensity "
+        "chaos.lyapunov_exponent chaos.lyapunov_estimate.value")
+def _constant_curvature():
     # at constant curvature K the deviation equation is J'' + K g(v, v) J = 0 (do
     # Carmo, Riemannian Geometry, ch. 5): with c = sqrt(-K g(v, v)) the
     # intensity is omega0 sinh(c tau)/c, the exponent 2c and Q = K g(v, v)
@@ -403,7 +451,10 @@ def _check_constant_curvature():
     yield from np.abs(chaos.lyapunov_estimate(1.0, A0, 20.0 / A0).value - 2.0 * c) / (2.0 * c)
 
 
-def _check_igc_numeric():
+@_check("complexity", 5e-12, guards="geodesics.geodesic_corr.mu1 geodesics.geodesic_corr.mu2 "
+        "geodesics.geodesic_corr.sigma chaos.lyapunov_exponent complexity.igc_closed "
+        "complexity.igc_ratio")
+def _igc_numeric():
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(_DESK_IC))
     for lt in (1.0, 5.0, 10.0):
         for r in (0.0, 0.3, 0.7):
@@ -413,7 +464,8 @@ def _check_igc_numeric():
             yield abs(closed - numeric) / abs(numeric)
 
 
-def _check_complexity_relations():
+@_check("complexity", 1e-12, guards="complexity.igc_ratio complexity.r_from_complexities")
+def _complexity_relations():
     # horizons lambda tau = 2, 7 down the rows, correlations 0.3, 0.7 across
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(_DESK_IC))
     tau, params = np.array([[2.0], [7.0]]) / lam, ModelParams(np.array([0.3, 0.7]))
@@ -423,13 +475,16 @@ def _check_complexity_relations():
     yield np.abs(complexity.r_from_complexities(base, igc) - params.r).max()
 
 
-def _check_purity_gaussian_identity():
+@_check("oracle", 1e-9)
+def _purity_gaussian_identity():
+    # the trace quadrature against the exact sqrt(1 - r^2); reads no closed form
     cfg = ScatteringConfig(a_s=0.0, **_DESK_CFG_KW)
     for r in (0.04, 0.2):
         yield abs(purity_gaussian_state(cfg, r) - math.sqrt(1.0 - r * r))
 
 
-def _check_phase_chain():
+@_check("scattering", 0.02)
+def _phase_chain():
     for k0L, r in ((0.1, 0.01), (0.05, 0.1), (0.2, 0.05)):
         cfg = ScatteringConfig(k0=1.0, sigma_k0=0.1, R0=10.0, L=k0L)
         exact = scattering.phase_shift_exact(cfg, r)
@@ -441,7 +496,10 @@ def _check_phase_chain():
         yield abs(exact - from_v) / abs(exact)
 
 
-def _check_inversions():
+@_check("scattering", 1e-10, guards="scattering.potential_from_r "
+        "scattering.scattering_length_from_r scattering.cross_section scattering.purity_from_r "
+        "scattering.r_from_potential scattering.r_from_cross_section scattering.r_from_purity")
+def _inversions_roundtrip():
     cfg = ScatteringConfig(a_s=0.0, **_DESK_CFG_KW)
     for r in (1e-6, 1e-3, 0.01, 0.1):
         yield abs(scattering.r_from_potential(cfg, scattering.potential_from_r(r, cfg)) - r)
@@ -449,14 +507,16 @@ def _check_inversions():
         yield abs(scattering.r_from_purity(cfg, scattering.purity_from_r(cfg, r)) - r)
 
 
-def _check_prolongation():
+@_check("scattering", 0.01, coarse="scattering.prolongation.delta_approx")
+def _prolongation_agreement():
     for ic in (_DESK_IC, InitialConditions(1.0, 1e-3, 1.0, 10.0)):
         bound = scattering.prolongation(ic, 0.0).r_bound
         rep = scattering.prolongation(ic, np.array([0.1, 0.25, 0.5]) * bound)
         yield (np.abs(rep.delta_approx - rep.delta) / rep.delta).max()
 
 
-def _check_normalization_quadrature():
+@_check("scattering", 1e-8, guards="scattering.normalization_integral")
+def _normalization_quadrature():
     # bracket integral of the raw (unnormalized) post-collision density; in
     # sigma_k0 units it is a unit Gaussian times a quartic, cut at
     # CUTOFF_SIGMAS, so order 48 converges whatever the config
@@ -467,31 +527,8 @@ def _check_normalization_quadrature():
     yield abs(numeric - closed) / closed
 
 
-# (name, group, tolerance, check): a check passes when its residual is at
-# most its tolerance, so a NaN residual fails.
-_CHECKS = [
-    ("metric3_quadrature", "models", 1e-6, _check_metric3_quadrature),
-    ("metric4_quadrature", "models", 1e-6, _check_metric4_quadrature),
-    ("christoffel_fd", "curvature", 1e-6, _check_christoffel_fd),
-    ("riemann_fd", "curvature", 1e-5, _check_riemann_fd),
-    ("weyl_fd", "curvature", 1e-5, _check_weyl_fd),
-    ("curvature_constants", "curvature", 1e-12, _check_curvature_constants),
-    ("geodesic_residual", "geodesics", 1e-6, _check_geodesic_residual),
-    ("boundary_data", "geodesics", 1e-13, _check_boundary_data),
-    ("velocity_norm", "geodesics", 1e-9, _check_velocity_norm),
-    ("constant_curvature", "chaos", 1e-8, _check_constant_curvature),
-    ("igc_numeric", "complexity", 5e-12, _check_igc_numeric),
-    ("complexity_relations", "complexity", 1e-12, _check_complexity_relations),
-    # the trace quadrature against the exact sqrt(1 - r^2); reads no closed form
-    ("purity_gaussian_identity", "oracle", 1e-9, _check_purity_gaussian_identity),
-    ("phase_chain", "scattering", 0.02, _check_phase_chain),
-    ("inversions_roundtrip", "scattering", 1e-10, _check_inversions),
-    ("prolongation_agreement", "scattering", 0.01, _check_prolongation),
-    ("normalization_quadrature", "scattering", 1e-8, _check_normalization_quadrature),
-]
-
 #: Check groups of the battery, sorted: the values ``verify --only`` takes.
-GROUPS = tuple(sorted({group for _, group, _, _ in _CHECKS}))
+GROUPS = tuple(sorted({check.group for check in _CHECKS}))
 
 
 def run_verification(only: str | None = None) -> list[CheckResult]:
@@ -507,16 +544,17 @@ def run_verification(only: str | None = None) -> list[CheckResult]:
             lambda: f"unknown check group {only!r}; available: {', '.join(GROUPS)}")
     _curvature_fd_run.cache_clear()
     results = []
-    for name, group, tolerance, fn in _CHECKS:
-        if only is not None and group != only:
+    for check in _CHECKS:
+        if only is not None and check.group != only:
             continue
         start = time.perf_counter()
         error = None
         try:
-            residual = float(np.max(np.fromiter(fn(), float)))
+            residual = float(np.max(np.fromiter(check.run(), float)))
         except (GaussGeoError, ArithmeticError) as exc:
             residual, error = math.inf, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, group, residual, tolerance, residual <= tolerance,
-                                   time.perf_counter() - start, error))
+        results.append(CheckResult(check.name, check.group, residual, check.tolerance,
+                                   residual <= check.tolerance, time.perf_counter() - start,
+                                   error))
     return results
 

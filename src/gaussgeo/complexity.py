@@ -131,11 +131,12 @@ def ige_gap(params: models.ModelParams):
 def r_from_complexities(v_noncorr: float, v_corr: float) -> float:
     """Recover r from the two volume averages at equal horizon.
 
-    r = (V0^2 - Vr^2) / (V0^2 + Vr^2), the algebraic inverse of the volume
-    ratio sqrt((1-r)/(1+r)). A correlated volume above the non-correlated
-    one would imply r < 0 and is rejected.
+    r = (1 - q^2) / (1 + q^2) with q = Vr / V0, the algebraic inverse of the
+    volume ratio q = sqrt((1-r)/(1+r)); the volumes enter through q alone, so
+    no square of one leaves the floats. A correlated volume above the
+    non-correlated one would imply r < 0 and is rejected.
     """
     require_positive(v_noncorr=v_noncorr, v_corr=v_corr)
-    return require_correlation(
-        (v_noncorr**2 - v_corr**2) / (v_noncorr**2 + v_corr**2))
+    q = v_corr / v_noncorr
+    return require_correlation((1.0 - q * q) / (1.0 + q * q))
 

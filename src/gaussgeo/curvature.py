@@ -5,7 +5,9 @@ All tensors are dense numpy arrays indexed 0..2 in coordinate order
 ``ModelParams(r)``: the point axes lead and the tensor axes trail, so a
 scalar call is the 0-d case. Gamma, R_abcd and R_ab are r-only tables times
 1/sigma, 1/sigma^4 and 1/sigma^2 (`_elementwise.scaled`), each refusing a
-sigma at which it leaves the normal floats. The curvature convention is
+sigma at which it leaves the normal floats; `sectional`, `bundle` and
+`maximal_symmetry_check` refuse one at which a product of two metric entries
+does. The curvature convention is
 
     R^a_bcd = d_c Gamma^a_bd - d_d Gamma^a_bc
               + Gamma^a_fc Gamma^f_bd - Gamma^a_fd Gamma^f_bc,
@@ -139,6 +141,7 @@ def sectional(sigma, params: models.ModelParams, u, v):
     of u and v broadcast against the points. u and v count as linearly
     dependent when the Gram determinant is below 1e-12 of <u,u><v,v>, a
     test that does not depend on the scale of g; u and v must be finite."""
+    _require_products(sigma, params.r)
     R, g = riemann(sigma, params), models.metric_corr3(sigma, params)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     for name, x in (("u", u), ("v", v)):
@@ -150,6 +153,13 @@ def sectional(sigma, params: models.ModelParams, u, v):
     require(np.all(abs(den) > 1e-12 * uu * vv),
             "u and v are (numerically) linearly dependent")
     return num / den
+
+
+def _require_products(sigma, r) -> None:
+    # the Gram determinants, g_ii g_jj and g wedge g multiply two metric entries:
+    # 1/d^2, 4/d and 16 over sigma^4, d = 1 - r^2, which must stay normal floats
+    d = (1.0 - r) * (1.0 + r)
+    scaled(-4, (1.0 / (d * d), 4.0 / d, 16.0), sigma=sigma)
 
 
 # the (i, j) indices of the six off-diagonal coordinate planes
@@ -168,6 +178,7 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def maximal_symmetry_check(sigma, params: models.ModelParams) -> SymmetryReport:
     """Residuals of the three maximal-symmetry identities, per point."""
+    _require_products(sigma, params.r)
     g, R, ric = models.metric_corr3(sigma, params), riemann(sigma, params), ricci(sigma, params)
     ginv = models.metric_corr3_inverse(sigma, params)
     ricci_res = _max_abs(ric - (SCALAR_CURVATURE / DIM) * g, 2) / _max_abs(ric, 2)
@@ -180,6 +191,7 @@ def maximal_symmetry_check(sigma, params: models.ModelParams) -> SymmetryReport:
 def bundle(sigma, params: models.ModelParams) -> CurvatureBundle:
     """Assemble every curvature quantity at (sigma, r), or at each point of
     their broadcast arrays."""
+    _require_products(sigma, params.r)
     return CurvatureBundle.from_tensors(
         christoffel(sigma, params), riemann(sigma, params), ricci(sigma, params),
         SCALAR_CURVATURE, models.metric_corr3(sigma, params))

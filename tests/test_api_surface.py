@@ -18,7 +18,8 @@ each is called as ``module.name``, so patching that one binding reaches every
 caller, as editing the source would.
 
 No source module reads a private name of another, as ``module._name`` or
-by import, outside a listed allowlist with a reason for each entry.
+by import, outside a listed allowlist with a reason for each entry. Every
+name a source or test module imports is read there, or is a marked re-export.
 
 Every public callable and input dataclass is listed with one valid call, so
 a new one needs a deliberate entry, and the input contract is derived from
@@ -155,6 +156,28 @@ def test_sources_import_public_scipy_only(path):
     private = [name for name in _imported(TREES[path])
                if name.split(".")[0] == "scipy" and any(p[0] == "_" for p in name.split("."))]
     assert private == []
+
+
+def test_every_import_is_read():
+    # pyflakes' unused-import rule (F401): each name an import binds is read
+    # in its module or listed in its __all__; a line marked "# noqa: F401"
+    # is a deliberate re-export
+    unused = []
+    for path in [*SOURCES, *sorted((ROOT / "tests").glob("*.py"))]:
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {item.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                 for item in node.value.elts}
+        unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   and "# noqa: F401" not in lines[node.lineno - 1]
+                   for alias in node.names
+                   if (alias.asname or alias.name.partition(".")[0]) not in read]
+    assert unused == []
 
 
 #: module.function.parameter: why the default exists

@@ -350,8 +350,8 @@ class TestVerifyCommand:
                             lambda cfg, r: 1.01 * purity_from_r(cfg, r))
         code, out, err = run_cli(capsys, "verify", "--only", "scattering")
         assert code == 1
-        passed = [name != "inversions_roundtrip" for name, group, _, _ in battery._CHECKS
-                  if group == "scattering"]
+        passed = [check.name != "inversions_roundtrip" for check in battery._CHECKS
+                  if check.group == "scattering"]
         assert [c["passed"] for c in json.loads(out)["checks"]] == passed
         lines = err.splitlines()
         assert [line.startswith("[PASS]") for line in lines] == passed
@@ -430,7 +430,8 @@ REFUSED = [
     *((f"curvature --sigma {sigma}{r}", None,
        f"error: sigma{_RANGE}" + re.escape(f"{float(sigma):g}"))
       for sigma, r in [*((s, f" --r {r}") for s in ("1e77", "1e78", "1e-80")
-                         for r in ("0", "0.5", "0.9")), ("1e-100", ""), ("1e80", "")]),
+                         for r in ("0", "0.5", "0.9")), ("1e-100", ""), ("1e80", ""),
+                      ("8e-76", " --r 0.999999")]),
     (f"geodesic {_HUGE}", None, _HUGE_AT + r"--sigma0 1\.7e\+307\)"),
     (f"geodesic {_HUGE} --tau-min 0.5 --tau-max 1", None,
      _HUGE_AT + r"--sigma0 1\.7e\+307, --tau-min 0\.5, --tau-max 1\)"),

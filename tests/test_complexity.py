@@ -128,10 +128,12 @@ class TestRatioAndInversion:
             1.0, math.sqrt(1.0 / 3.0)
         ) == pytest.approx(0.5, rel=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e308])
     @pytest.mark.parametrize("r", [1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9])
-    def test_roundtrip(self, r):
+    def test_roundtrip(self, r, scale):
+        # the volumes enter as their ratio, so no square leaves the floats
         ratio = complexity.igc_ratio(ModelParams(r))
-        assert complexity.r_from_complexities(1.0, ratio) == pytest.approx(
+        assert complexity.r_from_complexities(scale, ratio * scale) == pytest.approx(
             r, abs=1e-12
         )
 

@@ -146,6 +146,14 @@ class TestScalarAndSectional:
         with pytest.raises(DomainError):
             curvature.sectional(sg, ModelParams(0.3), [1.0, 2.0, 0.5], [2.0, 4.0, 1.0])
 
+    @pytest.mark.parametrize("form", ["bundle", "maximal_symmetry_check", "sectional"])
+    def test_product_past_the_floats_is_refused(self, form):
+        # g_ii g_jj ~ 1/(sigma^4 (1 - r^2)^2) overflows here, though every
+        # entry of g and R is normal
+        planes = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) if form == "sectional" else ()
+        with pytest.raises(DomainError, match=r"sigma must lie in \[6\.11e-75, 1\.64e\+77\]"):
+            getattr(curvature, form)(8e-76, ModelParams(0.999999), *planes)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["u", "v"])
     def test_non_finite_vector_rejected_by_name(self, name, bad):

@@ -656,7 +656,7 @@ class TestVerificationBattery:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_residual_fails_check(self, monkeypatch, bad):
         # the largest finite residual lies within the tolerance
-        row = ("probe", "oracle", 1.0, lambda: iter([0.0, bad, 0.5]))
+        row = battery._Check("probe", "oracle", 1.0, lambda: iter([0.0, bad, 0.5]), (), ())
         monkeypatch.setattr(battery, "_CHECKS", [row])
         (res,) = oracle.run_verification()
         assert res.name == "probe"
@@ -670,7 +670,7 @@ class TestVerificationBattery:
                             lambda cfg, r: 1.01 * purity_from_r(cfg, r))
         results = oracle.run_verification(only="scattering")
         assert [res.name for res in results] == [
-            row[0] for row in battery._CHECKS if row[1] == "scattering"]
+            check.name for check in battery._CHECKS if check.group == "scattering"]
         failed = {res.name: res for res in results if not res.passed}
         assert set(failed) == {"inversions_roundtrip"}
         res = failed["inversions_roundtrip"]
@@ -848,45 +848,6 @@ class TestVerificationBattery:
         assert outputs[0] == outputs[1]
 
 
-_PATH = "geodesics.geodesic_corr.mu1 geodesics.geodesic_corr.mu2 geodesics.geodesic_corr.sigma"
-
-#: row: (the cells whose value times 1 + 1e-6 fails it, the cells that fail it
-#: only at 1 + 1e-2), each a space-separated list, in battery order
-CATCHES = {
-    "metric3_quadrature": ("models.metric_corr3", ""),
-    "metric4_quadrature": ("models.metric_corr4", ""),
-    "christoffel_fd": ("curvature.christoffel", ""),
-    "riemann_fd": ("", "models.metric_corr3 curvature.christoffel curvature.riemann "
-                       "curvature.SCALAR_CURVATURE"),
-    "weyl_fd": ("", "curvature.christoffel"),
-    "curvature_constants": (
-        "models.metric_corr3 models.metric_corr3_inverse curvature.riemann curvature.ricci "
-        "curvature.sectional curvature.bundle.sectional curvature.SCALAR_CURVATURE "
-        "curvature.SECTIONAL_CURVATURE", ""),
-    "geodesic_residual": (f"curvature.christoffel {_PATH}", ""),
-    "boundary_data": ("geodesics.amplitude_A0 geodesics.joined_path.mu1 "
-                      "geodesics.joined_path.mu2 geodesics.joined_path.sigma", ""),
-    "velocity_norm": ("models.metric_corr3 geodesics.geodesic_corr.sigma "
-                      "geodesics.geodesic_velocity chaos.velocity_norm_squared "
-                      "chaos.velocity_norm_squared_contracted", ""),
-    "constant_curvature": (
-        "models.metric_corr3 curvature.SECTIONAL_CURVATURE geodesics.geodesic_corr.sigma "
-        "geodesics.geodesic_velocity chaos.velocity_norm_squared_contracted "
-        "chaos.jlc_coefficient chaos.jacobi_intensity chaos.lyapunov_exponent "
-        "chaos.lyapunov_estimate.value", ""),
-    "igc_numeric": (f"{_PATH} chaos.lyapunov_exponent complexity.igc_closed "
-                    "complexity.igc_ratio", ""),
-    "complexity_relations": ("complexity.igc_ratio complexity.r_from_complexities", ""),
-    "purity_gaussian_identity": ("", ""),
-    "phase_chain": ("", ""),
-    "inversions_roundtrip": (
-        "scattering.potential_from_r scattering.scattering_length_from_r "
-        "scattering.cross_section scattering.purity_from_r scattering.r_from_potential "
-        "scattering.r_from_cross_section scattering.r_from_purity", ""),
-    "prolongation_agreement": ("", "scattering.prolongation.delta_approx"),
-    "normalization_quadrature": ("scattering.normalization_integral", ""),
-}
-
 #: cell: why no row fails at its 1e-6 mutation; the table only shrinks, and a
 #: cell leaves it once a row catches it
 ESCAPES = {cell: reason for cells, reason in [
@@ -915,10 +876,13 @@ ESCAPES = {cell: reason for cells, reason in [
 
 
 def test_every_cell_is_declared_or_escapes():
-    # a new form or row needs a deliberate entry, and a stale one fails
-    assert list(CATCHES) == [row[0] for row in battery._CHECKS]
-    caught = {cell for fine, _ in CATCHES.values() for cell in fine.split()}
-    coarse = {cell for _, cells in CATCHES.values() for cell in cells.split()}
+    # a new form or row needs a deliberate entry, and a stale one fails; a row
+    # names each cell once, in guards or in coarse
+    for check in battery._CHECKS:
+        cells = [*check.guards, *check.coarse]
+        assert len(set(cells)) == len(cells), check.name
+    caught = {cell for check in battery._CHECKS for cell in check.guards}
+    coarse = {cell for check in battery._CHECKS for cell in check.coarse}
     assert sorted(set(CELLS) - caught - ESCAPES.keys()) == []
     assert sorted(caught & ESCAPES.keys()) == []
     assert sorted((caught | coarse | ESCAPES.keys()) - set(CELLS)) == []
@@ -927,10 +891,10 @@ def test_every_cell_is_declared_or_escapes():
 
 @pytest.mark.parametrize("cell", CELLS)
 def test_mutation_fails_the_rows_that_declare_it(monkeypatch, cell):
-    # the full battery under each mutation fails exactly the declared rows
+    # the full battery under each mutation fails exactly the rows that declare it
     for eps in (1e-6, 1e-2):
-        declared = {row for row, (fine, coarse) in CATCHES.items()
-                    if cell in fine.split() or (eps > 1e-6 and cell in coarse.split())}
+        declared = {check.name for check in battery._CHECKS
+                    if cell in check.guards or (eps > 1e-6 and cell in check.coarse)}
         with monkeypatch.context() as patch:
             _scale(patch, cell, 1.0 + eps)
             failed = {res.name for res in battery.run_verification() if not res.passed}
