@@ -62,7 +62,14 @@ _SPLIT_ROWS = 4096
 
 def _write_parts(parts, out: str | None) -> None:
     if out is None:
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed early, which is no usage error
+            # fd 1 to the null device, so that the flush at exit stays silent
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(parts)

@@ -51,7 +51,8 @@ import numpy as np
 
 from . import chaos, geodesics, models
 from ._elementwise import any_true, scalar_or_array
-from .errors import RegimeWarning, require_correlation, require_hyperbolic, require_positive
+from .errors import (RegimeWarning, require, require_correlation, require_hyperbolic,
+                     require_positive)
 
 #: Below this lambda * tau the asymptotic entropy form is unreliable.
 IGE_ASYMPTOTIC_MIN = 5.0
@@ -137,6 +138,8 @@ def r_from_complexities(v_noncorr: float, v_corr: float) -> float:
     non-correlated one would imply r < 0 and is rejected.
     """
     require_positive(v_noncorr=v_noncorr, v_corr=v_corr)
+    require(v_corr <= v_noncorr, lambda: (
+        f"v_corr = {v_corr} exceeds v_noncorr = {v_noncorr}, which implies r < 0"))
     q = v_corr / v_noncorr
     return require_correlation((1.0 - q * q) / (1.0 + q * q))
 

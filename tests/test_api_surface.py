@@ -23,9 +23,13 @@ name a source or test module imports is read there, or is a marked re-export.
 
 Every public callable and input dataclass is listed with one valid call, so
 a new one needs a deliberate entry, and the input contract is derived from
-those calls: an array in each numeric input broadcasts, or is refused by name
-where SCALAR_ONLY lists it; an r outside [0, R_MAX) is refused; and so is each
-of BAD_VALUES, by the input's name. A spread of a geometry form at a value
+those calls: an array in each numeric input is refused by name where
+SCALAR_ONLY lists it, and otherwise broadcasts over the LADDER of multiples of
+its valid value, each admitted element the scalar call's bits, each refused
+one refusing the array by the scalar call's class, and one warning per
+category counting the scalar calls that issued it; an r outside [0, R_MAX) is
+refused; and so is each of BAD_VALUES, by the input's name. A module-level
+helper that nothing reads fails too. A spread of a geometry form at a value
 that leaves the floats is refused by name, or gives finite values.
 """
 
@@ -38,6 +42,7 @@ import math
 import pkgutil
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +51,16 @@ import pytest
 import gaussgeo
 from gaussgeo import (battery, chaos, complexity, curvature, geodesics, models, oracle,
                       scattering)
-from gaussgeo.errors import R_MAX, DomainError
+from gaussgeo.errors import R_MAX, DomainError, GaussGeoError, SaturationWarning
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import Macrostate3, Macrostate4, ModelParams
 from gaussgeo.scattering import ScatteringConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "gaussgeo").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 CALLERS = [*SOURCES, ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("bench/*.py"))]
-TREES = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+TREES = {path: ast.parse(path.read_text(encoding="utf-8")) for path in {*CALLERS, *TESTS}}
 
 
 @functools.cache
@@ -163,7 +169,7 @@ def test_every_import_is_read():
     # in its module or listed in its __all__; a line marked "# noqa: F401"
     # is a deliberate re-export
     unused = []
-    for path in [*SOURCES, *sorted((ROOT / "tests").glob("*.py"))]:
+    for path in [*SOURCES, *TESTS]:
         text = path.read_text(encoding="utf-8")
         tree, lines = ast.parse(text), text.splitlines()
         read = {node.id for node in ast.walk(tree)
@@ -178,6 +184,33 @@ def test_every_import_is_read():
                    for alias in node.names
                    if (alias.asname or alias.name.partition(".")[0]) not in read]
     assert unused == []
+
+
+def _top_level(tree):
+    """(name, decorated) of each name a module binds at its top level by a
+    def, a class or an assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, bool(node.decorator_list)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from ((n.id, False) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_helper_name_is_read():
+    # vulture's unused-code rule at module level: a private name of the
+    # package, or a name of a test module that pytest does not collect, is
+    # read in src/ or tests/; a decorator registers what it decorates (a
+    # fixture, a strategy, a row of the battery), so that counts as a read
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in [*SOURCES, *TESTS] for node in ast.walk(TREES[path])
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    dead = [f"{path.name}: {name}" for path in [*SOURCES, *TESTS]
+            for name, decorated in _top_level(TREES[path])
+            if not (decorated or name in read or name.startswith("__"))
+            and (name[0] == "_" if path in SOURCES else not name.startswith(("test", "Test")))]
+    assert dead == []
 
 
 #: module.function.parameter: why the default exists
@@ -385,12 +418,40 @@ SCALAR_ONLY = {
 }
 
 
-def _pair(value):
-    """Two valid values of an input, the valid one and its half, as one array;
-    of a pair of floats, each."""
+#: Multiples of each input's valid value at which the array contract is held:
+#: between them they reach the clamp of the path forms and an unclamped call,
+#: both sides of tau = 0, both forms of igc_closed, a flagged and an unflagged
+#: prolongation, and the overflow guards (test_ladder_reaches_each_branch)
+LADDER = (1.0, 0.5, -1.0, 2.0, 0.05, 0.1, 10.0, 30.0, 1e3, 1e4, 1e-3)
+
+
+def _rungs(value, ladder=LADDER):
+    """The ladder's multiples of an input's valid value, as one array; of a
+    pair of floats, of each."""
     if isinstance(value, tuple):
-        return tuple(map(_pair, value))
-    return np.array([value, value / 2.0])
+        return tuple(_rungs(v, ladder) for v in value)
+    return value * np.array(ladder)
+
+
+def _outcome(name: str, x):
+    """The valid call of ``name``'s entry with that input x: its result, or
+    the exception it raised, and the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)  # as in the test run
+        try:
+            result = _call(name, x)
+        except Exception as exc:  # its class is compared below
+            result = exc
+    return result, [w.message for w in caught]
+
+
+def _ladder(name: str) -> tuple[list, list]:
+    """The scalar call at each rung: (x, result, warnings) where it is
+    admitted, (x, exception) where it is refused."""
+    rungs = [(x, *_outcome(name, x)) for x in _rungs(INPUTS[name][3]).tolist()]
+    return ([rung for rung in rungs if not isinstance(rung[1], Exception)],
+            [(x, exc) for x, exc, _ in rungs if isinstance(exc, Exception)])
 
 
 def _leaves(result) -> list:
@@ -399,28 +460,62 @@ def _leaves(result) -> list:
     return [result]
 
 
+def _same(a, b) -> bool:
+    """Whether a and b hold the same bits, in one dtype and shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def _holds_each(leaf, per_point) -> bool:
     """Whether an axis of ``leaf`` holds the scalar calls' values in order, or
     ``leaf`` is the value of each scalar call (a field the input does not reach)."""
     leaf = np.asarray(leaf)
     return any(leaf.shape[axis] == len(per_point) and all(
-        np.array_equal(np.take(leaf, i, axis), value, equal_nan=True)
-        for i, value in enumerate(per_point)) for axis in range(leaf.ndim)) or all(
-        np.array_equal(leaf, value, equal_nan=True) for value in per_point)
+        _same(np.take(leaf, i, axis), value) for i, value in enumerate(per_point))
+        for axis in range(leaf.ndim)) or all(_same(leaf, value) for value in per_point)
 
 
 def _assert_broadcasts_or_is_refused_by_name(name: str):
-    pair, input = _pair(INPUTS[name][3]), name.rpartition(".")[2]
     if name in SCALAR_ONLY:
         # not a raw numpy error, nor values that mix the points
-        message = rf"^{input} must be a scalar here, got shape \(2,\)$"
+        message = rf"^{name.rpartition('.')[2]} must be a scalar here, got shape \(2,\)$"
         with pytest.raises(DomainError, match=message):
-            _call(name, pair)
+            _call(name, _rungs(INPUTS[name][3], LADDER[:2]))
         return
-    result = _leaves(_call(name, pair))
-    scalar = [_leaves(_call(name, x)) for x in pair.tolist()]
-    for i, leaf in enumerate(result):
+    admitted, refused = _ladder(name)
+    xs = [x for x, *_ in admitted]
+    # (i) element i of the array call is the scalar call at element i, bit for bit
+    result, caught = _outcome(name, np.array(xs))
+    assert not isinstance(result, Exception), result
+    scalar = [_leaves(each) for _, each, _ in admitted]
+    for i, leaf in enumerate(_leaves(result)):
         assert _holds_each(leaf, [leaves[i] for leaves in scalar])
+    # (ii) a refused value refuses the whole array, by the scalar call's class,
+    # one of the package's errors
+    for x, exc in refused:
+        assert isinstance(exc, GaussGeoError), (x, exc)
+        got = _outcome(name, np.array([*xs, x]))[0]
+        assert type(got) is type(exc), (x, got, exc)
+    # (iii) one warning per category, counting the scalar calls that issued it
+    issued = Counter(category for *_, warned in admitted for category in set(map(type, warned)))
+    assert sorted((type(w).__name__, w.count) for w in caught) == sorted(
+        (category.__name__, count) for category, count in issued.items())
+
+
+def test_ladder_reaches_each_branch():
+    # the clamp of the path forms, both sides of the join at tau = 0, both
+    # forms of igc_closed, both prolongation outcomes and the overflow guard
+    clamps = {any(isinstance(w, SaturationWarning) for w in caught)
+              for *_, caught in _ladder("geodesics.geodesic_corr.tau")[0]}
+    assert clamps == {True, False}
+    assert {x < 0.0 for x, *_ in _ladder("geodesics.joined_path.tau")[0]} == {True, False}
+    name = "complexity.igc_closed.tau"
+    lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(INPUTS[name][1]["ic"]))
+    assert {lam * x < complexity.IGC_SERIES_MAX for x, *_ in _ladder(name)[0]} == {True, False}
+    flagged = {rep.flagged for _, rep, _ in _ladder("scattering.prolongation.r")[0]}
+    assert flagged == {True, False}
+    for name in ("chaos.jacobi_intensity.tau", "complexity.igc_closed.tau"):
+        assert any("overflow guard" in str(exc) for _, exc in _ladder(name)[1])
 
 
 _R_AXIS = sorted(name for name, (*_, path, _) in INPUTS.items() if path == ("params", "r"))

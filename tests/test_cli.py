@@ -482,12 +482,15 @@ def test_refused_input_exits_two(capsys, tmp_path, argv, config, pattern):
     assert re.fullmatch(pattern, last), err
     assert usage[0].startswith("usage: ") if last.startswith("gaussgeo") else usage == []
 
+def _source_env() -> dict:
+    """The environment of a fresh interpreter that imports this source tree."""
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
 def _python(*args):
     """A fresh interpreter run on this source tree."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=_source_env(), timeout=120, check=True)
 
 
 class TestImports:
@@ -562,6 +565,16 @@ class TestImports:
 
 
 class TestPlumbing:
+    def test_reader_that_closes_early_is_no_error(self):
+        # 1.6 MB of CSV, far past a pipe's buffer, so a write meets the closed pipe
+        argv = ["-m", "gaussgeo.cli", "geodesic", "--n", "20000", "--format", "csv"]
+        proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=_source_env())
+        assert proc.stdout.readline() == b"tau,mu1,mu2,sigma\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "metric.json"
         code, out, _ = run_cli(capsys, "metric", "--out", str(out_path))

@@ -137,6 +137,11 @@ class TestRatioAndInversion:
             r, abs=1e-12
         )
 
+    def test_correlated_volume_above_the_flat_one_is_refused_by_name(self):
+        # refused before q*q, which overflows here to a NaN r
+        with pytest.raises(DomainError, match=r"^v_corr = 1e\+300 exceeds v_noncorr = 1e-300"):
+            complexity.r_from_complexities(1e-300, 1e300)
+
 
 class TestPurityBridge:
     # the correlation recovered from the complexities fixes the purity
