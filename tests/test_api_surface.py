@@ -502,20 +502,40 @@ def _assert_broadcasts_or_is_refused_by_name(name: str):
         (category.__name__, count) for category, count in issued.items())
 
 
-def test_ladder_reaches_each_branch():
-    # the clamp of the path forms, both sides of the join at tau = 0, both
-    # forms of igc_closed, both prolongation outcomes and the overflow guard
-    clamps = {any(isinstance(w, SaturationWarning) for w in caught)
-              for *_, caught in _ladder("geodesics.geodesic_corr.tau")[0]}
-    assert clamps == {True, False}
-    assert {x < 0.0 for x, *_ in _ladder("geodesics.joined_path.tau")[0]} == {True, False}
+def _both(outcomes) -> bool:
+    return set(outcomes) == {True, False}
+
+
+def _igc_forms() -> bool:
     name = "complexity.igc_closed.tau"
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(INPUTS[name][1]["ic"]))
-    assert {lam * x < complexity.IGC_SERIES_MAX for x, *_ in _ladder(name)[0]} == {True, False}
-    flagged = {rep.flagged for _, rep, _ in _ladder("scattering.prolongation.r")[0]}
-    assert flagged == {True, False}
-    for name in ("chaos.jacobi_intensity.tau", "complexity.igc_closed.tau"):
-        assert any("overflow guard" in str(exc) for _, exc in _ladder(name)[1])
+    return _both(lam * x < complexity.IGC_SERIES_MAX for x, *_ in _ladder(name)[0])
+
+
+def _guarded(name: str) -> bool:
+    return any("overflow guard" in str(exc) for _, exc in _ladder(name)[1])
+
+
+#: branch: whether the ladder reaches both of its sides, or, for a guard,
+#: has a rung that it refuses
+BRANCHES = {
+    "geodesic_clamp": lambda: _both(any(isinstance(w, SaturationWarning) for w in caught)
+                                    for *_, caught in _ladder("geodesics.geodesic_corr.tau")[0]),
+    "joined_path_sides": lambda: _both(
+        x < 0.0 for x, *_ in _ladder("geodesics.joined_path.tau")[0]),
+    "igc_closed_forms": _igc_forms,
+    "prolongation_flag": lambda: _both(
+        rep.flagged for _, rep, _ in _ladder("scattering.prolongation.r")[0]),
+    "jacobi_intensity_guard": lambda: _guarded("chaos.jacobi_intensity.tau"),
+    "igc_closed_guard": lambda: _guarded("complexity.igc_closed.tau"),
+}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_ladder_reaches_each_branch(branch):
+    # the clamp of the path forms, both sides of the join at tau = 0, both
+    # forms of igc_closed, both prolongation outcomes and the overflow guards
+    assert BRANCHES[branch]()
 
 
 _R_AXIS = sorted(name for name, (*_, path, _) in INPUTS.items() if path == ("params", "r"))

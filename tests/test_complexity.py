@@ -1,6 +1,7 @@
 """Volume-average complexity, entropy, and the correlation bridge."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,10 +138,16 @@ class TestRatioAndInversion:
             r, abs=1e-12
         )
 
-    def test_correlated_volume_above_the_flat_one_is_refused_by_name(self):
-        # refused before q*q, which overflows here to a NaN r
-        with pytest.raises(DomainError, match=r"^v_corr = 1e\+300 exceeds v_noncorr = 1e-300"):
-            complexity.r_from_complexities(1e-300, 1e300)
+    @pytest.mark.parametrize("v_noncorr, v_corr", [
+        (1e-300, 1e300),  # q*q overflows to inf, and r to NaN
+        (1.0, 2.0),  # r = -0.6
+        (1.0, math.nextafter(1.0, 2.0)),  # the least excess, r = -2.2e-16
+    ])
+    def test_correlated_volume_above_the_flat_one_is_refused_by_name(self, v_noncorr, v_corr):
+        # refused before q*q, naming both volumes rather than an r < 0
+        message = f"v_corr = {v_corr} exceeds v_noncorr = {v_noncorr}, which implies r < 0"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            complexity.r_from_complexities(v_noncorr, v_corr)
 
 
 class TestPurityBridge:
