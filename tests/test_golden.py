@@ -1,6 +1,6 @@
 """Golden output of the four table commands (geodesic, jacobi, complexity,
 prolongation) and of the ``metric``, ``curvature`` and ``scatter`` records
-in CSV and JSON.
+in CSV and JSON, and of ``verify``.
 
 Each file under ``tests/golden`` is the stdout of ``gaussgeo <argv> --format
 <fmt>`` for one case of `CASES`, as written by the row-at-a-time CLI that
@@ -33,6 +33,10 @@ instead of 1.55). The curvature records at sigma = 0.1 and 2e3 were rewritten
 when each tensor came to divide its r-table by sigma^2 in turn (the weyl and
 identity residuals fell, and five of their six sectional curvatures are no
 farther from -1/4); every other record is as first written.
+
+``verify.json`` is the stdout of ``gaussgeo verify``, which holds every
+row's residual and no timing; it is compared byte for byte, so a change that
+moves a residual's bits shows here.
 
 JSON warnings are compared per kind: a kind may be reported as several
 messages or as one message that carries the count ("at N of M elements"),
@@ -208,3 +212,8 @@ def test_table_matches_golden(capsys, name, fmt):
 def test_record_matches_golden_bytes(capsys, name, fmt):
     want = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
     assert _run(capsys, RECORD_CASES[name] + ["--format", fmt]) == want
+
+
+def test_verify_matches_golden_bytes(capsys):
+    want = (GOLDEN / "verify.json").read_text(encoding="utf-8")
+    assert _run(capsys, ["verify"]) == want
