@@ -36,7 +36,10 @@ def gather(slots: np.ndarray, *values):
         return np.array((0.0, *values))[slots]
     except ValueError:  # arrays of points next to the scalar zero
         # C-ordered, as the 0-d result: numpy's reductions sum in memory order
-        return np.stack(np.broadcast_arrays(0.0, *values), axis=-1).take(slots, axis=-1)
+        entries = np.zeros(np.broadcast(*values).shape + (len(values) + 1,))
+        for i, value in enumerate(values, 1):
+            entries[..., i] = value
+        return entries.take(slots, axis=-1)
 
 
 @np.errstate(all="ignore")  # a spread far from 1 leaves the floats; the guard refuses it

@@ -6,8 +6,8 @@ of the four-fold trace integral, and the complexity from Gauss-Legendre
 rules on its nested volume integral; none calls the closed form it
 validates. Self-tests raise ``ConvergenceError``: ``purity_bruteforce``
 doubles its order behind ``check_convergence``, ``igc_gauss`` on every call,
-and ``curvature_fd`` runs a Richardson check on every call. The Fisher rule
-is exact at order 4 and broadcasts over its points.
+and ``curvature_fd`` runs a Richardson check on every call. The Fisher rule,
+exact at order 4, and ``igc_gauss``, which refuses a clamped path, broadcast.
 
 `run_verification` drives the battery; ``verify`` formats its results. Each
 row is one record, made by a decorator on its check: its group, one fixed
@@ -34,7 +34,7 @@ import numpy as np
 from . import chaos, complexity, curvature, geodesics, models, scattering
 from ._elementwise import scalar_or_array
 from .errors import (ConvergenceError, DomainError, GaussGeoError, require, require_correlation,
-                     require_positive, require_scalar)
+                     require_hyperbolic, require_positive, require_scalar)
 from .geodesics import InitialConditions
 from .models import ModelParams
 from .scattering import ScatteringConfig
@@ -255,30 +255,35 @@ def purity_gaussian_state(cfg: ScatteringConfig, r: float) -> float:
 # Complexity by Gauss-Legendre rules
 # ---------------------------------------------------------------------------
 
-def igc_gauss(tau: float, params: ModelParams, ic: InitialConditions) -> float:
-    """Time-averaged Fisher volume at a positive, finite horizon tau, by the
-    literal nested integral: Gauss-Legendre rules over tau' and over u = ln sigma,
-    where 2/sigma^3 dsigma is 2 exp(-2u) du (the mu integrals are exact). The
-    48-point value must match the 96-point one; a non-finite one fails."""
+def igc_gauss(tau, params: ModelParams, ic: InitialConditions):
+    """Time-averaged Fisher volume at a positive horizon tau, by the literal nested
+    integral: Gauss-Legendre rules over tau' and over u = ln sigma, where 2/sigma^3 dsigma
+    is 2 exp(-2u) du (the mu integrals are exact). Array tau and r broadcast. Each 48-point
+    value must match the 96-point one (NaN fails), and a tau whose path is clamped is refused."""
     require_positive(tau=tau)
-    require_scalar(tau=tau, r=params.r)
-    start = geodesics.geodesic_corr(0.0, params, ic)
+    require_hyperbolic(geodesics.amplitude_A0(ic) * tau, "|A0*tau|")
+    start = geodesics.geodesic_corr(0.0, ModelParams(), ic)  # the same at every r
+    tau, path = np.expand_dims(tau, -1), ModelParams(np.expand_dims(params.r, -1))
 
     def average(order):
         x, w = _gauss_rule(np.polynomial.legendre.leggauss, order)
-        state = geodesics.geodesic_corr(0.5 * tau * (x + 1.0), params, ic)
+        state = geodesics.geodesic_corr(0.5 * tau * (x + 1.0), path, ic)  # nodes trail
         u0 = math.log(start.sigma)
         half = 0.5 * (np.log(state.sigma) - u0)  # half-widths of the u intervals
-        inner = half * (2.0 * np.exp(-2.0 * (u0 + np.outer(half, x + 1.0))) @ w)
+        # exp(-2u) in one buffer; einsum, unlike @, sums a point of a stack as it sums one
+        grid = np.multiply.outer(half, x + 1.0)
+        grid += u0
+        grid *= -2.0
+        inner = half * (2.0 * np.einsum("...j,j->...", np.exp(grid, out=grid), w))
         volume = (state.mu1 - start.mu1) * (state.mu2 - start.mu2) * inner
-        return 0.5 * float(w @ volume) / math.sqrt(1.0 - params.r**2)
+        return 0.5 * np.einsum("...j,j->...", volume, w) / np.sqrt(1.0 - params.r**2)
 
-    with np.errstate(over="ignore"):  # exp(-2u) of a saturated sigma is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(-2u) of a tiny sigma is inf
         result = average(48)
-        drift = abs(average(96) - result)
-    if not drift <= max(1e-9, 1e-7 * abs(result)):  # inf - inf is NaN
-        raise ConvergenceError(f"IGC time average drift {drift:.3g} at order doubling")
-    return result
+        drift = np.abs(average(96) - result)  # inf - inf is NaN
+    if not np.all(drift <= np.maximum(1e-9, 1e-7 * np.abs(result))):
+        raise ConvergenceError(f"IGC time average drift {np.max(drift):.3g} at order doubling")
+    return scalar_or_array(result)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +461,10 @@ def _constant_curvature():
         "complexity.igc_ratio")
 def _igc_numeric():
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(_DESK_IC))
-    for lt in (1.0, 5.0, 10.0):
-        for r in (0.0, 0.3, 0.7):
-            params = ModelParams(r)
-            closed = complexity.igc_closed(lt / lam, params, _DESK_IC)
-            numeric = igc_gauss(lt / lam, params, _DESK_IC)
-            yield abs(closed - numeric) / abs(numeric)
+    tau, params = np.array([[1.0], [5.0], [10.0]]) / lam, ModelParams(np.array([0.0, 0.3, 0.7]))
+    numeric = igc_gauss(tau, params, _DESK_IC)
+    closed = complexity.igc_closed(tau, params, _DESK_IC)
+    yield from (np.abs(closed - numeric) / np.abs(numeric)).ravel()
 
 
 @_check("complexity", 1e-12, guards="complexity.igc_ratio complexity.r_from_complexities")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesics, models
+from . import errors, geodesics, models
 from ._elementwise import scalar_or_array
 from .errors import RegimeWarning, require, require_hyperbolic, require_positive, require_scalar
 
@@ -71,11 +71,15 @@ def velocity_norm_squared_contracted(params: models.ModelParams,
                                      ic: geodesics.InitialConditions, tau):
     """Direct contraction of the analytic velocity with the metric, per tau.
 
-    Exists as the explicit counterpart of the constant value; agreement is
-    asserted in the test suite.
+    The explicit counterpart of the constant value, held to it by the tests.
+    A tau past the clamp or the metric's range is refused by name.
     """
+    require_hyperbolic(geodesics.amplitude_A0(ic) * tau, "|A0*tau|")
+    try:
+        g = models.metric_corr3(geodesics.geodesic_corr(tau, params, ic).sigma, params)
+    except errors.DomainError as exc:  # it names the spread, which the caller did not pass
+        raise errors.DomainError(f"tau takes the spread past the metric's range: {exc}") from exc
     v = geodesics.geodesic_velocity(tau, params, ic)  # the components lead
-    g = models.metric_corr3(geodesics.geodesic_corr(tau, params, ic).sigma, params)
     return scalar_or_array(np.einsum("a...,...ab,b...->...", v, g, v))
 
 

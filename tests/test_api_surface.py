@@ -405,11 +405,10 @@ def _call(name: str, x):
 #: every other one broadcasts
 SCALAR_ONLY = {
     *(f"{name}.r" for name in (
-        "geodesics.geodesic_residual", "battery.igc_gauss", "oracle.geodesic_integrate",
-        "oracle.jacobi_integrate", "oracle.igc_numeric", "scattering.phase_shift_exact",
-        "scattering.phase_shift_series", "scattering.purity_from_r",
-        "battery.purity_gaussian_state")),
-    "battery.igc_gauss.tau", "oracle.igc_numeric.tau", "oracle.geodesic_integrate.tau_span",
+        "geodesics.geodesic_residual", "oracle.geodesic_integrate", "oracle.jacobi_integrate",
+        "oracle.igc_numeric", "scattering.phase_shift_exact", "scattering.phase_shift_series",
+        "scattering.purity_from_r", "battery.purity_gaussian_state")),
+    "oracle.igc_numeric.tau", "oracle.geodesic_integrate.tau_span",
     "oracle.jacobi_integrate.tau_max", "oracle.jacobi_integrate.omega0",
     *(f"chaos.lyapunov_estimate.{input}" for input in ("omega0", "A0", "tau_max")),
     "scattering.r_from_cross_section.sigma_cs",
@@ -528,6 +527,7 @@ BRANCHES = {
         rep.flagged for _, rep, _ in _ladder("scattering.prolongation.r")[0]),
     "jacobi_intensity_guard": lambda: _guarded("chaos.jacobi_intensity.tau"),
     "igc_closed_guard": lambda: _guarded("complexity.igc_closed.tau"),
+    "igc_gauss_guard": lambda: _guarded("battery.igc_gauss.tau"),
 }
 
 

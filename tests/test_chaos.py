@@ -1,6 +1,7 @@
 """Jacobi fields, the reduced deviation equation, and Lyapunov indicators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from gaussgeo import chaos, curvature, geodesics
 from gaussgeo.errors import DomainError, RegimeWarning
+from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import ModelParams
 
 A0_DESK = 2.6541215945495007
@@ -47,6 +49,19 @@ class TestVelocityNorm:
             for tau in np.linspace(-2.0, 2.0, 9):
                 got = chaos.velocity_norm_squared_contracted(params, desk_ic, tau)
                 assert abs(got - expected) / expected < 1e-9
+
+    @pytest.mark.parametrize("tau, message", [
+        # |A0 tau| = 796: the path is clamped
+        (np.array([0.3, 300.0]), r"^\|A0\*tau\| = 796 exceeds the overflow guard"),
+        # |A0 tau| = 398: the spread 1.8e-173 is below the metric's range
+        (150.0, r"^tau takes the spread past the metric's range: sigma must lie in "),
+    ])
+    def test_refuses_tau_by_name_before_any_warning(self, tau, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                chaos.velocity_norm_squared_contracted(ModelParams(0.5),
+                                                       InitialConditions(1.0, 0.1), tau)
 
 
 class TestJacobiIntensity:

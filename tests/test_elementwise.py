@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgeo import chaos, cli, complexity, curvature, geodesics, models
+from gaussgeo import battery, chaos, cli, complexity, curvature, geodesics, models
 from gaussgeo.errors import RegimeWarning
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import Macrostate3, ModelParams
@@ -60,7 +60,7 @@ def test_path_forms_broadcast_tau_against_r():
     # horizons after the collision, at lambda*tau = 2.65 and 10.6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)  # counted below
-        for fn in (complexity.igc_closed, complexity.ige_closed):
+        for fn in (complexity.igc_closed, complexity.ige_closed, battery.igc_gauss):
             _assert_each_point(lambda t, x: fn(t, ModelParams(x), ic), tau[1:], r, (2, 4))
     # one warning, counting the early elements of the broadcast result
     with warnings.catch_warnings(record=True) as caught:
