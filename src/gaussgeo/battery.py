@@ -255,6 +255,7 @@ def purity_gaussian_state(cfg: ScatteringConfig, r: float) -> float:
 # Complexity by Gauss-Legendre rules
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is inf, refused or failed below
 def igc_gauss(tau, params: ModelParams, ic: InitialConditions):
     """Time-averaged Fisher volume at a positive horizon tau, by the literal nested
     integral: Gauss-Legendre rules over tau' and over u = ln sigma, where 2/sigma^3 dsigma
@@ -267,7 +268,7 @@ def igc_gauss(tau, params: ModelParams, ic: InitialConditions):
 
     def average(order):
         x, w = _gauss_rule(np.polynomial.legendre.leggauss, order)
-        state = geodesics.geodesic_corr(0.5 * tau * (x + 1.0), path, ic)  # nodes trail
+        state = geodesics.geodesic_corr(0.5 * tau * (x + 1.0), path, ic)  # nodes on a last axis
         u0 = math.log(start.sigma)
         half = 0.5 * (np.log(state.sigma) - u0)  # half-widths of the u intervals
         # exp(-2u) in one buffer; einsum, unlike @, sums a point of a stack as it sums one
@@ -276,11 +277,10 @@ def igc_gauss(tau, params: ModelParams, ic: InitialConditions):
         grid *= -2.0
         inner = half * (2.0 * np.einsum("...j,j->...", np.exp(grid, out=grid), w))
         volume = (state.mu1 - start.mu1) * (state.mu2 - start.mu2) * inner
-        return 0.5 * np.einsum("...j,j->...", volume, w) / np.sqrt(1.0 - params.r**2)
+        return 0.5 * np.einsum("...j,j->...", volume, w) / np.sqrt(1.0 - params.r * params.r)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # exp(-2u) of a tiny sigma is inf
-        result = average(48)
-        drift = np.abs(average(96) - result)  # inf - inf is NaN
+    result = average(48)  # exp(-2u) of a tiny sigma is inf
+    drift = np.abs(average(96) - result)  # inf - inf is NaN
     if not np.all(drift <= np.maximum(1e-9, 1e-7 * np.abs(result))):
         raise ConvergenceError(f"IGC time average drift {np.max(drift):.3g} at order doubling")
     return scalar_or_array(result)

@@ -55,7 +55,7 @@ class TestVelocityNorm:
         (np.array([0.3, 300.0]), r"^\|A0\*tau\| = 796 exceeds the overflow guard"),
         # |A0 tau| = 398: the spread 1.8e-173 is below the metric's range
         (150.0, r"^tau takes the spread past the metric's range: sigma must lie in "),
-    ])
+    ], ids=["clamped", "spread_past_the_metric"])
     def test_refuses_tau_by_name_before_any_warning(self, tau, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -49,8 +49,9 @@ def _assert_each_point(call, x, r, shape, at=0):
 
 
 def test_path_forms_broadcast_tau_against_r():
-    # a tau column against a row of r, the components leading
-    ic, r = InitialConditions(1.0, 0.1), np.array([0.0, 0.3, 0.6, 0.9])
+    # a tau column against a row of r, the components leading; libm's pow
+    # rounds 0.7786204316383821**2 one ulp away from r * r
+    ic, r = InitialConditions(1.0, 0.1), np.array([0.0, 0.3, 0.7786204316383821, 0.9])
     tau = np.array([[-0.5], [0.5], [2.0]])
     for fn in (geodesics.geodesic_corr, geodesics.joined_path,
                geodesics.geodesic_velocity, geodesics.geodesic_acceleration):
