@@ -584,6 +584,9 @@ BAD_VALUES = [
     ("chaos.jacobi_intensity", "omega0", math.nan), ("chaos.jacobi_intensity", "tau", math.nan),
     ("complexity.igc_closed", "tau", -1.0),
     ("complexity.igc_closed", "tau", 701.0 / (2.0 * geodesics.amplitude_A0(_IC))),  # lambda*tau
+    *(("battery.igc_gauss", "tau", x) for x in (1e300, 1e308)),  # a clamped path
+    *(("chaos.velocity_norm_squared_contracted", "tau", x)
+      for x in (math.inf, -math.inf, 1e300, 1e308)),
     *(("complexity.r_from_complexities", "v_corr", x) for x in (1e-6, 1.1)),
     ("complexity.r_from_complexities", "v_noncorr", 0.0),
     ("scattering.ScatteringConfig", "k0", 0.0), ("scattering.ScatteringConfig", "L", math.inf),

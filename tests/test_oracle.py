@@ -326,8 +326,9 @@ class TestIgcGauss:
         assert abs(oracle.igc_gauss(1e-8, ModelParams(0.3), desk_ic)) < 1e-10
 
     def test_accurate_up_to_the_overflow_guard(self, desk_ic):
-        # no horizon guard of its own: the order doubling holds it to the
-        # closed form far past quad's range, and fails at the guard
+        # its own guard refuses only a clamped path (lambda tau > 1400): the
+        # order doubling holds it to the closed form far past quad's range,
+        # and fails at the overflow guard of the closed form
         lam = 2.0 * geodesics.amplitude_A0(desk_ic)
         for lt in (25.0, 100.0, 300.0):
             for r in (0.0, 0.3, 0.9):
