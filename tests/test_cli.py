@@ -1,5 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, config files."""
 
+import ast
+import gc
 import json
 import math
 import os
@@ -562,6 +564,66 @@ class TestImports:
         err = _python("-m", "gaussgeo.cli", "verify").stderr
         seconds = re.findall(r"\[PASS\] \w+/\w+: .*, ([0-9.]+)s\)", err)
         assert len(seconds) == len(battery._CHECKS) and max(map(float, seconds)) < 0.3, err
+
+
+class TestProcessEntry:
+    """A process enters through `cli.run`, which freezes the collector's
+    objects before the interpreter exits; `main` leaves the collector alone."""
+
+    def test_main_freezes_nothing(self, capsys):
+        assert run_cli(capsys, "geodesic", "--n", "3")[0] == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["metric"], 0),
+        (["metric", "--sigma", "-1"], 2),  # a domain error
+        (["no-such-command"], 2),  # argparse's usage error
+    ], ids=["ok", "domain_error", "usage_error"])
+    def test_process_exit_codes(self, capsys, argv, code):
+        proc = subprocess.run([sys.executable, "-m", "gaussgeo.cli", *argv], capture_output=True,
+                              text=True, env=_source_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, run_cli(capsys, *argv)[1])
+        assert "Traceback" not in proc.stderr
+
+    def test_failed_verification_exits_one(self):
+        # a closed form 1e-3 off, then the module run as __main__, as -m runs it
+        code = ("import runpy\n"
+                "from gaussgeo import models\n"
+                "metric_corr3 = models.metric_corr3\n"
+                "models.metric_corr3 = lambda sigma, params: metric_corr3(sigma, params) + 1e-3\n"
+                "runpy.run_module('gaussgeo.cli', run_name='__main__')\n")
+        proc = subprocess.run([sys.executable, "-c", code, "verify", "--only", "models"],
+                              capture_output=True, text=True, env=_source_env(), timeout=120)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["passed"] is False
+
+    def test_run_freezes_the_objects_before_exit(self):
+        code = ("import gc, io, sys, contextlib\n"
+                "from gaussgeo import cli\n"
+                "sys.argv = ['gaussgeo', 'metric']\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.run()\n"
+                "print(code, gc.get_freeze_count() > 0)\n")
+        assert _python("-c", code).stdout.split() == ["0", "True"]
+
+    def test_split_table_read_from_a_pipe_matches_main(self, capsys):
+        # both halves of a table that a forked child helps to format
+        argv = ["geodesic", "--n", str(2 * cli._SPLIT_ROWS), "--format", "csv"]
+        piped = subprocess.run([sys.executable, "-m", "gaussgeo.cli", *argv],
+                               capture_output=True, env=_source_env(), timeout=120, check=True)
+        assert (piped.stdout.decode(), piped.stderr) == (run_cli(capsys, *argv)[1], b"")
+
+    def test_script_and_module_enter_through_one_function(self):
+        # [project.scripts] and the __main__ block of cli.py call the same function
+        root = Path(cli.__file__).resolve().parents[2]
+        script = re.search(r'^gaussgeo = "gaussgeo\.cli:(\w+)"$',
+                           (root / "pyproject.toml").read_text(), re.MULTILINE)
+        tree = ast.parse(Path(cli.__file__).read_text())
+        block, = (node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'")
+        called = {node.func.id for node in ast.walk(block)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert script and called == {script[1]} and callable(getattr(cli, script[1]))
 
 
 class TestPlumbing:
