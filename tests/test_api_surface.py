@@ -582,6 +582,8 @@ BAD_VALUES = [
     ("chaos.jlc_coefficient", "A0", 0.0), ("chaos.jlc_coefficient", "A0", 1e308),
     ("chaos.lyapunov_exponent", "A0", 1e308),
     ("chaos.jacobi_intensity", "omega0", math.nan), ("chaos.jacobi_intensity", "tau", math.nan),
+    ("chaos.jacobi_intensity", "A0", 5e-324),  # omega0/A0 overflows
+    *(("chaos.lyapunov_estimate", "tau_max", x) for x in (5e-324, 1e300, 1e308)),
     ("complexity.igc_closed", "tau", -1.0),
     ("complexity.igc_closed", "tau", 701.0 / (2.0 * geodesics.amplitude_A0(_IC))),  # lambda*tau
     *(("battery.igc_gauss", "tau", x) for x in (1e300, 1e308)),  # a clamped path

@@ -55,7 +55,9 @@ class TestVelocityNorm:
         (np.array([0.3, 300.0]), r"^\|A0\*tau\| = 796 exceeds the overflow guard"),
         # |A0 tau| = 398: the spread 1.8e-173 is below the metric's range
         (150.0, r"^tau takes the spread past the metric's range: sigma must lie in "),
-    ], ids=["clamped", "spread_past_the_metric"])
+        # A0 tau overflows at one element of an array
+        (np.array([1.0, 1e308]), r"^\|A0\*tau\| = inf exceeds the overflow guard"),
+    ], ids=["clamped", "spread_past_the_metric", "overflowing"])
     def test_refuses_tau_by_name_before_any_warning(self, tau, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -106,6 +108,12 @@ class TestJacobiIntensity:
             rate = (chaos.jacobi_intensity(tau + h, w0, A0)
                     - chaos.jacobi_intensity(tau - h, w0, A0)) / (2 * h)
             assert rate == pytest.approx(w0 * math.cosh(A0 * tau))
+
+    def test_overflowing_element_is_refused_by_name_before_any_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^\|A0\*tau\| = inf exceeds the overflow"):
+                chaos.jacobi_intensity(np.array([1.0, 1e308]), 1.0, 2.0)
 
 
 class TestLyapunov:
