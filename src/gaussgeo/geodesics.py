@@ -145,8 +145,11 @@ def geodesic_acceleration(
     """Analytic second derivatives of the correlated branch, components leading."""
     A0, m, spread, th, ch = _hyperbolic(tau, params, ic)
     sech = 1.0 / ch
-    ddmu = 2.0 * m * A0**2 * th * sech * sech
-    ddsig = spread * A0**2 * (2.0 * th**2 - 1.0) * sech
+    # squares by multiplication: numpy's scalar ** rounds some apart from
+    # the array square, which would break the array contract
+    A0_sq = A0 * A0
+    ddmu = 2.0 * m * A0_sq * th * sech * sech
+    ddsig = spread * A0_sq * (2.0 * th * th - 1.0) * sech
     return np.array([ddmu, -ddmu, ddsig])
 
 

@@ -50,9 +50,10 @@ def _assert_each_point(call, x, r, shape, at=0):
 
 def test_path_forms_broadcast_tau_against_r():
     # a tau column against a row of r, the components leading; libm's pow
-    # rounds 0.7786204316383821**2 one ulp away from r * r
+    # rounds 0.7786204316383821**2 one ulp away from r * r, and numpy's scalar
+    # ** rounds tanh(A0 tau)**2 one ulp away from the array square at this tau
     ic, r = InitialConditions(1.0, 0.1), np.array([0.0, 0.3, 0.7786204316383821, 0.9])
-    tau = np.array([[-0.5], [0.5], [2.0]])
+    tau = np.array([[-0.5512685330207598], [0.5], [2.0]])
     for fn in (geodesics.geodesic_corr, geodesics.joined_path,
                geodesics.geodesic_velocity, geodesics.geodesic_acceleration):
         _assert_each_point(lambda t, x: fn(t, ModelParams(x), ic), tau, r, (3, 3, 4), at=1)
