@@ -262,7 +262,7 @@ def igc_gauss(tau, params: ModelParams, ic: InitialConditions):
     is 2 exp(-2u) du (the mu integrals are exact). Array tau and r broadcast. Each 48-point
     value must match the 96-point one (NaN fails), and a tau whose path is clamped is refused."""
     require_positive(tau=tau)
-    require_hyperbolic(geodesics.amplitude_A0(ic) * tau, "|A0*tau|")
+    require_hyperbolic(geodesics.amplitude_A0(ic), tau, "|A0*tau|")
     start = geodesics.geodesic_corr(0.0, ModelParams(), ic)  # the same at every r
     tau, path = np.expand_dims(tau, -1), ModelParams(np.expand_dims(params.r, -1))
 

@@ -75,7 +75,7 @@ def velocity_norm_squared_contracted(params: models.ModelParams,
     The explicit counterpart of the constant value, held to it by the tests.
     A tau past the clamp or the metric's range is refused by name.
     """
-    _hyperbolic_arg(geodesics.amplitude_A0(ic), tau)
+    require_hyperbolic(geodesics.amplitude_A0(ic), tau, "|A0*tau|")
     try:
         g = models.metric_corr3(geodesics.geodesic_corr(tau, params, ic).sigma, params)
     except errors.DomainError as exc:  # it names the spread, which the caller did not pass
@@ -84,22 +84,13 @@ def velocity_norm_squared_contracted(params: models.ModelParams,
     return scalar_or_array(np.einsum("a...,...ab,b...->...", v, g, v))
 
 
-def _hyperbolic_arg(A0, tau, label: str = "|A0*tau|"):
-    # A0 tau, refused by name past the overflow guard; an element whose product
-    # overflows is inf, which the guard refuses before numpy could warn of it
-    with np.errstate(over="ignore"):
-        arg = A0 * tau
-    require_hyperbolic(arg, label)
-    return arg
-
-
 def jacobi_intensity(tau, omega0: float, A0: float):
     """Jacobi-field intensity J(tau) = (omega0/A0) sinh(A0 tau), scalar or array."""
     require_positive(omega0=omega0, A0=A0)
     with np.errstate(over="ignore"):  # an overflow is inf, refused by name
         scale = omega0 / A0
     require(scale < math.inf, lambda: f"omega0/A0 overflows: A0 is too small for omega0 = {omega0}")
-    return scalar_or_array(scale * np.sinh(_hyperbolic_arg(A0, tau)))
+    return scalar_or_array(scale * np.sinh(require_hyperbolic(A0, tau, "|A0*tau|")))
 
 
 def lyapunov_exponent(A0: float) -> float:
@@ -130,7 +121,7 @@ def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstim
     # the extrapolation halves tau_max, exactly only for a normal float
     require(tau_max >= errors.TINY,
             lambda: f"tau_max must be at least {errors.TINY:.3g}, got {tau_max}")
-    _hyperbolic_arg(A0, tau_max, "|A0*tau_max|")
+    require_hyperbolic(A0, tau_max, "|A0*tau_max|")
     if A0 * tau_max < ASYMPTOTIC_MIN:
         warnings.warn(
             f"A0*tau_max = {A0 * tau_max:.3g} < {ASYMPTOTIC_MIN}: estimate returned "

@@ -74,8 +74,7 @@ def igc_closed(tau, params: models.ModelParams, ic: geodesics.InitialConditions)
     """Closed-form IGC at horizon tau (exact finite-time average)."""
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     require_positive(tau=tau)
-    lam_tau = lam * tau
-    require_hyperbolic(lam_tau, "lambda*tau")
+    lam_tau = require_hyperbolic(lam, tau, "lambda*tau")
     prefactor = 4.0 * igc_ratio(params)
     bracket = (
         -0.75 * lam
@@ -101,8 +100,7 @@ def ige_closed(tau, params: models.ModelParams, ic: geodesics.InitialConditions)
     """
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     require_positive(tau=tau)
-    lam_tau = lam * tau
-    require_hyperbolic(lam_tau, "lambda*tau")
+    lam_tau = require_hyperbolic(lam, tau, "lambda*tau")
     early = lam_tau < IGE_ASYMPTOTIC_MIN
     if any_true(early):
         early = np.broadcast_to(early, np.broadcast(lam_tau, params.r).shape)

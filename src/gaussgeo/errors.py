@@ -124,10 +124,15 @@ def require_scalar(**named):
     return value
 
 
-def require_hyperbolic(arg, label: str) -> None:
-    """Require |arg| <= ARG_CLAMP; ``label`` names arg in the message."""
+def require_hyperbolic(rate, tau, label: str):
+    """Require |rate * tau| <= ARG_CLAMP and return the product; ``label``
+    names it in the message. An element whose product overflows is inf,
+    which the guard refuses, so numpy does not warn of it first."""
+    with np.errstate(over="ignore"):
+        arg = rate * tau
     require(abs(arg) <= ARG_CLAMP, lambda: f"{label} = {np.max(abs(arg)):.3g} "
             f"exceeds the overflow guard {ARG_CLAMP}")
+    return arg
 
 
 def require_normal(entries, table, power, **spreads) -> None:

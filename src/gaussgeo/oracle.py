@@ -204,7 +204,7 @@ def jacobi_integrate(
     A0 = geodesics.amplitude_A0(ic)
     require(0.5 / A0 < tau_max,
             lambda: f"tau_max = {tau_max} must exceed 0.5/A0 = {0.5 / A0:.3g}")
-    require_hyperbolic(A0 * tau_max, "|A0*tau|")
+    require_hyperbolic(A0, tau_max, "|A0*tau|")
     y0 = np.concatenate([np.zeros(3), omega0 * _orthonormal_seed(params, ic)])
     ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec)
 

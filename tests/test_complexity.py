@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,14 @@ class TestIgeClosed:
         with pytest.warns(RegimeWarning) as record:
             complexity.ige_closed(1.0 / lam(desk_ic), ModelParams(0.0), desk_ic)
         assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("form", [complexity.igc_closed, complexity.ige_closed])
+def test_overflowing_horizon_is_refused_by_name_before_any_warning(desk_ic, form):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^lambda\*tau = inf exceeds the overflow guard"):
+            form(np.array([1.0, 1e308]), ModelParams(0.3), desk_ic)
 
 
 class TestRatioAndInversion:
