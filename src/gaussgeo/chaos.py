@@ -28,6 +28,7 @@ small error.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -87,8 +88,7 @@ def velocity_norm_squared_contracted(params: models.ModelParams,
 def jacobi_intensity(tau, omega0: float, A0: float):
     """Jacobi-field intensity J(tau) = (omega0/A0) sinh(A0 tau), scalar or array."""
     require_positive(omega0=omega0, A0=A0)
-    with np.errstate(over="ignore"):  # an overflow is inf, refused by name
-        scale = omega0 / A0
+    scale = errors.unwarned(operator.truediv, omega0, A0)
     require(scale < math.inf, lambda: f"omega0/A0 overflows: A0 is too small for omega0 = {omega0}")
     return scalar_or_array(scale * np.sinh(require_hyperbolic(A0, tau, "|A0*tau|")))
 

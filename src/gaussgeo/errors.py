@@ -11,9 +11,12 @@ only if it holds at every element, and NaN fails it; the other helpers
 raise through it. `require_hyperbolic` is the one overflow guard of sinh,
 cosh and tanh, `require_normal` the one range guard of a spread that scales
 a geometry form, and `require_scalar` the one refusal of an array input.
+`unwarned` forms a product or quotient that may overflow before a guard
+refuses it, so that numpy does not warn first.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -124,12 +127,20 @@ def require_scalar(**named):
     return value
 
 
+def unwarned(op, a, b):
+    """``op(a, b)`` with numpy's overflow ignored: an element that overflows
+    is inf, for a guard to refuse by name. Python numbers overflow to inf
+    silently, so they skip np.errstate, which costs about 2 us a call."""
+    if type(a) in (float, int) and type(b) in (float, int):
+        return op(a, b)
+    with np.errstate(over="ignore"):
+        return op(a, b)
+
+
 def require_hyperbolic(rate, tau, label: str):
     """Require |rate * tau| <= ARG_CLAMP and return the product; ``label``
-    names it in the message. An element whose product overflows is inf,
-    which the guard refuses, so numpy does not warn of it first."""
-    with np.errstate(over="ignore"):
-        arg = rate * tau
+    names it in the message, also where it overflows."""
+    arg = unwarned(operator.mul, rate, tau)
     require(abs(arg) <= ARG_CLAMP, lambda: f"{label} = {np.max(abs(arg)):.3g} "
             f"exceeds the overflow guard {ARG_CLAMP}")
     return arg
