@@ -22,7 +22,9 @@ omega0/A0 overflows is refused.
 The raw value converges only like 1/tau (the limit sheds a constant inside
 the log), so the reported estimate Richardson-extrapolates the last two
 horizon doublings, which kills the 1/tau term and leaves an exponentially
-small error.
+small error. A horizon so short that the log-ratio's squares would
+underflow gives its first-order raw value tau_max (A0^2 + 1), a positive
+normal float.
 """
 
 from __future__ import annotations
@@ -100,13 +102,21 @@ def lyapunov_exponent(A0: float) -> float:
     return 2.0 * A0
 
 
+#: Below this, the square of a positive float is no longer a normal float.
+_SQRT_TINY = math.sqrt(errors.TINY)
+
+
 def _log_ratio(tau: float, A0: float) -> float:
     # log[(J^2 + J'^2)/omega0^2] / tau; omega0 cancels exactly. Written as
     # log[cosh^2 (1 + tanh^2/A0^2)] with cosh = 1 + 2 sinh^2(x/2): every term
     # is positive (no cancellation at small x) and none overflows below the guard
     x = A0 * tau
-    log_cosh = math.log1p(2.0 * math.sinh(0.5 * x) ** 2)
-    return (2.0 * log_cosh + math.log1p((math.tanh(x) / A0) ** 2)) / tau
+    s, t = math.sinh(0.5 * x), math.tanh(x) / A0
+    if max(s, t) < _SQRT_TINY:
+        # both squares would underflow; there log1p(z) is z to rounding, and
+        # each square over tau is formed as (s / tau) * s, about tau (A0^2 + 1)
+        return 4.0 * (s / tau) * s + (t / tau) * t
+    return (2.0 * math.log1p(2.0 * s**2) + math.log1p(t**2)) / tau
 
 
 def lyapunov_estimate(omega0: float, A0: float, tau_max: float) -> LyapunovEstimate:

@@ -20,8 +20,10 @@ table column by column (complexity's grid is the flat (tau, r) mesh);
 from `_SPLIT_ROWS` rows on, a POSIX system formats the two halves of a
 table in two processes, with the same bytes. A command returns its table,
 a (columns, extra) pair, or its record dict; `main` alone captures
-warnings and writes output. The battery, which checks ``verify --only
-GROUP``, is loaded only by ``verify``; no command loads scipy.
+warnings and writes output. Each command imports the modules it reads
+when it runs, so a process compiles and loads only those: ``metric`` loads
+`models` alone, and ``verify`` the battery, which checks ``verify --only
+GROUP``, and through it every closed form; no command loads scipy.
 
 A process (the ``gaussgeo`` script, or ``python -m gaussgeo.cli``) enters
 through `run`, which calls `main` and then freezes the garbage collector's
@@ -46,12 +48,9 @@ from itertools import chain
 
 import numpy as np
 
-from . import chaos, complexity, curvature, errors, geodesics, models, scattering
+from . import errors
 from .errors import (GaussGeoError, OmittedFieldsWarning, ProlongationBoundWarning,
                      RoundTripWarning, TruncationWarning, require, require_correlation)
-from .geodesics import InitialConditions
-from .models import ModelParams
-from .scattering import ScatteringConfig
 
 
 def _no_negzero(obj):
@@ -181,7 +180,9 @@ def _report_warnings(caught) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_metric(args) -> dict:
-    params = ModelParams(args.r)
+    from . import models
+
+    params = models.ModelParams(args.r)
     corr3 = {"--sigma": args.sigma}
     corr4 = {"--sigma-x": args.sigma_x, "--sigma-y": args.sigma_y}
     spreads, unread, other = (corr3, corr4, 4) if args.dim == 3 else (corr4, corr3, 3)
@@ -205,7 +206,9 @@ def _cmd_metric(args) -> dict:
 
 
 def _cmd_curvature(args) -> dict:
-    params = ModelParams(args.r)
+    from . import curvature, models
+
+    params = models.ModelParams(args.r)
     bundle = curvature.bundle(args.sigma, params)
     report = curvature.maximal_symmetry_check(args.sigma, params)
     return {
@@ -238,15 +241,19 @@ def _tau_grid(tau_min, tau_max, n) -> np.ndarray:
 
 
 def _cmd_geodesic(args) -> tuple[dict, dict]:
-    ic = InitialConditions(args.p0, args.sigma0, args.tau0)
-    params = ModelParams(args.r)
+    from . import geodesics, models
+
+    ic = geodesics.InitialConditions(args.p0, args.sigma0, args.tau0)
+    params = models.ModelParams(args.r)
     tau = _tau_grid(args.tau_min, args.tau_max, args.n)
     state = geodesics.joined_path(tau, params, ic)
     return {"tau": tau, "mu1": state.mu1, "mu2": state.mu2, "sigma": state.sigma}, {}
 
 
 def _cmd_jacobi(args) -> tuple[dict, dict]:
-    ic = InitialConditions(args.p0, args.sigma0, args.tau0)
+    from . import chaos, geodesics
+
+    ic = geodesics.InitialConditions(args.p0, args.sigma0, args.tau0)
     A0 = geodesics.amplitude_A0(ic)
     tau = _grid(0.0, args.tau_max, args.n)
     intensity = chaos.jacobi_intensity(tau, args.omega0, A0)
@@ -260,14 +267,17 @@ def _cmd_jacobi(args) -> tuple[dict, dict]:
 
 
 def _cmd_complexity(args) -> tuple[dict, dict]:
-    ic = InitialConditions(args.p0, args.sigma0, args.tau0)
+    from . import chaos, complexity, geodesics, models
+
+    ic = geodesics.InitialConditions(args.p0, args.sigma0, args.tau0)
     lam = chaos.lyapunov_exponent(geodesics.amplitude_A0(ic))
     r_axis = require_correlation(np.array(args.r or [0.0]))  # even if no row is kept
     tau = _tau_grid(args.tau_min, args.tau_max, args.n)
     # the grid increases, so rows past the overflow guard form its tail
     keep = int(np.count_nonzero(lam * tau <= errors.ARG_CLAMP))
     # the flat, tau-major (tau, r) mesh: one call of each closed form
-    tau_col, params = np.repeat(tau[:keep], r_axis.size), ModelParams(np.tile(r_axis, keep))
+    tau_col = np.repeat(tau[:keep], r_axis.size)
+    params = models.ModelParams(np.tile(r_axis, keep))
     columns = {"tau": tau_col, "r": params.r,
                "igc": complexity.igc_closed(tau_col, params, ic),
                "ige": complexity.ige_closed(tau_col, params, ic),
@@ -280,7 +290,9 @@ def _cmd_complexity(args) -> tuple[dict, dict]:
 
 
 def _cmd_scatter(args) -> dict:
-    cfg = ScatteringConfig(
+    from . import scattering
+
+    cfg = scattering.ScatteringConfig(
         k0=args.k0, sigma_k0=args.sigma_k0, R0=args.R0, L=args.L,
         a_s=args.a_s, reduced_mass=args.mu, hbar=args.hbar,
     )
@@ -321,7 +333,9 @@ def _cmd_scatter(args) -> dict:
 
 
 def _cmd_prolongation(args) -> tuple[dict, dict]:
-    ic = InitialConditions(args.p0, args.sigma0, args.tau0)
+    from . import geodesics, scattering
+
+    ic = geodesics.InitialConditions(args.p0, args.sigma0, args.tau0)
     r = _grid(args.r_min, args.r_max, args.n)
     rep = scattering.prolongation(ic, r)
     return ({"r": r, "delta_approx": rep.delta_approx, "delta_exact": rep.delta,
@@ -329,7 +343,7 @@ def _cmd_prolongation(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> int:
-    from . import battery  # loaded here alone: no other command reads it
+    from . import battery
 
     results = battery.run_verification(args.only)
     all_passed = all(res.passed for res in results)

@@ -66,8 +66,9 @@ class CurvatureBundle:
         coordinate planes and the Weyl tensor assembled from them."""
         i, j = _PLANES  # K(e_i, e_j) = R_ijij / (g_ii g_jj - g_ij^2), nan on the diagonal
         K = np.full(riemann.shape[:-4] + (DIM, DIM), np.nan)
+        g_ij = metric[..., i, j]
         K[..., i, j] = riemann[..., i, j, i, j] / (
-            metric[..., i, i] * metric[..., j, j] - metric[..., i, j] ** 2)
+            metric[..., i, i] * metric[..., j, j] - g_ij * g_ij)
         weyl = riemann - _wedge(ricci, metric) / (DIM - 1)
         return cls(christoffel, riemann, ricci, scalar, K, weyl)
 
@@ -149,10 +150,10 @@ def sectional(sigma, params: models.ModelParams, u, v):
     num = np.einsum("...abcd,...a,...b,...c,...d->...", R, u, v, u, v)
     uu, vv, uv = (np.einsum("...a,...ab,...b->...", x, g, y)
                   for x, y in ((u, u), (v, v), (u, v)))
-    den = uu * vv - uv**2
+    den = uu * vv - uv * uv  # numpy's scalar ** rounds some apart from the array square
     require(np.all(abs(den) > 1e-12 * uu * vv),
             "u and v are (numerically) linearly dependent")
-    return num / den
+    return scalar_or_array(num / den)
 
 
 def _require_products(sigma, r) -> None:

@@ -12,7 +12,7 @@ raise through it. `require_hyperbolic` is the one overflow guard of sinh,
 cosh and tanh, `require_normal` the one range guard of a spread that scales
 a geometry form, and `require_scalar` the one refusal of an array input.
 `unwarned` forms a product or quotient that may overflow before a guard
-refuses it, so that numpy does not warn first.
+refuses it or a clamp saturates it, so that numpy does not warn first.
 """
 
 import math

@@ -27,18 +27,19 @@ A NaN tau is rejected with a DomainError. Hyperbolic arguments are clamped
 to |A0 tau| <= 700, `errors.ARG_CLAMP`: beyond that cosh overflows while
 the state is already saturated (tanh = +-1, sigma at the underflow floor),
 so the clamped state is returned with one SaturationWarning per call that
-counts the clamped elements.
+counts the clamped elements, also an element where A0 tau overflows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvature, errors
+from . import errors
 from ._elementwise import any_true, scalar_or_array
 from .errors import SaturationWarning, require, require_positive, require_scalar
 from .models import Macrostate3, ModelParams
@@ -113,7 +114,7 @@ def _hyperbolic(tau, params: ModelParams, ic: InitialConditions):
     # closed form takes tau here, so here alone a NaN is refused. An array r
     # broadcasts against tau, so the clamp counts the elements of the result
     A0, m, spread = _path_constants(ic, params.r)
-    arg = A0 * tau
+    arg = errors.unwarned(operator.mul, A0, tau)  # an element that overflows is clamped
     require(arg == arg, "tau must not be NaN")  # false only at NaN
     if not isinstance(m, float):
         arg, m = np.broadcast_arrays(arg, m)
@@ -178,6 +179,8 @@ def geodesic_residual(
     so the residual tests the closed form, not the stencil (a step of
     1e-4/A0 would leave ~4e-7 of rounding noise).
     """
+    from . import curvature  # read here alone, so the path forms load without it
+
     require_scalar(r=params.r)
     tau_grid = np.asarray(tau_grid, dtype=float)
     require(tau_grid.size >= 5, "tau grid needs at least 5 points")

@@ -259,7 +259,8 @@ def scattering_length_from_r(cfg: ScatteringConfig, r: float) -> float:
 
 def cross_section(cfg: ScatteringConfig, r: float) -> float:
     """Total cross section Sigma = 4 pi a_s^2 with a_s = ell r."""
-    return 4.0 * math.pi * scattering_length_from_r(cfg, r) ** 2
+    a_s = scattering_length_from_r(cfg, r)
+    return 4.0 * math.pi * (a_s * a_s)
 
 
 def eta_c(cfg: ScatteringConfig) -> float:

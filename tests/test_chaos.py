@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from gaussgeo import chaos, curvature, geodesics
+from gaussgeo import chaos, curvature, errors, geodesics
 from gaussgeo.errors import DomainError, RegimeWarning
 from gaussgeo.geodesics import InitialConditions
 from gaussgeo.models import ModelParams
@@ -154,6 +154,15 @@ class TestLyapunov:
     def test_estimate_rejects_omega0_not_positive_and_finite(self, omega0):
         with pytest.raises(DomainError, match="omega0 must be positive and finite"):
             chaos.lyapunov_estimate(omega0, 1.0, 10.0)
+
+    @pytest.mark.parametrize("tau_max", [errors.TINY, 1e-300, 1e-200, 1e-160])
+    def test_tiny_horizon_gives_a_positive_normal_float(self, tau_max):
+        # where x^2 would underflow: raw = tau (A0^2 + 1) to first order, and the
+        # extrapolation 2 raw(tau) - raw(tau/2) gives 1.5 raw
+        with pytest.warns(RegimeWarning):
+            est = chaos.lyapunov_estimate(1.0, 2.0, tau_max)
+        assert math.isclose(est.raw, 5.0 * tau_max, rel_tol=1e-15)
+        assert math.isclose(est.value, 7.5 * tau_max, rel_tol=1e-15)
 
     def test_warns_below_asymptotic_regime(self):
         with pytest.warns(RegimeWarning) as record:

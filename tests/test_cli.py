@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaussgeo
 from gaussgeo import battery, cli, curvature, errors, models, scattering
 from gaussgeo.geodesics import InitialConditions
 
@@ -378,6 +379,15 @@ class TestExtremeInput:
         assert code == 0
         assert out and err == ""
 
+    def test_overflowing_tau_is_clamped(self, capsys):
+        # A0 tau overflows at the last grid point: a saturated row, not an error
+        code, out, err = run_cli(capsys, "geodesic", "--tau-max", "1e308", "--n", "3",
+                                 "--format", "csv")
+        assert code == 0
+        assert err == ("warning: SaturationWarning: |A0*tau| clamped to 700.0 at 2 of 4 "
+                       "elements (largest inf); state is saturated\n")
+        assert out.splitlines()[-1].startswith("1e+308,")
+
     @pytest.mark.parametrize("r", ["0", "0.5", "0.9"])
     @pytest.mark.parametrize("sigma", ["5e76", "3e-77", "1e-40", "2000"])
     def test_curvature_inside_its_range(self, capsys, sigma, r):
@@ -495,7 +505,50 @@ def _python(*args):
                           env=_source_env(), timeout=120, check=True)
 
 
+#: The gaussgeo modules each command loads besides the package, errors,
+#: _elementwise and cli: the closed forms it reads and the modules they import
+_PATH = ("models", "geodesics")
+COMMAND_MODULES = {
+    "metric": ("models",),
+    "curvature": ("models", "curvature"),
+    "geodesic": _PATH,
+    "jacobi": (*_PATH, "chaos"),
+    "complexity": (*_PATH, "chaos", "complexity"),
+    "scatter": (*_PATH, "scattering"),
+    "prolongation": (*_PATH, "scattering"),
+    "verify": (*_PATH, "chaos", "complexity", "curvature", "scattering", "battery"),
+}
+
+
+def _loaded(code: str) -> list[str]:
+    """The gaussgeo modules a fresh interpreter has loaded after ``code``."""
+    return json.loads(_python("-c", f"{code}\nimport json, sys\nprint(json.dumps(sorted(\n"
+                              "    m for m in sys.modules if m.partition('.')[0] == 'gaussgeo')))"
+                              ).stdout)
+
+
 class TestImports:
+    @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+    def test_command_loads_only_the_modules_it_reads(self, command):
+        argv = [command, "--only", "models"] if command == "verify" else [command]
+        code = ("import io\nfrom contextlib import redirect_stderr, redirect_stdout\n"
+                "from gaussgeo import cli\n"
+                "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+                f"    assert cli.main({argv!r}) == 0")
+        expected = {"gaussgeo", *(f"gaussgeo.{m}" for m in (
+            "errors", "_elementwise", "cli", *COMMAND_MODULES[command]))}
+        assert _loaded(code) == sorted(expected)
+
+    def test_package_loads_errors_alone_and_resolves_each_name(self):
+        assert _loaded("import gaussgeo") == ["gaussgeo", "gaussgeo.errors"]
+        names = ", ".join(gaussgeo.__all__)
+        code = (f"from gaussgeo import {names}\nimport gaussgeo\n"
+                f"assert [{names}] == [getattr(gaussgeo, n) for n in gaussgeo.__all__]\n"
+                "assert all(x.__name__ == n for x, n in zip([" + names + "], gaussgeo.__all__))")
+        assert "gaussgeo.scattering" in _loaded(code)
+        with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+            gaussgeo.bogus
+
     def test_cli_does_not_load_the_oracle(self):
         code = ("import sys, gaussgeo.cli; "
                 "print(sorted(m for m in ('scipy.integrate', 'gaussgeo.oracle') "

@@ -131,6 +131,13 @@ class TestScalarAndSectional:
             K = curvature.sectional(sg, ModelParams(r), u, v)
             assert K == pytest.approx(-0.25, abs=1e-10)
 
+    def test_scalar_call_is_the_array_element(self):
+        # a point where numpy's scalar uv**2 rounds apart from the array square
+        sg, u, v = 6.342267044706826, [1.0, 1.0, 0.5], [0.0, 1.0, -2.0]
+        K = curvature.sectional(sg, ModelParams(0.3), u, v)
+        assert type(K) is float
+        assert K == curvature.sectional(np.array([sg, sg]), ModelParams(0.3), u, v)[0] == -0.25
+
     def test_degenerate_plane_rejected(self):
         with pytest.raises(DomainError):
             curvature.sectional(1.0, ModelParams(0.0), [1, 0, 0], [2, 0, 0])

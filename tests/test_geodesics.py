@@ -291,6 +291,16 @@ class TestConservationAndParity:
         assert s.sigma > 0.0
         assert abs(s.mu2) == pytest.approx(math.sqrt(1.02), rel=1e-15)
 
+    def test_overflowing_element_is_clamped_before_any_warning(self, desk_ic):
+        # A0 * 1e308 overflows; the element is clamped, and numpy does not warn first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            warnings.simplefilter("always", SaturationWarning)
+            s = geodesics.geodesic_corr(np.array([1.0, 1e308]), ModelParams(0.3), desk_ic)
+            saturated = geodesics.geodesic_corr(1e5, ModelParams(0.3), desk_ic)
+        assert [w.message.count for w in caught] == [1, 1]
+        assert (s.mu1[1], s.mu2[1], s.sigma[1]) == dataclasses.astuple(saturated)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

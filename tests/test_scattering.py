@@ -274,6 +274,12 @@ class TestPotentialAndCrossSection:
                 4 * math.pi * a_s**2, rel=1e-13
             )
 
+    def test_cross_section_scalar_call_is_the_array_element(self, desk_cfg):
+        # an r where the float a_s**2 rounds apart from the array square
+        r = 0.8144454310451172
+        assert (scattering.cross_section(desk_cfg, r)
+                == scattering.cross_section(desk_cfg, np.array([r]))[0] == 9.261713386743419e-07)
+
     def test_potential_density(self, desk_cfg):
         assert scattering.potential_density(desk_cfg) == pytest.approx(
             53.6, rel=1e-12
