@@ -111,6 +111,13 @@ def require_nonnegative(**named) -> None:
                 lambda: f"{name} must be non-negative and finite, got {value}")
 
 
+def require_within(lo: float, hi: float, **named) -> None:
+    """Require each named value to lie in [lo, hi]."""
+    for name, value in named.items():
+        require((lo <= value) & (value <= hi),
+                lambda: f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+
+
 def require_correlation(r):
     """Require r in [0, R_MAX) and return it."""
     require((0.0 <= r) & (r < R_MAX), lambda: f"correlation must lie in [0, {R_MAX}), got {r}")

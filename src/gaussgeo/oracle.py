@@ -46,7 +46,7 @@ from . import chaos, curvature, geodesics, models
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
                       igc_gauss, purity_bruteforce, purity_gaussian_state, run_verification)
 from .errors import (ConvergenceError, require, require_hyperbolic, require_positive,
-                     require_scalar)
+                     require_scalar, require_within)
 from .geodesics import InitialConditions
 from .models import ModelParams
 
@@ -193,18 +193,23 @@ def jacobi_integrate(
     velocity v: J'' = -2 Gamma(v, J') + Gamma(v, v) J^sigma / sigma, the
     covariant D^2 J + R(J, v) v = 0 in coordinates. Gamma alone drives it.
 
-    Initial data: J(0) = 0 and DJ/dtau(0) = omega0 * w, omega0 > 0 and
-    finite, with w a g-unit vector orthogonal to the velocity; orthogonality
-    of J to the velocity is monitored along the whole trajectory. Every
-    result is read at the integrator's accepted steps on [0, tau_max],
+    Initial data: J(0) = 0 and DJ/dtau(0) = omega0 * w, with w a g-unit
+    vector orthogonal to the velocity; orthogonality of J to the velocity is
+    monitored along the whole trajectory. The equation is linear in J, so
+    omega0 only scales the field, and it must lie in [1e-6, 1e6]: DOP853
+    measures the field against the absolute tolerance, and at the default
+    ``OdeSpec`` a field far below unit scale is lost under it, while one far
+    above takes ever more steps (1e5 at omega0 = 1e20) and then overflows.
+    Every result is read at the integrator's accepted steps on [0, tau_max],
     tau_max > 0.5/A0.
     """
     require_scalar(r=params.r, tau_max=tau_max, omega0=omega0)
     require_positive(omega0=omega0)
+    require_within(1e-6, 1e6, omega0=omega0)
     A0 = geodesics.amplitude_A0(ic)
     require(0.5 / A0 < tau_max,
             lambda: f"tau_max = {tau_max} must exceed 0.5/A0 = {0.5 / A0:.3g}")
-    require_hyperbolic(A0, tau_max, "|A0*tau|")
+    require_hyperbolic(A0, tau_max, "|A0*tau_max|")
     y0 = np.concatenate([np.zeros(3), omega0 * _orthonormal_seed(params, ic)])
     ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec)
 

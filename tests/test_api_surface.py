@@ -270,7 +270,6 @@ def test_every_helper_name_is_read():
 DEFAULTED = {
     "oracle.geodesic_integrate.spec": "refinement self-test with a tighter OdeSpec",
     "oracle.jacobi_integrate.spec": "refinement self-test with a tighter OdeSpec",
-    "battery.curvature_fd.step": "the Richardson self-test fed a bad step",
     "battery.purity_bruteforce.check_convergence": "the purity order-doubling self-test",
     "oracle.jacobi_integrate.omega0": "the linearity test of the Jacobi intensity",
     "battery.run_verification.only": "verify --only",
@@ -352,7 +351,7 @@ _GROUPS = [
      battery.fisher_metric_numeric),
     ({"model": "corr4", "state": Macrostate4(0.4, -0.3, 0.5, 1.0), "params": _P},
      battery.fisher_metric_numeric),
-    ({"sigma": 0.5, "params": _P, "step": 5e-6}, battery.curvature_fd),
+    ({"sigma": 0.5, "params": _P}, battery.curvature_fd),
     ({"cfg": _CFG, "check_convergence": False}, battery.purity_bruteforce),
     ({**_PATH, "tau": 1.0}, battery.igc_gauss, oracle.igc_numeric),
     ({"rtol": 1e-10, "atol": 1e-12}, oracle.OdeSpec),
@@ -668,16 +667,34 @@ SPREADS = sorted(name for name in INPUTS if name.split(".")[0] in ("models", "cu
 OFF_SCALE = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 1e300, 1e-300, 5e-324]
 
 
-@pytest.mark.parametrize("value", OFF_SCALE)
-@pytest.mark.parametrize("name", SPREADS)
-def test_spread_is_refused_by_name_or_gives_finite_values(name, value):
-    # under the CLI's floating-point error state, so that no raw error escapes it either
+def _refused_by_name_or_finite(name, value, *aliases):
+    """The valid call of ``name``'s entry with that value is refused by the
+    input's name or one of ``aliases``, or gives finite values, under the
+    CLI's floating-point error state, so that no raw error escapes it either."""
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         try:
             result = _call(name, value)
         except DomainError as exc:
-            assert re.search(rf"\b{name.rpartition('.')[2]}\b", str(exc)), exc
+            words = (name.rpartition(".")[2], *aliases)
+            assert re.search("|".join(rf"\b{word}\b" for word in words), str(exc)), exc
             return
     if isinstance(result, curvature.CurvatureBundle):  # K(e_i, e_i) is NaN by definition
         result = dataclasses.replace(result, sectional=result.sectional[~np.eye(3, dtype=bool)])
     assert all(np.isfinite(leaf).all() for leaf in _leaves(result))
+
+
+@pytest.mark.parametrize("value", OFF_SCALE)
+@pytest.mark.parametrize("name", SPREADS)
+def test_spread_is_refused_by_name_or_gives_finite_values(name, value):
+    _refused_by_name_or_finite(name, value)
+
+
+#: Every numeric input of the oracles, which hold the closed forms to a tolerance
+ORACLE_INPUTS = sorted(name for name in INPUTS if name.split(".")[0] in ("battery", "oracle"))
+
+
+@pytest.mark.parametrize("value", OFF_SCALE)
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_oracle_input_is_refused_by_name_or_gives_finite_values(name, value):
+    # an r may be refused as the correlation, as in BAD_VALUES
+    _refused_by_name_or_finite(name, value, "correlation")
