@@ -8,7 +8,9 @@ validates. Self-tests raise ``ConvergenceError``: ``purity_bruteforce``
 doubles its order behind ``check_convergence`` and ``igc_gauss`` on every
 call; ``curvature_fd`` differences once, at a step of 1e-5 sigma. The Fisher
 rule, exact at order 4, and ``igc_gauss``, which refuses a clamped path,
-broadcast.
+broadcast. Each rule calls a closed form once: ``igc_gauss`` its path at
+the nodes of both orders, ``curvature_fd`` the metric and the Christoffels
+at sigma + h and sigma - h stacked.
 
 `run_verification` drives the battery; ``verify`` formats its results. Each
 row is one record, made by a decorator on its check: its group, one fixed
@@ -135,16 +137,22 @@ def curvature_fd(sigma, params: ModelParams) -> curvature.CurvatureBundle:
     times powers of sigma, so a fixed fraction of sigma leaves the same
     relative truncation error at every (sigma, r), and every caller holds
     the result to a tolerance. Array sigma and r broadcast as in
-    `curvature.bundle`.
+    `curvature.bundle`: sigma is broadcast against r first, and sigma + h and
+    sigma - h stack on a leading axis, so that the metric and the
+    Christoffels are each evaluated in one call.
     """
     g = models.metric_corr3(sigma, params)  # checks sigma before the step reads it
-    h = np.asarray(1e-5 * sigma)
     ginv = np.linalg.inv(g)
+    # on the points' shape, so that the steps stack against an array r
+    sigma = np.broadcast_to(sigma, np.broadcast_shapes(np.shape(sigma), np.shape(params.r)))
+    h = 1e-5 * sigma
+    steps = np.stack([sigma + h, sigma - h])
 
     def d_sigma(tensor, rank):
         # d_e of a tensor of sigma alone, as an axis e before the tensor axes
-        diff = tensor(sigma + h, params) - tensor(sigma - h, params)
-        diff /= np.reshape(2.0 * h, h.shape + (1,) * rank)
+        plus, minus = tensor(steps, params)
+        diff = plus - minus
+        diff /= np.reshape(2.0 * h, np.shape(h) + (1,) * rank)
         return np.stack([np.zeros_like(diff), np.zeros_like(diff), diff], axis=-rank - 1)
 
     dgf = d_sigma(models.metric_corr3, 2)
@@ -259,27 +267,32 @@ def igc_gauss(tau, params: ModelParams, ic: InitialConditions):
     """Time-averaged Fisher volume at a positive horizon tau, by the literal nested
     integral: Gauss-Legendre rules over tau' and over u = ln sigma, where 2/sigma^3 dsigma
     is 2 exp(-2u) du (the mu integrals are exact). Array tau and r broadcast. Each 48-point
-    value must match the 96-point one (NaN fails), and a tau whose path is clamped is refused."""
+    value must match the 96-point one (NaN fails), and a tau whose path is clamped is refused.
+    One closed-form call gives the path at the nodes of both rules; each rule then runs
+    the float operations it runs alone, on its own nodes."""
     require_positive(tau=tau)
     require_hyperbolic(geodesics.amplitude_A0(ic), tau, "|A0*tau|")
     start = geodesics.geodesic_corr(0.0, ModelParams(), ic)  # the same at every r
     tau, path = np.expand_dims(tau, -1), ModelParams(np.expand_dims(params.r, -1))
+    rules = [_gauss_rule(np.polynomial.legendre.leggauss, order) for order in (48, 96)]
+    # the nodes of both rules on a last axis, in one closed-form call
+    state = geodesics.geodesic_corr(
+        0.5 * tau * (np.concatenate([x for x, _ in rules]) + 1.0), path, ic)
+    u0 = math.log(start.sigma)
 
-    def average(order):
-        x, w = _gauss_rule(np.polynomial.legendre.leggauss, order)
-        state = geodesics.geodesic_corr(0.5 * tau * (x + 1.0), path, ic)  # nodes on a last axis
-        u0 = math.log(start.sigma)
-        half = 0.5 * (np.log(state.sigma) - u0)  # half-widths of the u intervals
+    def average(x, w, nodes):
+        sigma, mu1, mu2 = (field[..., nodes] for field in (state.sigma, state.mu1, state.mu2))
+        half = 0.5 * (np.log(sigma) - u0)  # half-widths of the u intervals
         # exp(-2u) in one buffer; einsum, unlike @, sums a point of a stack as it sums one
         grid = np.multiply.outer(half, x + 1.0)
         grid += u0
         grid *= -2.0
         inner = half * (2.0 * np.einsum("...j,j->...", np.exp(grid, out=grid), w))
-        volume = (state.mu1 - start.mu1) * (state.mu2 - start.mu2) * inner
+        volume = (mu1 - start.mu1) * (mu2 - start.mu2) * inner
         return 0.5 * np.einsum("...j,j->...", volume, w) / np.sqrt(1.0 - params.r * params.r)
 
-    result = average(48)  # exp(-2u) of a tiny sigma is inf
-    drift = np.abs(average(96) - result)  # inf - inf is NaN
+    result = average(*rules[0], slice(48))  # exp(-2u) of a tiny sigma is inf
+    drift = np.abs(average(*rules[1], slice(48, None)) - result)  # inf - inf is NaN
     if not np.all(drift <= np.maximum(1e-9, 1e-7 * np.abs(result))):
         raise ConvergenceError(f"IGC time average drift {np.max(drift):.3g} at order doubling")
     return scalar_or_array(result)

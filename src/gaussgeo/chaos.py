@@ -16,7 +16,7 @@ reject a NaN A0 tau, or one past the overflow guard
 `errors.require_hyperbolic` (|A0 tau| <= 700), with a DomainError, also
 where an element of A0 tau overflows; A0, omega0 and tau_max must be
 positive and finite, tau_max a normal float, and an A0 whose Q, lambda or
-omega0/A0 overflows is refused.
+omega0/A0 overflows, or whose Q underflows, is refused.
 
 `lyapunov_estimate` evaluates the defining log-ratio at a finite horizon.
 The raw value converges only like 1/tau (the limit sheds a constant inside
@@ -57,11 +57,16 @@ class LyapunovEstimate:
     raw: float
 
 
+#: Below this, the square of a positive float is no longer a normal float.
+_SQRT_TINY = math.sqrt(errors.TINY)
+
+
 def jlc_coefficient(A0: float) -> float:
     """Constant Q of the reduced Jacobi equation: -A0^2."""
     require_positive(A0=A0)
     require(A0 <= math.sqrt(sys.float_info.max),
             lambda: f"A0 = {A0} overflows the JLC coefficient -A0^2")
+    require(A0 >= _SQRT_TINY, lambda: f"A0 = {A0} underflows the JLC coefficient -A0^2")
     return -A0 * A0
 
 
@@ -100,10 +105,6 @@ def lyapunov_exponent(A0: float) -> float:
     require_positive(A0=A0)
     require(A0 <= 0.5 * sys.float_info.max, lambda: f"A0 = {A0} overflows lambda = 2 A0")
     return 2.0 * A0
-
-
-#: Below this, the square of a positive float is no longer a normal float.
-_SQRT_TINY = math.sqrt(errors.TINY)
 
 
 def _log_ratio(tau: float, A0: float) -> float:

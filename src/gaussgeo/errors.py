@@ -10,7 +10,8 @@ rule once for a scalar or an array. `require` alone tests a rule: it holds
 only if it holds at every element, and NaN fails it; the other helpers
 raise through it. `require_hyperbolic` is the one overflow guard of sinh,
 cosh and tanh, `require_normal` the one range guard of a spread that scales
-a geometry form, and `require_scalar` the one refusal of an array input.
+a geometry form, reached only for spreads outside ``SPREAD_RANGE``, and
+`require_scalar` the one refusal of an array input.
 `unwarned` forms a product or quotient that may overflow before a guard
 refuses it or a clamp saturates it, so that numpy does not warn first.
 """
@@ -29,6 +30,18 @@ ARG_CLAMP = 700.0
 
 #: The least and the largest positive normal float.
 TINY, HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+#: Every entry of the r-only table of a geometry form lies in [TABLE_MIN, TABLE_MAX]
+#: in magnitude at every admitted r: 1/4 is the least (Gamma^sigma_11 at r = 0, the
+#: inverse metric's sigma entry), and 4/(1 - r^2)^2 <= 1e18 at R_MAX the largest.
+TABLE_MIN, TABLE_MAX = 0.25, 1e19
+
+#: SPREAD_RANGE[k]: spread products s at which t s^k and t / s^k, for each t in
+#: [TABLE_MIN, TABLE_MAX], are normal floats, also when formed by k roundings: the
+#: ends are the k-th roots of the tighter bound of either sign, shrunk by 1e-9.
+SPREAD_RANGE = {k: ((max(TINY / TABLE_MIN, TABLE_MAX / HUGE) ** (1 / k)) * (1.0 + 1e-9),
+                    (min(HUGE / TABLE_MAX, TABLE_MIN / TINY) ** (1 / k)) * (1.0 - 1e-9))
+                for k in range(1, 7)}
 
 
 class GaussGeoError(Exception):
@@ -157,7 +170,9 @@ def require_normal(entries, table, power, **spreads) -> None:
     """Require the named spreads > 0 and ``entries``, the r-only ``table``
     times their product to ``power``, normal floats, where numpy ignores float
     errors; the message states the range, at the first point refused, of the
-    product, in which TINY <= |t| product**power <= HUGE for each t."""
+    product, in which TINY <= |t| product**power <= HUGE for each t.
+    `_elementwise.scaled` calls it only for a product outside
+    ``SPREAD_RANGE[abs(power)]``, inside which every entry is normal."""
     ok = True
     for spread in spreads.values():
         ok = ok & (0.0 < spread)

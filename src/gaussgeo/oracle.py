@@ -45,8 +45,8 @@ except ModuleNotFoundError as exc:  # an install without the oracle extra
 from . import chaos, curvature, geodesics, models
 from .battery import (CheckResult, curvature_fd, fisher_metric_numeric,  # noqa: F401
                       igc_gauss, purity_bruteforce, purity_gaussian_state, run_verification)
-from .errors import (ConvergenceError, require, require_hyperbolic, require_positive,
-                     require_scalar, require_within)
+from .errors import (ConvergenceError, DomainError, require, require_hyperbolic,
+                     require_positive, require_scalar, require_within)
 from .geodesics import InitialConditions
 from .models import ModelParams
 
@@ -201,7 +201,8 @@ def jacobi_integrate(
     ``OdeSpec`` a field far below unit scale is lost under it, while one far
     above takes ever more steps (1e5 at omega0 = 1e20) and then overflows.
     Every result is read at the integrator's accepted steps on [0, tau_max],
-    tau_max > 0.5/A0.
+    tau_max > 0.5/A0; a tau_max that takes the path's spread past the
+    metric's range is refused by name before the solve.
     """
     require_scalar(r=params.r, tau_max=tau_max, omega0=omega0)
     require_positive(omega0=omega0)
@@ -211,6 +212,10 @@ def jacobi_integrate(
             lambda: f"tau_max = {tau_max} must exceed 0.5/A0 = {0.5 / A0:.3g}")
     require_hyperbolic(A0, tau_max, "|A0*tau_max|")
     y0 = np.concatenate([np.zeros(3), omega0 * _orthonormal_seed(params, ic)])
+    try:  # from its start, the path's spread falls with tau, to its least at tau_max
+        models.metric_corr3(geodesics.geodesic_corr(tau_max, params, ic).sigma, params)
+    except DomainError as exc:  # it names the spread, which the caller did not pass
+        raise DomainError(f"tau_max takes the spread past the metric's range: {exc}") from exc
     ts, ys = _integrate(_jacobi_rhs(params, ic), y0, 0.0, tau_max, spec)
 
     closed = chaos.jacobi_intensity(ts, omega0, A0)

@@ -632,6 +632,7 @@ BAD_VALUES = [
     ("geodesics.InitialConditions", "tau0", 0.0), ("geodesics.InitialConditions", "R0", math.inf),
     ("geodesics.InitialConditions", "sigma0", 0.2),  # sigma0/p0 past LOCALIZATION_MAX
     ("chaos.jlc_coefficient", "A0", 0.0), ("chaos.jlc_coefficient", "A0", 1e308),
+    ("chaos.jlc_coefficient", "A0", 1e-300),  # -A0^2 underflows
     ("chaos.lyapunov_exponent", "A0", 1e308),
     ("chaos.jacobi_intensity", "omega0", math.nan), ("chaos.jacobi_intensity", "tau", math.nan),
     ("chaos.jacobi_intensity", "A0", 5e-324),  # omega0/A0 overflows

@@ -485,6 +485,14 @@ class TestJacobiIntegrate:
                 oracle.jacobi_integrate(ModelParams(0.5), desk_ic, 800.0 / A0)
         assert caught == []
 
+    @pytest.mark.parametrize("span", [400.0, 699.0])
+    def test_rejects_tau_max_past_the_metric_range_by_name(self, desk_ic, span, monkeypatch):
+        # the path's spread at A0 tau_max = span leaves the metric's range at r = 0.5
+        monkeypatch.setattr(oracle, "solve_ivp", None)  # any call would fail otherwise
+        tau_max = span / geodesics.amplitude_A0(desk_ic)
+        with pytest.raises(DomainError, match="^tau_max takes the spread past the metric's range"):
+            oracle.jacobi_integrate(ModelParams(0.5), desk_ic, tau_max)
+
     @pytest.mark.parametrize("tau_max", [1e-3, 0.0, -1.0, math.nan])
     def test_rejects_an_empty_intensity_window(self, desk_ic, tau_max):
         # the intensity error is measured from A0 tau = 0.5 on: a shorter run has no sample
