@@ -60,11 +60,10 @@ def _gauss_rule(build, order: int):
 # Fisher metric by quadrature of the defining expectation
 # ---------------------------------------------------------------------------
 
-def _scores_corr4(xy, mux, muy, sx, sy, r):
+def _scores_corr4(a, b, sx, sy, r):
     # with the standardized offsets a = (x - mux)/sx and b = (y - muy)/sy, a
     # mean's score is (a - r b)/(sx (1 - r^2)), and its spread's is that times
     # a, less 1/sx
-    a, b = (xy[0] - mux) / sx, (xy[1] - muy) / sy
     omr2 = 1.0 - r * r
     ux, uy = (a - r * b) / (sx * omr2), (b - r * a) / (sy * omr2)
     return np.array([ux, a * ux - 1.0 / sx, uy, b * uy - 1.0 / sy])
@@ -79,15 +78,16 @@ def _hermite_product(order: int):
 
 def _fisher_quadrature(mux, muy, sx, sy, r, embed, order):
     # E[s s^T] of the scores s = embed^T s4, s4 the corr4 scores: the
-    # Gauss-Hermite product mesh, mapped through the covariance's Cholesky
-    # factor [[sx, 0], [r sy, sqrt(1 - r^2) sy]], summed as one weighted
-    # product per point of the broadcast inputs, which lead the result
+    # Gauss-Hermite product mesh, mapped through the correlation's Cholesky
+    # factor [[1, 0], [r, sqrt(1 - r^2)]] straight to the standardized
+    # offsets, not through x = mux + sqrt(2) sx z, which rounds back to mux
+    # at a spread far below the means; summed as one weighted product per
+    # point of the broadcast inputs, which lead the result
     z, w = _gauss_rule(_hermite_product, order)
-    mux, muy, sx, sy, r = (np.asarray(v, float)[..., None]
-                           for v in np.broadcast_arrays(mux, muy, sx, sy, r))
-    xy = np.array([mux + math.sqrt(2.0) * sx * z[0],
-                   muy + math.sqrt(2.0) * sy * (r * z[0] + np.sqrt(1.0 - r * r) * z[1])])
-    s = np.einsum("ak,a...n->...kn", embed, _scores_corr4(xy, mux, muy, sx, sy, r))
+    _, _, sx, sy, r = (np.asarray(v, float)[..., None]  # the means set only the points
+                       for v in np.broadcast_arrays(mux, muy, sx, sy, r))
+    a, b = math.sqrt(2.0) * z[0], math.sqrt(2.0) * (r * z[0] + np.sqrt(1.0 - r * r) * z[1])
+    s = np.einsum("ak,a...n->...kn", embed, _scores_corr4(a, b, sx, sy, r))
     return (s * w) @ np.swapaxes(s, -1, -2) / math.pi
 
 

@@ -98,6 +98,13 @@ class TestFisherMetricNumeric:
         with pytest.raises(DomainError):
             oracle.fisher_metric_numeric("corr5", None, None)
 
+    @pytest.mark.parametrize("sigma", [1e-20, 1e-60, 1e-140])
+    def test_keeps_its_nodes_at_a_spread_far_below_the_means(self, sigma):
+        # nodes formed as x = mu + sqrt(2) sigma z round back to mu here
+        state = Macrostate3(0.4, -0.4, sigma)
+        got = oracle.fisher_metric_numeric("corr3", state, ModelParams(0.0)) * (sigma * sigma)
+        assert np.abs(got - np.diag([1.0, 1.0, 4.0])).max() <= 1e-12
+
     @pytest.mark.parametrize("model", ["corr3", "corr4"])
     def test_mesh_product_matches_node_loop(self, model):
         # reference: the node-by-node double loop the weighted product replaced,
@@ -120,8 +127,8 @@ class TestFisherMetricNumeric:
         ref = 0.0
         for i, zi in enumerate(nodes):
             for j, zj in enumerate(nodes):
-                xy = mean + math.sqrt(2.0) * L @ np.array([zi, zj])
-                s = C @ battery._scores_corr4(xy, mux, muy, sx, sy, r)
+                a, b = (mean + math.sqrt(2.0) * L @ np.array([zi, zj]) - mean) / (sx, sy)
+                s = C @ battery._scores_corr4(a, b, sx, sy, r)
                 ref = ref + (weights[i] * weights[j]) * np.outer(s, s)
         ref = ref / math.pi
         got = oracle.fisher_metric_numeric(model, state, ModelParams(r))
