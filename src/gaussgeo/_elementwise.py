@@ -34,9 +34,7 @@ def any_true(mask) -> bool:
 
 def gather(slots: np.ndarray, *values):
     """``(0.0, *values)[slots]`` at each point: each entry is a copy of its
-    value. The values broadcast; their axes lead and the slot axes trail.
-    Scalar values index one flat array; any array value fills a zeroed
-    array of the broadcast points instead."""
+    value. The values broadcast; their axes lead and the slot axes trail."""
     if not any(isinstance(value, np.ndarray) for value in values):
         return np.array((0.0, *values))[slots]
     # C-ordered, as the 0-d result: numpy's reductions sum in memory order
@@ -48,16 +46,14 @@ def gather(slots: np.ndarray, *values):
 
 def scaled(power: int, table, *vanishing, **spreads) -> list:
     """The r-only entries of ``table``, each in [TABLE_MIN, TABLE_MAX] in
-    magnitude at every admitted r, and of ``vanishing``, each at most a table
-    entry in magnitude, times the named spreads' product s to ``power``: each
-    is multiplied, or for a negative power divided, by s*s (and s for an odd
+    magnitude at every admitted r, and of ``vanishing``, none above
+    TABLE_MAX, times the named spreads' product s to ``power``: each is
+    multiplied, or for a negative power divided, by s*s (and s for an odd
     power) in turn, the same float operations on a scalar and an array.
-
-    Spreads whose product lies in ``SPREAD_RANGE[abs(power)]``, every one
-    positive, keep each table entry a normal float, so those are formed with
-    no further test. Any other spreads take the guarded path, where
-    `errors.require_normal` refuses them if a table entry leaves the normal
-    floats, and admits them with the same bits otherwise."""
+    Inside ``SPREAD_RANGE[abs(power)]``, every spread positive, no table
+    entry can leave the normal floats and none is tested; elsewhere
+    `errors.require_normal` refuses the spreads by name, or admits them with
+    the same bits."""
     s = math.prod(spreads.values())
     *others, _ = spreads.values()  # s > 0 and the others > 0 make the last > 0
     if _within(s, *SPREAD_RANGE[abs(power)]) and all(_within(x, 0.0, math.inf) for x in others):
@@ -73,8 +69,8 @@ def _within(x, lo: float, hi: float) -> bool:
 
 
 def _times(power: int, s, entries: list) -> list:
-    # s * s only where it is a factor: at power 1 it may overflow where s does not
-    for f in [s] * (power % 2) + ([s * s] * (abs(power) // 2) if abs(power) > 1 else []):
+    # no s * s at power 1, where it may overflow though s does not
+    for f in [s] if abs(power) == 1 else [s] * (power % 2) + [s * s] * (abs(power) // 2):
         try:
             entries = [t / f for t in entries] if power < 0 else [t * f for t in entries]
         except ZeroDivisionError:  # a float spread whose square is 0, where numpy gives inf
