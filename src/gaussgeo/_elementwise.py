@@ -34,7 +34,9 @@ def any_true(mask) -> bool:
 
 def gather(slots: np.ndarray, *values):
     """``(0.0, *values)[slots]`` at each point: each entry is a copy of its
-    value. The values broadcast; their axes lead and the slot axes trail."""
+    value. The values broadcast; their axes lead and the slot axes trail.
+    With no array among the values it indexes one flat array, the cheaper
+    path for a scalar call; an array value fills a zeroed array of points."""
     if not any(isinstance(value, np.ndarray) for value in values):
         return np.array((0.0, *values))[slots]
     # C-ordered, as the 0-d result: numpy's reductions sum in memory order
